@@ -36,17 +36,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _default_bound() -> int:
-    raw = os.environ.get("MMM_DEGREE_BOUND")
-    if raw is None:
-        return 24
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"MMM_DEGREE_BOUND={raw!r} is not an integer")
-
-
-def _check_bound(parser: argparse.ArgumentParser, value: int) -> int:
+def _degree_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """``--max-degree``, else MMM_DEGREE_BOUND, else 24; bad values are usage errors."""
+    value = args.max_degree
+    if value is None:
+        raw = os.environ.get("MMM_DEGREE_BOUND", "24")
+        try:
+            value = int(raw)
+        except ValueError:
+            parser.error(f"MMM_DEGREE_BOUND={raw!r} is not an integer")
     if value <= 0 or value % 2:
         parser.error(f"--max-degree must be a positive even integer, got {value}")
     return value
@@ -140,7 +138,7 @@ def _rows_to_csv(header: List[str], rows: List[List[object]]) -> str:
 
 
 def cmd_verify_all(args, parser) -> int:
-    bound = _check_bound(parser, args.max_degree if args.max_degree is not None else _default_bound())
+    bound = _degree_bound(parser, args)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     report = run_verification(bound, jobs=args.jobs)
@@ -169,7 +167,7 @@ def cmd_verify_all(args, parser) -> int:
 
 
 def cmd_hilbert(args, parser) -> int:
-    bound = _check_bound(parser, args.max_degree if args.max_degree is not None else _default_bound())
+    bound = _degree_bound(parser, args)
     up_to = args.up_to if args.up_to is not None else bound
     if not 0 <= up_to <= bound:
         parser.error(f"--up-to must lie in 0..{bound}, got {up_to}")
@@ -217,7 +215,7 @@ def cmd_hilbert(args, parser) -> int:
 
 
 def cmd_tor(args, parser) -> int:
-    bound = _check_bound(parser, args.max_degree if args.max_degree is not None else _default_bound())
+    bound = _degree_bound(parser, args)
     if args.j_max < 0:
         parser.error("--j-max must be >= 0")
     ctx = StableCohomology(bound)
@@ -256,7 +254,7 @@ def cmd_tor(args, parser) -> int:
 
 
 def cmd_generators(args, parser) -> int:
-    bound = _check_bound(parser, args.max_degree if args.max_degree is not None else _default_bound())
+    bound = _degree_bound(parser, args)
     ctx = StableCohomology(bound)
     report = ctx.verify_generators()
     if args.format == "json":
@@ -294,7 +292,7 @@ def cmd_generators(args, parser) -> int:
 
 
 def cmd_exactness(args, parser) -> int:
-    bound = _check_bound(parser, args.max_degree if args.max_degree is not None else _default_bound())
+    bound = _degree_bound(parser, args)
     ctx = StableCohomology(bound)
     reports = [ctx.forms.verify_exactness(d) for d in range(1, bound + 1)]
     ok = all(r.all_exact for r in reports)

@@ -13,7 +13,16 @@ treated as immutable after construction.
 Reduction strategy: rows are eliminated column-by-column from the left so
 that the reduced row echelon form (and hence every kernel basis) is the
 canonical one; within a column the pivot row is chosen by sparsity to limit
-fill-in.  Rank-only queries skip the back-substitution pass.
+fill-in (Markowitz's rule), ties going to the lowest row index.  Because
+columns are cleared in order, a working row holds the current column
+exactly when that column is its leading one, so rows wait in buckets keyed
+by leading column: a pivot search reads one bucket, never the whole row
+set.  Back-substitution and the kernel read-off each pass over the echelon
+form once.  Rank-only queries skip the back-substitution pass.
+
+Products: ``apply`` multiplies one vector and indexes the matrix by column
+on every call, which costs O(nnz).  Many vectors go through one ``@``
+product with the matrix of their columns, which indexes once.
 """
 
 from __future__ import annotations
@@ -218,7 +227,8 @@ class SparseMatrix:
         )
 
     def apply(self, v: VectorQ) -> VectorQ:
-        """Matrix-vector product (column convention)."""
+        """Matrix-vector product (column convention), for one vector; for
+        many, multiply by the matrix of their columns instead."""
         if v.dim != self.cols:
             raise ValueError("dimension mismatch")
         out: Dict[int, Fraction] = {}
@@ -351,52 +361,65 @@ def _forward(rows: List[Dict[int, Fraction]], width: int, pivot_limit: Optional[
     """Forward elimination with normalized pivots.
 
     Columns are taken in increasing order (so the pivot-column set is
-    canonical); among candidate rows the sparsest wins.  Returns
-    ``(pivot_cols, echelon_rows)`` with each echelon row scaled to a leading
-    1 and the pivot column eliminated from all later rows.
+    canonical); among the rows holding a column the sparsest wins, ties
+    going to the lowest row index.  Every working row sits in the bucket of
+    its leading column, so a column's candidates are exactly its bucket:
+    only those rows are reduced, and each is moved to the bucket of its new
+    leading column.  Returns ``(pivot_cols, echelon_rows)`` with each
+    echelon row scaled to a leading 1 and the pivot column eliminated from
+    all later rows.
     """
     limit = width if pivot_limit is None else pivot_limit
     work = [r for r in rows if r]
+    buckets: Dict[int, List[int]] = {}
+    for idx, row in enumerate(work):
+        lead = min(row)
+        if lead < limit:
+            buckets.setdefault(lead, []).append(idx)
     pivots: List[int] = []
     echelon: List[Dict[int, Fraction]] = []
     for col in range(limit):
-        best = -1
-        best_len = None
-        for idx, row in enumerate(work):
-            if col in row:
-                n = len(row)
-                if best_len is None or n < best_len:
-                    best, best_len = idx, n
-        if best < 0:
+        if not buckets:
+            break
+        bucket = buckets.pop(col, None)
+        if bucket is None:
             continue
-        piv = work.pop(best)
+        best = min(bucket, key=lambda idx: (len(work[idx]), idx))
+        piv = work[best]
         inv = _ONE / piv[col]
         if inv != 1:
             piv = {c: inv * x for c, x in piv.items()}
-        nxt = []
-        for row in work:
-            f = row.get(col)
-            if f:
-                _sub_scaled(row, piv, f)
+        for idx in bucket:
+            if idx == best:
+                continue
+            row = work[idx]
+            _sub_scaled(row, piv, row[col])
             if row:
-                nxt.append(row)
-        work = nxt
+                lead = min(row)
+                if lead < limit:
+                    buckets.setdefault(lead, []).append(idx)
         pivots.append(col)
         echelon.append(piv)
-        if not work:
-            break
     return pivots, echelon
 
 
 def _back_substitute(pivots: List[int], echelon: List[Dict[int, Fraction]]):
-    # clear each pivot column from the rows above it -> canonical RREF
+    # clear each pivot column from the rows above it -> canonical RREF.
+    # When row k is subtracted it has already lost every later pivot column,
+    # so it brings only its own pivot and free columns into the rows above:
+    # the rows holding each pivot column can be listed once, up front.
+    position = {col: k for k, col in enumerate(pivots)}
+    holders: List[List[int]] = [[] for _ in pivots]
+    for j, row in enumerate(echelon):
+        for col in row:
+            k = position.get(col)
+            if k is not None and k > j:
+                holders[k].append(j)
     for k in range(len(echelon) - 1, -1, -1):
         col = pivots[k]
         piv = echelon[k]
-        for j in range(k):
-            f = echelon[j].get(col)
-            if f:
-                _sub_scaled(echelon[j], piv, f)
+        for j in holders[k]:
+            _sub_scaled(echelon[j], piv, echelon[j][col])
 
 
 def rref(m: SparseMatrix, pivot_limit: Optional[int] = None):
@@ -431,15 +454,17 @@ def _kernel_with_free_columns(m: SparseMatrix):
     pivots, echelon = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
+    by_free: Dict[int, Dict[int, Fraction]] = {f: {f: _ONE} for f in free}
+    # an RREF row is zero in every other pivot column, so each entry past
+    # its pivot is a free-column coefficient
+    for col, row in zip(pivots, echelon):
+        for c, x in row.items():
+            if c != col:
+                by_free[c][col] = -x
     basis = []
     for f in free:
-        entries = {f: _ONE}
-        for k, col in enumerate(pivots):
-            x = echelon[k].get(f)
-            if x:
-                entries[col] = -x
         v = VectorQ.__new__(VectorQ)
-        v.dim, v.entries = m.cols, entries
+        v.dim, v.entries = m.cols, by_free[f]
         basis.append(v)
     return basis, free
 
@@ -478,14 +503,11 @@ def solve_many(m: SparseMatrix, bs: Sequence[VectorQ]) -> List[Optional[VectorQ]
             rows[r][n + j] = x
     pivots, echelon = _forward([r for r in rows if r], n + len(bs), pivot_limit=n)
     _back_substitute(pivots, echelon)
-    out: List[Optional[VectorQ]] = []
-    for j in range(len(bs)):
-        col = n + j
-        entries: Dict[int, Fraction] = {}
-        for k, pcol in enumerate(pivots):
-            x = echelon[k].get(col)
-            if x:
-                entries[pcol] = x
-        v = VectorQ(n, entries)
-        out.append(v if m.apply(v) == bs[j] else None)
-    return out
+    candidates: List[Dict[int, Fraction]] = [dict() for _ in bs]
+    for pcol, row in zip(pivots, echelon):
+        for col, x in row.items():
+            if col >= n:
+                candidates[col - n][pcol] = x
+    xs = [VectorQ(n, entries) for entries in candidates]
+    products = (m @ SparseMatrix.from_columns(xs, rows=n)).columns()
+    return [x if mx == b else None for x, mx, b in zip(xs, products, bs)]

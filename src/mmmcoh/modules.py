@@ -270,21 +270,22 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
     """The degreewise kernel of f, with its induced module structure.
 
     Returns ``(K, include)`` where include: K -> source is degree-shift 0.
-    The induced action of e_i on a kernel vector is computed by solving
+    The induced action of e_i on the kernel basis is computed by solving
     against the kernel basis of the higher degree; the canonical basis from
-    the RREF makes that a coordinate read-off (1 in each free column), but
-    the result is verified exactly and any mismatch — which would mean the
-    actions do not preserve the kernel — is a hard error.
+    the RREF makes that a coordinate read-off (1 in each free column), done
+    for the whole basis with one product, but the result is verified
+    exactly and any mismatch — which would mean the actions do not preserve
+    the kernel — is a hard error.
     """
     source = f.source
     algebra = source.algebra
     kernels: Dict[int, List[VectorQ]] = {}
-    free_cols: Dict[int, List[int]] = {}
+    free_rows: Dict[int, Dict[int, int]] = {}  # free column -> basis index
     for d in source.degrees():
         basis, free = _kernel_with_free_columns(f.matrix(d))
         if basis:
             kernels[d] = basis
-            free_cols[d] = free
+            free_rows[d] = {c: row for row, c in enumerate(free)}
     dims = {d: len(v) for d, v in kernels.items()}
     inclusions = {
         d: SparseMatrix.from_columns(v, rows=source.dim(d)) for d, v in kernels.items()
@@ -296,30 +297,25 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
             up = d + 2 * i
             if up > algebra.degree_bound:
                 break
+            pushed = source.action(i, d) @ inclusions[d]
             if not dims.get(up):
                 # the pushed-forward vectors must then be zero
-                act = source.action(i, d)
-                for v in vs:
-                    if not act.apply(v).is_zero():
-                        raise ValueError(
-                            f"e{i} pushes a kernel vector at degree {d} outside the kernel"
-                        )
-                continue
-            act = source.action(i, d)
-            frees = free_cols[up]
-            incl = inclusions[up]
-            entries: Dict[Tuple[int, int], Fraction] = {}
-            for col, v in enumerate(vs):
-                w = act.apply(v)
-                coords = {row: w.entries[fc] for row, fc in enumerate(frees) if fc in w.entries}
-                x = VectorQ(len(frees), coords)
-                if incl.apply(x) != w:
+                if not pushed.is_zero():
                     raise ValueError(
                         f"e{i} pushes a kernel vector at degree {d} outside the kernel"
                     )
-                for r, val in x.entries.items():
-                    entries[(r, col)] = val
-            actions[(i, d)] = SparseMatrix(dims[up], len(vs), entries)
+                continue
+            row_of = free_rows[up]
+            coords = SparseMatrix(
+                dims[up],
+                len(vs),
+                {(row_of[r], col): x for (r, col), x in pushed.entries.items() if r in row_of},
+            )
+            if inclusions[up] @ coords != pushed:
+                raise ValueError(
+                    f"e{i} pushes a kernel vector at degree {d} outside the kernel"
+                )
+            actions[(i, d)] = coords
 
     kernel = GradedModule(algebra, dims, actions, coh_offset=source.coh_offset, check=False)
     include = GradedModuleMap(kernel, source, 0, inclusions, check=False)

@@ -252,6 +252,7 @@ class StableCohomology:
         self._co: Optional[GradedModuleMap] = None
         self._kernel: Optional[Tuple[GradedModule, GradedModuleMap]] = None
         self._tilde: Optional[GradedModule] = None
+        self._injectivity: Optional[Dict[int, Dict[str, int]]] = None
 
     @property
     def degree_bound(self) -> int:
@@ -344,6 +345,8 @@ class StableCohomology:
     def verify_injectivity(self) -> Dict[int, Dict[str, int]]:
         """Cup with m_1 is injective in every degree; cokernel dimensions
         match the free module on m_2, m_3, ... — returns per-degree data."""
+        if self._injectivity is not None:
+            return self._injectivity
         f = self.delta_contravariant()
         A = self.algebra
         rows: Dict[int, Dict[str, int]] = {}
@@ -368,6 +371,7 @@ class StableCohomology:
                 raise FalsificationError(
                     f"cup with m1 fails to embed degree {d}", rows
                 )
+        self._injectivity = rows
         return rows
 
     def verify_surjectivity(self) -> Dict[int, Dict[str, int]]:
@@ -505,20 +509,18 @@ class StableCohomology:
             mat = delta.matrix(d)
             kernel_dim = mat.cols - rank(mat)
             span_cols: List[VectorQ] = []
+            owners: List[Tuple[int, int]] = []  # the M(i, j) behind each column
             for (i, j) in _pairs_up_to(d):
                 base = kernel_generator(i, j)
                 for mono in self.algebra.monomial_basis(d - 2 * (i + j)):
-                    v = self.twisted_as_vector(mono * base, d)
-                    if not mat.apply(v).is_zero():
-                        raise FalsificationError(
-                            f"M({i},{j}) leaves the kernel at degree {d}"
-                        )
-                    span_cols.append(v)
-            span_rank = (
-                rank(SparseMatrix.from_columns(span_cols, rows=mat.cols))
-                if span_cols
-                else 0
-            )
+                    span_cols.append(self.twisted_as_vector(mono * base, d))
+                    owners.append((i, j))
+            span = SparseMatrix.from_columns(span_cols, rows=mat.cols)
+            image = mat @ span
+            if not image.is_zero():
+                i, j = owners[min(col for _, col in image.entries)]
+                raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
+            span_rank = rank(span)
             per_degree.append(
                 {
                     "degree": d,

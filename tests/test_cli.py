@@ -163,8 +163,10 @@ def test_degree_bound_env_var(capsys, monkeypatch):
     assert exc.value.code == 2
 
     monkeypatch.setenv("MMM_DEGREE_BOUND", "junk")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["hilbert", "Q"])
+    assert exc.value.code == 2
+    assert "MMM_DEGREE_BOUND='junk' is not an integer" in capsys.readouterr().err
 
 
 def test_explicit_bound_beats_env_var(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mmmcoh.linalg import (
     SparseMatrix,
     VectorQ,
+    _forward,
     column_space_basis,
     kernel_basis,
     rank,
@@ -187,3 +188,165 @@ def test_identity_and_zero_trivial_cases():
     b = VectorQ.from_list([Fraction(5), Fraction(-7)])
     assert solve(eye, b) == b
     assert solve(SparseMatrix.zero(2, 2), b) is None
+
+
+# -- differential tests against the scan-based elimination --------------------
+#
+# The oracle below is the elimination routine this module used before rows
+# were bucketed by leading column: for every column it scans all remaining
+# rows for the sparsest one holding it (ties to the lowest index) and
+# subtracts from every row, and back-substitution probes every row above
+# each pivot.  The bucketed routine must make the same pivot choices, so
+# even the unreduced echelon rows agree.
+
+
+def _oracle_forward(rows, width, pivot_limit=None):
+    limit = width if pivot_limit is None else pivot_limit
+    work = [dict(r) for r in rows if r]
+    pivots, echelon = [], []
+    for col in range(limit):
+        best, best_len = -1, None
+        for idx, row in enumerate(work):
+            if col in row and (best_len is None or len(row) < best_len):
+                best, best_len = idx, len(row)
+        if best < 0:
+            continue
+        piv = work.pop(best)
+        inv = Fraction(1) / piv[col]
+        piv = {c: inv * x for c, x in piv.items()}
+        nxt = []
+        for row in work:
+            f = row.get(col)
+            if f:
+                _oracle_sub_scaled(row, piv, f)
+            if row:
+                nxt.append(row)
+        work = nxt
+        pivots.append(col)
+        echelon.append(piv)
+        if not work:
+            break
+    return pivots, echelon
+
+
+def _oracle_sub_scaled(row, piv, f):
+    for c, x in piv.items():
+        s = row.get(c, Fraction(0)) - f * x
+        if s:
+            row[c] = s
+        else:
+            row.pop(c, None)
+
+
+def _row_dicts_of(m):
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), x in m.entries.items():
+        rows[r][c] = x
+    return rows
+
+
+def _oracle_rref(m, pivot_limit=None, extra=()):
+    rows = _row_dicts_of(m)
+    for j, b in enumerate(extra):
+        for r, x in b.entries.items():
+            rows[r][m.cols + j] = x
+    pivots, echelon = _oracle_forward(rows, m.cols + len(extra), pivot_limit)
+    for k in range(len(echelon) - 1, -1, -1):
+        for j in range(k):
+            f = echelon[j].get(pivots[k])
+            if f:
+                _oracle_sub_scaled(echelon[j], echelon[k], f)
+    return pivots, echelon
+
+
+def _oracle_kernel_basis(m):
+    pivots, echelon = _oracle_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        entries = {f: Fraction(1)}
+        for k, col in enumerate(pivots):
+            if f in echelon[k]:
+                entries[col] = -echelon[k][f]
+        basis.append(VectorQ(m.cols, entries))
+    return basis
+
+
+def _oracle_solve_many(m, bs):
+    pivots, echelon = _oracle_rref(m, pivot_limit=m.cols, extra=bs)
+    out = []
+    for j, b in enumerate(bs):
+        x = VectorQ(
+            m.cols,
+            {p: echelon[k][m.cols + j] for k, p in enumerate(pivots) if m.cols + j in echelon[k]},
+        )
+        out.append(x if m.apply(x) == b else None)
+    return out
+
+
+# entries in {0, +-1} leave many rows empty and many pivot candidates tied on
+# length, which is where the tie-break shows
+unit_entry = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1)])
+tied_or_small = st.one_of(unit_entry, small_fraction)
+
+
+@st.composite
+def tie_matrices(draw, max_dim=8):
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
+    entry = draw(st.sampled_from([unit_entry, tied_or_small]))
+    return SparseMatrix(
+        rows, cols, {(r, c): draw(entry) for r in range(rows) for c in range(cols)}
+    )
+
+
+@given(tie_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_forward_matches_scan_oracle(m, data):
+    limit = data.draw(st.one_of(st.none(), st.integers(0, m.cols)))
+    got = _forward(_row_dicts_of(m), m.cols, limit)
+    assert got == _oracle_forward(_row_dicts_of(m), m.cols, limit)
+
+
+@given(tie_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_and_column_space_match_oracle(m):
+    pivots, _ = _oracle_forward(_row_dicts_of(m), m.cols)
+    assert rank(m) == len(pivots)
+    assert column_space_basis(m) == [m.column(c) for c in pivots]
+
+
+@given(tie_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_oracle(m, data):
+    limit = data.draw(st.one_of(st.none(), st.integers(0, m.cols)))
+    assert rref(m, limit) == _oracle_rref(m, limit)
+
+
+@given(tie_matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_matches_oracle(m):
+    assert kernel_basis(m) == _oracle_kernel_basis(m)
+
+
+@given(tie_matrices(max_dim=6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_solve_many_matches_oracle(m, data):
+    bs = data.draw(
+        st.lists(
+            st.builds(
+                VectorQ.from_list,
+                st.lists(tied_or_small, min_size=m.rows, max_size=m.rows),
+            ),
+            max_size=3,
+        )
+    )
+    assert solve_many(m, bs) == _oracle_solve_many(m, bs)
+
+
+def test_tie_on_length_goes_to_lowest_row():
+    # rows 0 and 2 both hold column 0 with two entries; row 0 must pivot
+    rows = [{0: Fraction(2), 2: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}]
+    pivots, echelon = _forward([dict(r) for r in rows], 3)
+    assert pivots == [0, 1, 2]
+    assert echelon[0] == {0: Fraction(1), 2: Fraction(1, 2)}
+    assert (pivots, echelon) == _oracle_forward(rows, 3)

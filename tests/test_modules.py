@@ -6,7 +6,7 @@ import pytest
 
 from mmmcoh.algebra import PolynomialAlgebra, exterior_dim
 from mmmcoh.forms import DifferentialForms
-from mmmcoh.linalg import SparseMatrix, VectorQ
+from mmmcoh.linalg import SparseMatrix, VectorQ, kernel_basis
 from mmmcoh.modules import (
     FreeGradedModule,
     GradedModule,
@@ -289,3 +289,45 @@ def test_tor_zero_equals_minimal_generators(algebra, twisted, rank_one):
         mg = minimal_generators(mod, up_to=12)
         for d in range(0, 13, 2):
             assert tor_dimension(mod, 0, d) == mg.counts.get(d, 0), d
+
+
+def _sum_map(source, target, keep_second_at_2):
+    # (x, y) -> x + y in degree 0; in degree 2 the second summand is kept or
+    # dropped, so the map does not commute with e1
+    mats = {}
+    for d in (0, 2):
+        idx = target.basis_index(d)
+        entries = {}
+        for (gen, mono), col in source.basis_index(d).items():
+            if d == 0:
+                entries[(idx[(0, mono)], col)] = Fraction(1)
+            elif gen == 0 or keep_second_at_2:
+                entries[(idx[(gen if keep_second_at_2 else 0, mono)], col)] = Fraction(1)
+        mats[d] = SparseMatrix(target.dim(d), source.dim(d), entries)
+    return GradedModuleMap(source, target, 0, mats, check=False)
+
+
+def _kernel_dims(f):
+    dims = {d: len(kernel_basis(f.matrix(d))) for d in f.source.degrees()}
+    return {d: n for d, n in dims.items() if n}
+
+
+def test_kernel_module_rejects_push_outside_a_nonzero_kernel():
+    # kernel (1, -1) in degree 0 and (0, e1) in degree 2: e1 sends the first
+    # to (e1, -e1), which the degree-2 kernel does not contain
+    algebra = PolynomialAlgebra(2)
+    f = _sum_map(free_module(algebra, [0, 0]), free_module(algebra, [0]), False)
+    assert _kernel_dims(f) == {0: 1, 2: 1}
+    with pytest.raises(ValueError, match="e1 pushes a kernel vector at degree 0"):
+        kernel_module(f)
+
+
+def test_kernel_module_rejects_push_into_a_zero_kernel():
+    # kernel (1, -1) in degree 0 but the identity in degree 2, so no kernel
+    # there for e1 (1, -1) = (e1, -e1) to land in
+    algebra = PolynomialAlgebra(2)
+    two = free_module(algebra, [0, 0])
+    f = _sum_map(two, two, True)
+    assert _kernel_dims(f) == {0: 1}
+    with pytest.raises(ValueError, match="e1 pushes a kernel vector at degree 0"):
+        kernel_module(f)

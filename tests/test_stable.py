@@ -301,3 +301,27 @@ def test_euler_characteristic_for_nonfree_module(sc):
             (-1) ** j * tor_dimension(module, j, d) for j in range(j_top + 1)
         )
         assert chain_sum == homology_sum, d
+
+
+def test_generator_outside_the_kernel_is_named(monkeypatch):
+    # e_1 m_3 + e_3 m_1 contracts to -2 e_1 e_3, so M(1,3) leaves the kernel
+    # at its first degree, 8, behind the e_1 M(1,2) columns that stay in it
+    import mmmcoh.stable as stable
+
+    real = stable.kernel_generator
+
+    def broken(i, j):
+        if (i, j) == (1, 3):
+            return Monomial.generator(1) * TwistedElement.generator(3) + (
+                Monomial.generator(3) * TwistedElement.generator(1)
+            )
+        return real(i, j)
+
+    monkeypatch.setattr(stable, "kernel_generator", broken)
+    with pytest.raises(FalsificationError, match=r"^M\(1,3\) leaves the kernel at degree 8$"):
+        StableCohomology(10).verify_generators()
+
+
+def test_injectivity_table_is_computed_once(sc):
+    # the dual-injectivity check and the HtildeDual table share one result
+    assert sc.verify_injectivity() is sc.verify_injectivity()
