@@ -249,7 +249,7 @@ class DifferentialForms:
             return cached
         src = self.form_basis(n, d)
         tgt_index = self.basis_index(n + 1, d)
-        entries: Dict[Tuple[int, int], Fraction] = {}
+        entries: Dict[Tuple[int, int], int] = {}
         for col, b in enumerate(src):
             for i, e in b.monomial.pairs:
                 _, reduced = b.monomial.decrement(i)
@@ -258,7 +258,7 @@ class DifferentialForms:
                     continue
                 sign, wedge = ins
                 row = tgt_index[FormBasisElement(reduced, wedge)]
-                entries[(row, col)] = Fraction(sign * e)
+                entries[(row, col)] = sign * e
         m = SparseMatrix(len(tgt_index), len(src), entries)
         self._d_cache[key] = m
         return m
@@ -278,18 +278,13 @@ class DifferentialForms:
             return cached
         src = self.form_basis(n, d)
         tgt_index = self.basis_index(n - 1, d)
-        entries: Dict[Tuple[int, int], Fraction] = {}
+        entries: Dict[Tuple[int, int], int] = {}
         for col, b in enumerate(src):
             for k in range(len(b.wedge)):
                 sign, i, rest = wedge_remove(k, b.wedge)
                 target = FormBasisElement(b.monomial * Monomial.generator(i), rest)
                 row = tgt_index[target]
-                prev = entries.get((row, col), Fraction(0))
-                val = prev + sign
-                if val:
-                    entries[(row, col)] = Fraction(val)
-                else:
-                    entries.pop((row, col), None)
+                entries[(row, col)] = entries.get((row, col), 0) + sign
         m = SparseMatrix(len(tgt_index), len(src), entries)
         self._p_cache[key] = m
         return m
@@ -311,11 +306,7 @@ class DifferentialForms:
         expected = SparseMatrix(
             self.dim(n, d),
             self.dim(n, d),
-            {
-                (i, i): Fraction(w)
-                for i, w in enumerate(self.euler_weights(n, d))
-                if w
-            },
+            {(i, i): w for i, w in enumerate(self.euler_weights(n, d)) if w},
         )
         return self.lie_derivative(n, d) == expected
 

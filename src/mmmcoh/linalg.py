@@ -23,6 +23,19 @@ form once.  Rank-only queries skip the back-substitution pass.
 Products: ``apply`` multiplies one vector and indexes the matrix by column
 on every call, which costs O(nnz).  Many vectors go through one ``@``
 product with the matrix of their columns, which indexes once.
+
+Arithmetic: every value that crosses the interface (matrix and vector
+entries, RREF rows, kernel vectors, solutions) is a ``Fraction``, but
+inside the kernels (``@``, ``+``, ``apply``, elimination, ``solve_many``)
+an integral value travels as a Python ``int``; ``_int_if_integral`` unwraps
+an entry on the way in.  The matrices built downstream have integer
+entries, so most of the arithmetic is machine-independent ``int``
+arithmetic, and Python's numeric tower keeps a value exact as a
+``Fraction`` where a division actually happens (a pivot other than +-1).
+On the way out ``_as_q`` wraps an ``int`` through ``_SMALL``, one shared
+``Fraction`` per small integer.  Sharing is safe because ``Fraction`` is
+immutable; it saves an allocation per entry, lets cached matrices share
+their entries, and lets ``==`` on two matrices hit the identity shortcut.
 """
 
 from __future__ import annotations
@@ -32,12 +45,21 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Q = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_SMALL = {i: Fraction(i) for i in range(-64, 65)}
+_ZERO = _SMALL[0]
+_ONE = _SMALL[1]
 
 
 def _as_q(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+    if type(x) is Fraction:
+        return x
+    return _SMALL.get(x) or Fraction(x)
+
+
+def _int_if_integral(x: Fraction):
+    # the one reader of Fraction internals: the public properties are about
+    # 5x slower, and this runs once per entry entering a kernel
+    return x._numerator if x._denominator == 1 else x
 
 
 class VectorQ:
@@ -231,23 +253,21 @@ class SparseMatrix:
         many, multiply by the matrix of their columns instead."""
         if v.dim != self.cols:
             raise ValueError("dimension mismatch")
-        out: Dict[int, Fraction] = {}
+        acc: Dict[int, object] = {}
         rows_by_col = self._rows_by_col()
         for c, x in v.entries.items():
+            x = _int_if_integral(x)
             for r, a in rows_by_col.get(c, ()):
-                s = out.get(r, _ZERO) + a * x
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+                acc[r] = acc.get(r, 0) + a * x
         w = VectorQ.__new__(VectorQ)
-        w.dim, w.entries = self.rows, out
+        w.dim, w.entries = self.rows, {r: _as_q(s) for r, s in acc.items() if s}
         return w
 
     def _rows_by_col(self):
-        by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
+        # column -> [(row, entry as int when integral)]
+        by_col: Dict[int, List[Tuple[int, object]]] = {}
         for (r, c), x in self.entries.items():
-            by_col.setdefault(c, []).append((r, x))
+            by_col.setdefault(c, []).append((r, _int_if_integral(x)))
         return by_col
 
     def __matmul__(self, other):
@@ -258,17 +278,17 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         left_by_col = self._rows_by_col()
-        out: Dict[Tuple[int, int], Fraction] = {}
+        acc: Dict[Tuple[int, int], object] = {}
         for (k, c), x in other.entries.items():
-            for r, a in left_by_col.get(k, ()):
-                key = (r, c)
-                s = out.get(key, _ZERO) + a * x
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            col = left_by_col.get(k)
+            if col:
+                x = _int_if_integral(x)
+                for r, a in col:
+                    key = (r, c)
+                    acc[key] = acc.get(key, 0) + a * x
         m = SparseMatrix.__new__(SparseMatrix)
-        m.rows, m.cols, m.entries = self.rows, other.cols, out
+        m.rows, m.cols = self.rows, other.cols
+        m.entries = {key: _as_q(s) for key, s in acc.items() if s}
         return m
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -276,11 +296,15 @@ class SparseMatrix:
             raise ValueError("shape mismatch")
         out = dict(self.entries)
         for key, x in other.entries.items():
-            s = out.get(key, _ZERO) + x
+            y = out.get(key)
+            if y is None:
+                out[key] = x
+                continue
+            s = _int_if_integral(y) + _int_if_integral(x)
             if s:
-                out[key] = s
+                out[key] = _as_q(s)
             else:
-                out.pop(key, None)
+                del out[key]
         m = SparseMatrix.__new__(SparseMatrix)
         m.rows, m.cols, m.entries = self.rows, self.cols, out
         return m
@@ -340,24 +364,24 @@ class SparseMatrix:
 # elimination
 
 
-def _row_dicts(m: SparseMatrix) -> List[Dict[int, Fraction]]:
-    rows: List[Dict[int, Fraction]] = [dict() for _ in range(m.rows)]
+def _row_dicts(m: SparseMatrix) -> List[Dict[int, object]]:
+    rows: List[Dict[int, object]] = [dict() for _ in range(m.rows)]
     for (r, c), x in m.entries.items():
-        rows[r][c] = x
+        rows[r][c] = _int_if_integral(x)
     return [r for r in rows if r]
 
 
-def _sub_scaled(row: Dict[int, Fraction], piv: Dict[int, Fraction], f: Fraction):
+def _sub_scaled(row: Dict[int, object], piv: Dict[int, object], f):
     # row - f*piv, in place on a copy-free dict
     for c, x in piv.items():
-        s = row.get(c, _ZERO) - f * x
+        s = row.get(c, 0) - f * x
         if s:
             row[c] = s
         else:
             row.pop(c, None)
 
 
-def _forward(rows: List[Dict[int, Fraction]], width: int, pivot_limit: Optional[int] = None):
+def _forward(rows: List[Dict[int, object]], width: int, pivot_limit: Optional[int] = None):
     """Forward elimination with normalized pivots.
 
     Columns are taken in increasing order (so the pivot-column set is
@@ -367,7 +391,7 @@ def _forward(rows: List[Dict[int, Fraction]], width: int, pivot_limit: Optional[
     only those rows are reduced, and each is moved to the bucket of its new
     leading column.  Returns ``(pivot_cols, echelon_rows)`` with each
     echelon row scaled to a leading 1 and the pivot column eliminated from
-    all later rows.
+    all later rows.  Values stay ``int`` while they are integral.
     """
     limit = width if pivot_limit is None else pivot_limit
     work = [r for r in rows if r]
@@ -377,7 +401,7 @@ def _forward(rows: List[Dict[int, Fraction]], width: int, pivot_limit: Optional[
         if lead < limit:
             buckets.setdefault(lead, []).append(idx)
     pivots: List[int] = []
-    echelon: List[Dict[int, Fraction]] = []
+    echelon: List[Dict[int, object]] = []
     for col in range(limit):
         if not buckets:
             break
@@ -386,8 +410,11 @@ def _forward(rows: List[Dict[int, Fraction]], width: int, pivot_limit: Optional[
             continue
         best = min(bucket, key=lambda idx: (len(work[idx]), idx))
         piv = work[best]
-        inv = _ONE / piv[col]
-        if inv != 1:
+        lead = piv[col]
+        if lead == -1:
+            piv = {c: -x for c, x in piv.items()}
+        elif lead != 1:
+            inv = Fraction(1, lead)
             piv = {c: inv * x for c, x in piv.items()}
         for idx in bucket:
             if idx == best:
@@ -403,7 +430,7 @@ def _forward(rows: List[Dict[int, Fraction]], width: int, pivot_limit: Optional[
     return pivots, echelon
 
 
-def _back_substitute(pivots: List[int], echelon: List[Dict[int, Fraction]]):
+def _back_substitute(pivots: List[int], echelon: List[Dict[int, object]]):
     # clear each pivot column from the rows above it -> canonical RREF.
     # When row k is subtracted it has already lost every later pivot column,
     # so it brings only its own pivot and free columns into the rows above:
@@ -431,7 +458,7 @@ def rref(m: SparseMatrix, pivot_limit: Optional[int] = None):
     """
     pivots, echelon = _forward(_row_dicts(m), m.cols, pivot_limit)
     _back_substitute(pivots, echelon)
-    return pivots, echelon
+    return pivots, [{c: _as_q(x) for c, x in row.items()} for row in echelon]
 
 
 def rank(m: SparseMatrix) -> int:
@@ -485,6 +512,7 @@ def solve(m: SparseMatrix, b: VectorQ) -> Optional[VectorQ]:
     sols = solve_many(m, [b])
     return sols[0]
 
+
 def solve_many(m: SparseMatrix, bs: Sequence[VectorQ]) -> List[Optional[VectorQ]]:
     """Solve ``m x = b`` for several right-hand sides with one elimination.
 
@@ -492,18 +520,18 @@ def solve_many(m: SparseMatrix, bs: Sequence[VectorQ]) -> List[Optional[VectorQ]
     multiplication, which doubles as the consistency test (a candidate from
     an inconsistent system fails it).
     """
-    rows: List[Dict[int, Fraction]] = [dict() for _ in range(m.rows)]
+    rows: List[Dict[int, object]] = [dict() for _ in range(m.rows)]
     for (r, c), x in m.entries.items():
-        rows[r][c] = x
+        rows[r][c] = _int_if_integral(x)
     n = m.cols
     for j, b in enumerate(bs):
         if b.dim != m.rows:
             raise ValueError("right-hand side dimension mismatch")
         for r, x in b.entries.items():
-            rows[r][n + j] = x
+            rows[r][n + j] = _int_if_integral(x)
     pivots, echelon = _forward([r for r in rows if r], n + len(bs), pivot_limit=n)
     _back_substitute(pivots, echelon)
-    candidates: List[Dict[int, Fraction]] = [dict() for _ in bs]
+    candidates: List[Dict[int, object]] = [dict() for _ in bs]
     for pcol, row in zip(pivots, echelon):
         for col, x in row.items():
             if col >= n:

@@ -26,9 +26,10 @@ from .algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior_dim
 from .linalg import (
     SparseMatrix,
     VectorQ,
+    _forward,
+    _int_if_integral,
     _kernel_with_free_columns,
     rank,
-    rref,
 )
 
 
@@ -162,7 +163,7 @@ class FreeGradedModule(GradedModule):
         g = Monomial.generator(i)
         entries = {}
         for col, (k, m) in enumerate(src):
-            entries[(tgt[(k, m * g)], col)] = Fraction(1)
+            entries[(tgt[(k, m * g)], col)] = 1
         return SparseMatrix(len(tgt), len(src), entries)
 
 
@@ -339,7 +340,8 @@ def minimal_generators(module: GradedModule, up_to: Optional[int] = None) -> Min
     The count in degree d is dim M_d minus the rank of the combined image
     of every e_i: M_{d-2i} -> M_d; representatives are the standard basis
     vectors of M_d completing that image to all of M_d (deterministic:
-    taken in increasing basis order via one RREF).
+    taken in increasing basis order from the canonical pivot columns of
+    one forward elimination).
     """
     algebra = module.algebra
     if up_to is None:
@@ -351,23 +353,24 @@ def minimal_generators(module: GradedModule, up_to: Optional[int] = None) -> Min
         if d > up_to:
             continue
         n = module.dim(d)
-        blocks = []
+        # the rows of [e_i blocks | identity], stacked in one pass
+        rows: List[Dict[int, object]] = [dict() for _ in range(n)]
+        width = 0
         for i in algebra.generator_indices():
             low = d - 2 * i
             if low < 0:
                 break
             if module.dim(low):
-                blocks.append(module.action(i, low))
-        if blocks:
-            image = blocks[0]
-            for b in blocks[1:]:
-                image = image.augment(b)
-        else:
-            image = SparseMatrix.zero(n, 0)
-        # pivots of [image | identity] past the image block pick out the
-        # standard basis vectors that extend the image to a full basis
-        pivots, _ = rref(image.augment(SparseMatrix.identity(n)))
-        extra = [c - image.cols for c in pivots if c >= image.cols]
+                block = module.action(i, low)
+                for (r, c), x in block.entries.items():
+                    rows[r][width + c] = _int_if_integral(x)
+                width += block.cols
+        for r in range(n):
+            rows[r][width + r] = 1
+        # pivots past the image block pick out the standard basis vectors
+        # that extend the image to a full basis
+        pivots, _ = _forward(rows, width + n)
+        extra = [c - width for c in pivots if c >= width]
         if extra:
             counts[d] = len(extra)
             reps[d] = tuple(VectorQ.unit(n, r) for r in extra)
@@ -389,7 +392,7 @@ def koszul_differential(module: GradedModule, j: int, d: int) -> SparseMatrix:
     src_layout = _koszul_layout(module, j, d)
     tgt_layout = _koszul_layout(module, j - 1, d)
     tgt_offsets = {w: off for w, off, _ in tgt_layout}
-    entries: Dict[Tuple[int, int], Fraction] = {}
+    entries: Dict[Tuple[int, int], object] = {}
     for wedge, col_off, m_deg in src_layout:
         for k, i in enumerate(wedge):
             rest = wedge[:k] + wedge[k + 1 :]
@@ -399,7 +402,7 @@ def koszul_differential(module: GradedModule, j: int, d: int) -> SparseMatrix:
             sign = -1 if k % 2 else 1
             act = module.action(i, m_deg)
             for (r, c), x in act.entries.items():
-                entries[(row_off + r, col_off + c)] = sign * x
+                entries[(row_off + r, col_off + c)] = sign * _int_if_integral(x)
     rows = koszul_dim(module, j - 1, d)
     cols = koszul_dim(module, j, d)
     return SparseMatrix(rows, cols, entries)

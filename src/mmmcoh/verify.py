@@ -302,7 +302,10 @@ def run_verification(
         try:
             rows = runner(ctx, jobs)
             status, failure = "pass", None
-        except FalsificationError as exc:
+        except (FalsificationError, ValueError) as exc:
+            # a ValueError is a broken premise (a map that is not
+            # equivariant, a kernel not preserved, a degree out of range):
+            # it fails this check, and the remaining checks still run
             rows = []
             status, failure = "fail", str(exc)
         elapsed = (time.perf_counter() - t0) * 1000.0

@@ -290,9 +290,11 @@ tied_or_small = st.one_of(unit_entry, small_fraction)
 
 
 @st.composite
-def tie_matrices(draw, max_dim=8):
-    rows = draw(st.integers(min_value=0, max_value=max_dim))
-    cols = draw(st.integers(min_value=0, max_value=max_dim))
+def tie_matrices(draw, max_dim=8, rows=None, cols=None):
+    if rows is None:
+        rows = draw(st.integers(min_value=0, max_value=max_dim))
+    if cols is None:
+        cols = draw(st.integers(min_value=0, max_value=max_dim))
     entry = draw(st.sampled_from([unit_entry, tied_or_small]))
     return SparseMatrix(
         rows, cols, {(r, c): draw(entry) for r in range(rows) for c in range(cols)}
@@ -350,3 +352,117 @@ def test_tie_on_length_goes_to_lowest_row():
     assert pivots == [0, 1, 2]
     assert echelon[0] == {0: Fraction(1), 2: Fraction(1, 2)}
     assert (pivots, echelon) == _oracle_forward(rows, 3)
+
+
+# -- products and sums against all-Fraction loops ------------------------------
+#
+# The kernels carry integral values as ints and convert back to Fraction at
+# the interface.  The oracles below are the loops they replaced, in which
+# every value is a Fraction throughout.
+
+
+def _oracle_matmul(a, b):
+    by_col = {}
+    for (r, c), x in a.entries.items():
+        by_col.setdefault(c, []).append((r, x))
+    out = {}
+    for (k, c), x in b.entries.items():
+        for r, y in by_col.get(k, ()):
+            s = out.get((r, c), Fraction(0)) + y * x
+            if s:
+                out[(r, c)] = s
+            else:
+                out.pop((r, c), None)
+    return out
+
+
+def _oracle_add(a, b):
+    out = dict(a.entries)
+    for key, x in b.entries.items():
+        s = out.get(key, Fraction(0)) + x
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _assert_fractions(values):
+    for x in values:
+        assert type(x) is Fraction and x != 0, repr(x)
+
+
+@st.composite
+def products(draw, max_dim=6):
+    a = draw(tie_matrices(max_dim))
+    b = draw(tie_matrices(max_dim, rows=a.cols))
+    return a, b
+
+
+@given(products())
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_fraction_oracle(ab):
+    a, b = ab
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.entries == _oracle_matmul(a, b)
+    _assert_fractions(got.entries.values())
+
+
+@given(tie_matrices(max_dim=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_add_and_apply_match_fraction_oracle(a, data):
+    b = data.draw(tie_matrices(rows=a.rows, cols=a.cols))
+    total = a + b
+    assert total.entries == _oracle_add(a, b)
+    _assert_fractions(total.entries.values())
+    v = VectorQ.from_list(data.draw(st.lists(tied_or_small, min_size=a.cols, max_size=a.cols)))
+    w = a @ v
+    column = SparseMatrix.from_columns([v], rows=a.cols)
+    assert {(r, 0): x for r, x in w.entries.items()} == _oracle_matmul(a, column)
+    _assert_fractions(w.entries.values())
+
+
+@given(tie_matrices(max_dim=6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_elimination_results_are_fractions(m, data):
+    _, echelon = rref(m)
+    for row in echelon:
+        _assert_fractions(row.values())
+    for v in kernel_basis(m) + column_space_basis(m):
+        _assert_fractions(v.entries.values())
+    bs = data.draw(
+        st.lists(
+            st.builds(
+                VectorQ.from_list,
+                st.lists(tied_or_small, min_size=m.rows, max_size=m.rows),
+            ),
+            max_size=3,
+        )
+    )
+    for x in solve_many(m, bs):
+        if x is not None:
+            _assert_fractions(x.entries.values())
+
+
+def test_pivots_led_by_minus_one_and_two():
+    # column 0 pivots on -1 (negated, stays integral), column 1 on 2 (the
+    # only division), column 3 on 3 after column 2 turns out free
+    m = SparseMatrix.from_rows([[-1, 1, 0, 1], [0, 2, 1, 0], [0, 0, 0, 3]])
+    pivots, echelon = rref(m)
+    assert pivots == [0, 1, 3]
+    assert echelon == [
+        {0: Fraction(1), 2: Fraction(1, 2)},
+        {1: Fraction(1), 2: Fraction(1, 2)},
+        {3: Fraction(1)},
+    ]
+    assert (pivots, echelon) == _oracle_rref(m)
+    for row in echelon:
+        _assert_fractions(row.values())
+    (v,) = kernel_basis(m)
+    assert v.to_list() == [Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(0)]
+    _assert_fractions(v.entries.values())
+    b = VectorQ.from_list([1, 1, 3])
+    (x,) = solve_many(m, [b])
+    assert x.to_list() == [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1)]
+    _assert_fractions(x.entries.values())

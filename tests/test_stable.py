@@ -325,3 +325,27 @@ def test_generator_outside_the_kernel_is_named(monkeypatch):
 def test_injectivity_table_is_computed_once(sc):
     # the dual-injectivity check and the HtildeDual table share one result
     assert sc.verify_injectivity() is sc.verify_injectivity()
+
+
+def test_kernel_minimal_generators_computed_once_per_run(monkeypatch):
+    # covariant-surjectivity and kernel-generators share one full-bound result
+    import mmmcoh.stable as stable
+    from mmmcoh.verify import run_verification
+
+    real = stable.minimal_generators
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stable, "minimal_generators", counting)
+    assert run_verification(12).passed
+    assert len(calls) == 1
+
+    # a lower bound reads its degrees off the full-bound result
+    ctx = StableCohomology(12)
+    kernel, _ = ctx.covariant_kernel()
+    report = ctx.verify_generators(up_to=8)
+    assert report.minimal_counts == {6: 1, 8: 1}
+    assert report.minimal_counts == real(kernel, 8).counts

@@ -72,3 +72,31 @@ def test_report_json_parses_and_carries_version():
 def test_elapsed_ms_is_populated_on_results():
     report = run_verification(8)
     assert all(c.elapsed_ms >= 0.0 for c in report.checks)
+
+
+def test_value_error_in_a_check_is_a_fail_row(monkeypatch):
+    # a contraction map that is not equivariant fails the checks built on it;
+    # the others still run and the CLI exits 1
+    from mmmcoh.cli import main
+    from mmmcoh.modules import GradedModuleMap
+    from mmmcoh.stable import StableCohomology
+
+    real = StableCohomology.delta_covariant
+
+    def broken(self):
+        good = real(self)
+        matrices = dict(good.matrices)
+        matrices[4] = matrices[4].scale(2)
+        return GradedModuleMap(good.source, good.target, good.degree_shift, matrices)
+
+    monkeypatch.setattr(StableCohomology, "delta_covariant", broken)
+    report = run_verification(8)
+    by_id = {c.check_id: c for c in report.checks}
+    assert [c.check_id for c in report.checks] == CHECK_IDS
+    surj = by_id["covariant-surjectivity"]
+    assert surj.status == "fail"
+    assert surj.per_degree_data == []
+    assert "fails to commute" in surj.failure
+    assert by_id["resolution-exactness"].status == "pass"
+    assert not report.passed
+    assert main(["verify-all", "--max-degree", "8"]) == 1
