@@ -179,10 +179,6 @@ class AlgebraElement:
     def generator(cls, i: int) -> "AlgebraElement":
         return cls({Monomial.generator(i): _ONE})
 
-    @classmethod
-    def from_monomial(cls, m: Monomial, coeff=_ONE) -> "AlgebraElement":
-        return cls({m: coeff})
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -232,10 +228,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous element (None for 0, error if mixed)."""

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    mmmcoh verify-all  [--max-degree N] [--jobs N] [--format F] [--out PATH]
+    mmmcoh verify-all  [--max-degree N] [--timings] [--format F] [--out PATH]
     mmmcoh hilbert COEFFS [--max-degree N] ...     (Q | H | Htilde | HtildeDual)
     mmmcoh tor        [--j-max J] [--max-degree N] ...
     mmmcoh generators [--max-degree N] ...
@@ -13,7 +13,9 @@ is 0 only if every requested check passes; malformed usage exits 2.
 
 JSON output is canonical: running the same command twice produces the
 same bytes (pass --timings to verify-all to append wall-clock times, which
-are excluded from that guarantee).
+are excluded from that guarantee).  Every subcommand runs in this one
+process; `tor` and verify-all's tor-dimensions check both read
+StableCohomology.verify_tor.
 """
 
 from __future__ import annotations
@@ -23,17 +25,25 @@ import io
 import json
 import os
 import sys
-from importlib import resources
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import __version__
-from .groupcoh import h1_certificate, load_group_data, load_group_file
+from .groupcoh import h1_certificate, load_bundled_b3, load_group_file
 from .stable import StableCohomology
 from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# `hilbert COEFFS`: the name of the StableCohomology method that builds
+# each table, looked up on the instance when the command runs
+_HILBERT_TABLES = {
+    "Q": "stable_cohomology_ring",
+    "H": "stable_cohomology_twisted",
+    "Htilde": "stable_cohomology_tilde",
+    "HtildeDual": "stable_cohomology_tilde_dual",
+}
 
 
 def _degree_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -76,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="degree-level worker processes")
     p.add_argument(
         "--timings",
         action="store_true",
@@ -84,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("hilbert", help="dimension table of a stable cohomology module")
-    p.add_argument("coefficients", choices=("Q", "H", "Htilde", "HtildeDual"))
+    p.add_argument("coefficients", choices=tuple(_HILBERT_TABLES))
     p.add_argument(
         "--up-to",
         type=int,
@@ -139,9 +148,7 @@ def _rows_to_csv(header: List[str], rows: List[List[object]]) -> str:
 
 def cmd_verify_all(args, parser) -> int:
     bound = _degree_bound(parser, args)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    report = run_verification(bound, jobs=args.jobs)
+    report = run_verification(bound)
     if args.format == "json":
         text = report.to_json(include_timings=args.timings) + "\n"
     elif args.format == "csv":
@@ -173,14 +180,7 @@ def cmd_hilbert(args, parser) -> int:
         parser.error(f"--up-to must lie in 0..{bound}, got {up_to}")
     ctx = StableCohomology(bound)
     label = args.coefficients
-    if label == "Q":
-        table = ctx.stable_cohomology_ring()
-    elif label == "H":
-        table = ctx.stable_cohomology_twisted()
-    elif label == "Htilde":
-        table = ctx.stable_cohomology_tilde()
-    else:
-        table = ctx.stable_cohomology_tilde_dual()
+    table = getattr(ctx, _HILBERT_TABLES[label])()
     dims = table.as_list(up_to)
     if args.format == "json":
         doc = {
@@ -331,10 +331,7 @@ def cmd_exactness(args, parser) -> int:
 
 def cmd_h1(args, parser) -> int:
     if args.input == "b3" and not os.path.exists(args.input):
-        doc = json.loads(
-            (resources.files("mmmcoh") / "data" / "b3.json").read_text(encoding="utf-8")
-        )
-        pres, rep = load_group_data(doc)
+        pres, rep = load_bundled_b3()
         label = "bundled b3"
     else:
         try:

@@ -63,11 +63,6 @@ class FormBasisElement:
     def internal_degree(self) -> int:
         return self.monomial.degree + sum(2 * i for i in self.wedge)
 
-    @property
-    def cohomological_degree(self) -> int:
-        # each de_i sits one below e_i
-        return self.internal_degree - self.form_degree
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FormBasisElement)

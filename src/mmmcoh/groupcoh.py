@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SparseMatrix, VectorQ, column_space_basis, kernel_basis, solve
@@ -240,3 +241,9 @@ def load_group_data(doc: dict) -> Tuple[GroupPresentation, MatrixRep]:
 def load_group_file(path) -> Tuple[GroupPresentation, MatrixRep]:
     with open(path, "r", encoding="utf-8") as fh:
         return load_group_data(json.load(fh))
+
+
+def load_bundled_b3() -> Tuple[GroupPresentation, MatrixRep]:
+    """The bundled data/b3.json: B_3 acting on the torus homology lattice."""
+    text = (resources.files("mmmcoh") / "data" / "b3.json").read_text(encoding="utf-8")
+    return load_group_data(json.loads(text))

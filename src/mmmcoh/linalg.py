@@ -133,14 +133,6 @@ class VectorQ:
 
     __rmul__ = scale
 
-    def dot(self, other: "VectorQ") -> Fraction:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        small, big = self.entries, other.entries
-        if len(small) > len(big):
-            small, big = big, small
-        return sum((x * big[i] for i, x in small.items() if i in big), _ZERO)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -243,11 +235,6 @@ class SparseMatrix:
             out.append(v)
         return out
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): x for (r, c), x in self.entries.items()}
-        )
-
     def apply(self, v: VectorQ) -> VectorQ:
         """Matrix-vector product (column convention), for one vector; for
         many, multiply by the matrix of their columns instead."""
@@ -324,15 +311,6 @@ class SparseMatrix:
         m.rows, m.cols = self.rows, self.cols
         m.entries = {k: c * x for k, x in self.entries.items()} if c else {}
         return m
-
-    def augment(self, other: "SparseMatrix") -> "SparseMatrix":
-        """[self | other], side by side."""
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        entries = dict(self.entries)
-        for (r, c), x in other.entries.items():
-            entries[(r, c + self.cols)] = x
-        return SparseMatrix(self.rows, self.cols + other.cols, entries)
 
     def nnz(self) -> int:
         return len(self.entries)

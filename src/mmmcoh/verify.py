@@ -7,24 +7,20 @@ no timestamps, and timings kept out of the default serialization so that
 identical inputs give byte-identical bytes (timings are available as an
 explicitly non-deterministic sidecar).
 
-Checks at distinct degrees are independent, so the heavy ones accept a
-process pool; results are merged in degree order and the report does not
-depend on the worker count.
+Checks run one after another in this process.  Each is a thin view over
+the library routine that computes its statement; tor-dimensions reads
+`StableCohomology.verify_tor`, the routine behind `mmmcoh tor`.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .algebra import exterior_dim
-from .groupcoh import h1_certificate, load_group_data
-from .modules import tor_dimension
+from .groupcoh import h1_certificate, load_bundled_b3
 from .stable import FalsificationError, StableCohomology
 
 
@@ -84,11 +80,11 @@ class VerificationReport:
 # the individual checks; each returns per-degree rows or raises
 
 
-def _check_contraction(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
+def _check_contraction(ctx: StableCohomology) -> List[Dict[str, object]]:
     return ctx.verify_contraction_table()
 
 
-def _check_injectivity(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
+def _check_injectivity(ctx: StableCohomology) -> List[Dict[str, object]]:
     rows = ctx.verify_injectivity()
     table = ctx.stable_cohomology_tilde_dual()
     out = []
@@ -103,7 +99,7 @@ def _check_injectivity(ctx: StableCohomology, jobs: int) -> List[Dict[str, objec
     return out
 
 
-def _check_surjectivity(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
+def _check_surjectivity(ctx: StableCohomology) -> List[Dict[str, object]]:
     rows = ctx.verify_surjectivity()
     table = ctx.stable_cohomology_tilde()
     even = {c: n for c, n in table.dims.items() if c % 2 == 0}
@@ -112,7 +108,7 @@ def _check_surjectivity(ctx: StableCohomology, jobs: int) -> List[Dict[str, obje
     return [{"degree": d, **row} for d, row in sorted(rows.items())]
 
 
-def _check_generators(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
+def _check_generators(ctx: StableCohomology) -> List[Dict[str, object]]:
     report = ctx.verify_generators()
     rows: List[Dict[str, object]] = [dict(r) for r in report.per_degree]
     rows.append(
@@ -126,79 +122,47 @@ def _check_generators(ctx: StableCohomology, jobs: int) -> List[Dict[str, object
     return rows
 
 
-def _check_tor(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
-    j_max = 4
-    bound = ctx.degree_bound
-    if jobs > 1:
-        degree_rows = _pool_map(_tor_degree_worker, bound, list(range(0, bound + 1, 2)), jobs)
-    else:
-        module = ctx.tilde_module()
-        degree_rows = [_tor_rows_for_degree(module, j_max, d) for d in range(0, bound + 1, 2)]
-    rows: List[Dict[str, object]] = []
-    for chunk in degree_rows:
-        rows.extend(chunk)
-    for row in rows:
-        if row["got"] != row["expected"]:
-            raise FalsificationError(f"Tor mismatch: {row}", rows)
-    witness = next(
-        (r for r in rows if r["j"] == 1 and r["degree"] == 2), {"got": 0}
-    )
-    if witness["got"] != 1:
+def _check_tor(ctx: StableCohomology) -> List[Dict[str, object]]:
+    # verify_tor raises on any (j, d) where the dimension differs from
+    # Lambda^j + Lambda^(j+2), so each row's expected value is its got value
+    report = ctx.verify_tor(j_max=4)
+    rows: List[Dict[str, object]] = [
+        {"j": t.j, "degree": d, "got": t.dim(d), "expected": t.dim(d)}
+        for d in range(0, ctx.degree_bound + 1)
+        for t in report.results
+        if t.dim(d)
+    ]
+    if report.nonfreeness_witness != 1:
         raise FalsificationError("missing non-freeness witness at Tor_1, degree 2")
     return rows
 
 
-def _tor_rows_for_degree(module, j_max: int, d: int) -> List[Dict[str, object]]:
-    out = []
-    for j in range(0, j_max + 1):
-        got = tor_dimension(module, j, d)
-        expected = exterior_dim(j, d) + exterior_dim(j + 2, d)
-        if got or expected:
-            out.append({"j": j, "degree": d, "got": got, "expected": expected})
-    return out
-
-
-def _check_exactness(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
-    bound = ctx.degree_bound
+def _check_exactness(ctx: StableCohomology) -> List[Dict[str, object]]:
     forms = ctx.forms
+    top = forms.max_form_degree()
     rows: List[Dict[str, object]] = []
-    if jobs > 1:
-        reports = _pool_map(_exactness_degree_worker, bound, list(range(1, bound + 1)), jobs)
-        for rep in reports:
-            rows.append(rep)
-    else:
-        for d in range(1, bound + 1):
-            rows.append(_exactness_row(forms, d))
-    for row in rows:
-        if not (row["all_exact"] and row["cartan"] and row["diagonal"]):
-            raise FalsificationError(f"forms complex fails at degree {row['degree']}", rows)
+    for d in range(1, ctx.degree_bound + 1):
+        report = forms.verify_exactness(d)
+        cartan = all(forms.verify_cartan(n, d) for n in range(0, top + 1))
+        # the homotopy argument behind exactness needs every eigenvalue of
+        # L = d p + p d to be invertible in positive degree; check it
+        diagonal = all(w > 0 for n in range(0, top + 1) for w in forms.euler_weights(n, d))
+        rows.append(
+            {
+                "degree": d,
+                "all_exact": report.all_exact,
+                "cartan": cartan,
+                "diagonal": diagonal,
+                "spots": [s.to_dict() for s in report.spots],
+            }
+        )
+        if not (report.all_exact and cartan and diagonal):
+            raise FalsificationError(f"forms complex fails at degree {d}", rows)
     return rows
 
 
-def _exactness_row(forms, d: int) -> Dict[str, object]:
-    report = forms.verify_exactness(d)
-    top = forms.max_form_degree()
-    cartan = all(forms.verify_cartan(n, d) for n in range(0, top + 1))
-    # the homotopy argument behind exactness needs every eigenvalue of
-    # L = d p + p d to be invertible in positive degree; check it
-    diagonal = all(
-        w > 0 for n in range(0, top + 1) for w in forms.euler_weights(n, d)
-    ) or d == 0
-    return {
-        "degree": d,
-        "all_exact": report.all_exact,
-        "cartan": cartan,
-        "diagonal": diagonal,
-        "spots": [s.to_dict() for s in report.spots],
-    }
-
-
-def _check_h1(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
-    doc = json.loads(
-        (resources.files("mmmcoh") / "data" / "b3.json").read_text(encoding="utf-8")
-    )
-    pres, rep = load_group_data(doc)
-    cert = h1_certificate(pres, rep)
+def _check_h1(ctx: StableCohomology) -> List[Dict[str, object]]:
+    cert = h1_certificate(*load_bundled_b3())
     if (cert.z1_dim, cert.b1_dim, cert.h1_dim) != (2, 2, 0):
         raise FalsificationError(
             f"expected Z1=2, B1=2, H1=0; got {cert.z1_dim}, {cert.b1_dim}, {cert.h1_dim}"
@@ -213,11 +177,11 @@ def _check_h1(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
     ]
 
 
-def _check_cross(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
+def _check_cross(ctx: StableCohomology) -> List[Dict[str, object]]:
     return ctx.kernel_cross_check()
 
 
-def _check_audit(ctx: StableCohomology, jobs: int) -> List[Dict[str, object]]:
+def _check_audit(ctx: StableCohomology) -> List[Dict[str, object]]:
     return ctx.exact_sequence_audit()
 
 
@@ -291,7 +255,14 @@ def run_verification(
     jobs: int = 1,
     check_ids: Optional[Sequence[str]] = None,
 ) -> VerificationReport:
-    """Run every check (or a subset) and collect the report."""
+    """Run every check (or a subset) and collect the report.
+
+    ``jobs`` accepts only 1: the degree-level process pool was removed
+    because it was no faster than the serial run and used more CPU time
+    and memory.
+    """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs}: the process pool was removed; only jobs=1 is accepted")
     ctx = StableCohomology(degree_bound)
     wanted = set(check_ids) if check_ids else None
     results: List[CheckResult] = []
@@ -300,7 +271,7 @@ def run_verification(
             continue
         t0 = time.perf_counter()
         try:
-            rows = runner(ctx, jobs)
+            rows = runner(ctx)
             status, failure = "pass", None
         except (FalsificationError, ValueError) as exc:
             # a ValueError is a broken premise (a map that is not
@@ -324,30 +295,3 @@ def run_verification(
         degree_bound=degree_bound,
         checks=results,
     )
-
-
-# ---------------------------------------------------------------------------
-# degree-indexed process pool
-
-
-_WORKER_CTX: Optional[StableCohomology] = None
-
-
-def _pool_init(bound: int) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = StableCohomology(bound)
-
-
-def _tor_degree_worker(d: int):
-    assert _WORKER_CTX is not None
-    return _tor_rows_for_degree(_WORKER_CTX.tilde_module(), 4, d)
-
-
-def _exactness_degree_worker(d: int):
-    assert _WORKER_CTX is not None
-    return _exactness_row(_WORKER_CTX.forms, d)
-
-
-def _pool_map(worker, bound: int, degrees: List[int], jobs: int):
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(bound,)) as pool:
-        return list(pool.map(worker, degrees))

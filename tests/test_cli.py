@@ -90,14 +90,6 @@ def test_verify_all_is_byte_deterministic(capsys):
     assert first == second
 
 
-def test_verify_all_jobs_do_not_change_output(capsys):
-    _, serial = run_cli(capsys, "verify-all", "--max-degree", "10", "--format", "json")
-    _, parallel = run_cli(
-        capsys, "verify-all", "--max-degree", "10", "--format", "json", "--jobs", "2"
-    )
-    assert serial == parallel
-
-
 def test_verify_all_timings_sidecar(capsys):
     _, doc = run_json(capsys, "verify-all", "--max-degree", "8", "--timings")
     assert "timings_ms" in doc
@@ -145,6 +137,27 @@ def test_bad_jobs_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_jobs_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--jobs", "2", "--max-degree", "8"])
+    assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_process_pool():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, mmmcoh.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -186,6 +199,21 @@ def test_tor_subcommand(capsys):
     assert [t["j"] for t in doc["tables"]] == [0, 1, 2]
     assert doc["tables"][0]["dims"]["0"] == 1  # theta
     assert doc["tables"][0]["dims"]["6"] == 1  # first kernel generator
+
+
+def test_tor_check_rows_are_the_tor_tables(capsys):
+    # verify-all's tor-dimensions rows are a view over the tables `tor` prints
+    code, doc = run_json(capsys, "tor", "--max-degree", "12")
+    assert code == 0
+    from_tables = sorted(
+        (int(d), t["j"], n) for t in doc["tables"] for d, n in t["dims"].items()
+    )
+    code, report = run_json(capsys, "verify-all", "--max-degree", "12")
+    assert code == 0
+    (check,) = [c for c in report["checks"] if c["check_id"] == "tor-dimensions"]
+    rows = check["per_degree_data"]
+    assert [(r["degree"], r["j"], r["got"]) for r in rows] == from_tables
+    assert all(r["expected"] == r["got"] for r in rows)
 
 
 def test_generators_subcommand(capsys):

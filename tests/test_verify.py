@@ -1,4 +1,4 @@
-"""The aggregated verification report: schema, determinism, parallel path."""
+"""The aggregated verification report: schema, determinism, failure rows."""
 
 import json
 
@@ -55,10 +55,9 @@ def test_timings_sidecar_is_opt_in():
     assert "timings_ms" not in report.to_dict()
 
 
-def test_parallel_jobs_reproduce_serial_report():
-    serial = run_verification(10, jobs=1).to_json()
-    parallel = run_verification(10, jobs=2).to_json()
-    assert serial == parallel
+def test_jobs_other_than_one_is_rejected():
+    with pytest.raises(ValueError, match="process pool was removed"):
+        run_verification(8, jobs=2)
 
 
 def test_report_json_parses_and_carries_version():
@@ -98,5 +97,30 @@ def test_value_error_in_a_check_is_a_fail_row(monkeypatch):
     assert surj.per_degree_data == []
     assert "fails to commute" in surj.failure
     assert by_id["resolution-exactness"].status == "pass"
+    assert not report.passed
+    assert main(["verify-all", "--max-degree", "8"]) == 1
+
+
+def test_tor_mismatch_is_a_fail_row(monkeypatch):
+    # the tor-dimensions check reads its expected values from
+    # StableCohomology.verify_tor; a wrong expectation there fails the check
+    from mmmcoh import stable
+    from mmmcoh.cli import main
+
+    real = stable.exterior_dim
+
+    def off_by_one(n, d):
+        return real(n, d) + (1 if (n, d) == (3, 8) else 0)
+
+    monkeypatch.setattr(stable, "exterior_dim", off_by_one)
+    report = run_verification(8)
+    by_id = {c.check_id: c for c in report.checks}
+    assert [c.check_id for c in report.checks] == CHECK_IDS
+    tor = by_id["tor-dimensions"]
+    assert tor.status == "fail"
+    assert tor.per_degree_data == []
+    assert "'j': 1, 'degree': 8" in tor.failure
+    later = CHECK_IDS[CHECK_IDS.index("tor-dimensions") + 1:]
+    assert all(by_id[cid].status == "pass" for cid in later)
     assert not report.passed
     assert main(["verify-all", "--max-degree", "8"]) == 1
