@@ -101,21 +101,6 @@ class Monomial:
             exps[i] = exps.get(i, 0) + e
         return Monomial(tuple(sorted(exps.items())))
 
-    def decrement(self, i: int) -> Tuple[int, "Monomial"]:
-        """(old exponent of e_i, monomial with that exponent lowered by one).
-
-        Used by the exterior derivative; raises if e_i does not occur.
-        """
-        exps = dict(self._pairs)
-        e = exps.get(i)
-        if not e:
-            raise ValueError(f"e{i} does not divide {self}")
-        if e == 1:
-            del exps[i]
-        else:
-            exps[i] = e - 1
-        return e, Monomial(tuple(sorted(exps.items())))
-
     def sort_key(self) -> Tuple[Tuple[int, int], ...]:
         """Key for the canonical order: descending lex on the exponent
         vector read from e_1 upward (so e1^2 precedes e2 in degree 4)."""
@@ -301,6 +286,7 @@ class PolynomialAlgebra:
         self.degree_bound = degree_bound
         self._basis_cache: Dict[int, Tuple[Monomial, ...]] = {}
         self._index_cache: Dict[int, Dict[Monomial, int]] = {}
+        self._mult_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def generator_indices(self) -> range:
         """Indices i of the generators e_i living inside the bound."""
@@ -345,6 +331,29 @@ class PolynomialAlgebra:
             idx = {m: k for k, m in enumerate(self.monomial_basis(d))}
             self._index_cache[d] = idx
         return idx
+
+    def multiplication_table(self, i: int, d: int) -> Tuple[int, ...]:
+        """Multiplication by e_i from degree d to degree d + 2i, as positions:
+        entry k is the index of m_k * e_i in ``monomial_basis(d + 2i)``,
+        m_k the k-th basis monomial of degree d.
+
+        Every matrix that multiplies by a generator is built from these
+        tables by index arithmetic, with no monomial per matrix entry.
+
+        >>> A = PolynomialAlgebra(24)
+        >>> [str(m) for m in A.monomial_basis(6)]
+        ['e1^3', 'e1*e2', 'e3']
+        >>> A.multiplication_table(1, 4)  # e1^2 -> e1^3, e2 -> e1*e2
+        (0, 1)
+        """
+        key = (i, d)
+        table = self._mult_cache.get(key)
+        if table is None:
+            g = Monomial.generator(i)
+            target = self.basis_index(d + 2 * i)
+            table = tuple(target[m * g] for m in self.monomial_basis(d))
+            self._mult_cache[key] = table
+        return table
 
     def as_vector(self, a: AlgebraElement, d: int) -> VectorQ:
         """Coordinates of a degree-d homogeneous element in the canonical

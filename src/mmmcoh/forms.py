@@ -21,6 +21,15 @@ separately, so dimension counts suffice).
 
 Everything here is a finite matrix per (form degree, internal degree), and
 all matrices are exact.
+
+Layout: the basis of Omega^n_d is wedge-major.  The wedges of weight at
+most d come in ascending lex order, and each wedge w owns one block, the
+monomial basis of the coefficient degree d - wt(w), at an offset fixed by
+the blocks before it.  The operator matrices are built from these offsets
+and the algebra's multiplication tables (d uses their inverse, division by
+e_i), so a matrix entry is index arithmetic; ``FormBasisElement`` objects
+are built only for ``form_basis``, ``basis_index`` and the vector
+conversions.
 """
 
 from __future__ import annotations
@@ -29,14 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import (
-    AlgebraElement,
-    DegreeBoundError,
-    Monomial,
-    PolynomialAlgebra,
-    _monomial_key,
-    exterior_basis,
-)
+from .algebra import Monomial, PolynomialAlgebra, exterior_basis
 from .linalg import SparseMatrix, VectorQ
 
 _ONE = Fraction(1)
@@ -164,6 +166,8 @@ class DifferentialForms:
 
     def __init__(self, algebra: PolynomialAlgebra):
         self.algebra = algebra
+        self._layouts: Dict[Tuple[int, int], Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]] = {}
+        self._quotients: Dict[Tuple[int, int], List[Optional[int]]] = {}
         self._basis: Dict[Tuple[int, int], Tuple[FormBasisElement, ...]] = {}
         self._index: Dict[Tuple[int, int], Dict[FormBasisElement, int]] = {}
         self._d_cache: Dict[Tuple[int, int], SparseMatrix] = {}
@@ -184,20 +188,37 @@ class DifferentialForms:
     def form_basis(self, n: int, d: int) -> Tuple[FormBasisElement, ...]:
         """Canonical basis of Omega^n in internal degree d: wedges in
         ascending lex order, coefficient monomials in canonical order."""
+        key = (n, d)
+        cached = self._basis.get(key)
+        if cached is None:
+            monomials = self.algebra.monomial_basis
+            cached = tuple(
+                FormBasisElement(m, wedge)
+                for wedge, (_, deg) in self._layout(n, d)[0].items()
+                for m in monomials(deg)
+            )
+            self._basis[key] = cached
+        return cached
+
+    def _layout(self, n: int, d: int) -> Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]:
+        """The wedge-major layout of Omega^n_d: ``({wedge: (offset,
+        coefficient degree)}, dim)``, wedges in ascending lex order, each
+        block the monomial basis of the coefficient degree."""
         if n < 0:
             raise ValueError("form degree must be >= 0")
         self.algebra._check_degree(d)
         key = (n, d)
-        cached = self._basis.get(key)
+        cached = self._layouts.get(key)
         if cached is None:
-            out: List[FormBasisElement] = []
+            blocks: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+            off = 0
             if d % 2 == 0:
                 for wedge in self._wedges(n, d):
-                    w = sum(2 * i for i in wedge)
-                    for m in self.algebra.monomial_basis(d - w):
-                        out.append(FormBasisElement(m, wedge))
-            cached = tuple(out)
-            self._basis[key] = cached
+                    deg = d - 2 * sum(wedge)
+                    blocks[wedge] = (off, deg)
+                    off += self.algebra.hilbert_function(deg)
+            cached = (blocks, off)
+            self._layouts[key] = cached
         return cached
 
     def _wedges(self, n: int, max_weight: int) -> List[Tuple[int, ...]]:
@@ -208,6 +229,19 @@ class DifferentialForms:
         found.sort()
         return found
 
+    def _quotient_positions(self, i: int, d: int) -> List[Optional[int]]:
+        """Division by e_i, the inverse of the multiplication table into
+        degree d: entry k is the index of m_k / e_i in the degree d - 2i
+        basis, or None where e_i does not divide m_k."""
+        key = (i, d)
+        cached = self._quotients.get(key)
+        if cached is None:
+            cached = [None] * self.algebra.hilbert_function(d)
+            for k, product in enumerate(self.algebra.multiplication_table(i, d - 2 * i)):
+                cached[product] = k
+            self._quotients[key] = cached
+        return cached
+
     def basis_index(self, n: int, d: int) -> Dict[FormBasisElement, int]:
         key = (n, d)
         idx = self._index.get(key)
@@ -217,7 +251,7 @@ class DifferentialForms:
         return idx
 
     def dim(self, n: int, d: int) -> int:
-        return len(self.form_basis(n, d))
+        return self._layout(n, d)[1]
 
     def as_vector(self, form: FormElement, n: int, d: int) -> VectorQ:
         idx = self.basis_index(n, d)
@@ -242,19 +276,26 @@ class DifferentialForms:
         cached = self._d_cache.get(key)
         if cached is not None:
             return cached
-        src = self.form_basis(n, d)
-        tgt_index = self.basis_index(n + 1, d)
+        src, cols = self._layout(n, d)
+        tgt, rows = self._layout(n + 1, d)
         entries: Dict[Tuple[int, int], int] = {}
-        for col, b in enumerate(src):
-            for i, e in b.monomial.pairs:
-                _, reduced = b.monomial.decrement(i)
-                ins = wedge_insert(i, b.wedge)
-                if ins is None:
-                    continue
-                sign, wedge = ins
-                row = tgt_index[FormBasisElement(reduced, wedge)]
-                entries[(row, col)] = sign * e
-        m = SparseMatrix(len(tgt_index), len(src), entries)
+        for wedge, (col_off, deg) in src.items():
+            # e_i leaves the coefficient and joins the wedge: per i, the
+            # sign, the target block and the positions of m / e_i
+            moves = {}
+            for i in range(1, deg // 2 + 1):
+                ins = wedge_insert(i, wedge)
+                if ins is not None:
+                    sign, joined = ins
+                    moves[i] = (sign, tgt[joined][0], self._quotient_positions(i, deg))
+            for q, mono in enumerate(self.algebra.monomial_basis(deg)):
+                col = col_off + q
+                for i, e in mono.pairs:
+                    move = moves.get(i)
+                    if move is not None:
+                        sign, row_off, quotient = move
+                        entries[(row_off + quotient[q], col)] = sign * e
+        m = SparseMatrix(rows, cols, entries)
         self._d_cache[key] = m
         return m
 
@@ -271,16 +312,21 @@ class DifferentialForms:
         cached = self._p_cache.get(key)
         if cached is not None:
             return cached
-        src = self.form_basis(n, d)
-        tgt_index = self.basis_index(n - 1, d)
+        src, cols = self._layout(n, d)
+        tgt, rows = self._layout(n - 1, d)
         entries: Dict[Tuple[int, int], int] = {}
-        for col, b in enumerate(src):
-            for k in range(len(b.wedge)):
-                sign, i, rest = wedge_remove(k, b.wedge)
-                target = FormBasisElement(b.monomial * Monomial.generator(i), rest)
-                row = tgt_index[target]
-                entries[(row, col)] = entries.get((row, col), 0) + sign
-        m = SparseMatrix(len(tgt_index), len(src), entries)
+        for wedge, (col_off, deg) in src.items():
+            # contracting slot k moves e_{wedge[k]} into the coefficient:
+            # per slot, the sign, the target block and the positions of m * e_i
+            slots = []
+            for k in range(len(wedge)):
+                sign, i, rest = wedge_remove(k, wedge)
+                slots.append((sign, tgt[rest][0], self.algebra.multiplication_table(i, deg)))
+            for q in range(self.algebra.hilbert_function(deg)):
+                col = col_off + q
+                for sign, row_off, product in slots:
+                    entries[(row_off + product[q], col)] = sign
+        m = SparseMatrix(rows, cols, entries)
         self._p_cache[key] = m
         return m
 
@@ -294,7 +340,12 @@ class DifferentialForms:
     def euler_weights(self, n: int, d: int) -> List[int]:
         """Predicted eigenvalue (generator factors + form degree) per basis
         element of Omega^n_d."""
-        return [b.monomial.total_exponent + n for b in self.form_basis(n, d)]
+        monomials = self.algebra.monomial_basis
+        return [
+            m.total_exponent + n
+            for _, deg in self._layout(n, d)[0].values()
+            for m in monomials(deg)
+        ]
 
     def verify_cartan(self, n: int, d: int) -> bool:
         """d p + p d equals the predicted diagonal, entry for entry."""

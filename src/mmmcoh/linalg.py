@@ -53,7 +53,8 @@ _ONE = _SMALL[1]
 def _as_q(x) -> Fraction:
     if type(x) is Fraction:
         return x
-    return _SMALL.get(x) or Fraction(x)
+    q = _SMALL.get(x)  # no truth test: Fraction.__bool__ runs in Python
+    return q if q is not None else Fraction(x)
 
 
 def _int_if_integral(x: Fraction):
@@ -83,9 +84,18 @@ class VectorQ:
             for i, x in entries.items():
                 if not 0 <= i < dim:
                     raise IndexError(f"index {i} out of range for dim {dim}")
-                x = _as_q(x)
-                if x:
-                    clean[i] = x
+                t = type(x)  # the same three paths as in SparseMatrix
+                if t is Fraction:
+                    if x:
+                        clean[i] = x
+                elif t is int:
+                    if x:
+                        q = _SMALL.get(x)
+                        clean[i] = q if q is not None else Fraction(x)
+                else:
+                    x = _as_q(x)
+                    if x:
+                        clean[i] = x
         self.entries = clean
 
     @classmethod
@@ -170,12 +180,24 @@ class SparseMatrix:
         self.cols = cols
         clean: Dict[Tuple[int, int], Fraction] = {}
         if entries:
-            for (r, c), x in entries.items():
+            for key, x in entries.items():
+                r, c = key
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-                x = _as_q(x)
-                if x:
-                    clean[(r, c)] = x
+                # an int is tested for zero before it is wrapped, because
+                # int.__bool__ runs in C and Fraction.__bool__ in Python
+                t = type(x)
+                if t is Fraction:
+                    if x:
+                        clean[key] = x
+                elif t is int:
+                    if x:
+                        q = _SMALL.get(x)
+                        clean[key] = q if q is not None else Fraction(x)
+                else:
+                    x = _as_q(x)
+                    if x:
+                        clean[key] = x
         self.entries = clean
 
     @classmethod

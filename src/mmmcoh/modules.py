@@ -55,6 +55,8 @@ class GradedModule:
         self.dims = {d: n for d, n in dims.items() if n}
         self.actions = dict(actions)
         self.coh_offset = coh_offset
+        # (j, d) -> rank of the Koszul differential; a module is immutable
+        self._koszul_ranks: Dict[Tuple[int, int], int] = {}
         if min(self.dims, default=0) < 0:
             raise ValueError("internal degrees are nonnegative")
         for (i, d), m in self.actions.items():
@@ -115,15 +117,14 @@ class FreeGradedModule(GradedModule):
         for a in gen_degrees:
             if a < 0 or a % 2:
                 raise ValueError("generator degrees must be even and >= 0")
-        self.algebra = algebra  # needed by basis() during construction
+        self.algebra = algebra  # needed by generator_blocks() during construction
         self.gen_degrees = tuple(gen_degrees)
+        self._blocks: Dict[int, Tuple[Dict[int, Tuple[int, int]], int]] = {}
         self._bases: Dict[int, Tuple[Tuple[int, Monomial], ...]] = {}
         self._indexes: Dict[int, Dict[Tuple[int, Monomial], int]] = {}
         dims = {}
         for d in range(0, algebra.degree_bound + 1, 2):
-            n = sum(
-                algebra.hilbert_function(d - a) for a in self.gen_degrees if a <= d
-            )
+            n = self.generator_blocks(d)[1]
             if n:
                 dims[d] = n
         actions = {}
@@ -136,17 +137,33 @@ class FreeGradedModule(GradedModule):
                     actions[(i, d)] = m
         super().__init__(algebra, dims, actions, coh_offset=coh_offset, check=False)
 
+    def generator_blocks(self, d: int) -> Tuple[Dict[int, Tuple[int, int]], int]:
+        """The layout of the degree-d slice: ``({generator position:
+        (offset, monomial degree)}, dim)``, one block per generator, each
+        the monomial basis of its degree."""
+        cached = self._blocks.get(d)
+        if cached is None:
+            blocks: Dict[int, Tuple[int, int]] = {}
+            off = 0
+            if 0 <= d <= self.algebra.degree_bound and d % 2 == 0:
+                for k, a in enumerate(self.gen_degrees):
+                    if a <= d:
+                        blocks[k] = (off, d - a)
+                        off += self.algebra.hilbert_function(d - a)
+            cached = (blocks, off)
+            self._blocks[d] = cached
+        return cached
+
     def basis(self, d: int) -> Tuple[Tuple[int, Monomial], ...]:
         """The degree-d basis as (generator position, monomial) pairs."""
         cached = self._bases.get(d)
         if cached is None:
-            out = []
-            if 0 <= d <= self.algebra.degree_bound and d % 2 == 0:
-                for k, a in enumerate(self.gen_degrees):
-                    if a <= d:
-                        for m in self.algebra.monomial_basis(d - a):
-                            out.append((k, m))
-            cached = tuple(out)
+            monomials = self.algebra.monomial_basis
+            cached = tuple(
+                (k, m)
+                for k, (_, deg) in self.generator_blocks(d)[0].items()
+                for m in monomials(deg)
+            )
             self._bases[d] = cached
         return cached
 
@@ -158,13 +175,14 @@ class FreeGradedModule(GradedModule):
         return idx
 
     def _build_action(self, algebra: PolynomialAlgebra, i: int, d: int) -> SparseMatrix:
-        src = self.basis(d)
-        tgt = self.basis_index(d + 2 * i)
-        g = Monomial.generator(i)
+        src, cols = self.generator_blocks(d)
+        tgt, rows = self.generator_blocks(d + 2 * i)
         entries = {}
-        for col, (k, m) in enumerate(src):
-            entries[(tgt[(k, m * g)], col)] = 1
-        return SparseMatrix(len(tgt), len(src), entries)
+        for k, (col_off, deg) in src.items():
+            row_off = tgt[k][0]
+            for col, row in enumerate(algebra.multiplication_table(i, deg), col_off):
+                entries[(row_off + row, col)] = 1
+        return SparseMatrix(rows, cols, entries)
 
 
 def free_module(
@@ -203,12 +221,7 @@ def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
             if m.rows and m.cols:
                 actions[(i, d)] = m
     offset = a.coh_offset if a.coh_offset == b.coh_offset else None
-    out = GradedModule.__new__(GradedModule)
-    out.algebra = a.algebra
-    out.dims = {d: n for d, n in dims.items() if n}
-    out.actions = actions
-    out.coh_offset = offset
-    return out
+    return GradedModule(a.algebra, dims, actions, coh_offset=offset, check=False)
 
 
 class GradedModuleMap:
@@ -435,9 +448,18 @@ def tor_dimension(module: GradedModule, j: int, d: int) -> int:
     c = koszul_dim(module, j, d)
     if c == 0:
         return 0
-    r_out = rank(koszul_differential(module, j, d)) if j >= 1 else 0
-    r_in = rank(koszul_differential(module, j + 1, d))
+    r_out = _koszul_rank(module, j, d) if j >= 1 else 0
+    r_in = _koszul_rank(module, j + 1, d)
     return c - r_out - r_in
+
+
+def _koszul_rank(module: GradedModule, j: int, d: int) -> int:
+    # Tor_j and Tor_{j-1} share this differential: rank it once per module
+    r = module._koszul_ranks.get((j, d))
+    if r is None:
+        r = rank(koszul_differential(module, j, d))
+        module._koszul_ranks[(j, d)] = r
+    return r
 
 
 @dataclass(frozen=True)

@@ -283,14 +283,15 @@ class StableCohomology:
         return l - 1
 
     def twisted_as_vector(self, x: TwistedElement, d: int) -> VectorQ:
-        F = self.twisted_module()
-        idx = F.basis_index(d)
+        blocks, dim = self.twisted_module().generator_blocks(d)
         entries: Dict[int, Fraction] = {}
         for (l, m), c in x.terms.items():
-            if 2 * l + m.degree != d:
-                raise ValueError(f"term at internal degree {2*l + m.degree}, not {d}")
-            entries[idx[(self.generator_index(l), m)]] = c
-        return VectorQ(len(idx), entries)
+            deg = m.degree
+            if 2 * l + deg != d:
+                raise ValueError(f"term at internal degree {2*l + deg}, not {d}")
+            offset = blocks[self.generator_index(l)][0]
+            entries[offset + self.algebra.basis_index(deg)[m]] = c
+        return VectorQ(dim, entries)
 
     def delta_contravariant(self) -> GradedModuleMap:
         """A -> twisted module, 1 |-> m_1 (cup with the degree-1 twisted
@@ -299,14 +300,14 @@ class StableCohomology:
             return self._contra
         A, F = self.ring_module(), self.twisted_module()
         matrices = {}
+        g0 = self.generator_index(1)
         for d in range(0, self.degree_bound - 1, 2):
-            src = self.algebra.monomial_basis(d)
-            tgt = F.basis_index(d + 2)
-            g0 = self.generator_index(1)
-            entries = {
-                (tgt[(g0, m)], col): 1 for col, m in enumerate(src)
-            }
-            matrices[d] = SparseMatrix(len(tgt), len(src), entries)
+            # m * m_1 sits in the m_1 block of degree d + 2, at m's position
+            blocks, rows = F.generator_blocks(d + 2)
+            offset = blocks[g0][0]
+            cols = self.algebra.hilbert_function(d)
+            entries = {(offset + col, col): 1 for col in range(cols)}
+            matrices[d] = SparseMatrix(rows, cols, entries)
         self._contra = GradedModuleMap(A, F, degree_shift=1, matrices=matrices)
         return self._contra
 
@@ -318,13 +319,13 @@ class StableCohomology:
         A, F = self.ring_module(), self.twisted_module()
         matrices = {}
         for d in range(2, self.degree_bound + 1, 2):
-            src = F.basis(d)
-            tgt = self.algebra.basis_index(d)
+            blocks, cols = F.generator_blocks(d)
             entries = {}
-            for col, (k, m) in enumerate(src):
+            for k, (col_off, deg) in blocks.items():
                 l = k + 1  # generator position k holds m_{k+1}
-                entries[(tgt[m * Monomial.generator(l)], col)] = -1
-            matrices[d] = SparseMatrix(len(tgt), len(src), entries)
+                for col, row in enumerate(self.algebra.multiplication_table(l, deg), col_off):
+                    entries[(row, col)] = -1
+            matrices[d] = SparseMatrix(self.algebra.hilbert_function(d), cols, entries)
         self._co = GradedModuleMap(F, A, degree_shift=1, matrices=matrices)
         return self._co
 

@@ -177,3 +177,28 @@ def test_contract_edge_cases():
     e1, e2 = AlgebraElement.generator(1), AlgebraElement.generator(2)
     assert str((e1 + e2) * e1) == "e1^2 + e1*e2"
     assert A.as_vector(e2, 4).to_list() == [Fraction(0), Fraction(1)]
+
+
+# -- multiplication tables --------------------------------------------------------
+
+
+def test_multiplication_table_matches_monomial_product():
+    # entry k is the position of m_k * e_i, for every basis monomial up to 24
+    A = PolynomialAlgebra(24)
+    for d in range(0, 25):
+        for i in A.generator_indices():
+            if d + 2 * i > 24:
+                break
+            target = A.monomial_basis(d + 2 * i)
+            table = A.multiplication_table(i, d)
+            assert len(table) == A.hilbert_function(d)
+            products = [m * Monomial.generator(i) for m in A.monomial_basis(d)]
+            assert [target[k] for k in table] == products, (i, d)
+            assert A.multiplication_table(i, d) is table  # cached
+
+
+def test_multiplication_table_respects_the_bound():
+    A = PolynomialAlgebra(8)
+    assert A.multiplication_table(1, 6) == (0, 1, 2)
+    with pytest.raises(DegreeBoundError):
+        A.multiplication_table(2, 6)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_dim
+from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior_dim
 from mmmcoh.forms import (
     DifferentialForms,
     FormBasisElement,
@@ -14,6 +14,7 @@ from mmmcoh.forms import (
     wedge_insert,
     wedge_remove,
 )
+from mmmcoh.linalg import SparseMatrix
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +234,81 @@ def test_degree_operator_frozen_eigenvalues(forms):
 
 def test_cartan_at_degree_zero(forms):
     assert forms.verify_cartan(0, 0)
+
+
+# -- the object-based builders, kept as test-only oracles ---------------------------
+#
+# The operators are built from wedge-major offsets and the algebra's
+# multiplication tables.  These are the builders they replaced: one
+# FormBasisElement and one Monomial per entry, looked up in a basis index.
+# Each rebuilt matrix must equal its oracle entry for entry, in the same
+# dict order, which is what keeps the reports byte-identical.
+
+
+def _oracle_form_basis(algebra, n, d):
+    out = []
+    if d % 2 == 0:
+        wedges = sorted(w for wt in range(0, d + 1, 2) for w in exterior_basis(n, wt))
+        for wedge in wedges:
+            for m in algebra.monomial_basis(d - sum(2 * i for i in wedge)):
+                out.append(FormBasisElement(m, wedge))
+    return out
+
+
+def _oracle_index(algebra, n, d):
+    return {b: k for k, b in enumerate(_oracle_form_basis(algebra, n, d))}
+
+
+def _oracle_exterior_derivative(algebra, n, d):
+    src = _oracle_form_basis(algebra, n, d)
+    tgt_index = _oracle_index(algebra, n + 1, d)
+    entries = {}
+    for col, b in enumerate(src):
+        for i, e in b.monomial.pairs:
+            ins = wedge_insert(i, b.wedge)
+            if ins is None:
+                continue
+            sign, wedge = ins
+            reduced = Monomial.from_exponents({**dict(b.monomial.pairs), i: e - 1})
+            row = tgt_index[FormBasisElement(reduced, wedge)]
+            entries[(row, col)] = sign * e
+    return SparseMatrix(len(tgt_index), len(src), entries)
+
+
+def _oracle_interior_product(algebra, n, d):
+    src = _oracle_form_basis(algebra, n, d)
+    tgt_index = _oracle_index(algebra, n - 1, d)
+    entries = {}
+    for col, b in enumerate(src):
+        for k in range(len(b.wedge)):
+            sign, i, rest = wedge_remove(k, b.wedge)
+            target = FormBasisElement(b.monomial * Monomial.generator(i), rest)
+            row = tgt_index[target]
+            entries[(row, col)] = entries.get((row, col), 0) + sign
+    return SparseMatrix(len(tgt_index), len(src), entries)
+
+
+def _same_matrix(new, oracle):
+    return (new.rows, new.cols) == (oracle.rows, oracle.cols) and list(
+        new.entries.items()
+    ) == list(oracle.entries.items())
+
+
+def test_operators_match_object_oracles_at_bound_24():
+    algebra = PolynomialAlgebra(24)
+    forms = DifferentialForms(algebra)
+    for n in range(0, forms.max_form_degree() + 2):
+        for d in range(0, 25):
+            basis = _oracle_form_basis(algebra, n, d)
+            assert list(forms.form_basis(n, d)) == basis, (n, d)
+            assert forms.dim(n, d) == len(basis), (n, d)
+            assert forms.euler_weights(n, d) == [
+                b.monomial.total_exponent + n for b in basis
+            ], (n, d)
+            assert _same_matrix(
+                forms.exterior_derivative(n, d), _oracle_exterior_derivative(algebra, n, d)
+            ), ("d", n, d)
+            if n >= 1:
+                assert _same_matrix(
+                    forms.interior_product(n, d), _oracle_interior_product(algebra, n, d)
+                ), ("p", n, d)

@@ -466,3 +466,31 @@ def test_pivots_led_by_minus_one_and_two():
     (x,) = solve_many(m, [b])
     assert x.to_list() == [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1)]
     _assert_fractions(x.entries.values())
+
+
+# -- constructor checks ------------------------------------------------------------
+
+
+def test_constructors_reject_out_of_range_keys():
+    for entries in ({(2, 0): 1}, {(0, 3): Fraction(1, 2)}, {(-1, 0): 1}, {(0, 0): 1, (1, 3): 0}):
+        with pytest.raises(IndexError):
+            SparseMatrix(2, 3, entries)
+    for entries in ({3: 1}, {-1: Fraction(2)}, {0: 1, 5: 0}):
+        with pytest.raises(IndexError):
+            VectorQ(3, entries)
+
+
+def test_constructors_drop_zeros_and_store_fractions():
+    values = [0, Fraction(0), 0.0, 2, -64, 65, 10**30, Fraction(-3, 4), 0.25, -1.5]
+    expected = {
+        3: Fraction(2), 4: Fraction(-64), 5: Fraction(65), 6: Fraction(10**30),
+        7: Fraction(-3, 4), 8: Fraction(1, 4), 9: Fraction(-3, 2),
+    }
+    v = VectorQ(len(values), dict(enumerate(values)))
+    m = SparseMatrix(1, len(values), {(0, c): x for c, x in enumerate(values)})
+    assert v.entries == expected
+    assert m.entries == {(0, c): x for c, x in expected.items()}
+    for x in list(v.entries.values()) + list(m.entries.values()):
+        assert type(x) is Fraction
+    # keys keep the order they came in
+    assert list(m.entries) == [(0, c) for c in expected]

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from mmmcoh.algebra import PolynomialAlgebra, exterior_dim
+from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_dim
 from mmmcoh.forms import DifferentialForms
-from mmmcoh.linalg import SparseMatrix, VectorQ, kernel_basis
+from mmmcoh.linalg import SparseMatrix, VectorQ, kernel_basis, rank
 from mmmcoh.modules import (
     FreeGradedModule,
     GradedModule,
@@ -331,3 +331,73 @@ def test_kernel_module_rejects_push_into_a_zero_kernel():
     assert _kernel_dims(f) == {0: 1}
     with pytest.raises(ValueError, match="e1 pushes a kernel vector at degree 0"):
         kernel_module(f)
+
+
+# -- the object-based action builder, kept as a test-only oracle ---------------------
+
+
+def _oracle_free_basis(module, d):
+    out = []
+    if 0 <= d <= module.bound and d % 2 == 0:
+        for k, a in enumerate(module.gen_degrees):
+            if a <= d:
+                for m in module.algebra.monomial_basis(d - a):
+                    out.append((k, m))
+    return out
+
+
+def _oracle_action(module, i, d):
+    src = _oracle_free_basis(module, d)
+    tgt = {b: k for k, b in enumerate(_oracle_free_basis(module, d + 2 * i))}
+    g = Monomial.generator(i)
+    entries = {}
+    for col, (k, m) in enumerate(src):
+        entries[(tgt[(k, m * g)], col)] = 1
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def test_free_module_actions_match_object_oracle(algebra, rank_one, twisted):
+    # generator degrees out of order and repeated, besides the two in use
+    mixed = free_module(algebra, [4, 0, 2, 2])
+    for module in (rank_one, twisted, mixed):
+        for d in range(0, BOUND + 1):
+            assert list(module.basis(d)) == _oracle_free_basis(module, d), d
+            for i in algebra.generator_indices():
+                if d + 2 * i > BOUND:
+                    break
+                new, oracle = module.action(i, d), _oracle_action(module, i, d)
+                assert (new.rows, new.cols) == (oracle.rows, oracle.cols), (i, d)
+                assert list(new.entries.items()) == list(oracle.entries.items()), (i, d)
+
+
+# -- the Koszul rank memo ------------------------------------------------------------
+
+
+def test_tor_table_on_a_direct_sum(algebra, rank_one, monkeypatch):
+    # Tor_j(Q, Q + A) = Lambda^j E + (Q in j = 0, degree 0)
+    import mmmcoh.modules as modules
+
+    real = modules.koszul_differential
+    calls = []
+
+    def counting(module, j, d):
+        calls.append((j, d))
+        return real(module, j, d)
+
+    monkeypatch.setattr(modules, "koszul_differential", counting)
+    s = direct_sum(trivial_module(algebra), rank_one)
+    tables = [tor_table(s, j, 12) for j in range(4)]
+    assert tables[0].dims == {0: 2}
+    for j in (1, 2, 3):
+        assert tables[j].dims == {
+            d: exterior_dim(j, d) for d in range(13) if exterior_dim(j, d)
+        }
+    assert len(calls) == len(set(calls))
+    # each table is what ranking both differentials afresh gives
+    for j, table in enumerate(tables):
+        for d in range(13):
+            c = koszul_dim(s, j, d)
+            if c:
+                r_out = rank(real(s, j, d)) if j else 0
+                c -= r_out + rank(real(s, j + 1, d))
+            assert table.dim(d) == c, (j, d)

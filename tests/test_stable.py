@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mmmcoh.algebra import AlgebraElement, Monomial, PolynomialAlgebra
+from mmmcoh.linalg import SparseMatrix
 from mmmcoh.stable import (
     FalsificationError,
     StableCohomology,
@@ -349,3 +350,90 @@ def test_kernel_minimal_generators_computed_once_per_run(monkeypatch):
     report = ctx.verify_generators(up_to=8)
     assert report.minimal_counts == {6: 1, 8: 1}
     assert report.minimal_counts == real(kernel, 8).counts
+
+
+# -- the object-based map builders, kept as test-only oracles -------------------------
+
+
+def _oracle_twisted_index(sc, d):
+    F = sc.twisted_module()
+    basis = [
+        (k, m)
+        for k, a in enumerate(F.gen_degrees)
+        if a <= d
+        for m in sc.algebra.monomial_basis(d - a)
+    ]
+    return {b: k for k, b in enumerate(basis)}
+
+
+def _oracle_delta_covariant(sc, d):
+    src = _oracle_twisted_index(sc, d)
+    tgt = sc.algebra.basis_index(d)
+    entries = {}
+    for col, (k, m) in enumerate(src):
+        entries[(tgt[m * Monomial.generator(k + 1)], col)] = -1
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def _oracle_delta_contravariant(sc, d):
+    src = sc.algebra.monomial_basis(d)
+    tgt = _oracle_twisted_index(sc, d + 2)
+    entries = {(tgt[(0, m)], col): 1 for col, m in enumerate(src)}
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def _same_matrix(new, oracle):
+    return (new.rows, new.cols) == (oracle.rows, oracle.cols) and list(
+        new.entries.items()
+    ) == list(oracle.entries.items())
+
+
+def test_connecting_maps_match_object_oracles(sc):
+    co, contra = sc.delta_covariant(), sc.delta_contravariant()
+    for d in range(2, sc.degree_bound + 1, 2):
+        assert _same_matrix(co.matrix(d), _oracle_delta_covariant(sc, d)), d
+    for d in range(0, sc.degree_bound - 1, 2):
+        assert _same_matrix(contra.matrix(d), _oracle_delta_contravariant(sc, d)), d
+
+
+def test_twisted_as_vector_matches_object_oracle(sc):
+    for d in range(2, sc.degree_bound + 1, 2):
+        idx = _oracle_twisted_index(sc, d)
+        for (k, m), pos in idx.items():
+            v = sc.twisted_as_vector(TwistedElement({(k + 1, m): Fraction(3, 2)}), d)
+            assert (v.dim, v.entries) == (len(idx), {pos: Fraction(3, 2)}), (k, m)
+    with pytest.raises(ValueError):
+        sc.twisted_as_vector(TwistedElement.generator(2), 6)
+
+
+def test_verify_tor_ranks_each_koszul_differential_once(monkeypatch):
+    # Tor_j and Tor_{j+1} share a differential; it is built and ranked once
+    import mmmcoh.modules as modules
+    from mmmcoh.linalg import rank
+    from mmmcoh.modules import koszul_dim
+
+    real = modules.koszul_differential
+    calls = []
+
+    def counting(module, j, d):
+        calls.append((id(module), j, d))
+        return real(module, j, d)
+
+    monkeypatch.setattr(modules, "koszul_differential", counting)
+    ctx = StableCohomology(12)
+    report = ctx.verify_tor(j_max=4)
+    assert calls and len(calls) == len(set(calls))
+    assert len({(j, d) for _, j, d in calls}) == len(calls)
+
+    module = ctx.tilde_module()
+    for j, table in enumerate(report.results):
+        for d in range(13):
+            c = koszul_dim(module, j, d)
+            if c:
+                r_out = rank(real(module, j, d)) if j else 0
+                c -= r_out + rank(real(module, j + 1, d))
+            assert table.dim(d) == c, (j, d)
+    # asking again builds nothing
+    built = len(calls)
+    ctx.verify_tor(j_max=4)
+    assert len(calls) == built
