@@ -9,23 +9,28 @@
 
 The degree bound defaults to 24 and must be a positive even integer; the
 environment variable MMM_DEGREE_BOUND overrides the default.  Exit status
-is 0 only if every requested check passes; malformed usage exits 2.
+is 0 only if every requested check passes; malformed usage, a malformed
+`h1` input and an unwritable --out path exit 2.
+
+Each subcommand returns one `View` (JSON document, CSV header and rows,
+text lines, pass flag); `_render` writes every format from it, and `main`
+makes the one write and picks the exit code from the pass flag.
 
 JSON output is canonical: running the same command twice produces the
 same bytes (pass --timings to verify-all to append wall-clock times, which
-are excluded from that guarantee).  Every subcommand runs in this one
-process; `tor` and verify-all's tor-dimensions check both read
-StableCohomology.verify_tor.
+are excluded from that guarantee).  `tor` and verify-all's tor-dimensions
+check both read StableCohomology.verify_tor.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import __version__
 from .groupcoh import h1_certificate, load_bundled_b3, load_group_file
@@ -34,7 +39,6 @@ from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 
 # `hilbert COEFFS`: the name of the StableCohomology method that builds
 # each table, looked up on the instance when the command runs
@@ -44,6 +48,16 @@ _HILBERT_TABLES = {
     "Htilde": "stable_cohomology_tilde",
     "HtildeDual": "stable_cohomology_tilde_dual",
 }
+
+
+class View(NamedTuple):
+    """One subcommand's result, ready for any output format."""
+
+    doc: object
+    header: List[str]
+    rows: List[List[object]]
+    lines: List[str]
+    ok: bool = True
 
 
 def _degree_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -60,22 +74,6 @@ def _degree_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help="even degree bound (default 24, or MMM_DEGREE_BOUND)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("json", "csv", "text"),
-        default="text",
-        help="output format (default text)",
-    )
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmmcoh",
@@ -85,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
-    _add_common(p)
+    p.set_defaults(handler=cmd_verify_all)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -93,299 +91,221 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("hilbert", help="dimension table of a stable cohomology module")
+    p.set_defaults(handler=cmd_hilbert)
     p.add_argument("coefficients", choices=tuple(_HILBERT_TABLES))
     p.add_argument(
         "--up-to",
         type=int,
-        default=None,
         help="highest cohomological degree to print (any parity; default: the bound)",
     )
-    _add_common(p)
 
     p = sub.add_parser("tor", help="Koszul homology dimensions of the Htilde module")
+    p.set_defaults(handler=cmd_tor)
     p.add_argument("--j-max", type=int, default=4)
-    _add_common(p)
 
     p = sub.add_parser("generators", help="kernel generators and syzygy check")
-    _add_common(p)
+    p.set_defaults(handler=cmd_generators)
 
     p = sub.add_parser("exactness", help="exactness audit of the forms complex")
-    _add_common(p)
+    p.set_defaults(handler=cmd_exactness)
 
     p = sub.add_parser("h1", help="H^1 of a presented group from a JSON file")
+    p.set_defaults(handler=cmd_h1)
     p.add_argument("input", help='path to a JSON description, or "b3" for the bundled example')
     p.add_argument("--certify", action="store_true", help="print the cocycle/coboundary bases")
-    _add_common(p)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--max-degree",
+            type=int,
+            help="even degree bound (default 24, or MMM_DEGREE_BOUND)",
+        )
+        p.add_argument(
+            "--format",
+            choices=("json", "csv", "text"),
+            default="text",
+            help="output format (default text)",
+        )
+        p.add_argument("--out", help="write output to a file instead of stdout")
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_escape(x: object) -> str:
-    s = str(x)
-    if any(ch in s for ch in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
-def _rows_to_csv(header: List[str], rows: List[List[object]]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_csv_escape(x) for x in row) + "\n")
-    return buf.getvalue()
+def _render(view: View, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(view.doc, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([view.header, *view.rows])
+        return buf.getvalue()
+    return "\n".join(view.lines) + "\n"
 
 
 # -- verify-all --------------------------------------------------------------
 
 
-def cmd_verify_all(args, parser) -> int:
-    bound = _degree_bound(parser, args)
-    report = run_verification(bound)
-    if args.format == "json":
-        text = report.to_json(include_timings=args.timings) + "\n"
-    elif args.format == "csv":
-        rows = [
+def cmd_verify_all(args, parser) -> View:
+    report = run_verification(_degree_bound(parser, args))
+    lines = [f"degree bound {report.degree_bound}, artifact {report.artifact_version}"]
+    for c in report.checks:
+        mark = "PASS" if c.passed else "FAIL"
+        lines.append(f"[{mark}] {c.check_id} ({c.elapsed_ms:.0f} ms): {c.statement}")
+        if c.failure:
+            lines.append(f"       {c.failure}")
+    lines.append("all checks passed" if report.passed else "FAILURES PRESENT")
+    return View(
+        doc=report.to_dict(include_timings=args.timings),
+        header=["check_id", "status", "per_degree_data"],
+        rows=[
             [c.check_id, c.status, json.dumps(c.per_degree_data, sort_keys=True)]
             for c in report.checks
-        ]
-        text = _rows_to_csv(["check_id", "status", "per_degree_data"], rows)
-    else:
-        lines = [f"degree bound {report.degree_bound}, artifact {report.artifact_version}"]
-        for c in report.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{mark}] {c.check_id} ({c.elapsed_ms:.0f} ms): {c.statement}")
-            if c.failure:
-                lines.append(f"       {c.failure}")
-        lines.append("all checks passed" if report.passed else "FAILURES PRESENT")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK if report.passed else EXIT_FAIL
+        ],
+        lines=lines,
+        ok=report.passed,
+    )
 
 
 # -- hilbert -----------------------------------------------------------------
 
 
-def cmd_hilbert(args, parser) -> int:
+def cmd_hilbert(args, parser) -> View:
     bound = _degree_bound(parser, args)
     up_to = args.up_to if args.up_to is not None else bound
     if not 0 <= up_to <= bound:
         parser.error(f"--up-to must lie in 0..{bound}, got {up_to}")
-    ctx = StableCohomology(bound)
     label = args.coefficients
-    table = getattr(ctx, _HILBERT_TABLES[label])()
+    table = getattr(StableCohomology(bound), _HILBERT_TABLES[label])()
     dims = table.as_list(up_to)
-    if args.format == "json":
-        doc = {
-            "coefficients": label,
-            "max_degree": up_to,
-            "dims": dims,
-        }
-        if table.generator_report:
-            doc["generators"] = {
-                str(c): list(labels)
-                for c, labels in sorted(table.generator_report.items())
-                if c <= up_to
-            }
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _rows_to_csv(
-            ["degree", "dimension"], [[c, n] for c, n in enumerate(dims)]
-        )
-    else:
-        lines = [f"stable cohomology with {label} coefficients, degrees 0..{up_to}"]
-        for c, n in enumerate(dims):
-            gens = ""
-            if table.generator_report and c in table.generator_report:
-                gens = "   " + " ".join(table.generator_report[c])
-            lines.append(f"{c:3d}  {n}{gens}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    gens = table.generator_report or {}
+    doc = {"coefficients": label, "max_degree": up_to, "dims": dims}
+    if gens:
+        doc["generators"] = {str(c): list(g) for c, g in sorted(gens.items()) if c <= up_to}
+    lines = [f"stable cohomology with {label} coefficients, degrees 0..{up_to}"]
+    for c, n in enumerate(dims):
+        labels = "   " + " ".join(gens[c]) if c in gens else ""
+        lines.append(f"{c:3d}  {n}{labels}")
+    return View(doc, ["degree", "dimension"], [[c, n] for c, n in enumerate(dims)], lines)
 
 
 # -- tor ---------------------------------------------------------------------
 
 
-def cmd_tor(args, parser) -> int:
+def cmd_tor(args, parser) -> View:
     bound = _degree_bound(parser, args)
     if args.j_max < 0:
         parser.error("--j-max must be >= 0")
-    ctx = StableCohomology(bound)
-    report = ctx.verify_tor(j_max=args.j_max)
-    if args.format == "json":
-        doc = {
-            "max_degree": bound,
-            "j_max": args.j_max,
-            "nonfreeness_witness_tor1_degree2": report.nonfreeness_witness,
-            "tables": [
-                {"j": t.j, "dims": {str(d): n for d, n in sorted(t.dims.items())}}
-                for t in report.results
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = []
-        for t in report.results:
-            for d, n in sorted(t.dims.items()):
-                rows.append([t.j, d, n])
-        text = _rows_to_csv(["j", "degree", "dimension"], rows)
-    else:
-        lines = [f"Tor_j(Q, Htilde module), degrees 0..{bound}"]
-        for t in report.results:
-            dims = " ".join(f"{d}:{n}" for d, n in sorted(t.dims.items()))
-            lines.append(f"j={t.j}  {dims if dims else '(zero)'}")
-        lines.append(
-            f"non-freeness witness: dim Tor_1 at degree 2 = {report.nonfreeness_witness}"
-        )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    report = StableCohomology(bound).verify_tor(j_max=args.j_max)
+    witness = report.nonfreeness_witness
+    doc = {
+        "max_degree": bound,
+        "j_max": args.j_max,
+        "nonfreeness_witness_tor1_degree2": witness,
+        "tables": [
+            {"j": t.j, "dims": {str(d): n for d, n in sorted(t.dims.items())}}
+            for t in report.results
+        ],
+    }
+    rows = [[t.j, d, n] for t in report.results for d, n in sorted(t.dims.items())]
+    lines = [f"Tor_j(Q, Htilde module), degrees 0..{bound}"]
+    for t in report.results:
+        dims = " ".join(f"{d}:{n}" for d, n in sorted(t.dims.items()))
+        lines.append(f"j={t.j}  {dims if dims else '(zero)'}")
+    lines.append(f"non-freeness witness: dim Tor_1 at degree 2 = {witness}")
+    return View(doc, ["j", "degree", "dimension"], rows, lines)
 
 
 # -- generators ----------------------------------------------------------------
 
 
-def cmd_generators(args, parser) -> int:
+def cmd_generators(args, parser) -> View:
     bound = _degree_bound(parser, args)
-    ctx = StableCohomology(bound)
-    report = ctx.verify_generators()
-    if args.format == "json":
-        doc = {
-            "max_degree": bound,
-            "per_degree": list(report.per_degree),
-            "syzygies_checked": report.syzygies_checked,
-            "minimal_generator_counts": {
-                str(d): n for d, n in sorted(report.minimal_counts.items())
-            },
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = [
-            [r["degree"], r["kernel_dim"], r["span_rank"], r["spanning_vectors"]]
-            for r in report.per_degree
-        ]
-        text = _rows_to_csv(["degree", "kernel_dim", "span_rank", "spanning_vectors"], rows)
-    else:
-        lines = ["contraction kernel: span and minimal generators by degree"]
-        for r in report.per_degree:
-            lines.append(
-                f"degree {r['degree']:3d}: kernel {r['kernel_dim']}, "
-                f"span rank {r['span_rank']} from {r['spanning_vectors']} vectors"
-            )
-        lines.append(f"cyclic syzygies checked: {report.syzygies_checked}")
-        counts = " ".join(f"{d}:{n}" for d, n in sorted(report.minimal_counts.items()))
-        lines.append(f"minimal generators {counts}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    report = StableCohomology(bound).verify_generators()
+    counts = sorted(report.minimal_counts.items())
+    doc = {
+        "max_degree": bound,
+        "per_degree": list(report.per_degree),
+        "syzygies_checked": report.syzygies_checked,
+        "minimal_generator_counts": {str(d): n for d, n in counts},
+    }
+    header = ["degree", "kernel_dim", "span_rank", "spanning_vectors"]
+    rows = [[r[k] for k in header] for r in report.per_degree]
+    lines = ["contraction kernel: span and minimal generators by degree"]
+    for r in report.per_degree:
+        lines.append(
+            f"degree {r['degree']:3d}: kernel {r['kernel_dim']}, "
+            f"span rank {r['span_rank']} from {r['spanning_vectors']} vectors"
+        )
+    lines.append(f"cyclic syzygies checked: {report.syzygies_checked}")
+    lines.append("minimal generators " + " ".join(f"{d}:{n}" for d, n in counts))
+    return View(doc, header, rows, lines)
 
 
 # -- exactness -----------------------------------------------------------------
 
 
-def cmd_exactness(args, parser) -> int:
+def cmd_exactness(args, parser) -> View:
     bound = _degree_bound(parser, args)
     ctx = StableCohomology(bound)
     reports = [ctx.forms.verify_exactness(d) for d in range(1, bound + 1)]
     ok = all(r.all_exact for r in reports)
-    if args.format == "json":
-        doc = {
-            "max_degree": bound,
-            "all_exact": ok,
-            "degrees": [r.to_dict() for r in reports],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = []
-        for r in reports:
-            for s in r.spots:
-                rows.append(
-                    [r.degree, s.form_degree, s.dim, s.rank_out, s.rank_in, s.exact]
-                )
-        text = _rows_to_csv(
-            ["degree", "form_degree", "dim", "rank_out", "rank_in", "exact"], rows
-        )
-    else:
-        lines = ["forms-complex exactness by internal degree"]
-        for r in reports:
-            spots = " ".join(
-                f"n={s.form_degree}:{'ok' if s.exact else 'FAIL'}" for s in r.spots
-            )
-            lines.append(f"degree {r.degree:3d}: {spots}")
-        lines.append("all degrees exact" if ok else "EXACTNESS FAILURES")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    doc = {"max_degree": bound, "all_exact": ok, "degrees": [r.to_dict() for r in reports]}
+    rows = [
+        [r.degree, s.form_degree, s.dim, s.rank_out, s.rank_in, s.exact]
+        for r in reports
+        for s in r.spots
+    ]
+    lines = ["forms-complex exactness by internal degree"]
+    for r in reports:
+        spots = " ".join(f"n={s.form_degree}:{'ok' if s.exact else 'FAIL'}" for s in r.spots)
+        lines.append(f"degree {r.degree:3d}: {spots}")
+    lines.append("all degrees exact" if ok else "EXACTNESS FAILURES")
+    header = ["degree", "form_degree", "dim", "rank_out", "rank_in", "exact"]
+    return View(doc, header, rows, lines, ok)
 
 
 # -- h1 --------------------------------------------------------------------------
 
 
-def cmd_h1(args, parser) -> int:
+def cmd_h1(args, parser) -> View:
     if args.input == "b3" and not os.path.exists(args.input):
         pres, rep = load_bundled_b3()
         label = "bundled b3"
     else:
         try:
             pres, rep = load_group_file(args.input)
-        except FileNotFoundError:
-            parser.error(f"no such input file: {args.input}")
-        except (KeyError, ValueError) as exc:
+        except OSError as exc:
+            parser.error(f"cannot read input file {args.input}: {exc.strerror}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # a wrongly shaped document fails in the loader with its first bad field's error
             parser.error(f"malformed group description: {exc}")
         label = args.input
     cert = h1_certificate(pres, rep)
-    if args.format == "json":
-        doc = {
-            "input": label,
-            "z1_dim": cert.z1_dim,
-            "b1_dim": cert.b1_dim,
-            "h1_dim": cert.h1_dim,
-        }
-        if args.certify:
-            doc["z1_basis"] = [[str(x) for x in v.to_list()] for v in cert.z1_basis]
-            doc["b1_basis"] = [[str(x) for x in v.to_list()] for v in cert.b1_basis]
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _rows_to_csv(
-            ["z1_dim", "b1_dim", "h1_dim"], [[cert.z1_dim, cert.b1_dim, cert.h1_dim]]
-        )
-    else:
-        lines = [
-            f"H^1 for {label}",
-            f"dim Z^1 = {cert.z1_dim}",
-            f"dim B^1 = {cert.b1_dim}",
-            f"dim H^1 = {cert.h1_dim}",
-        ]
-        if args.certify:
-            lines.append("Z^1 basis:")
-            lines.extend(f"  {[str(x) for x in v.to_list()]}" for v in cert.z1_basis)
-            lines.append("B^1 basis:")
-            lines.extend(f"  {[str(x) for x in v.to_list()]}" for v in cert.b1_basis)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    dims = [cert.z1_dim, cert.b1_dim, cert.h1_dim]
+    doc = {"input": label, "z1_dim": dims[0], "b1_dim": dims[1], "h1_dim": dims[2]}
+    lines = [f"H^1 for {label}"] + [
+        f"dim {name} = {n}" for name, n in zip(("Z^1", "B^1", "H^1"), dims)
+    ]
+    if args.certify:
+        z1 = [[str(x) for x in v.to_list()] for v in cert.z1_basis]
+        b1 = [[str(x) for x in v.to_list()] for v in cert.b1_basis]
+        doc.update(z1_basis=z1, b1_basis=b1)
+        lines += ["Z^1 basis:", *(f"  {v}" for v in z1), "B^1 basis:", *(f"  {v}" for v in b1)]
+    return View(doc, ["z1_dim", "b1_dim", "h1_dim"], [dims], lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "verify-all": cmd_verify_all,
-        "hilbert": cmd_hilbert,
-        "tor": cmd_tor,
-        "generators": cmd_generators,
-        "exactness": cmd_exactness,
-        "h1": cmd_h1,
-    }
-    return handlers[args.command](args, parser)
+    view = args.handler(args, parser)
+    text = _render(view, args.format)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write {args.out}: {exc.strerror}")
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if view.ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ operators act per degree:
   eigenvector of eigenvalue m + n.
 
 The chain of contractions ... -> Omega^2 -> Omega^1 -> Omega^0 -> Q -> 0
-is exact in every positive internal degree; `verify_exactness` certifies
-this per degree by exact rank bookkeeping (d^2 = 0 and p^2 = 0 are checked
-separately, so dimension counts suffice).
+is exact in every positive internal degree; `verify_exactness` compares
+ranks per degree, which certifies exactness only given p^2 = 0.  Neither
+p^2 = 0 nor d^2 = 0 is checked by `verify-all` at its bound; only
+tests/test_forms.py checks them, at bound 24 (ROADMAP item 6).
 
 Everything here is a finite matrix per (form degree, internal degree), and
 all matrices are exact.
@@ -363,9 +364,10 @@ class DifferentialForms:
 
         In positive internal degree the augmentation slot (Q)_d vanishes, so
         the contraction out of Omega^1 must be onto, and at each higher spot
-        kernel and incoming image must have the same dimension.  p^2 = 0
-        gives image <= kernel for free, so equality of dimensions certifies
-        exactness.
+        kernel and incoming image must have the same dimension.  Given
+        p^2 = 0, image <= kernel, so equality of dimensions certifies
+        exactness; p^2 = 0 is assumed here, not checked (only
+        tests/test_forms.py checks it, at bound 24; ROADMAP item 6).
         """
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")

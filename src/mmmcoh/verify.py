@@ -7,9 +7,9 @@ no timestamps, and timings kept out of the default serialization so that
 identical inputs give byte-identical bytes (timings are available as an
 explicitly non-deterministic sidecar).
 
-Checks run one after another in this process.  Each is a thin view over
-the library routine that computes its statement; tor-dimensions reads
-`StableCohomology.verify_tor`, the routine behind `mmmcoh tor`.
+Checks run one after another in this process, each a view over the
+library routine that computes its statement, or that routine itself as a
+`methodcaller`; tor-dimensions reads `StableCohomology.verify_tor`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -78,10 +79,6 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # the individual checks; each returns per-degree rows or raises
-
-
-def _check_contraction(ctx: StableCohomology) -> List[Dict[str, object]]:
-    return ctx.verify_contraction_table()
 
 
 def _check_injectivity(ctx: StableCohomology) -> List[Dict[str, object]]:
@@ -177,20 +174,12 @@ def _check_h1(ctx: StableCohomology) -> List[Dict[str, object]]:
     ]
 
 
-def _check_cross(ctx: StableCohomology) -> List[Dict[str, object]]:
-    return ctx.kernel_cross_check()
-
-
-def _check_audit(ctx: StableCohomology) -> List[Dict[str, object]]:
-    return ctx.exact_sequence_audit()
-
-
 CHECKS: List[Tuple[str, str, Callable]] = [
     (
         "contraction-identity",
         "the pairing of twisted classes satisfies mu(m_l, m_l') = -e_(l+l'-1) "
         "for every pair of indices inside the degree bound",
-        _check_contraction,
+        methodcaller("verify_contraction_table"),
     ),
     (
         "dual-injectivity",
@@ -239,13 +228,13 @@ CHECKS: List[Tuple[str, str, Callable]] = [
         "the twisted-class contraction and the Euler contraction on 1-forms "
         "are the same matrices up to one global sign, with equal kernel "
         "dimensions in every degree",
-        _check_cross,
+        methodcaller("kernel_cross_check"),
     ),
     (
         "sequence-audit",
         "the alternating dimension sum of 0 -> kernel -> twisted module -> "
         "coefficient ring -> Q -> 0 vanishes in every degree block",
-        _check_audit,
+        methodcaller("exact_sequence_audit"),
     ),
 ]
 

@@ -1,5 +1,6 @@
 """Command-line interface: frozen tables, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -297,3 +298,115 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "degree,dimension"
+
+
+# -- output bytes and the common flags ----------------------------------------------
+
+SUBCOMMANDS = ["verify-all", "hilbert", "tor", "generators", "exactness", "h1"]
+
+# sha256 of each subcommand's stdout at --max-degree 12, in every format;
+# verify-all's text output prints wall-clock times, so only its json and csv
+GOLDEN_DIGESTS = [
+    ("hilbert Q", "json", "ab1b205d3275f4a839df66a2ad8c16a26af2c8fdecc1123891046a568de4c58a"),
+    ("hilbert Q", "csv", "d539fa49ac9e22389ba08d54347b8698415b9c33c2c4666ff7adde36e18082c3"),
+    ("hilbert Q", "text", "8db4a9b0af0ec5c050facd41d333e48cf9ae9663939f51703c7c0736dc005e0e"),
+    ("hilbert H", "json", "75b3edeca8612084d3a61f39049b0486fd3576445c2f9642a1385ab83082ae6a"),
+    ("hilbert H", "csv", "881216d1fdace3995a144201ab256564fd8e433e6903bb7c80ce8e26e13baf1d"),
+    ("hilbert H", "text", "718503d55981fa14eb5860860e2170a5bb137e67ad50241d35501d69e73c669f"),
+    ("hilbert Htilde", "json", "b905846aa0984525fe059018f3bf9f29ce3e70c77ca76a185ee22c2537e935e5"),
+    ("hilbert Htilde", "csv", "e5de5a1d037dec478dc14008fb727e5520fb39d95bdd8a1c2fd37663efb9f33a"),
+    ("hilbert Htilde", "text", "7147a1ee7a1e1c122f266a2d035023fc2013742e8d0a9180fbb427cbac411a27"),
+    ("hilbert HtildeDual", "json", "d8b7e369b63294a6e8a80d4cf9f95f282325772b0e54d7209e14cec01dcf9cd3"),
+    ("hilbert HtildeDual", "csv", "28407b52c89a1f6391a76b9acdc4acdf952068a9535b771d12f3a612cadb93ef"),
+    ("hilbert HtildeDual", "text", "98331b628e2a93f3d4c9af72c45a8d309f237c8adcf49887064499806226a4ba"),
+    ("tor", "json", "7906dfe507637810f6253135b815f31da70c9fc6a0385d55f7e91cf0642616ad"),
+    ("tor", "csv", "85c5d195b73495f4f5f4d2c985ddf692e68a2ef0bd4fc61fb022f5c6f1f0ba94"),
+    ("tor", "text", "d4beae55fc93d722e49c609ab11f9be1f2076378ca3b11b355fd8d4350685d90"),
+    ("tor --j-max 2", "json", "b13f10508d98e8cba514c93f60a3c2a2086db48e47997f182d8d3c26845ead21"),
+    ("tor --j-max 2", "csv", "d24f21a123b9831968f5ac65378c36f2fbb870c95fd313efcf46f8f8046d54c4"),
+    ("tor --j-max 2", "text", "c8e63f1b73541ade26d25423d094d1716d60abd8687c98ccd631835fb981e6f8"),
+    ("generators", "json", "8a317e073d2b9279ce8f86f8d556b332c2ec0f23d2fa344a6a69bc14332ec08f"),
+    ("generators", "csv", "78cfda8bbb8a41d2a076ce0ad205afbd2dad62f45f38b0e226628fc8e6ea4e84"),
+    ("generators", "text", "27c0443cbd0f4f1ad51d1e24e374dbc795d4516890c3d114f10fdd4f7df7f3fd"),
+    ("exactness", "json", "286e6abec63815780af0dcebee6d4e251ce5416e40cfce132cf91e828ba1ec1f"),
+    ("exactness", "csv", "61a5f442a4e1c1b0cea71527c3827258c2b7cee42e78945bd199f5864368054f"),
+    ("exactness", "text", "72ce3c0e0435c029fc5c3a5daccf1473a07ed814e6c04e0ab197f9252e086f1f"),
+    ("h1 b3", "json", "51959345888b4b7905735a8e5550e04c708cf78d6cc25eecbd850d9e3e05c805"),
+    ("h1 b3", "csv", "9bde79ec825daf10b1a3eefb62f457c3b66b8c2a4c3997375bffeb3dee27ff37"),
+    ("h1 b3", "text", "1b26edd2669fd891c2a88964e95244af1da7c2a8b2ad3f18e74bdba41827e63c"),
+    ("h1 b3 --certify", "json", "c63b0060f3516e983173f77dfe10c66bbbd4ccd4dc3032d2ee06033aeba22eed"),
+    ("h1 b3 --certify", "csv", "9bde79ec825daf10b1a3eefb62f457c3b66b8c2a4c3997375bffeb3dee27ff37"),
+    ("h1 b3 --certify", "text", "5aeca722ff98948259841fc59b8a1bab2b8317f3f60e51606a7d8d7788210f78"),
+    ("verify-all", "json", "230d97d3a155a492c67e45252e827271bdc9f410d21e3230833421a9b4530401"),
+    ("verify-all", "csv", "ad4c96788756ea097bf73ba8941e09d145f981f7ccc016781d0c8f18dac9ae3e"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,fmt,digest", GOLDEN_DIGESTS, ids=[f"{c}-{f}" for c, f, _ in GOLDEN_DIGESTS]
+)
+def test_output_bytes_are_frozen(capsys, command, fmt, digest):
+    code, out = run_cli(capsys, *command.split(), "--max-degree", "12", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_takes_the_common_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--max-degree", "--format", "--out"):
+        assert flag in out
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "mmmcoh 0.1.0\n"
+
+
+# -- bad input and unwritable output are usage errors ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1, 2]", "malformed group description"),
+        ('{"generators": 1, "relators": 5, "matrices": [[[1]]]}', "malformed group description"),
+        (
+            '{"generators": 0, "relators": [], "matrices": [], "dimension": [1]}',
+            "malformed group description",
+        ),
+        (
+            '{"generators": 1, "relators": [], "matrices": [[[1e400]]]}',
+            "malformed group description",
+        ),
+        (None, "cannot read input file"),  # the path is a directory
+    ],
+    ids=["top-level-list", "int-relators", "list-dimension", "infinite-entry", "directory"],
+)
+def test_h1_malformed_input_is_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "group.json"
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["h1", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_out_into_missing_directory_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "Q", "--max-degree", "8", "--format", "json", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {target}" in captured.err
+    assert not target.exists()

@@ -124,3 +124,25 @@ def test_tor_mismatch_is_a_fail_row(monkeypatch):
     assert all(by_id[cid].status == "pass" for cid in later)
     assert not report.passed
     assert main(["verify-all", "--max-degree", "8"]) == 1
+
+
+@pytest.mark.parametrize(
+    "check_id,method",
+    [
+        ("contraction-identity", "verify_contraction_table"),
+        ("kernel-cross-check", "kernel_cross_check"),
+        ("sequence-audit", "exact_sequence_audit"),
+    ],
+)
+def test_registry_looks_methods_up_on_the_instance(monkeypatch, check_id, method):
+    # a wrapper put on the class after import, as the benchmark's tracer
+    # does, must see the registry's call
+    from mmmcoh.stable import FalsificationError, StableCohomology
+
+    def patched(self):
+        raise FalsificationError(f"patched {method}")
+
+    monkeypatch.setattr(StableCohomology, method, patched)
+    (check,) = run_verification(8, check_ids=[check_id]).checks
+    assert check.status == "fail"
+    assert check.failure == f"patched {method}"
