@@ -9,8 +9,9 @@
 
 The degree bound defaults to 24 and must be a positive even integer; the
 environment variable MMM_DEGREE_BOUND overrides the default.  Exit status
-is 0 only if every requested check passes; malformed usage, a malformed
-`h1` input and an unwritable --out path exit 2.
+is 0 only if every requested check passes; malformed usage (a bad bound
+also for `h1`, which does not use it), a malformed `h1` input and an
+unwritable --out path exit 2, the last before any computation.
 
 Each subcommand returns one `View` (JSON document, CSV header and rows,
 text lines, pass flag); `_render` writes every format from it, and `main`
@@ -266,6 +267,7 @@ def cmd_exactness(args, parser) -> View:
 
 
 def cmd_h1(args, parser) -> View:
+    _degree_bound(parser, args)  # h1 has no bound, but a bad one is still a usage error
     if args.input == "b3" and not os.path.exists(args.input):
         pres, rep = load_bundled_b3()
         label = "bundled b3"
@@ -292,17 +294,25 @@ def cmd_h1(args, parser) -> View:
     return View(doc, ["z1_dim", "b1_dim", "h1_dim"], [dims], lines)
 
 
+def _write(parser: argparse.ArgumentParser, path: str, mode: str, text: str) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out:
+        # fail before the computation, not after it; append mode creates
+        # a missing file and leaves an existing one as it is
+        _write(parser, args.out, "a", "")
     view = args.handler(args, parser)
     text = _render(view, args.format)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            parser.error(f"cannot write {args.out}: {exc.strerror}")
+        _write(parser, args.out, "w", text)
     else:
         sys.stdout.write(text)
     return EXIT_OK if view.ok else EXIT_FAIL

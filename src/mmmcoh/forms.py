@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Monomial, PolynomialAlgebra, exterior_basis
@@ -279,8 +281,8 @@ class DifferentialForms:
             return cached
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n + 1, d)
-        entries: Dict[Tuple[int, int], int] = {}
-        for wedge, (col_off, deg) in src.items():
+        columns: List[Tuple[int, ...]] = []
+        for wedge, (_, deg) in src.items():
             # e_i leaves the coefficient and joins the wedge: per i, the
             # sign, the target block and the positions of m / e_i
             moves = {}
@@ -290,13 +292,14 @@ class DifferentialForms:
                     sign, joined = ins
                     moves[i] = (sign, tgt[joined][0], self._quotient_positions(i, deg))
             for q, mono in enumerate(self.algebra.monomial_basis(deg)):
-                col = col_off + q
+                col: List[int] = []
                 for i, e in mono.pairs:
                     move = moves.get(i)
                     if move is not None:
                         sign, row_off, quotient = move
-                        entries[(row_off + quotient[q], col)] = sign * e
-        m = SparseMatrix(rows, cols, entries)
+                        col += (row_off + quotient[q], sign * e)
+                columns.append(tuple(col))
+        m = SparseMatrix.of_columns(rows, cols, columns)
         self._d_cache[key] = m
         return m
 
@@ -315,19 +318,18 @@ class DifferentialForms:
             return cached
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n - 1, d)
-        entries: Dict[Tuple[int, int], int] = {}
-        for wedge, (col_off, deg) in src.items():
+        columns: List[Tuple[int, ...]] = []
+        for wedge, (_, deg) in src.items():
             # contracting slot k moves e_{wedge[k]} into the coefficient:
-            # per slot, the sign, the target block and the positions of m * e_i
+            # per slot, the (row, sign) pair of every column, at the target
+            # block's offset plus the position of m * e_i
             slots = []
             for k in range(len(wedge)):
                 sign, i, rest = wedge_remove(k, wedge)
-                slots.append((sign, tgt[rest][0], self.algebra.multiplication_table(i, deg)))
-            for q in range(self.algebra.hilbert_function(deg)):
-                col = col_off + q
-                for sign, row_off, product in slots:
-                    entries[(row_off + product[q], col)] = sign
-        m = SparseMatrix(rows, cols, entries)
+                product = self.algebra.multiplication_table(i, deg)
+                slots.append(zip(map(add, product, repeat(tgt[rest][0])), repeat(sign)))
+            columns.extend(map(tuple, map(chain.from_iterable, zip(*slots))))
+        m = SparseMatrix.of_columns(rows, cols, columns)
         self._p_cache[key] = m
         return m
 
@@ -350,10 +352,9 @@ class DifferentialForms:
 
     def verify_cartan(self, n: int, d: int) -> bool:
         """d p + p d equals the predicted diagonal, entry for entry."""
-        expected = SparseMatrix(
-            self.dim(n, d),
-            self.dim(n, d),
-            {(i, i): w for i, w in enumerate(self.euler_weights(n, d)) if w},
+        weights = self.euler_weights(n, d)
+        expected = SparseMatrix.of_columns(
+            len(weights), len(weights), [(i, w) if w else () for i, w in enumerate(weights)]
         )
         return self.lie_derivative(n, d) == expected
 

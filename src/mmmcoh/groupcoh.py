@@ -213,6 +213,13 @@ def h1_certificate(pres: GroupPresentation, rep: MatrixRep) -> H1Certificate:
     )
 
 
+def _whole(x, what: str) -> int:
+    # int() would truncate 1.7 to 1 and read true as 1, certifying another group
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(x)}")
+    return int(x)
+
+
 def load_group_data(doc: dict) -> Tuple[GroupPresentation, MatrixRep]:
     """Build (presentation, representation) from a JSON document.
 
@@ -227,8 +234,8 @@ def load_group_data(doc: dict) -> Tuple[GroupPresentation, MatrixRep]:
     when there are no generators (nothing else determines it).
     """
     pres = GroupPresentation(
-        num_generators=int(doc["generators"]),
-        relators=tuple(tuple(int(x) for x in w) for w in doc["relators"]),
+        num_generators=_whole(doc["generators"], "generator count"),
+        relators=tuple(tuple(_whole(x, "relator letter") for x in w) for w in doc["relators"]),
     )
     matrices = [
         [[Fraction(x) for x in row] for row in m] for m in doc["matrices"]

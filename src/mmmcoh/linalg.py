@@ -6,9 +6,19 @@ with ``fractions.Fraction`` entries.  This module is the single place where
 elimination happens, and it never touches floating point: a rank computed
 here is the rank, not an estimate.
 
-Representation: a matrix keeps a dict ``(row, col) -> Fraction`` holding the
-nonzero entries only; a vector keeps ``index -> Fraction``.  Both types are
-treated as immutable after construction.
+Representation: a matrix is stored by column, in the compressed sparse
+column layout (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
+SIAM 2006, ch. 2) with one flat tuple per column: ``packed[c]`` is
+``(row, value, row, value, ...)`` over the nonzeros of column c, and an
+empty column is ``()``.  This takes about half the memory of a dict keyed
+by ``(row, col)``.  Within a column the entries keep the order they were
+given in; ``==`` and ``hash`` ignore that order.  A vector keeps a dict
+``index -> Fraction``.  Both types are treated as immutable after
+construction, so matrices may share columns.  The builders in ``forms``,
+``modules`` and ``stable`` emit packed columns through
+``SparseMatrix.of_columns``; it and the dict constructor run the same
+checks (row range, each row at most once per column, value type, zeros
+dropped) in C-level passes over all entries at once.
 
 Reduction strategy: rows are eliminated column-by-column from the left so
 that the reduced row echelon form (and hence every kernel basis) is the
@@ -18,29 +28,35 @@ columns are cleared in order, a working row holds the current column
 exactly when that column is its leading one, so rows wait in buckets keyed
 by leading column: a pivot search reads one bucket, never the whole row
 set.  Back-substitution and the kernel read-off each pass over the echelon
-form once.  Rank-only queries skip the back-substitution pass.
+form once.  Rank-only queries skip the back-substitution pass.  Each
+elimination first transposes the columns into one dict per row, once.
 
-Products: ``apply`` multiplies one vector and indexes the matrix by column
-on every call, which costs O(nnz).  Many vectors go through one ``@``
-product with the matrix of their columns, which indexes once.
+Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
+``(k, x)`` of a column, ``x`` times column k of ``A`` into one
+accumulator, so neither operand is re-indexed.  A column of ``B`` with a
+single entry 1 shares column k of ``A`` as it is.  ``apply`` does the same
+for one vector; many vectors go through one ``@`` product with the matrix
+of their columns.
 
-Arithmetic: every value that crosses the interface (matrix and vector
-entries, RREF rows, kernel vectors, solutions) is a ``Fraction``, but
-inside the kernels (``@``, ``+``, ``apply``, elimination, ``solve_many``)
-an integral value travels as a Python ``int``; ``_int_if_integral`` unwraps
-an entry on the way in.  The matrices built downstream have integer
-entries, so most of the arithmetic is machine-independent ``int``
-arithmetic, and Python's numeric tower keeps a value exact as a
-``Fraction`` where a division actually happens (a pivot other than +-1).
-On the way out ``_as_q`` wraps an ``int`` through ``_SMALL``, one shared
+Arithmetic: a stored value is a Python ``int`` while it is integral and a
+``Fraction`` otherwise, so ``@``, ``+``, elimination and ``solve_many``
+run on machine-independent ``int`` arithmetic with no conversion per
+entry, and Python's numeric tower keeps a value exact as a ``Fraction``
+where a division actually happens (a pivot other than +-1).  A value
+computed from a ``Fraction`` stays one even when it comes out integral;
+``==`` and ``hash`` compare values, so that is invisible outside.  Every
+value that crosses the interface (``entries``, ``entry``, ``column``,
+``to_lists``, vector entries, RREF rows, kernel vectors, solutions) is a
+``Fraction``: ``_as_q`` wraps an ``int`` through ``_SMALL``, one shared
 ``Fraction`` per small integer.  Sharing is safe because ``Fraction`` is
-immutable; it saves an allocation per entry, lets cached matrices share
-their entries, and lets ``==`` on two matrices hit the identity shortcut.
+immutable, and it saves an allocation per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Q = Fraction
@@ -48,6 +64,11 @@ Q = Fraction
 _SMALL = {i: Fraction(i) for i in range(-64, 65)}
 _ZERO = _SMALL[0]
 _ONE = _SMALL[1]
+
+# the rows of a packed column (row, value, row, value, ...), and the value
+# of a (row, value) pair, as C-level callables
+_ROWS = itemgetter(slice(0, None, 2))
+_VALUE = itemgetter(1)
 
 
 def _as_q(x) -> Fraction:
@@ -59,7 +80,8 @@ def _as_q(x) -> Fraction:
 
 def _int_if_integral(x: Fraction):
     # the one reader of Fraction internals: the public properties are about
-    # 5x slower, and this runs once per entry entering a kernel
+    # 5x slower, and this runs once per vector entry entering a kernel and
+    # once per Fraction a matrix constructor stores
     return x._numerator if x._denominator == 1 else x
 
 
@@ -163,10 +185,99 @@ class VectorQ:
         return f"VectorQ({self.dim}, {dict(sorted(self.entries.items()))!r})"
 
 
-class SparseMatrix:
-    """A sparse rational matrix; ``entries[(r, c)]`` holds the nonzeros."""
+def _pairs(col):
+    """The ``(row, value)`` pairs of a packed column."""
+    it = iter(col)
+    return zip(it, it)
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _pack(acc: Dict[int, object]) -> Tuple:
+    """A ``row -> value`` accumulator as a packed column, zeros dropped."""
+    return tuple(chain.from_iterable(filter(_VALUE, acc.items())))
+
+
+def _vector(dim: int, col: Tuple) -> VectorQ:
+    v = VectorQ.__new__(VectorQ)
+    v.dim, v.entries = dim, {r: _as_q(x) for r, x in _pairs(col)}
+    return v
+
+
+def _clean_column(col: Tuple) -> Tuple:
+    # the slow path of the checks: wrap what is not an int, unwrap what is
+    # integral, drop zeros
+    out: List[object] = []
+    for r, x in _pairs(col):
+        if type(x) is not int:
+            x = _int_if_integral(_as_q(x))
+        if x:
+            out += (r, x)
+    return tuple(out)
+
+
+def _checked_columns(rows: int, columns: Iterable[Sequence]) -> Tuple[Tuple, ...]:
+    """``columns`` as a tuple of packed columns, checked: whole pairs only,
+    every row an ``int`` in ``range(rows)`` and at most once per column,
+    every value nonzero and an ``int`` when integral.  Each check is one
+    C-level pass over all columns or entries; only when a value is not a
+    nonzero ``int`` are the columns rebuilt entry by entry."""
+    columns = tuple(map(tuple, columns))
+    row_parts = list(map(_ROWS, columns))
+    row_counts = list(map(len, row_parts))
+    flat = list(chain.from_iterable(columns))
+    # a column of odd length has one more row slot than it has pairs
+    if 2 * sum(row_counts) != len(flat):
+        raise ValueError("a packed column must hold (row, value) pairs")
+    all_rows, values = flat[0::2], flat[1::2]
+    if all_rows:
+        if set(map(type, all_rows)) != {int} or min(all_rows) < 0 or max(all_rows) >= rows:
+            for c, col in enumerate(columns):
+                for r in col[0::2]:
+                    if type(r) is not int or not 0 <= r < rows:
+                        raise IndexError(f"entry ({r!r},{c}) outside {rows}x{len(columns)}")
+        if list(map(len, map(set, row_parts))) != row_counts:
+            raise ValueError("a row appears twice in one column")
+    if set(map(type, values)) <= {int} and all(values):
+        return columns
+    return tuple(map(_clean_column, columns))
+
+
+def _matrix(rows: int, cols: int, packed: Tuple[Tuple, ...]) -> "SparseMatrix":
+    # for results computed from checked matrices, which need no checks
+    m = SparseMatrix.__new__(SparseMatrix)
+    m.rows, m.cols, m.packed = rows, cols, packed
+    return m
+
+
+def _scaled(col: Tuple, c) -> Tuple:
+    out = list(col)
+    out[1::2] = map(mul, col[1::2], repeat(c))
+    return tuple(out)
+
+
+def offset_columns(m: "SparseMatrix", row_off: int, factor=1) -> List[Tuple]:
+    """The columns of ``factor * m`` with every row moved down by
+    ``row_off``: the columns of ``m`` as a block of a larger matrix.  All
+    entries are moved in one pass over a flat copy, then cut back into
+    columns."""
+    packed = m.packed
+    if not row_off and factor == 1:
+        return list(packed)
+    flat = list(chain.from_iterable(packed))
+    if row_off:
+        flat[0::2] = map(add, flat[0::2], repeat(row_off))
+    if factor != 1:
+        flat[1::2] = map(mul, flat[1::2], repeat(factor))
+    flat = tuple(flat)
+    ends = list(accumulate(map(len, packed)))
+    return list(map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+
+
+class SparseMatrix:
+    """A sparse rational matrix stored by column: ``packed[c]`` is column
+    ``c`` as ``(row, value, row, value, ...)``; ``entries`` gives the
+    nonzeros as a dict ``(r, c) -> Fraction``."""
+
+    __slots__ = ("rows", "cols", "packed")
 
     def __init__(
         self,
@@ -176,29 +287,26 @@ class SparseMatrix:
     ):
         if rows < 0 or cols < 0:
             raise ValueError("shape must be nonnegative")
+        grouped: List[List[object]] = [[] for _ in range(cols)]
+        if entries:
+            for (r, c), x in entries.items():
+                if not 0 <= c < cols:
+                    raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
+                grouped[c] += (r, x)
         self.rows = rows
         self.cols = cols
-        clean: Dict[Tuple[int, int], Fraction] = {}
-        if entries:
-            for key, x in entries.items():
-                r, c = key
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-                # an int is tested for zero before it is wrapped, because
-                # int.__bool__ runs in C and Fraction.__bool__ in Python
-                t = type(x)
-                if t is Fraction:
-                    if x:
-                        clean[key] = x
-                elif t is int:
-                    if x:
-                        q = _SMALL.get(x)
-                        clean[key] = q if q is not None else Fraction(x)
-                else:
-                    x = _as_q(x)
-                    if x:
-                        clean[key] = x
-        self.entries = clean
+        self.packed = _checked_columns(rows, grouped)
+
+    @classmethod
+    def of_columns(cls, rows: int, cols: int, columns: Sequence[Sequence]) -> "SparseMatrix":
+        """The matrix whose column ``c`` holds the pairs of the flat sequence
+        ``columns[c] = (row, value, row, value, ...)``, with the checks of
+        the dict constructor."""
+        if rows < 0 or cols < 0:
+            raise ValueError("shape must be nonnegative")
+        if len(columns) != cols:
+            raise ValueError(f"{len(columns)} columns given for {cols}")
+        return _matrix(rows, cols, _checked_columns(rows, columns))
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "SparseMatrix":
@@ -210,7 +318,7 @@ class SparseMatrix:
                 raise ValueError("ragged rows")
             for c, x in enumerate(row):
                 if x:
-                    entries[(r, c)] = _as_q(x)
+                    entries[(r, c)] = x
         return cls(rows, cols, entries)
 
     @classmethod
@@ -219,65 +327,57 @@ class SparseMatrix:
             if not columns:
                 raise ValueError("need explicit row count for empty column list")
             rows = columns[0].dim
-        entries = {}
-        for c, v in enumerate(columns):
+        packed = []
+        for v in columns:
             if v.dim != rows:
                 raise ValueError("column dimension mismatch")
-            for r, x in v.entries.items():
-                entries[(r, c)] = x
-        return cls(rows, len(columns), entries)
+            e = v.entries
+            packed.append(tuple(chain.from_iterable(zip(e, map(_int_if_integral, e.values())))))
+        return cls.of_columns(rows, len(columns), packed)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
+        return cls.of_columns(n, n, list(zip(range(n), repeat(1))))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols)
+        return cls.of_columns(rows, cols, ((),) * cols)
+
+    @property
+    def entries(self) -> Dict[Tuple[int, int], Fraction]:
+        """The nonzeros as a new dict ``(r, c) -> Fraction``, column by column."""
+        return {(r, c): _as_q(x) for c, col in enumerate(self.packed) for r, x in _pairs(col)}
 
     def entry(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), _ZERO)
+        if 0 <= c < self.cols:
+            col = self.packed[c]
+            rows = col[::2]
+            if r in rows:
+                return _as_q(col[2 * rows.index(r) + 1])
+        return _ZERO
 
     def column(self, c: int) -> VectorQ:
         if not 0 <= c < self.cols:
             raise IndexError(c)
-        v = VectorQ.__new__(VectorQ)
-        v.dim = self.rows
-        v.entries = {r: x for (r, cc), x in self.entries.items() if cc == c}
-        return v
+        return _vector(self.rows, self.packed[c])
 
     def columns(self) -> List[VectorQ]:
-        cols: List[Dict[int, Fraction]] = [dict() for _ in range(self.cols)]
-        for (r, c), x in self.entries.items():
-            cols[c][r] = x
-        out = []
-        for d in cols:
-            v = VectorQ.__new__(VectorQ)
-            v.dim, v.entries = self.rows, d
-            out.append(v)
-        return out
+        return [_vector(self.rows, col) for col in self.packed]
 
     def apply(self, v: VectorQ) -> VectorQ:
         """Matrix-vector product (column convention), for one vector; for
         many, multiply by the matrix of their columns instead."""
         if v.dim != self.cols:
             raise ValueError("dimension mismatch")
+        packed = self.packed
         acc: Dict[int, object] = {}
-        rows_by_col = self._rows_by_col()
         for c, x in v.entries.items():
             x = _int_if_integral(x)
-            for r, a in rows_by_col.get(c, ()):
+            for r, a in _pairs(packed[c]):
                 acc[r] = acc.get(r, 0) + a * x
         w = VectorQ.__new__(VectorQ)
         w.dim, w.entries = self.rows, {r: _as_q(s) for r, s in acc.items() if s}
         return w
-
-    def _rows_by_col(self):
-        # column -> [(row, entry as int when integral)]
-        by_col: Dict[int, List[Tuple[int, object]]] = {}
-        for (r, c), x in self.entries.items():
-            by_col.setdefault(c, []).append((r, _int_if_integral(x)))
-        return by_col
 
     def __matmul__(self, other):
         if isinstance(other, VectorQ):
@@ -286,78 +386,91 @@ class SparseMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        left_by_col = self._rows_by_col()
-        acc: Dict[Tuple[int, int], object] = {}
-        for (k, c), x in other.entries.items():
-            col = left_by_col.get(k)
-            if col:
-                x = _int_if_integral(x)
-                for r, a in col:
-                    key = (r, c)
-                    acc[key] = acc.get(key, 0) + a * x
-        m = SparseMatrix.__new__(SparseMatrix)
-        m.rows, m.cols = self.rows, other.cols
-        m.entries = {key: _as_q(s) for key, s in acc.items() if s}
-        return m
+        left = self.packed
+        out: List[Tuple] = []
+        for col in other.packed:
+            n = len(col)
+            if n == 2:
+                # one entry: a multiple of one column of the left operand,
+                # shared as it is when the multiple is 1
+                k, x = col
+                out.append(left[k] if x == 1 else _scaled(left[k], x))
+                continue
+            if not n:
+                out.append(col)
+                continue
+            acc: Dict[int, object] = {}
+            get = acc.get
+            it = iter(col)
+            for k, x in zip(it, it):
+                lt = iter(left[k])
+                if x == 1:
+                    for r, a in zip(lt, lt):
+                        acc[r] = get(r, 0) + a
+                else:
+                    for r, a in zip(lt, lt):
+                        acc[r] = get(r, 0) + a * x
+            out.append(_pack(acc))
+        return _matrix(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        out = dict(self.entries)
-        for key, x in other.entries.items():
-            y = out.get(key)
-            if y is None:
-                out[key] = x
-                continue
-            s = _int_if_integral(y) + _int_if_integral(x)
-            if s:
-                out[key] = _as_q(s)
-            else:
-                del out[key]
-        m = SparseMatrix.__new__(SparseMatrix)
-        m.rows, m.cols, m.entries = self.rows, self.cols, out
-        return m
+        out: List[Tuple] = []
+        for a, b in zip(self.packed, other.packed):
+            if a and b:
+                acc = dict(_pairs(a))
+                for r, x in _pairs(b):
+                    acc[r] = acc.get(r, 0) + x
+                a = _pack(acc)
+            elif b:
+                a = b
+            out.append(a)
+        return _matrix(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
 
     def __neg__(self) -> "SparseMatrix":
-        m = SparseMatrix.__new__(SparseMatrix)
-        m.rows, m.cols = self.rows, self.cols
-        m.entries = {k: -x for k, x in self.entries.items()}
-        return m
+        return self.scale(-1)
 
     def scale(self, c) -> "SparseMatrix":
-        c = _as_q(c)
-        m = SparseMatrix.__new__(SparseMatrix)
-        m.rows, m.cols = self.rows, self.cols
-        m.entries = {k: c * x for k, x in self.entries.items()} if c else {}
-        return m
+        c = _int_if_integral(_as_q(c))
+        if not c:
+            return SparseMatrix.zero(self.rows, self.cols)
+        return _matrix(self.rows, self.cols, tuple(offset_columns(self, 0, c)))
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.packed)) // 2
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.packed)
 
     def to_lists(self) -> List[List[Fraction]]:
-        return [
-            [self.entries.get((r, c), _ZERO) for c in range(self.cols)]
-            for r in range(self.rows)
-        ]
+        out = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for c, col in enumerate(self.packed):
+            for r, x in _pairs(col):
+                out[r][c] = _as_q(x)
+        return out
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+        if not isinstance(other, SparseMatrix) or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self.packed == other.packed:
+            return True
+        # the same entries may sit in another order within a column
+        return all(
+            a == b or (len(a) == len(b) and dict(_pairs(a)) == dict(_pairs(b)))
+            for a, b in zip(self.packed, other.packed)
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, frozenset(
+            (r, c, x) for c, col in enumerate(self.packed) for r, x in _pairs(col)
+        )))
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +478,13 @@ class SparseMatrix:
 
 
 def _row_dicts(m: SparseMatrix) -> List[Dict[int, object]]:
+    # the one transpose: column-stored entries into one dict per row
     rows: List[Dict[int, object]] = [dict() for _ in range(m.rows)]
-    for (r, c), x in m.entries.items():
-        rows[r][c] = _int_if_integral(x)
-    return [r for r in rows if r]
+    for c, col in enumerate(m.packed):
+        it = iter(col)
+        for r, x in zip(it, it):
+            rows[r][c] = x
+    return rows
 
 
 def _sub_scaled(row: Dict[int, object], piv: Dict[int, object], f):
@@ -474,26 +590,23 @@ def kernel_basis(m: SparseMatrix) -> List[VectorQ]:
     1 in its free coordinate and 0 in the other free coordinates (the
     canonical RREF construction), so the basis is deterministic.
     """
-    return _kernel_with_free_columns(m)[0]
+    return [_vector(m.cols, col) for col in _kernel_with_free_columns(m)[0]]
 
 
 def _kernel_with_free_columns(m: SparseMatrix):
+    """``(columns, free)``: the kernel basis as packed columns (values
+    read off the RREF), in the order of the free columns ``free``."""
     pivots, echelon = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    by_free: Dict[int, Dict[int, Fraction]] = {f: {f: _ONE} for f in free}
+    by_free: Dict[int, List[object]] = {f: [f, _ONE] for f in free}
     # an RREF row is zero in every other pivot column, so each entry past
     # its pivot is a free-column coefficient
     for col, row in zip(pivots, echelon):
         for c, x in row.items():
             if c != col:
-                by_free[c][col] = -x
-    basis = []
-    for f in free:
-        v = VectorQ.__new__(VectorQ)
-        v.dim, v.entries = m.cols, by_free[f]
-        basis.append(v)
-    return basis, free
+                by_free[c] += (col, -x)
+    return [tuple(by_free[f]) for f in free], free
 
 
 def column_space_basis(m: SparseMatrix) -> List[VectorQ]:
@@ -520,16 +633,14 @@ def solve_many(m: SparseMatrix, bs: Sequence[VectorQ]) -> List[Optional[VectorQ]
     multiplication, which doubles as the consistency test (a candidate from
     an inconsistent system fails it).
     """
-    rows: List[Dict[int, object]] = [dict() for _ in range(m.rows)]
-    for (r, c), x in m.entries.items():
-        rows[r][c] = _int_if_integral(x)
+    rows = _row_dicts(m)
     n = m.cols
     for j, b in enumerate(bs):
         if b.dim != m.rows:
             raise ValueError("right-hand side dimension mismatch")
         for r, x in b.entries.items():
             rows[r][n + j] = _int_if_integral(x)
-    pivots, echelon = _forward([r for r in rows if r], n + len(bs), pivot_limit=n)
+    pivots, echelon = _forward(rows, n + len(bs), pivot_limit=n)
     _back_substitute(pivots, echelon)
     candidates: List[Dict[int, object]] = [dict() for _ in bs]
     for pcol, row in zip(pivots, echelon):

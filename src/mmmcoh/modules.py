@@ -19,7 +19,8 @@ degree); the offset is bookkeeping only and never enters the arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain, repeat
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior_dim
@@ -27,8 +28,9 @@ from .linalg import (
     SparseMatrix,
     VectorQ,
     _forward,
-    _int_if_integral,
     _kernel_with_free_columns,
+    _pairs,
+    offset_columns,
     rank,
 )
 
@@ -177,12 +179,12 @@ class FreeGradedModule(GradedModule):
     def _build_action(self, algebra: PolynomialAlgebra, i: int, d: int) -> SparseMatrix:
         src, cols = self.generator_blocks(d)
         tgt, rows = self.generator_blocks(d + 2 * i)
-        entries = {}
-        for k, (col_off, deg) in src.items():
-            row_off = tgt[k][0]
-            for col, row in enumerate(algebra.multiplication_table(i, deg), col_off):
-                entries[(row_off + row, col)] = 1
-        return SparseMatrix(rows, cols, entries)
+        columns: List[Tuple[int, int]] = []
+        for k, (_, deg) in src.items():
+            # column (g_k, m) holds a 1 at (g_k, m * e_i)
+            product = algebra.multiplication_table(i, deg)
+            columns.extend(zip(map(add, product, repeat(tgt[k][0])), repeat(1)))
+        return SparseMatrix.of_columns(rows, cols, columns)
 
 
 def free_module(
@@ -214,10 +216,9 @@ def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
             if d + 2 * i > a.algebra.degree_bound:
                 break
             am, bm = a.action(i, d), b.action(i, d)
-            entries: Dict[Tuple[int, int], Fraction] = dict(am.entries)
-            for (r, c), x in bm.entries.items():
-                entries[(r + am.rows, c + am.cols)] = x
-            m = SparseMatrix(am.rows + bm.rows, am.cols + bm.cols, entries)
+            m = SparseMatrix.of_columns(
+                am.rows + bm.rows, am.cols + bm.cols, am.packed + tuple(offset_columns(bm, am.rows))
+            )
             if m.rows and m.cols:
                 actions[(i, d)] = m
     offset = a.coh_offset if a.coh_offset == b.coh_offset else None
@@ -293,7 +294,7 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
     """
     source = f.source
     algebra = source.algebra
-    kernels: Dict[int, List[VectorQ]] = {}
+    kernels: Dict[int, List[Tuple]] = {}  # the kernel basis as packed columns
     free_rows: Dict[int, Dict[int, int]] = {}  # free column -> basis index
     for d in source.degrees():
         basis, free = _kernel_with_free_columns(f.matrix(d))
@@ -302,7 +303,7 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
             free_rows[d] = {c: row for row, c in enumerate(free)}
     dims = {d: len(v) for d, v in kernels.items()}
     inclusions = {
-        d: SparseMatrix.from_columns(v, rows=source.dim(d)) for d, v in kernels.items()
+        d: SparseMatrix.of_columns(source.dim(d), len(v), v) for d, v in kernels.items()
     }
 
     actions: Dict[Tuple[int, int], SparseMatrix] = {}
@@ -320,10 +321,13 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
                     )
                 continue
             row_of = free_rows[up]
-            coords = SparseMatrix(
+            coords = SparseMatrix.of_columns(
                 dims[up],
                 len(vs),
-                {(row_of[r], col): x for (r, col), x in pushed.entries.items() if r in row_of},
+                [
+                    tuple(chain.from_iterable((row_of[r], x) for r, x in _pairs(col) if r in row_of))
+                    for col in pushed.packed
+                ],
             )
             if inclusions[up] @ coords != pushed:
                 raise ValueError(
@@ -375,8 +379,9 @@ def minimal_generators(module: GradedModule, up_to: Optional[int] = None) -> Min
                 break
             if module.dim(low):
                 block = module.action(i, low)
-                for (r, c), x in block.entries.items():
-                    rows[r][width + c] = _int_if_integral(x)
+                for c, col in enumerate(block.packed, width):
+                    for r, x in _pairs(col):
+                        rows[r][c] = x
                 width += block.cols
         for r in range(n):
             rows[r][width + r] = 1
@@ -405,20 +410,23 @@ def koszul_differential(module: GradedModule, j: int, d: int) -> SparseMatrix:
     src_layout = _koszul_layout(module, j, d)
     tgt_layout = _koszul_layout(module, j - 1, d)
     tgt_offsets = {w: off for w, off, _ in tgt_layout}
-    entries: Dict[Tuple[int, int], object] = {}
-    for wedge, col_off, m_deg in src_layout:
+    columns: List[Tuple] = []
+    for wedge, _, m_deg in src_layout:
+        # per slot k, the columns of +-e_{i_k} moved into the block of the
+        # wedge without slot k; a source column is their concatenation
+        blocks = []
         for k, i in enumerate(wedge):
             rest = wedge[:k] + wedge[k + 1 :]
             row_off = tgt_offsets.get(rest)
-            if row_off is None:
-                continue
-            sign = -1 if k % 2 else 1
-            act = module.action(i, m_deg)
-            for (r, c), x in act.entries.items():
-                entries[(row_off + r, col_off + c)] = sign * _int_if_integral(x)
+            if row_off is not None:
+                blocks.append(offset_columns(module.action(i, m_deg), row_off, -1 if k % 2 else 1))
+        if blocks:
+            columns.extend(map(tuple, map(chain.from_iterable, zip(*blocks))))
+        else:
+            columns.extend(repeat((), module.dim(m_deg)))
     rows = koszul_dim(module, j - 1, d)
     cols = koszul_dim(module, j, d)
-    return SparseMatrix(rows, cols, entries)
+    return SparseMatrix.of_columns(rows, cols, columns)
 
 
 def _koszul_layout(module: GradedModule, j: int, d: int):

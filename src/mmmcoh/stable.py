@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import AlgebraElement, Monomial, PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
-from .linalg import SparseMatrix, VectorQ, kernel_basis, rank
+from .linalg import SparseMatrix, VectorQ, rank
 from .modules import (
     FreeGradedModule,
     GradedModule,
@@ -306,8 +307,8 @@ class StableCohomology:
             blocks, rows = F.generator_blocks(d + 2)
             offset = blocks[g0][0]
             cols = self.algebra.hilbert_function(d)
-            entries = {(offset + col, col): 1 for col in range(cols)}
-            matrices[d] = SparseMatrix(rows, cols, entries)
+            columns = list(zip(range(offset, offset + cols), repeat(1)))
+            matrices[d] = SparseMatrix.of_columns(rows, cols, columns)
         self._contra = GradedModuleMap(A, F, degree_shift=1, matrices=matrices)
         return self._contra
 
@@ -320,12 +321,11 @@ class StableCohomology:
         matrices = {}
         for d in range(2, self.degree_bound + 1, 2):
             blocks, cols = F.generator_blocks(d)
-            entries = {}
-            for k, (col_off, deg) in blocks.items():
+            columns: List[Tuple[int, int]] = []
+            for k, (_, deg) in blocks.items():
                 l = k + 1  # generator position k holds m_{k+1}
-                for col, row in enumerate(self.algebra.multiplication_table(l, deg), col_off):
-                    entries[(row, col)] = -1
-            matrices[d] = SparseMatrix(self.algebra.hilbert_function(d), cols, entries)
+                columns.extend(zip(self.algebra.multiplication_table(l, deg), repeat(-1)))
+            matrices[d] = SparseMatrix.of_columns(self.algebra.hilbert_function(d), cols, columns)
         self._co = GradedModuleMap(F, A, degree_shift=1, matrices=matrices)
         return self._co
 
@@ -515,10 +515,11 @@ class StableCohomology:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to)
         delta = self.delta_covariant()
+        kernel = self.covariant_kernel()[0]
         per_degree: List[Dict[str, int]] = []
         for d in range(2, up_to + 1, 2):
             mat = delta.matrix(d)
-            kernel_dim = mat.cols - rank(mat)
+            kernel_dim = kernel.dim(d)
             span_cols: List[VectorQ] = []
             owners: List[Tuple[int, int]] = []  # the M(i, j) behind each column
             for (i, j) in _pairs_up_to(d):
@@ -529,7 +530,7 @@ class StableCohomology:
             span = SparseMatrix.from_columns(span_cols, rows=mat.cols)
             image = mat @ span
             if not image.is_zero():
-                i, j = owners[min(col for _, col in image.entries)]
+                i, j = owners[next(c for c, col in enumerate(image.packed) if col)]
                 raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
             span_rank = rank(span)
             per_degree.append(
@@ -645,12 +646,13 @@ class StableCohomology:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to)
         delta = self.delta_covariant()
+        kernel = self.covariant_kernel()[0]
         rows = []
         for d in range(2, up_to + 1, 2):
             m_delta = delta.matrix(d)
             m_p = self.forms.interior_product(1, d)
             same = m_delta == -m_p
-            k_delta = len(kernel_basis(m_delta))
+            k_delta = kernel.dim(d)
             k_p = m_p.cols - rank(m_p)
             rows.append(
                 {

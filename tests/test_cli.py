@@ -276,6 +276,44 @@ def test_h1_rejects_rep_that_breaks_a_relator(capsys, tmp_path):
     assert "relator" in capsys.readouterr().err
 
 
+def test_h1_rejects_non_integer_letters(capsys, tmp_path):
+    doc = {"generators": 1.7, "relators": [[1.9, 1.2]], "matrices": [[[1]]]}
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["h1", str(path)])
+    assert exc.value.code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_h1_checks_the_degree_bound(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["h1", "b3", "--max-degree", "7"])
+    assert exc.value.code == 2
+    monkeypatch.setenv("MMM_DEGREE_BOUND", "junk")
+    with pytest.raises(SystemExit) as exc:
+        main(["h1", "b3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "MMM_DEGREE_BOUND='junk' is not an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_fails_before_the_computation(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the computation ran before --out was checked")
+
+    monkeypatch.setattr("mmmcoh.cli.run_verification", never)
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--max-degree", "8", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {target}" in captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code = main(

@@ -156,6 +156,23 @@ def test_load_group_data_parses_fraction_strings():
     assert rep.image(-1).entry(0, 0) == Fraction(2, 3)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"generators": 1.7, "relators": [[1.9, 1.2]], "matrices": [[[1]]]},
+        {"generators": 1.0, "relators": [], "matrices": [[[1]]]},
+        {"generators": True, "relators": [], "matrices": [[[1]]]},
+        {"generators": 2, "relators": [[1, 2.0]], "matrices": [[[1]], [[1]]]},
+        {"generators": 1, "relators": [[True]], "matrices": [[[1]]]},
+    ],
+    ids=["float-count-and-letters", "whole-float-count", "bool-count", "float-letter", "bool-letter"],
+)
+def test_load_group_data_rejects_non_integer_counts_and_letters(doc):
+    # int() would read these as another group (1.7 -> 1, true -> 1) and certify it
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_group_data(doc)
+
+
 def test_bundled_data_file():
     path = resources.files("mmmcoh") / "data" / "b3.json"
     pres, rep = load_group_file(str(path))

@@ -494,3 +494,126 @@ def test_constructors_drop_zeros_and_store_fractions():
         assert type(x) is Fraction
     # keys keep the order they came in
     assert list(m.entries) == [(0, c) for c in expected]
+
+
+# -- column storage ----------------------------------------------------------------
+#
+# A matrix is stored as one packed tuple (row, value, row, value, ...) per
+# column.  The entry dict stays the oracle: whatever order the entries come
+# in, the stored matrix must read back as that dict.
+
+nonzero_fraction = small_fraction.filter(bool)
+# odd halves are never integral, so these matrices keep Fraction values
+half_or_int = st.one_of(
+    st.builds(lambda n: Fraction(2 * n + 1, 2), st.integers(min_value=-4, max_value=3)),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@st.composite
+def shuffled_entries(draw, max_dim=6):
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
+    oracle = {}
+    for r in range(rows):
+        for c in range(cols):
+            if draw(st.booleans()):
+                oracle[(r, c)] = draw(nonzero_fraction)
+    keys = draw(st.permutations(list(oracle)))
+    return rows, cols, oracle, {k: oracle[k] for k in keys}
+
+
+def _packed_from(cols, entries):
+    columns = [[] for _ in range(cols)]
+    for (r, c), x in entries.items():
+        columns[c] += (r, x)
+    return [tuple(col) for col in columns]
+
+
+@given(shuffled_entries())
+@settings(max_examples=150, deadline=None)
+def test_storage_reads_back_the_entry_dict_in_any_order(case):
+    rows, cols, oracle, shuffled = case
+    built = [
+        SparseMatrix(rows, cols, oracle),
+        SparseMatrix(rows, cols, shuffled),
+        SparseMatrix.of_columns(rows, cols, _packed_from(cols, shuffled)),
+    ]
+    for m in built:
+        assert m.entries == oracle
+        _assert_fractions(m.entries.values())
+        assert m.nnz() == len(oracle)
+        assert m.is_zero() == (not oracle)
+        assert m == built[0] and hash(m) == hash(built[0])
+        for (r, c) in oracle:
+            assert m.entry(r, c) == oracle[(r, c)]
+    # column-major, each column in the order its entries came in
+    assert list(built[1].entries) == sorted(shuffled, key=lambda key: key[1])
+    if oracle:
+        key = next(iter(oracle))
+        changed = dict(oracle)
+        changed[key] += 1
+        assert SparseMatrix(rows, cols, changed) != built[1]
+
+
+@st.composite
+def half_matrices(draw, rows, cols):
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            if draw(st.booleans()):
+                entries[(r, c)] = draw(half_or_int)
+    return SparseMatrix(rows, cols, entries)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_products_and_sums_with_non_integral_values(data):
+    n, k, m = (data.draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    a = data.draw(half_matrices(n, k))
+    b = data.draw(half_matrices(k, m))
+    expected = _oracle_matmul(a, b)
+    got = a @ b
+    assert got.entries == expected
+    _assert_fractions(got.entries.values())
+    assert got == SparseMatrix(n, m, expected) and hash(got) == hash(SparseMatrix(n, m, expected))
+    c = data.draw(half_matrices(n, k))
+    total = a + c
+    assert total.entries == _oracle_add(a, c)
+    _assert_fractions(total.entries.values())
+    assert (total - c) == a
+    v = VectorQ(k, {i: Fraction(2 * i + 1, 2) for i in range(k)})
+    w = a.apply(v)
+    assert {(r, 0): x for r, x in w.entries.items()} == _oracle_matmul(
+        a, SparseMatrix.from_columns([v], rows=k)
+    )
+    _assert_fractions(w.entries.values())
+
+
+def test_column_constructor_checks_like_the_dict_constructor():
+    for columns in (
+        [(2, 1), (), ()],
+        [(), (-1, Fraction(1, 2)), ()],
+        [(0, 1, 5, 0), (), ()],
+        [(), (), (1.0, 1)],
+    ):
+        with pytest.raises(IndexError):
+            SparseMatrix.of_columns(2, 3, columns)
+    with pytest.raises(ValueError):
+        SparseMatrix.of_columns(2, 3, [(), ()])
+    with pytest.raises(ValueError):
+        SparseMatrix.of_columns(2, 1, [(0, 1, 0, 2)])
+    with pytest.raises(ValueError):
+        SparseMatrix.of_columns(2, 2, [(0,), (1, 5)])
+    values = [0, Fraction(0), 0.0, 2, -64, 65, 10**30, Fraction(-3, 4), 0.25, -1.5, Fraction(6, 3), True]
+    m = SparseMatrix.of_columns(1, len(values), [(0, x) for x in values])
+    assert m == SparseMatrix(1, len(values), {(0, c): x for c, x in enumerate(values)})
+    assert m.entries == {
+        (0, 3): Fraction(2), (0, 4): Fraction(-64), (0, 5): Fraction(65), (0, 6): Fraction(10**30),
+        (0, 7): Fraction(-3, 4), (0, 8): Fraction(1, 4), (0, 9): Fraction(-3, 2),
+        (0, 10): Fraction(2), (0, 11): Fraction(1),
+    }
+    _assert_fractions(m.entries.values())
+    # stored values are ints while integral
+    stored = [x for col in m.packed for x in col[1::2]]
+    assert [type(x) for x in stored] == [int] * 4 + [Fraction] * 3 + [int] * 2
