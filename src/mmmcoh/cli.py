@@ -9,9 +9,12 @@
 
 The degree bound defaults to 24 and must be a positive even integer; the
 environment variable MMM_DEGREE_BOUND overrides the default.  Exit status
-is 0 only if every requested check passes; malformed usage (a bad bound
-also for `h1`, which does not use it), a malformed `h1` input and an
-unwritable --out path exit 2, the last before any computation.
+is 0 only if every requested check passes.  A statement that fails by
+raising (a `FalsificationError`, or a `ValueError` from a broken premise)
+writes `mmmcoh: <message>` to stderr, nothing to stdout, and exits 1.
+Malformed usage (a bad bound also for `h1`, which does not use it), a
+malformed `h1` input and an unwritable --out path exit 2, the last before
+any computation.
 
 Each subcommand returns one `View` (JSON document, CSV header and rows,
 text lines, pass flag); `_render` writes every format from it, and `main`
@@ -35,7 +38,7 @@ from typing import List, NamedTuple, Optional
 
 from . import __version__
 from .groupcoh import h1_certificate, load_bundled_b3, load_group_file
-from .stable import StableCohomology
+from .stable import FalsificationError, StableCohomology
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -309,7 +312,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # fail before the computation, not after it; append mode creates
         # a missing file and leaves an existing one as it is
         _write(parser, args.out, "a", "")
-    view = args.handler(args, parser)
+    try:
+        view = args.handler(args, parser)
+    except (FalsificationError, ValueError) as exc:
+        # a failed statement or a broken premise, as in run_verification
+        sys.stderr.write(f"mmmcoh: {exc}\n")
+        return EXIT_FAIL
     text = _render(view, args.format)
     if args.out:
         _write(parser, args.out, "w", text)

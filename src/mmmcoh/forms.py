@@ -15,10 +15,11 @@ operators act per degree:
   eigenvector of eigenvalue m + n.
 
 The chain of contractions ... -> Omega^2 -> Omega^1 -> Omega^0 -> Q -> 0
-is exact in every positive internal degree; `verify_exactness` compares
-ranks per degree, which certifies exactness only given p^2 = 0.  Neither
-p^2 = 0 nor d^2 = 0 is checked by `verify-all` at its bound; only
-tests/test_forms.py checks them, at bound 24 (ROADMAP item 6).
+is exact in every positive internal degree; `verify_exactness` certifies
+it by the contracting homotopy, checking at every (n, d) that L is the
+diagonal of positive weights and that p^2 = 0, and derives the ranks in
+its report from the dimensions.  d^2 = 0 is checked only by
+tests/test_forms.py, at bound 24.
 
 Everything here is a finite matrix per (form degree, internal degree), and
 all matrices are exact.
@@ -333,13 +334,6 @@ class DifferentialForms:
         self._p_cache[key] = m
         return m
 
-    def lie_derivative(self, n: int, d: int) -> SparseMatrix:
-        """L = d p + p d on Omega^n_d, assembled from the two operators."""
-        p_then_d = self.exterior_derivative(n - 1, d) @ self.interior_product(n, d) \
-            if n >= 1 else SparseMatrix.zero(self.dim(0, d), self.dim(0, d))
-        d_then_p = self.interior_product(n + 1, d) @ self.exterior_derivative(n, d)
-        return p_then_d + d_then_p
-
     def euler_weights(self, n: int, d: int) -> List[int]:
         """Predicted eigenvalue (generator factors + form degree) per basis
         element of Omega^n_d."""
@@ -350,57 +344,80 @@ class DifferentialForms:
             for m in monomials(deg)
         ]
 
+    def _homotopy_walk(self, n: int, d: int, weights: List[int]) -> Tuple[bool, bool]:
+        """Whether p(dw) + d(pw) = weight * w, and whether p(pw) = 0, for
+        every basis form w of Omega^n_d: one walk over the packed columns
+        of d_n, p_{n+1}, p_n, d_{n-1} and p_{n-1}, with no product matrix."""
+        d_out = self.exterior_derivative(n, d).packed
+        p_up = self.interior_product(n + 1, d).packed
+        p_out = self.interior_product(n, d).packed
+        # Omega^{-1} = 0: p_0 has only empty columns, so nothing reads d_{-1}
+        d_down = self.exterior_derivative(n - 1, d).packed if n else ()
+        p_down = self.interior_product(n - 1, d).packed
+        cartan = nilpotent = True
+        acc: Dict[int, int] = {}  # p(dw) + d(pw)
+        square: Dict[int, int] = {}  # p(pw)
+        get, sget = acc.get, square.get
+        for c, w in enumerate(weights):
+            it = iter(d_out[c])
+            for r, x in zip(it, it):
+                lt = iter(p_up[r])
+                for s, y in zip(lt, lt):
+                    acc[s] = get(s, 0) + x * y
+            it = iter(p_out[c])
+            for r, x in zip(it, it):
+                lt = iter(d_down[r])
+                for s, y in zip(lt, lt):
+                    acc[s] = get(s, 0) + x * y
+                lt = iter(p_down[r])
+                for s, y in zip(lt, lt):
+                    square[s] = sget(s, 0) + x * y
+            cartan = cartan and acc.pop(c, 0) == w and not any(acc.values())
+            nilpotent = nilpotent and not any(square.values())
+            acc.clear()
+            square.clear()
+        return cartan, nilpotent
+
     def verify_cartan(self, n: int, d: int) -> bool:
-        """d p + p d equals the predicted diagonal, entry for entry."""
-        weights = self.euler_weights(n, d)
-        expected = SparseMatrix.of_columns(
-            len(weights), len(weights), [(i, w) if w else () for i, w in enumerate(weights)]
-        )
-        return self.lie_derivative(n, d) == expected
+        """d p + p d equals the predicted diagonal, column by column."""
+        return self._homotopy_walk(n, d, self.euler_weights(n, d))[0]
 
     # -- exactness ---------------------------------------------------------
 
     def verify_exactness(self, d: int) -> "ExactnessReport":
         """Exactness of ... -> Omega^1_d -> Omega^0_d -> (Q)_d -> 0.
 
-        In positive internal degree the augmentation slot (Q)_d vanishes, so
-        the contraction out of Omega^1 must be onto, and at each higher spot
-        kernel and incoming image must have the same dimension.  Given
-        p^2 = 0, image <= kernel, so equality of dimensions certifies
-        exactness; p^2 = 0 is assumed here, not checked (only
-        tests/test_forms.py checks it, at bound 24; ROADMAP item 6).
+        Certified by the contracting homotopy (C. Weibel, *An Introduction
+        to Homological Algebra*, 1994, section 1.4): for n in 0..top+1 one
+        column walk checks d p + p d = L, a diagonal of positive weights,
+        and p^2 = 0 on Omega^n_d.  Then L is invertible and commutes with p,
+        so pw = 0 gives w = p(L^-1 dw).  A broken premise raises ValueError
+        naming the identity and (n, d).  The ranks are derived: Omega^{top+1}_d
+        is checked to be zero and rank p_n = dim Omega^n_d - rank p_{n+1}.
+        Spot 0 still compares: in positive degree (Q)_d vanishes, so p_1
+        must fill Omega^0_d.
         """
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")
         self.algebra._check_degree(d)
-        from .linalg import rank as _rank
-
         top = self.max_form_degree()
-        dims = {n: self.dim(n, d) for n in range(top + 2)}
-        ranks = {n: _rank(self.interior_product(n, d)) for n in range(1, top + 2)}
-        spots: List[SpotCheck] = []
-        # spot 0: the augmentation to Q vanishes in positive degree, so the
-        # image of Omega^1 must fill the whole degree-d slice of A
-        spots.append(
-            SpotCheck(
-                form_degree=0,
-                dim=dims[0],
-                rank_out=0,
-                rank_in=ranks.get(1, 0),
-                exact=ranks.get(1, 0) == dims[0],
-            )
-        )
-        for n in range(1, top + 1):
-            kernel = dims[n] - ranks[n]
-            spots.append(
-                SpotCheck(
-                    form_degree=n,
-                    dim=dims[n],
-                    rank_out=ranks[n],
-                    rank_in=ranks[n + 1],
-                    exact=kernel == ranks[n + 1],
-                )
-            )
+        for n in range(top + 2):
+            weights = self.euler_weights(n, d)
+            cartan, nilpotent = self._homotopy_walk(n, d, weights)
+            for ok, identity in (
+                (all(w > 0 for w in weights), "the weights of d p + p d are not positive"),
+                (cartan, "d p + p d is not the weight diagonal"),
+                (nilpotent, "p^2 is not zero"),
+                (n <= top or not self.dim(n, d), "Omega^n is not zero"),
+            ):
+                if not ok:
+                    raise ValueError(f"{identity} at (n, d) = ({n}, {d})")
+        dims = [self.dim(n, d) for n in range(top + 1)]
+        ranks = [0] * (top + 2)  # ranks[n] = rank p_n, and p_{top+1} = 0
+        for n in range(top, 0, -1):
+            ranks[n] = dims[n] - ranks[n + 1]
+        spots = [SpotCheck(0, dims[0], 0, ranks[1], ranks[1] == dims[0])]
+        spots += [SpotCheck(n, dims[n], ranks[n], ranks[n + 1], True) for n in range(1, top + 1)]
         return ExactnessReport(degree=d, spots=tuple(spots))
 
 

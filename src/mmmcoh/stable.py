@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import AlgebraElement, Monomial, PolynomialAlgebra, exterior_dim
@@ -516,21 +517,40 @@ class StableCohomology:
         self.algebra._check_degree(up_to)
         delta = self.delta_covariant()
         kernel = self.covariant_kernel()[0]
+        F = self.twisted_module()
+        # each M(i, j), read once, as (l, k, c) per term c * e_k m_l
+        terms: Dict[Tuple[int, int], List[Tuple[int, int, object]]] = {}
+        for (i, j) in _pairs_up_to(up_to):
+            terms[i, j] = []
+            for (l, m), c in kernel_generator(i, j).terms.items():
+                if m.pairs != ((i + j - l, 1),):
+                    raise ValueError(f"M({i},{j}) has a term {c}*{m}*m{l}, not c*e_k*m_l")
+                terms[i, j].append((l, i + j - l, c.numerator if c.denominator == 1 else c))
         per_degree: List[Dict[str, int]] = []
         for d in range(2, up_to + 1, 2):
             mat = delta.matrix(d)
             kernel_dim = kernel.dim(d)
-            span_cols: List[VectorQ] = []
-            owners: List[Tuple[int, int]] = []  # the M(i, j) behind each column
+            blocks = F.generator_blocks(d)[0]
+            columns: List[Tuple] = []
             for (i, j) in _pairs_up_to(d):
-                base = kernel_generator(i, j)
-                for mono in self.algebra.monomial_basis(d - 2 * (i + j)):
-                    span_cols.append(self.twisted_as_vector(mono * base, d))
-                    owners.append((i, j))
-            span = SparseMatrix.from_columns(span_cols, rows=mat.cols)
+                # column mono * M(i, j): per term, c at the row of mono * e_k
+                # in the m_l block (an M(i, j) = 0 keeps its empty columns)
+                deg = d - 2 * (i + j)
+                slots = [
+                    zip(map(add, self.algebra.multiplication_table(k, deg),
+                            repeat(blocks[self.generator_index(l)][0])), repeat(c))
+                    for l, k, c in terms[i, j]
+                ]
+                size = self.algebra.hilbert_function(deg)
+                columns += [tuple(chain.from_iterable(s)) for _, *s in zip(range(size), *slots)]
+            span = SparseMatrix.of_columns(mat.cols, len(columns), columns)
             image = mat @ span
             if not image.is_zero():
-                i, j = owners[next(c for c, col in enumerate(image.packed) if col)]
+                # the M(i, j) owning the first column that leaves the kernel
+                first = next(c for c, col in enumerate(image.packed) if col)
+                pairs = _pairs_up_to(d)
+                ends = accumulate(self.algebra.hilbert_function(d - 2 * (i + j)) for i, j in pairs)
+                i, j = next(pair for pair, end in zip(pairs, ends) if first < end)
                 raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
             span_rank = rank(span)
             per_degree.append(
@@ -538,7 +558,7 @@ class StableCohomology:
                     "degree": d,
                     "kernel_dim": kernel_dim,
                     "span_rank": span_rank,
-                    "spanning_vectors": len(span_cols),
+                    "spanning_vectors": len(columns),
                 }
             )
             if span_rank != kernel_dim:

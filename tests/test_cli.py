@@ -448,3 +448,44 @@ def test_out_into_missing_directory_is_usage_error(capsys, tmp_path):
     assert captured.out == ""
     assert f"cannot write {target}" in captured.err
     assert not target.exists()
+
+
+# -- a failed statement is exit 1 with one message, never a traceback --------------
+
+
+def _break_tor(monkeypatch):
+    from mmmcoh import stable
+
+    real = stable.exterior_dim
+    monkeypatch.setattr(stable, "exterior_dim", lambda n, d: real(n, d) + ((n, d) == (3, 8)))
+
+
+def _break_cartan(monkeypatch):
+    from mmmcoh.forms import DifferentialForms
+
+    real = DifferentialForms.interior_product
+
+    def broken(self, n, d):
+        m = real(self, n, d)
+        return m.scale(2) if (n, d) == (2, 8) else m
+
+    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+
+
+@pytest.mark.parametrize(
+    "command,brk,message",
+    [
+        ("tor", _break_tor, "mmmcoh: Tor mismatches: [{'j': 1, 'degree': 8, "),
+        ("exactness", _break_cartan, "mmmcoh: d p + p d is not the weight diagonal at (n, d) = (1, 8)\n"),
+    ],
+    ids=["tor", "exactness"],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_failed_statement_exits_1_with_a_message(capsys, monkeypatch, command, brk, message, fmt):
+    brk(monkeypatch)
+    assert main([command, "--max-degree", "8", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

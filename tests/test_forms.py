@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior_dim
 from mmmcoh.forms import (
     DifferentialForms,
+    ExactnessReport,
     FormBasisElement,
     FormElement,
+    SpotCheck,
     wedge_insert,
     wedge_remove,
 )
-from mmmcoh.linalg import SparseMatrix
+from mmmcoh.linalg import SparseMatrix, rank
+from mmmcoh.verify import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +106,7 @@ def test_cartan_identity_everywhere(forms):
 def test_degree_operator_is_diagonal_with_positive_weights(forms):
     for d in (2, 8, 14, 24):
         for n in range(0, forms.max_form_degree() + 1):
-            L = forms.lie_derivative(n, d)
+            L = lie_derivative_oracle(forms, n, d)
             weights = forms.euler_weights(n, d)
             dim = forms.dim(n, d)
             for i in range(dim):
@@ -229,7 +232,7 @@ def test_degree_operator_frozen_eigenvalues(forms):
     idx = forms.basis_index(1, 8)[FormBasisElement(Monomial.from_exponents({1: 2}), (2,))]
     assert forms.euler_weights(1, 8)[idx] == 3  # e1^2 de2
     assert forms.euler_weights(0, 0) == [0]  # the unit is the only weight-0 form
-    assert forms.lie_derivative(0, 0).nnz() == 0
+    assert lie_derivative_oracle(forms, 0, 0).nnz() == 0
 
 
 def test_cartan_at_degree_zero(forms):
@@ -312,3 +315,147 @@ def test_operators_match_object_oracles_at_bound_24():
                 assert _same_matrix(
                     forms.interior_product(n, d), _oracle_interior_product(algebra, n, d)
                 ), ("p", n, d)
+
+
+# -- the product and rank routes, kept as test-only oracles -------------------------
+#
+# verify_exactness certifies exactness by the contracting homotopy, in one
+# walk over the operators' columns, and derives the ranks from the
+# dimensions.  These are the routes it replaced: L = d p + p d assembled
+# from two products and a sum, and one elimination per contraction.
+
+
+def lie_derivative_oracle(forms, n, d):
+    """L = d p + p d on Omega^n_d, assembled from operator products."""
+    dim0 = forms.dim(0, d)
+    p_then_d = (
+        forms.exterior_derivative(n - 1, d) @ forms.interior_product(n, d)
+        if n >= 1
+        else SparseMatrix.zero(dim0, dim0)
+    )
+    d_then_p = forms.interior_product(n + 1, d) @ forms.exterior_derivative(n, d)
+    return p_then_d + d_then_p
+
+
+def rank_exactness_oracle(forms, d):
+    """The exactness report from the rank of every contraction p_n."""
+    top = forms.max_form_degree()
+    dims = {n: forms.dim(n, d) for n in range(top + 2)}
+    ranks = {n: rank(forms.interior_product(n, d)) for n in range(1, top + 2)}
+    spots = [SpotCheck(0, dims[0], 0, ranks[1], ranks[1] == dims[0])]
+    for n in range(1, top + 1):
+        spots.append(
+            SpotCheck(n, dims[n], ranks[n], ranks[n + 1], dims[n] - ranks[n] == ranks[n + 1])
+        )
+    return ExactnessReport(degree=d, spots=tuple(spots))
+
+
+def test_homotopy_route_matches_rank_oracle(forms):
+    for d in range(1, 25):
+        assert forms.verify_exactness(d).to_dict() == rank_exactness_oracle(forms, d).to_dict(), d
+
+
+def test_cartan_walk_matches_product_oracle(forms):
+    for d in range(0, 25, 2):
+        for n in range(0, forms.max_form_degree() + 2):
+            weights = forms.euler_weights(n, d)
+            diagonal = SparseMatrix(
+                len(weights), len(weights), {(i, i): w for i, w in enumerate(weights)}
+            )
+            assert forms.verify_cartan(n, d) == (lie_derivative_oracle(forms, n, d) == diagonal)
+
+
+def _double_entry(m, col=None):
+    """m with its first entry, or the first entry of column ``col``, doubled."""
+    entries = m.entries
+    key = next(k for k in entries if col is None or k[1] == col)
+    entries[key] *= 2
+    return SparseMatrix(m.rows, m.cols, entries)
+
+
+def _break_weight(monkeypatch):
+    real = DifferentialForms.euler_weights
+
+    def broken(self, n, d):
+        weights = real(self, n, d)
+        if (n, d) == (1, 8):
+            weights[0] += 1
+        return weights
+
+    monkeypatch.setattr(DifferentialForms, "euler_weights", broken)
+
+
+def _break_operator(name, key, col=None):
+    def patch(monkeypatch):
+        real = getattr(DifferentialForms, name)
+
+        def broken(self, n, d):
+            m = real(self, n, d)
+            return _double_entry(m, col) if (n, d) == key else m
+
+        monkeypatch.setattr(DifferentialForms, name, broken)
+
+    return patch
+
+
+# each break fails the Cartan identity first at (n, d) = (1, 8): the weight
+# and d_1 are read on Omega^1 directly, p_2 as the p of p(dw)
+BREAKS = {
+    "weight": _break_weight,
+    "p-column": _break_operator("interior_product", (2, 8)),
+    "d-column": _break_operator("exterior_derivative", (1, 8)),
+}
+CARTAN_FAILS = r"^d p \+ p d is not the weight diagonal at \(n, d\) = \(1, 8\)$"
+
+
+@pytest.mark.parametrize("brk", sorted(BREAKS))
+def test_broken_premise_raises(monkeypatch, brk):
+    BREAKS[brk](monkeypatch)
+    forms = DifferentialForms(PolynomialAlgebra(12))
+    for d in range(1, 8):
+        assert forms.verify_exactness(d).all_exact
+    with pytest.raises(ValueError, match=CARTAN_FAILS):
+        forms.verify_exactness(8)
+
+
+@pytest.mark.parametrize("brk", sorted(BREAKS))
+def test_broken_premise_is_a_resolution_exactness_fail_row(monkeypatch, capsys, brk):
+    from mmmcoh.cli import main
+
+    BREAKS[brk](monkeypatch)
+    by_id = {c.check_id: c for c in run_verification(12).checks}
+    exactness = by_id["resolution-exactness"]
+    assert exactness.status == "fail"
+    assert exactness.per_degree_data == []
+    assert exactness.failure == "d p + p d is not the weight diagonal at (n, d) = (1, 8)"
+    assert main(["verify-all", "--max-degree", "12"]) == 1
+    assert "FAILURES PRESENT" in capsys.readouterr().out
+
+
+def test_walk_detects_a_nonzero_p_squared(monkeypatch):
+    # the walk on Omega^3 reads p_2 only as the p of p(pw), so doubling an
+    # entry of a column of p_2 that p(de1^de2^de3) hits leaves Cartan there
+    # intact and breaks p^2 = 0
+    hit = DifferentialForms(PolynomialAlgebra(12)).interior_product(3, 12).packed[0][0]
+    _break_operator("interior_product", (2, 12), col=hit)(monkeypatch)
+    forms = DifferentialForms(PolynomialAlgebra(12))
+    assert forms._homotopy_walk(3, 12, forms.euler_weights(3, 12)) == (True, False)
+
+    # and verify_exactness raises on it, naming p^2 and (n, d)
+    monkeypatch.undo()
+    real = DifferentialForms._homotopy_walk
+
+    def walk(self, n, d, weights):
+        return (True, False) if n == 3 else real(self, n, d, weights)
+
+    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", walk)
+    with pytest.raises(ValueError, match=r"^p\^2 is not zero at \(n, d\) = \(3, 12\)$"):
+        DifferentialForms(PolynomialAlgebra(12)).verify_exactness(12)
+
+
+def test_top_plus_one_forms_must_vanish(monkeypatch):
+    # the derived ranks start from Omega^{top+1}_d = 0
+    monkeypatch.setattr(DifferentialForms, "max_form_degree", lambda self: 2)
+    forms = DifferentialForms(PolynomialAlgebra(12))
+    with pytest.raises(ValueError, match=r"^Omega\^n is not zero at \(n, d\) = \(3, 12\)$"):
+        forms.verify_exactness(12)

@@ -323,6 +323,27 @@ def test_generator_outside_the_kernel_is_named(monkeypatch):
         StableCohomology(10).verify_generators()
 
 
+@pytest.mark.parametrize(
+    "term",
+    [Monomial.from_exponents({1: 2}), Monomial.from_exponents({1: 1, 2: 1}), Monomial.one()],
+    ids=["square", "product", "unit"],
+)
+def test_generator_term_off_a_single_generator_is_rejected(monkeypatch, term):
+    # the span reads each term c * e_k m_l through the table of e_k
+    import mmmcoh.stable as stable
+
+    real = stable.kernel_generator
+
+    def broken(i, j):
+        if (i, j) == (1, 2):
+            return term * TwistedElement.generator(1)
+        return real(i, j)
+
+    monkeypatch.setattr(stable, "kernel_generator", broken)
+    with pytest.raises(ValueError, match=r"^M\(1,2\) has a term "):
+        StableCohomology(10).verify_generators()
+
+
 def test_injectivity_table_is_computed_once(sc):
     # the dual-injectivity check and the HtildeDual table share one result
     assert sc.verify_injectivity() is sc.verify_injectivity()

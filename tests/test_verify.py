@@ -1,5 +1,6 @@
 """The aggregated verification report: schema, determinism, failure rows."""
 
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,16 @@ def test_timings_sidecar_is_opt_in():
 def test_jobs_other_than_one_is_rejected():
     with pytest.raises(ValueError, match="process pool was removed"):
         run_verification(8, jobs=2)
+
+
+def test_report_bytes_at_bound_24_are_frozen():
+    # a richer bound than the CLI golden digests at 12: Tor up to j = 4 and
+    # forms up to Omega^4 all show up in the report
+    text = run_verification(24).to_json()
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "930feb24fe57cc2d67fa4b68eadb041bbcd22e5e3504d9b9e92b5808a4418f77"
+    )
 
 
 def test_report_json_parses_and_carries_version():
