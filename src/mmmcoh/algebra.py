@@ -14,6 +14,10 @@ A degree bound caps all per-degree *enumeration*; ring arithmetic itself is
 exact at every degree, since elements are stored sparsely and nothing is
 ever truncated.
 
+Each `PolynomialAlgebra` builds its own per-degree tables on first use, by
+index arithmetic: monomial bases generated in canonical order, the
+multiplication tables, total exponents and exterior bases.
+
 >>> A = PolynomialAlgebra(24)
 >>> [str(m) for m in A.monomial_basis(4)]
 ['e1^2', 'e2']
@@ -122,12 +126,6 @@ class Monomial:
         for i, e in self._pairs:
             bits.append(f"e{i}" if e == 1 else f"e{i}^{e}")
         return "*".join(bits)
-
-
-def _monomial_key(m: Monomial):
-    # descending lex on exponent vectors (e_1 first): a monomial with a
-    # higher power of the earliest differing generator comes first
-    return m.sort_key()
 
 
 class AlgebraElement:
@@ -239,7 +237,7 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         bits = []
-        for m in sorted(self.terms, key=_monomial_key):
+        for m in sorted(self.terms, key=Monomial.sort_key):
             c = self.terms[m]
             if m.pairs == ():
                 term = str(c)
@@ -256,21 +254,30 @@ class AlgebraElement:
         return out
 
 
-def _partitions(k: int) -> Iterator[Tuple[int, ...]]:
-    """Partitions of k as weakly decreasing tuples (largest part first)."""
+def _canonical_pairs(k: int, start: int = 1) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """The ``pairs`` of the monomials of degree 2k in the e_i, i >= start, in
+    canonical order: first index ascending, its exponent descending, ..."""
     if k == 0:
         yield ()
         return
+    for i in range(start, k + 1):
+        for e in range(k // i, 0, -1):
+            rest = k - i * e
+            if rest == 0:
+                yield ((i, e),)
+            elif rest > i:  # the rest needs an index above i
+                for tail in _canonical_pairs(rest, i + 1):
+                    yield ((i, e),) + tail
 
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
 
-    yield from rec(k, k)
+def _times(pairs: Tuple[Tuple[int, int], ...], i: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``pairs`` of the monomial times e_i, kept sorted by index."""
+    for k, (j, e) in enumerate(pairs):
+        if j == i:
+            return pairs[:k] + ((i, e + 1),) + pairs[k + 1 :]
+        if j > i:
+            return pairs[:k] + ((i, 1),) + pairs[k:]
+    return pairs + ((i, 1),)
 
 
 class PolynomialAlgebra:
@@ -286,7 +293,10 @@ class PolynomialAlgebra:
         self.degree_bound = degree_bound
         self._basis_cache: Dict[int, Tuple[Monomial, ...]] = {}
         self._index_cache: Dict[int, Dict[Monomial, int]] = {}
+        self._position_cache: Dict[int, Dict[Tuple[Tuple[int, int], ...], int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._total_cache: Dict[int, Tuple[int, ...]] = {}
+        self._exterior_cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
 
     def generator_indices(self) -> range:
         """Indices i of the generators e_i living inside the bound."""
@@ -307,22 +317,11 @@ class PolynomialAlgebra:
             return ()
         cached = self._basis_cache.get(d)
         if cached is None:
-            monos = []
-            for parts in _partitions(d // 2):
-                exps: Dict[int, int] = {}
-                for p in parts:
-                    exps[p] = exps.get(p, 0) + 1
-                monos.append(Monomial.from_exponents(exps))
-            monos.sort(key=_monomial_key)
-            cached = tuple(monos)
-            self._basis_cache[d] = cached
+            cached = self._basis_cache[d] = tuple(map(Monomial, _canonical_pairs(d // 2)))
         return cached
 
     def hilbert_function(self, d: int) -> int:
         """dim_Q of the degree-d slice: the partition count p(d/2)."""
-        self._check_degree(d)
-        if d % 2:
-            return 0
         return len(self.monomial_basis(d))
 
     def basis_index(self, d: int) -> Dict[Monomial, int]:
@@ -332,13 +331,22 @@ class PolynomialAlgebra:
             self._index_cache[d] = idx
         return idx
 
+    def _positions(self, d: int) -> Dict[Tuple[Tuple[int, int], ...], int]:
+        # basis_index keyed by ``pairs``, for the tables
+        pos = self._position_cache.get(d)
+        if pos is None:
+            basis = self.monomial_basis(d)
+            pos = self._position_cache[d] = {m.pairs: k for k, m in enumerate(basis)}
+        return pos
+
     def multiplication_table(self, i: int, d: int) -> Tuple[int, ...]:
         """Multiplication by e_i from degree d to degree d + 2i, as positions:
         entry k is the index of m_k * e_i in ``monomial_basis(d + 2i)``,
         m_k the k-th basis monomial of degree d.
 
         Every matrix that multiplies by a generator is built from these
-        tables by index arithmetic, with no monomial per matrix entry.
+        tables by index arithmetic, with no monomial per matrix entry; a
+        table itself puts e_i into each monomial's ``pairs``.
 
         >>> A = PolynomialAlgebra(24)
         >>> [str(m) for m in A.monomial_basis(6)]
@@ -349,11 +357,25 @@ class PolynomialAlgebra:
         key = (i, d)
         table = self._mult_cache.get(key)
         if table is None:
-            g = Monomial.generator(i)
-            target = self.basis_index(d + 2 * i)
-            table = tuple(target[m * g] for m in self.monomial_basis(d))
+            target = self._positions(d + 2 * i)
+            table = tuple(target[_times(m.pairs, i)] for m in self.monomial_basis(d))
             self._mult_cache[key] = table
         return table
+
+    def total_exponents(self, d: int) -> Tuple[int, ...]:
+        """The number of generator factors of each basis monomial of degree d."""
+        table = self._total_cache.get(d)
+        if table is None:
+            table = self._total_cache[d] = tuple(m.total_exponent for m in self.monomial_basis(d))
+        return table
+
+    def exterior_basis(self, n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+        """:func:`exterior_basis` ``(n, d)``, enumerated once per instance."""
+        key = (n, d)
+        wedges = self._exterior_cache.get(key)
+        if wedges is None:
+            wedges = self._exterior_cache[key] = exterior_basis(n, d)
+        return wedges
 
     def as_vector(self, a: AlgebraElement, d: int) -> VectorQ:
         """Coordinates of a degree-d homogeneous element in the canonical

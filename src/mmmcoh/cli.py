@@ -11,7 +11,8 @@ The degree bound defaults to 24 and must be a positive even integer; the
 environment variable MMM_DEGREE_BOUND overrides the default.  Exit status
 is 0 only if every requested check passes.  A statement that fails by
 raising (a `FalsificationError`, or a `ValueError` from a broken premise)
-writes `mmmcoh: <message>` to stderr, nothing to stdout, and exits 1.
+writes `mmmcoh: <message>` to stderr, nothing to stdout (an --out file is
+left empty), and exits 1.
 Malformed usage (a bad bound also for `h1`, which does not use it), a
 malformed `h1` input and an unwritable --out path exit 2, the last before
 any computation.
@@ -317,6 +318,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (FalsificationError, ValueError) as exc:
         # a failed statement or a broken premise, as in run_verification
         sys.stderr.write(f"mmmcoh: {exc}\n")
+        if args.out:
+            _write(parser, args.out, "w", "")
         return EXIT_FAIL
     text = _render(view, args.format)
     if args.out:

@@ -42,7 +42,7 @@ from itertools import chain, repeat
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Monomial, PolynomialAlgebra, exterior_basis
+from .algebra import Monomial, PolynomialAlgebra
 from .linalg import SparseMatrix, VectorQ
 
 _ONE = Fraction(1)
@@ -229,7 +229,7 @@ class DifferentialForms:
         # ascending lex across all admissible weights
         found = []
         for w in range(0, max_weight + 1, 2):
-            found.extend(exterior_basis(n, w))
+            found.extend(self.algebra.exterior_basis(n, w))
         found.sort()
         return found
 
@@ -337,12 +337,8 @@ class DifferentialForms:
     def euler_weights(self, n: int, d: int) -> List[int]:
         """Predicted eigenvalue (generator factors + form degree) per basis
         element of Omega^n_d."""
-        monomials = self.algebra.monomial_basis
-        return [
-            m.total_exponent + n
-            for _, deg in self._layout(n, d)[0].values()
-            for m in monomials(deg)
-        ]
+        totals = self.algebra.total_exponents
+        return [t + n for _, deg in self._layout(n, d)[0].values() for t in totals(deg)]
 
     def _homotopy_walk(self, n: int, d: int, weights: List[int]) -> Tuple[bool, bool]:
         """Whether p(dw) + d(pw) = weight * w, and whether p(pw) = 0, for

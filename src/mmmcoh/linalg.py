@@ -594,18 +594,19 @@ def kernel_basis(m: SparseMatrix) -> List[VectorQ]:
 
 
 def _kernel_with_free_columns(m: SparseMatrix):
-    """``(columns, free)``: the kernel basis as packed columns (values
-    read off the RREF), in the order of the free columns ``free``."""
-    pivots, echelon = rref(m)
+    """``(columns, free)``: the kernel basis as packed columns, values
+    ``int`` where integral, in the order of the free columns ``free``."""
+    pivots, echelon = _forward(_row_dicts(m), m.cols)
+    _back_substitute(pivots, echelon)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    by_free: Dict[int, List[object]] = {f: [f, _ONE] for f in free}
+    by_free: Dict[int, List[object]] = {f: [f, 1] for f in free}
     # an RREF row is zero in every other pivot column, so each entry past
     # its pivot is a free-column coefficient
     for col, row in zip(pivots, echelon):
         for c, x in row.items():
             if c != col:
-                by_free[c] += (col, -x)
+                by_free[c] += (col, -x if type(x) is int else _int_if_integral(-x))
     return [tuple(by_free[f]) for f in free], free
 
 

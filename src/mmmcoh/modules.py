@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior_dim
+from .algebra import Monomial, PolynomialAlgebra
 from .linalg import (
     SparseMatrix,
     VectorQ,
@@ -434,7 +434,7 @@ def _koszul_layout(module: GradedModule, j: int, d: int):
     layout = []
     off = 0
     for w in range(0, d + 1, 2):
-        for wedge in exterior_basis(j, w):
+        for wedge in module.algebra.exterior_basis(j, w):
             n = module.dim(d - w)
             if n:
                 layout.append((wedge, off, d - w))
@@ -443,9 +443,8 @@ def _koszul_layout(module: GradedModule, j: int, d: int):
 
 
 def koszul_dim(module: GradedModule, j: int, d: int) -> int:
-    return sum(
-        exterior_dim(j, w) * module.dim(d - w) for w in range(0, d + 1, 2)
-    )
+    wedges = module.algebra.exterior_basis
+    return sum(len(wedges(j, w)) * module.dim(d - w) for w in range(0, d + 1, 2))
 
 
 def tor_dimension(module: GradedModule, j: int, d: int) -> int:

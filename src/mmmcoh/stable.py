@@ -256,6 +256,7 @@ class StableCohomology:
         self._kernel: Optional[Tuple[GradedModule, GradedModuleMap]] = None
         self._tilde: Optional[GradedModule] = None
         self._injectivity: Optional[Dict[int, Dict[str, int]]] = None
+        self._surjectivity: Optional[Dict[int, Dict[str, int]]] = None
         self._kernel_generators: Optional[MinimalGenerators] = None
 
     @property
@@ -388,6 +389,8 @@ class StableCohomology:
 
     def verify_surjectivity(self) -> Dict[int, Dict[str, int]]:
         """Contraction against m_1 hits all of A in every positive degree."""
+        if self._surjectivity is not None:
+            return self._surjectivity
         f = self.delta_covariant()
         rows: Dict[int, Dict[str, int]] = {}
         for d in range(2, self.degree_bound + 1, 2):
@@ -403,6 +406,7 @@ class StableCohomology:
                 raise FalsificationError(
                     f"contraction against m1 misses degree {d}", rows
                 )
+        self._surjectivity = rows
         return rows
 
     def stable_cohomology_tilde_dual(self, up_to: Optional[int] = None) -> StableCohomologyTable:

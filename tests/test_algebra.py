@@ -197,6 +197,83 @@ def test_multiplication_table_matches_monomial_product():
             assert A.multiplication_table(i, d) is table  # cached
 
 
+def _oracle_partitions(k):
+    """Partitions of k as weakly decreasing tuples (largest part first)."""
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+
+    yield from rec(k, k)
+
+
+def _oracle_basis(d):
+    # one monomial per partition of d/2, sorted by the canonical key
+    if d % 2:
+        return ()
+    monos = []
+    for parts in _oracle_partitions(d // 2):
+        exps = {}
+        for p in parts:
+            exps[p] = exps.get(p, 0) + 1
+        monos.append(Monomial.from_exponents(exps))
+    return tuple(sorted(monos, key=Monomial.sort_key))
+
+
+def test_tables_match_the_sorted_partition_oracle():
+    A = PolynomialAlgebra(40)
+    bases = [_oracle_basis(d) for d in range(41)]
+    for d in range(41):
+        assert A.monomial_basis(d) == bases[d], d
+        assert A.total_exponents(d) == tuple(m.total_exponent for m in bases[d]), d
+        for i in A.generator_indices():
+            if d + 2 * i > 40:
+                break
+            index = {m: k for k, m in enumerate(bases[d + 2 * i])}
+            expected = tuple(index[m * Monomial.generator(i)] for m in bases[d])
+            assert A.multiplication_table(i, d) == expected, (i, d)
+
+
+def test_exterior_basis_is_memoized_per_instance(monkeypatch):
+    import mmmcoh.algebra as algebra
+
+    real = algebra.exterior_basis
+    calls = []
+    monkeypatch.setattr(algebra, "exterior_basis", lambda n, d: calls.append((n, d)) or real(n, d))
+    A = PolynomialAlgebra(24)
+    assert A.exterior_basis(2, 10) == ((1, 4), (2, 3))
+    assert A.exterior_basis(2, 10) is A.exterior_basis(2, 10)
+    assert calls == [(2, 10)]
+    # a second instance enumerates again: nothing is kept between contexts
+    assert PolynomialAlgebra(24).exterior_basis(2, 10) == ((1, 4), (2, 3))
+    assert calls == [(2, 10), (2, 10)]
+
+
+def test_every_instance_builds_its_own_tables():
+    first, second = PolynomialAlgebra(36), PolynomialAlgebra(36)
+
+    def tables(A):
+        return (
+            [A.monomial_basis(d) for d in range(0, 37, 2)]
+            + [A.basis_index(d) for d in range(0, 37, 2)]
+            + [A.total_exponents(d) for d in range(0, 37, 2)]
+            + [A.multiplication_table(i, d) for d in range(0, 35, 2) for i in (1, (36 - d) // 2)]
+            + [A.exterior_basis(n, d) for n in range(1, 4) for d in range(6, 37, 2)]
+        )
+
+    # nothing is built before it is asked for
+    assert not any(v for k, v in vars(second).items() if k.endswith("_cache"))
+    ours = tables(first)
+    theirs = tables(second)
+    assert ours == theirs
+    # () is one shared object in Python, so only nonempty tables count
+    assert not {id(t) for t in ours if t} & {id(t) for t in theirs if t}
+
+
 def test_multiplication_table_respects_the_bound():
     A = PolynomialAlgebra(8)
     assert A.multiplication_table(1, 6) == (0, 1, 2)

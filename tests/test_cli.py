@@ -389,6 +389,30 @@ def test_output_bytes_are_frozen(capsys, command, fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the json the benchmark pins: verify-all at 40 and the four
+# queries at 36, each run with its own context as a CLI call is; the
+# verify-all pin is of the report, which the CLI ends with one newline
+BENCHMARK_DIGESTS = [
+    ("verify-all", "40", "274a938db4ce2d35f039a441a403231484211c42809c156d0f700e8ac752344e"),
+    ("hilbert Htilde", "36", "0007354629699cba649874a85bc8351ef168a17650746fb913a19067b9995cea"),
+    ("tor", "36", "43fb459c34e708616ea2e35d71eebf979332ba5b2820be131a4d1b99ee1cacad"),
+    ("generators", "36", "346a2759e162e95452e2535cceabc7a2bef051951953f9fd8bf6184390893ebd"),
+    ("exactness", "36", "b31c34da31414093de52a1e05215e6cd9691f044de6cb8e67a65b108da3044c0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,bound,digest", BENCHMARK_DIGESTS, ids=[f"{c}-{b}" for c, b, _ in BENCHMARK_DIGESTS]
+)
+def test_output_bytes_at_the_benchmark_bounds(capsys, command, bound, digest):
+    code, out = run_cli(capsys, *command.split(), "--max-degree", bound, "--format", "json")
+    assert code == 0
+    if command == "verify-all":
+        assert out.endswith("}\n")
+        out = out[:-1]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_every_subcommand_takes_the_common_flags(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -470,6 +494,17 @@ def _break_cartan(monkeypatch):
         return m.scale(2) if (n, d) == (2, 8) else m
 
     monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+
+
+def test_failed_statement_leaves_no_stale_document_at_out(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "x.json"
+    target.write_text("STALE", encoding="utf-8")
+    _break_tor(monkeypatch)
+    assert main(["tor", "--max-degree", "8", "--format", "json", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mmmcoh: Tor mismatches: ")
+    assert target.read_bytes() == b""
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from mmmcoh.linalg import (
     SparseMatrix,
     VectorQ,
     _forward,
+    _kernel_with_free_columns,
     column_space_basis,
     kernel_basis,
     rank,
@@ -466,6 +467,35 @@ def test_pivots_led_by_minus_one_and_two():
     (x,) = solve_many(m, [b])
     assert x.to_list() == [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1)]
     _assert_fractions(x.entries.values())
+
+
+def test_kernel_columns_keep_integral_values_as_ints():
+    # the pivot 2 makes the echelon hold Fraction(2) and Fraction(1, 2);
+    # the read-off keeps the first as the int -2
+    m = SparseMatrix.from_rows([[2, 4, 1]])
+    columns, free = _kernel_with_free_columns(m)
+    assert free == [1, 2]
+    assert columns == [(1, 1, 0, -2), (2, 1, 0, Fraction(-1, 2))]
+    assert [list(map(type, col[1::2])) for col in columns] == [[int, int], [int, Fraction]]
+    # an all-int column passes the column constructor unrebuilt
+    assert SparseMatrix.of_columns(3, 1, columns[:1]).packed[0] is columns[0]
+    assert [v.to_list() for v in kernel_basis(m)] == [
+        [Fraction(-2), Fraction(1), Fraction(0)],
+        [Fraction(-1, 2), Fraction(0), Fraction(1)],
+    ]
+
+
+@given(tie_matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_columns_are_ints_where_integral(m):
+    columns, free = _kernel_with_free_columns(m)
+    basis = kernel_basis(m)
+    assert len(columns) == len(free) == len(basis)
+    for col, v in zip(columns, basis):
+        for x in col[1::2]:
+            assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), repr(x)
+        assert {r: Fraction(x) for r, x in zip(col[0::2], col[1::2])} == v.entries
+        _assert_fractions(v.entries.values())
 
 
 # -- constructor checks ------------------------------------------------------------

@@ -349,6 +349,39 @@ def test_injectivity_table_is_computed_once(sc):
     assert sc.verify_injectivity() is sc.verify_injectivity()
 
 
+def test_surjectivity_table_is_computed_once(monkeypatch):
+    # covariant-surjectivity and the Htilde table share one result: the
+    # second call makes no new elimination
+    import mmmcoh.stable as stable
+
+    real = stable.rank
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(stable, "rank", counting)
+    ctx = StableCohomology(12)
+    rows = ctx.verify_surjectivity()
+    assert len(calls) == 6  # one rank per positive even degree
+    assert ctx.verify_surjectivity() is rows
+    ctx.stable_cohomology_tilde()
+    assert len(calls) == 6
+
+
+def test_a_failed_surjectivity_run_is_not_kept(monkeypatch):
+    import mmmcoh.stable as stable
+
+    real = stable.rank
+    monkeypatch.setattr(stable, "rank", lambda m: real(m) - (m.rows == 3))
+    ctx = StableCohomology(12)
+    with pytest.raises(FalsificationError, match="misses degree 6"):
+        ctx.verify_surjectivity()
+    monkeypatch.setattr(stable, "rank", real)
+    assert ctx.verify_surjectivity()[6] == {"rank": 3, "dim_target": 3, "surjective": 1, "kernel": 1}
+
+
 def test_kernel_minimal_generators_computed_once_per_run(monkeypatch):
     # covariant-surjectivity and kernel-generators share one full-bound result
     import mmmcoh.stable as stable
