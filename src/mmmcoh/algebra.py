@@ -28,7 +28,7 @@ multiplication tables, total exponents and exterior bases.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import VectorQ
 
@@ -91,12 +91,6 @@ class Monomial:
         """Number of generator factors counted with multiplicity."""
         return sum(e for _, e in self._pairs)
 
-    def exponent(self, i: int) -> int:
-        for j, e in self._pairs:
-            if j == i:
-                return e
-        return 0
-
     def __mul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented  # let module elements handle it via __rmul__
@@ -128,7 +122,67 @@ class Monomial:
         return "*".join(bits)
 
 
-class AlgebraElement:
+class LinearCombination:
+    """A sparse Q-combination: ``terms`` maps each key to its nonzero
+    ``Fraction`` coefficient.
+
+    The ring elements here, the forms and the twisted classes share this
+    arithmetic; each subclass adds its generators, products, degrees and
+    printing.  Elements of different subclasses never compare equal.
+
+    >>> x = LinearCombination({"a": 1, "b": 0.5, "c": 0})
+    >>> x.terms
+    {'a': Fraction(1, 1), 'b': Fraction(1, 2)}
+    >>> (x - x).is_zero(), (x + x.scale(-2)).terms
+    (True, {'a': Fraction(-1, 1), 'b': Fraction(-1, 2)})
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[Mapping] = None):
+        terms = terms or {}
+        exact = (c if type(c) is Fraction else Fraction(c) for c in terms.values())
+        self.terms = {k: c for k, c in zip(terms, exact) if c}
+
+    @classmethod
+    def _summed(cls, pairs: Iterable[Tuple[object, Fraction]], start: Optional[Mapping] = None):
+        """The element ``start`` + sum c * key over (key, c) pairs with
+        ``Fraction`` c, zeros dropped."""
+        # Fraction arithmetic and hashing a key are slow: a first term is
+        # stored as it is, ``start`` is copied, not rehashed, and only the
+        # zero keys are hashed again
+        out: Dict[object, Fraction] = dict(start or {})
+        get = out.get
+        for key, c in pairs:
+            s = get(key)
+            out[key] = c if s is None else s + c
+        for key in [key for key, c in out.items() if not c]:
+            del out[key]
+        r = cls.__new__(cls)
+        r.terms = out
+        return r
+
+    def __add__(self, other):
+        return self._summed(other.terms.items(), self.terms)
+
+    def __sub__(self, other):
+        return self._summed(((key, -c) for key, c in other.terms.items()), self.terms)
+
+    def __neg__(self):
+        return self._summed((key, -c) for key, c in self.terms.items())
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._summed((key, c * x) for key, x in self.terms.items())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+
+class AlgebraElement(LinearCombination):
     """A Q-linear combination of monomials, stored sparsely.
 
     Supports +, -, scalar and ring multiplication; multiplication is exact
@@ -139,16 +193,7 @@ class AlgebraElement:
     'e1^2 - 2*e2'
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        clean: Dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = c if type(c) is Fraction else Fraction(c)
-                if c:
-                    clean[m] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -162,55 +207,20 @@ class AlgebraElement:
     def generator(cls, i: int) -> "AlgebraElement":
         return cls({Monomial.generator(i): _ONE})
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        r = AlgebraElement.__new__(AlgebraElement)
-        r.terms = out
-        return r
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        r = AlgebraElement.__new__(AlgebraElement)
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
-
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            out: Dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    s = out.get(m, _ZERO) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-            r = AlgebraElement.__new__(AlgebraElement)
-            r.terms = out
-            return r
         if isinstance(other, Monomial):
-            r = AlgebraElement.__new__(AlgebraElement)
-            r.terms = {m * other: c for m, c in self.terms.items()}
-            return r
+            return self._summed((m * other, c) for m, c in self.terms.items())
+        if isinstance(other, AlgebraElement):
+            return self._summed(
+                (m1 * m2, c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            )
         if not isinstance(other, (int, Fraction)):
             return NotImplemented  # module elements pick this up via __rmul__
-        c = other if type(other) is Fraction else Fraction(other)
-        r = AlgebraElement.__new__(AlgebraElement)
-        r.terms = {m: c * x for m, x in self.terms.items()} if c else {}
-        return r
+        return self.scale(other)
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous element (None for 0, error if mixed)."""
@@ -223,9 +233,6 @@ class AlgebraElement:
 
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(m, _ZERO)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

@@ -42,7 +42,7 @@ from itertools import chain, repeat
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Monomial, PolynomialAlgebra
+from .algebra import LinearCombination, Monomial, PolynomialAlgebra
 from .linalg import SparseMatrix, VectorQ
 
 _ONE = Fraction(1)
@@ -91,57 +91,16 @@ class FormBasisElement:
         return f"FormBasisElement({self})"
 
 
-class FormElement:
+class FormElement(LinearCombination):
     """Sparse Q-combination of form basis elements."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[FormBasisElement, Fraction]] = None):
-        clean: Dict[FormBasisElement, Fraction] = {}
-        if terms:
-            for b, c in terms.items():
-                c = c if type(c) is Fraction else Fraction(c)
-                if c:
-                    clean[b] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def of(cls, monomial: Monomial, wedge: Tuple[int, ...], coeff=_ONE) -> "FormElement":
         return cls({FormBasisElement(monomial, wedge): coeff})
 
-    def __add__(self, other: "FormElement") -> "FormElement":
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b, Fraction(0)) + c
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        r = FormElement.__new__(FormElement)
-        r.terms = out
-        return r
-
-    def __sub__(self, other: "FormElement") -> "FormElement":
-        return self + (-other)
-
-    def __neg__(self) -> "FormElement":
-        r = FormElement.__new__(FormElement)
-        r.terms = {b: -c for b, c in self.terms.items()}
-        return r
-
-    def scale(self, c) -> "FormElement":
-        c = c if type(c) is Fraction else Fraction(c)
-        r = FormElement.__new__(FormElement)
-        r.terms = {b: c * x for b, x in self.terms.items()} if c else {}
-        return r
-
-    __rmul__ = scale
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormElement) and self.terms == other.terms
+    __rmul__ = LinearCombination.scale
 
     def __repr__(self):
         if not self.terms:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SparseMatrix, VectorQ, column_space_basis, kernel_basis, solve
+from .linalg import SparseMatrix, VectorQ, column_space_basis, kernel_basis, solve_many
 
 Word = Tuple[int, ...]
 
@@ -60,12 +60,9 @@ def _invert(m: SparseMatrix) -> SparseMatrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
     n = m.rows
-    cols = []
-    for j in range(n):
-        x = solve(m, VectorQ.unit(n, j))
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
+    cols = solve_many(m, [VectorQ.unit(n, j) for j in range(n)])
+    if None in cols:
+        raise ValueError("matrix is singular")
     return SparseMatrix.from_columns(cols, rows=n)
 
 
@@ -220,6 +217,15 @@ def _whole(x, what: str) -> int:
     return int(x)
 
 
+def _entry(x) -> Fraction:
+    # Fraction() would read true as 1 and 0.1 as the binary float
+    # 3602879701896397/36028797018963968, certifying another representation
+    if type(x) is int or isinstance(x, str):
+        return Fraction(x)
+    got = json.dumps(x, default=repr)
+    raise ValueError(f'matrix entry must be an integer or a string such as "3/2", got {got}')
+
+
 def load_group_data(doc: dict) -> Tuple[GroupPresentation, MatrixRep]:
     """Build (presentation, representation) from a JSON document.
 
@@ -229,7 +235,8 @@ def load_group_data(doc: dict) -> Tuple[GroupPresentation, MatrixRep]:
          "relators": [[1, 2, 1, -2, -1, -2]],
          "matrices": [[[1, 1], [0, 1]], [[1, 0], [-1, 1]]]}
 
-    Matrix entries may be integers or strings like "3/2".  An optional
+    Matrix entries may be integers or strings like "3/2" (not floats or
+    booleans, which would be read as another number).  An optional
     "dimension" key pins the coefficient dimension; it is required only
     when there are no generators (nothing else determines it).
     """
@@ -237,10 +244,10 @@ def load_group_data(doc: dict) -> Tuple[GroupPresentation, MatrixRep]:
         num_generators=_whole(doc["generators"], "generator count"),
         relators=tuple(tuple(_whole(x, "relator letter") for x in w) for w in doc["relators"]),
     )
-    matrices = [
-        [[Fraction(x) for x in row] for row in m] for m in doc["matrices"]
-    ]
+    matrices = [[[_entry(x) for x in row] for row in m] for m in doc["matrices"]]
     dimension = doc.get("dimension")
+    if dimension is not None:
+        dimension = _whole(dimension, "dimension")
     rep = MatrixRep.from_integer_matrices(pres, matrices, dimension=dimension)
     return pres, rep
 

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraElement, Monomial, PolynomialAlgebra, exterior_dim
+from .algebra import AlgebraElement, LinearCombination, Monomial, PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
 from .linalg import SparseMatrix, VectorQ, rank
 from .modules import (
@@ -69,22 +69,13 @@ class FalsificationError(AssertionError):
         self.report = report
 
 
-class TwistedElement:
+class TwistedElement(LinearCombination):
     """An element of the free twisted-class module: sum of c * mono * m_l.
 
     Terms are keyed by (l, monomial); the A-action multiplies the monomial.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[Tuple[int, Monomial], Fraction]] = None):
-        clean: Dict[Tuple[int, Monomial], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = c if type(c) is Fraction else Fraction(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def generator(cls, l: int) -> "TwistedElement":
@@ -92,52 +83,17 @@ class TwistedElement:
             raise ValueError("twisted classes are indexed from 1")
         return cls({(l, Monomial.one()): _ONE})
 
-    def __add__(self, other: "TwistedElement") -> "TwistedElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        r = TwistedElement.__new__(TwistedElement)
-        r.terms = out
-        return r
-
-    def __sub__(self, other: "TwistedElement") -> "TwistedElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TwistedElement":
-        r = TwistedElement.__new__(TwistedElement)
-        r.terms = {k: -c for k, c in self.terms.items()}
-        return r
-
     def __rmul__(self, other) -> "TwistedElement":
         """Scalar, monomial or ring-element multiplication from the left."""
-        if isinstance(other, AlgebraElement):
-            out: Dict[Tuple[int, Monomial], Fraction] = {}
-            for m1, c1 in other.terms.items():
-                for (l, m2), c2 in self.terms.items():
-                    key = (l, m1 * m2)
-                    s = out.get(key, Fraction(0)) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            r = TwistedElement.__new__(TwistedElement)
-            r.terms = out
-            return r
         if isinstance(other, Monomial):
-            r = TwistedElement.__new__(TwistedElement)
-            r.terms = {(l, other * m): c for (l, m), c in self.terms.items()}
-            return r
-        c = other if type(other) is Fraction else Fraction(other)
-        r = TwistedElement.__new__(TwistedElement)
-        r.terms = {k: c * x for k, x in self.terms.items()} if c else {}
-        return r
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            return self._summed(((l, other * m), c) for (l, m), c in self.terms.items())
+        if isinstance(other, AlgebraElement):
+            return self._summed(
+                ((l, m1 * m2), c1 * c2)
+                for m1, c1 in other.terms.items()
+                for (l, m2), c2 in self.terms.items()
+            )
+        return self.scale(other)
 
     def internal_degree(self) -> Optional[int]:
         degs = {m.degree + 2 * l for (l, m) in self.terms}
@@ -146,9 +102,6 @@ class TwistedElement:
         if len(degs) > 1:
             raise ValueError("element is not homogeneous")
         return degs.pop()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwistedElement) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -202,16 +155,11 @@ class TwistedClassSymbol:
 
 def contraction_pairing(x: TwistedElement, y: TwistedElement) -> AlgebraElement:
     """The A-bilinear pairing with mu(m_l, m_l') = -e_{l+l'-1}."""
-    out: Dict[Monomial, Fraction] = {}
-    for (l1, m1), c1 in x.terms.items():
-        for (l2, m2), c2 in y.terms.items():
-            m = m1 * m2 * Monomial.generator(l1 + l2 - 1)
-            s = out.get(m, Fraction(0)) - c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return AlgebraElement(out)
+    return AlgebraElement._summed(
+        (m1 * m2 * Monomial.generator(l1 + l2 - 1), -c1 * c2)
+        for (l1, m1), c1 in x.terms.items()
+        for (l2, m2), c2 in y.terms.items()
+    )
 
 
 def kernel_generator(i: int, j: int) -> TwistedElement:
@@ -357,7 +305,8 @@ class StableCohomology:
 
     def verify_injectivity(self) -> Dict[int, Dict[str, int]]:
         """Cup with m_1 is injective in every degree; cokernel dimensions
-        match the free module on m_2, m_3, ... — returns per-degree data."""
+        match the free module on m_2, m_3, ... — returns per-degree data,
+        and raises naming the first degree where either fails."""
         if self._injectivity is not None:
             return self._injectivity
         f = self.delta_contravariant()
@@ -384,6 +333,8 @@ class StableCohomology:
                 raise FalsificationError(
                     f"cup with m1 fails to embed degree {d}", rows
                 )
+            if coker != expected:
+                raise FalsificationError(f"cokernel mismatch at degree {d}", rows)
         self._injectivity = rows
         return rows
 

@@ -14,6 +14,8 @@ from mmmcoh.algebra import (
     exterior_basis,
     exterior_dim,
 )
+from mmmcoh.forms import FormBasisElement, FormElement
+from mmmcoh.stable import TwistedElement
 
 
 def partition_counts(n_max):
@@ -94,6 +96,34 @@ def test_multiplication_is_exact_beyond_bound():
     prod = e4 * e4
     assert prod.degree() == 16
     assert prod.coefficient(Monomial.from_exponents({4: 2})) == 1
+
+
+@pytest.mark.parametrize(
+    "cls,key,hashable",
+    [
+        (AlgebraElement, Monomial.generator(1), True),
+        (FormElement, FormBasisElement(Monomial.one(), (1,)), False),
+        (TwistedElement, (1, Monomial.one()), False),
+    ],
+    ids=["ring", "form", "twisted"],
+)
+def test_shared_arithmetic_is_exact_and_typed(cls, key, hashable):
+    half, three = cls({key: 0.5}), cls({key: 3})
+    for x, value in ((half, Fraction(1, 2)), (three, Fraction(3)), (three.scale(0.25), Fraction(3, 4))):
+        assert type(x.terms[key]) is Fraction and x.terms[key] == value
+    assert cls({key: 0}).terms == {}
+    # sums that cancel leave no term
+    for zero in (half - half, half + (-half), half + half - three.scale(Fraction(1, 3))):
+        assert type(zero) is cls and zero.terms == {} and zero.is_zero()
+    # the same terms in another class are another element
+    for other in (AlgebraElement, FormElement, TwistedElement):
+        assert (cls({key: 1}) == other({key: 1})) is (other is cls)
+    assert AlgebraElement.generator(1) != TwistedElement.generator(1)
+    if hashable:
+        assert hash(half) == hash(cls({key: Fraction(1, 2)}))
+    else:
+        with pytest.raises(TypeError):
+            hash(half)
 
 
 def test_exterior_basis_examples():

@@ -447,8 +447,15 @@ def test_version(capsys):
             "malformed group description",
         ),
         (None, "cannot read input file"),  # the path is a directory
+        ('{"generators": 1, "relators": [], "matrices": [[[true]]]}', "must be an integer"),
+        ('{"generators": 1, "relators": [], "matrices": [[[0.1]]]}', "must be an integer"),
+        ('{"generators": 0, "relators": [], "matrices": [], "dimension": true}', "must be an integer"),
+        ('{"generators": 0, "relators": [], "matrices": [], "dimension": 2.7}', "must be an integer"),
     ],
-    ids=["top-level-list", "int-relators", "list-dimension", "infinite-entry", "directory"],
+    ids=[
+        "top-level-list", "int-relators", "list-dimension", "infinite-entry", "directory",
+        "bool-entry", "float-entry", "bool-dimension", "float-dimension",
+    ],
 )
 def test_h1_malformed_input_is_usage_error(capsys, tmp_path, text, message):
     path = tmp_path
@@ -524,3 +531,22 @@ def test_failed_statement_exits_1_with_a_message(capsys, monkeypatch, command, b
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_hilbert_tilde_dual_fails_on_a_cokernel_mismatch(capsys, monkeypatch):
+    # one more free generator in internal degree 4 grows the cokernel of
+    # cup with m1 past the free module on m2, m3, ...; the table must not
+    # print the m_a as its generators then
+    from mmmcoh.modules import free_module
+    from mmmcoh.stable import StableCohomology
+
+    real = StableCohomology.twisted_module
+
+    def padded(self):
+        return free_module(self.algebra, [*real(self).gen_degrees, 4], coh_offset=-1)
+
+    monkeypatch.setattr(StableCohomology, "twisted_module", padded)
+    assert main(["hilbert", "HtildeDual", "--max-degree", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mmmcoh: cokernel mismatch at degree 2\n"

@@ -164,8 +164,18 @@ def test_load_group_data_parses_fraction_strings():
         {"generators": True, "relators": [], "matrices": [[[1]]]},
         {"generators": 2, "relators": [[1, 2.0]], "matrices": [[[1]], [[1]]]},
         {"generators": 1, "relators": [[True]], "matrices": [[[1]]]},
+        {"generators": 1, "relators": [], "matrices": [[[True]]]},
+        {"generators": 1, "relators": [], "matrices": [[[0.1]]]},
+        {"generators": 1, "relators": [], "matrices": [[[2.0]]]},
+        {"generators": 1, "relators": [], "matrices": [[[None]]]},
+        {"generators": 0, "relators": [], "matrices": [], "dimension": True},
+        {"generators": 0, "relators": [], "matrices": [], "dimension": 2.7},
     ],
-    ids=["float-count-and-letters", "whole-float-count", "bool-count", "float-letter", "bool-letter"],
+    ids=[
+        "float-count-and-letters", "whole-float-count", "bool-count", "float-letter", "bool-letter",
+        "bool-entry", "float-entry", "whole-float-entry", "null-entry", "bool-dimension",
+        "float-dimension",
+    ],
 )
 def test_load_group_data_rejects_non_integer_counts_and_letters(doc):
     # int() would read these as another group (1.7 -> 1, true -> 1) and certify it
