@@ -3,10 +3,11 @@
 The package builds the stable cohomology rings and modules degree by degree
 in exact rational arithmetic and mechanically certifies their structure:
 free generation by the twisted classes, the contraction pairing, the two
-degree-shifting maps and their kernel/cokernel descriptions, Koszul
-homology, exactness of the associated forms complex, and the vanishing of
-H^1 for the bordered-torus mapping class group.  See the README for the
-mathematical statements and the `mmmcoh` command for the runnable suite.
+degree-shifting maps and their kernel/cokernel descriptions, Tor
+dimensions by dimension shifting, exactness of the associated forms
+complex, and the vanishing of H^1 for the bordered-torus mapping class
+group.  See the README for the mathematical statements and the `mmmcoh`
+command for the runnable suite.
 """
 
 __version__ = "0.1.0"
@@ -51,10 +52,7 @@ from .modules import (
     direct_sum,
     free_module,
     kernel_module,
-    koszul_differential,
     minimal_generators,
-    tor_dimension,
-    tor_table,
     trivial_module,
 )
 from .stable import (
@@ -112,7 +110,6 @@ __all__ = [
     "kernel_basis",
     "kernel_generator",
     "kernel_module",
-    "koszul_differential",
     "load_group_data",
     "load_group_file",
     "minimal_generators",
@@ -121,8 +118,6 @@ __all__ = [
     "run_verification",
     "solve",
     "solve_many",
-    "tor_dimension",
-    "tor_table",
     "trivial_module",
     "__version__",
 ]

@@ -163,9 +163,13 @@ class LinearCombination:
         return r
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented  # a ring element plus a twisted class is a TypeError
         return self._summed(other.terms.items(), self.terms)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self._summed(((key, -c) for key, c in other.terms.items()), self.terms)
 
     def __neg__(self):
@@ -403,7 +407,7 @@ class PolynomialAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# exterior combinatorics (shared by the forms complex and Koszul homology)
+# exterior combinatorics (the wedges of the forms complex, and Lambda^j E)
 
 
 def exterior_basis(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:

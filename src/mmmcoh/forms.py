@@ -135,6 +135,7 @@ class DifferentialForms:
         self._index: Dict[Tuple[int, int], Dict[FormBasisElement, int]] = {}
         self._d_cache: Dict[Tuple[int, int], SparseMatrix] = {}
         self._p_cache: Dict[Tuple[int, int], SparseMatrix] = {}
+        self._exactness: Dict[int, ExactnessReport] = {}
 
     @property
     def degree_bound(self) -> int:
@@ -333,10 +334,6 @@ class DifferentialForms:
             square.clear()
         return cartan, nilpotent
 
-    def verify_cartan(self, n: int, d: int) -> bool:
-        """d p + p d equals the predicted diagonal, column by column."""
-        return self._homotopy_walk(n, d, self.euler_weights(n, d))[0]
-
     # -- exactness ---------------------------------------------------------
 
     def verify_exactness(self, d: int) -> "ExactnessReport":
@@ -350,11 +347,15 @@ class DifferentialForms:
         naming the identity and (n, d).  The ranks are derived: Omega^{top+1}_d
         is checked to be zero and rank p_n = dim Omega^n_d - rank p_{n+1}.
         Spot 0 still compares: in positive degree (Q)_d vanishes, so p_1
-        must fill Omega^0_d.
+        must fill Omega^0_d.  A report is kept per degree, so each (n, d)
+        is walked once per instance however many statements rest on it.
         """
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")
         self.algebra._check_degree(d)
+        cached = self._exactness.get(d)
+        if cached is not None:
+            return cached
         top = self.max_form_degree()
         for n in range(top + 2):
             weights = self.euler_weights(n, d)
@@ -373,7 +374,8 @@ class DifferentialForms:
             ranks[n] = dims[n] - ranks[n + 1]
         spots = [SpotCheck(0, dims[0], 0, ranks[1], ranks[1] == dims[0])]
         spots += [SpotCheck(n, dims[n], ranks[n], ranks[n + 1], True) for n in range(1, top + 1)]
-        return ExactnessReport(degree=d, spots=tuple(spots))
+        report = self._exactness[d] = ExactnessReport(degree=d, spots=tuple(spots))
+        return report
 
 
 @dataclass(frozen=True)

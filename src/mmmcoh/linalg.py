@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream — Hilbert functions, kernels of contraction maps,
-Koszul homology — reduces to ranks, kernels and solves of sparse matrices
-with ``fractions.Fraction`` entries.  This module is the single place where
-elimination happens, and it never touches floating point: a rank computed
-here is the rank, not an estimate.
+minimal generators — reduces to ranks, kernels and solves of sparse
+matrices with ``fractions.Fraction`` entries.  This module is the single
+place where elimination happens, and it never touches floating point: a
+rank computed here is the rank, not an estimate.
 
 Representation: a matrix is stored by column, in the compressed sparse
 column layout (T. A. Davis, *Direct Methods for Sparse Linear Systems*,

@@ -1,15 +1,12 @@
-"""Graded modules over the characteristic-class ring, and their Koszul homology.
+"""Graded modules over the characteristic-class ring.
 
 A graded module is stored degree-by-degree inside the algebra's bound: a
 dimension for each internal degree and, for each generator e_i, the exact
 matrix of multiplication M_d -> M_{d+2i}.  That is all the structure the
-verifications need: kernels of equivariant maps, minimal generator counts
-(degreewise quotients by the ideal action) and the derived functors
-Tor_j(Q, M), computed from the Koszul complex
-
-    ... -> Lambda^2 E (x) M -> Lambda^1 E (x) M -> M -> 0,
-    del(e_{i_1}^...^e_{i_j} (x) m) =
-        sum_k (-1)^{k+1} e_{i_1}^...(drop k)...^e_{i_j} (x) e_{i_k} m.
+verifications need: kernels of equivariant maps and minimal generator
+counts (degreewise quotients by the ideal action).  The dimensions of
+Tor_j(Q, M) are held in ``TorResult``; `stable.StableCohomology.verify_tor`
+derives them by dimension shifting, with no Koszul complex of M.
 
 Cohomological degrees may sit at a fixed offset from internal ones (the
 twisted-class module stores its generators one above their cohomological
@@ -31,7 +28,7 @@ from .linalg import (
     _kernel_with_free_columns,
     _pairs,
     offset_columns,
-    rank,
+    rank,  # noqa: F401  (perfbench/test_perfbench.py reads modules.rank)
 )
 
 
@@ -57,8 +54,6 @@ class GradedModule:
         self.dims = {d: n for d, n in dims.items() if n}
         self.actions = dict(actions)
         self.coh_offset = coh_offset
-        # (j, d) -> rank of the Koszul differential; a module is immutable
-        self._koszul_ranks: Dict[Tuple[int, int], int] = {}
         if min(self.dims, default=0) < 0:
             raise ValueError("internal degrees are nonnegative")
         for (i, d), m in self.actions.items():
@@ -395,80 +390,6 @@ def minimal_generators(module: GradedModule, up_to: Optional[int] = None) -> Min
     return MinimalGenerators(counts=counts, representatives=reps)
 
 
-# ---------------------------------------------------------------------------
-# Koszul homology
-
-
-def koszul_differential(module: GradedModule, j: int, d: int) -> SparseMatrix:
-    """The boundary Lambda^j E (x) M -> Lambda^{j-1} E (x) M in degree d.
-
-    Bases are ordered wedge-major: for each wedge (ascending lex across
-    weights) the slice of M in the complementary degree, in its own order.
-    """
-    if j < 1:
-        return SparseMatrix.zero(0, koszul_dim(module, 0, d) if j == 0 else 0)
-    src_layout = _koszul_layout(module, j, d)
-    tgt_layout = _koszul_layout(module, j - 1, d)
-    tgt_offsets = {w: off for w, off, _ in tgt_layout}
-    columns: List[Tuple] = []
-    for wedge, _, m_deg in src_layout:
-        # per slot k, the columns of +-e_{i_k} moved into the block of the
-        # wedge without slot k; a source column is their concatenation
-        blocks = []
-        for k, i in enumerate(wedge):
-            rest = wedge[:k] + wedge[k + 1 :]
-            row_off = tgt_offsets.get(rest)
-            if row_off is not None:
-                blocks.append(offset_columns(module.action(i, m_deg), row_off, -1 if k % 2 else 1))
-        if blocks:
-            columns.extend(map(tuple, map(chain.from_iterable, zip(*blocks))))
-        else:
-            columns.extend(repeat((), module.dim(m_deg)))
-    rows = koszul_dim(module, j - 1, d)
-    cols = koszul_dim(module, j, d)
-    return SparseMatrix.of_columns(rows, cols, columns)
-
-
-def _koszul_layout(module: GradedModule, j: int, d: int):
-    """[(wedge, column offset, module degree)] for Lambda^j E (x) M at d."""
-    layout = []
-    off = 0
-    for w in range(0, d + 1, 2):
-        for wedge in module.algebra.exterior_basis(j, w):
-            n = module.dim(d - w)
-            if n:
-                layout.append((wedge, off, d - w))
-                off += n
-    return layout
-
-
-def koszul_dim(module: GradedModule, j: int, d: int) -> int:
-    wedges = module.algebra.exterior_basis
-    return sum(len(wedges(j, w)) * module.dim(d - w) for w in range(0, d + 1, 2))
-
-
-def tor_dimension(module: GradedModule, j: int, d: int) -> int:
-    """dim Tor_j(Q, M) in internal degree d, by exact rank bookkeeping."""
-    if j < 0 or d < 0:
-        return 0
-    module.algebra._check_degree(d)
-    c = koszul_dim(module, j, d)
-    if c == 0:
-        return 0
-    r_out = _koszul_rank(module, j, d) if j >= 1 else 0
-    r_in = _koszul_rank(module, j + 1, d)
-    return c - r_out - r_in
-
-
-def _koszul_rank(module: GradedModule, j: int, d: int) -> int:
-    # Tor_j and Tor_{j-1} share this differential: rank it once per module
-    r = module._koszul_ranks.get((j, d))
-    if r is None:
-        r = rank(koszul_differential(module, j, d))
-        module._koszul_ranks[(j, d)] = r
-    return r
-
-
 @dataclass(frozen=True)
 class TorResult:
     """Dimensions of Tor_j(Q, M) across internal degrees, fixed j."""
@@ -478,16 +399,3 @@ class TorResult:
 
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
-
-
-def tor_table(module: GradedModule, j: int, up_to: Optional[int] = None) -> TorResult:
-    algebra = module.algebra
-    if up_to is None:
-        up_to = algebra.degree_bound
-    algebra._check_degree(up_to)
-    dims = {}
-    for d in range(0, up_to + 1):
-        n = tor_dimension(module, j, d)
-        if n:
-            dims[d] = n
-    return TorResult(j=j, dims=dims)

@@ -126,6 +126,28 @@ def test_shared_arithmetic_is_exact_and_typed(cls, key, hashable):
             hash(half)
 
 
+_ELEMENTS = {
+    "ring": lambda: AlgebraElement.generator(1),
+    "form": lambda: FormElement.of(Monomial.one(), (1,)),
+    "twisted": lambda: TwistedElement.generator(1),
+}
+
+
+@pytest.mark.parametrize(
+    "left,right", [("ring", "form"), ("ring", "twisted"), ("form", "twisted")]
+)
+def test_sum_of_two_element_classes_is_a_type_error(left, right):
+    x, y = _ELEMENTS[left](), _ELEMENTS[right]()
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    # within one class both operators still work
+    assert (x + x).terms == {k: 2 * c for k, c in x.terms.items()}
+    assert (y - y).is_zero()
+
+
 def test_exterior_basis_examples():
     assert exterior_basis(2, 10) == ((1, 4), (2, 3))
     assert exterior_basis(1, 6) == ((3,),)

@@ -1,4 +1,5 @@
-"""Graded modules: free modules, kernels, minimal generators, Koszul homology."""
+"""Graded modules: free modules, kernels, minimal generators, and the Koszul
+rank oracle for Tor."""
 
 from fractions import Fraction
 
@@ -14,13 +15,10 @@ from mmmcoh.modules import (
     direct_sum,
     free_module,
     kernel_module,
-    koszul_differential,
-    koszul_dim,
     minimal_generators,
-    tor_dimension,
-    tor_table,
     trivial_module,
 )
+from koszul_oracle import koszul_differential, koszul_dim, tor_dimension, tor_table
 
 BOUND = 24
 
@@ -370,21 +368,21 @@ def test_free_module_actions_match_object_oracle(algebra, rank_one, twisted):
                 assert list(new.entries.items()) == list(oracle.entries.items()), (i, d)
 
 
-# -- the Koszul rank memo ------------------------------------------------------------
+# -- the oracle's Koszul rank memo ---------------------------------------------------
 
 
 def test_tor_table_on_a_direct_sum(algebra, rank_one, monkeypatch):
     # Tor_j(Q, Q + A) = Lambda^j E + (Q in j = 0, degree 0)
-    import mmmcoh.modules as modules
+    import koszul_oracle
 
-    real = modules.koszul_differential
+    real = koszul_oracle.koszul_differential
     calls = []
 
     def counting(module, j, d):
         calls.append((j, d))
         return real(module, j, d)
 
-    monkeypatch.setattr(modules, "koszul_differential", counting)
+    monkeypatch.setattr(koszul_oracle, "koszul_differential", counting)
     s = direct_sum(trivial_module(algebra), rank_one)
     tables = [tor_table(s, j, 12) for j in range(4)]
     assert tables[0].dims == {0: 2}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mmmcoh.algebra import AlgebraElement, Monomial, PolynomialAlgebra
-from mmmcoh.linalg import SparseMatrix
+from mmmcoh.linalg import SparseMatrix, VectorQ
 from mmmcoh.stable import (
     FalsificationError,
     StableCohomology,
@@ -19,6 +19,19 @@ from mmmcoh.stable import (
 @pytest.fixture(scope="module")
 def sc():
     return StableCohomology(24)
+
+
+def twisted_as_vector(sc, x: TwistedElement, d: int) -> VectorQ:
+    """x as a coordinate vector of the twisted module's degree-d slice."""
+    blocks, dim = sc.twisted_module().generator_blocks(d)
+    entries = {}
+    for (l, m), c in x.terms.items():
+        deg = m.degree
+        if 2 * l + deg != d:
+            raise ValueError(f"term at internal degree {2*l + deg}, not {d}")
+        offset = blocks[sc.generator_index(l)][0]
+        entries[offset + sc.algebra.basis_index(deg)[m]] = c
+    return VectorQ(dim, entries)
 
 
 # -- contraction pairing --------------------------------------------------------
@@ -102,17 +115,17 @@ def test_connecting_maps_frozen_entries(sc):
     block = contra.matrix(0)
     assert (block.rows, block.cols) == (1, 1)
     one = sc.algebra.as_vector(AlgebraElement.one(), 0)
-    assert block.apply(one) == sc.twisted_as_vector(m(1), 2)
+    assert block.apply(one) == twisted_as_vector(sc, m(1), 2)
     # linearity over the ring: e_2 |-> e_2 m_1
     v = contra.matrix(4).apply(sc.algebra.as_vector(e(2), 4))
-    assert v == sc.twisted_as_vector(e(2) * m(1), 6)
+    assert v == twisted_as_vector(sc, e(2) * m(1), 6)
     co = sc.delta_covariant()
     # m_1 |-> -e_1 and e_1 m_2 |-> -e_1 e_2
-    assert co.matrix(2).apply(sc.twisted_as_vector(m(1), 2)) == sc.algebra.as_vector(
+    assert co.matrix(2).apply(twisted_as_vector(sc, m(1), 2)) == sc.algebra.as_vector(
         -e(1), 2
     )
     assert co.matrix(6).apply(
-        sc.twisted_as_vector(e(1) * m(2), 6)
+        twisted_as_vector(sc, e(1) * m(2), 6)
     ) == sc.algebra.as_vector(-(e(1) * e(2)), 6)
 
 
@@ -149,7 +162,7 @@ def test_kernel_elements_die_under_covariant_map(sc):
     for (i, j) in [(1, 2), (1, 3), (2, 3), (2, 5)]:
         x = kernel_generator(i, j)
         d = x.internal_degree()
-        v = sc.twisted_as_vector(x, d)
+        v = twisted_as_vector(sc, x, d)
         assert delta.matrix(d).apply(v).is_zero(), (i, j)
 
 
@@ -276,8 +289,9 @@ def test_falsification_error_is_assertion_error():
 def test_kernel_only_tor_is_shifted_wedge(sc):
     # without the theta line, Koszul homology of the bare kernel is one
     # wedge column shifted by two
+    from koszul_oracle import tor_dimension
     from mmmcoh.algebra import exterior_dim
-    from mmmcoh.modules import minimal_generators, tor_dimension
+    from mmmcoh.modules import minimal_generators
 
     kernel, _ = sc.covariant_kernel()
     for j in (0, 1, 2):
@@ -292,7 +306,7 @@ def test_kernel_only_tor_is_shifted_wedge(sc):
 def test_euler_characteristic_for_nonfree_module(sc):
     # alternating sums of the Koszul complex equal alternating sums of its
     # homology, including for the non-free tilde module
-    from mmmcoh.modules import koszul_dim, tor_dimension
+    from koszul_oracle import koszul_dim, tor_dimension
 
     module = sc.tilde_module()
     for d in (6, 10, 14):
@@ -454,40 +468,82 @@ def test_twisted_as_vector_matches_object_oracle(sc):
     for d in range(2, sc.degree_bound + 1, 2):
         idx = _oracle_twisted_index(sc, d)
         for (k, m), pos in idx.items():
-            v = sc.twisted_as_vector(TwistedElement({(k + 1, m): Fraction(3, 2)}), d)
+            v = twisted_as_vector(sc, TwistedElement({(k + 1, m): Fraction(3, 2)}), d)
             assert (v.dim, v.entries) == (len(idx), {pos: Fraction(3, 2)}), (k, m)
     with pytest.raises(ValueError):
-        sc.twisted_as_vector(TwistedElement.generator(2), 6)
+        twisted_as_vector(sc, TwistedElement.generator(2), 6)
 
 
-def test_verify_tor_ranks_each_koszul_differential_once(monkeypatch):
-    # Tor_j and Tor_{j+1} share a differential; it is built and ranked once
-    import mmmcoh.modules as modules
-    from mmmcoh.linalg import rank
-    from mmmcoh.modules import koszul_dim
+# -- Tor by dimension shifting, against the Koszul rank oracle ---------------------
 
-    real = modules.koszul_differential
-    calls = []
 
-    def counting(module, j, d):
-        calls.append((id(module), j, d))
-        return real(module, j, d)
+def test_verify_tor_matches_the_koszul_rank_oracle():
+    from koszul_oracle import tor_dimension
 
-    monkeypatch.setattr(modules, "koszul_differential", counting)
-    ctx = StableCohomology(12)
+    ctx = StableCohomology(32)
     report = ctx.verify_tor(j_max=4)
-    assert calls and len(calls) == len(set(calls))
-    assert len({(j, d) for _, j, d in calls}) == len(calls)
-
     module = ctx.tilde_module()
-    for j, table in enumerate(report.results):
-        for d in range(13):
-            c = koszul_dim(module, j, d)
-            if c:
-                r_out = rank(real(module, j, d)) if j else 0
-                c -= r_out + rank(real(module, j + 1, d))
-            assert table.dim(d) == c, (j, d)
-    # asking again builds nothing
-    built = len(calls)
-    ctx.verify_tor(j_max=4)
-    assert len(calls) == built
+    assert [t.j for t in report.results] == [0, 1, 2, 3, 4]
+    for table in report.results:
+        for d in range(0, 33):
+            assert table.dim(d) == tor_dimension(module, table.j, d), (table.j, d)
+
+
+def test_contraction_is_the_koszul_complex_of_the_ring():
+    # the identification premise of verify_tor: the oracle's Koszul
+    # differential of A over itself is p, up to the order of the wedges
+    from koszul_oracle import koszul_differential, koszul_layout
+
+    ctx = StableCohomology(20)
+    ring, forms = ctx.ring_module(), ctx.forms
+
+    def to_forms(j, d):
+        # Koszul position -> forms position, block by block
+        blocks = forms._layout(j, d)[0]
+        return {
+            off + q: blocks[wedge][0] + q
+            for wedge, off, deg in koszul_layout(ring, j, d)
+            for q in range(ring.dim(deg))
+        }
+
+    for d in range(0, 21):
+        for j in range(1, forms.max_form_degree() + 2):
+            k, p = koszul_differential(ring, j, d), forms.interior_product(j, d)
+            rows, cols = to_forms(j - 1, d), to_forms(j, d)
+            assert (k.rows, k.cols) == (p.rows, p.cols) == (len(rows), len(cols)), (j, d)
+            moved = {(rows[r], cols[c]): x for (r, c), x in k.entries.items()}
+            assert moved == p.entries, (j, d)
+
+
+def test_verify_all_builds_no_koszul_differential_and_walks_each_degree_once(monkeypatch):
+    import koszul_oracle
+    import mmmcoh
+    from mmmcoh.forms import DifferentialForms
+    from mmmcoh.verify import run_verification
+
+    built = []
+    real_koszul = koszul_oracle.koszul_differential
+
+    def koszul(module, j, d):
+        built.append((j, d))
+        return real_koszul(module, j, d)
+
+    monkeypatch.setattr(koszul_oracle, "koszul_differential", koszul)
+    walks = []
+    real_walk = DifferentialForms._homotopy_walk
+
+    def walk(self, n, d, weights):
+        walks.append((n, d))
+        return real_walk(self, n, d, weights)
+
+    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", walk)
+    report = run_verification(12)
+    assert report.passed
+    assert built == []
+    assert not any(
+        name.startswith("koszul") or name.startswith("tor_")
+        for module in (mmmcoh, mmmcoh.modules, mmmcoh.stable)
+        for name in vars(module)
+    )
+    top = StableCohomology(12).forms.max_form_degree()
+    assert sorted(walks) == sorted((n, d) for d in range(1, 13) for n in range(top + 2))

@@ -137,6 +137,47 @@ def test_tor_mismatch_is_a_fail_row(monkeypatch):
     assert main(["verify-all", "--max-degree", "8"]) == 1
 
 
+def test_corrupt_contraction_fails_tor_and_exactness(monkeypatch):
+    # tor-dimensions rests on the exactness of the contraction complex, so
+    # one wrong entry of p_3 fails both rows with the walk's message
+    from mmmcoh.forms import DifferentialForms
+    from mmmcoh.linalg import SparseMatrix
+
+    real = DifferentialForms.interior_product
+
+    def broken(self, n, d):
+        m = real(self, n, d)
+        if (n, d) != (3, 12):
+            return m
+        entries = m.entries
+        entries[next(iter(entries))] *= 2
+        return SparseMatrix(m.rows, m.cols, entries)
+
+    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    by_id = {c.check_id: c for c in run_verification(12).checks}
+    failed = {cid for cid, c in by_id.items() if c.status == "fail"}
+    assert failed == {"tor-dimensions", "resolution-exactness"}
+    message = "d p + p d is not the weight diagonal at (n, d) = (2, 12)"
+    assert by_id["tor-dimensions"].failure == message
+    assert by_id["resolution-exactness"].failure == message
+
+
+def test_failed_surjectivity_fails_tor(monkeypatch):
+    # dimension shifting needs the contraction onto A_+: tor-dimensions
+    # fails with the surjectivity check's own message
+    from mmmcoh.stable import FalsificationError, StableCohomology
+
+    def misses(self):
+        raise FalsificationError("contraction against m1 misses degree 6")
+
+    monkeypatch.setattr(StableCohomology, "verify_surjectivity", misses)
+    by_id = {c.check_id: c for c in run_verification(12).checks}
+    tor = by_id["tor-dimensions"]
+    assert tor.status == "fail"
+    assert tor.per_degree_data == []
+    assert tor.failure == "contraction against m1 misses degree 6"
+
+
 @pytest.mark.parametrize(
     "check_id,method",
     [
