@@ -21,6 +21,13 @@ diagonal of positive weights and that p^2 = 0, and derives the ranks in
 its report from the dimensions.  d^2 = 0 is checked only by
 tests/test_forms.py, at bound 24.
 
+The complex is streamed degree by degree: the operator matrices are built
+on each call and kept by no one here, so `verify_exactness(d)` holds the
+operators of degree d only while it walks them.  An instance keeps the
+small tables that later degrees and checks read (the layouts, the
+quotient positions, the bases asked for) and one exactness report per
+degree.
+
 Everything here is a finite matrix per (form degree, internal degree), and
 all matrices are exact.
 
@@ -46,6 +53,9 @@ from .algebra import LinearCombination, Monomial, PolynomialAlgebra
 from .linalg import SparseMatrix, VectorQ
 
 _ONE = Fraction(1)
+
+# the packed columns of an operator matrix, ``SparseMatrix.packed``
+Packed = Tuple[Tuple[int, ...], ...]
 
 
 class FormBasisElement:
@@ -133,8 +143,6 @@ class DifferentialForms:
         self._quotients: Dict[Tuple[int, int], List[Optional[int]]] = {}
         self._basis: Dict[Tuple[int, int], Tuple[FormBasisElement, ...]] = {}
         self._index: Dict[Tuple[int, int], Dict[FormBasisElement, int]] = {}
-        self._d_cache: Dict[Tuple[int, int], SparseMatrix] = {}
-        self._p_cache: Dict[Tuple[int, int], SparseMatrix] = {}
         self._exactness: Dict[int, ExactnessReport] = {}
 
     @property
@@ -235,11 +243,8 @@ class DifferentialForms:
     # -- operators ---------------------------------------------------------
 
     def exterior_derivative(self, n: int, d: int) -> SparseMatrix:
-        """Matrix of d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed)."""
-        key = (n, d)
-        cached = self._d_cache.get(key)
-        if cached is not None:
-            return cached
+        """Matrix of d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed),
+        built on each call."""
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n + 1, d)
         columns: List[Tuple[int, ...]] = []
@@ -260,23 +265,19 @@ class DifferentialForms:
                         sign, row_off, quotient = move
                         col += (row_off + quotient[q], sign * e)
                 columns.append(tuple(col))
-        m = SparseMatrix.of_columns(rows, cols, columns)
-        self._d_cache[key] = m
-        return m
+        return SparseMatrix.of_columns(rows, cols, columns)
 
     def interior_product(self, n: int, d: int) -> SparseMatrix:
         """Matrix of the Euler contraction p: Omega^n_d -> Omega^{n-1}_d,
 
             p(m * de_{i_1}^...^de_{i_n})
-                = sum_k (-1)^{k-1} e_{i_k} m * de_{i_1}^...(drop k)...^de_{i_n}.
+                = sum_k (-1)^{k-1} e_{i_k} m * de_{i_1}^...(drop k)...^de_{i_n},
+
+        built on each call.
         """
         if n < 1:
             # Omega^{-1} = 0; keep the shape so rank bookkeeping stays total
             return SparseMatrix(0, self.dim(0, d) if n == 0 else 0)
-        key = (n, d)
-        cached = self._p_cache.get(key)
-        if cached is not None:
-            return cached
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n - 1, d)
         columns: List[Tuple[int, ...]] = []
@@ -290,9 +291,7 @@ class DifferentialForms:
                 product = self.algebra.multiplication_table(i, deg)
                 slots.append(zip(map(add, product, repeat(tgt[rest][0])), repeat(sign)))
             columns.extend(map(tuple, map(chain.from_iterable, zip(*slots))))
-        m = SparseMatrix.of_columns(rows, cols, columns)
-        self._p_cache[key] = m
-        return m
+        return SparseMatrix.of_columns(rows, cols, columns)
 
     def euler_weights(self, n: int, d: int) -> List[int]:
         """Predicted eigenvalue (generator factors + form degree) per basis
@@ -300,16 +299,18 @@ class DifferentialForms:
         totals = self.algebra.total_exponents
         return [t + n for _, deg in self._layout(n, d)[0].values() for t in totals(deg)]
 
-    def _homotopy_walk(self, n: int, d: int, weights: List[int]) -> Tuple[bool, bool]:
+    @staticmethod
+    def _homotopy_walk(
+        weights: List[int],
+        d_out: Packed,
+        p_up: Packed,
+        p_out: Packed,
+        d_down: Packed,
+        p_down: Packed,
+    ) -> Tuple[bool, bool]:
         """Whether p(dw) + d(pw) = weight * w, and whether p(pw) = 0, for
         every basis form w of Omega^n_d: one walk over the packed columns
         of d_n, p_{n+1}, p_n, d_{n-1} and p_{n-1}, with no product matrix."""
-        d_out = self.exterior_derivative(n, d).packed
-        p_up = self.interior_product(n + 1, d).packed
-        p_out = self.interior_product(n, d).packed
-        # Omega^{-1} = 0: p_0 has only empty columns, so nothing reads d_{-1}
-        d_down = self.exterior_derivative(n - 1, d).packed if n else ()
-        p_down = self.interior_product(n - 1, d).packed
         cartan = nilpotent = True
         acc: Dict[int, int] = {}  # p(dw) + d(pw)
         square: Dict[int, int] = {}  # p(pw)
@@ -347,8 +348,12 @@ class DifferentialForms:
         naming the identity and (n, d).  The ranks are derived: Omega^{top+1}_d
         is checked to be zero and rank p_n = dim Omega^n_d - rank p_{n+1}.
         Spot 0 still compares: in positive degree (Q)_d vanishes, so p_1
-        must fill Omega^0_d.  A report is kept per degree, so each (n, d)
-        is walked once per instance however many statements rest on it.
+        must fill Omega^0_d.
+
+        The operators of degree d are built once each, as locals of this
+        call, and are dropped as the walk passes them; only the report is
+        kept, per degree, so each (n, d) is walked once per instance however
+        many statements rest on it.
         """
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")
@@ -357,9 +362,16 @@ class DifferentialForms:
         if cached is not None:
             return cached
         top = self.max_form_degree()
+        # the walk on Omega^n reads d_n, p_{n+1}, p_n, d_{n-1} and p_{n-1},
+        # so at most five operators are alive at once.  Omega^{-1} = 0: p_0
+        # has only empty columns, so nothing reads d_{-1} or p_{-1}.
+        d_down = p_down = ()
+        p_out = self.interior_product(0, d).packed
         for n in range(top + 2):
             weights = self.euler_weights(n, d)
-            cartan, nilpotent = self._homotopy_walk(n, d, weights)
+            d_out = self.exterior_derivative(n, d).packed
+            p_up = self.interior_product(n + 1, d).packed
+            cartan, nilpotent = self._homotopy_walk(weights, d_out, p_up, p_out, d_down, p_down)
             for ok, identity in (
                 (all(w > 0 for w in weights), "the weights of d p + p d are not positive"),
                 (cartan, "d p + p d is not the weight diagonal"),
@@ -368,6 +380,7 @@ class DifferentialForms:
             ):
                 if not ok:
                     raise ValueError(f"{identity} at (n, d) = ({n}, {d})")
+            d_down, p_down, p_out = d_out, p_out, p_up
         dims = [self.dim(n, d) for n in range(top + 1)]
         ranks = [0] * (top + 2)  # ranks[n] = rank p_n, and p_{top+1} = 0
         for n in range(top, 0, -1):

@@ -645,7 +645,13 @@ class StableCohomology:
     def kernel_cross_check(self, up_to: Optional[int] = None) -> List[Dict[str, int]]:
         """The contraction against m_1 *is* -p on 1-forms under the
         dictionary m_i <-> de_i: identical matrices up to the global sign,
-        and identical kernel dimensions per degree."""
+        and identical kernel dimensions per degree.
+
+        The rank of p_1 is the one the homotopy walk of
+        `DifferentialForms.verify_exactness` certified (spot 0's
+        ``rank_in``; a memo hit once resolution-exactness or Tor has run).
+        Where that walk fails, p_1 is eliminated here, so a broken identity
+        elsewhere in the forms complex is not a failure of this check."""
         if up_to is None:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to)
@@ -657,7 +663,11 @@ class StableCohomology:
             m_p = self.forms.interior_product(1, d)
             same = m_delta == -m_p
             k_delta = kernel.dim(d)
-            k_p = m_p.cols - rank(m_p)
+            try:
+                rank_p = self.forms.verify_exactness(d).spots[0].rank_in
+            except ValueError:
+                rank_p = rank(m_p)
+            k_p = m_p.cols - rank_p
             rows.append(
                 {
                     "internal_degree": d,

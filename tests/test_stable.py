@@ -275,6 +275,32 @@ def test_kernel_cross_check(sc):
         assert row["kernel_dim_module_route"] == row["kernel_dim_forms_route"]
 
 
+def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch):
+    from mmmcoh import stable
+    from mmmcoh.linalg import rank
+
+    ctx = StableCohomology(24)
+    for d in range(1, 25):
+        ctx.forms.verify_exactness(d)
+    ctx.covariant_kernel()
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return rank(m)
+
+    monkeypatch.setattr(stable, "rank", counted)
+    rows = ctx.kernel_cross_check()
+    assert calls == []
+    # the rows the elimination of each p_1 gives
+    assert [r["internal_degree"] for r in rows] == list(range(2, 25, 2))
+    for row in rows:
+        p1 = ctx.forms.interior_product(1, row["internal_degree"])
+        assert row["kernel_dim_forms_route"] == p1.cols - rank(p1)
+        assert row["kernel_dim_module_route"] == row["kernel_dim_forms_route"]
+        assert row["matrices_match_up_to_sign"] == 1
+
+
 def test_tables_reject_out_of_range(sc):
     from mmmcoh.algebra import DegreeBoundError
 
@@ -529,14 +555,20 @@ def test_verify_all_builds_no_koszul_differential_and_walks_each_degree_once(mon
         return real_koszul(module, j, d)
 
     monkeypatch.setattr(koszul_oracle, "koszul_differential", koszul)
-    walks = []
+    weighed, walks = [], []
+    real_weights = DifferentialForms.euler_weights
     real_walk = DifferentialForms._homotopy_walk
 
-    def walk(self, n, d, weights):
-        walks.append((n, d))
-        return real_walk(self, n, d, weights)
+    def weights(self, n, d):
+        weighed.append((n, d))
+        return real_weights(self, n, d)
 
-    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", walk)
+    def walk(*operators):
+        walks.append(weighed[-1])  # the walk on Omega^n_d reads its weights first
+        return real_walk(*operators)
+
+    monkeypatch.setattr(DifferentialForms, "euler_weights", weights)
+    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
     report = run_verification(12)
     assert report.passed
     assert built == []
