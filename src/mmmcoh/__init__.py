@@ -47,13 +47,8 @@ from .modules import (
     FreeGradedModule,
     GradedModule,
     GradedModuleMap,
-    MinimalGenerators,
     TorResult,
-    direct_sum,
     free_module,
-    kernel_module,
-    minimal_generators,
-    trivial_module,
 )
 from .stable import (
     FalsificationError,
@@ -84,7 +79,6 @@ __all__ = [
     "GroupPresentation",
     "H1Certificate",
     "MatrixRep",
-    "MinimalGenerators",
     "Monomial",
     "PolynomialAlgebra",
     "SparseMatrix",
@@ -100,7 +94,6 @@ __all__ = [
     "coboundary_space",
     "column_space_basis",
     "contraction_pairing",
-    "direct_sum",
     "evaluate_word",
     "exterior_basis",
     "exterior_dim",
@@ -109,15 +102,12 @@ __all__ = [
     "h1_dimension",
     "kernel_basis",
     "kernel_generator",
-    "kernel_module",
     "load_group_data",
     "load_group_file",
-    "minimal_generators",
     "rank",
     "rref",
     "run_verification",
     "solve",
     "solve_many",
-    "trivial_module",
     "__version__",
 ]

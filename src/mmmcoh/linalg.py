@@ -577,10 +577,18 @@ def rref(m: SparseMatrix, pivot_limit: Optional[int] = None):
     return pivots, [{c: _as_q(x) for c, x in row.items()} for row in echelon]
 
 
+def pivot_columns(m: SparseMatrix) -> List[int]:
+    """The pivot columns of the canonical echelon form, increasing.
+
+    Columns are cleared from the left, so the pivots among the first k
+    columns number the rank of those k columns.
+    """
+    return _forward(_row_dicts(m), m.cols)[0]
+
+
 def rank(m: SparseMatrix) -> int:
     """Rank over Q, by exact Gaussian elimination."""
-    pivots, _ = _forward(_row_dicts(m), m.cols)
-    return len(pivots)
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m: SparseMatrix) -> List[VectorQ]:
@@ -612,8 +620,7 @@ def _kernel_with_free_columns(m: SparseMatrix):
 
 def column_space_basis(m: SparseMatrix) -> List[VectorQ]:
     """The pivot columns of ``m`` (a basis of the image, deterministic)."""
-    pivots, _ = _forward(_row_dicts(m), m.cols)
-    return [m.column(c) for c in pivots]
+    return [m.column(c) for c in pivot_columns(m)]
 
 
 def solve(m: SparseMatrix, b: VectorQ) -> Optional[VectorQ]:

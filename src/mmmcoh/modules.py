@@ -2,11 +2,13 @@
 
 A graded module is stored degree-by-degree inside the algebra's bound: a
 dimension for each internal degree and, for each generator e_i, the exact
-matrix of multiplication M_d -> M_{d+2i}.  That is all the structure the
-verifications need: kernels of equivariant maps and minimal generator
-counts (degreewise quotients by the ideal action).  The dimensions of
-Tor_j(Q, M) are held in ``TorResult``; `stable.StableCohomology.verify_tor`
-derives them by dimension shifting, with no Koszul complex of M.
+matrix of multiplication M_d -> M_{d+2i}.  The free modules and the
+equivariant maps between them are all the structure the verifications
+build: `stable.StableCohomology` reads the contraction kernel's dimensions
+and minimal generator counts off eliminations of those maps' matrices,
+with no module structure on the kernel.  The dimensions of Tor_j(Q, M) are
+held in ``TorResult``; `stable.StableCohomology.verify_tor` derives them by
+dimension shifting, with no Koszul complex of M.
 
 Cohomological degrees may sit at a fixed offset from internal ones (the
 twisted-class module stores its generators one above their cohomological
@@ -16,18 +18,14 @@ degree); the offset is bookkeeping only and never enters the arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import Monomial, PolynomialAlgebra
 from .linalg import (
     SparseMatrix,
     VectorQ,
-    _forward,
-    _kernel_with_free_columns,
-    _pairs,
-    offset_columns,
     rank,  # noqa: F401  (perfbench/test_perfbench.py reads modules.rank)
 )
 
@@ -188,38 +186,6 @@ def free_module(
     return FreeGradedModule(algebra, gen_degrees, coh_offset=coh_offset)
 
 
-def trivial_module(algebra: PolynomialAlgebra) -> GradedModule:
-    """Q in degree 0 with every e_i acting by zero."""
-    return GradedModule(algebra, {0: 1}, {}, coh_offset=0, check=False)
-
-
-def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
-    """Degreewise direct sum with block-diagonal actions.
-
-    Cohomological offsets need not agree (the summands keep their own
-    parity); internal degrees are what the sum is graded by, and the offset
-    of the sum is meaningful only when both sides agree.
-    """
-    if a.algebra is not b.algebra:
-        raise ValueError("summands must share an algebra")
-    dims = {}
-    for d in set(a.dims) | set(b.dims):
-        dims[d] = a.dim(d) + b.dim(d)
-    actions = {}
-    for d in sorted(dims):
-        for i in a.algebra.generator_indices():
-            if d + 2 * i > a.algebra.degree_bound:
-                break
-            am, bm = a.action(i, d), b.action(i, d)
-            m = SparseMatrix.of_columns(
-                am.rows + bm.rows, am.cols + bm.cols, am.packed + tuple(offset_columns(bm, am.rows))
-            )
-            if m.rows and m.cols:
-                actions[(i, d)] = m
-    offset = a.coh_offset if a.coh_offset == b.coh_offset else None
-    return GradedModule(a.algebra, dims, actions, coh_offset=offset, check=False)
-
-
 class GradedModuleMap:
     """A degreewise matrix family commuting with the e_i actions.
 
@@ -274,120 +240,6 @@ class GradedModuleMap:
                     raise ValueError(
                         f"map fails to commute with e{i} at degree {d}"
                     )
-
-
-def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
-    """The degreewise kernel of f, with its induced module structure.
-
-    Returns ``(K, include)`` where include: K -> source is degree-shift 0.
-    The induced action of e_i on the kernel basis is computed by solving
-    against the kernel basis of the higher degree; the canonical basis from
-    the RREF makes that a coordinate read-off (1 in each free column), done
-    for the whole basis with one product, but the result is verified
-    exactly and any mismatch — which would mean the actions do not preserve
-    the kernel — is a hard error.
-    """
-    source = f.source
-    algebra = source.algebra
-    kernels: Dict[int, List[Tuple]] = {}  # the kernel basis as packed columns
-    free_rows: Dict[int, Dict[int, int]] = {}  # free column -> basis index
-    for d in source.degrees():
-        basis, free = _kernel_with_free_columns(f.matrix(d))
-        if basis:
-            kernels[d] = basis
-            free_rows[d] = {c: row for row, c in enumerate(free)}
-    dims = {d: len(v) for d, v in kernels.items()}
-    inclusions = {
-        d: SparseMatrix.of_columns(source.dim(d), len(v), v) for d, v in kernels.items()
-    }
-
-    actions: Dict[Tuple[int, int], SparseMatrix] = {}
-    for d, vs in sorted(kernels.items()):
-        for i in algebra.generator_indices():
-            up = d + 2 * i
-            if up > algebra.degree_bound:
-                break
-            pushed = source.action(i, d) @ inclusions[d]
-            if not dims.get(up):
-                # the pushed-forward vectors must then be zero
-                if not pushed.is_zero():
-                    raise ValueError(
-                        f"e{i} pushes a kernel vector at degree {d} outside the kernel"
-                    )
-                continue
-            row_of = free_rows[up]
-            coords = SparseMatrix.of_columns(
-                dims[up],
-                len(vs),
-                [
-                    tuple(chain.from_iterable((row_of[r], x) for r, x in _pairs(col) if r in row_of))
-                    for col in pushed.packed
-                ],
-            )
-            if inclusions[up] @ coords != pushed:
-                raise ValueError(
-                    f"e{i} pushes a kernel vector at degree {d} outside the kernel"
-                )
-            actions[(i, d)] = coords
-
-    kernel = GradedModule(algebra, dims, actions, coh_offset=source.coh_offset, check=False)
-    include = GradedModuleMap(kernel, source, 0, inclusions, check=False)
-    return kernel, include
-
-
-@dataclass(frozen=True)
-class MinimalGenerators:
-    """Degreewise generator counts and representative vectors."""
-
-    counts: Dict[int, int]
-    representatives: Dict[int, Tuple[VectorQ, ...]]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def minimal_generators(module: GradedModule, up_to: Optional[int] = None) -> MinimalGenerators:
-    """Counts dim(M_d / (ideal action)) per degree with explicit lifts.
-
-    The count in degree d is dim M_d minus the rank of the combined image
-    of every e_i: M_{d-2i} -> M_d; representatives are the standard basis
-    vectors of M_d completing that image to all of M_d (deterministic:
-    taken in increasing basis order from the canonical pivot columns of
-    one forward elimination).
-    """
-    algebra = module.algebra
-    if up_to is None:
-        up_to = algebra.degree_bound
-    algebra._check_degree(up_to)
-    counts: Dict[int, int] = {}
-    reps: Dict[int, Tuple[VectorQ, ...]] = {}
-    for d in module.degrees():
-        if d > up_to:
-            continue
-        n = module.dim(d)
-        # the rows of [e_i blocks | identity], stacked in one pass
-        rows: List[Dict[int, object]] = [dict() for _ in range(n)]
-        width = 0
-        for i in algebra.generator_indices():
-            low = d - 2 * i
-            if low < 0:
-                break
-            if module.dim(low):
-                block = module.action(i, low)
-                for c, col in enumerate(block.packed, width):
-                    for r, x in _pairs(col):
-                        rows[r][c] = x
-                width += block.cols
-        for r in range(n):
-            rows[r][width + r] = 1
-        # pivots past the image block pick out the standard basis vectors
-        # that extend the image to a full basis
-        pivots, _ = _forward(rows, width + n)
-        extra = [c - width for c in pivots if c >= width]
-        if extra:
-            counts[d] = len(extra)
-            reps[d] = tuple(VectorQ.unit(n, r) for r in extra)
-    return MinimalGenerators(counts=counts, representatives=reps)
 
 
 @dataclass(frozen=True)

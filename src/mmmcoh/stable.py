@@ -41,19 +41,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraElement, LinearCombination, Monomial, PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
-from .linalg import SparseMatrix, rank
-from .modules import (
-    FreeGradedModule,
-    GradedModule,
-    GradedModuleMap,
-    MinimalGenerators,
-    TorResult,
-    direct_sum,
-    free_module,
-    kernel_module,
-    minimal_generators,
-    trivial_module,
-)
+from .linalg import SparseMatrix, pivot_columns, rank
+from .modules import FreeGradedModule, GradedModuleMap, TorResult, free_module
 
 _ONE = Fraction(1)
 
@@ -201,11 +190,10 @@ class StableCohomology:
         self._ring: Optional[FreeGradedModule] = None
         self._contra: Optional[GradedModuleMap] = None
         self._co: Optional[GradedModuleMap] = None
-        self._kernel: Optional[Tuple[GradedModule, GradedModuleMap]] = None
-        self._tilde: Optional[GradedModule] = None
+        self._delta_ranks: Dict[int, int] = {}
         self._injectivity: Optional[Dict[int, Dict[str, int]]] = None
         self._surjectivity: Optional[Dict[int, Dict[str, int]]] = None
-        self._kernel_generators: Optional[MinimalGenerators] = None
+        self._generators: Optional[GeneratorsReport] = None
 
     @property
     def degree_bound(self) -> int:
@@ -268,27 +256,18 @@ class StableCohomology:
         self._co = GradedModuleMap(F, A, degree_shift=1, matrices=matrices)
         return self._co
 
-    def covariant_kernel(self) -> Tuple[GradedModule, GradedModuleMap]:
-        """The kernel module of the contraction against m_1 (odd part of
-        the Htilde cohomology), with its inclusion."""
-        if self._kernel is None:
-            self._kernel = kernel_module(self.delta_covariant())
-        return self._kernel
+    def _delta_rank(self, d: int) -> int:
+        """Rank of the contraction against m_1 at internal degree d, from
+        one elimination per degree and instance."""
+        r = self._delta_ranks.get(d)
+        if r is None:
+            r = self._delta_ranks[d] = rank(self.delta_covariant().matrix(d))
+        return r
 
-    def kernel_minimal_generators(self) -> MinimalGenerators:
-        """Minimal generators of the covariant kernel up to the full bound
-        (each degree is computed on its own, so a lower bound reads the
-        same counts from this one result)."""
-        if self._kernel_generators is None:
-            self._kernel_generators = minimal_generators(self.covariant_kernel()[0])
-        return self._kernel_generators
-
-    def tilde_module(self) -> GradedModule:
-        """theta line (degree 0) plus the covariant kernel: the full stable
-        Htilde cohomology as a graded A-module."""
-        if self._tilde is None:
-            self._tilde = direct_sum(trivial_module(self.algebra), self.covariant_kernel()[0])
-        return self._tilde
+    def kernel_dim(self, d: int) -> int:
+        """Dimension of the contraction kernel K (the odd part of the
+        Htilde cohomology) at internal degree d: cols - rank."""
+        return self.delta_covariant().matrix(d).cols - self._delta_rank(d)
 
     # -- verified tables ----------------------------------------------------
 
@@ -335,7 +314,7 @@ class StableCohomology:
         rows: Dict[int, Dict[str, int]] = {}
         for d in range(2, self.degree_bound + 1, 2):
             m = f.matrix(d)
-            r = rank(m)
+            r = self._delta_rank(d)
             rows[d] = {
                 "rank": r,
                 "dim_target": m.rows,
@@ -343,6 +322,8 @@ class StableCohomology:
                 "kernel": m.cols - r,
             }
             if r != m.rows:
+                # a failed run keeps nothing: a rerun eliminates afresh
+                del self._delta_ranks[d]
                 raise FalsificationError(
                     f"contraction against m1 misses degree {d}", rows
                 )
@@ -377,27 +358,16 @@ class StableCohomology:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to + (up_to % 2))
         self.verify_surjectivity()
-        kernel, _ = self.covariant_kernel()
         dims: Dict[int, int] = {0: 1}
-        for c in range(1, up_to + 1):
-            if c % 2 == 0:
-                continue
-            n = kernel.dim(c + 1)  # odd classes stored one degree up
+        for c in range(1, up_to + 1, 2):
+            n = self.kernel_dim(c + 1)  # odd classes stored one degree up
             if n:
                 dims[c] = n
+        # verify_generators certified the counts against the Lambda^2 table
         gens: Dict[int, Tuple[str, ...]] = {0: ("theta",)}
-        mins = self.kernel_minimal_generators()
-        for d, count in sorted(mins.counts.items()):
-            labels = tuple(
-                f"M({i},{j})"
-                for (i, j) in _lambda2_pairs(d)
-            )
-            if len(labels) != count:
-                raise FalsificationError(
-                    f"minimal generator count at degree {d} is {count}, "
-                    f"expected {len(labels)}"
-                )
-            gens[d - 1] = labels
+        for d in sorted(self.verify_generators().minimal_counts):
+            if d - 1 <= up_to:
+                gens[d - 1] = tuple(f"M({i},{j})" for (i, j) in _lambda2_pairs(d))
         return StableCohomologyTable("Htilde", dims, generator_report=gens)
 
     def stable_cohomology_ring(self, up_to: Optional[int] = None) -> StableCohomologyTable:
@@ -455,12 +425,25 @@ class StableCohomology:
     def verify_generators(self, up_to: Optional[int] = None) -> "GeneratorsReport":
         """The M(i, j) span the contraction kernel in every degree, satisfy
         the cyclic syzygies exactly, and minimally generate with Lambda^2
-        multiplicities."""
+        multiplicities.
+
+        One elimination per degree d gives both the span and the minimal
+        generators.  Its columns are every mono * M(i, j) with mono of
+        positive degree, then the M(i, j) of degree d.  The kernel K_e is
+        already certified to be the span for every e < d, so the first
+        block spans A_+ K_d; columns are cleared from the left, so its
+        pivots number dim (A_+ K)_d, and the pivots past it number the
+        minimal generators dim K_d - dim (A_+ K)_d (E. Miller and
+        B. Sturmfels, *Combinatorial Commutative Algebra*, GTM 227, 2005,
+        ch. 1).  The full-bound report is kept, so the Htilde table reads
+        the same one."""
         if up_to is None:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to)
+        full = up_to == self.degree_bound
+        if full and self._generators is not None:
+            return self._generators
         delta = self.delta_covariant()
-        kernel = self.covariant_kernel()[0]
         F = self.twisted_module()
         # each M(i, j), read once, as (l, k, c) per term c * e_k m_l
         terms: Dict[Tuple[int, int], List[Tuple[int, int, object]]] = {}
@@ -471,12 +454,15 @@ class StableCohomology:
                     raise ValueError(f"M({i},{j}) has a term {c}*{m}*m{l}, not c*e_k*m_l")
                 terms[i, j].append((l, i + j - l, c.numerator if c.denominator == 1 else c))
         per_degree: List[Dict[str, int]] = []
+        counts: Dict[int, int] = {}
         for d in range(2, up_to + 1, 2):
             mat = delta.matrix(d)
-            kernel_dim = kernel.dim(d)
+            kernel_dim = self.kernel_dim(d)
             blocks = F.generator_blocks(d)[0]
+            # the M(i, j) of degree d last, each pair order kept
+            pairs = sorted(_pairs_up_to(d), key=lambda p: 2 * (p[0] + p[1]) == d)
             columns: List[Tuple] = []
-            for (i, j) in _pairs_up_to(d):
+            for (i, j) in pairs:
                 # column mono * M(i, j): per term, c at the row of mono * e_k
                 # in the m_l block (an M(i, j) = 0 keeps its empty columns)
                 deg = d - 2 * (i + j)
@@ -492,11 +478,15 @@ class StableCohomology:
             if not image.is_zero():
                 # the M(i, j) owning the first column that leaves the kernel
                 first = next(c for c, col in enumerate(image.packed) if col)
-                pairs = _pairs_up_to(d)
                 ends = accumulate(self.algebra.hilbert_function(d - 2 * (i + j)) for i, j in pairs)
                 i, j = next(pair for pair, end in zip(pairs, ends) if first < end)
                 raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
-            span_rank = rank(span)
+            pivots = pivot_columns(span)
+            span_rank = len(pivots)
+            split = len(columns) - len(_lambda2_pairs(d))
+            minimal = sum(1 for c in pivots if c >= split)
+            if minimal:
+                counts[d] = minimal
             per_degree.append(
                 {
                     "degree": d,
@@ -522,9 +512,6 @@ class StableCohomology:
                 raise FalsificationError(f"syzygy fails at ({i},{j},{k})")
             syzygies += 1
 
-        counts = {
-            d: n for d, n in self.kernel_minimal_generators().counts.items() if d <= up_to
-        }
         expected = {
             d: len(_lambda2_pairs(d))
             for d in range(2, up_to + 1, 2)
@@ -534,11 +521,14 @@ class StableCohomology:
             raise FalsificationError(
                 f"minimal generators {counts} != Lambda^2 table {expected}"
             )
-        return GeneratorsReport(
+        report = GeneratorsReport(
             per_degree=tuple(per_degree),
             syzygies_checked=syzygies,
             minimal_counts=counts,
         )
+        if full:
+            self._generators = report
+        return report
 
     def verify_tor(self, j_max: int = 4, up_to: Optional[int] = None) -> "TorReport":
         """Tor_j(Q, Htilde module) has dimension Lambda^j + Lambda^{j+2} in
@@ -570,9 +560,9 @@ class StableCohomology:
           needed: by equivariance every other column of delta at degree 2l
           is e_k times a column of lower degree, so it lands in A_+^2, and
           surjectivity onto e_l then needs the column of m_l.
-        * F and A are free and Q is trivial by construction
-          (`FreeGradedModule`, `trivial_module`), so Koszul(Q) has zero
-          differential and the theta line contributes Lambda^j.
+        * F and A are free by construction (`FreeGradedModule`), and every
+          e_i acts by zero on the theta line Q, so Koszul(Q) is Lambda^* E
+          with zero differential and the theta line contributes Lambda^j.
 
         A broken premise raises naming it; counts that differ from
         Lambda^j + Lambda^{j+2} raise a FalsificationError listing them.
@@ -619,11 +609,10 @@ class StableCohomology:
         if up_to is None:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to)
-        kernel, _ = self.covariant_kernel()
         F = self.twisted_module()
         rows = []
         for d in range(0, up_to + 1, 2):
-            k = kernel.dim(d)
+            k = self.kernel_dim(d)
             f = F.dim(d)
             a = self.algebra.hilbert_function(d)
             q = 1 if d == 0 else 0
@@ -656,13 +645,12 @@ class StableCohomology:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to)
         delta = self.delta_covariant()
-        kernel = self.covariant_kernel()[0]
         rows = []
         for d in range(2, up_to + 1, 2):
             m_delta = delta.matrix(d)
             m_p = self.forms.interior_product(1, d)
             same = m_delta == -m_p
-            k_delta = kernel.dim(d)
+            k_delta = self.kernel_dim(d)
             try:
                 rank_p = self.forms.verify_exactness(d).spots[0].rank_in
             except ValueError:

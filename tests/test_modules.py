@@ -1,5 +1,5 @@
-"""Graded modules: free modules, kernels, minimal generators, and the Koszul
-rank oracle for Tor."""
+"""Graded modules: free modules and maps, the kernel-module oracle (kernels,
+minimal generators, direct sums), and the Koszul rank oracle for Tor."""
 
 from fractions import Fraction
 
@@ -8,17 +8,9 @@ import pytest
 from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_dim
 from mmmcoh.forms import DifferentialForms
 from mmmcoh.linalg import SparseMatrix, VectorQ, kernel_basis, rank
-from mmmcoh.modules import (
-    FreeGradedModule,
-    GradedModule,
-    GradedModuleMap,
-    direct_sum,
-    free_module,
-    kernel_module,
-    minimal_generators,
-    trivial_module,
-)
+from mmmcoh.modules import FreeGradedModule, GradedModule, GradedModuleMap, free_module
 from koszul_oracle import koszul_differential, koszul_dim, tor_dimension, tor_table
+from module_oracle import direct_sum, kernel_module, minimal_generators, trivial_module
 
 BOUND = 24
 

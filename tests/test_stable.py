@@ -14,11 +14,18 @@ from mmmcoh.stable import (
     contraction_pairing,
     kernel_generator,
 )
+from module_oracle import direct_sum, kernel_module, minimal_generators, trivial_module
 
 
 @pytest.fixture(scope="module")
 def sc():
     return StableCohomology(24)
+
+
+def oracle_tilde_module(sc):
+    """theta line (degree 0) plus the kernel module of the contraction:
+    the full stable Htilde cohomology as a graded A-module."""
+    return direct_sum(trivial_module(sc.algebra), kernel_module(sc.delta_covariant())[0])
 
 
 def twisted_as_vector(sc, x: TwistedElement, d: int) -> VectorQ:
@@ -150,11 +157,12 @@ def test_covariant_map_is_surjective_in_positive_degree(sc):
 
 
 def test_covariant_kernel_dims_frozen(sc):
-    kernel, _ = sc.covariant_kernel()
+    kernel, _ = kernel_module(sc.delta_covariant())
     expected = {2: 0, 4: 0, 6: 1, 8: 2, 10: 5, 12: 8, 14: 15, 16: 23,
                 18: 37, 20: 55, 22: 83, 24: 118}
     for d, k in expected.items():
         assert kernel.dim(d) == k, d
+        assert sc.kernel_dim(d) == k, d
 
 
 def test_kernel_elements_die_under_covariant_map(sc):
@@ -196,10 +204,11 @@ def test_tilde_dual_table_frozen(sc):
 def test_degree_9_kernel_slice(sc):
     # cohomological degree 9 = internal degree 10: twelve-dimensional twisted
     # slice, seven-dimensional image, five-dimensional kernel
-    kernel, _ = sc.covariant_kernel()
+    kernel, _ = kernel_module(sc.delta_covariant())
     assert sc.twisted_module().dim(10) == 12
     assert sc.algebra.hilbert_function(10) == 7
     assert kernel.dim(10) == 5
+    assert sc.kernel_dim(10) == 5
     t = sc.stable_cohomology_tilde(9)
     assert t.dim(9) == 5
 
@@ -282,7 +291,7 @@ def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch
     ctx = StableCohomology(24)
     for d in range(1, 25):
         ctx.forms.verify_exactness(d)
-    ctx.covariant_kernel()
+    ctx.verify_surjectivity()  # the kernel dimensions, from the ranks of delta
     calls = []
 
     def counted(m):
@@ -317,9 +326,8 @@ def test_kernel_only_tor_is_shifted_wedge(sc):
     # wedge column shifted by two
     from koszul_oracle import tor_dimension
     from mmmcoh.algebra import exterior_dim
-    from mmmcoh.modules import minimal_generators
 
-    kernel, _ = sc.covariant_kernel()
+    kernel, _ = kernel_module(sc.delta_covariant())
     for j in (0, 1, 2):
         for d in range(0, 17, 2):
             assert tor_dimension(kernel, j, d) == exterior_dim(j + 2, d), (j, d)
@@ -334,7 +342,7 @@ def test_euler_characteristic_for_nonfree_module(sc):
     # homology, including for the non-free tilde module
     from koszul_oracle import koszul_dim, tor_dimension
 
-    module = sc.tilde_module()
+    module = oracle_tilde_module(sc)
     for d in (6, 10, 14):
         j_top = d // 2 + 1
         chain_sum = sum((-1) ** j * koszul_dim(module, j, d) for j in range(j_top + 1))
@@ -423,27 +431,61 @@ def test_a_failed_surjectivity_run_is_not_kept(monkeypatch):
 
 
 def test_kernel_minimal_generators_computed_once_per_run(monkeypatch):
-    # covariant-surjectivity and kernel-generators share one full-bound result
+    # covariant-surjectivity and kernel-generators share one full-bound
+    # report: one span elimination per degree in the whole run
     import mmmcoh.stable as stable
     from mmmcoh.verify import run_verification
 
-    real = stable.minimal_generators
+    real = stable.pivot_columns
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(m):
+        calls.append(m.rows)
+        return real(m)
 
-    monkeypatch.setattr(stable, "minimal_generators", counting)
+    monkeypatch.setattr(stable, "pivot_columns", counting)
     assert run_verification(12).passed
-    assert len(calls) == 1
+    twisted = StableCohomology(12).twisted_module()
+    assert calls == [twisted.dim(d) for d in range(2, 13, 2)]
 
-    # a lower bound reads its degrees off the full-bound result
+    # a lower bound eliminates its own degrees
     ctx = StableCohomology(12)
-    kernel, _ = ctx.covariant_kernel()
     report = ctx.verify_generators(up_to=8)
     assert report.minimal_counts == {6: 1, 8: 1}
-    assert report.minimal_counts == real(kernel, 8).counts
+    kernel, _ = kernel_module(ctx.delta_covariant())
+    assert report.minimal_counts == minimal_generators(kernel, 8).counts
+
+
+def test_kernel_route_matches_the_kernel_module_oracle():
+    # dimensions from the ranks of delta and minimal counts from the pivot
+    # split, against the kernel module and the elimination of its action
+    ctx = StableCohomology(32)
+    kernel, _ = kernel_module(ctx.delta_covariant())
+    for d in range(0, 33, 2):
+        assert ctx.kernel_dim(d) == kernel.dim(d), d
+    assert ctx.verify_generators().minimal_counts == minimal_generators(kernel).counts
+
+
+def test_dimension_checks_do_not_need_surjectivity(monkeypatch):
+    # the kernel dimensions come from the ranks of delta, not from the
+    # surjectivity check, so its failure fails only the checks that need it
+    from mmmcoh.verify import run_verification
+
+    def misses(self):
+        raise FalsificationError("contraction against m1 misses degree 6")
+
+    monkeypatch.setattr(StableCohomology, "verify_surjectivity", misses)
+    by_id = {c.check_id: c for c in run_verification(12).checks}
+    assert by_id["covariant-surjectivity"].status == "fail"
+    for check_id in ("kernel-generators", "kernel-cross-check", "sequence-audit"):
+        assert by_id[check_id].status == "pass", check_id
+
+
+def test_generator_reports_stop_at_up_to(sc):
+    for up_to in (0, 5, 7, 8, 13):
+        for table in (sc.stable_cohomology_tilde(up_to), sc.stable_cohomology_tilde_dual(up_to)):
+            assert all(0 <= c <= up_to for c in table.generator_report), (table, up_to)
+    assert set(sc.stable_cohomology_tilde(7).generator_report) == {0, 5, 7}
 
 
 # -- the object-based map builders, kept as test-only oracles -------------------------
@@ -508,7 +550,7 @@ def test_verify_tor_matches_the_koszul_rank_oracle():
 
     ctx = StableCohomology(32)
     report = ctx.verify_tor(j_max=4)
-    module = ctx.tilde_module()
+    module = oracle_tilde_module(ctx)
     assert [t.j for t in report.results] == [0, 1, 2, 3, 4]
     for table in report.results:
         for d in range(0, 33):
