@@ -3,8 +3,8 @@
 Everything downstream — Hilbert functions, kernels of contraction maps,
 minimal generators — reduces to ranks, kernels and solves of sparse
 matrices with ``fractions.Fraction`` entries.  This module is the single
-place where elimination happens, and it never touches floating point: a
-rank computed here is the rank, not an estimate.
+place where ranks and eliminations happen, and it never touches floating
+point: a rank computed here is the rank, not an estimate.
 
 Representation: a matrix is stored by column, in the compressed sparse
 column layout (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
@@ -20,6 +20,15 @@ construction, so matrices may share columns.  The builders in ``forms``,
 checks (row range, each row at most once per column, value type, zeros
 dropped) in C-level passes over all entries at once.
 
+Graphic matrices: the contraction, the cup product and the
+kernel-generator span have columns that are zero, ``x e_u`` or
+``x (e_u - e_v)``.  Such a matrix is the incidence matrix of a graph on its
+rows (a single entry is an edge to one extra ground vertex), its column
+matroid is graphic over any field (J. Oxley, *Matroid Theory*, 2nd ed.,
+2011, section 5.1), and ``pivot_columns`` reads its pivots off a spanning
+forest by union-find, with no elimination.  Every other matrix is
+eliminated.
+
 Reduction strategy: rows are eliminated column-by-column from the left so
 that the reduced row echelon form (and hence every kernel basis) is the
 canonical one; within a column the pivot row is chosen by sparsity to limit
@@ -34,9 +43,12 @@ elimination first transposes the columns into one dict per row, once.
 Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
 ``(k, x)`` of a column, ``x`` times column k of ``A`` into one
 accumulator, so neither operand is re-indexed.  A column of ``B`` with a
-single entry 1 shares column k of ``A`` as it is.  ``apply`` does the same
-for one vector; many vectors go through one ``@`` product with the matrix
-of their columns.
+single entry 1 shares column k of ``A`` as it is, and a single entry x
+against a column of ``A`` with one entry ``(r, a)`` gives ``(r, a * x)``
+by index, with no accumulator: a product of a free-module action with the
+contraction or the cup product is a composition of maps on basis indices.
+``apply`` does the same as ``@`` for one vector; many vectors go through
+one ``@`` product with the matrix of their columns.
 
 Arithmetic: a stored value is a Python ``int`` while it is integral and a
 ``Fraction`` otherwise, so ``@``, ``+``, elimination and ``solve_many``
@@ -391,10 +403,16 @@ class SparseMatrix:
         for col in other.packed:
             n = len(col)
             if n == 2:
-                # one entry: a multiple of one column of the left operand,
-                # shared as it is when the multiple is 1
+                # one entry x at k: column k of the left operand, shared as
+                # it is when x is 1, composed by index when it has one entry
                 k, x = col
-                out.append(left[k] if x == 1 else _scaled(left[k], x))
+                picked = left[k]
+                if x == 1:
+                    out.append(picked)
+                elif len(picked) == 2:
+                    out.append((picked[0], picked[1] * x))
+                else:
+                    out.append(_scaled(picked, x))
                 continue
             if not n:
                 out.append(col)
@@ -577,17 +595,63 @@ def rref(m: SparseMatrix, pivot_limit: Optional[int] = None):
     return pivots, [{c: _as_q(x) for c, x in row.items()} for row in echelon]
 
 
+def _forest_pivots(packed: Tuple[Tuple, ...], ground: int) -> Optional[List[int]]:
+    """The pivot columns of a graphic matrix, or None if it is not one.
+
+    A column ``x e_u`` is an edge from row u to an extra ground vertex, a
+    column ``x (e_u - e_v)`` an edge from u to v, and a zero column a loop.
+    Scaling a column or adding the ground row (minus the sum of the others)
+    changes no linear dependency, so the columns are independent exactly
+    when their edges form a forest, over any field.  Union-find takes the
+    edges in column order and keeps one iff it joins two components: the
+    leftmost independent set, which is the pivot set of `_forward`.
+    """
+    parent = list(range(ground + 1))
+    pivots: List[int] = []
+    for c, col in enumerate(packed):
+        n = len(col)
+        if n == 2:
+            u, v = col[0], ground
+        elif n == 4 and col[3] == -col[1]:
+            u, v = col[0], col[2]
+        elif n:
+            return None
+        else:
+            continue
+        # the two roots, halving each path on the way
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            pivots.append(c)
+    return pivots
+
+
 def pivot_columns(m: SparseMatrix) -> List[int]:
     """The pivot columns of the canonical echelon form, increasing.
 
     Columns are cleared from the left, so the pivots among the first k
-    columns number the rank of those k columns.
+    columns number the rank of those k columns.  A matrix whose every
+    column is zero, ``x e_u`` or ``x (e_u - e_v)`` (the contraction, the
+    cup product, the kernel-generator span) is the incidence matrix of a
+    graph on its rows, and its pivots come from a spanning forest with no
+    elimination (`_forest_pivots`); any other matrix goes through
+    `_forward`.  In the triangle on rows 0, 1, 2 the third edge closes a
+    cycle:
+
+    >>> pivot_columns(SparseMatrix.of_columns(3, 3, [(0, 1, 1, -1), (1, 1, 2, -1), (0, 1, 2, -1)]))
+    [0, 1]
     """
-    return _forward(_row_dicts(m), m.cols)[0]
+    pivots = _forest_pivots(m.packed, m.rows)
+    if pivots is None:
+        pivots = _forward(_row_dicts(m), m.cols)[0]
+    return pivots
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank over Q, by exact Gaussian elimination."""
+    """Rank over Q, exact: the number of pivot columns (`pivot_columns`)."""
     return len(pivot_columns(m))
 
 

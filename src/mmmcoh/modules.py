@@ -5,10 +5,15 @@ dimension for each internal degree and, for each generator e_i, the exact
 matrix of multiplication M_d -> M_{d+2i}.  The free modules and the
 equivariant maps between them are all the structure the verifications
 build: `stable.StableCohomology` reads the contraction kernel's dimensions
-and minimal generator counts off eliminations of those maps' matrices,
-with no module structure on the kernel.  The dimensions of Tor_j(Q, M) are
-held in ``TorResult``; `stable.StableCohomology.verify_tor` derives them by
-dimension shifting, with no Koszul complex of M.
+and minimal generator counts off the pivots of those maps' matrices and of
+the kernel-generator span, with no module structure on the kernel.  Those
+matrices hold one entry +-1 per column (a free action, the contraction, the
+cup product) or two, +1 and -1 (the span), so `check_equivariance`
+multiplies by composing column indices (`linalg.SparseMatrix.__matmul__`)
+and their ranks are spanning-forest counts (`linalg.pivot_columns`).  The
+dimensions of Tor_j(Q, M) are held in ``TorResult``;
+`stable.StableCohomology.verify_tor` derives them by dimension shifting,
+with no Koszul complex of M.
 
 Cohomological degrees may sit at a fixed offset from internal ones (the
 twisted-class module stores its generators one above their cohomological

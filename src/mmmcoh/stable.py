@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
@@ -258,7 +258,8 @@ class StableCohomology:
 
     def _delta_rank(self, d: int) -> int:
         """Rank of the contraction against m_1 at internal degree d, from
-        one elimination per degree and instance."""
+        one pivot search per degree and instance (each column is -e_k, so a
+        spanning forest: `linalg.pivot_columns`)."""
         r = self._delta_ranks.get(d)
         if r is None:
             r = self._delta_ranks[d] = rank(self.delta_covariant().matrix(d))
@@ -322,7 +323,7 @@ class StableCohomology:
                 "kernel": m.cols - r,
             }
             if r != m.rows:
-                # a failed run keeps nothing: a rerun eliminates afresh
+                # a failed run keeps nothing: a rerun ranks afresh
                 del self._delta_ranks[d]
                 raise FalsificationError(
                     f"contraction against m1 misses degree {d}", rows
@@ -427,16 +428,24 @@ class StableCohomology:
         the cyclic syzygies exactly, and minimally generate with Lambda^2
         multiplicities.
 
-        One elimination per degree d gives both the span and the minimal
+        One pivot search per degree d gives both the span and the minimal
         generators.  Its columns are every mono * M(i, j) with mono of
         positive degree, then the M(i, j) of degree d.  The kernel K_e is
         already certified to be the span for every e < d, so the first
-        block spans A_+ K_d; columns are cleared from the left, so its
-        pivots number dim (A_+ K)_d, and the pivots past it number the
-        minimal generators dim K_d - dim (A_+ K)_d (E. Miller and
-        B. Sturmfels, *Combinatorial Commutative Algebra*, GTM 227, 2005,
-        ch. 1).  The full-bound report is kept, so the Htilde table reads
-        the same one."""
+        block spans A_+ K_d; pivots are taken from the left, so its pivots
+        number dim (A_+ K)_d, and the pivots past it number the minimal
+        generators dim K_d - dim (A_+ K)_d (E. Miller and B. Sturmfels,
+        *Combinatorial Commutative Algebra*, GTM 227, 2005, ch. 1).  Every
+        column is zero or +-(e_u - e_v), so the pivots come from a spanning
+        forest (`linalg.pivot_columns`), with no elimination.
+
+        Kernel membership is checked at the generators: only the M(i, j) of
+        degree d go through delta at d.  The premise is that delta is
+        A-linear, certified by `GradedModuleMap.check_equivariance` when
+        `delta_covariant` builds it; then delta(mono * M(i, j)) =
+        mono * delta(M(i, j)) = 0 for each column of the first block, whose
+        M(i, j) passed at its own degree.  The full-bound report is kept,
+        so the Htilde table reads the same one."""
         if up_to is None:
             up_to = self.degree_bound
         self.algebra._check_degree(up_to)
@@ -473,17 +482,15 @@ class StableCohomology:
                 ]
                 size = self.algebra.hilbert_function(deg)
                 columns += [tuple(chain.from_iterable(s)) for _, *s in zip(range(size), *slots)]
-            span = SparseMatrix.of_columns(mat.cols, len(columns), columns)
-            image = mat @ span
-            if not image.is_zero():
-                # the M(i, j) owning the first column that leaves the kernel
-                first = next(c for c, col in enumerate(image.packed) if col)
-                ends = accumulate(self.algebra.hilbert_function(d - 2 * (i + j)) for i, j in pairs)
-                i, j = next(pair for pair, end in zip(pairs, ends) if first < end)
-                raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
-            pivots = pivot_columns(span)
+            # the M(i, j) of degree d, one column each, are the new vectors
+            top = _lambda2_pairs(d)
+            split = len(columns) - len(top)
+            image = mat @ SparseMatrix.of_columns(mat.cols, len(top), columns[split:])
+            for (i, j), col in zip(top, image.packed):
+                if col:
+                    raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
+            pivots = pivot_columns(SparseMatrix.of_columns(mat.cols, len(columns), columns))
             span_rank = len(pivots)
-            split = len(columns) - len(_lambda2_pairs(d))
             minimal = sum(1 for c in pivots if c >= split)
             if minimal:
                 counts[d] = minimal

@@ -531,12 +531,19 @@ def test_each_degree_builds_each_operator_once(monkeypatch):
 
 def test_verifying_every_degree_peaks_near_one_degree():
     # with no operator kept across degrees, the traced peak of degrees
-    # 1..32 stays close to that of degree 32 alone: 1.38 times it, against
-    # 2.15 times when every d_n and p_n was cached
+    # 1..32 stays close to that of degree 32 alone: 1.26 times it, against
+    # 1.9 times when every d_n and p_n is kept
+    import gc
     import tracemalloc
 
     def traced_peak(degrees):
         forms = DifferentialForms(PolynomialAlgebra(32))
+        # a full collection empties the interpreter's free lists, and a block
+        # reused from a free list is never traced: start both windows from
+        # empty lists, or a collection falling inside one window only (its
+        # timing depends on how many objects the test session holds) makes
+        # every later allocation there visible and the other's not
+        gc.collect()
         tracemalloc.start()
         try:
             for d in degrees:

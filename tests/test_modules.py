@@ -391,3 +391,51 @@ def test_tor_table_on_a_direct_sum(algebra, rank_one, monkeypatch):
                 r_out = rank(real(s, j, d)) if j else 0
                 c -= r_out + rank(real(s, j + 1, d))
             assert table.dim(d) == c, (j, d)
+
+
+def _first_noncommuting_square(f):
+    """The first (i, d) in the order of `check_equivariance` where the
+    square fails to commute, multiplied as dense Fraction lists."""
+
+    def product(a, b):
+        x, y = a.to_lists(), b.to_lists()
+        return [
+            [sum((x[r][k] * y[k][c] for k in range(a.cols)), Fraction(0)) for c in range(b.cols)]
+            for r in range(a.rows)
+        ]
+
+    s = f.internal_shift
+    bound = f.source.algebra.degree_bound
+    for d in f.source.degrees():
+        for i in f.source.algebra.generator_indices():
+            if d + 2 * i > bound or d + s + 2 * i > bound:
+                break
+            left = product(f.target.action(i, d + s), f.matrix(d))
+            right = product(f.matrix(d + 2 * i), f.source.action(i, d))
+            if left != right:
+                return i, d
+    return None
+
+
+@pytest.mark.parametrize(
+    "degree, column, how",
+    [(2, 0, "scale"), (6, 0, "move"), (8, 3, "scale"), (10, 5, "move")],
+)
+def test_broken_contraction_column_fails_equivariance(degree, column, how):
+    # every product of the check composes one-entry columns by index; a
+    # contraction column scaled by 2 or moved to the next row must still
+    # fail at the first square a dense product finds, with the same message
+    from mmmcoh.stable import StableCohomology
+
+    good = StableCohomology(12).delta_covariant()
+    m = good.matrix(degree)
+    cols = list(m.packed)
+    r, x = cols[column]
+    cols[column] = (r, 2 * x) if how == "scale" else ((r + 1) % m.rows, x)
+    matrices = {**good.matrices, degree: SparseMatrix.of_columns(m.rows, m.cols, cols)}
+    unchecked = GradedModuleMap(good.source, good.target, good.degree_shift, matrices, check=False)
+    first = _first_noncommuting_square(unchecked)
+    assert first is not None
+    i, d = first
+    with pytest.raises(ValueError, match=rf"^map fails to commute with e{i} at degree {d}$"):
+        unchecked.check_equivariance()

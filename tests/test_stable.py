@@ -371,6 +371,41 @@ def test_generator_outside_the_kernel_is_named(monkeypatch):
         StableCohomology(10).verify_generators()
 
 
+def test_kernel_membership_is_checked_at_the_generators(monkeypatch):
+    # delta is A-linear (checked when it is built), so verify_generators
+    # sends only the M(i, j) of degree d through delta at d: at each d, one
+    # product whose columns are exactly those M(i, j), pair order kept
+    from mmmcoh import linalg
+
+    ctx = StableCohomology(14)
+    delta = ctx.delta_covariant()
+    F = ctx.twisted_module()
+    seen = {}
+    real = linalg.SparseMatrix.__matmul__
+
+    def recording(a, b):
+        for d in range(2, 15, 2):
+            if a is delta.matrix(d):
+                seen.setdefault(d, []).append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(linalg.SparseMatrix, "__matmul__", recording)
+    ctx.verify_generators()
+    assert sorted(seen) == list(range(2, 15, 2))
+    for d, products in seen.items():
+        (b,) = products
+        index = F.basis_index(d)
+        # M(i, j) = e_i m_j - e_j m_i; m_l sits at generator position l - 1
+        expected = [
+            {index[(j - 1, Monomial.generator(i))]: 1, index[(i - 1, Monomial.generator(j))]: -1}
+            for i in range(1, d // 4 + 1)
+            for j in [d // 2 - i]
+            if i < j
+        ]
+        assert (b.rows, b.cols) == (F.dim(d), len(expected)), d
+        assert [dict(zip(col[0::2], col[1::2])) for col in b.packed] == expected, d
+
+
 @pytest.mark.parametrize(
     "term",
     [Monomial.from_exponents({1: 2}), Monomial.from_exponents({1: 1, 2: 1}), Monomial.one()],

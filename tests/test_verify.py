@@ -198,3 +198,53 @@ def test_registry_looks_methods_up_on_the_instance(monkeypatch, check_id, method
     (check,) = run_verification(8, check_ids=[check_id]).checks
     assert check.status == "fail"
     assert check.failure == f"patched {method}"
+
+
+def test_surjectivity_check_builds_no_generator_report():
+    # covariant-surjectivity reads the even part of Htilde off its own rows,
+    # so the span elimination is timed under kernel-generators
+    from mmmcoh.stable import StableCohomology
+    from mmmcoh.verify import _check_surjectivity
+
+    ctx = StableCohomology(12)
+    rows = _check_surjectivity(ctx)
+    assert [r["degree"] for r in rows] == list(range(2, 13, 2))
+    assert ctx._generators is None
+
+
+def test_even_part_failure_keeps_its_message(monkeypatch):
+    from mmmcoh.stable import FalsificationError, StableCohomology
+    from mmmcoh.verify import _check_surjectivity
+
+    def with_cokernel(self):
+        return {2: {"rank": 1, "dim_target": 1, "surjective": 1, "kernel": 0},
+                4: {"rank": 1, "dim_target": 2, "surjective": 0, "kernel": 1}}
+
+    monkeypatch.setattr(StableCohomology, "verify_surjectivity", with_cokernel)
+    message = r"^even part should be one theta line, got \{0: 1, 4: 1\}$"
+    with pytest.raises(FalsificationError, match=message):
+        _check_surjectivity(StableCohomology(4))
+
+
+def test_verify_all_eliminates_only_the_group_cohomology(monkeypatch):
+    # every matrix the StableCohomology checks rank is graphic, so their
+    # pivots come from spanning forests; Gaussian elimination is left to the
+    # torus-h1 certificate, whose matrices are not
+    from mmmcoh import linalg
+    from mmmcoh.groupcoh import h1_certificate, load_bundled_b3
+
+    real = linalg._forward
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_forward", counting)
+    assert run_verification(24, check_ids=[c for c in CHECK_IDS if c != "torus-h1"]).passed
+    assert calls == []
+    assert run_verification(24).passed
+    in_run = list(calls)
+    calls.clear()
+    h1_certificate(*load_bundled_b3())
+    assert in_run == calls != []
