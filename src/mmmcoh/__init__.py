@@ -45,7 +45,6 @@ from .linalg import (
 )
 from .modules import (
     FreeGradedModule,
-    GradedModule,
     GradedModuleMap,
     TorResult,
     free_module,
@@ -74,7 +73,6 @@ __all__ = [
     "FormElement",
     "FreeGradedModule",
     "GeneratorsReport",
-    "GradedModule",
     "GradedModuleMap",
     "GroupPresentation",
     "H1Certificate",

@@ -425,20 +425,24 @@ def exterior_basis(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
     if d % 2:
         return ()
     out: List[Tuple[int, ...]] = []
-
-    def rec(prefix: Tuple[int, ...], start: int, remaining: int, slots: int):
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        # smallest possible completion: start, start+1, ..., start+slots-1
-        i = start
-        while i * slots + slots * (slots - 1) // 2 <= remaining:
-            rec(prefix + (i,), i + 1, remaining - i, slots - 1)
-            i += 1
-
-    rec((), 1, d // 2, n)
+    _extend_wedges(out, (), 1, d // 2, n)
     return tuple(out)
+
+
+def _extend_wedges(
+    out: List[Tuple[int, ...]], prefix: Tuple[int, ...], start: int, remaining: int, slots: int
+) -> None:
+    # a module-level function, not a closure: a recursive closure refers to
+    # itself through its cell, and each call would leave a reference cycle
+    if slots == 0:
+        if remaining == 0:
+            out.append(prefix)
+        return
+    # smallest possible completion: start, start+1, ..., start+slots-1
+    i = start
+    while i * slots + slots * (slots - 1) // 2 <= remaining:
+        _extend_wedges(out, prefix + (i,), i + 1, remaining - i, slots - 1)
+        i += 1
 
 
 def exterior_dim(n: int, d: int) -> int:

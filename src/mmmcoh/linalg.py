@@ -14,8 +14,8 @@ empty column is ``()``.  This takes about half the memory of a dict keyed
 by ``(row, col)``.  Within a column the entries keep the order they were
 given in; ``==`` and ``hash`` ignore that order.  A vector keeps a dict
 ``index -> Fraction``.  Both types are treated as immutable after
-construction, so matrices may share columns.  The builders in ``forms``,
-``modules`` and ``stable`` emit packed columns through
+construction, so matrices may share columns.  The builders in ``forms``
+and ``stable`` emit packed columns through
 ``SparseMatrix.of_columns``; it and the dict constructor run the same
 checks (row range, each row at most once per column, value type, zeros
 dropped) in C-level passes over all entries at once.
@@ -43,12 +43,14 @@ elimination first transposes the columns into one dict per row, once.
 Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
 ``(k, x)`` of a column, ``x`` times column k of ``A`` into one
 accumulator, so neither operand is re-indexed.  A column of ``B`` with a
-single entry 1 shares column k of ``A`` as it is, and a single entry x
-against a column of ``A`` with one entry ``(r, a)`` gives ``(r, a * x)``
-by index, with no accumulator: a product of a free-module action with the
-contraction or the cup product is a composition of maps on basis indices.
-``apply`` does the same as ``@`` for one vector; many vectors go through
-one ``@`` product with the matrix of their columns.
+single entry 1 shares column k of ``A`` as it is.  ``apply`` does the same
+as ``@`` for one vector; many vectors go through one ``@`` product with the
+matrix of their columns.  A product with the 0/1 matrix of a map on basis
+indices (a free module's e_i action) is no product at all: on the left it
+moves the rows through the map (``relabel_rows``, sound when the map is
+injective, which it checks), on the right it picks columns
+(``gather_columns``).  That is how equivariance is certified, with no
+action matrix.
 
 Arithmetic: a stored value is a Python ``int`` while it is integral and a
 ``Fraction`` otherwise, so ``@``, ``+``, elimination and ``solve_many``
@@ -279,9 +281,42 @@ def offset_columns(m: "SparseMatrix", row_off: int, factor=1) -> List[Tuple]:
         flat[0::2] = map(add, flat[0::2], repeat(row_off))
     if factor != 1:
         flat[1::2] = map(mul, flat[1::2], repeat(factor))
+    return _cut(flat, packed)
+
+
+def _cut(flat: List, packed: Tuple[Tuple, ...]) -> List[Tuple]:
+    # a flat copy of ``packed``, edited in place, cut back into its columns
     flat = tuple(flat)
     ends = list(accumulate(map(len, packed)))
     return list(map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+
+
+def relabel_rows(m: "SparseMatrix", table: Sequence[int], rows: int) -> "SparseMatrix":
+    """``m`` with row r moved to row ``table[r]``, as a ``rows``-row matrix:
+    the product P @ m, P the 0/1 matrix whose column r holds its one entry
+    at ``table[r]`` (a value in ``range(rows)``).  That needs no addition
+    only if no two rows meet, so ``table`` is checked to be injective; all
+    entries are moved in one pass over a flat copy.
+
+    >>> m = SparseMatrix.from_rows([[1, 0], [0, 2]])
+    >>> relabel_rows(m, (2, 0), 3).to_lists() == [[0, 2], [0, 0], [1, 0]]
+    True
+    """
+    if len(table) != m.rows:
+        raise ValueError(f"a table of {len(table)} rows for a matrix of {m.rows}")
+    if len(set(table)) != len(table):
+        raise ValueError("the row table is not injective")
+    packed = m.packed
+    flat = list(chain.from_iterable(packed))
+    flat[0::2] = map(table.__getitem__, flat[0::2])
+    return _matrix(rows, m.cols, tuple(_cut(flat, packed)))
+
+
+def gather_columns(m: "SparseMatrix", indices: Sequence[int]) -> "SparseMatrix":
+    """The matrix whose column c is column ``indices[c]`` of ``m``: the
+    product m @ P, P the 0/1 matrix whose column c holds its one entry at
+    ``indices[c]``, with every column shared."""
+    return _matrix(m.rows, len(indices), tuple(map(m.packed.__getitem__, indices)))
 
 
 class SparseMatrix:
@@ -403,16 +438,10 @@ class SparseMatrix:
         for col in other.packed:
             n = len(col)
             if n == 2:
-                # one entry x at k: column k of the left operand, shared as
-                # it is when x is 1, composed by index when it has one entry
+                # one entry: a multiple of one column of the left operand,
+                # shared as it is when the multiple is 1
                 k, x = col
-                picked = left[k]
-                if x == 1:
-                    out.append(picked)
-                elif len(picked) == 2:
-                    out.append((picked[0], picked[1] * x))
-                else:
-                    out.append(_scaled(picked, x))
+                out.append(left[k] if x == 1 else _scaled(left[k], x))
                 continue
             if not n:
                 out.append(col)

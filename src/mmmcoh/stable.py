@@ -331,64 +331,50 @@ class StableCohomology:
         self._surjectivity = rows
         return rows
 
-    def stable_cohomology_tilde_dual(self, up_to: Optional[int] = None) -> StableCohomologyTable:
+    def stable_cohomology_tilde_dual(self) -> StableCohomologyTable:
         """Verified table for HtildeDual: zero in even degrees, cokernel of
         the cup-with-m_1 embedding in odd ones."""
-        if up_to is None:
-            up_to = self.degree_bound
-        self.algebra._check_degree(up_to + (up_to % 2))
         per_degree = self.verify_injectivity()
         dims: Dict[int, int] = {}
-        gens: Dict[int, Tuple[str, ...]] = {}
-        for c in range(0, up_to + 1):
-            if c % 2 == 0:
-                continue
+        for c in range(1, self.degree_bound + 1, 2):
             d = c - 1  # source degree of the embedding
             if d in per_degree:
                 dims[c] = per_degree[d]["cokernel"]
-        for a in range(2, self.degree_bound // 2 + 1):
-            c = 2 * a - 1
-            if c <= up_to:
-                gens[c] = (str(TwistedClassSymbol("m", a)),)
+        gens = {
+            2 * a - 1: (str(TwistedClassSymbol("m", a)),)
+            for a in range(2, self.degree_bound // 2 + 1)
+        }
         return StableCohomologyTable("HtildeDual", dims, generator_report=gens)
 
-    def stable_cohomology_tilde(self, up_to: Optional[int] = None) -> StableCohomologyTable:
+    def stable_cohomology_tilde(self) -> StableCohomologyTable:
         """Verified table for Htilde: theta alone in even degrees (degree
         0), the contraction kernel in odd ones."""
-        if up_to is None:
-            up_to = self.degree_bound
-        self.algebra._check_degree(up_to + (up_to % 2))
         self.verify_surjectivity()
         dims: Dict[int, int] = {0: 1}
-        for c in range(1, up_to + 1, 2):
+        for c in range(1, self.degree_bound + 1, 2):
             n = self.kernel_dim(c + 1)  # odd classes stored one degree up
             if n:
                 dims[c] = n
         # verify_generators certified the counts against the Lambda^2 table
         gens: Dict[int, Tuple[str, ...]] = {0: ("theta",)}
         for d in sorted(self.verify_generators().minimal_counts):
-            if d - 1 <= up_to:
-                gens[d - 1] = tuple(f"M({i},{j})" for (i, j) in _lambda2_pairs(d))
+            gens[d - 1] = tuple(f"M({i},{j})" for (i, j) in _lambda2_pairs(d))
         return StableCohomologyTable("Htilde", dims, generator_report=gens)
 
-    def stable_cohomology_ring(self, up_to: Optional[int] = None) -> StableCohomologyTable:
+    def stable_cohomology_ring(self) -> StableCohomologyTable:
         """Table for the trivial coefficients: the Hilbert function of A."""
-        if up_to is None:
-            up_to = self.degree_bound
         dims = {}
-        for c in range(0, up_to + 1, 2):
+        for c in range(0, self.degree_bound + 1, 2):
             n = self.algebra.hilbert_function(c)
             if n:
                 dims[c] = n
         return StableCohomologyTable("Q", dims)
 
-    def stable_cohomology_twisted(self, up_to: Optional[int] = None) -> StableCohomologyTable:
+    def stable_cohomology_twisted(self) -> StableCohomologyTable:
         """Table for H coefficients: the free module on the m_l."""
-        if up_to is None:
-            up_to = self.degree_bound
         F = self.twisted_module()
         dims = {}
-        for c in range(1, up_to + 1, 2):
+        for c in range(1, self.degree_bound + 1, 2):
             n = F.dim(c + 1)
             if n:
                 dims[c] = n
@@ -423,7 +409,7 @@ class StableCohomology:
                     )
         return rows
 
-    def verify_generators(self, up_to: Optional[int] = None) -> "GeneratorsReport":
+    def verify_generators(self) -> "GeneratorsReport":
         """The M(i, j) span the contraction kernel in every degree, satisfy
         the cyclic syzygies exactly, and minimally generate with Lambda^2
         multiplicities.
@@ -444,19 +430,16 @@ class StableCohomology:
         A-linear, certified by `GradedModuleMap.check_equivariance` when
         `delta_covariant` builds it; then delta(mono * M(i, j)) =
         mono * delta(M(i, j)) = 0 for each column of the first block, whose
-        M(i, j) passed at its own degree.  The full-bound report is kept,
-        so the Htilde table reads the same one."""
-        if up_to is None:
-            up_to = self.degree_bound
-        self.algebra._check_degree(up_to)
-        full = up_to == self.degree_bound
-        if full and self._generators is not None:
+        M(i, j) passed at its own degree.  The report is kept, so the
+        Htilde table reads the same one."""
+        if self._generators is not None:
             return self._generators
+        bound = self.degree_bound
         delta = self.delta_covariant()
         F = self.twisted_module()
         # each M(i, j), read once, as (l, k, c) per term c * e_k m_l
         terms: Dict[Tuple[int, int], List[Tuple[int, int, object]]] = {}
-        for (i, j) in _pairs_up_to(up_to):
+        for (i, j) in _pairs_up_to(bound):
             terms[i, j] = []
             for (l, m), c in kernel_generator(i, j).terms.items():
                 if m.pairs != ((i + j - l, 1),):
@@ -464,7 +447,7 @@ class StableCohomology:
                 terms[i, j].append((l, i + j - l, c.numerator if c.denominator == 1 else c))
         per_degree: List[Dict[str, int]] = []
         counts: Dict[int, int] = {}
-        for d in range(2, up_to + 1, 2):
+        for d in range(2, bound + 1, 2):
             mat = delta.matrix(d)
             kernel_dim = self.kernel_dim(d)
             blocks = F.generator_blocks(d)[0]
@@ -509,7 +492,7 @@ class StableCohomology:
                 )
 
         syzygies = 0
-        for (i, j, k) in _triples_up_to(up_to):
+        for (i, j, k) in _triples_up_to(bound):
             lhs = (
                 Monomial.generator(i) * kernel_generator(j, k)
                 + Monomial.generator(j) * kernel_generator(k, i)
@@ -521,23 +504,21 @@ class StableCohomology:
 
         expected = {
             d: len(_lambda2_pairs(d))
-            for d in range(2, up_to + 1, 2)
+            for d in range(2, bound + 1, 2)
             if _lambda2_pairs(d)
         }
         if counts != expected:
             raise FalsificationError(
                 f"minimal generators {counts} != Lambda^2 table {expected}"
             )
-        report = GeneratorsReport(
+        self._generators = GeneratorsReport(
             per_degree=tuple(per_degree),
             syzygies_checked=syzygies,
             minimal_counts=counts,
         )
-        if full:
-            self._generators = report
-        return report
+        return self._generators
 
-    def verify_tor(self, j_max: int = 4, up_to: Optional[int] = None) -> "TorReport":
+    def verify_tor(self, j_max: int = 4) -> "TorReport":
         """Tor_j(Q, Htilde module) has dimension Lambda^j + Lambda^{j+2} in
         every internal degree (the theta line gives Lambda^j, the kernel K
         of the contraction against m_1 gives Lambda^{j+2}), and Tor_1 != 0
@@ -551,7 +532,7 @@ class StableCohomology:
         The premises, each checked here at the bound or holding by
         construction:
 
-        * Koszul(A) = (Omega^*, p) is exact in every degree 1..up_to, so it
+        * Koszul(A) = (Omega^*, p) is exact in every degree 1..bound, so it
           resolves Q: `DifferentialForms.verify_exactness` (the homotopy
           walk, kept per degree, so resolution-exactness reuses it).  It
           is the Koszul complex of A on the e_i because p applies the
@@ -574,17 +555,15 @@ class StableCohomology:
         A broken premise raises naming it; counts that differ from
         Lambda^j + Lambda^{j+2} raise a FalsificationError listing them.
         """
-        if up_to is None:
-            up_to = self.degree_bound
-        self.algebra._check_degree(up_to)
+        top = self.degree_bound
         self.verify_surjectivity()
-        for d in range(1, up_to + 1):
+        for d in range(1, top + 1):
             self.forms.verify_exactness(d)
         results: List[TorResult] = []
         mismatches: List[Dict[str, int]] = []
         for j in range(0, j_max + 1):
             dims: Dict[int, int] = {}
-            for d in range(0, up_to + 1):
+            for d in range(0, top + 1):
                 got = self._free_generators(j, d) + self._free_generators(j + 2, d)
                 expected = exterior_dim(j, d) + exterior_dim(j + 2, d)
                 if got != expected:
@@ -607,18 +586,15 @@ class StableCohomology:
         of its layout whose coefficient degree is 0."""
         return sum(1 for _, deg in self.forms._layout(n, d)[0].values() if deg == 0)
 
-    def exact_sequence_audit(self, up_to: Optional[int] = None) -> List[Dict[str, int]]:
+    def exact_sequence_audit(self) -> List[Dict[str, int]]:
         """Alternating sums across 0 -> kernel -> twisted -> A -> Q -> 0.
 
         Together with the verified injectivity/surjectivity this certifies
         exactness of the defining sequence block by block.
         """
-        if up_to is None:
-            up_to = self.degree_bound
-        self.algebra._check_degree(up_to)
         F = self.twisted_module()
         rows = []
-        for d in range(0, up_to + 1, 2):
+        for d in range(0, self.degree_bound + 1, 2):
             k = self.kernel_dim(d)
             f = F.dim(d)
             a = self.algebra.hilbert_function(d)
@@ -638,7 +614,7 @@ class StableCohomology:
             raise FalsificationError(f"exact sequence audit fails: {bad}")
         return rows
 
-    def kernel_cross_check(self, up_to: Optional[int] = None) -> List[Dict[str, int]]:
+    def kernel_cross_check(self) -> List[Dict[str, int]]:
         """The contraction against m_1 *is* -p on 1-forms under the
         dictionary m_i <-> de_i: identical matrices up to the global sign,
         and identical kernel dimensions per degree.
@@ -648,12 +624,9 @@ class StableCohomology:
         ``rank_in``; a memo hit once resolution-exactness or Tor has run).
         Where that walk fails, p_1 is eliminated here, so a broken identity
         elsewhere in the forms complex is not a failure of this check."""
-        if up_to is None:
-            up_to = self.degree_bound
-        self.algebra._check_degree(up_to)
         delta = self.delta_covariant()
         rows = []
-        for d in range(2, up_to + 1, 2):
+        for d in range(2, self.degree_bound + 1, 2):
             m_delta = delta.matrix(d)
             m_p = self.forms.interior_product(1, d)
             same = m_delta == -m_p

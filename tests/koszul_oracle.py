@@ -9,7 +9,8 @@ differentials
     del(e_{i_1}^...^e_{i_j} (x) m) =
         sum_k (-1)^{k+1} e_{i_1}^...(drop k)...^e_{i_j} (x) e_{i_k} m,
 
-each built from the module's action matrices and ranked once per module.
+each built from the module's action matrices (``module_oracle.action``)
+and ranked once per module.
 """
 
 from itertools import chain, repeat
@@ -17,13 +18,14 @@ from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from mmmcoh.linalg import SparseMatrix, offset_columns, rank
-from mmmcoh.modules import GradedModule, TorResult
+from mmmcoh.modules import TorResult
+from module_oracle import Module, action
 
 # module -> {(j, d): rank of the Koszul differential}; a module is immutable
-_RANKS: "WeakKeyDictionary[GradedModule, Dict[Tuple[int, int], int]]" = WeakKeyDictionary()
+_RANKS: "WeakKeyDictionary[Module, Dict[Tuple[int, int], int]]" = WeakKeyDictionary()
 
 
-def koszul_differential(module: GradedModule, j: int, d: int) -> SparseMatrix:
+def koszul_differential(module: Module, j: int, d: int) -> SparseMatrix:
     """The boundary Lambda^j E (x) M -> Lambda^{j-1} E (x) M in degree d.
 
     Bases are ordered wedge-major: for each wedge (ascending lex within a
@@ -43,7 +45,7 @@ def koszul_differential(module: GradedModule, j: int, d: int) -> SparseMatrix:
             rest = wedge[:k] + wedge[k + 1 :]
             row_off = tgt_offsets.get(rest)
             if row_off is not None:
-                blocks.append(offset_columns(module.action(i, m_deg), row_off, -1 if k % 2 else 1))
+                blocks.append(offset_columns(action(module, i, m_deg), row_off, -1 if k % 2 else 1))
         if blocks:
             columns.extend(map(tuple, map(chain.from_iterable, zip(*blocks))))
         else:
@@ -53,7 +55,7 @@ def koszul_differential(module: GradedModule, j: int, d: int) -> SparseMatrix:
     return SparseMatrix.of_columns(rows, cols, columns)
 
 
-def koszul_layout(module: GradedModule, j: int, d: int):
+def koszul_layout(module: Module, j: int, d: int):
     """[(wedge, column offset, module degree)] for Lambda^j E (x) M at d."""
     layout = []
     off = 0
@@ -66,12 +68,12 @@ def koszul_layout(module: GradedModule, j: int, d: int):
     return layout
 
 
-def koszul_dim(module: GradedModule, j: int, d: int) -> int:
+def koszul_dim(module: Module, j: int, d: int) -> int:
     wedges = module.algebra.exterior_basis
     return sum(len(wedges(j, w)) * module.dim(d - w) for w in range(0, d + 1, 2))
 
 
-def tor_dimension(module: GradedModule, j: int, d: int) -> int:
+def tor_dimension(module: Module, j: int, d: int) -> int:
     """dim Tor_j(Q, M) in internal degree d, by exact rank bookkeeping."""
     if j < 0 or d < 0:
         return 0
@@ -84,7 +86,7 @@ def tor_dimension(module: GradedModule, j: int, d: int) -> int:
     return c - r_out - r_in
 
 
-def koszul_rank(module: GradedModule, j: int, d: int) -> int:
+def koszul_rank(module: Module, j: int, d: int) -> int:
     # Tor_j and Tor_{j-1} share this differential: rank it once per module
     ranks = _RANKS.setdefault(module, {})
     r = ranks.get((j, d))
@@ -93,7 +95,7 @@ def koszul_rank(module: GradedModule, j: int, d: int) -> int:
     return r
 
 
-def tor_table(module: GradedModule, j: int, up_to: Optional[int] = None) -> TorResult:
+def tor_table(module: Module, j: int, up_to: Optional[int] = None) -> TorResult:
     algebra = module.algebra
     if up_to is None:
         up_to = algebra.degree_bound

@@ -8,11 +8,15 @@ induced action, read off and checked against the canonical kernel basis,
 and the minimal generators eliminated from that action, together with the
 trivial module and the direct sum that build the full Htilde module for
 the Koszul oracle.
+
+These modules are not free, so they carry their actions as matrices
+(``GradedModule``); ``action`` gives the same matrix for a free module,
+the 0/1 matrix of its multiplication table.
 """
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from mmmcoh.algebra import PolynomialAlgebra
 from mmmcoh.linalg import (
@@ -23,15 +27,88 @@ from mmmcoh.linalg import (
     _pairs,
     offset_columns,
 )
-from mmmcoh.modules import GradedModule, GradedModuleMap
+from mmmcoh.modules import FreeGradedModule
+
+
+class GradedModule:
+    """A bounded, degreewise-finite graded module with exact action matrices.
+
+    dims: internal degree -> dimension (missing degrees are zero).
+    actions: (i, d) -> matrix of e_i: M_d -> M_{d+2i}; missing actions on a
+    zero source or target default to the zero matrix of the right shape.
+    coh_offset: cohomological degree minus internal degree.
+    """
+
+    def __init__(
+        self,
+        algebra: PolynomialAlgebra,
+        dims: Mapping[int, int],
+        actions: Mapping[Tuple[int, int], SparseMatrix],
+        coh_offset: Optional[int] = 0,
+    ):
+        self.algebra = algebra
+        self.dims = {d: n for d, n in dims.items() if n}
+        self.actions = dict(actions)
+        self.coh_offset = coh_offset
+        if min(self.dims, default=0) < 0:
+            raise ValueError("internal degrees are nonnegative")
+        for (i, d), m in self.actions.items():
+            if m.cols != self.dim(d) or m.rows != self.dim(d + 2 * i):
+                raise ValueError(
+                    f"action of e{i} at degree {d} has shape "
+                    f"{m.rows}x{m.cols}, expected {self.dim(d + 2 * i)}x{self.dim(d)}"
+                )
+
+    def dim(self, d: int) -> int:
+        return self.dims.get(d, 0)
+
+    def degrees(self) -> List[int]:
+        return sorted(self.dims)
+
+    def action(self, i: int, d: int) -> SparseMatrix:
+        m = self.actions.get((i, d))
+        if m is None:
+            m = SparseMatrix.zero(self.dim(d + 2 * i), self.dim(d))
+        return m
+
+    def check_action_commutativity(self) -> None:
+        """e_i e_j = e_j e_i on every slice inside the bound (hard error)."""
+        gens = list(self.algebra.generator_indices())
+        bound = self.algebra.degree_bound
+        for d in self.degrees():
+            for a, i in enumerate(gens):
+                if d + 2 * i > bound:
+                    break
+                for j in gens[a + 1 :]:
+                    if d + 2 * i + 2 * j > bound:
+                        break
+                    ij = self.action(j, d + 2 * i) @ self.action(i, d)
+                    ji = self.action(i, d + 2 * j) @ self.action(j, d)
+                    if ij != ji:
+                        raise ValueError(
+                            f"actions of e{i} and e{j} fail to commute at degree {d}"
+                        )
+
+
+Module = Union[GradedModule, FreeGradedModule]
+
+
+def action(module: Module, i: int, d: int) -> SparseMatrix:
+    """The matrix of e_i: M_d -> M_{d+2i}: a ``GradedModule``'s stored
+    action, or for a free module the 0/1 matrix of its multiplication
+    table (column k holds a 1 at row ``table[k]``)."""
+    if isinstance(module, FreeGradedModule):
+        table = module.multiplication_table(i, d)
+        return SparseMatrix.of_columns(module.dim(d + 2 * i), len(table), list(zip(table, repeat(1))))
+    return module.action(i, d)
 
 
 def trivial_module(algebra: PolynomialAlgebra) -> GradedModule:
     """Q in degree 0 with every e_i acting by zero."""
-    return GradedModule(algebra, {0: 1}, {}, coh_offset=0, check=False)
+    return GradedModule(algebra, {0: 1}, {})
 
 
-def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
+def direct_sum(a: Module, b: Module) -> GradedModule:
     """Degreewise direct sum with block-diagonal actions.
 
     Cohomological offsets need not agree (the summands keep their own
@@ -48,20 +125,26 @@ def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
         for i in a.algebra.generator_indices():
             if d + 2 * i > a.algebra.degree_bound:
                 break
-            am, bm = a.action(i, d), b.action(i, d)
+            am, bm = action(a, i, d), action(b, i, d)
             m = SparseMatrix.of_columns(
                 am.rows + bm.rows, am.cols + bm.cols, am.packed + tuple(offset_columns(bm, am.rows))
             )
             if m.rows and m.cols:
                 actions[(i, d)] = m
     offset = a.coh_offset if a.coh_offset == b.coh_offset else None
-    return GradedModule(a.algebra, dims, actions, coh_offset=offset, check=False)
+    return GradedModule(a.algebra, dims, actions, coh_offset=offset)
 
 
-def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
-    """The degreewise kernel of f, with its induced module structure.
+def kernel_module(
+    source: Module, matrices: Mapping[int, SparseMatrix]
+) -> Tuple[GradedModule, Dict[int, SparseMatrix]]:
+    """The degreewise kernel of the map with degree-d matrix
+    ``matrices[d]`` on ``source`` (zero where missing), with its induced
+    module structure.
 
-    Returns ``(K, include)`` where include: K -> source is degree-shift 0.
+    Returns ``(K, inclusions)``, ``inclusions[d]`` the matrix of
+    K_d -> source_d for each degree where K is nonzero.  The map itself
+    need not be equivariant; only the kernel's action is checked.
     The induced action of e_i on the kernel basis is computed by solving
     against the kernel basis of the higher degree; the canonical basis from
     the RREF makes that a coordinate read-off (1 in each free column), done
@@ -69,12 +152,14 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
     exactly and any mismatch — which would mean the actions do not preserve
     the kernel — is a hard error.
     """
-    source = f.source
     algebra = source.algebra
     kernels: Dict[int, List[Tuple]] = {}  # the kernel basis as packed columns
     free_rows: Dict[int, Dict[int, int]] = {}  # free column -> basis index
     for d in source.degrees():
-        basis, free = _kernel_with_free_columns(f.matrix(d))
+        m = matrices.get(d)
+        if m is None:
+            m = SparseMatrix.zero(0, source.dim(d))
+        basis, free = _kernel_with_free_columns(m)
         if basis:
             kernels[d] = basis
             free_rows[d] = {c: row for row, c in enumerate(free)}
@@ -89,7 +174,7 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
             up = d + 2 * i
             if up > algebra.degree_bound:
                 break
-            pushed = source.action(i, d) @ inclusions[d]
+            pushed = action(source, i, d) @ inclusions[d]
             if not dims.get(up):
                 # the pushed-forward vectors must then be zero
                 if not pushed.is_zero():
@@ -112,9 +197,7 @@ def kernel_module(f: GradedModuleMap) -> Tuple[GradedModule, GradedModuleMap]:
                 )
             actions[(i, d)] = coords
 
-    kernel = GradedModule(algebra, dims, actions, coh_offset=source.coh_offset, check=False)
-    include = GradedModuleMap(kernel, source, 0, inclusions, check=False)
-    return kernel, include
+    return GradedModule(algebra, dims, actions, coh_offset=source.coh_offset), inclusions
 
 
 @dataclass(frozen=True)
@@ -128,7 +211,7 @@ class MinimalGenerators:
         return sum(self.counts.values())
 
 
-def minimal_generators(module: GradedModule, up_to: Optional[int] = None) -> MinimalGenerators:
+def minimal_generators(module: Module, up_to: Optional[int] = None) -> MinimalGenerators:
     """Counts dim(M_d / (ideal action)) per degree with explicit lifts.
 
     The count in degree d is dim M_d minus the rank of the combined image
@@ -155,7 +238,7 @@ def minimal_generators(module: GradedModule, up_to: Optional[int] = None) -> Min
             if low < 0:
                 break
             if module.dim(low):
-                block = module.action(i, low)
+                block = action(module, i, low)
                 for c, col in enumerate(block.packed, width):
                     for r, x in _pairs(col):
                         rows[r][c] = x

@@ -153,6 +153,20 @@ def test_exterior_basis_examples():
     assert exterior_basis(1, 6) == ((3,),)
     assert exterior_basis(0, 0) == ((),)
     assert exterior_basis(0, 2) == ()
+
+
+def test_exterior_basis_leaves_no_reference_cycle():
+    # with the collector off, nothing the enumeration made is left for it
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert len(exterior_basis(3, 30)) == 12
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     assert exterior_dim(2, 6) == 1  # e1 ^ e2
     assert exterior_dim(3, 12) == 1  # e1 ^ e2 ^ e3
     assert exterior_dim(4, 24) == 2  # 1236 and 1245

@@ -62,6 +62,20 @@ def test_hilbert_csv_and_text(capsys):
     assert "Q coefficients" in out
 
 
+def test_hilbert_generators_stop_at_up_to(capsys):
+    # the tables run to the bound; the command cuts dims and generators
+    code, doc = run_json(capsys, "hilbert", "Htilde", "--max-degree", "12", "--up-to", "7")
+    assert code == 0
+    assert set(doc["generators"]) == {"0", "5", "7"}
+    for up_to in (0, 5, 8, 12):
+        for label in ("Htilde", "HtildeDual"):
+            code, doc = run_json(
+                capsys, "hilbert", label, "--max-degree", "12", "--up-to", str(up_to)
+            )
+            assert code == 0
+            assert all(0 <= int(c) <= up_to for c in doc.get("generators", {})), (label, up_to)
+
+
 def test_hilbert_up_to_out_of_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "Q", "--max-degree", "8", "--up-to", "10"])

@@ -1,16 +1,24 @@
-"""Graded modules: free modules and maps, the kernel-module oracle (kernels,
-minimal generators, direct sums), and the Koszul rank oracle for Tor."""
+"""Graded modules: free modules, their multiplication tables and the maps
+between them, the kernel-module oracle (kernels, minimal generators, direct
+sums, matrix actions), and the Koszul rank oracle for Tor."""
 
 from fractions import Fraction
 
 import pytest
 
-from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_dim
+from mmmcoh.algebra import DegreeBoundError, Monomial, PolynomialAlgebra, exterior_dim
 from mmmcoh.forms import DifferentialForms
 from mmmcoh.linalg import SparseMatrix, VectorQ, kernel_basis, rank
-from mmmcoh.modules import FreeGradedModule, GradedModule, GradedModuleMap, free_module
+from mmmcoh.modules import FreeGradedModule, GradedModuleMap, free_module
 from koszul_oracle import koszul_differential, koszul_dim, tor_dimension, tor_table
-from module_oracle import direct_sum, kernel_module, minimal_generators, trivial_module
+from module_oracle import (
+    GradedModule,
+    action,
+    direct_sum,
+    kernel_module,
+    minimal_generators,
+    trivial_module,
+)
 
 BOUND = 24
 
@@ -75,7 +83,7 @@ def test_action_commutation_failure_is_detected(algebra):
         (2, 0): one,
         (2, 2): zero,
     }
-    bad = GradedModule(algebra, dims, actions, check=False)
+    bad = GradedModule(algebra, dims, actions)
     with pytest.raises(ValueError):
         bad.check_action_commutativity()
 
@@ -118,19 +126,18 @@ def test_module_map_equivariance_validation(algebra, rank_one):
         )
         for d in range(0, BOUND + 1, 2)
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^map fails to commute with e1 at degree 0$"):
         GradedModuleMap(rank_one, rank_one, 0, mats)
-    GradedModuleMap(rank_one, rank_one, 0, mats, check=False)  # opt-out works
 
 
 def test_kernel_module_of_multiplication_by_e1(algebra, rank_one):
     # e1: A -> A(+2) is injective, so the kernel vanishes wherever the
     # target slice still fits inside the bound (the top slice maps to 0)
-    mats = {d: rank_one.action(1, d) for d in range(0, BOUND - 1, 2)}
+    mats = {d: action(rank_one, 1, d) for d in range(0, BOUND - 1, 2)}
     f = GradedModuleMap(rank_one, rank_one, 2, mats)
-    ker, incl = kernel_module(f)
+    ker, incl = kernel_module(f.source, f.matrices)
     assert all(ker.dim(d) == 0 for d in ker.degrees() if d + 2 <= BOUND)
-    assert incl.source is ker
+    assert sorted(incl) == ker.degrees() == [BOUND]
 
 
 def test_kernel_module_inherits_actions(algebra):
@@ -146,15 +153,15 @@ def test_kernel_module_inherits_actions(algebra):
             rows[r][c] = Fraction(1)
         mats[d] = SparseMatrix.from_rows(rows) if rows else SparseMatrix.zero(0, two.dim(d))
     f = GradedModuleMap(two, one, 0, mats)
-    ker, incl = kernel_module(f)
+    ker, incl = kernel_module(f.source, f.matrices)
     ker.check_action_commutativity()
     for d in range(0, BOUND + 1, 2):
         assert ker.dim(d) == algebra.hilbert_function(d)
     # inclusion is equivariant by construction; spot-check one product
     v = VectorQ.unit(ker.dim(0), 0)
-    moved = ker.multiply(1, 0, v)
-    direct = incl.matrix(2).apply(moved)
-    via_big = two.multiply(1, 0, incl.matrix(0).apply(v))
+    moved = ker.action(1, 0).apply(v)
+    direct = incl[2].apply(moved)
+    via_big = action(two, 1, 0).apply(incl[0].apply(v))
     assert direct == via_big
 
 
@@ -256,7 +263,7 @@ def test_kernel_of_identity_and_zero_maps(algebra, rank_one):
         0,
         {d: SparseMatrix.identity(rank_one.dim(d)) for d in degrees},
     )
-    ker, _ = kernel_module(ident)
+    ker, _ = kernel_module(ident.source, ident.matrices)
     assert all(ker.dim(d) == 0 for d in degrees)
 
     zero = GradedModuleMap(
@@ -265,10 +272,10 @@ def test_kernel_of_identity_and_zero_maps(algebra, rank_one):
         0,
         {d: SparseMatrix.zero(rank_one.dim(d), rank_one.dim(d)) for d in degrees},
     )
-    ker, incl = kernel_module(zero)
+    ker, incl = kernel_module(zero.source, zero.matrices)
     for d in degrees:
         assert ker.dim(d) == rank_one.dim(d)
-        assert incl.matrix(d) == SparseMatrix.identity(rank_one.dim(d))
+        assert incl[d] == SparseMatrix.identity(rank_one.dim(d))
 
 
 def test_tor_zero_equals_minimal_generators(algebra, twisted, rank_one):
@@ -283,7 +290,8 @@ def test_tor_zero_equals_minimal_generators(algebra, twisted, rank_one):
 
 def _sum_map(source, target, keep_second_at_2):
     # (x, y) -> x + y in degree 0; in degree 2 the second summand is kept or
-    # dropped, so the map does not commute with e1
+    # dropped, so the map does not commute with e1: no GradedModuleMap
+    # holds it, and the kernel oracle takes the source and the matrices
     mats = {}
     for d in (0, 2):
         idx = target.basis_index(d)
@@ -294,11 +302,13 @@ def _sum_map(source, target, keep_second_at_2):
             elif gen == 0 or keep_second_at_2:
                 entries[(idx[(gen if keep_second_at_2 else 0, mono)], col)] = Fraction(1)
         mats[d] = SparseMatrix(target.dim(d), source.dim(d), entries)
-    return GradedModuleMap(source, target, 0, mats, check=False)
+    with pytest.raises(ValueError, match="^map fails to commute with e1 at degree 0$"):
+        GradedModuleMap(source, target, 0, mats)
+    return source, mats
 
 
-def _kernel_dims(f):
-    dims = {d: len(kernel_basis(f.matrix(d))) for d in f.source.degrees()}
+def _kernel_dims(source, mats):
+    dims = {d: len(kernel_basis(mats[d])) for d in source.degrees()}
     return {d: n for d, n in dims.items() if n}
 
 
@@ -306,10 +316,10 @@ def test_kernel_module_rejects_push_outside_a_nonzero_kernel():
     # kernel (1, -1) in degree 0 and (0, e1) in degree 2: e1 sends the first
     # to (e1, -e1), which the degree-2 kernel does not contain
     algebra = PolynomialAlgebra(2)
-    f = _sum_map(free_module(algebra, [0, 0]), free_module(algebra, [0]), False)
-    assert _kernel_dims(f) == {0: 1, 2: 1}
+    source, mats = _sum_map(free_module(algebra, [0, 0]), free_module(algebra, [0]), False)
+    assert _kernel_dims(source, mats) == {0: 1, 2: 1}
     with pytest.raises(ValueError, match="e1 pushes a kernel vector at degree 0"):
-        kernel_module(f)
+        kernel_module(source, mats)
 
 
 def test_kernel_module_rejects_push_into_a_zero_kernel():
@@ -317,10 +327,10 @@ def test_kernel_module_rejects_push_into_a_zero_kernel():
     # there for e1 (1, -1) = (e1, -e1) to land in
     algebra = PolynomialAlgebra(2)
     two = free_module(algebra, [0, 0])
-    f = _sum_map(two, two, True)
-    assert _kernel_dims(f) == {0: 1}
+    source, mats = _sum_map(two, two, True)
+    assert _kernel_dims(source, mats) == {0: 1}
     with pytest.raises(ValueError, match="e1 pushes a kernel vector at degree 0"):
-        kernel_module(f)
+        kernel_module(source, mats)
 
 
 # -- the object-based action builder, kept as a test-only oracle ---------------------
@@ -354,10 +364,14 @@ def test_free_module_actions_match_object_oracle(algebra, rank_one, twisted):
             assert list(module.basis(d)) == _oracle_free_basis(module, d), d
             for i in algebra.generator_indices():
                 if d + 2 * i > BOUND:
+                    with pytest.raises(DegreeBoundError):
+                        module.multiplication_table(i, d)
                     break
-                new, oracle = module.action(i, d), _oracle_action(module, i, d)
-                assert (new.rows, new.cols) == (oracle.rows, oracle.cols), (i, d)
-                assert list(new.entries.items()) == list(oracle.entries.items()), (i, d)
+                table, oracle = module.multiplication_table(i, d), _oracle_action(module, i, d)
+                assert (module.dim(d + 2 * i), len(table)) == (oracle.rows, oracle.cols), (i, d)
+                assert [(r, c) for c, r in enumerate(table)] == list(oracle.entries), (i, d)
+                assert set(oracle.entries.values()) <= {1}, (i, d)
+                assert action(module, i, d) == oracle, (i, d)
 
 
 # -- the oracle's Koszul rank memo ---------------------------------------------------
@@ -393,9 +407,10 @@ def test_tor_table_on_a_direct_sum(algebra, rank_one, monkeypatch):
             assert table.dim(d) == c, (j, d)
 
 
-def _first_noncommuting_square(f):
+def _first_noncommuting_square(source, target, shift, matrices):
     """The first (i, d) in the order of `check_equivariance` where the
-    square fails to commute, multiplied as dense Fraction lists."""
+    square fails to commute, with the object-level actions of
+    `_oracle_action` multiplied as dense Fraction lists."""
 
     def product(a, b):
         x, y = a.to_lists(), b.to_lists()
@@ -404,38 +419,91 @@ def _first_noncommuting_square(f):
             for r in range(a.rows)
         ]
 
-    s = f.internal_shift
-    bound = f.source.algebra.degree_bound
-    for d in f.source.degrees():
-        for i in f.source.algebra.generator_indices():
-            if d + 2 * i > bound or d + s + 2 * i > bound:
+    def matrix(d):
+        m = matrices.get(d)
+        return SparseMatrix.zero(target.dim(d + shift), source.dim(d)) if m is None else m
+
+    bound = source.algebra.degree_bound
+    for d in source.degrees():
+        for i in source.algebra.generator_indices():
+            if d + 2 * i > bound or d + shift + 2 * i > bound:
                 break
-            left = product(f.target.action(i, d + s), f.matrix(d))
-            right = product(f.matrix(d + 2 * i), f.source.action(i, d))
+            left = product(_oracle_action(target, i, d + shift), matrix(d))
+            right = product(matrix(d + 2 * i), _oracle_action(source, i, d))
             if left != right:
                 return i, d
     return None
 
 
 @pytest.mark.parametrize(
-    "degree, column, how",
-    [(2, 0, "scale"), (6, 0, "move"), (8, 3, "scale"), (10, 5, "move")],
+    "which, degree, column, how",
+    [
+        pytest.param("co", 2, 0, "scale", id="2-0-scale"),
+        pytest.param("co", 6, 0, "move", id="6-0-move"),
+        pytest.param("co", 8, 3, "scale", id="8-3-scale"),
+        pytest.param("co", 10, 5, "move", id="10-5-move"),
+        pytest.param("contra", 0, 0, "scale", id="contra-0-0-scale"),
+        pytest.param("contra", 4, 1, "move", id="contra-4-1-move"),
+        pytest.param("contra", 6, 2, "scale", id="contra-6-2-scale"),
+        pytest.param("contra", 10, 6, "move", id="contra-10-6-move"),
+    ],
 )
-def test_broken_contraction_column_fails_equivariance(degree, column, how):
-    # every product of the check composes one-entry columns by index; a
-    # contraction column scaled by 2 or moved to the next row must still
-    # fail at the first square a dense product finds, with the same message
+def test_broken_contraction_column_fails_equivariance(which, degree, column, how):
+    # the check relabels rows through the target's table and gathers
+    # columns at the source's: a column of the contraction (F the source)
+    # or of the cup product (F the target) scaled by 2 or moved to the next
+    # row must fail at the first square a dense product of the object-level
+    # actions finds, with the same message
     from mmmcoh.stable import StableCohomology
 
-    good = StableCohomology(12).delta_covariant()
+    sc = StableCohomology(12)
+    good = sc.delta_covariant() if which == "co" else sc.delta_contravariant()
     m = good.matrix(degree)
     cols = list(m.packed)
     r, x = cols[column]
     cols[column] = (r, 2 * x) if how == "scale" else ((r + 1) % m.rows, x)
     matrices = {**good.matrices, degree: SparseMatrix.of_columns(m.rows, m.cols, cols)}
-    unchecked = GradedModuleMap(good.source, good.target, good.degree_shift, matrices, check=False)
-    first = _first_noncommuting_square(unchecked)
+    first = _first_noncommuting_square(good.source, good.target, good.internal_shift, matrices)
     assert first is not None
+    assert _first_noncommuting_square(
+        good.source, good.target, good.internal_shift, good.matrices
+    ) is None
     i, d = first
     with pytest.raises(ValueError, match=rf"^map fails to commute with e{i} at degree {d}$"):
-        unchecked.check_equivariance()
+        GradedModuleMap(good.source, good.target, good.degree_shift, matrices)
+
+
+def test_equivariance_check_makes_no_product(monkeypatch):
+    # both sides of every square are index operations on the matrices
+    from mmmcoh.stable import StableCohomology
+
+    sc = StableCohomology(16)
+    calls = []
+    real = SparseMatrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    for f in (sc.delta_covariant(), sc.delta_contravariant()):
+        f.check_equivariance()
+    assert calls == []
+
+
+def test_equivariance_check_rejects_a_non_injective_table(monkeypatch):
+    # a relabel stands for the product only if no two rows meet: a table
+    # that sends two basis elements to one fails the check instead
+    from mmmcoh.stable import StableCohomology
+
+    sc = StableCohomology(12)
+    good = sc.delta_contravariant()
+    real = FreeGradedModule.multiplication_table
+
+    def merged(self, i, d):
+        table = real(self, i, d)
+        return table[:1] * len(table)
+
+    monkeypatch.setattr(FreeGradedModule, "multiplication_table", merged)
+    with pytest.raises(ValueError, match="not injective"):
+        GradedModuleMap(good.source, good.target, good.degree_shift, good.matrices)

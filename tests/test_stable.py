@@ -25,7 +25,12 @@ def sc():
 def oracle_tilde_module(sc):
     """theta line (degree 0) plus the kernel module of the contraction:
     the full stable Htilde cohomology as a graded A-module."""
-    return direct_sum(trivial_module(sc.algebra), kernel_module(sc.delta_covariant())[0])
+    return direct_sum(trivial_module(sc.algebra), contraction_kernel(sc))
+
+
+def contraction_kernel(sc):
+    """The kernel module of the contraction against m_1, from the oracle."""
+    return kernel_module(sc.twisted_module(), sc.delta_covariant().matrices)[0]
 
 
 def twisted_as_vector(sc, x: TwistedElement, d: int) -> VectorQ:
@@ -157,7 +162,7 @@ def test_covariant_map_is_surjective_in_positive_degree(sc):
 
 
 def test_covariant_kernel_dims_frozen(sc):
-    kernel, _ = kernel_module(sc.delta_covariant())
+    kernel = contraction_kernel(sc)
     expected = {2: 0, 4: 0, 6: 1, 8: 2, 10: 5, 12: 8, 14: 15, 16: 23,
                 18: 37, 20: 55, 22: 83, 24: 118}
     for d, k in expected.items():
@@ -178,17 +183,17 @@ def test_kernel_elements_die_under_covariant_map(sc):
 
 
 def test_ring_table_frozen(sc):
-    assert sc.stable_cohomology_ring(8).as_list(8) == [1, 0, 1, 0, 2, 0, 3, 0, 5]
+    assert sc.stable_cohomology_ring().as_list(8) == [1, 0, 1, 0, 2, 0, 3, 0, 5]
 
 
 def test_twisted_table_frozen(sc):
     # odd degrees 2l-1 carry the free module slices
-    t = sc.stable_cohomology_twisted(7)
+    t = sc.stable_cohomology_twisted()
     assert t.as_list(7) == [0, 1, 0, 2, 0, 4, 0, 7]
 
 
 def test_tilde_table_frozen(sc):
-    t = sc.stable_cohomology_tilde(7)
+    t = sc.stable_cohomology_tilde()
     assert t.as_list(7) == [1, 0, 0, 0, 0, 1, 0, 2]
     assert t.generator_report[0] == ("theta",)
     assert t.generator_report[5] == ("M(1,2)",)
@@ -196,7 +201,7 @@ def test_tilde_table_frozen(sc):
 
 
 def test_tilde_dual_table_frozen(sc):
-    t = sc.stable_cohomology_tilde_dual(5)
+    t = sc.stable_cohomology_tilde_dual()
     assert t.as_list(5) == [0, 0, 0, 1, 0, 2]
     assert t.generator_report[3] == ("m2",)
 
@@ -204,12 +209,12 @@ def test_tilde_dual_table_frozen(sc):
 def test_degree_9_kernel_slice(sc):
     # cohomological degree 9 = internal degree 10: twelve-dimensional twisted
     # slice, seven-dimensional image, five-dimensional kernel
-    kernel, _ = kernel_module(sc.delta_covariant())
+    kernel = contraction_kernel(sc)
     assert sc.twisted_module().dim(10) == 12
     assert sc.algebra.hilbert_function(10) == 7
     assert kernel.dim(10) == 5
     assert sc.kernel_dim(10) == 5
-    t = sc.stable_cohomology_tilde(9)
+    t = sc.stable_cohomology_tilde()
     assert t.dim(9) == 5
 
 
@@ -311,10 +316,14 @@ def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch
 
 
 def test_tables_reject_out_of_range(sc):
+    # the tables stop at the bound, and so do the modules' action tables
     from mmmcoh.algebra import DegreeBoundError
 
-    with pytest.raises(DegreeBoundError):
-        sc.stable_cohomology_tilde(31)
+    assert max(sc.stable_cohomology_tilde().dims) <= sc.degree_bound
+    assert max(sc.stable_cohomology_tilde().generator_report) <= sc.degree_bound
+    for module in (sc.ring_module(), sc.twisted_module()):
+        with pytest.raises(DegreeBoundError):
+            module.multiplication_table(1, sc.degree_bound)
 
 
 def test_falsification_error_is_assertion_error():
@@ -327,7 +336,7 @@ def test_kernel_only_tor_is_shifted_wedge(sc):
     from koszul_oracle import tor_dimension
     from mmmcoh.algebra import exterior_dim
 
-    kernel, _ = kernel_module(sc.delta_covariant())
+    kernel = contraction_kernel(sc)
     for j in (0, 1, 2):
         for d in range(0, 17, 2):
             assert tor_dimension(kernel, j, d) == exterior_dim(j + 2, d), (j, d)
@@ -484,18 +493,17 @@ def test_kernel_minimal_generators_computed_once_per_run(monkeypatch):
     assert calls == [twisted.dim(d) for d in range(2, 13, 2)]
 
     # a lower bound eliminates its own degrees
-    ctx = StableCohomology(12)
-    report = ctx.verify_generators(up_to=8)
+    ctx = StableCohomology(8)
+    report = ctx.verify_generators()
     assert report.minimal_counts == {6: 1, 8: 1}
-    kernel, _ = kernel_module(ctx.delta_covariant())
-    assert report.minimal_counts == minimal_generators(kernel, 8).counts
+    assert report.minimal_counts == minimal_generators(contraction_kernel(ctx)).counts
 
 
 def test_kernel_route_matches_the_kernel_module_oracle():
     # dimensions from the ranks of delta and minimal counts from the pivot
     # split, against the kernel module and the elimination of its action
     ctx = StableCohomology(32)
-    kernel, _ = kernel_module(ctx.delta_covariant())
+    kernel = contraction_kernel(ctx)
     for d in range(0, 33, 2):
         assert ctx.kernel_dim(d) == kernel.dim(d), d
     assert ctx.verify_generators().minimal_counts == minimal_generators(kernel).counts
@@ -514,13 +522,6 @@ def test_dimension_checks_do_not_need_surjectivity(monkeypatch):
     assert by_id["covariant-surjectivity"].status == "fail"
     for check_id in ("kernel-generators", "kernel-cross-check", "sequence-audit"):
         assert by_id[check_id].status == "pass", check_id
-
-
-def test_generator_reports_stop_at_up_to(sc):
-    for up_to in (0, 5, 7, 8, 13):
-        for table in (sc.stable_cohomology_tilde(up_to), sc.stable_cohomology_tilde_dual(up_to)):
-            assert all(0 <= c <= up_to for c in table.generator_report), (table, up_to)
-    assert set(sc.stable_cohomology_tilde(7).generator_report) == {0, 5, 7}
 
 
 # -- the object-based map builders, kept as test-only oracles -------------------------
