@@ -16,7 +16,8 @@ ever truncated.
 
 Each `PolynomialAlgebra` builds its own per-degree tables on first use, by
 index arithmetic: monomial bases generated in canonical order, the
-multiplication tables, total exponents and exterior bases.
+multiplication tables, total exponents, smallest indices and exterior
+bases.
 
 >>> A = PolynomialAlgebra(24)
 >>> [str(m) for m in A.monomial_basis(4)]
@@ -307,6 +308,7 @@ class PolynomialAlgebra:
         self._position_cache: Dict[int, Dict[Tuple[Tuple[int, int], ...], int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._total_cache: Dict[int, Tuple[int, ...]] = {}
+        self._smallest_cache: Dict[int, Tuple[int, ...]] = {}
         self._exterior_cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
 
     def generator_indices(self) -> range:
@@ -378,6 +380,23 @@ class PolynomialAlgebra:
         table = self._total_cache.get(d)
         if table is None:
             table = self._total_cache[d] = tuple(m.total_exponent for m in self.monomial_basis(d))
+        return table
+
+    def smallest_indices(self, d: int) -> Tuple[int, ...]:
+        """The smallest generator index dividing each basis monomial of
+        degree d.  The unit, which no generator divides, reads
+        ``degree_bound // 2 + 1``, past every index inside the bound.
+
+        >>> A = PolynomialAlgebra(24)
+        >>> A.smallest_indices(6), A.smallest_indices(0)  # e1^3, e1*e2, e3; 1
+        ((1, 1, 3), (13,))
+        """
+        table = self._smallest_cache.get(d)
+        if table is None:
+            past = self.degree_bound // 2 + 1
+            table = self._smallest_cache[d] = tuple(
+                m.pairs[0][0] if m.pairs else past for m in self.monomial_basis(d)
+            )
         return table
 
     def exterior_basis(self, n: int, d: int) -> Tuple[Tuple[int, ...], ...]:

@@ -15,15 +15,16 @@ operators act per degree:
   eigenvector of eigenvalue m + n.
 
 The chain of contractions ... -> Omega^2 -> Omega^1 -> Omega^0 -> Q -> 0
-is exact in every positive internal degree; `verify_exactness` certifies
-it by the contracting homotopy, checking at every (n, d) that L is the
-diagonal of positive weights and that p^2 = 0, and derives the ranks in
-its report from the dimensions.  d^2 = 0 is checked only by
-tests/test_forms.py, at bound 24.
+is exact in every positive internal degree.  `verify_exactness` certifies
+it from p alone, by a unit minor of each p_n on the forms of a discrete
+Morse matching, p^2 = 0 and the counts of the matching; `verify_cartan`
+also checks, in the same pass, that L is the diagonal of positive weights.
+d^2 = 0 is checked only by tests/test_forms.py, at bound 24.
 
 The complex is streamed degree by degree: the operator matrices are built
-on each call and kept by no one here, so `verify_exactness(d)` holds the
-operators of degree d only while it walks them.  An instance keeps the
+on each call and kept by no one here, so `verify_exactness(d)` and
+`verify_cartan(d)` hold the operators of degree d only while they walk
+them.  An instance keeps the
 small tables that later degrees and checks read (the layouts, the
 quotient positions, the bases asked for) and one exactness report per
 degree.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .algebra import LinearCombination, Monomial, PolynomialAlgebra
 from .linalg import SparseMatrix, VectorQ
@@ -144,6 +145,7 @@ class DifferentialForms:
         self._basis: Dict[Tuple[int, int], Tuple[FormBasisElement, ...]] = {}
         self._index: Dict[Tuple[int, int], Dict[FormBasisElement, int]] = {}
         self._exactness: Dict[int, ExactnessReport] = {}
+        self._cartan: Set[int] = set()  # degrees whose Cartan walk passed
 
     @property
     def degree_bound(self) -> int:
@@ -299,22 +301,68 @@ class DifferentialForms:
         totals = self.algebra.total_exponents
         return [t + n for _, deg in self._layout(n, d)[0].values() for t in totals(deg)]
 
+    def _up_marks(self, n: int, d: int) -> bytearray:
+        """1 at each *up* basis form of Omega^n_d, 0 at each *down* one.
+
+        m * de_S is down when S is not empty and min S is at most the
+        smallest index dividing m; it is matched with the up form
+        (e_{min S} m) * de_{S - min S}, the term of p(m * de_S) that
+        contracts slot 0.  In positive degree this matches every form
+        (E. Skoldberg, *Trans. Amer. Math. Soc.* 358, 2006)."""
+        up = bytearray(self.dim(n, d))
+        smallest = self.algebra.smallest_indices
+        for wedge, (off, deg) in self._layout(n, d)[0].items():
+            table = smallest(deg)
+            if wedge:
+                up[off : off + len(table)] = bytes(t < wedge[0] for t in table)
+            else:
+                up[off : off + len(table)] = b"\x01" * len(table)
+        return up
+
+    @staticmethod
+    def _unit_minor(p_out: Packed, up_out: bytearray, up_in: bytearray) -> bool:
+        """Whether every down column of p_n has exactly one entry in an up
+        row of Omega^{n-1}, with no two of them in the same row.  Those
+        rows and columns then carry a generalized permutation minor, so
+        rank p_n >= the number of down forms of Omega^n."""
+        used = bytearray(len(up_in))
+        for col, up in zip(p_out, up_out):
+            if up:
+                continue
+            hit = [r for r in col[::2] if up_in[r]]
+            if len(hit) != 1 or used[hit[0]]:
+                return False
+            used[hit[0]] = 1
+        return True
+
     @staticmethod
     def _homotopy_walk(
-        weights: List[int],
-        d_out: Packed,
-        p_up: Packed,
         p_out: Packed,
-        d_down: Packed,
         p_down: Packed,
-    ) -> Tuple[bool, bool]:
+        cartan: Optional[Tuple[List[int], Packed, Packed, Packed]] = None,
+    ) -> Tuple[Optional[bool], bool]:
         """Whether p(dw) + d(pw) = weight * w, and whether p(pw) = 0, for
         every basis form w of Omega^n_d: one walk over the packed columns
-        of d_n, p_{n+1}, p_n, d_{n-1} and p_{n-1}, with no product matrix."""
-        cartan = nilpotent = True
-        acc: Dict[int, int] = {}  # p(dw) + d(pw)
+        of p_n and p_{n-1}, with no product matrix.  The Cartan half runs
+        only when ``cartan = (weights, d_n, p_{n+1}, d_{n-1})`` is given;
+        without it the first answer is None."""
         square: Dict[int, int] = {}  # p(pw)
-        get, sget = acc.get, square.get
+        sget = square.get
+        if cartan is None:
+            for col in p_out:
+                it = iter(col)
+                for r, x in zip(it, it):
+                    lt = iter(p_down[r])
+                    for s, y in zip(lt, lt):
+                        square[s] = sget(s, 0) + x * y
+                if any(square.values()):
+                    return None, False
+                square.clear()
+            return None, True
+        weights, d_out, p_up, d_down = cartan
+        identity = nilpotent = True
+        acc: Dict[int, int] = {}  # p(dw) + d(pw)
+        get = acc.get
         for c, w in enumerate(weights):
             it = iter(d_out[c])
             for r, x in zip(it, it):
@@ -329,66 +377,103 @@ class DifferentialForms:
                 lt = iter(p_down[r])
                 for s, y in zip(lt, lt):
                     square[s] = sget(s, 0) + x * y
-            cartan = cartan and acc.pop(c, 0) == w and not any(acc.values())
+            identity = identity and acc.pop(c, 0) == w and not any(acc.values())
             nilpotent = nilpotent and not any(square.values())
             acc.clear()
             square.clear()
-        return cartan, nilpotent
+        return identity, nilpotent
 
     # -- exactness ---------------------------------------------------------
 
     def verify_exactness(self, d: int) -> "ExactnessReport":
-        """Exactness of ... -> Omega^1_d -> Omega^0_d -> (Q)_d -> 0.
+        """Exactness of ... -> Omega^1_d -> Omega^0_d -> (Q)_d -> 0,
+        certified from p alone, with no d.
 
-        Certified by the contracting homotopy (C. Weibel, *An Introduction
-        to Homological Algebra*, 1994, section 1.4): for n in 0..top+1 one
-        column walk checks d p + p d = L, a diagonal of positive weights,
-        and p^2 = 0 on Omega^n_d.  Then L is invertible and commutes with p,
-        so pw = 0 gives w = p(L^-1 dw).  A broken premise raises ValueError
-        naming the identity and (n, d).  The ranks are derived: Omega^{top+1}_d
-        is checked to be zero and rank p_n = dim Omega^n_d - rank p_{n+1}.
-        Spot 0 still compares: in positive degree (Q)_d vanishes, so p_1
-        must fill Omega^0_d.
+        Write u_n for the number of down forms of Omega^n_d (`_up_marks`).
+        For n in 0..top+1 the packed columns of p_n are checked to carry a
+        unit minor on the down columns (`_unit_minor`, so rank p_n >= u_n)
+        and p_{n-1} p_n = 0 (the p^2 half of `_homotopy_walk`), and the
+        counts u_n + u_{n+1} = dim Omega^n_d and Omega^{top+1}_d = 0.  Then
+        rank p_n + rank p_{n+1} <= dim Omega^n_d = u_n + u_{n+1} forces
+        rank p_n = u_n and exactness at every n.  A broken identity raises
+        ValueError naming it and (n, d).  The ranks in the report are the
+        u_n.  Spot 0 still compares: in positive degree (Q)_d vanishes, so
+        p_1 must fill Omega^0_d.
 
-        The operators of degree d are built once each, as locals of this
-        call, and are dropped as the walk passes them; only the report is
-        kept, per degree, so each (n, d) is walked once per instance however
-        many statements rest on it.
+        p_0 .. p_{top+1} are built once each, as locals of this call, and
+        at most two are alive at once; only the report is kept, per degree,
+        so each (n, d) is certified once per instance however many
+        statements rest on it.
         """
+        cached = self._exactness.get(d)
+        if cached is None:
+            cached = self._exactness[d] = self._certify(d, cartan=False)
+        return cached
+
+    def verify_cartan(self, d: int) -> "ExactnessReport":
+        """`verify_exactness` plus the Cartan identity d p + p d = L, the
+        diagonal of positive weights, on every Omega^n_d, n in 0..top+1.
+
+        The same pass walks both: it builds d_0 .. d_{top+1} and
+        p_0 .. p_{top+2} once each, at most five alive at once.  L is then
+        invertible and commutes with p, so pw = 0 gives w = p(L^-1 dw): the
+        contracting homotopy (C. Weibel, *An Introduction to Homological
+        Algebra*, 1994, section 1.4), a second proof of exactness.  The
+        report fills the exactness memo when that is empty, so a degree
+        that both statements read is walked once.
+        """
+        if d not in self._cartan:
+            report = self._certify(d, cartan=True)
+            self._exactness.setdefault(d, report)
+            self._cartan.add(d)
+        return self._exactness[d]
+
+    def _certify(self, d: int, cartan: bool) -> "ExactnessReport":
+        """The report of `verify_exactness`, walking the Cartan half too
+        when ``cartan``; raises on the first broken identity."""
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")
         self.algebra._check_degree(d)
-        cached = self._exactness.get(d)
-        if cached is not None:
-            return cached
         top = self.max_form_degree()
-        # the walk on Omega^n reads d_n, p_{n+1}, p_n, d_{n-1} and p_{n-1},
-        # so at most five operators are alive at once.  Omega^{-1} = 0: p_0
-        # has only empty columns, so nothing reads d_{-1} or p_{-1}.
+        # Omega^{-1} = 0: p_0 has only empty columns, so nothing reads
+        # d_{-1} or p_{-1}, and Omega^{-1} has no rows to mark
         d_down = p_down = ()
+        up_in = bytearray()
         p_out = self.interior_product(0, d).packed
+        downs = [0] * (top + 2)  # u_n
         for n in range(top + 2):
-            weights = self.euler_weights(n, d)
-            d_out = self.exterior_derivative(n, d).packed
-            p_up = self.interior_product(n + 1, d).packed
-            cartan, nilpotent = self._homotopy_walk(weights, d_out, p_up, p_out, d_down, p_down)
+            if cartan:
+                weights = self.euler_weights(n, d)
+                d_out = self.exterior_derivative(n, d).packed
+                p_up = self.interior_product(n + 1, d).packed
+                walk = self._homotopy_walk(p_out, p_down, (weights, d_out, p_up, d_down))
+                positive = all(w > 0 for w in weights)
+            else:
+                walk, positive = self._homotopy_walk(p_out, p_down), True
+            up_out = self._up_marks(n, d)
+            downs[n] = up_out.count(0)
             for ok, identity in (
-                (all(w > 0 for w in weights), "the weights of d p + p d are not positive"),
-                (cartan, "d p + p d is not the weight diagonal"),
-                (nilpotent, "p^2 is not zero"),
+                (positive, "the weights of d p + p d are not positive"),
+                (walk[0] is not False, "d p + p d is not the weight diagonal"),
+                (self._unit_minor(p_out, up_out, up_in), "p has no unit minor on the down forms"),
+                (walk[1], "p^2 is not zero"),
+                (n == 0 or downs[n - 1] + downs[n] == self.dim(n - 1, d),
+                 "the down forms of Omega^(n-1) and Omega^n do not add up to dim Omega^(n-1)"),
                 (n <= top or not self.dim(n, d), "Omega^n is not zero"),
             ):
                 if not ok:
                     raise ValueError(f"{identity} at (n, d) = ({n}, {d})")
-            d_down, p_down, p_out = d_out, p_out, p_up
+            up_in = up_out
+            if cartan:
+                d_down, p_down, p_out = d_out, p_out, p_up
+            elif n <= top:
+                p_down = p_out  # p_{n-1} is dropped before p_{n+1} is built
+                p_out = self.interior_product(n + 1, d).packed
         dims = [self.dim(n, d) for n in range(top + 1)]
-        ranks = [0] * (top + 2)  # ranks[n] = rank p_n, and p_{top+1} = 0
-        for n in range(top, 0, -1):
-            ranks[n] = dims[n] - ranks[n + 1]
-        spots = [SpotCheck(0, dims[0], 0, ranks[1], ranks[1] == dims[0])]
-        spots += [SpotCheck(n, dims[n], ranks[n], ranks[n + 1], True) for n in range(1, top + 1)]
-        report = self._exactness[d] = ExactnessReport(degree=d, spots=tuple(spots))
-        return report
+        # rank p_n = u_n = downs[n], and u_{top+1} = 0
+        spots = [SpotCheck(0, dims[0], 0, downs[1], downs[1] == dims[0])]
+        spots += [SpotCheck(n, dims[n], downs[n], downs[n + 1], True) for n in range(1, top + 1)]
+        return ExactnessReport(degree=d, spots=tuple(spots))
 
 
 @dataclass(frozen=True)

@@ -437,14 +437,7 @@ class StableCohomology:
         bound = self.degree_bound
         delta = self.delta_covariant()
         F = self.twisted_module()
-        # each M(i, j), read once, as (l, k, c) per term c * e_k m_l
-        terms: Dict[Tuple[int, int], List[Tuple[int, int, object]]] = {}
-        for (i, j) in _pairs_up_to(bound):
-            terms[i, j] = []
-            for (l, m), c in kernel_generator(i, j).terms.items():
-                if m.pairs != ((i + j - l, 1),):
-                    raise ValueError(f"M({i},{j}) has a term {c}*{m}*m{l}, not c*e_k*m_l")
-                terms[i, j].append((l, i + j - l, c.numerator if c.denominator == 1 else c))
+        terms = _kernel_generator_terms(bound)
         per_degree: List[Dict[str, int]] = []
         counts: Dict[int, int] = {}
         for d in range(2, bound + 1, 2):
@@ -491,17 +484,7 @@ class StableCohomology:
                     f"dimensions at degree {d}"
                 )
 
-        syzygies = 0
-        for (i, j, k) in _triples_up_to(bound):
-            lhs = (
-                Monomial.generator(i) * kernel_generator(j, k)
-                + Monomial.generator(j) * kernel_generator(k, i)
-                + Monomial.generator(k) * kernel_generator(i, j)
-            )
-            if not lhs.is_zero():
-                raise FalsificationError(f"syzygy fails at ({i},{j},{k})")
-            syzygies += 1
-
+        syzygies = _cyclic_syzygies(terms, bound)
         expected = {
             d: len(_lambda2_pairs(d))
             for d in range(2, bound + 1, 2)
@@ -533,12 +516,13 @@ class StableCohomology:
         construction:
 
         * Koszul(A) = (Omega^*, p) is exact in every degree 1..bound, so it
-          resolves Q: `DifferentialForms.verify_exactness` (the homotopy
-          walk, kept per degree, so resolution-exactness reuses it).  It
-          is the Koszul complex of A on the e_i because p applies the
-          Koszul boundary formula to the same multiplication tables.  Its
-          entries lie in A_+, so Tor_j(Q, Q)_d = Lambda^j_d is counted as
-          the blocks of Omega^j_d whose coefficient degree is 0.
+          resolves Q: `DifferentialForms.verify_exactness`, which certifies
+          it from p alone, by a matched unit minor of each p_n plus
+          p^2 = 0, and keeps the report per degree, so resolution-exactness
+          reuses it.  It is the Koszul complex of A on the e_i because p
+          applies the Koszul boundary formula to the same multiplication
+          tables.  Its entries lie in A_+, so Tor_j(Q, Q)_d = Lambda^j_d is
+          counted as the blocks of Omega^j_d whose coefficient degree is 0.
         * delta: F -> A is A-linear: `GradedModuleMap.check_equivariance`,
           run when `delta_covariant` builds it.
         * delta maps onto A_+ in every positive degree:
@@ -619,11 +603,12 @@ class StableCohomology:
         dictionary m_i <-> de_i: identical matrices up to the global sign,
         and identical kernel dimensions per degree.
 
-        The rank of p_1 is the one the homotopy walk of
+        The rank of p_1 is the one the forms certificate of
         `DifferentialForms.verify_exactness` certified (spot 0's
-        ``rank_in``; a memo hit once resolution-exactness or Tor has run).
-        Where that walk fails, p_1 is eliminated here, so a broken identity
-        elsewhere in the forms complex is not a failure of this check."""
+        ``rank_in``, the number of down forms of Omega^1_d; a memo hit once
+        resolution-exactness or Tor has run).  Where that certificate
+        fails, p_1 is eliminated here, so a broken identity elsewhere in
+        the forms complex is not a failure of this check."""
         delta = self.delta_covariant()
         rows = []
         for d in range(2, self.degree_bound + 1, 2):
@@ -670,6 +655,40 @@ class TorReport:
     @property
     def ok(self) -> bool:
         return self.nonfreeness_witness > 0
+
+
+# the terms of M(i, j), i < j, as (l, k, c) per term c * e_k m_l
+GeneratorTerms = Dict[Tuple[int, int], List[Tuple[int, int, object]]]
+
+
+def _kernel_generator_terms(bound: int) -> GeneratorTerms:
+    """Each M(i, j) with 2(i + j) <= bound, read once from
+    `kernel_generator`; raises unless every term is c * e_k m_l."""
+    terms: GeneratorTerms = {}
+    for (i, j) in _pairs_up_to(bound):
+        terms[i, j] = []
+        for (l, m), c in kernel_generator(i, j).terms.items():
+            if m.pairs != ((i + j - l, 1),):
+                raise ValueError(f"M({i},{j}) has a term {c}*{m}*m{l}, not c*e_k*m_l")
+            terms[i, j].append((l, i + j - l, c.numerator if c.denominator == 1 else c))
+    return terms
+
+
+def _cyclic_syzygies(terms: GeneratorTerms, bound: int) -> int:
+    """The number of triples i < j < k with 2(i + j + k) <= bound, after
+    checking e_i M(j, k) + e_j M(k, i) + e_k M(i, j) = 0 for each by index:
+    the coefficient of e_a e_b m_l, keyed (l, a, b) with a <= b, summed
+    over the terms, with M(k, i) read as -M(i, k)."""
+    triples = _triples_up_to(bound)
+    for (i, j, k) in triples:
+        lhs: Dict[Tuple[int, int, int], object] = {}
+        for a, pair, sign in ((i, (j, k), 1), (j, (i, k), -1), (k, (i, j), 1)):
+            for l, b, c in terms[pair]:
+                key = (l, a, b) if a <= b else (l, b, a)
+                lhs[key] = lhs.get(key, 0) + sign * c
+        if any(lhs.values()):
+            raise FalsificationError(f"syzygy fails at ({i},{j},{k})")
+    return len(triples)
 
 
 def _pairs_up_to(d: int) -> List[Tuple[int, int]]:

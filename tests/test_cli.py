@@ -506,6 +506,8 @@ def _break_tor(monkeypatch):
 
 
 def _break_cartan(monkeypatch):
+    # p_2 scaled by 2 at degree 8 is still a complex with the same ranks,
+    # so still exact; only d p + p d = L sees it
     from mmmcoh.forms import DifferentialForms
 
     real = DifferentialForms.interior_product
@@ -513,6 +515,24 @@ def _break_cartan(monkeypatch):
     def broken(self, n, d):
         m = real(self, n, d)
         return m.scale(2) if (n, d) == (2, 8) else m
+
+    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+
+
+def _break_p_squared(monkeypatch):
+    # one sign of p_2 flipped at degree 8: p_1 p_2 is no longer zero
+    from mmmcoh.forms import DifferentialForms
+    from mmmcoh.linalg import SparseMatrix
+
+    real = DifferentialForms.interior_product
+
+    def broken(self, n, d):
+        m = real(self, n, d)
+        if (n, d) != (2, 8):
+            return m
+        entries = m.entries
+        entries[next(iter(entries))] *= -1
+        return SparseMatrix(m.rows, m.cols, entries)
 
     monkeypatch.setattr(DifferentialForms, "interior_product", broken)
 
@@ -532,7 +552,7 @@ def test_failed_statement_leaves_no_stale_document_at_out(capsys, monkeypatch, t
     "command,brk,message",
     [
         ("tor", _break_tor, "mmmcoh: Tor mismatches: [{'j': 1, 'degree': 8, "),
-        ("exactness", _break_cartan, "mmmcoh: d p + p d is not the weight diagonal at (n, d) = (1, 8)\n"),
+        ("exactness", _break_p_squared, "mmmcoh: p^2 is not zero at (n, d) = (2, 8)\n"),
     ],
     ids=["tor", "exactness"],
 )
@@ -545,6 +565,41 @@ def test_failed_statement_exits_1_with_a_message(capsys, monkeypatch, command, b
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_exactness_query_passes_a_scaled_p_that_verify_all_fails(capsys, monkeypatch):
+    # the exactness query certifies exactness, which a scaled p_2 keeps;
+    # verify-all also states d p + p d = L, and fails both rows that read
+    # the forms certificate with the Cartan message
+    from mmmcoh.verify import run_verification
+
+    assert main(["exactness", "--max-degree", "8", "--format", "json"]) == 0
+    clean = capsys.readouterr().out
+    _break_cartan(monkeypatch)
+    assert main(["exactness", "--max-degree", "8", "--format", "json"]) == 0
+    assert capsys.readouterr().out == clean
+    by_id = {c.check_id: c for c in run_verification(8).checks}
+    failed = {cid for cid, c in by_id.items() if c.status == "fail"}
+    assert failed == {"tor-dimensions", "resolution-exactness"}
+    message = "d p + p d is not the weight diagonal at (n, d) = (1, 8)"
+    assert by_id["tor-dimensions"].failure == by_id["resolution-exactness"].failure == message
+
+
+@pytest.mark.parametrize("command", ["exactness", "tor"])
+def test_forms_queries_build_no_d_and_no_weights(capsys, monkeypatch, command):
+    from mmmcoh.forms import DifferentialForms
+
+    calls = []
+    for name in ("exterior_derivative", "euler_weights"):
+
+        def counted(self, n, d, real=getattr(DifferentialForms, name), name=name):
+            calls.append((name, n, d))
+            return real(self, n, d)
+
+        monkeypatch.setattr(DifferentialForms, name, counted)
+    assert main([command, "--max-degree", "16", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_hilbert_tilde_dual_fails_on_a_cokernel_mismatch(capsys, monkeypatch):

@@ -319,11 +319,12 @@ def test_operators_match_object_oracles_at_bound_24():
 
 # -- the product and rank routes, kept as test-only oracles -------------------------
 #
-# verify_exactness certifies exactness by the contracting homotopy, in one
-# walk over the operators' columns, and derives the ranks from the
-# dimensions.  These are the routes it replaced: L = d p + p d assembled
-# from two products and a sum, and one elimination per contraction.
-# verify_cartan reads the Cartan half of one walk, to compare with them.
+# verify_exactness certifies exactness from p alone: a matched unit minor
+# of each p_n, p^2 = 0 and the counts of the matching.  verify_cartan adds
+# the contracting homotopy, in one walk over the operators' columns.  These
+# are the routes they replaced: L = d p + p d assembled from two products
+# and a sum, and one elimination per contraction.  verify_cartan below
+# reads the Cartan half of one walk, to compare with them.
 
 
 def homotopy_walk(forms, n, d):
@@ -331,12 +332,14 @@ def homotopy_walk(forms, n, d):
     built through the class's builder methods."""
     d_down = forms.exterior_derivative(n - 1, d).packed if n else ()
     return forms._homotopy_walk(
-        forms.euler_weights(n, d),
-        forms.exterior_derivative(n, d).packed,
-        forms.interior_product(n + 1, d).packed,
         forms.interior_product(n, d).packed,
-        d_down,
         forms.interior_product(n - 1, d).packed,
+        (
+            forms.euler_weights(n, d),
+            forms.exterior_derivative(n, d).packed,
+            forms.interior_product(n + 1, d).packed,
+            d_down,
+        ),
     )
 
 
@@ -420,11 +423,18 @@ def _break_operator(name, key, col=None):
 
 
 # each break fails the Cartan identity first at (n, d) = (1, 8): the weight
-# and d_1 are read on Omega^1 directly, p_2 as the p of p(dw)
+# and d_1 are read on Omega^1 directly, p_2 as the p of p(dw).  The
+# exactness certificate reads neither d nor the weights, so it passes the
+# first two; doubling one entry of p_2 breaks p_1 p_2 = 0
 BREAKS = {
     "weight": _break_weight,
     "p-column": _break_operator("interior_product", (2, 8)),
     "d-column": _break_operator("exterior_derivative", (1, 8)),
+}
+EXACTNESS_AT_8 = {
+    "weight": None,
+    "d-column": None,
+    "p-column": "p^2 is not zero at (n, d) = (2, 8)",
 }
 CARTAN_FAILS = r"^d p \+ p d is not the weight diagonal at \(n, d\) = \(1, 8\)$"
 
@@ -434,9 +444,16 @@ def test_broken_premise_raises(monkeypatch, brk):
     BREAKS[brk](monkeypatch)
     forms = DifferentialForms(PolynomialAlgebra(12))
     for d in range(1, 8):
-        assert forms.verify_exactness(d).all_exact
+        assert forms.verify_cartan(d).all_exact
     with pytest.raises(ValueError, match=CARTAN_FAILS):
-        forms.verify_exactness(8)
+        forms.verify_cartan(8)
+    assert 8 not in forms._exactness  # a failed walk fills no memo
+    if EXACTNESS_AT_8[brk] is None:
+        assert forms.verify_exactness(8).all_exact
+    else:
+        with pytest.raises(ValueError) as exc:
+            forms.verify_exactness(8)
+        assert str(exc.value) == EXACTNESS_AT_8[brk]
 
 
 @pytest.mark.parametrize("brk", sorted(BREAKS))
@@ -456,24 +473,128 @@ def test_broken_premise_is_a_resolution_exactness_fail_row(monkeypatch, capsys, 
 def test_walk_detects_a_nonzero_p_squared(monkeypatch):
     # the walk on Omega^3 reads p_2 only as the p of p(pw), so doubling an
     # entry of a column of p_2 that p(de1^de2^de3) hits leaves Cartan there
-    # intact and breaks p^2 = 0
+    # intact and breaks p^2 = 0, with or without the Cartan half
     hit = DifferentialForms(PolynomialAlgebra(12)).interior_product(3, 12).packed[0][0]
     _break_operator("interior_product", (2, 12), col=hit)(monkeypatch)
     forms = DifferentialForms(PolynomialAlgebra(12))
     assert homotopy_walk(forms, 3, 12) == (True, False)
+    p3, p2 = (forms.interior_product(n, 12).packed for n in (3, 2))
+    assert forms._homotopy_walk(p3, p2) == (None, False)
+    # the exactness certificate meets p_2 first as p_1 p_2, on Omega^2
+    with pytest.raises(ValueError, match=r"^p\^2 is not zero at \(n, d\) = \(2, 12\)$"):
+        forms.verify_exactness(12)
 
-    # and verify_exactness raises on it, naming p^2 and (n, d)
-    monkeypatch.undo()
-    real = DifferentialForms._homotopy_walk
-    calls = []
 
-    def walk(*operators):
-        calls.append(operators)  # the walks of one degree run n = 0, 1, ...
-        return (True, False) if len(calls) == 4 else real(*operators)
+# -- mutations of p that the exactness certificate must catch ----------------------
 
-    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
-    with pytest.raises(ValueError, match=r"^p\^2 is not zero at \(n, d\) = \(3, 12\)$"):
-        DifferentialForms(PolynomialAlgebra(12)).verify_exactness(12)
+
+def _flip_sign(key, col=0):
+    """Break p at (n, d) = key: the first entry of column ``col`` negated."""
+
+    def patch(monkeypatch):
+        real = DifferentialForms.interior_product
+
+        def broken(self, n, d):
+            m = real(self, n, d)
+            if (n, d) != key:
+                return m
+            entries = m.entries
+            entries[next(k for k in entries if k[1] == col)] *= -1
+            return SparseMatrix(m.rows, m.cols, entries)
+
+        monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+
+    return patch
+
+
+@pytest.mark.parametrize("key", [(2, 8), (3, 12), (2, 16), (4, 20), (3, 24)])
+def test_a_flipped_sign_of_p_fails_p_squared_at_its_degree(monkeypatch, key):
+    from mmmcoh.stable import StableCohomology
+
+    _flip_sign(key)(monkeypatch)
+    message = r"^p\^2 is not zero at \(n, d\) = \(%d, %d\)$" % key
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    for d in range(1, key[1]):
+        assert forms.verify_exactness(d).all_exact
+    with pytest.raises(ValueError, match=message):
+        forms.verify_exactness(key[1])
+    with pytest.raises(ValueError, match=message):
+        StableCohomology(24).verify_tor()
+
+
+def _move_up_entry(key, onto):
+    """Break p at (n, d) = key: the entry that the first down column has in
+    an up row moves to the up row of the next down column (``onto="up"``)
+    or to a down row the column does not hold (``onto="down"``)."""
+
+    def patch(monkeypatch):
+        real = DifferentialForms.interior_product
+
+        def broken(self, n, d):
+            m = real(self, n, d)
+            if (n, d) != key:
+                return m
+            up_in, up_out = self._up_marks(n - 1, d), self._up_marks(n, d)
+            down = [c for c in range(m.cols) if not up_out[c]]
+            (r,) = [r for r in m.packed[down[0]][::2] if up_in[r]]
+            if onto == "up":
+                (target,) = [r for r in m.packed[down[1]][::2] if up_in[r]]
+            else:
+                held = set(m.packed[down[0]][::2])
+                target = next(r for r in range(m.rows) if not up_in[r] and r not in held)
+            entries = m.entries
+            entries[target, down[0]] = entries.pop((r, down[0]))
+            return SparseMatrix(m.rows, m.cols, entries)
+
+        monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+
+    return patch
+
+
+@pytest.mark.parametrize(
+    "key,onto",
+    [((1, 8), "up"), ((2, 12), "up"), ((2, 12), "down"), ((3, 20), "up"), ((3, 20), "down")],
+)
+def test_a_moved_up_entry_fails_the_unit_minor(monkeypatch, key, onto):
+    _move_up_entry(key, onto)(monkeypatch)
+    forms = DifferentialForms(PolynomialAlgebra(20))
+    message = r"^p has no unit minor on the down forms at \(n, d\) = \(%d, %d\)$" % key
+    with pytest.raises(ValueError, match=message):
+        forms.verify_exactness(key[1])
+    # the Cartan half is walked first on each Omega^n, and its p_n reads
+    # the moved entry as p_{n+1} one step earlier
+    with pytest.raises(ValueError, match=r"^d p \+ p d is not the weight diagonal"):
+        forms.verify_cartan(key[1])
+
+
+def test_every_positive_degree_form_is_matched():
+    # the down forms of Omega^n and the up forms of Omega^(n-1) pair off,
+    # and every form but the unit of Omega^0_0 has a partner
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    for d in range(2, 25, 2):
+        top = forms.max_form_degree()
+        downs = [forms._up_marks(n, d).count(0) for n in range(top + 2)]
+        ups = [forms._up_marks(n, d).count(1) for n in range(top + 2)]
+        assert downs[0] == 0 and downs[top + 1] == ups[top + 1] == 0, d
+        assert ups[:-1] == downs[1:], d
+    assert list(forms._up_marks(0, 0)) == [1]
+
+
+def test_unit_minor_is_the_partner_of_each_down_form(forms):
+    # the one up-row entry of each down column of p_n is its matched form
+    # (e_{min S} m) de_{S - min S}, with sign +1
+    for d in range(2, 25, 2):
+        for n in range(1, forms.max_form_degree() + 1):
+            basis, below = forms.form_basis(n, d), forms.basis_index(n - 1, d)
+            up_in, up_out = forms._up_marks(n - 1, d), forms._up_marks(n, d)
+            for c, col in enumerate(forms.interior_product(n, d).packed):
+                if up_out[c]:
+                    continue
+                b = basis[c]
+                s = b.wedge[0]
+                partner = FormBasisElement(b.monomial * Monomial.generator(s), b.wedge[1:])
+                hits = [(r, x) for r, x in zip(col[::2], col[1::2]) if up_in[r]]
+                assert hits == [(below[partner], 1)], (n, d, c)
 
 
 # -- streaming: the operators live only inside verify_exactness(d) -------------
@@ -504,29 +625,50 @@ def test_no_operator_outlives_its_degree():
     assert held == []
 
 
-def test_each_degree_builds_each_operator_once(monkeypatch):
-    built = []
-    for name in ("exterior_derivative", "interior_product"):
+def _count_builds(monkeypatch, built):
+    for name in ("exterior_derivative", "interior_product", "euler_weights"):
 
         def counted(self, n, d, real=getattr(DifferentialForms, name), name=name):
             built.append((name, n, d))
             return real(self, n, d)
 
         monkeypatch.setattr(DifferentialForms, name, counted)
-    forms = DifferentialForms(PolynomialAlgebra(24))
-    top = forms.max_form_degree()
+
+
+def test_each_degree_builds_each_operator_once(monkeypatch):
+    built = []
+    _count_builds(monkeypatch, built)
+    top = DifferentialForms(PolynomialAlgebra(24)).max_form_degree()
     for d in range(1, 25):
+        # the exactness certificate: p_0 .. p_{top+1}, no d and no weights
+        forms = DifferentialForms(PolynomialAlgebra(24))
         built.clear()
         forms.verify_exactness(d)
-        # d_0 .. d_{top+1} and p_0 .. p_{top+2}, each once: what the walks
-        # at n = 0..top+1 read
-        assert sorted(built) == sorted(
-            [("exterior_derivative", n, d) for n in range(top + 2)]
-            + [("interior_product", n, d) for n in range(top + 3)]
-        ), d
+        assert sorted(built) == [("interior_product", n, d) for n in range(top + 2)], d
         built.clear()
         forms.verify_exactness(d)
         assert built == [], d
+        # with the Cartan half, d_0 .. d_{top+1}, p_0 .. p_{top+2} and the
+        # weights: what the walks at n = 0..top+1 read
+        forms.verify_cartan(d)
+        assert sorted(built) == sorted(
+            [("exterior_derivative", n, d) for n in range(top + 2)]
+            + [("euler_weights", n, d) for n in range(top + 2)]
+            + [("interior_product", n, d) for n in range(top + 3)]
+        ), d
+        built.clear()
+        forms.verify_cartan(d)
+        forms.verify_exactness(d)
+        assert built == [], d
+
+
+def test_cartan_fills_the_exactness_memo(monkeypatch):
+    forms = DifferentialForms(PolynomialAlgebra(16))
+    reports = [forms.verify_cartan(d) for d in range(1, 17)]
+    built = []
+    _count_builds(monkeypatch, built)
+    assert [forms.verify_exactness(d) for d in range(1, 17)] == reports
+    assert built == []
 
 
 def test_verifying_every_degree_peaks_near_one_degree():

@@ -247,6 +247,56 @@ def test_syzygy_count(sc):
     assert report.syzygies_checked == 23
 
 
+def test_syzygy_check_matches_the_element_arithmetic():
+    # the index check agrees with e_i M(j,k) + e_j M(k,i) + e_k M(i,j)
+    # summed as TwistedElements, triple by triple
+    from mmmcoh.stable import _cyclic_syzygies, _kernel_generator_terms, _triples_up_to
+
+    triples = _triples_up_to(30)
+    assert _cyclic_syzygies(_kernel_generator_terms(30), 30) == len(triples) == 53
+    for (i, j, k) in triples:
+        lhs = (
+            Monomial.generator(i) * kernel_generator(j, k)
+            + Monomial.generator(j) * kernel_generator(k, i)
+            + Monomial.generator(k) * kernel_generator(i, j)
+        )
+        assert lhs.is_zero()
+
+
+@pytest.mark.parametrize(
+    "pair,slot,triple",
+    [
+        ((1, 2), 0, (1, 2, 3)),
+        ((2, 4), 1, (1, 2, 4)),
+        ((3, 4), 0, (1, 3, 4)),
+        ((2, 3), 1, (1, 2, 3)),
+    ],
+)
+def test_a_corrupt_term_fails_the_syzygy_naming_its_triple(pair, slot, triple):
+    from mmmcoh.stable import _cyclic_syzygies, _kernel_generator_terms
+
+    terms = _kernel_generator_terms(16)
+    l, k, c = terms[pair][slot]
+    terms[pair][slot] = (l, k, 2 * c)
+    with pytest.raises(FalsificationError, match=r"^syzygy fails at \(%d,%d,%d\)$" % triple):
+        _cyclic_syzygies(terms, 16)
+
+
+def test_a_negated_generator_fails_only_its_syzygies(monkeypatch):
+    # -M(1,2) lies in the kernel and spans what M(1,2) spans, so
+    # kernel-generators fails at the first cyclic syzygy that reads it
+    from mmmcoh import stable
+    from mmmcoh.verify import run_verification
+
+    real = stable.kernel_generator
+    monkeypatch.setattr(
+        stable, "kernel_generator", lambda i, j: -real(i, j) if (i, j) == (1, 2) else real(i, j)
+    )
+    by_id = {c.check_id: c for c in run_verification(12).checks}
+    assert [cid for cid, c in by_id.items() if c.status == "fail"] == ["kernel-generators"]
+    assert by_id["kernel-generators"].failure == "syzygy fails at (1,2,3)"
+
+
 def test_tor_matches_two_wedge_columns(sc):
     from mmmcoh.algebra import exterior_dim
 

@@ -137,6 +137,36 @@ def test_tor_mismatch_is_a_fail_row(monkeypatch):
     assert main(["verify-all", "--max-degree", "8"]) == 1
 
 
+def test_verify_all_builds_each_forms_operator_once_per_degree(monkeypatch):
+    # tor-dimensions runs the forms certificate with its Cartan half, which
+    # fills the exactness memo that resolution-exactness and Tor read
+    from collections import Counter
+
+    from mmmcoh.algebra import PolynomialAlgebra
+    from mmmcoh.forms import DifferentialForms
+
+    built = Counter()
+    for name in ("exterior_derivative", "interior_product"):
+
+        def counted(self, n, d, real=getattr(DifferentialForms, name), name=name):
+            built[name, n, d] += 1
+            return real(self, n, d)
+
+        monkeypatch.setattr(DifferentialForms, name, counted)
+    top = DifferentialForms(PolynomialAlgebra(12)).max_form_degree()
+    once = Counter()
+    for d in range(1, 13):
+        once.update(("exterior_derivative", n, d) for n in range(top + 2))
+        once.update(("interior_product", n, d) for n in range(top + 3))
+    assert run_verification(12, check_ids=["tor-dimensions", "resolution-exactness"]).passed
+    assert built == once
+    built.clear()
+    assert run_verification(12).passed
+    # and kernel-cross-check compares p_1 with the contraction at even d
+    once.update(("interior_product", 1, d) for d in range(2, 13, 2))
+    assert built == once
+
+
 def test_corrupt_contraction_fails_tor_and_exactness(monkeypatch):
     # tor-dimensions rests on the exactness of the contraction complex, so
     # one wrong entry of p_3 fails both rows with the walk's message
