@@ -20,7 +20,7 @@ from .algebra import (
     exterior_basis,
     exterior_dim,
 )
-from .forms import DifferentialForms, ExactnessReport, FormBasisElement, FormElement
+from .forms import DifferentialForms, ExactnessReport
 from .groupcoh import (
     GroupPresentation,
     H1Certificate,
@@ -39,7 +39,6 @@ from .linalg import (
     column_space_basis,
     kernel_basis,
     rank,
-    rref,
     solve,
     solve_many,
 )
@@ -55,7 +54,6 @@ from .stable import (
     StableCohomology,
     StableCohomologyTable,
     TorReport,
-    TwistedClassSymbol,
     TwistedElement,
     contraction_pairing,
     kernel_generator,
@@ -69,8 +67,6 @@ __all__ = [
     "DifferentialForms",
     "ExactnessReport",
     "FalsificationError",
-    "FormBasisElement",
-    "FormElement",
     "FreeGradedModule",
     "GeneratorsReport",
     "GradedModuleMap",
@@ -84,7 +80,6 @@ __all__ = [
     "StableCohomologyTable",
     "TorReport",
     "TorResult",
-    "TwistedClassSymbol",
     "TwistedElement",
     "VectorQ",
     "VerificationReport",
@@ -103,7 +98,6 @@ __all__ = [
     "load_group_data",
     "load_group_file",
     "rank",
-    "rref",
     "run_verification",
     "solve",
     "solve_many",

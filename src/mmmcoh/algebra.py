@@ -29,9 +29,7 @@ bases.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-from .linalg import VectorQ
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Q = Fraction
 _ZERO = Fraction(0)
@@ -127,9 +125,9 @@ class LinearCombination:
     """A sparse Q-combination: ``terms`` maps each key to its nonzero
     ``Fraction`` coefficient.
 
-    The ring elements here, the forms and the twisted classes share this
-    arithmetic; each subclass adds its generators, products, degrees and
-    printing.  Elements of different subclasses never compare equal.
+    The ring elements here and the twisted classes share this arithmetic;
+    each subclass adds its generators, products, degrees and printing.
+    Elements of different subclasses never compare equal.
 
     >>> x = LinearCombination({"a": 1, "b": 0.5, "c": 0})
     >>> x.terms
@@ -304,7 +302,6 @@ class PolynomialAlgebra:
             raise ValueError("degree bound must be even and >= 0")
         self.degree_bound = degree_bound
         self._basis_cache: Dict[int, Tuple[Monomial, ...]] = {}
-        self._index_cache: Dict[int, Dict[Monomial, int]] = {}
         self._position_cache: Dict[int, Dict[Tuple[Tuple[int, int], ...], int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._total_cache: Dict[int, Tuple[int, ...]] = {}
@@ -337,15 +334,9 @@ class PolynomialAlgebra:
         """dim_Q of the degree-d slice: the partition count p(d/2)."""
         return len(self.monomial_basis(d))
 
-    def basis_index(self, d: int) -> Dict[Monomial, int]:
-        idx = self._index_cache.get(d)
-        if idx is None:
-            idx = {m: k for k, m in enumerate(self.monomial_basis(d))}
-            self._index_cache[d] = idx
-        return idx
-
     def _positions(self, d: int) -> Dict[Tuple[Tuple[int, int], ...], int]:
-        # basis_index keyed by ``pairs``, for the tables
+        # the position of each basis monomial of degree d, keyed by its
+        # ``pairs``, for the tables
         pos = self._position_cache.get(d)
         if pos is None:
             basis = self.monomial_basis(d)
@@ -406,23 +397,6 @@ class PolynomialAlgebra:
         if wedges is None:
             wedges = self._exterior_cache[key] = exterior_basis(n, d)
         return wedges
-
-    def as_vector(self, a: AlgebraElement, d: int) -> VectorQ:
-        """Coordinates of a degree-d homogeneous element in the canonical
-        basis; raises if a term lives in a different degree."""
-        idx = self.basis_index(d)
-        entries: Dict[int, Fraction] = {}
-        for m, c in a.terms.items():
-            if m.degree != d:
-                raise ValueError(f"term {m} has degree {m.degree}, not {d}")
-            entries[idx[m]] = c
-        return VectorQ(len(idx), entries)
-
-    def from_vector(self, v: VectorQ, d: int) -> AlgebraElement:
-        basis = self.monomial_basis(d)
-        if v.dim != len(basis):
-            raise ValueError("vector length does not match the basis")
-        return AlgebraElement({basis[i]: c for i, c in v.entries.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ d^2 = 0 is checked only by tests/test_forms.py, at bound 24.
 The complex is streamed degree by degree: the operator matrices are built
 on each call and kept by no one here, so `verify_exactness(d)` and
 `verify_cartan(d)` hold the operators of degree d only while they walk
-them.  An instance keeps the
-small tables that later degrees and checks read (the layouts, the
-quotient positions, the bases asked for) and one exactness report per
-degree.
+them.  An instance keeps the small tables that later degrees and checks
+read (the layouts and the quotient positions) and one exactness report
+per degree.
 
 Everything here is a finite matrix per (form degree, internal degree), and
 all matrices are exact.
@@ -37,87 +36,23 @@ most d come in ascending lex order, and each wedge w owns one block, the
 monomial basis of the coefficient degree d - wt(w), at an offset fixed by
 the blocks before it.  The operator matrices are built from these offsets
 and the algebra's multiplication tables (d uses their inverse, division by
-e_i), so a matrix entry is index arithmetic; ``FormBasisElement`` objects
-are built only for ``form_basis``, ``basis_index`` and the vector
-conversions.
+e_i), so a matrix entry is index arithmetic.  A basis form is never built
+as an object: it is the pair (monomial, wedge) at its position in the
+layout, and ``_layout`` is the one record of that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
 from typing import Dict, List, Optional, Set, Tuple
 
-from .algebra import LinearCombination, Monomial, PolynomialAlgebra
-from .linalg import SparseMatrix, VectorQ
-
-_ONE = Fraction(1)
+from .algebra import PolynomialAlgebra
+from .linalg import SparseMatrix
 
 # the packed columns of an operator matrix, ``SparseMatrix.packed``
 Packed = Tuple[Tuple[int, ...], ...]
-
-
-class FormBasisElement:
-    """monomial * de_{i_1} ^ ... ^ de_{i_n} with a strictly increasing wedge."""
-
-    __slots__ = ("monomial", "wedge")
-
-    def __init__(self, monomial: Monomial, wedge: Tuple[int, ...]):
-        if any(a >= b for a, b in zip(wedge, wedge[1:])):
-            raise ValueError("wedge indices must be strictly increasing")
-        if wedge and wedge[0] < 1:
-            raise ValueError("generator indices start at 1")
-        self.monomial = monomial
-        self.wedge = tuple(wedge)
-
-    @property
-    def form_degree(self) -> int:
-        return len(self.wedge)
-
-    @property
-    def internal_degree(self) -> int:
-        return self.monomial.degree + sum(2 * i for i in self.wedge)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormBasisElement)
-            and self.monomial == other.monomial
-            and self.wedge == other.wedge
-        )
-
-    def __hash__(self):
-        return hash((self.monomial, self.wedge))
-
-    def __str__(self):
-        w = "^".join(f"de{i}" for i in self.wedge)
-        if not w:
-            return str(self.monomial)
-        if self.monomial.pairs == ():
-            return w
-        return f"{self.monomial}*{w}"
-
-    def __repr__(self):
-        return f"FormBasisElement({self})"
-
-
-class FormElement(LinearCombination):
-    """Sparse Q-combination of form basis elements."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, monomial: Monomial, wedge: Tuple[int, ...], coeff=_ONE) -> "FormElement":
-        return cls({FormBasisElement(monomial, wedge): coeff})
-
-    __rmul__ = LinearCombination.scale
-
-    def __repr__(self):
-        if not self.terms:
-            return "FormElement(0)"
-        bits = sorted(f"{c}*{b}" for b, c in self.terms.items())
-        return "FormElement(" + " + ".join(bits) + ")"
 
 
 def wedge_insert(i: int, wedge: Tuple[int, ...]):
@@ -142,8 +77,6 @@ class DifferentialForms:
         self.algebra = algebra
         self._layouts: Dict[Tuple[int, int], Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]] = {}
         self._quotients: Dict[Tuple[int, int], List[Optional[int]]] = {}
-        self._basis: Dict[Tuple[int, int], Tuple[FormBasisElement, ...]] = {}
-        self._index: Dict[Tuple[int, int], Dict[FormBasisElement, int]] = {}
         self._exactness: Dict[int, ExactnessReport] = {}
         self._cartan: Set[int] = set()  # degrees whose Cartan walk passed
 
@@ -158,21 +91,6 @@ class DifferentialForms:
         while (n + 1) * (n + 2) <= self.degree_bound:
             n += 1
         return n
-
-    def form_basis(self, n: int, d: int) -> Tuple[FormBasisElement, ...]:
-        """Canonical basis of Omega^n in internal degree d: wedges in
-        ascending lex order, coefficient monomials in canonical order."""
-        key = (n, d)
-        cached = self._basis.get(key)
-        if cached is None:
-            monomials = self.algebra.monomial_basis
-            cached = tuple(
-                FormBasisElement(m, wedge)
-                for wedge, (_, deg) in self._layout(n, d)[0].items()
-                for m in monomials(deg)
-            )
-            self._basis[key] = cached
-        return cached
 
     def _layout(self, n: int, d: int) -> Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]:
         """The wedge-major layout of Omega^n_d: ``({wedge: (offset,
@@ -216,31 +134,8 @@ class DifferentialForms:
             self._quotients[key] = cached
         return cached
 
-    def basis_index(self, n: int, d: int) -> Dict[FormBasisElement, int]:
-        key = (n, d)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = {b: k for k, b in enumerate(self.form_basis(n, d))}
-            self._index[key] = idx
-        return idx
-
     def dim(self, n: int, d: int) -> int:
         return self._layout(n, d)[1]
-
-    def as_vector(self, form: FormElement, n: int, d: int) -> VectorQ:
-        idx = self.basis_index(n, d)
-        entries = {}
-        for b, c in form.terms.items():
-            if b.form_degree != n or b.internal_degree != d:
-                raise ValueError(f"{b} is not in Omega^{n} degree {d}")
-            entries[idx[b]] = c
-        return VectorQ(len(idx), entries)
-
-    def from_vector(self, v: VectorQ, n: int, d: int) -> FormElement:
-        basis = self.form_basis(n, d)
-        if v.dim != len(basis):
-            raise ValueError("vector length does not match the basis")
-        return FormElement({basis[i]: c for i, c in v.entries.items()})
 
     # -- operators ---------------------------------------------------------
 

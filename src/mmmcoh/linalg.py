@@ -60,7 +60,7 @@ where a division actually happens (a pivot other than +-1).  A value
 computed from a ``Fraction`` stays one even when it comes out integral;
 ``==`` and ``hash`` compare values, so that is invisible outside.  Every
 value that crosses the interface (``entries``, ``entry``, ``column``,
-``to_lists``, vector entries, RREF rows, kernel vectors, solutions) is a
+``to_lists``, vector entries, kernel vectors, solutions) is a
 ``Fraction``: ``_as_q`` wraps an ``int`` through ``_SMALL``, one shared
 ``Fraction`` per small integer.  Sharing is safe because ``Fraction`` is
 immutable, and it saves an allocation per entry.
@@ -610,18 +610,6 @@ def _back_substitute(pivots: List[int], echelon: List[Dict[int, object]]):
         piv = echelon[k]
         for j in holders[k]:
             _sub_scaled(echelon[j], piv, echelon[j][col])
-
-
-def rref(m: SparseMatrix, pivot_limit: Optional[int] = None):
-    """Canonical reduced row echelon form.
-
-    Returns ``(pivot_cols, rows)`` where rows are dicts ``col -> Fraction``.
-    The result is unique (independent of pivoting choices), which is what
-    makes kernel bases deterministic.
-    """
-    pivots, echelon = _forward(_row_dicts(m), m.cols, pivot_limit)
-    _back_substitute(pivots, echelon)
-    return pivots, [{c: _as_q(x) for c, x in row.items()} for row in echelon]
 
 
 def _forest_pivots(packed: Tuple[Tuple, ...], ground: int) -> Optional[List[int]]:

@@ -34,7 +34,7 @@ from itertools import chain, repeat
 from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import DegreeBoundError, Monomial, PolynomialAlgebra
+from .algebra import DegreeBoundError, PolynomialAlgebra
 from .linalg import (
     SparseMatrix,
     gather_columns,
@@ -60,8 +60,6 @@ class FreeGradedModule:
         self.gen_degrees = tuple(gen_degrees)
         self.coh_offset = coh_offset
         self._blocks: Dict[int, Tuple[Dict[int, Tuple[int, int]], int]] = {}
-        self._bases: Dict[int, Tuple[Tuple[int, Monomial], ...]] = {}
-        self._indexes: Dict[int, Dict[Tuple[int, Monomial], int]] = {}
         self.dims = {}
         for d in range(0, algebra.degree_bound + 1, 2):
             n = self.generator_blocks(d)[1]
@@ -94,26 +92,6 @@ class FreeGradedModule:
             cached = (blocks, off)
             self._blocks[d] = cached
         return cached
-
-    def basis(self, d: int) -> Tuple[Tuple[int, Monomial], ...]:
-        """The degree-d basis as (generator position, monomial) pairs."""
-        cached = self._bases.get(d)
-        if cached is None:
-            monomials = self.algebra.monomial_basis
-            cached = tuple(
-                (k, m)
-                for k, (_, deg) in self.generator_blocks(d)[0].items()
-                for m in monomials(deg)
-            )
-            self._bases[d] = cached
-        return cached
-
-    def basis_index(self, d: int) -> Dict[Tuple[int, Monomial], int]:
-        idx = self._indexes.get(d)
-        if idx is None:
-            idx = {b: k for k, b in enumerate(self.basis(d))}
-            self._indexes[d] = idx
-        return idx
 
     def multiplication_table(self, i: int, d: int) -> Tuple[int, ...]:
         """Multiplication by e_i from degree d to degree d + 2i, as positions:

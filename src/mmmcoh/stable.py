@@ -104,44 +104,6 @@ class TwistedElement(LinearCombination):
         return "TwistedElement(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class TwistedClassSymbol:
-    """A named class: e(i), m(l), M(i, j) or theta.
-
-    M is antisymmetric in its indices; `materialize` hands back the actual
-    element (an AlgebraElement for e, a TwistedElement for m and M), with
-    M(j, i) = -M(i, j) and M(i, i) = 0.
-    """
-
-    kind: str
-    i: int = 0
-    j: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("e", "m", "M", "theta"):
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind in ("e", "m") and self.i < 1:
-            raise ValueError("index must be >= 1")
-        if self.kind == "M" and (self.i < 1 or self.j < 1):
-            raise ValueError("indices must be >= 1")
-
-    def materialize(self):
-        if self.kind == "e":
-            return AlgebraElement.generator(self.i)
-        if self.kind == "m":
-            return TwistedElement.generator(self.i)
-        if self.kind == "M":
-            return kernel_generator(self.i, self.j)
-        raise ValueError("theta is a basis label, not a module element")
-
-    def __str__(self):
-        if self.kind == "theta":
-            return "theta"
-        if self.kind == "M":
-            return f"M({self.i},{self.j})"
-        return f"{self.kind}{self.i}"
-
-
 def contraction_pairing(x: TwistedElement, y: TwistedElement) -> AlgebraElement:
     """The A-bilinear pairing with mu(m_l, m_l') = -e_{l+l'-1}."""
     return AlgebraElement._summed(
@@ -340,10 +302,7 @@ class StableCohomology:
             d = c - 1  # source degree of the embedding
             if d in per_degree:
                 dims[c] = per_degree[d]["cokernel"]
-        gens = {
-            2 * a - 1: (str(TwistedClassSymbol("m", a)),)
-            for a in range(2, self.degree_bound // 2 + 1)
-        }
+        gens = {2 * a - 1: (f"m{a}",) for a in range(2, self.degree_bound // 2 + 1)}
         return StableCohomologyTable("HtildeDual", dims, generator_report=gens)
 
     def stable_cohomology_tilde(self) -> StableCohomologyTable:

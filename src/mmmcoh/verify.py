@@ -252,7 +252,12 @@ def run_verification(
     jobs: int = 1,
     check_ids: Optional[Sequence[str]] = None,
 ) -> VerificationReport:
-    """Run every check (or a subset) and collect the report.
+    """Run every check, or those named in ``check_ids``, and collect the
+    report.
+
+    A selection that names an id not in `CHECKS`, or no id at all, raises
+    ValueError: a misspelt id would drop its check, and a report with no
+    check passes having certified nothing.
 
     ``jobs`` accepts only 1: the degree-level process pool was removed
     because it was no faster than the serial run and used more CPU time
@@ -260,11 +265,17 @@ def run_verification(
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the process pool was removed; only jobs=1 is accepted")
+    known = [check_id for check_id, _, _ in CHECKS]
+    wanted = set(known if check_ids is None else check_ids)
+    unknown = sorted(wanted.difference(known))
+    if unknown:
+        raise ValueError(f"unknown check ids {unknown}; the checks are {known}")
+    if not wanted:
+        raise ValueError("no check selected")
     ctx = StableCohomology(degree_bound)
-    wanted = set(check_ids) if check_ids else None
     results: List[CheckResult] = []
     for check_id, statement, runner in CHECKS:
-        if wanted and check_id not in wanted:
+        if check_id not in wanted:
             continue
         t0 = time.perf_counter()
         try:

@@ -112,12 +112,17 @@ def test_criterion_6_forms_resolution_exactness_and_cartan():
             for n in range(0, top + 1):
                 assert verify_cartan(forms, n, d), (n, d)
                 L = lie_derivative_oracle(forms, n, d)
-                basis = forms.form_basis(n, d)
-                for i, b in enumerate(basis):
-                    weight = b.monomial.total_exponent + len(b.wedge)
+                # each block of the layout: one wedge of n factors over the
+                # coefficient monomials of its degree
+                weights = [
+                    m.total_exponent + n
+                    for _, deg in forms._layout(n, d)[0].values()
+                    for m in forms.algebra.monomial_basis(deg)
+                ]
+                for i, weight in enumerate(weights):
                     assert L.entry(i, i) == weight, (n, d, i)
                     assert weight > 0
-                assert L.nnz() == len(basis)  # nothing off the diagonal
+                assert L.nnz() == len(weights)  # nothing off the diagonal
     assert t.seconds < 10.0
 
 

@@ -10,8 +10,6 @@ from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior
 from mmmcoh.forms import (
     DifferentialForms,
     ExactnessReport,
-    FormBasisElement,
-    FormElement,
     SpotCheck,
     wedge_insert,
     wedge_remove,
@@ -25,9 +23,13 @@ def forms():
     return DifferentialForms(PolynomialAlgebra(24))
 
 
-def apply_matrix(forms, mat, element, n, d, n_out):
-    v = forms.as_vector(element, n, d)
-    return forms.from_vector(mat.apply(v), n_out, d)
+def image(forms, mat, form, n, d, n_out):
+    """The image under ``mat``: Omega^n_d -> Omega^{n_out}_d of one basis
+    form ``(monomial, wedge)``, read off its column as ``{(monomial,
+    wedge): coefficient}``."""
+    col = mat.column(_oracle_index(forms.algebra, n, d)[form])
+    target = _oracle_form_basis(forms.algebra, n_out, d)
+    return {target[r]: x for r, x in col.entries.items()}
 
 
 # -- frozen single-element examples --------------------------------------------
@@ -35,34 +37,32 @@ def apply_matrix(forms, mat, element, n, d, n_out):
 
 def test_exterior_derivative_of_monomial_times_generator_form(forms):
     # d(e1^2 de2) = 2 e1 de1 ^ de2
-    x = FormElement.of(Monomial.from_exponents({1: 2}), (2,))
-    out = apply_matrix(forms, forms.exterior_derivative(1, 8), x, 1, 8, 2)
-    expected = FormElement.of(Monomial.generator(1), (1, 2), Fraction(2))
-    assert out == expected
+    x = (Monomial.from_exponents({1: 2}), (2,))
+    out = image(forms, forms.exterior_derivative(1, 8), x, 1, 8, 2)
+    assert out == {(Monomial.generator(1), (1, 2)): Fraction(2)}
 
 
 def test_exterior_derivative_antisymmetry_collapse(forms):
     # d(e2 de2) = de2 ^ de2 = 0
-    x = FormElement.of(Monomial.generator(2), (2,))
-    out = apply_matrix(forms, forms.exterior_derivative(1, 8), x, 1, 8, 2)
-    assert out.is_zero()
+    x = (Monomial.generator(2), (2,))
+    assert image(forms, forms.exterior_derivative(1, 8), x, 1, 8, 2) == {}
 
 
 def test_interior_product_on_one_form(forms):
     # p(e2 de3) = e2 e3
-    x = FormElement.of(Monomial.generator(2), (3,))
-    out = apply_matrix(forms, forms.interior_product(1, 10), x, 1, 10, 0)
-    assert out == FormElement.of(Monomial.from_exponents({2: 1, 3: 1}), ())
+    x = (Monomial.generator(2), (3,))
+    out = image(forms, forms.interior_product(1, 10), x, 1, 10, 0)
+    assert out == {(Monomial.from_exponents({2: 1, 3: 1}), ()): Fraction(1)}
 
 
 def test_interior_product_on_two_form_has_koszul_signs(forms):
     # p(de1 ^ de2) = e1 de2 - e2 de1
-    x = FormElement.of(Monomial.one(), (1, 2))
-    out = apply_matrix(forms, forms.interior_product(2, 6), x, 2, 6, 1)
-    expected = FormElement.of(Monomial.generator(1), (2,)) - FormElement.of(
-        Monomial.generator(2), (1,)
-    )
-    assert out == expected
+    x = (Monomial.one(), (1, 2))
+    out = image(forms, forms.interior_product(2, 6), x, 2, 6, 1)
+    assert out == {
+        (Monomial.generator(1), (2,)): Fraction(1),
+        (Monomial.generator(2), (1,)): Fraction(-1),
+    }
 
 
 def test_wedge_insert_sign_and_dedup():
@@ -167,23 +167,15 @@ def test_exactness_rejects_degree_zero(forms):
 
 
 def test_basis_ordering_is_deterministic(forms):
-    basis = forms.form_basis(1, 6)
-    labels = [(b.wedge, str(b.monomial)) for b in basis]
+    # wedges in lex order, each block at its offset with its coefficient degree
+    assert forms._layout(1, 6) == ({(1,): (0, 4), (2,): (2, 2), (3,): (3, 0)}, 4)
+    labels = [(wedge, str(m)) for m, wedge in layout_basis(forms, 1, 6)]
     assert labels == [
         ((1,), "e1^2"),
         ((1,), "e2"),
         ((2,), "e1"),
         ((3,), "1"),
     ]
-
-
-def test_vector_roundtrip(forms):
-    basis = forms.form_basis(2, 12)
-    x = FormElement.of(basis[0].monomial, basis[0].wedge, Fraction(3, 7)) - FormElement.of(
-        basis[-1].monomial, basis[-1].wedge
-    )
-    v = forms.as_vector(x, 2, 12)
-    assert forms.from_vector(v, 2, 12) == x
 
 
 # -- randomized: d is a derivation for the module structure ---------------------
@@ -198,38 +190,37 @@ def test_derivative_of_product_rule(i, j, e):
     d_int = 2 * i * e + 2 * j
     if d_int > 24:
         return
-    x = FormElement.of(Monomial.from_exponents({i: e}), (j,))
-    out = apply_matrix(forms, forms.exterior_derivative(1, d_int), x, 1, d_int, 2)
+    x = (Monomial.from_exponents({i: e}), (j,))
+    out = image(forms, forms.exterior_derivative(1, d_int), x, 1, d_int, 2)
     ins = wedge_insert(i, (j,))
     if ins is None:
-        assert out.is_zero()
+        assert out == {}
     else:
         sign, merged = ins
         reduced = Monomial.from_exponents({i: e - 1}) if e > 1 else Monomial.one()
-        assert out == FormElement.of(reduced, merged, Fraction(sign * e))
+        assert out == {(reduced, merged): Fraction(sign * e)}
 
 
 def test_generator_rules_frozen(forms):
     # d(e1) = de1 and p(de1) = e1: the defining rules of both derivations
-    x = FormElement.of(Monomial.generator(1), ())
-    out = apply_matrix(forms, forms.exterior_derivative(0, 2), x, 0, 2, 1)
-    assert out == FormElement.of(Monomial.one(), (1,))
+    x = (Monomial.generator(1), ())
+    out = image(forms, forms.exterior_derivative(0, 2), x, 0, 2, 1)
+    assert out == {(Monomial.one(), (1,)): Fraction(1)}
 
-    y = FormElement.of(Monomial.one(), (1,))
-    out = apply_matrix(forms, forms.interior_product(1, 2), y, 1, 2, 0)
-    assert out == FormElement.of(Monomial.generator(1), ())
+    y = (Monomial.one(), (1,))
+    out = image(forms, forms.interior_product(1, 2), y, 1, 2, 0)
+    assert out == {(Monomial.generator(1), ()): Fraction(1)}
 
 
 def test_derivative_kills_constant_forms(forms):
-    x = FormElement.of(Monomial.one(), (1, 2))
-    out = apply_matrix(forms, forms.exterior_derivative(2, 6), x, 2, 6, 3)
-    assert out.is_zero()
+    x = (Monomial.one(), (1, 2))
+    assert image(forms, forms.exterior_derivative(2, 6), x, 2, 6, 3) == {}
 
 
 def test_degree_operator_frozen_eigenvalues(forms):
     # weight = generator factors + form degree
     assert forms.euler_weights(1, 2) == [1]  # de1
-    idx = forms.basis_index(1, 8)[FormBasisElement(Monomial.from_exponents({1: 2}), (2,))]
+    idx = _oracle_index(forms.algebra, 1, 8)[(Monomial.from_exponents({1: 2}), (2,))]
     assert forms.euler_weights(1, 8)[idx] == 3  # e1^2 de2
     assert forms.euler_weights(0, 0) == [0]  # the unit is the only weight-0 form
     assert lie_derivative_oracle(forms, 0, 0).nnz() == 0
@@ -239,23 +230,34 @@ def test_cartan_at_degree_zero(forms):
     assert verify_cartan(forms, 0, 0)
 
 
-# -- the object-based builders, kept as test-only oracles ---------------------------
+# -- the per-entry builders, kept as test-only oracles -----------------------------
 #
 # The operators are built from wedge-major offsets and the algebra's
 # multiplication tables.  These are the builders they replaced: one
-# FormBasisElement and one Monomial per entry, looked up in a basis index.
-# Each rebuilt matrix must equal its oracle entry for entry, in the same
-# dict order, which is what keeps the reports byte-identical.
+# basis form ``(monomial, wedge)`` and one Monomial per entry, looked up in
+# a basis index.  Each rebuilt matrix must equal its oracle entry for
+# entry, in the same dict order, which is what keeps the reports
+# byte-identical.
 
 
 def _oracle_form_basis(algebra, n, d):
+    """The basis of Omega^n_d as ``(monomial, wedge)`` pairs, from the
+    exterior bases and the monomial bases alone."""
     out = []
     if d % 2 == 0:
         wedges = sorted(w for wt in range(0, d + 1, 2) for w in exterior_basis(n, wt))
         for wedge in wedges:
             for m in algebra.monomial_basis(d - sum(2 * i for i in wedge)):
-                out.append(FormBasisElement(m, wedge))
+                out.append((m, wedge))
     return out
+
+
+def layout_basis(forms, n, d):
+    """The basis of Omega^n_d that ``forms._layout`` records: each wedge's
+    block of coefficient monomials, blocks in layout order."""
+    monomials = forms.algebra.monomial_basis
+    blocks = forms._layout(n, d)[0]
+    return [(m, wedge) for wedge, (_, deg) in blocks.items() for m in monomials(deg)]
 
 
 def _oracle_index(algebra, n, d):
@@ -266,14 +268,14 @@ def _oracle_exterior_derivative(algebra, n, d):
     src = _oracle_form_basis(algebra, n, d)
     tgt_index = _oracle_index(algebra, n + 1, d)
     entries = {}
-    for col, b in enumerate(src):
-        for i, e in b.monomial.pairs:
-            ins = wedge_insert(i, b.wedge)
+    for col, (m, w) in enumerate(src):
+        for i, e in m.pairs:
+            ins = wedge_insert(i, w)
             if ins is None:
                 continue
             sign, wedge = ins
-            reduced = Monomial.from_exponents({**dict(b.monomial.pairs), i: e - 1})
-            row = tgt_index[FormBasisElement(reduced, wedge)]
+            reduced = Monomial.from_exponents({**dict(m.pairs), i: e - 1})
+            row = tgt_index[(reduced, wedge)]
             entries[(row, col)] = sign * e
     return SparseMatrix(len(tgt_index), len(src), entries)
 
@@ -282,11 +284,10 @@ def _oracle_interior_product(algebra, n, d):
     src = _oracle_form_basis(algebra, n, d)
     tgt_index = _oracle_index(algebra, n - 1, d)
     entries = {}
-    for col, b in enumerate(src):
-        for k in range(len(b.wedge)):
-            sign, i, rest = wedge_remove(k, b.wedge)
-            target = FormBasisElement(b.monomial * Monomial.generator(i), rest)
-            row = tgt_index[target]
+    for col, (m, w) in enumerate(src):
+        for k in range(len(w)):
+            sign, i, rest = wedge_remove(k, w)
+            row = tgt_index[(m * Monomial.generator(i), rest)]
             entries[(row, col)] = entries.get((row, col), 0) + sign
     return SparseMatrix(len(tgt_index), len(src), entries)
 
@@ -303,11 +304,9 @@ def test_operators_match_object_oracles_at_bound_24():
     for n in range(0, forms.max_form_degree() + 2):
         for d in range(0, 25):
             basis = _oracle_form_basis(algebra, n, d)
-            assert list(forms.form_basis(n, d)) == basis, (n, d)
+            assert layout_basis(forms, n, d) == basis, (n, d)
             assert forms.dim(n, d) == len(basis), (n, d)
-            assert forms.euler_weights(n, d) == [
-                b.monomial.total_exponent + n for b in basis
-            ], (n, d)
+            assert forms.euler_weights(n, d) == [m.total_exponent + n for m, _ in basis], (n, d)
             assert _same_matrix(
                 forms.exterior_derivative(n, d), _oracle_exterior_derivative(algebra, n, d)
             ), ("d", n, d)
@@ -585,14 +584,14 @@ def test_unit_minor_is_the_partner_of_each_down_form(forms):
     # (e_{min S} m) de_{S - min S}, with sign +1
     for d in range(2, 25, 2):
         for n in range(1, forms.max_form_degree() + 1):
-            basis, below = forms.form_basis(n, d), forms.basis_index(n - 1, d)
+            basis = layout_basis(forms, n, d)
+            below = _oracle_index(forms.algebra, n - 1, d)
             up_in, up_out = forms._up_marks(n - 1, d), forms._up_marks(n, d)
             for c, col in enumerate(forms.interior_product(n, d).packed):
                 if up_out[c]:
                     continue
-                b = basis[c]
-                s = b.wedge[0]
-                partner = FormBasisElement(b.monomial * Monomial.generator(s), b.wedge[1:])
+                m, wedge = basis[c]
+                partner = (m * Monomial.generator(wedge[0]), wedge[1:])
                 hits = [(r, x) for r, x in zip(col[::2], col[1::2]) if up_in[r]]
                 assert hits == [(below[partner], 1)], (n, d, c)
 

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from mmmcoh.linalg import (
     SparseMatrix,
     VectorQ,
+    _back_substitute,
     _forest_pivots,
     _forward,
+    _row_dicts,
     _scaled,
     _kernel_with_free_columns,
     column_space_basis,
     kernel_basis,
     rank,
-    rref,
     solve,
     solve_many,
 )
@@ -82,12 +83,27 @@ def test_empty_and_zero_shapes():
     assert kernel_basis(z2) == []
 
 
+def echelon_form(m, pivot_limit=None):
+    """``(pivot columns, rows)`` of the reduced row echelon form, reached as
+    `kernel_basis` reaches it: `_forward`, then `_back_substitute`.  The
+    rows keep the values elimination leaves, ``int`` while integral."""
+    pivots, echelon = _forward(_row_dicts(m), m.cols, pivot_limit)
+    _back_substitute(pivots, echelon)
+    return pivots, echelon
+
+
+def _assert_exact(values):
+    # an echelon row holds exact nonzero values: an int or a Fraction
+    for x in values:
+        assert type(x) in (int, Fraction) and x != 0, repr(x)
+
+
 def test_rref_is_canonical_under_row_shuffle():
     rows = [[2, 4, 1], [1, 2, 0], [0, 0, 3]]
     m1 = SparseMatrix.from_rows(rows)
     m2 = SparseMatrix.from_rows(rows[::-1])
-    p1, e1 = rref(m1)
-    p2, e2 = rref(m2)
+    p1, e1 = echelon_form(m1)
+    p2, e2 = echelon_form(m2)
     assert p1 == p2
     assert e1 == e2
 
@@ -324,7 +340,7 @@ def test_rank_and_column_space_match_oracle(m):
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_oracle(m, data):
     limit = data.draw(st.one_of(st.none(), st.integers(0, m.cols)))
-    assert rref(m, limit) == _oracle_rref(m, limit)
+    assert echelon_form(m, limit) == _oracle_rref(m, limit)
 
 
 @given(tie_matrices())
@@ -429,9 +445,9 @@ def test_add_and_apply_match_fraction_oracle(a, data):
 @given(tie_matrices(max_dim=6), st.data())
 @settings(max_examples=120, deadline=None)
 def test_elimination_results_are_fractions(m, data):
-    _, echelon = rref(m)
+    _, echelon = echelon_form(m)
     for row in echelon:
-        _assert_fractions(row.values())
+        _assert_exact(row.values())
     for v in kernel_basis(m) + column_space_basis(m):
         _assert_fractions(v.entries.values())
     bs = data.draw(
@@ -452,7 +468,7 @@ def test_pivots_led_by_minus_one_and_two():
     # column 0 pivots on -1 (negated, stays integral), column 1 on 2 (the
     # only division), column 3 on 3 after column 2 turns out free
     m = SparseMatrix.from_rows([[-1, 1, 0, 1], [0, 2, 1, 0], [0, 0, 0, 3]])
-    pivots, echelon = rref(m)
+    pivots, echelon = echelon_form(m)
     assert pivots == [0, 1, 3]
     assert echelon == [
         {0: Fraction(1), 2: Fraction(1, 2)},
@@ -461,7 +477,13 @@ def test_pivots_led_by_minus_one_and_two():
     ]
     assert (pivots, echelon) == _oracle_rref(m)
     for row in echelon:
-        _assert_fractions(row.values())
+        _assert_exact(row.values())
+    # the -1 pivot leaves its row integral; dividing by 2 and 3 makes Fractions
+    assert [list(map(type, row.values())) for row in echelon] == [
+        [int, Fraction],
+        [Fraction, Fraction],
+        [Fraction],
+    ]
     (v,) = kernel_basis(m)
     assert v.to_list() == [Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(0)]
     _assert_fractions(v.entries.values())

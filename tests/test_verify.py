@@ -41,6 +41,22 @@ def test_check_subset_selection():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "check_ids, named",
+    [
+        (["tor-dimension"], "'tor-dimension'"),
+        (["torus-h1", "torus_h1", "audit"], "['audit', 'torus_h1']"),
+        ([], "no check selected"),
+    ],
+    ids=["misspelt", "two-unknown", "empty"],
+)
+def test_a_selection_that_certifies_nothing_is_an_error(check_ids, named):
+    # a misspelt id must not drop its check and leave a report that passes
+    with pytest.raises(ValueError) as caught:
+        run_verification(8, check_ids=check_ids)
+    assert named in str(caught.value)
+
+
 def test_json_is_deterministic_and_timing_free():
     a = run_verification(8).to_json()
     b = run_verification(8).to_json()
