@@ -31,7 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-Q = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

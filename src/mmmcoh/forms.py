@@ -19,6 +19,10 @@ is exact in every positive internal degree.  `verify_exactness` certifies
 it from p alone, by a unit minor of each p_n on the forms of a discrete
 Morse matching, p^2 = 0 and the counts of the matching; `verify_cartan`
 also checks, in the same pass, that L is the diagonal of positive weights.
+Both walk their identities on the down forms of the matching only, half
+the columns of each degree: with the unit minors and the counts, and for
+the Cartan identity with p keeping the Euler weight, these settle the
+up forms too (`DifferentialForms._certify`).
 d^2 = 0 is checked only by tests/test_forms.py, at bound 24.
 
 The complex is streamed degree by degree: the operator matrices are built
@@ -44,9 +48,9 @@ layout, and ``_layout`` is the one record of that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain, compress, count, repeat
+from operator import add, itemgetter, not_
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .algebra import PolynomialAlgebra
 from .linalg import SparseMatrix
@@ -231,20 +235,34 @@ class DifferentialForms:
         return True
 
     @staticmethod
+    def _keeps_weight(
+        p_out: Packed, up_out: bytearray, weights_out: List[int], weights_in: List[int]
+    ) -> bool:
+        """Whether every entry of a down column of p_n joins two forms of
+        equal Euler weight, that is, whether p_n L = L p_n on the down
+        forms of Omega^n."""
+        rows = list(map(itemgetter(slice(None, None, 2)), compress(p_out, map(not_, up_out))))
+        weights = compress(weights_out, map(not_, up_out))
+        want = chain.from_iterable(map(repeat, weights, map(len, rows)))
+        return list(map(weights_in.__getitem__, chain.from_iterable(rows))) == list(want)
+
+    @staticmethod
     def _homotopy_walk(
         p_out: Packed,
         p_down: Packed,
         cartan: Optional[Tuple[List[int], Packed, Packed, Packed]] = None,
+        columns: Optional[Iterable[int]] = None,
     ) -> Tuple[Optional[bool], bool]:
         """Whether p(dw) + d(pw) = weight * w, and whether p(pw) = 0, for
-        every basis form w of Omega^n_d: one walk over the packed columns
-        of p_n and p_{n-1}, with no product matrix.  The Cartan half runs
-        only when ``cartan = (weights, d_n, p_{n+1}, d_{n-1})`` is given;
-        without it the first answer is None."""
+        each basis form w of Omega^n_d at a position in ``columns`` (every
+        one by default): one walk over the packed columns of p_n and
+        p_{n-1}, with no product matrix.  The Cartan half runs only when
+        ``cartan = (weights, d_n, p_{n+1}, d_{n-1})`` is given; without it
+        the first answer is None."""
         square: Dict[int, int] = {}  # p(pw)
         sget = square.get
         if cartan is None:
-            for col in p_out:
+            for col in p_out if columns is None else map(p_out.__getitem__, columns):
                 it = iter(col)
                 for r, x in zip(it, it):
                     lt = iter(p_down[r])
@@ -258,7 +276,7 @@ class DifferentialForms:
         identity = nilpotent = True
         acc: Dict[int, int] = {}  # p(dw) + d(pw)
         get = acc.get
-        for c, w in enumerate(weights):
+        for c in range(len(weights)) if columns is None else columns:
             it = iter(d_out[c])
             for r, x in zip(it, it):
                 lt = iter(p_up[r])
@@ -272,7 +290,7 @@ class DifferentialForms:
                 lt = iter(p_down[r])
                 for s, y in zip(lt, lt):
                     square[s] = sget(s, 0) + x * y
-            identity = identity and acc.pop(c, 0) == w and not any(acc.values())
+            identity = identity and acc.pop(c, 0) == weights[c] and not any(acc.values())
             nilpotent = nilpotent and not any(square.values())
             acc.clear()
             square.clear()
@@ -287,7 +305,8 @@ class DifferentialForms:
         Write u_n for the number of down forms of Omega^n_d (`_up_marks`).
         For n in 0..top+1 the packed columns of p_n are checked to carry a
         unit minor on the down columns (`_unit_minor`, so rank p_n >= u_n)
-        and p_{n-1} p_n = 0 (the p^2 half of `_homotopy_walk`), and the
+        and p_{n-1} p_n = 0 (the p^2 half of `_homotopy_walk`, walked on
+        the down columns, which settle the up ones: see `_certify`), and the
         counts u_n + u_{n+1} = dim Omega^n_d and Omega^{top+1}_d = 0.  Then
         rank p_n + rank p_{n+1} <= dim Omega^n_d = u_n + u_{n+1} forces
         rank p_n = u_n and exactness at every n.  A broken identity raises
@@ -309,13 +328,15 @@ class DifferentialForms:
         """`verify_exactness` plus the Cartan identity d p + p d = L, the
         diagonal of positive weights, on every Omega^n_d, n in 0..top+1.
 
-        The same pass walks both: it builds d_0 .. d_{top+1} and
-        p_0 .. p_{top+2} once each, at most five alive at once.  L is then
-        invertible and commutes with p, so pw = 0 gives w = p(L^-1 dw): the
-        contracting homotopy (C. Weibel, *An Introduction to Homological
-        Algebra*, 1994, section 1.4), a second proof of exactness.  The
-        report fills the exactness memo when that is empty, so a degree
-        that both statements read is walked once.
+        The same pass walks both, on the down columns, and checks one more
+        premise there, that p keeps the Euler weight (`_certify`).  It
+        builds d_0 .. d_{top+1} and p_0 .. p_{top+2} once each, at most
+        five alive at once.  L is then invertible and commutes with p, so
+        pw = 0 gives w = p(L^-1 dw): the contracting homotopy (C. Weibel,
+        *An Introduction to Homological Algebra*, 1994, section 1.4), a
+        second proof of exactness.  The report fills the exactness memo
+        when that is empty, so a degree that both statements read is
+        walked once.
         """
         if d not in self._cartan:
             report = self._certify(d, cartan=True)
@@ -325,31 +346,73 @@ class DifferentialForms:
 
     def _certify(self, d: int, cartan: bool) -> "ExactnessReport":
         """The report of `verify_exactness`, walking the Cartan half too
-        when ``cartan``; raises on the first broken identity."""
+        when ``cartan``; raises on the first broken identity.
+
+        The identities are walked on the down columns of each Omega^n_d
+        only, sum_n u_n = half of sum_n dim Omega^n_d columns, and these
+        settle the whole degree once the unit minors and the counts hold.
+        Each up form u of Omega^n is (p v - y) / x, with v its matched down
+        form of Omega^{n+1}, x the entry of p v in row u and y in the span
+        of the down forms of Omega^n, so p^2 u = (p (p p v) - p^2 y) / x = 0.
+        The Cartan half needs one more premise, that p keeps the Euler
+        weight on the down forms (`_keeps_weight`): p L v = L p v for every
+        down v.  Then K = d p + p d - L vanishes on p v for v down in
+        Omega^{n+1}, since p^2 = 0 everywhere by now:
+
+            K(p v) = d p^2 v + p (L v - p d v) - L p v = p L v - L p v = 0,
+
+        and so on u.  No smaller set of columns would do: the set walked in
+        Omega^n must span it modulo im p_{n+1}, which takes rank p_n = u_n
+        columns.
+
+        If the down-column walk fails, the degree is walked again over
+        every column, and the error is that walk's: the first broken
+        identity and its (n, d) in the order of a full walk.  Should the
+        full walk pass there, a ValueError says that the two disagree.
+        """
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")
         self.algebra._check_degree(d)
+        try:
+            return self._walk_degree(d, cartan, down_only=True)
+        except ValueError:
+            pass
+        self._walk_degree(d, cartan, down_only=False)
+        raise ValueError(f"the down-column and full walks disagree at d = {d}")
+
+    def _walk_degree(self, d: int, cartan: bool, down_only: bool) -> "ExactnessReport":
+        """One certifying pass over degree d, on the down columns of each
+        Omega^n_d when ``down_only``, else on all of them."""
         top = self.max_form_degree()
         # Omega^{-1} = 0: p_0 has only empty columns, so nothing reads
         # d_{-1} or p_{-1}, and Omega^{-1} has no rows to mark
         d_down = p_down = ()
         up_in = bytearray()
+        weights_in: List[int] = []
         p_out = self.interior_product(0, d).packed
         downs = [0] * (top + 2)  # u_n
         for n in range(top + 2):
-            if cartan:
-                weights = self.euler_weights(n, d)
-                d_out = self.exterior_derivative(n, d).packed
-                p_up = self.interior_product(n + 1, d).packed
-                walk = self._homotopy_walk(p_out, p_down, (weights, d_out, p_up, d_down))
-                positive = all(w > 0 for w in weights)
-            else:
-                walk, positive = self._homotopy_walk(p_out, p_down), True
             up_out = self._up_marks(n, d)
             downs[n] = up_out.count(0)
+            # the down positions, made as the walk reads them
+            columns = compress(count(), map(not_, up_out)) if down_only else None
+            if cartan:
+                weights = self.euler_weights(n, d)
+                # the down columns settle Cartan only where p commutes with
+                # L; checked first, so that one weight list is alive when
+                # d_n and p_{n+1} are built
+                keeps = not down_only or self._keeps_weight(p_out, up_out, weights, weights_in)
+                weights_in = weights
+                d_out = self.exterior_derivative(n, d).packed
+                p_up = self.interior_product(n + 1, d).packed
+                walk = self._homotopy_walk(p_out, p_down, (weights, d_out, p_up, d_down), columns)
+                positive = all(w > 0 for w in weights)
+            else:
+                walk = self._homotopy_walk(p_out, p_down, None, columns)
+                positive = keeps = True
             for ok, identity in (
                 (positive, "the weights of d p + p d are not positive"),
-                (walk[0] is not False, "d p + p d is not the weight diagonal"),
+                (walk[0] is not False and keeps, "d p + p d is not the weight diagonal"),
                 (self._unit_minor(p_out, up_out, up_in), "p has no unit minor on the down forms"),
                 (walk[1], "p^2 is not zero"),
                 (n == 0 or downs[n - 1] + downs[n] == self.dim(n - 1, d),

@@ -73,8 +73,6 @@ from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-Q = Fraction
-
 _SMALL = {i: Fraction(i) for i in range(-64, 65)}
 _ZERO = _SMALL[0]
 _ONE = _SMALL[1]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior_dim
@@ -708,3 +708,186 @@ def test_top_plus_one_forms_must_vanish(monkeypatch):
     forms = DifferentialForms(PolynomialAlgebra(12))
     with pytest.raises(ValueError, match=r"^Omega\^n is not zero at \(n, d\) = \(3, 12\)$"):
         forms.verify_exactness(12)
+
+
+# -- the down-column walk: half the columns, the full walk's verdicts ------------
+
+
+def _first_up_column(n, d):
+    return DifferentialForms(PolynomialAlgebra(24))._up_marks(n, d).index(1)
+
+
+UP_FLIPS = {
+    # p_n flipped in its first up column: (n, d) -> where the exactness
+    # certificate and the Cartan walk name it, as the full walk always did
+    (1, 8): ((2, 8), (0, 8)),
+    (2, 12): ((2, 12), (1, 12)),
+    (2, 16): ((2, 16), (1, 16)),
+    (2, 20): ((2, 20), (1, 20)),
+    (3, 24): ((3, 24), (2, 24)),
+    (1, 24): ((2, 24), (0, 24)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(UP_FLIPS))
+def test_a_flipped_sign_in_an_up_column_is_named_as_by_the_full_walk(monkeypatch, key):
+    # no down-column walk reads an up column of p_n as p_n, so the failure
+    # shows elsewhere first; the full walk run after it names the slot
+    _flip_sign(key, col=_first_up_column(*key))(monkeypatch)
+    square, cartan = UP_FLIPS[key]
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    with pytest.raises(ValueError) as exc:
+        forms.verify_exactness(key[1])
+    assert str(exc.value) == "p^2 is not zero at (n, d) = (%d, %d)" % square
+    with pytest.raises(ValueError) as exc:
+        forms.verify_cartan(key[1])
+    assert str(exc.value) == "d p + p d is not the weight diagonal at (n, d) = (%d, %d)" % cartan
+    assert key[1] not in forms._exactness
+
+
+def test_a_p_entry_moved_onto_another_weight_fails_cartan(monkeypatch):
+    # the entry of the first up column of p_2 at degree 12 moves to a row
+    # of Omega^1 whose Euler weight differs from its own
+    key = (2, 12)
+    col = _first_up_column(*key)
+    real = DifferentialForms.interior_product
+
+    def broken(self, n, d):
+        m = real(self, n, d)
+        if (n, d) != key:
+            return m
+        weights = self.euler_weights(n - 1, d)
+        entries = m.entries
+        r = next(r for r, c in entries if c == col)
+        held = {r for r, c in entries if c == col}
+        target = next(s for s in range(m.rows) if s not in held and weights[s] != weights[r])
+        entries[target, col] = entries.pop((r, col))
+        return SparseMatrix(m.rows, m.cols, entries)
+
+    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    with pytest.raises(ValueError) as exc:
+        DifferentialForms(PolynomialAlgebra(12)).verify_cartan(12)
+    assert str(exc.value) == "d p + p d is not the weight diagonal at (n, d) = (1, 12)"
+
+
+def test_the_weight_premise_is_what_settles_the_up_forms(monkeypatch):
+    # a wrong weight at an up form is read by no down column of the walk;
+    # only the premise that p keeps the Euler weight sees it, through the
+    # down column of p_2 whose partner it is
+    up = _first_up_column(1, 8)
+    real = DifferentialForms.euler_weights
+
+    def broken(self, n, d):
+        weights = real(self, n, d)
+        if (n, d) == (1, 8):
+            weights[up] += 1
+        return weights
+
+    monkeypatch.setattr(DifferentialForms, "euler_weights", broken)
+    message = "d p + p d is not the weight diagonal at (n, d) = (1, 8)"
+    with pytest.raises(ValueError) as exc:
+        DifferentialForms(PolynomialAlgebra(8)).verify_cartan(8)
+    assert str(exc.value) == message
+    monkeypatch.setattr(DifferentialForms, "_keeps_weight", staticmethod(lambda *args: True))
+    forms = DifferentialForms(PolynomialAlgebra(8))
+    assert forms._walk_degree(8, True, down_only=True).all_exact
+    with pytest.raises(ValueError) as exc:
+        forms._walk_degree(8, True, down_only=False)
+    assert str(exc.value) == message
+
+
+def test_a_failed_down_walk_that_the_full_walk_passes_is_an_error(monkeypatch):
+    real = DifferentialForms._homotopy_walk
+
+    def walk(p_out, p_down, cartan=None, columns=None):
+        if columns is not None and list(columns):
+            return False, False
+        return real(p_out, p_down, cartan, columns)
+
+    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
+    for check in ("verify_exactness", "verify_cartan"):
+        forms = DifferentialForms(PolynomialAlgebra(8))
+        with pytest.raises(ValueError, match=r"^the down-column and full walks disagree at d = 8$"):
+            getattr(forms, check)(8)
+        assert 8 not in forms._exactness
+
+
+@pytest.mark.parametrize("check", ["verify_exactness", "verify_cartan"])
+def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
+    # per degree, sum_n u_n columns: half of sum_n dim Omega^n_d
+    real = DifferentialForms._homotopy_walk
+    walked = []
+
+    def walk(p_out, p_down, cartan=None, columns=None):
+        walked.append(list(columns))
+        return real(p_out, p_down, cartan, walked[-1])
+
+    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    top = forms.max_form_degree()
+    for d in range(1, 25):
+        walked.clear()
+        getattr(forms, check)(d)
+        downs = [
+            [c for c, up in enumerate(forms._up_marks(n, d)) if not up] for n in range(top + 2)
+        ]
+        assert walked == downs, d
+        read = sum(map(len, walked))
+        assert 2 * read == sum(forms.dim(n, d) for n in range(top + 2)), d
+        assert read == sum(s.rank_out for s in forms.verify_exactness(d).spots), d
+
+
+def _outcome(certify, *args):
+    """What a certificate says: its report, or the message it raises."""
+    try:
+        return certify(*args).to_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.sampled_from(["interior_product", "exterior_derivative", "euler_weights"]),
+    st.integers(0, 4),
+    st.integers(1, 8),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(["negate", "double", "move"]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry, how, row):
+    # one entry of p or d at (n, d), d <= 16, negated, doubled or moved to
+    # a row the column does not hold, or one Euler weight raised by 1: both
+    # certificates must say what the walk over every column says, a report
+    # or the same message
+    d = 2 * half
+    m = getattr(DifferentialForms(PolynomialAlgebra(16)), name)(n, d)
+    if name == "euler_weights":
+        assume(m)
+        m[col % len(m)] += 1
+        corrupt = m
+    else:
+        filled = [c for c, packed in enumerate(m.packed) if packed]
+        assume(filled)
+        c = filled[col % len(filled)]
+        held = m.packed[c][::2]
+        r = held[entry % len(held)]
+        entries = m.entries
+        if how == "move":
+            free = [s for s in range(m.rows) if s not in held]
+            assume(free)
+            entries[free[row % len(free)], c] = entries.pop((r, c))
+        else:
+            entries[r, c] *= -1 if how == "negate" else 2
+        corrupt = SparseMatrix(m.rows, m.cols, entries)
+    real = getattr(DifferentialForms, name)
+
+    def broken(self, k, e):
+        return corrupt if (k, e) == (n, d) else real(self, k, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DifferentialForms, name, broken)
+        for check, cartan in (("verify_exactness", False), ("verify_cartan", True)):
+            got = _outcome(getattr(DifferentialForms(PolynomialAlgebra(16)), check), d)
+            oracle = DifferentialForms(PolynomialAlgebra(16))._walk_degree
+            assert got == _outcome(oracle, d, cartan, False), check

@@ -1,7 +1,9 @@
 """Every import in the package is used: a stdlib check with `ast`.
 
 The package root re-exports its imports, so it is exempt, and so is an
-import whose line carries ``# noqa: F401`` (a deliberate re-export).
+import whose line carries ``# noqa: F401`` (a deliberate re-export).  A
+module-level alias of an imported name (``Q = Fraction``) must be read
+somewhere under ``src/``, ``tests/`` or ``perfbench/``.
 """
 
 import ast
@@ -13,6 +15,8 @@ import mmmcoh
 
 PACKAGE = Path(mmmcoh.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+READERS = sorted(p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -50,3 +54,62 @@ def test_the_check_finds_an_unused_import_and_honours_noqa():
         "print(os.path.sep)\n"
     )
     assert unused_imports(source) == [(1, "Sequence"), (5, "solve")]
+
+
+def module_aliases(source: str):
+    """``(line, name)`` of each module-level ``NAME = imported_name``."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return [
+        (node.lineno, node.targets[0].id)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in imported
+    ]
+
+
+def read_names(source: str):
+    """Every name a source reads: loaded names, attributes and the names
+    it imports from a module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_alias_is_read():
+    read = set().union(*(read_names(p.read_text()) for p in READERS))
+    unread = [
+        (path.name, line, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in module_aliases(path.read_text())
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_the_check_finds_an_unread_alias():
+    source = (
+        "from fractions import Fraction\n"
+        "import os\n"
+        "Q = Fraction\n"
+        "P = os\n"
+        "_ONE = Fraction(1)\n"
+        "R = _ONE\n"
+        "print(P.sep)\n"
+    )
+    assert module_aliases(source) == [(3, "Q"), (4, "P")]
+    assert {"P", "sep"} <= read_names(source) and "Q" not in read_names(source)
