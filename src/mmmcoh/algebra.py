@@ -361,9 +361,35 @@ class PolynomialAlgebra:
         table = self._mult_cache.get(key)
         if table is None:
             target = self._positions(d + 2 * i)
-            table = tuple(target[_times(m.pairs, i)] for m in self.monomial_basis(d))
+            table = tuple(map(target.get, (_times(m.pairs, i) for m in self.monomial_basis(d))))
+            # checked once here, so that a matrix built from the table needs
+            # no check per entry: one entry per monomial, each an int in
+            # range of the target basis (a product missing from the target
+            # is a None)
+            size = self.hilbert_function(d + 2 * i)
+            if len(table) != self.hilbert_function(d) or table and (
+                set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size
+            ):
+                raise ValueError(
+                    f"the table of e{i} from degree {d} is not {self.hilbert_function(d)} "
+                    f"positions in range({size})"
+                )
             self._mult_cache[key] = table
         return table
+
+    def _block_offset(
+        self, block: Optional[Tuple[int, int]], degree: int, rows: int
+    ) -> Optional[int]:
+        """The offset of ``block``, an ``(offset, degree)`` pair that places
+        the monomial basis of a degree in a larger basis, if its degree is
+        ``degree`` and it lies inside ``range(rows)``; else None.  The
+        builders' check of one target block: every position of a table into
+        ``degree``, moved by the offset, is then a row in range."""
+        if block is not None and block[1] == degree:
+            offset = block[0]
+            if 0 <= offset and offset + self.hilbert_function(degree) <= rows:
+                return offset
+        return None
 
     def total_exponents(self, d: int) -> Tuple[int, ...]:
         """The number of generator factors of each basis monomial of degree d."""

@@ -28,9 +28,10 @@ d^2 = 0 is checked only by tests/test_forms.py, at bound 24.
 The complex is streamed degree by degree: the operator matrices are built
 on each call and kept by no one here, so `verify_exactness(d)` and
 `verify_cartan(d)` hold the operators of degree d only while they walk
-them.  An instance keeps the small tables that later degrees and checks
-read (the layouts and the quotient positions) and one exactness report
-per degree.
+them.  An instance keeps the quotient positions, one exactness report per
+degree, and the layouts read since the last walk began: a walk of degree
+d drops the layouts of every other degree, and a later statement that
+reads one builds it again.
 
 Everything here is a finite matrix per (form degree, internal degree), and
 all matrices are exact.
@@ -40,20 +41,24 @@ most d come in ascending lex order, and each wedge w owns one block, the
 monomial basis of the coefficient degree d - wt(w), at an offset fixed by
 the blocks before it.  The operator matrices are built from these offsets
 and the algebra's multiplication tables (d uses their inverse, division by
-e_i), so a matrix entry is index arithmetic.  A basis form is never built
-as an object: it is the pair (monomial, wedge) at its position in the
-layout, and ``_layout`` is the one record of that order.
+e_i), so a matrix entry is index arithmetic.  The builders check each
+target block once (its coefficient degree and its place inside the
+rows), not each entry: a table's positions are checked to lie in range
+when the algebra makes it, so every row of the block is then in range.
+A basis form is never built as an object: it is the pair (monomial,
+wedge) at its position in the layout, and ``_layout`` is the one record
+of that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import add, itemgetter, not_
+from operator import add, not_
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .algebra import PolynomialAlgebra
-from .linalg import SparseMatrix
+from .linalg import _ROWS, SparseMatrix, _matrix
 
 # the packed columns of an operator matrix, ``SparseMatrix.packed``
 Packed = Tuple[Tuple[int, ...], ...]
@@ -145,7 +150,12 @@ class DifferentialForms:
 
     def exterior_derivative(self, n: int, d: int) -> SparseMatrix:
         """Matrix of d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed),
-        built on each call."""
+        built on each call.
+
+        Checked per target block, not per entry (`_target_offset`): the
+        positions of m / e_i lie in range of the degree deg - 2i basis, and
+        distinct i join distinct wedges, so the entries of a column lie in
+        disjoint blocks; each value is sign * e with e >= 1."""
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n + 1, d)
         columns: List[Tuple[int, ...]] = []
@@ -157,7 +167,8 @@ class DifferentialForms:
                 ins = wedge_insert(i, wedge)
                 if ins is not None:
                     sign, joined = ins
-                    moves[i] = (sign, tgt[joined][0], self._quotient_positions(i, deg))
+                    row_off = self._target_offset("d", n, d, tgt, rows, joined, deg - 2 * i)
+                    moves[i] = (sign, row_off, self._quotient_positions(i, deg))
             for q, mono in enumerate(self.algebra.monomial_basis(deg)):
                 col: List[int] = []
                 for i, e in mono.pairs:
@@ -166,7 +177,7 @@ class DifferentialForms:
                         sign, row_off, quotient = move
                         col += (row_off + quotient[q], sign * e)
                 columns.append(tuple(col))
-        return SparseMatrix.of_columns(rows, cols, columns)
+        return _operator("d", n, d, rows, cols, columns)
 
     def interior_product(self, n: int, d: int) -> SparseMatrix:
         """Matrix of the Euler contraction p: Omega^n_d -> Omega^{n-1}_d,
@@ -175,24 +186,54 @@ class DifferentialForms:
                 = sum_k (-1)^{k-1} e_{i_k} m * de_{i_1}^...(drop k)...^de_{i_n},
 
         built on each call.
+
+        Checked per target block, not per entry (`_target_offset`): each
+        multiplication table has one position per monomial of its source
+        block, in range of its target block, and the slots of one wedge
+        drop distinct indices, so they land in distinct wedges, whose
+        blocks are disjoint; each value is +-1.
         """
         if n < 1:
             # Omega^{-1} = 0; keep the shape so rank bookkeeping stays total
-            return SparseMatrix(0, self.dim(0, d) if n == 0 else 0)
+            return SparseMatrix.zero(0, self.dim(0, d) if n == 0 else 0)
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n - 1, d)
+        hilbert = self.algebra.hilbert_function
         columns: List[Tuple[int, ...]] = []
         for wedge, (_, deg) in src.items():
             # contracting slot k moves e_{wedge[k]} into the coefficient:
             # per slot, the (row, sign) pair of every column, at the target
             # block's offset plus the position of m * e_i
+            size = hilbert(deg)
             slots = []
             for k in range(len(wedge)):
                 sign, i, rest = wedge_remove(k, wedge)
+                row_off = self._target_offset("p", n, d, tgt, rows, rest, deg + 2 * i)
                 product = self.algebra.multiplication_table(i, deg)
-                slots.append(zip(map(add, product, repeat(tgt[rest][0])), repeat(sign)))
+                if len(product) != size:
+                    raise ValueError(
+                        f"p: the table of e{i} into the block of {rest} is not the size "
+                        f"of the block of {wedge} at (n, d) = ({n}, {d})"
+                    )
+                slots.append(zip(map(add, product, repeat(row_off)), repeat(sign)))
             columns.extend(map(tuple, map(chain.from_iterable, zip(*slots))))
-        return SparseMatrix.of_columns(rows, cols, columns)
+        return _operator("p", n, d, rows, cols, columns)
+
+    def _target_offset(
+        self, name: str, n: int, d: int, tgt: Dict[Tuple[int, ...], Tuple[int, int]],
+        rows: int, wedge: Tuple[int, ...], deg: int,
+    ) -> int:
+        """The offset of ``wedge``'s block in the target layout ``tgt`` of
+        the operator ``name`` at (n, d), checked to exist, to hold the
+        coefficient degree ``deg`` and to end inside ``rows``; a ValueError
+        naming the operator, the block and (n, d) otherwise."""
+        offset = self.algebra._block_offset(tgt.get(wedge), deg, rows)
+        if offset is None:
+            raise ValueError(
+                f"{name}: the block of {wedge} is not a coefficient-degree-{deg} "
+                f"block inside {rows} rows at (n, d) = ({n}, {d})"
+            )
+        return offset
 
     def euler_weights(self, n: int, d: int) -> List[int]:
         """Predicted eigenvalue (generator factors + form degree) per basis
@@ -219,16 +260,15 @@ class DifferentialForms:
         return up
 
     @staticmethod
-    def _unit_minor(p_out: Packed, up_out: bytearray, up_in: bytearray) -> bool:
-        """Whether every down column of p_n has exactly one entry in an up
-        row of Omega^{n-1}, with no two of them in the same row.  Those
-        rows and columns then carry a generalized permutation minor, so
-        rank p_n >= the number of down forms of Omega^n."""
+    def _unit_minor(down_rows: List[Tuple[int, ...]], up_in: bytearray) -> bool:
+        """Whether every down column of p_n, given by its rows, has exactly
+        one entry in an up row of Omega^{n-1}, with no two of them in the
+        same row.  Those rows and columns then carry a generalized
+        permutation minor, so rank p_n >= the number of down forms of
+        Omega^n."""
         used = bytearray(len(up_in))
-        for col, up in zip(p_out, up_out):
-            if up:
-                continue
-            hit = [r for r in col[::2] if up_in[r]]
+        for rows in down_rows:
+            hit = [r for r in rows if up_in[r]]
             if len(hit) != 1 or used[hit[0]]:
                 return False
             used[hit[0]] = 1
@@ -236,15 +276,17 @@ class DifferentialForms:
 
     @staticmethod
     def _keeps_weight(
-        p_out: Packed, up_out: bytearray, weights_out: List[int], weights_in: List[int]
+        down_rows: List[Tuple[int, ...]],
+        up_out: bytearray,
+        weights_out: List[int],
+        weights_in: List[int],
     ) -> bool:
-        """Whether every entry of a down column of p_n joins two forms of
-        equal Euler weight, that is, whether p_n L = L p_n on the down
-        forms of Omega^n."""
-        rows = list(map(itemgetter(slice(None, None, 2)), compress(p_out, map(not_, up_out))))
+        """Whether every entry of a down column of p_n, given by its rows,
+        joins two forms of equal Euler weight, that is, whether
+        p_n L = L p_n on the down forms of Omega^n."""
         weights = compress(weights_out, map(not_, up_out))
-        want = chain.from_iterable(map(repeat, weights, map(len, rows)))
-        return list(map(weights_in.__getitem__, chain.from_iterable(rows))) == list(want)
+        want = chain.from_iterable(map(repeat, weights, map(len, down_rows)))
+        return list(map(weights_in.__getitem__, chain.from_iterable(down_rows))) == list(want)
 
     @staticmethod
     def _homotopy_walk(
@@ -384,6 +426,9 @@ class DifferentialForms:
         """One certifying pass over degree d, on the down columns of each
         Omega^n_d when ``down_only``, else on all of them."""
         top = self.max_form_degree()
+        # a walk reads the layouts of degree d only: those of other degrees
+        # are dropped, and rebuilt if a later statement reads them
+        self._layouts.clear()
         # Omega^{-1} = 0: p_0 has only empty columns, so nothing reads
         # d_{-1} or p_{-1}, and Omega^{-1} has no rows to mark
         d_down = p_down = ()
@@ -396,24 +441,30 @@ class DifferentialForms:
             downs[n] = up_out.count(0)
             # the down positions, made as the walk reads them
             columns = compress(count(), map(not_, up_out)) if down_only else None
+            # the rows of each down column of p_n, sliced once for the unit
+            # minor and the weight check, and dropped before the walk
+            down_rows = list(map(_ROWS, compress(p_out, map(not_, up_out))))
+            minor = self._unit_minor(down_rows, up_in)
+            # the down columns settle Cartan only where p commutes with L;
+            # checked first, so that one weight list is alive when d_n and
+            # p_{n+1} are built
+            weights = self.euler_weights(n, d) if cartan else []
+            keeps = not (cartan and down_only) or self._keeps_weight(
+                down_rows, up_out, weights, weights_in
+            )
+            del down_rows
             if cartan:
-                weights = self.euler_weights(n, d)
-                # the down columns settle Cartan only where p commutes with
-                # L; checked first, so that one weight list is alive when
-                # d_n and p_{n+1} are built
-                keeps = not down_only or self._keeps_weight(p_out, up_out, weights, weights_in)
                 weights_in = weights
                 d_out = self.exterior_derivative(n, d).packed
                 p_up = self.interior_product(n + 1, d).packed
                 walk = self._homotopy_walk(p_out, p_down, (weights, d_out, p_up, d_down), columns)
-                positive = all(w > 0 for w in weights)
             else:
                 walk = self._homotopy_walk(p_out, p_down, None, columns)
-                positive = keeps = True
+            positive = all(w > 0 for w in weights)
             for ok, identity in (
                 (positive, "the weights of d p + p d are not positive"),
                 (walk[0] is not False and keeps, "d p + p d is not the weight diagonal"),
-                (self._unit_minor(p_out, up_out, up_in), "p has no unit minor on the down forms"),
+                (minor, "p has no unit minor on the down forms"),
                 (walk[1], "p^2 is not zero"),
                 (n == 0 or downs[n - 1] + downs[n] == self.dim(n - 1, d),
                  "the down forms of Omega^(n-1) and Omega^n do not add up to dim Omega^(n-1)"),
@@ -432,6 +483,16 @@ class DifferentialForms:
         spots = [SpotCheck(0, dims[0], 0, downs[1], downs[1] == dims[0])]
         spots += [SpotCheck(n, dims[n], downs[n], downs[n + 1], True) for n in range(1, top + 1)]
         return ExactnessReport(degree=d, spots=tuple(spots))
+
+
+def _operator(
+    name: str, n: int, d: int, rows: int, cols: int, columns: List[Tuple[int, ...]]
+) -> SparseMatrix:
+    # the builders' columns, each block already checked; a short table
+    # would have cut a zip short, so the count is checked too
+    if len(columns) != cols:
+        raise ValueError(f"{name} has {len(columns)} of its {cols} columns at (n, d) = ({n}, {d})")
+    return _matrix(rows, cols, tuple(columns))
 
 
 @dataclass(frozen=True)

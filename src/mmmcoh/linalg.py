@@ -14,11 +14,15 @@ empty column is ``()``.  This takes about half the memory of a dict keyed
 by ``(row, col)``.  Within a column the entries keep the order they were
 given in; ``==`` and ``hash`` ignore that order.  A vector keeps a dict
 ``index -> Fraction``.  Both types are treated as immutable after
-construction, so matrices may share columns.  The builders in ``forms``
-and ``stable`` emit packed columns through
-``SparseMatrix.of_columns``; it and the dict constructor run the same
-checks (row range, each row at most once per column, value type, zeros
-dropped) in C-level passes over all entries at once.
+construction, so matrices may share columns.  Matrices from outside
+input go through ``SparseMatrix.of_columns`` or the dict constructor,
+which run the same checks (row range, each row at most once per column,
+value type, zeros dropped) in C-level passes over all entries at once.
+The index-arithmetic builders in ``forms`` and ``stable`` (p, d, the
+contraction, the cup product, the kernel-generator span) check the same
+properties once per block instead, where their tables and layouts make
+them hold for every entry of the block, and hand their columns to the
+unchecked ``_matrix``.
 
 Graphic matrices: the contraction, the cup product and the
 kernel-generator span have columns that are zero, ``x e_u`` or
@@ -231,7 +235,9 @@ def _checked_columns(rows: int, columns: Iterable[Sequence]) -> Tuple[Tuple, ...
     every row an ``int`` in ``range(rows)`` and at most once per column,
     every value nonzero and an ``int`` when integral.  Each check is one
     C-level pass over all columns or entries; only when a value is not a
-    nonzero ``int`` are the columns rebuilt entry by entry."""
+    nonzero ``int`` are the columns rebuilt entry by entry.  The checks
+    of the dict constructor and ``of_columns``, for columns whose
+    properties nothing else has established."""
     columns = tuple(map(tuple, columns))
     row_parts = list(map(_ROWS, columns))
     row_counts = list(map(len, row_parts))
@@ -254,7 +260,11 @@ def _checked_columns(rows: int, columns: Iterable[Sequence]) -> Tuple[Tuple, ...
 
 
 def _matrix(rows: int, cols: int, packed: Tuple[Tuple, ...]) -> "SparseMatrix":
-    # for results computed from checked matrices, which need no checks
+    """A matrix of ``packed`` columns, unchecked: for results computed from
+    checked matrices, and for builders that have checked the properties of
+    `_checked_columns` themselves (``len(packed) == cols``, every row an
+    ``int`` in ``range(rows)`` and at most once per column, every value a
+    nonzero ``int`` or a non-integral ``Fraction``)."""
     m = SparseMatrix.__new__(SparseMatrix)
     m.rows, m.cols, m.packed = rows, cols, packed
     return m
@@ -386,7 +396,9 @@ class SparseMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls.of_columns(rows, cols, ((),) * cols)
+        if rows < 0 or cols < 0:
+            raise ValueError("shape must be nonnegative")
+        return _matrix(rows, cols, ((),) * cols)
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraElement, LinearCombination, Monomial, PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
-from .linalg import SparseMatrix, pivot_columns, rank
+from .linalg import _matrix, pivot_columns, rank
 from .modules import FreeGradedModule, GradedModuleMap, TorResult, free_module
 
 _ONE = Fraction(1)
@@ -192,12 +192,17 @@ class StableCohomology:
         matrices = {}
         g0 = self.generator_index(1)
         for d in range(0, self.degree_bound - 1, 2):
-            # m * m_1 sits in the m_1 block of degree d + 2, at m's position
+            # m * m_1 sits in the m_1 block of degree d + 2, at m's position:
+            # one entry 1 per column, checked per block, not per entry
             blocks, rows = F.generator_blocks(d + 2)
-            offset = blocks[g0][0]
+            offset = self.algebra._block_offset(blocks.get(g0), d, rows)
+            if offset is None:
+                raise ValueError(
+                    f"delta_contravariant: the block of m1 at degree {d + 2} is not a "
+                    f"degree-{d} block inside {rows} rows"
+                )
             cols = self.algebra.hilbert_function(d)
-            columns = list(zip(range(offset, offset + cols), repeat(1)))
-            matrices[d] = SparseMatrix.of_columns(rows, cols, columns)
+            matrices[d] = _matrix(rows, cols, tuple(zip(range(offset, offset + cols), repeat(1))))
         self._contra = GradedModuleMap(A, F, degree_shift=1, matrices=matrices)
         return self._contra
 
@@ -207,14 +212,28 @@ class StableCohomology:
         if self._co is not None:
             return self._co
         A, F = self.ring_module(), self.twisted_module()
+        hilbert = self.algebra.hilbert_function
         matrices = {}
         for d in range(2, self.degree_bound + 1, 2):
             blocks, cols = F.generator_blocks(d)
             columns: List[Tuple[int, int]] = []
             for k, (_, deg) in blocks.items():
                 l = k + 1  # generator position k holds m_{k+1}
-                columns.extend(zip(self.algebra.multiplication_table(l, deg), repeat(-1)))
-            matrices[d] = SparseMatrix.of_columns(self.algebra.hilbert_function(d), cols, columns)
+                # checked per block, not per entry: the table of e_l from
+                # the block's degree lands in A_d, so its positions are rows
+                # in range, one column per monomial of the block
+                table = self.algebra.multiplication_table(l, deg) if deg + 2 * l == d else None
+                if table is None or len(table) != hilbert(deg):
+                    raise ValueError(
+                        f"delta_covariant: the table of e{l} from degree {deg} does not fill "
+                        f"the block of m{l} at degree {d}"
+                    )
+                columns.extend(zip(table, repeat(-1)))
+            if len(columns) != cols:
+                raise ValueError(
+                    f"delta_covariant has {len(columns)} of its {cols} columns at degree {d}"
+                )
+            matrices[d] = _matrix(hilbert(d), cols, tuple(columns))
         self._co = GradedModuleMap(F, A, degree_shift=1, matrices=matrices)
         return self._co
 
@@ -396,11 +415,13 @@ class StableCohomology:
         bound = self.degree_bound
         delta = self.delta_covariant()
         F = self.twisted_module()
+        algebra = self.algebra
         terms = _kernel_generator_terms(bound)
         per_degree: List[Dict[str, int]] = []
         counts: Dict[int, int] = {}
         for d in range(2, bound + 1, 2):
             mat = delta.matrix(d)
+            rows = mat.cols
             kernel_dim = self.kernel_dim(d)
             blocks = F.generator_blocks(d)[0]
             # the M(i, j) of degree d last, each pair order kept
@@ -408,23 +429,34 @@ class StableCohomology:
             columns: List[Tuple] = []
             for (i, j) in pairs:
                 # column mono * M(i, j): per term, c at the row of mono * e_k
-                # in the m_l block (an M(i, j) = 0 keeps its empty columns)
+                # in the m_l block (an M(i, j) = 0 keeps its empty columns).
+                # Checked per term, not per entry: the block of m_l has
+                # degree deg + 2k and lies inside the rows, and c is a
+                # nonzero int; the terms have distinct l (they are keyed by
+                # it), so their blocks are disjoint
                 deg = d - 2 * (i + j)
-                slots = [
-                    zip(map(add, self.algebra.multiplication_table(k, deg),
-                            repeat(blocks[self.generator_index(l)][0])), repeat(c))
-                    for l, k, c in terms[i, j]
-                ]
-                size = self.algebra.hilbert_function(deg)
+                size = algebra.hilbert_function(deg)
+                slots = []
+                for l, k, c in terms[i, j]:
+                    block = blocks.get(self.generator_index(l))
+                    offset = algebra._block_offset(block, deg + 2 * k, rows)
+                    table = algebra.multiplication_table(k, deg)
+                    if offset is None or type(c) is not int or not c or len(table) != size:
+                        raise ValueError(
+                            f"the span: the term {c}*e{k}*m{l} of M({i},{j}) is not a nonzero "
+                            f"int on a degree-{deg + 2 * k} block inside {rows} rows at degree {d}"
+                        )
+                    slots.append(zip(map(add, table, repeat(offset)), repeat(c)))
                 columns += [tuple(chain.from_iterable(s)) for _, *s in zip(range(size), *slots)]
+            span = _matrix(rows, len(columns), tuple(columns))
             # the M(i, j) of degree d, one column each, are the new vectors
             top = _lambda2_pairs(d)
             split = len(columns) - len(top)
-            image = mat @ SparseMatrix.of_columns(mat.cols, len(top), columns[split:])
+            image = mat @ _matrix(rows, len(top), span.packed[split:])
             for (i, j), col in zip(top, image.packed):
                 if col:
                     raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
-            pivots = pivot_columns(SparseMatrix.of_columns(mat.cols, len(columns), columns))
+            pivots = pivot_columns(span)
             span_rank = len(pivots)
             minimal = sum(1 for c in pivots if c >= split)
             if minimal:

@@ -1,0 +1,194 @@
+"""The index-arithmetic builders check their blocks, not every entry.
+
+p, d, the contraction delta, the cup product and the kernel-generator span
+are built from multiplication tables and layouts.  Each checks, once per
+block, the properties that `linalg._checked_columns` checks entry by entry
+(every row in range and at most once per column, every value a nonzero
+int), and hands its columns to the unchecked `linalg._matrix`.  These
+tests hold the builders' output to the checked constructor, break one
+block at a time, and make sure no builder reaches the entry check.
+"""
+
+import sys
+
+import pytest
+
+from mmmcoh import linalg, stable
+from mmmcoh.algebra import PolynomialAlgebra
+from mmmcoh.forms import DifferentialForms
+from mmmcoh.linalg import SparseMatrix
+from mmmcoh.stable import StableCohomology
+from mmmcoh.verify import run_verification
+
+
+def _checked(m):
+    """``m`` through the checked constructor, which raises on any column
+    that breaks the representation."""
+    return SparseMatrix.of_columns(m.rows, m.cols, m.packed)
+
+
+def test_every_builder_passes_the_entry_check_at_bound_24(monkeypatch):
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    for n in range(0, forms.max_form_degree() + 2):
+        for d in range(0, 25):
+            for m in (forms.interior_product(n, d), forms.exterior_derivative(n, d)):
+                assert _checked(m) == m and _checked(m).packed == m.packed, (n, d)
+    ctx = StableCohomology(24)
+    for f in (ctx.delta_covariant(), ctx.delta_contravariant()):
+        for d, m in f.matrices.items():
+            assert _checked(m) == m and _checked(m).packed == m.packed, d
+    spans = []
+    real = stable.pivot_columns
+    monkeypatch.setattr(stable, "pivot_columns", lambda m: spans.append(m) or real(m))
+    ctx.verify_generators()
+    assert len(spans) == 12
+    for m in spans:
+        assert _checked(m) == m and _checked(m).packed == m.packed
+
+
+def test_no_builder_reaches_the_entry_check(monkeypatch):
+    # count the calls of _checked_columns with a forms or stable frame on
+    # the stack; the small groupcoh matrices still go through it
+    callers = []
+    real = linalg._checked_columns
+
+    def counting(rows, columns):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_globals.get("__name__"))
+            frame = frame.f_back
+        callers.append(names)
+        return real(rows, columns)
+
+    monkeypatch.setattr(linalg, "_checked_columns", counting)
+    assert run_verification(24).passed
+    assert any("mmmcoh.groupcoh" in names for names in callers)
+    assert not any(names & {"mmmcoh.forms", "mmmcoh.stable"} for names in callers)
+
+
+# -- one broken block at a time: a ValueError naming it ---------------------------
+
+
+def _patch_layout(monkeypatch, key, wedge, change):
+    real = DifferentialForms._layout
+
+    def broken(self, n, d):
+        blocks, dim = real(self, n, d)
+        if (n, d) == key:
+            blocks = {**blocks, wedge: change(*blocks[wedge])}
+        return blocks, dim
+
+    monkeypatch.setattr(DifferentialForms, "_layout", broken)
+
+
+@pytest.mark.parametrize(
+    "name,n,message",
+    [
+        ("interior_product", 2, r"^p: the block of \(1,\) is not a coefficient-degree-6 block "
+                                r"inside 7 rows at \(n, d\) = \(2, 8\)$"),
+        ("exterior_derivative", 0, r"^d: the block of \(1,\) is not a coefficient-degree-6 "
+                                   r"block inside 7 rows at \(n, d\) = \(0, 8\)$"),
+    ],
+)
+def test_a_block_of_the_wrong_coefficient_degree_is_named(monkeypatch, name, n, message):
+    # the block of de_1 in Omega^1_8 claims coefficient degree 4, not 6
+    _patch_layout(monkeypatch, (1, 8), (1,), lambda off, deg: (off, deg - 2))
+    with pytest.raises(ValueError, match=message):
+        getattr(DifferentialForms(PolynomialAlgebra(8)), name)(n, 8)
+
+
+@pytest.mark.parametrize("name,n", [("interior_product", 2), ("exterior_derivative", 0)])
+def test_a_block_past_the_rows_is_named(monkeypatch, name, n):
+    # the block of de_3 in Omega^1_8, one row at offset 5, moved two rows
+    # down, ends past the 7 rows
+    _patch_layout(monkeypatch, (1, 8), (3,), lambda off, deg: (off + 2, deg))
+    symbol = "p" if name == "interior_product" else "d"
+    message = (
+        r"^%s: the block of \(3,\) is not a coefficient-degree-2 block inside 7 rows "
+        r"at \(n, d\) = \(%d, 8\)$" % (symbol, n)
+    )
+    with pytest.raises(ValueError, match=message):
+        getattr(DifferentialForms(PolynomialAlgebra(8)), name)(n, 8)
+
+
+def _short_table(monkeypatch, key):
+    real = PolynomialAlgebra.multiplication_table
+
+    def short(self, i, d):
+        table = real(self, i, d)
+        return table[:-1] if (i, d) == key else table
+
+    monkeypatch.setattr(PolynomialAlgebra, "multiplication_table", short)
+
+
+def test_a_short_table_is_named_by_p(monkeypatch):
+    # p on e_1 de_1 ^ de_2 contracts de_1 through the table of e_1 from
+    # degree 2, which has lost its one entry
+    _short_table(monkeypatch, (1, 2))
+    message = (
+        r"^p: the table of e1 into the block of \(2,\) is not the size of the block of "
+        r"\(1, 2\) at \(n, d\) = \(2, 8\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        DifferentialForms(PolynomialAlgebra(8)).interior_product(2, 8)
+
+
+def test_a_short_table_is_named_by_delta(monkeypatch):
+    _short_table(monkeypatch, (1, 4))
+    message = (
+        r"^delta_covariant: the table of e1 from degree 4 does not fill the block of m1 "
+        r"at degree 6$"
+    )
+    with pytest.raises(ValueError, match=message):
+        StableCohomology(8).delta_covariant()
+
+
+def test_a_block_of_the_wrong_degree_is_named_by_delta(monkeypatch):
+    # one more generator, in degree 4, sits at the position of m_(bound/2 + 1)
+    from mmmcoh.modules import free_module
+
+    real = StableCohomology.twisted_module
+
+    def padded(self):
+        return free_module(self.algebra, [*real(self).gen_degrees, 4], coh_offset=-1)
+
+    monkeypatch.setattr(StableCohomology, "twisted_module", padded)
+    message = (
+        r"^delta_covariant: the table of e5 from degree 0 does not fill the block of m5 "
+        r"at degree 4$"
+    )
+    with pytest.raises(ValueError, match=message):
+        StableCohomology(8).delta_covariant()
+
+
+def test_a_zero_generator_coefficient_is_named_by_the_span(monkeypatch):
+    real = stable._kernel_generator_terms
+
+    def zeroed(bound):
+        terms = real(bound)
+        (l, k, _), *rest = terms[1, 2]
+        terms[1, 2] = [(l, k, 0), *rest]
+        return terms
+
+    monkeypatch.setattr(stable, "_kernel_generator_terms", zeroed)
+    message = (
+        r"^the span: the term 0\*e1\*m2 of M\(1,2\) is not a nonzero int on a degree-2 "
+        r"block inside 4 rows at degree 6$"
+    )
+    with pytest.raises(ValueError, match=message):
+        StableCohomology(8).verify_generators()
+
+
+def test_a_table_entry_out_of_range_is_rejected_where_the_table_is_made(monkeypatch):
+    # e1^3 placed one past the end of the degree 6 basis
+    real = PolynomialAlgebra._positions
+
+    def corrupt(self, d):
+        pos = real(self, d)
+        return {**pos, next(iter(pos)): len(pos)} if d == 6 else pos
+
+    monkeypatch.setattr(PolynomialAlgebra, "_positions", corrupt)
+    algebra = PolynomialAlgebra(8)
+    with pytest.raises(ValueError, match=r"^the table of e1 from degree 4 is not 2 positions in range\(3\)$"):
+        algebra.multiplication_table(1, 4)
+    assert algebra.multiplication_table(3, 0) == (2,)

@@ -619,3 +619,23 @@ def test_hilbert_tilde_dual_fails_on_a_cokernel_mismatch(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "mmmcoh: cokernel mismatch at degree 2\n"
+
+
+def test_a_corrupt_table_is_fail_rows_not_a_traceback(capsys, monkeypatch):
+    # e1^3 placed one past the end of the degree 6 basis: every check that
+    # reads the table of e1 from degree 4 fails with the table's message
+    from mmmcoh.algebra import PolynomialAlgebra
+
+    real = PolynomialAlgebra._positions
+
+    def corrupt(self, d):
+        pos = real(self, d)
+        return {**pos, next(iter(pos)): len(pos)} if d == 6 else pos
+
+    monkeypatch.setattr(PolynomialAlgebra, "_positions", corrupt)
+    assert main(["verify-all", "--max-degree", "12", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    status = {c["check_id"]: c.get("failure", "pass") for c in json.loads(captured.out)["checks"]}
+    assert status.pop("contraction-identity") == status.pop("torus-h1") == "pass"
+    assert set(status.values()) == {"the table of e1 from degree 4 is not 2 positions in range(3)"}
