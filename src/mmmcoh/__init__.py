@@ -13,9 +13,7 @@ command for the runnable suite.
 __version__ = "0.1.0"
 
 from .algebra import (
-    AlgebraElement,
     DegreeBoundError,
-    Monomial,
     PolynomialAlgebra,
     exterior_basis,
     exterior_dim,
@@ -54,14 +52,10 @@ from .stable import (
     StableCohomology,
     StableCohomologyTable,
     TorReport,
-    TwistedElement,
-    contraction_pairing,
-    kernel_generator,
 )
 from .verify import CheckResult, VerificationReport, run_verification
 
 __all__ = [
-    "AlgebraElement",
     "CheckResult",
     "DegreeBoundError",
     "DifferentialForms",
@@ -73,20 +67,17 @@ __all__ = [
     "GroupPresentation",
     "H1Certificate",
     "MatrixRep",
-    "Monomial",
     "PolynomialAlgebra",
     "SparseMatrix",
     "StableCohomology",
     "StableCohomologyTable",
     "TorReport",
     "TorResult",
-    "TwistedElement",
     "VectorQ",
     "VerificationReport",
     "cocycle_space",
     "coboundary_space",
     "column_space_basis",
-    "contraction_pairing",
     "evaluate_word",
     "exterior_basis",
     "exterior_dim",
@@ -94,7 +85,6 @@ __all__ = [
     "h1_certificate",
     "h1_dimension",
     "kernel_basis",
-    "kernel_generator",
     "load_group_data",
     "load_group_file",
     "rank",

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import add, not_
+from operator import add, itemgetter, not_
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .algebra import PolynomialAlgebra
@@ -133,12 +133,27 @@ class DifferentialForms:
     def _quotient_positions(self, i: int, d: int) -> List[Optional[int]]:
         """Division by e_i, the inverse of the multiplication table into
         degree d: entry k is the index of m_k / e_i in the degree d - 2i
-        basis, or None where e_i does not divide m_k."""
+        basis, or None where e_i does not divide m_k.
+
+        e_i divides as many monomials of degree d as the table has entries,
+        so the table fills exactly their positions if its positions are
+        distinct and each holds e_i; a ValueError naming (i, d) otherwise,
+        since `exterior_derivative` reads every one of them."""
         key = (i, d)
         cached = self._quotients.get(key)
         if cached is None:
-            cached = [None] * self.algebra.hilbert_function(d)
-            for k, product in enumerate(self.algebra.multiplication_table(i, d - 2 * i)):
+            basis = self.algebra.monomial_basis(d)
+            table = self.algebra.multiplication_table(i, d - 2 * i)
+            index_of = itemgetter(0)
+            if len(set(table)) != len(table) or not all(
+                i in map(index_of, basis[q]) for q in table
+            ):
+                raise ValueError(
+                    f"the table of e{i} into degree {d} does not fill exactly "
+                    f"the monomials that e{i} divides"
+                )
+            cached = [None] * len(basis)
+            for k, product in enumerate(table):
                 cached[product] = k
             self._quotients[key] = cached
         return cached
@@ -171,7 +186,7 @@ class DifferentialForms:
                     moves[i] = (sign, row_off, self._quotient_positions(i, deg))
             for q, mono in enumerate(self.algebra.monomial_basis(deg)):
                 col: List[int] = []
-                for i, e in mono.pairs:
+                for i, e in mono:
                     move = moves.get(i)
                     if move is not None:
                         sign, row_off, quotient = move

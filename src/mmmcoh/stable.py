@@ -34,17 +34,14 @@ cross-check compares entry for entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraElement, LinearCombination, Monomial, PolynomialAlgebra, exterior_dim
+from .algebra import PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
 from .linalg import _matrix, pivot_columns, rank
 from .modules import FreeGradedModule, GradedModuleMap, TorResult, free_module
-
-_ONE = Fraction(1)
 
 
 class FalsificationError(AssertionError):
@@ -58,65 +55,16 @@ class FalsificationError(AssertionError):
         self.report = report
 
 
-class TwistedElement(LinearCombination):
-    """An element of the free twisted-class module: sum of c * mono * m_l.
-
-    Terms are keyed by (l, monomial); the A-action multiplies the monomial.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def generator(cls, l: int) -> "TwistedElement":
-        if l < 1:
-            raise ValueError("twisted classes are indexed from 1")
-        return cls({(l, Monomial.one()): _ONE})
-
-    def __rmul__(self, other) -> "TwistedElement":
-        """Scalar, monomial or ring-element multiplication from the left."""
-        if isinstance(other, Monomial):
-            return self._summed(((l, other * m), c) for (l, m), c in self.terms.items())
-        if isinstance(other, AlgebraElement):
-            return self._summed(
-                ((l, m1 * m2), c1 * c2)
-                for m1, c1 in other.terms.items()
-                for (l, m2), c2 in self.terms.items()
-            )
-        return self.scale(other)
-
-    def internal_degree(self) -> Optional[int]:
-        degs = {m.degree + 2 * l for (l, m) in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def __repr__(self):
-        if not self.terms:
-            return "TwistedElement(0)"
-        bits = []
-        for (l, m), c in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
-        ):
-            mono = f"{m}*" if m.pairs else ""
-            bits.append(f"{c}*{mono}m{l}")
-        return "TwistedElement(" + " + ".join(bits) + ")"
+def contraction_pairing(l1: int, l2: int) -> Tuple[int, int]:
+    """mu(m_l1, m_l2) = -e_{l1+l2-1}, as the pair (l1 + l2 - 1, -1): the
+    index of the one generator and its coefficient."""
+    return (l1 + l2 - 1, -1)
 
 
-def contraction_pairing(x: TwistedElement, y: TwistedElement) -> AlgebraElement:
-    """The A-bilinear pairing with mu(m_l, m_l') = -e_{l+l'-1}."""
-    return AlgebraElement._summed(
-        (m1 * m2 * Monomial.generator(l1 + l2 - 1), -c1 * c2)
-        for (l1, m1), c1 in x.terms.items()
-        for (l2, m2), c2 in y.terms.items()
-    )
-
-
-def kernel_generator(i: int, j: int) -> TwistedElement:
-    """M(i, j) = e_i m_j - e_j m_i (antisymmetric, M(i, i) = 0)."""
-    gi, gj = Monomial.generator(i), Monomial.generator(j)
-    return (gi * TwistedElement.generator(j)) - (gj * TwistedElement.generator(i))
+def kernel_generator(i: int, j: int) -> List[Tuple[int, int, int]]:
+    """M(i, j) = e_i m_j - e_j m_i, i != j, as its terms (l, k, c), one per
+    term c * e_k m_l."""
+    return [(j, i, 1), (i, j, -1)]
 
 
 @dataclass(frozen=True)
@@ -368,11 +316,7 @@ class StableCohomology:
             for l2 in range(l1, top // 2 + 1):
                 if 2 * (l1 + l2 - 1) > top:
                     break
-                got = contraction_pairing(
-                    TwistedElement.generator(l1), TwistedElement.generator(l2)
-                )
-                expected = AlgebraElement({Monomial.generator(l1 + l2 - 1): Fraction(-1)})
-                ok = got == expected
+                ok = contraction_pairing(l1, l2) == (l1 + l2 - 1, -1)
                 rows.append(
                     {
                         "l": l1,
@@ -432,8 +376,8 @@ class StableCohomology:
                 # in the m_l block (an M(i, j) = 0 keeps its empty columns).
                 # Checked per term, not per entry: the block of m_l has
                 # degree deg + 2k and lies inside the rows, and c is a
-                # nonzero int; the terms have distinct l (they are keyed by
-                # it), so their blocks are disjoint
+                # nonzero int; the terms have distinct l (checked when they
+                # are read), so their blocks are disjoint
                 deg = d - 2 * (i + j)
                 size = algebra.hilbert_function(deg)
                 slots = []
@@ -649,19 +593,18 @@ class TorReport:
 
 
 # the terms of M(i, j), i < j, as (l, k, c) per term c * e_k m_l
-GeneratorTerms = Dict[Tuple[int, int], List[Tuple[int, int, object]]]
+GeneratorTerms = Dict[Tuple[int, int], List[Tuple[int, int, int]]]
 
 
 def _kernel_generator_terms(bound: int) -> GeneratorTerms:
     """Each M(i, j) with 2(i + j) <= bound, read once from
-    `kernel_generator`; raises unless every term is c * e_k m_l."""
+    `kernel_generator`; raises unless its terms have distinct l.  The span
+    checks each term's k, c and block when it reads it."""
     terms: GeneratorTerms = {}
     for (i, j) in _pairs_up_to(bound):
-        terms[i, j] = []
-        for (l, m), c in kernel_generator(i, j).terms.items():
-            if m.pairs != ((i + j - l, 1),):
-                raise ValueError(f"M({i},{j}) has a term {c}*{m}*m{l}, not c*e_k*m_l")
-            terms[i, j].append((l, i + j - l, c.numerator if c.denominator == 1 else c))
+        terms[i, j] = kernel_generator(i, j)
+        if len({l for l, _, _ in terms[i, j]}) != len(terms[i, j]):
+            raise ValueError(f"M({i},{j}) has two terms on one m_l: {terms[i, j]}")
     return terms
 
 

@@ -9,11 +9,12 @@ accidental dense or exponential path), not to benchmark hardware.
 import json
 import time
 
-from mmmcoh.algebra import AlgebraElement, exterior_dim
+from mmmcoh.algebra import exterior_dim
 from mmmcoh.cli import main
 from mmmcoh.forms import DifferentialForms
 from mmmcoh.groupcoh import h1_certificate, load_group_data
-from mmmcoh.stable import StableCohomology, TwistedElement, contraction_pairing
+from mmmcoh.stable import StableCohomology, contraction_pairing
+import algebra_oracle as oracle
 from test_forms import lie_derivative_oracle, verify_cartan
 
 BOUND = 24
@@ -35,12 +36,13 @@ def test_criterion_1_contraction_identity():
         ctx = StableCohomology(BOUND)
         rows = ctx.verify_contraction_table()
         assert all(row["ok"] for row in rows)
-        # independent spot values, not routed through the table builder
-        m = TwistedElement.generator
-        e = AlgebraElement.generator
-        assert contraction_pairing(m(1), m(1)) == -e(1)
-        assert contraction_pairing(m(2), m(3)) == -e(4)
-        assert contraction_pairing(m(5), m(8)) == -e(12)
+        # independent spot values, not routed through the table builder:
+        # the index pairing (k, c), meaning c e_k, and the object oracle's
+        m = oracle.TwistedElement.generator
+        e = oracle.AlgebraElement.generator
+        for (l1, l2), k in (((1, 1), 1), ((2, 3), 4), ((5, 8), 12)):
+            assert contraction_pairing(l1, l2) == (k, -1)
+            assert oracle.contraction_pairing(m(l1), m(l2)) == -e(k)
     assert t.seconds < 1.0
 
 
@@ -117,7 +119,7 @@ def test_criterion_6_forms_resolution_exactness_and_cartan():
                 weights = [
                     m.total_exponent + n
                     for _, deg in forms._layout(n, d)[0].values()
-                    for m in forms.algebra.monomial_basis(deg)
+                    for m in oracle.monomials(forms.algebra, deg)
                 ]
                 for i, weight in enumerate(weights):
                     assert L.entry(i, i) == weight, (n, d, i)

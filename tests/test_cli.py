@@ -639,3 +639,26 @@ def test_a_corrupt_table_is_fail_rows_not_a_traceback(capsys, monkeypatch):
     status = {c["check_id"]: c.get("failure", "pass") for c in json.loads(captured.out)["checks"]}
     assert status.pop("contraction-identity") == status.pop("torus-h1") == "pass"
     assert set(status.values()) == {"the table of e1 from degree 4 is not 2 positions in range(3)"}
+
+
+def test_a_wrong_table_in_range_is_fail_rows_not_a_traceback(capsys, monkeypatch):
+    # e1^3 placed at the position of e1*e2 in degree 6: the table of e1 from
+    # degree 4 is in range but not injective, and its inverse, division by
+    # e1 into degree 6, would leave e1^3 with no quotient
+    from mmmcoh.algebra import PolynomialAlgebra
+
+    real = PolynomialAlgebra._positions
+
+    def wrong(self, d):
+        pos = real(self, d)
+        return {**pos, ((1, 3),): 1} if d == 6 else pos
+
+    monkeypatch.setattr(PolynomialAlgebra, "_positions", wrong)
+    assert main(["verify-all", "--max-degree", "12", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    status = {c["check_id"]: c.get("failure", "pass") for c in json.loads(captured.out)["checks"]}
+    assert status.pop("contraction-identity") == status.pop("torus-h1") == "pass"
+    division = "the table of e1 into degree 6 does not fill exactly the monomials that e1 divides"
+    assert status.pop("tor-dimensions") == status.pop("resolution-exactness") == division
+    assert set(status.values()) == {"the row table is not injective"}

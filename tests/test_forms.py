@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmmcoh.algebra import Monomial, PolynomialAlgebra, exterior_basis, exterior_dim
+from mmmcoh.algebra import PolynomialAlgebra, exterior_basis, exterior_dim
 from mmmcoh.forms import (
     DifferentialForms,
     ExactnessReport,
@@ -16,6 +16,7 @@ from mmmcoh.forms import (
 )
 from mmmcoh.linalg import SparseMatrix, rank
 from mmmcoh.verify import run_verification
+from algebra_oracle import Monomial, monomials
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +248,7 @@ def _oracle_form_basis(algebra, n, d):
     if d % 2 == 0:
         wedges = sorted(w for wt in range(0, d + 1, 2) for w in exterior_basis(n, wt))
         for wedge in wedges:
-            for m in algebra.monomial_basis(d - sum(2 * i for i in wedge)):
+            for m in monomials(algebra, d - sum(2 * i for i in wedge)):
                 out.append((m, wedge))
     return out
 
@@ -255,9 +256,8 @@ def _oracle_form_basis(algebra, n, d):
 def layout_basis(forms, n, d):
     """The basis of Omega^n_d that ``forms._layout`` records: each wedge's
     block of coefficient monomials, blocks in layout order."""
-    monomials = forms.algebra.monomial_basis
     blocks = forms._layout(n, d)[0]
-    return [(m, wedge) for wedge, (_, deg) in blocks.items() for m in monomials(deg)]
+    return [(m, wedge) for wedge, (_, deg) in blocks.items() for m in monomials(forms.algebra, deg)]
 
 
 def _oracle_index(algebra, n, d):
@@ -314,6 +314,20 @@ def test_operators_match_object_oracles_at_bound_24():
                 assert _same_matrix(
                     forms.interior_product(n, d), _oracle_interior_product(algebra, n, d)
                 ), ("p", n, d)
+
+
+@pytest.mark.parametrize("table", [(0, 0, 2), (0, 1, 3)], ids=["repeated", "onto-e2^2"])
+def test_division_needs_a_table_onto_the_monomials_e_i_divides(table):
+    # into degree 8 (e1^4, e1^2*e2, e1*e3, e2^2, e4), e1 divides the first
+    # three; a table in range that does not fill exactly those positions
+    # would leave one of them with no quotient
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    assert forms.algebra.multiplication_table(1, 6) == (0, 1, 2)
+    assert forms._quotient_positions(1, 8) == [0, 1, 2, None, None]
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    forms.algebra._mult_cache[1, 6] = table
+    with pytest.raises(ValueError, match=r"^the table of e1 into degree 8 does not fill exactly "):
+        forms._quotient_positions(1, 8)
 
 
 # -- the product and rank routes, kept as test-only oracles -------------------------

@@ -1,7 +1,8 @@
 """Every import in the package is used: a stdlib check with `ast`.
 
 The package root re-exports its imports, so it is exempt, and so is an
-import whose line carries ``# noqa: F401`` (a deliberate re-export).  A
+import whose line carries ``# noqa: F401`` (a deliberate re-export); the
+root's ``__all__`` lists exactly its public imports instead.  A
 module-level alias of an imported name (``Q = Fraction``) must be read
 somewhere under ``src/``, ``tests/`` or ``perfbench/``.
 """
@@ -40,6 +41,22 @@ def unused_imports(source: str):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_root_exports_exactly_its_public_imports():
+    # a name that leaves a module must leave the root's imports and
+    # ``__all__`` with it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert [name for name in mmmcoh.__all__ if not hasattr(mmmcoh, name)] == []
+    assert len(set(mmmcoh.__all__)) == len(mmmcoh.__all__)
+    assert sorted(public - set(mmmcoh.__all__)) == []
 
 
 def test_the_check_finds_an_unused_import_and_honours_noqa():

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from mmmcoh.algebra import DegreeBoundError, Monomial, PolynomialAlgebra, exterior_dim
+from mmmcoh.algebra import DegreeBoundError, PolynomialAlgebra, exterior_dim
 from mmmcoh.forms import DifferentialForms
 from mmmcoh.linalg import SparseMatrix, VectorQ, kernel_basis, rank
 from mmmcoh.modules import FreeGradedModule, GradedModuleMap, free_module
+from algebra_oracle import Monomial, monomials
 from koszul_oracle import koszul_differential, koszul_dim, tor_dimension, tor_table
 from module_oracle import (
     GradedModule,
@@ -342,7 +343,7 @@ def _oracle_free_basis(module, d):
     if 0 <= d <= module.bound and d % 2 == 0:
         for k, a in enumerate(module.gen_degrees):
             if a <= d:
-                for m in module.algebra.monomial_basis(d - a):
+                for m in monomials(module.algebra, d - a):
                     out.append((k, m))
     return out
 
@@ -353,9 +354,8 @@ def _oracle_free_index(module, d):
 
 def _layout_basis(module, d):
     """The degree-d basis that ``module.generator_blocks`` records."""
-    monomials = module.algebra.monomial_basis
     blocks = module.generator_blocks(d)[0]
-    return [(k, m) for k, (_, deg) in blocks.items() for m in monomials(deg)]
+    return [(k, m) for k, (_, deg) in blocks.items() for m in monomials(module.algebra, deg)]
 
 
 def _oracle_action(module, i, d):

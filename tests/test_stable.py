@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from mmmcoh.algebra import AlgebraElement, Monomial, PolynomialAlgebra
 from mmmcoh.linalg import SparseMatrix, VectorQ
 from mmmcoh.stable import (
     FalsificationError,
     StableCohomology,
-    TwistedElement,
+    _pairs_up_to,
     contraction_pairing,
     kernel_generator,
 )
+import algebra_oracle as oracle
+from algebra_oracle import AlgebraElement, Monomial, TwistedElement, monomials
 from module_oracle import direct_sum, kernel_module, minimal_generators, trivial_module
 
 
@@ -34,7 +35,7 @@ def contraction_kernel(sc):
 
 def monomial_index(algebra, d):
     """The position of each basis monomial of degree d."""
-    return {m: k for k, m in enumerate(algebra.monomial_basis(d))}
+    return {m: k for k, m in enumerate(monomials(algebra, d))}
 
 
 def ring_as_vector(sc, a: AlgebraElement, d: int) -> VectorQ:
@@ -56,6 +57,11 @@ def twisted_as_vector(sc, x: TwistedElement, d: int) -> VectorQ:
     return VectorQ(dim, entries)
 
 
+def as_element(terms) -> TwistedElement:
+    """Index terms (l, k, c), one per term c * e_k m_l, as a twisted element."""
+    return TwistedElement({(l, Monomial.generator(k)): c for l, k, c in terms})
+
+
 # -- contraction pairing --------------------------------------------------------
 
 
@@ -63,21 +69,35 @@ def test_contraction_frozen_values():
     m1 = TwistedElement.generator(1)
     m2 = TwistedElement.generator(2)
     m3 = TwistedElement.generator(3)
-    assert contraction_pairing(m1, m1) == -AlgebraElement.generator(1)
-    assert contraction_pairing(m2, m3) == -AlgebraElement.generator(4)
-    assert contraction_pairing(m3, m2) == -AlgebraElement.generator(4)  # symmetric
+    assert oracle.contraction_pairing(m1, m1) == -AlgebraElement.generator(1)
+    assert oracle.contraction_pairing(m2, m3) == -AlgebraElement.generator(4)
+    assert oracle.contraction_pairing(m3, m2) == -AlgebraElement.generator(4)  # symmetric
+    # the index pairing (k, c), meaning c e_k
+    assert contraction_pairing(1, 1) == (1, -1)
+    assert contraction_pairing(2, 3) == contraction_pairing(3, 2) == (4, -1)
+
+
+def test_index_pairing_matches_the_object_oracle():
+    # every pair of generators up to bound 40: (k, c) is the object
+    # pairing's one term c e_k
+    m = TwistedElement.generator
+    for l1 in range(1, 21):
+        for l2 in range(1, 22 - l1):
+            k, c = contraction_pairing(l1, l2)
+            expected = AlgebraElement({Monomial.generator(k): c})
+            assert oracle.contraction_pairing(m(l1), m(l2)) == expected, (l1, l2)
 
 
 def test_contraction_is_bilinear_over_the_ring():
     e1 = AlgebraElement.generator(1)
     m1 = TwistedElement.generator(1)
     # mu(e1 m1, m1) = e1 * mu(m1, m1) = -e1^2
-    assert contraction_pairing(e1 * m1, m1) == -(e1 * e1)
-    assert contraction_pairing(m1, e1 * m1) == -(e1 * e1)
+    assert oracle.contraction_pairing(e1 * m1, m1) == -(e1 * e1)
+    assert oracle.contraction_pairing(m1, e1 * m1) == -(e1 * e1)
     combo = 2 * TwistedElement.generator(1) - TwistedElement.generator(2)
     # mu(combo, m1) = -2 e1 + e2
     expected = -(2 * AlgebraElement.generator(1)) + AlgebraElement.generator(2)
-    assert contraction_pairing(combo, TwistedElement.generator(1)) == expected
+    assert oracle.contraction_pairing(combo, TwistedElement.generator(1)) == expected
 
 
 def test_contraction_table_verification(sc):
@@ -105,14 +125,30 @@ def test_twisted_element_degrees():
 
 def test_kernel_generator_is_cross_difference():
     # M(i,j) = e_i m_j - e_j m_i
-    x = kernel_generator(1, 2)
+    x = oracle.kernel_generator(1, 2)
     e1m2 = AlgebraElement.generator(1) * TwistedElement.generator(2)
     e2m1 = AlgebraElement.generator(2) * TwistedElement.generator(1)
     assert x == e1m2 - e2m1
     assert x.internal_degree() == 6
     # antisymmetric: M(j, i) = -M(i, j) and M(i, i) = 0
-    assert kernel_generator(2, 1) == -x
-    assert kernel_generator(3, 3).is_zero()
+    assert oracle.kernel_generator(2, 1) == -x
+    assert oracle.kernel_generator(3, 3).is_zero()
+    # the index terms (l, k, c), one per term c * e_k m_l
+    assert kernel_generator(1, 2) == [(2, 1, 1), (1, 2, -1)]
+    assert as_element(kernel_generator(2, 1)) == -x
+
+
+def test_index_generators_match_the_object_oracle():
+    # every M(i, j) up to bound 40, both orders: the object's terms read as
+    # (l, k, c), in the object's order
+    for (i, j) in _pairs_up_to(40):
+        for a, b in ((i, j), (j, i)):
+            read = []
+            for (l, m), c in oracle.kernel_generator(a, b).terms.items():
+                ((k, e),) = m.pairs
+                assert e == 1 and c.denominator == 1, (a, b)
+                read.append((l, k, c.numerator))
+            assert kernel_generator(a, b) == read, (a, b)
 
 
 # -- the two connecting maps ----------------------------------------------------
@@ -170,7 +206,7 @@ def test_covariant_kernel_dims_frozen(sc):
 def test_kernel_elements_die_under_covariant_map(sc):
     delta = sc.delta_covariant()
     for (i, j) in [(1, 2), (1, 3), (2, 3), (2, 5)]:
-        x = kernel_generator(i, j)
+        x = as_element(kernel_generator(i, j))
         d = x.internal_degree()
         v = twisted_as_vector(sc, x, d)
         assert delta.matrix(d).apply(v).is_zero(), (i, j)
@@ -246,16 +282,16 @@ def test_syzygy_count(sc):
 
 def test_syzygy_check_matches_the_element_arithmetic():
     # the index check agrees with e_i M(j,k) + e_j M(k,i) + e_k M(i,j)
-    # summed as TwistedElements, triple by triple
+    # summed as the oracle's TwistedElements, triple by triple
     from mmmcoh.stable import _cyclic_syzygies, _kernel_generator_terms, _triples_up_to
 
     triples = _triples_up_to(30)
     assert _cyclic_syzygies(_kernel_generator_terms(30), 30) == len(triples) == 53
     for (i, j, k) in triples:
         lhs = (
-            Monomial.generator(i) * kernel_generator(j, k)
-            + Monomial.generator(j) * kernel_generator(k, i)
-            + Monomial.generator(k) * kernel_generator(i, j)
+            Monomial.generator(i) * as_element(kernel_generator(j, k))
+            + Monomial.generator(j) * as_element(kernel_generator(k, i))
+            + Monomial.generator(k) * as_element(kernel_generator(i, j))
         )
         assert lhs.is_zero()
 
@@ -286,8 +322,9 @@ def test_a_negated_generator_fails_only_its_syzygies(monkeypatch):
     from mmmcoh.verify import run_verification
 
     real = stable.kernel_generator
+    negated = [(2, 1, -1), (1, 2, 1)]
     monkeypatch.setattr(
-        stable, "kernel_generator", lambda i, j: -real(i, j) if (i, j) == (1, 2) else real(i, j)
+        stable, "kernel_generator", lambda i, j: negated if (i, j) == (1, 2) else real(i, j)
     )
     by_id = {c.check_id: c for c in run_verification(12).checks}
     assert [cid for cid, c in by_id.items() if c.status == "fail"] == ["kernel-generators"]
@@ -416,11 +453,7 @@ def test_generator_outside_the_kernel_is_named(monkeypatch):
     real = stable.kernel_generator
 
     def broken(i, j):
-        if (i, j) == (1, 3):
-            return Monomial.generator(1) * TwistedElement.generator(3) + (
-                Monomial.generator(3) * TwistedElement.generator(1)
-            )
-        return real(i, j)
+        return [(3, 1, 1), (1, 3, 1)] if (i, j) == (1, 3) else real(i, j)
 
     monkeypatch.setattr(stable, "kernel_generator", broken)
     with pytest.raises(FalsificationError, match=r"^M\(1,3\) leaves the kernel at degree 8$"):
@@ -462,24 +495,31 @@ def test_kernel_membership_is_checked_at_the_generators(monkeypatch):
         assert [dict(zip(col[0::2], col[1::2])) for col in b.packed] == expected, d
 
 
-@pytest.mark.parametrize(
-    "term",
-    [Monomial.from_exponents({1: 2}), Monomial.from_exponents({1: 1, 2: 1}), Monomial.one()],
-    ids=["square", "product", "unit"],
-)
-def test_generator_term_off_a_single_generator_is_rejected(monkeypatch, term):
-    # the span reads each term c * e_k m_l through the table of e_k
+@pytest.mark.parametrize("term", [(1, 1, 1), (1, 3, 1), (2, 2, 1)], ids=["e1m1", "e3m1", "e2m2"])
+def test_generator_term_with_a_wrong_k_is_rejected(monkeypatch, term):
+    # a term c * e_k m_l of M(1, 2) needs l + k = 3: the span reads it
+    # through the table of e_k and finds the block of m_l of another degree
     import mmmcoh.stable as stable
 
     real = stable.kernel_generator
+    monkeypatch.setattr(
+        stable, "kernel_generator", lambda i, j: [term] if (i, j) == (1, 2) else real(i, j)
+    )
+    with pytest.raises(ValueError, match=r"^the span: the term "):
+        StableCohomology(10).verify_generators()
 
-    def broken(i, j):
-        if (i, j) == (1, 2):
-            return term * TwistedElement.generator(1)
-        return real(i, j)
 
-    monkeypatch.setattr(stable, "kernel_generator", broken)
-    with pytest.raises(ValueError, match=r"^M\(1,2\) has a term "):
+def test_generator_terms_on_one_class_are_rejected(monkeypatch):
+    # two terms on m_1 would land in one block, and the span's columns
+    # would repeat a row
+    import mmmcoh.stable as stable
+
+    real = stable.kernel_generator
+    twice = [(1, 2, 1), (1, 2, -1)]
+    monkeypatch.setattr(
+        stable, "kernel_generator", lambda i, j: twice if (i, j) == (1, 2) else real(i, j)
+    )
+    with pytest.raises(ValueError, match=r"^M\(1,2\) has two terms on one m_l: "):
         StableCohomology(10).verify_generators()
 
 
@@ -580,7 +620,7 @@ def _oracle_twisted_index(sc, d):
         (k, m)
         for k, a in enumerate(F.gen_degrees)
         if a <= d
-        for m in sc.algebra.monomial_basis(d - a)
+        for m in monomials(sc.algebra, d - a)
     ]
     return {b: k for k, b in enumerate(basis)}
 
@@ -595,7 +635,7 @@ def _oracle_delta_covariant(sc, d):
 
 
 def _oracle_delta_contravariant(sc, d):
-    src = sc.algebra.monomial_basis(d)
+    src = monomials(sc.algebra, d)
     tgt = _oracle_twisted_index(sc, d + 2)
     entries = {(tgt[(0, m)], col): 1 for col, m in enumerate(src)}
     return SparseMatrix(len(tgt), len(src), entries)
