@@ -37,8 +37,6 @@ from .linalg import (
     column_space_basis,
     kernel_basis,
     rank,
-    solve,
-    solve_many,
 )
 from .modules import (
     FreeGradedModule,
@@ -89,7 +87,5 @@ __all__ = [
     "load_group_file",
     "rank",
     "run_verification",
-    "solve",
-    "solve_many",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SparseMatrix, VectorQ, column_space_basis, kernel_basis, solve_many
+from .linalg import SparseMatrix, VectorQ, _row_dicts, _rref, column_space_basis, kernel_basis
 
 Word = Tuple[int, ...]
 
@@ -60,10 +60,17 @@ def _invert(m: SparseMatrix) -> SparseMatrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
     n = m.rows
-    cols = solve_many(m, [VectorQ.unit(n, j) for j in range(n)])
-    if None in cols:
+    rows = _row_dicts(m)
+    for r, row in enumerate(rows):
+        row[n + r] = 1
+    # (m | 1) has rank n, and its pivots are range(n) iff m is invertible;
+    # then row k of the reduced form is (e_k | row k of m^-1)
+    pivots, reduced = _rref(rows, 2 * n)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return SparseMatrix.from_columns(cols, rows=n)
+    return SparseMatrix(
+        n, n, {(k, c - n): x for k, row in enumerate(reduced) for c, x in row.items() if c >= n}
+    )
 
 
 class MatrixRep:
@@ -194,13 +201,14 @@ class H1Certificate:
 
 
 def h1_certificate(pres: GroupPresentation, rep: MatrixRep) -> H1Certificate:
-    z1 = cocycle_space(pres, rep)
+    z_matrix = _cocycle_matrix(pres, rep)
+    z1 = kernel_basis(z_matrix)
     b1 = coboundary_space(pres, rep)
     # sanity: every coboundary is a cocycle
-    z_matrix = _cocycle_matrix(pres, rep)
-    for v in b1:
+    for j, v in enumerate(b1):
         if not z_matrix.apply(v).is_zero():
-            raise AssertionError("a coboundary failed the cocycle conditions")
+            values = "(" + ", ".join(map(str, v.to_list())) + ")"
+            raise ValueError(f"coboundary {j} of B^1, {values}, fails the cocycle conditions")
     return H1Certificate(
         z1_dim=len(z1),
         b1_dim=len(b1),
@@ -221,7 +229,10 @@ def _entry(x) -> Fraction:
     # Fraction() would read true as 1 and 0.1 as the binary float
     # 3602879701896397/36028797018963968, certifying another representation
     if type(x) is int or isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"matrix entry {json.dumps(x)} has a zero denominator") from None
     got = json.dumps(x, default=repr)
     raise ValueError(f'matrix entry must be an integer or a string such as "3/2", got {got}')
 

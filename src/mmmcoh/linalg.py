@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream — Hilbert functions, kernels of contraction maps,
-minimal generators — reduces to ranks, kernels and solves of sparse
-matrices with ``fractions.Fraction`` entries.  This module is the single
-place where ranks and eliminations happen, and it never touches floating
+minimal generators — reduces to ranks and kernels of sparse matrices
+with ``fractions.Fraction`` entries.  This module is the single place
+where ranks and eliminations happen, and it never touches floating
 point: a rank computed here is the rank, not an estimate.
 
 Representation: a matrix is stored by column, in the compressed sparse
@@ -30,19 +30,18 @@ kernel-generator span have columns that are zero, ``x e_u`` or
 rows (a single entry is an edge to one extra ground vertex), its column
 matroid is graphic over any field (J. Oxley, *Matroid Theory*, 2nd ed.,
 2011, section 5.1), and ``pivot_columns`` reads its pivots off a spanning
-forest by union-find, with no elimination.  Every other matrix is
-eliminated.
+forest by union-find, with no elimination.
 
-Reduction strategy: rows are eliminated column-by-column from the left so
-that the reduced row echelon form (and hence every kernel basis) is the
-canonical one; within a column the pivot row is chosen by sparsity to limit
-fill-in (Markowitz's rule), ties going to the lowest row index.  Because
-columns are cleared in order, a working row holds the current column
-exactly when that column is its leading one, so rows wait in buckets keyed
-by leading column: a pivot search reads one bucket, never the whole row
-set.  Back-substitution and the kernel read-off each pass over the echelon
-form once.  Rank-only queries skip the back-substitution pass.  Each
-elimination first transposes the columns into one dict per row, once.
+Reduction strategy: every other matrix goes through one Gauss-Jordan
+routine, ``_rref``.  It takes columns from the left, makes the first
+remaining row that holds a column its pivot row, scales that row to a
+leading 1 and clears the column from every other row.  What it returns is
+the reduced row echelon form, which is unique, so the pivot columns, the
+kernel basis read off it and the inverse read off ``(m | 1)`` are
+canonical.  The only matrices of the certificates that are not graphic
+are the torus H^1 certificate's, of a few rows each, so no pivot is chosen
+to limit fill-in.  Each elimination first transposes the columns into one
+dict per row, once.
 
 Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
 ``(k, x)`` of a column, ``x`` times column k of ``A`` into one
@@ -57,17 +56,18 @@ injective, which it checks), on the right it picks columns
 action matrix.
 
 Arithmetic: a stored value is a Python ``int`` while it is integral and a
-``Fraction`` otherwise, so ``@``, ``+``, elimination and ``solve_many``
-run on machine-independent ``int`` arithmetic with no conversion per
-entry, and Python's numeric tower keeps a value exact as a ``Fraction``
-where a division actually happens (a pivot other than +-1).  A value
-computed from a ``Fraction`` stays one even when it comes out integral;
-``==`` and ``hash`` compare values, so that is invisible outside.  Every
-value that crosses the interface (``entries``, ``entry``, ``column``,
-``to_lists``, vector entries, kernel vectors, solutions) is a
-``Fraction``: ``_as_q`` wraps an ``int`` through ``_SMALL``, one shared
-``Fraction`` per small integer.  Sharing is safe because ``Fraction`` is
-immutable, and it saves an allocation per entry.
+``Fraction`` otherwise, so ``@``, ``+`` and elimination run on
+machine-independent ``int`` arithmetic with no conversion per entry, and
+Python's numeric tower keeps a value exact as a ``Fraction`` where a
+division actually happens: elimination negates a row led by -1 and divides
+only a row led by another value than +-1.  A value computed from a
+``Fraction`` stays one even when it comes out integral; ``==`` and
+``hash`` compare values, so that is invisible outside.  Every value that
+crosses the interface (``entries``, ``entry``, ``column``, ``to_lists``,
+vector entries, kernel vectors) is a ``Fraction``: ``_as_q`` wraps an
+``int`` through ``_SMALL``, one shared ``Fraction`` per small integer.
+Sharing is safe because ``Fraction`` is immutable, and it saves an
+allocation per entry.
 """
 
 from __future__ import annotations
@@ -418,9 +418,6 @@ class SparseMatrix:
             raise IndexError(c)
         return _vector(self.rows, self.packed[c])
 
-    def columns(self) -> List[VectorQ]:
-        return [_vector(self.rows, col) for col in self.packed]
-
     def apply(self, v: VectorQ) -> VectorQ:
         """Matrix-vector product (column convention), for one vector; for
         many, multiply by the matrix of their columns instead."""
@@ -544,82 +541,46 @@ def _row_dicts(m: SparseMatrix) -> List[Dict[int, object]]:
     return rows
 
 
-def _sub_scaled(row: Dict[int, object], piv: Dict[int, object], f):
-    # row - f*piv, in place on a copy-free dict
-    for c, x in piv.items():
-        s = row.get(c, 0) - f * x
-        if s:
-            row[c] = s
-        else:
-            row.pop(c, None)
+def _rref(rows: List[Dict[int, object]], width: int):
+    """Gauss-Jordan elimination of ``rows`` to the reduced row echelon form.
 
-
-def _forward(rows: List[Dict[int, object]], width: int, pivot_limit: Optional[int] = None):
-    """Forward elimination with normalized pivots.
-
-    Columns are taken in increasing order (so the pivot-column set is
-    canonical); among the rows holding a column the sparsest wins, ties
-    going to the lowest row index.  Every working row sits in the bucket of
-    its leading column, so a column's candidates are exactly its bucket:
-    only those rows are reduced, and each is moved to the bucket of its new
-    leading column.  Returns ``(pivot_cols, echelon_rows)`` with each
-    echelon row scaled to a leading 1 and the pivot column eliminated from
-    all later rows.  Values stay ``int`` while they are integral.
+    Columns are taken from the left.  The first remaining row that holds a
+    column is its pivot row: it is scaled to a leading 1 and the column is
+    cleared from every other row, the earlier pivot rows included.  Returns
+    ``(pivot_cols, reduced_rows)``; the reduced form is unique, so neither
+    depends on the order of ``rows``.  Values stay ``int`` while they are
+    integral.  The row dicts are changed in place.
     """
-    limit = width if pivot_limit is None else pivot_limit
     work = [r for r in rows if r]
-    buckets: Dict[int, List[int]] = {}
-    for idx, row in enumerate(work):
-        lead = min(row)
-        if lead < limit:
-            buckets.setdefault(lead, []).append(idx)
     pivots: List[int] = []
-    echelon: List[Dict[int, object]] = []
-    for col in range(limit):
-        if not buckets:
+    reduced: List[Dict[int, object]] = []
+    for col in range(width):
+        if not work:
             break
-        bucket = buckets.pop(col, None)
-        if bucket is None:
+        idx = next((i for i, row in enumerate(work) if col in row), None)
+        if idx is None:
             continue
-        best = min(bucket, key=lambda idx: (len(work[idx]), idx))
-        piv = work[best]
+        piv = work.pop(idx)
         lead = piv[col]
         if lead == -1:
             piv = {c: -x for c, x in piv.items()}
         elif lead != 1:
             inv = Fraction(1, lead)
             piv = {c: inv * x for c, x in piv.items()}
-        for idx in bucket:
-            if idx == best:
-                continue
-            row = work[idx]
-            _sub_scaled(row, piv, row[col])
-            if row:
-                lead = min(row)
-                if lead < limit:
-                    buckets.setdefault(lead, []).append(idx)
+        for row in chain(reduced, work):
+            f = row.get(col)
+            if f:
+                # row - f*piv, in place
+                for c, x in piv.items():
+                    s = row.get(c, 0) - f * x
+                    if s:
+                        row[c] = s
+                    else:
+                        row.pop(c, None)
+        work = [r for r in work if r]
         pivots.append(col)
-        echelon.append(piv)
-    return pivots, echelon
-
-
-def _back_substitute(pivots: List[int], echelon: List[Dict[int, object]]):
-    # clear each pivot column from the rows above it -> canonical RREF.
-    # When row k is subtracted it has already lost every later pivot column,
-    # so it brings only its own pivot and free columns into the rows above:
-    # the rows holding each pivot column can be listed once, up front.
-    position = {col: k for k, col in enumerate(pivots)}
-    holders: List[List[int]] = [[] for _ in pivots]
-    for j, row in enumerate(echelon):
-        for col in row:
-            k = position.get(col)
-            if k is not None and k > j:
-                holders[k].append(j)
-    for k in range(len(echelon) - 1, -1, -1):
-        col = pivots[k]
-        piv = echelon[k]
-        for j in holders[k]:
-            _sub_scaled(echelon[j], piv, echelon[j][col])
+        reduced.append(piv)
+    return pivots, reduced
 
 
 def _forest_pivots(packed: Tuple[Tuple, ...], ground: int) -> Optional[List[int]]:
@@ -631,7 +592,7 @@ def _forest_pivots(packed: Tuple[Tuple, ...], ground: int) -> Optional[List[int]
     changes no linear dependency, so the columns are independent exactly
     when their edges form a forest, over any field.  Union-find takes the
     edges in column order and keeps one iff it joins two components: the
-    leftmost independent set, which is the pivot set of `_forward`.
+    leftmost independent set, which is the pivot set of `_rref`.
     """
     parent = list(range(ground + 1))
     pivots: List[int] = []
@@ -665,7 +626,7 @@ def pivot_columns(m: SparseMatrix) -> List[int]:
     cup product, the kernel-generator span) is the incidence matrix of a
     graph on its rows, and its pivots come from a spanning forest with no
     elimination (`_forest_pivots`); any other matrix goes through
-    `_forward`.  In the triangle on rows 0, 1, 2 the third edge closes a
+    `_rref`.  In the triangle on rows 0, 1, 2 the third edge closes a
     cycle:
 
     >>> pivot_columns(SparseMatrix.of_columns(3, 3, [(0, 1, 1, -1), (1, 1, 2, -1), (0, 1, 2, -1)]))
@@ -673,7 +634,7 @@ def pivot_columns(m: SparseMatrix) -> List[int]:
     """
     pivots = _forest_pivots(m.packed, m.rows)
     if pivots is None:
-        pivots = _forward(_row_dicts(m), m.cols)[0]
+        pivots = _rref(_row_dicts(m), m.cols)[0]
     return pivots
 
 
@@ -695,14 +656,13 @@ def kernel_basis(m: SparseMatrix) -> List[VectorQ]:
 def _kernel_with_free_columns(m: SparseMatrix):
     """``(columns, free)``: the kernel basis as packed columns, values
     ``int`` where integral, in the order of the free columns ``free``."""
-    pivots, echelon = _forward(_row_dicts(m), m.cols)
-    _back_substitute(pivots, echelon)
+    pivots, reduced = _rref(_row_dicts(m), m.cols)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     by_free: Dict[int, List[object]] = {f: [f, 1] for f in free}
     # an RREF row is zero in every other pivot column, so each entry past
     # its pivot is a free-column coefficient
-    for col, row in zip(pivots, echelon):
+    for col, row in zip(pivots, reduced):
         for c, x in row.items():
             if c != col:
                 by_free[c] += (col, -x if type(x) is int else _int_if_integral(-x))
@@ -712,40 +672,3 @@ def _kernel_with_free_columns(m: SparseMatrix):
 def column_space_basis(m: SparseMatrix) -> List[VectorQ]:
     """The pivot columns of ``m`` (a basis of the image, deterministic)."""
     return [m.column(c) for c in pivot_columns(m)]
-
-
-def solve(m: SparseMatrix, b: VectorQ) -> Optional[VectorQ]:
-    """One exact solution of ``m x = b``, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if b.dim != m.rows:
-        raise ValueError("right-hand side dimension mismatch")
-    sols = solve_many(m, [b])
-    return sols[0]
-
-
-def solve_many(m: SparseMatrix, bs: Sequence[VectorQ]) -> List[Optional[VectorQ]]:
-    """Solve ``m x = b`` for several right-hand sides with one elimination.
-
-    The candidate read off the pivot rows is verified by an exact
-    multiplication, which doubles as the consistency test (a candidate from
-    an inconsistent system fails it).
-    """
-    rows = _row_dicts(m)
-    n = m.cols
-    for j, b in enumerate(bs):
-        if b.dim != m.rows:
-            raise ValueError("right-hand side dimension mismatch")
-        for r, x in b.entries.items():
-            rows[r][n + j] = _int_if_integral(x)
-    pivots, echelon = _forward(rows, n + len(bs), pivot_limit=n)
-    _back_substitute(pivots, echelon)
-    candidates: List[Dict[int, object]] = [dict() for _ in bs]
-    for pcol, row in zip(pivots, echelon):
-        for col, x in row.items():
-            if col >= n:
-                candidates[col - n][pcol] = x
-    xs = [VectorQ(n, entries) for entries in candidates]
-    products = (m @ SparseMatrix.from_columns(xs, rows=n)).columns()
-    return [x if mx == b else None for x, mx, b in zip(xs, products, bs)]

@@ -309,7 +309,13 @@ class StableCohomology:
     # -- theorem verifications ---------------------------------------------
 
     def verify_contraction_table(self) -> List[Dict[str, object]]:
-        """mu(m_l, m_l') = -e_{l+l'-1} for every pair inside the bound."""
+        """mu(m_l, m_l') = -e_{l+l'-1} for every pair inside the bound.
+
+        These rows restate the definition: `contraction_pairing` returns
+        the very formula they compare it with.  The pairing is computed
+        only as the contraction delta against m_1, its l' = 1 instance,
+        which covariant-surjectivity and kernel-cross-check certify.
+        """
         rows = []
         top = self.degree_bound
         for l1 in range(1, top // 2 + 1):

@@ -22,9 +22,9 @@ from mmmcoh.algebra import PolynomialAlgebra
 from mmmcoh.linalg import (
     SparseMatrix,
     VectorQ,
-    _forward,
     _kernel_with_free_columns,
     _pairs,
+    _rref,
     offset_columns,
 )
 from mmmcoh.modules import FreeGradedModule
@@ -247,7 +247,7 @@ def minimal_generators(module: Module, up_to: Optional[int] = None) -> MinimalGe
             rows[r][width + r] = 1
         # pivots past the image block pick out the standard basis vectors
         # that extend the image to a full basis
-        pivots, _ = _forward(rows, width + n)
+        pivots, _ = _rref(rows, width + n)
         extra = [c - width for c in pivots if c >= width]
         if extra:
             counts[d] = len(extra)

@@ -465,10 +465,14 @@ def test_version(capsys):
         ('{"generators": 1, "relators": [], "matrices": [[[0.1]]]}', "must be an integer"),
         ('{"generators": 0, "relators": [], "matrices": [], "dimension": true}', "must be an integer"),
         ('{"generators": 0, "relators": [], "matrices": [], "dimension": 2.7}', "must be an integer"),
+        (
+            '{"generators": 1, "relators": [], "matrices": [[["1/0"]]]}',
+            'malformed group description: matrix entry "1/0" has a zero denominator',
+        ),
     ],
     ids=[
         "top-level-list", "int-relators", "list-dimension", "infinite-entry", "directory",
-        "bool-entry", "float-entry", "bool-dimension", "float-dimension",
+        "bool-entry", "float-entry", "bool-dimension", "float-dimension", "zero-denominator",
     ],
 )
 def test_h1_malformed_input_is_usage_error(capsys, tmp_path, text, message):
@@ -662,3 +666,25 @@ def test_a_wrong_table_in_range_is_fail_rows_not_a_traceback(capsys, monkeypatch
     division = "the table of e1 into degree 6 does not fill exactly the monomials that e1 divides"
     assert status.pop("tor-dimensions") == status.pop("resolution-exactness") == division
     assert set(status.values()) == {"the row table is not injective"}
+
+
+def test_a_coboundary_off_the_cocycles_is_a_fail_row_not_a_traceback(capsys, monkeypatch):
+    # a B^1 basis vector that breaks the relator conditions: torus-h1 fails
+    # with a row naming it, and the h1 query exits 1 with the same message
+    from mmmcoh import groupcoh
+    from mmmcoh.linalg import VectorQ
+    from mmmcoh.verify import run_verification
+
+    real = groupcoh.coboundary_space
+
+    def off(pres, rep):
+        return [real(pres, rep)[0], VectorQ.unit(4, 1)]
+
+    monkeypatch.setattr(groupcoh, "coboundary_space", off)
+    message = "coboundary 1 of B^1, (0, 1, 0, 0), fails the cocycle conditions"
+    (check,) = run_verification(8, check_ids=["torus-h1"]).checks
+    assert (check.status, check.failure) == ("fail", message)
+    assert main(["h1", "b3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mmmcoh: {message}\n"

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from importlib import resources
 
 from mmmcoh.groupcoh import (
     GroupPresentation,
     MatrixRep,
+    _invert,
     coboundary_space,
     cocycle_space,
     evaluate_word,
@@ -16,7 +19,7 @@ from mmmcoh.groupcoh import (
     load_group_data,
     load_group_file,
 )
-from mmmcoh.linalg import SparseMatrix
+from mmmcoh.linalg import SparseMatrix, rank
 
 
 def braid_pair():
@@ -117,8 +120,6 @@ def test_dimension_zero_rep_is_empty():
 
 def test_h1_invariant_under_conjugation():
     pres, rep = braid_pair()
-    from mmmcoh.groupcoh import _invert
-
     for g_rows in ([[1, 2], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [3, 2]]):
         g = SparseMatrix.from_rows(
             [[Fraction(x) for x in row] for row in g_rows]
@@ -137,6 +138,26 @@ def test_rep_validation():
         MatrixRep.from_integer_matrices(pres, [[[1]], [[1, 0], [0, 1]]])  # sizes
     with pytest.raises(ValueError):
         MatrixRep.from_integer_matrices(pres, [[[0]], [[1]]])  # singular
+
+
+def test_invert_rejects_a_singular_matrix_with_no_zero_entry():
+    # the second pivot of (m | 1) lands in the identity block
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        _invert(SparseMatrix.from_rows([[1, 2], [2, 4]]))
+    pres = GroupPresentation(num_generators=1, relators=())
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        MatrixRep.from_integer_matrices(pres, [[[1, 2], [2, 4]]])
+
+
+small_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@given(st.integers(0, 5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_invert_is_a_left_inverse(n, data):
+    m = SparseMatrix(n, n, {(r, c): data.draw(small_fraction) for r in range(n) for c in range(n)})
+    assume(rank(m) == n)
+    assert _invert(m) @ m == SparseMatrix.identity(n)
 
 
 def test_load_group_data_roundtrip():

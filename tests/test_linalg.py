@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from mmmcoh.linalg import (
     SparseMatrix,
     VectorQ,
-    _back_substitute,
     _forest_pivots,
-    _forward,
-    _row_dicts,
-    _scaled,
     _kernel_with_free_columns,
+    _row_dicts,
+    _rref,
+    _scaled,
     column_space_basis,
     kernel_basis,
     rank,
-    solve,
-    solve_many,
 )
 
 
@@ -37,23 +34,6 @@ def test_kernel_of_single_row():
     # canonical RREF kernel: one vector per free column, unit there
     assert basis[0].to_list() == [Fraction(-1), Fraction(1), Fraction(0)]
     assert basis[1].to_list() == [Fraction(0), Fraction(0), Fraction(1)]
-
-
-def test_solve_scalar():
-    m = SparseMatrix.from_rows([[2]])
-    x = solve(m, VectorQ.from_list([3]))
-    assert x.to_list() == [Fraction(3, 2)]
-
-
-def test_solve_inconsistent_returns_none():
-    m = SparseMatrix.from_rows([[1, 0], [1, 0]])
-    assert solve(m, VectorQ.from_list([1, 2])) is None
-
-
-def test_solve_underdetermined_sets_free_vars_to_zero():
-    m = SparseMatrix.from_rows([[1, 1]])
-    x = solve(m, VectorQ.from_list([5]))
-    assert x.to_list() == [Fraction(5), Fraction(0)]
 
 
 def test_column_space_basis_are_original_columns():
@@ -83,13 +63,11 @@ def test_empty_and_zero_shapes():
     assert kernel_basis(z2) == []
 
 
-def echelon_form(m, pivot_limit=None):
+def echelon_form(m):
     """``(pivot columns, rows)`` of the reduced row echelon form, reached as
-    `kernel_basis` reaches it: `_forward`, then `_back_substitute`.  The
-    rows keep the values elimination leaves, ``int`` while integral."""
-    pivots, echelon = _forward(_row_dicts(m), m.cols, pivot_limit)
-    _back_substitute(pivots, echelon)
-    return pivots, echelon
+    `kernel_basis` reaches it, by `_rref`.  The rows keep the values
+    elimination leaves, ``int`` while integral."""
+    return _rref(_row_dicts(m), m.cols)
 
 
 def _assert_exact(values):
@@ -160,38 +138,6 @@ def test_column_space_is_independent_and_spans(m):
         assert rank(SparseMatrix.from_columns(basis)) == len(basis)
 
 
-@given(matrices(max_dim=5), st.data())
-@settings(max_examples=80, deadline=None)
-def test_solve_roundtrip(m, data):
-    x = VectorQ(
-        m.cols,
-        {
-            i: data.draw(small_fraction)
-            for i in range(m.cols)
-            if data.draw(st.booleans())
-        },
-    )
-    b = m.apply(x)
-    got = solve(m, b)
-    assert got is not None
-    assert m.apply(got) == b
-
-
-@given(matrices(max_dim=5), st.lists(st.integers(0, 4), min_size=1, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_solve_many_matches_solve(m, picks):
-    bs = []
-    for p in picks:
-        entries = {p % m.rows: Fraction(1)} if m.rows else {}
-        bs.append(VectorQ(m.rows, entries))
-    many = solve_many(m, bs)
-    for b, got in zip(bs, many):
-        single = solve(m, b)
-        assert (single is None) == (got is None)
-        if got is not None:
-            assert m.apply(got) == b
-
-
 def test_identity_and_zero_trivial_cases():
     eye = SparseMatrix.identity(2)
     assert rank(eye) == 2
@@ -204,26 +150,22 @@ def test_identity_and_zero_trivial_cases():
     (v,) = column_space_basis(col)
     assert v.to_list()[1] == 2 * v.to_list()[0] != 0
 
-    b = VectorQ.from_list([Fraction(5), Fraction(-7)])
-    assert solve(eye, b) == b
-    assert solve(SparseMatrix.zero(2, 2), b) is None
 
-
-# -- differential tests against the scan-based elimination --------------------
+# -- differential tests against an independent elimination ---------------------
 #
-# The oracle below is the elimination routine this module used before rows
-# were bucketed by leading column: for every column it scans all remaining
-# rows for the sparsest one holding it (ties to the lowest index) and
-# subtracts from every row, and back-substitution probes every row above
-# each pivot.  The bucketed routine must make the same pivot choices, so
-# even the unreduced echelon rows agree.
+# The oracle below eliminates another way than `_rref`, in all-Fraction
+# arithmetic: for every column it scans all remaining rows for the sparsest
+# one holding it (ties to the lowest index) and subtracts it from the
+# remaining rows only, and a separate back-substitution pass then probes
+# every row above each pivot.  It picks other pivot rows, but the reduced row echelon
+# form is unique, so the pivots, the reduced rows and the kernel bases
+# must agree.
 
 
-def _oracle_forward(rows, width, pivot_limit=None):
-    limit = width if pivot_limit is None else pivot_limit
+def _oracle_forward(rows, width):
     work = [dict(r) for r in rows if r]
     pivots, echelon = [], []
-    for col in range(limit):
+    for col in range(width):
         best, best_len = -1, None
         for idx, row in enumerate(work):
             if col in row and (best_len is None or len(row) < best_len):
@@ -264,12 +206,8 @@ def _row_dicts_of(m):
     return rows
 
 
-def _oracle_rref(m, pivot_limit=None, extra=()):
-    rows = _row_dicts_of(m)
-    for j, b in enumerate(extra):
-        for r, x in b.entries.items():
-            rows[r][m.cols + j] = x
-    pivots, echelon = _oracle_forward(rows, m.cols + len(extra), pivot_limit)
+def _oracle_rref(m):
+    pivots, echelon = _oracle_forward(_row_dicts_of(m), m.cols)
     for k in range(len(echelon) - 1, -1, -1):
         for j in range(k):
             f = echelon[j].get(pivots[k])
@@ -290,18 +228,6 @@ def _oracle_kernel_basis(m):
     return basis
 
 
-def _oracle_solve_many(m, bs):
-    pivots, echelon = _oracle_rref(m, pivot_limit=m.cols, extra=bs)
-    out = []
-    for j, b in enumerate(bs):
-        x = VectorQ(
-            m.cols,
-            {p: echelon[k][m.cols + j] for k, p in enumerate(pivots) if m.cols + j in echelon[k]},
-        )
-        out.append(x if m.apply(x) == b else None)
-    return out
-
-
 # entries in {0, +-1} leave many rows empty and many pivot candidates tied on
 # length, which is where the tie-break shows
 unit_entry = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1)])
@@ -320,14 +246,6 @@ def tie_matrices(draw, max_dim=8, rows=None, cols=None):
     )
 
 
-@given(tie_matrices(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_forward_matches_scan_oracle(m, data):
-    limit = data.draw(st.one_of(st.none(), st.integers(0, m.cols)))
-    got = _forward(_row_dicts_of(m), m.cols, limit)
-    assert got == _oracle_forward(_row_dicts_of(m), m.cols, limit)
-
-
 @given(tie_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_and_column_space_match_oracle(m):
@@ -336,41 +254,16 @@ def test_rank_and_column_space_match_oracle(m):
     assert column_space_basis(m) == [m.column(c) for c in pivots]
 
 
-@given(tie_matrices(), st.data())
+@given(tie_matrices())
 @settings(max_examples=150, deadline=None)
-def test_rref_matches_oracle(m, data):
-    limit = data.draw(st.one_of(st.none(), st.integers(0, m.cols)))
-    assert echelon_form(m, limit) == _oracle_rref(m, limit)
+def test_rref_matches_oracle(m):
+    assert echelon_form(m) == _oracle_rref(m)
 
 
 @given(tie_matrices())
 @settings(max_examples=150, deadline=None)
 def test_kernel_basis_matches_oracle(m):
     assert kernel_basis(m) == _oracle_kernel_basis(m)
-
-
-@given(tie_matrices(max_dim=6), st.data())
-@settings(max_examples=120, deadline=None)
-def test_solve_many_matches_oracle(m, data):
-    bs = data.draw(
-        st.lists(
-            st.builds(
-                VectorQ.from_list,
-                st.lists(tied_or_small, min_size=m.rows, max_size=m.rows),
-            ),
-            max_size=3,
-        )
-    )
-    assert solve_many(m, bs) == _oracle_solve_many(m, bs)
-
-
-def test_tie_on_length_goes_to_lowest_row():
-    # rows 0 and 2 both hold column 0 with two entries; row 0 must pivot
-    rows = [{0: Fraction(2), 2: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}]
-    pivots, echelon = _forward([dict(r) for r in rows], 3)
-    assert pivots == [0, 1, 2]
-    assert echelon[0] == {0: Fraction(1), 2: Fraction(1, 2)}
-    assert (pivots, echelon) == _oracle_forward(rows, 3)
 
 
 # -- products and sums against all-Fraction loops ------------------------------
@@ -442,26 +335,14 @@ def test_add_and_apply_match_fraction_oracle(a, data):
     _assert_fractions(w.entries.values())
 
 
-@given(tie_matrices(max_dim=6), st.data())
+@given(tie_matrices(max_dim=6))
 @settings(max_examples=120, deadline=None)
-def test_elimination_results_are_fractions(m, data):
+def test_elimination_results_are_fractions(m):
     _, echelon = echelon_form(m)
     for row in echelon:
         _assert_exact(row.values())
     for v in kernel_basis(m) + column_space_basis(m):
         _assert_fractions(v.entries.values())
-    bs = data.draw(
-        st.lists(
-            st.builds(
-                VectorQ.from_list,
-                st.lists(tied_or_small, min_size=m.rows, max_size=m.rows),
-            ),
-            max_size=3,
-        )
-    )
-    for x in solve_many(m, bs):
-        if x is not None:
-            _assert_fractions(x.entries.values())
 
 
 def test_pivots_led_by_minus_one_and_two():
@@ -487,10 +368,6 @@ def test_pivots_led_by_minus_one_and_two():
     (v,) = kernel_basis(m)
     assert v.to_list() == [Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(0)]
     _assert_fractions(v.entries.values())
-    b = VectorQ.from_list([1, 1, 3])
-    (x,) = solve_many(m, [b])
-    assert x.to_list() == [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1)]
-    _assert_fractions(x.entries.values())
 
 
 def test_kernel_columns_keep_integral_values_as_ints():
@@ -729,7 +606,7 @@ def test_forest_pivots_on_parallel_edges_and_zero_rows():
 @settings(max_examples=150, deadline=None)
 def test_non_graphic_matrices_fall_back_to_elimination(m, data):
     # one column with two entries y != -x, or with three or more entries,
-    # sends the whole matrix through _forward
+    # sends the whole matrix through _rref
     r = data.draw(st.integers(0, 7))
     if data.draw(st.booleans()):
         x = data.draw(graphic_value)

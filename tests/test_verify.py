@@ -272,25 +272,36 @@ def test_even_part_failure_keeps_its_message(monkeypatch):
         _check_surjectivity(StableCohomology(4))
 
 
-def test_verify_all_eliminates_only_the_group_cohomology(monkeypatch):
-    # every matrix the StableCohomology checks rank is graphic, so their
-    # pivots come from spanning forests; Gaussian elimination is left to the
-    # torus-h1 certificate, whose matrices are not
+def test_verify_all_eliminates_only_the_group_cohomology(monkeypatch, capsys):
+    # every matrix the StableCohomology checks and the CLI queries rank is
+    # graphic, so their pivots come from spanning forests; Gaussian
+    # elimination is left to the torus-h1 certificate, whose matrices are
+    # not: the inverses of the two generator images and the cocycle kernel,
+    # each of width 4
+    import sys
+
     from mmmcoh import linalg
+    from mmmcoh.cli import main
     from mmmcoh.groupcoh import h1_certificate, load_bundled_b3
 
-    real = linalg._forward
+    real = linalg._rref
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counting(rows, width):
+        calls.append(width)
+        return real(rows, width)
 
-    monkeypatch.setattr(linalg, "_forward", counting)
+    # every module of the package that binds the routine, whoever calls it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mmmcoh.") and getattr(module, "_rref", None) is real:
+            monkeypatch.setattr(module, "_rref", counting)
     assert run_verification(24, check_ids=[c for c in CHECK_IDS if c != "torus-h1"]).passed
+    for query in (["hilbert", "Htilde"], ["tor"], ["generators"], ["exactness"]):
+        assert main([*query, "--max-degree", "16", "--format", "json"]) == 0
+    capsys.readouterr()
     assert calls == []
     assert run_verification(24).passed
     in_run = list(calls)
     calls.clear()
     h1_certificate(*load_bundled_b3())
-    assert in_run == calls != []
+    assert in_run == calls == [4, 4, 4]
