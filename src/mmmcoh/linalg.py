@@ -19,18 +19,20 @@ input go through ``SparseMatrix.of_columns`` or the dict constructor,
 which run the same checks (row range, each row at most once per column,
 value type, zeros dropped) in C-level passes over all entries at once.
 The index-arithmetic builders in ``forms`` and ``stable`` (p, d, the
-contraction, the cup product, the kernel-generator span) check the same
-properties once per block instead, where their tables and layouts make
-them hold for every entry of the block, and hand their columns to the
-unchecked ``_matrix``.
+kernel-generator span) check the same properties once per block instead,
+where their tables and layouts make them hold for every entry of the
+block, and hand their columns to the unchecked ``_matrix``.  The
+contraction and the cup product are no matrices here: each sends a basis
+element to a multiple of one basis element, so ``modules.GradedModuleMap``
+keeps it as a row table and a value table and ranks it by counting
+distinct rows.
 
-Graphic matrices: the contraction, the cup product and the
-kernel-generator span have columns that are zero, ``x e_u`` or
-``x (e_u - e_v)``.  Such a matrix is the incidence matrix of a graph on its
-rows (a single entry is an edge to one extra ground vertex), its column
-matroid is graphic over any field (J. Oxley, *Matroid Theory*, 2nd ed.,
-2011, section 5.1), and ``pivot_columns`` reads its pivots off a spanning
-forest by union-find, with no elimination.
+Graphic matrices: the kernel-generator span has columns that are zero,
+``x e_u`` or ``x (e_u - e_v)``.  Such a matrix is the incidence matrix of
+a graph on its rows (a single entry is an edge to one extra ground
+vertex), its column matroid is graphic over any field (J. Oxley, *Matroid
+Theory*, 2nd ed., 2011, section 5.1), and ``pivot_columns`` reads its
+pivots off a spanning forest by union-find, with no elimination.
 
 Reduction strategy: every other matrix goes through one Gauss-Jordan
 routine, ``_rref``.  It takes columns from the left, makes the first
@@ -48,12 +50,7 @@ Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
 accumulator, so neither operand is re-indexed.  A column of ``B`` with a
 single entry 1 shares column k of ``A`` as it is.  ``apply`` does the same
 as ``@`` for one vector; many vectors go through one ``@`` product with the
-matrix of their columns.  A product with the 0/1 matrix of a map on basis
-indices (a free module's e_i action) is no product at all: on the left it
-moves the rows through the map (``relabel_rows``, sound when the map is
-injective, which it checks), on the right it picks columns
-(``gather_columns``).  That is how equivariance is certified, with no
-action matrix.
+matrix of their columns.
 
 Arithmetic: a stored value is a Python ``int`` while it is integral and a
 ``Fraction`` otherwise, so ``@``, ``+`` and elimination run on
@@ -297,34 +294,6 @@ def _cut(flat: List, packed: Tuple[Tuple, ...]) -> List[Tuple]:
     flat = tuple(flat)
     ends = list(accumulate(map(len, packed)))
     return list(map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends)))
-
-
-def relabel_rows(m: "SparseMatrix", table: Sequence[int], rows: int) -> "SparseMatrix":
-    """``m`` with row r moved to row ``table[r]``, as a ``rows``-row matrix:
-    the product P @ m, P the 0/1 matrix whose column r holds its one entry
-    at ``table[r]`` (a value in ``range(rows)``).  That needs no addition
-    only if no two rows meet, so ``table`` is checked to be injective; all
-    entries are moved in one pass over a flat copy.
-
-    >>> m = SparseMatrix.from_rows([[1, 0], [0, 2]])
-    >>> relabel_rows(m, (2, 0), 3).to_lists() == [[0, 2], [0, 0], [1, 0]]
-    True
-    """
-    if len(table) != m.rows:
-        raise ValueError(f"a table of {len(table)} rows for a matrix of {m.rows}")
-    if len(set(table)) != len(table):
-        raise ValueError("the row table is not injective")
-    packed = m.packed
-    flat = list(chain.from_iterable(packed))
-    flat[0::2] = map(table.__getitem__, flat[0::2])
-    return _matrix(rows, m.cols, tuple(_cut(flat, packed)))
-
-
-def gather_columns(m: "SparseMatrix", indices: Sequence[int]) -> "SparseMatrix":
-    """The matrix whose column c is column ``indices[c]`` of ``m``: the
-    product m @ P, P the 0/1 matrix whose column c holds its one entry at
-    ``indices[c]``, with every column shared."""
-    return _matrix(m.rows, len(indices), tuple(map(m.packed.__getitem__, indices)))
 
 
 class SparseMatrix:
@@ -622,9 +591,8 @@ def pivot_columns(m: SparseMatrix) -> List[int]:
 
     Columns are cleared from the left, so the pivots among the first k
     columns number the rank of those k columns.  A matrix whose every
-    column is zero, ``x e_u`` or ``x (e_u - e_v)`` (the contraction, the
-    cup product, the kernel-generator span) is the incidence matrix of a
-    graph on its rows, and its pivots come from a spanning forest with no
+    column is zero, ``x e_u`` or ``x (e_u - e_v)`` (the kernel-generator
+    span) is the incidence matrix of a graph on its rows, and its pivots come from a spanning forest with no
     elimination (`_forest_pivots`); any other matrix goes through
     `_rref`.  In the triangle on rows 0, 1, 2 the third edge closes a
     cycle:

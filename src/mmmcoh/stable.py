@@ -24,9 +24,10 @@ coefficients H, and the two unit-tangent-bundle variants written Htilde
   Htilde module has Tor_j = Lambda^j E + Lambda^{j+2} E, nonzero for j = 1,
   which certifies that it is not free.
 
-Everything above is checked, not assumed: this module builds the maps as
-exact matrices and exposes one verification routine per statement.  The
-forms complex provides an independent construction of the same matrices
+Everything above is checked, not assumed: this module builds the two maps
+as exact row and value tables (each sends a basis element to +-1 times one
+basis element) and exposes one verification routine per statement.  The
+forms complex provides an independent construction of the contraction
 (under m_{i,1} <-> de_i the contraction against m_{1,1} is -p), which the
 cross-check compares entry for entry.
 """
@@ -100,7 +101,6 @@ class StableCohomology:
         self._ring: Optional[FreeGradedModule] = None
         self._contra: Optional[GradedModuleMap] = None
         self._co: Optional[GradedModuleMap] = None
-        self._delta_ranks: Dict[int, int] = {}
         self._injectivity: Optional[Dict[int, Dict[str, int]]] = None
         self._surjectivity: Optional[Dict[int, Dict[str, int]]] = None
         self._generators: Optional[GeneratorsReport] = None
@@ -137,7 +137,7 @@ class StableCohomology:
         if self._contra is not None:
             return self._contra
         A, F = self.ring_module(), self.twisted_module()
-        matrices = {}
+        tables = {}
         g0 = self.generator_index(1)
         for d in range(0, self.degree_bound - 1, 2):
             # m * m_1 sits in the m_1 block of degree d + 2, at m's position:
@@ -150,8 +150,8 @@ class StableCohomology:
                     f"degree-{d} block inside {rows} rows"
                 )
             cols = self.algebra.hilbert_function(d)
-            matrices[d] = _matrix(rows, cols, tuple(zip(range(offset, offset + cols), repeat(1))))
-        self._contra = GradedModuleMap(A, F, degree_shift=1, matrices=matrices)
+            tables[d] = (range(offset, offset + cols), (1,) * cols)
+        self._contra = GradedModuleMap(A, F, degree_shift=1, tables=tables)
         return self._contra
 
     def delta_covariant(self) -> GradedModuleMap:
@@ -161,10 +161,10 @@ class StableCohomology:
             return self._co
         A, F = self.ring_module(), self.twisted_module()
         hilbert = self.algebra.hilbert_function
-        matrices = {}
+        tables = {}
         for d in range(2, self.degree_bound + 1, 2):
             blocks, cols = F.generator_blocks(d)
-            columns: List[Tuple[int, int]] = []
+            parts = []
             for k, (_, deg) in blocks.items():
                 l = k + 1  # generator position k holds m_{k+1}
                 # checked per block, not per entry: the table of e_l from
@@ -176,28 +176,21 @@ class StableCohomology:
                         f"delta_covariant: the table of e{l} from degree {deg} does not fill "
                         f"the block of m{l} at degree {d}"
                     )
-                columns.extend(zip(table, repeat(-1)))
-            if len(columns) != cols:
+                parts.append(table)
+            rows = tuple(chain.from_iterable(parts))
+            if len(rows) != cols:
                 raise ValueError(
-                    f"delta_covariant has {len(columns)} of its {cols} columns at degree {d}"
+                    f"delta_covariant has {len(rows)} of its {cols} columns at degree {d}"
                 )
-            matrices[d] = _matrix(hilbert(d), cols, tuple(columns))
-        self._co = GradedModuleMap(F, A, degree_shift=1, matrices=matrices)
+            tables[d] = (rows, (-1,) * cols)
+        self._co = GradedModuleMap(F, A, degree_shift=1, tables=tables)
         return self._co
-
-    def _delta_rank(self, d: int) -> int:
-        """Rank of the contraction against m_1 at internal degree d, from
-        one pivot search per degree and instance (each column is -e_k, so a
-        spanning forest: `linalg.pivot_columns`)."""
-        r = self._delta_ranks.get(d)
-        if r is None:
-            r = self._delta_ranks[d] = rank(self.delta_covariant().matrix(d))
-        return r
 
     def kernel_dim(self, d: int) -> int:
         """Dimension of the contraction kernel K (the odd part of the
-        Htilde cohomology) at internal degree d: cols - rank."""
-        return self.delta_covariant().matrix(d).cols - self._delta_rank(d)
+        Htilde cohomology) at internal degree d: cols - rank, the rank read
+        off the row table (`GradedModuleMap.rank`)."""
+        return self.twisted_module().dim(d) - self.delta_covariant().rank(d)
 
     # -- verified tables ----------------------------------------------------
 
@@ -211,10 +204,9 @@ class StableCohomology:
         A = self.algebra
         rows: Dict[int, Dict[str, int]] = {}
         for d in range(0, self.degree_bound - 1, 2):
-            m = f.matrix(d)
-            r = rank(m)
+            r = f.rank(d)
             dim_src = A.hilbert_function(d)
-            coker = m.rows - r
+            coker = f.target.dim(d + 2) - r
             # the free module on the m_a, a >= 2, at internal degree d+2
             expected = sum(
                 A.hilbert_function(d + 2 - 2 * a)
@@ -243,17 +235,15 @@ class StableCohomology:
         f = self.delta_covariant()
         rows: Dict[int, Dict[str, int]] = {}
         for d in range(2, self.degree_bound + 1, 2):
-            m = f.matrix(d)
-            r = self._delta_rank(d)
+            r = f.rank(d)
+            target = f.target.dim(d)
             rows[d] = {
                 "rank": r,
-                "dim_target": m.rows,
-                "surjective": int(r == m.rows),
-                "kernel": m.cols - r,
+                "dim_target": target,
+                "surjective": int(r == target),
+                "kernel": f.source.dim(d) - r,
             }
-            if r != m.rows:
-                # a failed run keeps nothing: a rerun ranks afresh
-                del self._delta_ranks[d]
+            if r != target:
                 raise FalsificationError(
                     f"contraction against m1 misses degree {d}", rows
                 )
@@ -354,8 +344,9 @@ class StableCohomology:
         forest (`linalg.pivot_columns`), with no elimination.
 
         Kernel membership is checked at the generators: only the M(i, j) of
-        degree d go through delta at d.  The premise is that delta is
-        A-linear, certified by `GradedModuleMap.check_equivariance` when
+        degree d go through delta at d, each read through delta's tables
+        (`GradedModuleMap.image`).  The premise is that delta is A-linear,
+        certified by `GradedModuleMap.check_equivariance` when
         `delta_covariant` builds it; then delta(mono * M(i, j)) =
         mono * delta(M(i, j)) = 0 for each column of the first block, whose
         M(i, j) passed at its own degree.  The report is kept, so the
@@ -370,8 +361,7 @@ class StableCohomology:
         per_degree: List[Dict[str, int]] = []
         counts: Dict[int, int] = {}
         for d in range(2, bound + 1, 2):
-            mat = delta.matrix(d)
-            rows = mat.cols
+            rows = F.dim(d)
             kernel_dim = self.kernel_dim(d)
             blocks = F.generator_blocks(d)[0]
             # the M(i, j) of degree d last, each pair order kept
@@ -402,9 +392,8 @@ class StableCohomology:
             # the M(i, j) of degree d, one column each, are the new vectors
             top = _lambda2_pairs(d)
             split = len(columns) - len(top)
-            image = mat @ _matrix(rows, len(top), span.packed[split:])
-            for (i, j), col in zip(top, image.packed):
-                if col:
+            for (i, j), col in zip(top, columns[split:]):
+                if delta.image(d, col):
                     raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
             pivots = pivot_columns(span)
             span_rank = len(pivots)
@@ -500,7 +489,8 @@ class StableCohomology:
             results.append(TorResult(j=j, dims=dims))
         if mismatches:
             raise FalsificationError(f"Tor mismatches: {mismatches}")
-        nonfree = results[1].dim(2) if j_max >= 1 else 0
+        # Tor_1 at degree 2 whatever j_max is, as the loop counts it
+        nonfree = self._free_generators(1, 2) + self._free_generators(3, 2) if top >= 2 else 0
         return TorReport(
             results=tuple(results),
             nonfreeness_witness=nonfree,
@@ -542,7 +532,8 @@ class StableCohomology:
     def kernel_cross_check(self) -> List[Dict[str, int]]:
         """The contraction against m_1 *is* -p on 1-forms under the
         dictionary m_i <-> de_i: identical matrices up to the global sign,
-        and identical kernel dimensions per degree.
+        and identical kernel dimensions per degree.  The matrices are
+        compared on delta's tables, with no matrix built for delta.
 
         The rank of p_1 is the one the forms certificate of
         `DifferentialForms.verify_exactness` certified (spot 0's
@@ -553,9 +544,8 @@ class StableCohomology:
         delta = self.delta_covariant()
         rows = []
         for d in range(2, self.degree_bound + 1, 2):
-            m_delta = delta.matrix(d)
             m_p = self.forms.interior_product(1, d)
-            same = m_delta == -m_p
+            same = delta.is_minus(d, m_p)
             k_delta = self.kernel_dim(d)
             try:
                 rank_p = self.forms.verify_exactness(d).spots[0].rank_in

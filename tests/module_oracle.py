@@ -27,7 +27,7 @@ from mmmcoh.linalg import (
     _rref,
     offset_columns,
 )
-from mmmcoh.modules import FreeGradedModule
+from mmmcoh.modules import FreeGradedModule, GradedModuleMap
 
 
 class GradedModule:
@@ -101,6 +101,12 @@ def action(module: Module, i: int, d: int) -> SparseMatrix:
         table = module.multiplication_table(i, d)
         return SparseMatrix.of_columns(module.dim(d + 2 * i), len(table), list(zip(table, repeat(1))))
     return module.action(i, d)
+
+
+def map_matrices(f: GradedModuleMap) -> Dict[int, SparseMatrix]:
+    """The matrix of ``f`` at each degree where it stores a table, the
+    input ``kernel_module`` takes."""
+    return {d: f.matrix(d) for d in f.tables}
 
 
 def trivial_module(algebra: PolynomialAlgebra) -> GradedModule:

@@ -35,8 +35,12 @@ def test_every_builder_passes_the_entry_check_at_bound_24(monkeypatch):
                 assert _checked(m) == m and _checked(m).packed == m.packed, (n, d)
     ctx = StableCohomology(24)
     for f in (ctx.delta_covariant(), ctx.delta_contravariant()):
-        for d, m in f.matrices.items():
-            assert _checked(m) == m and _checked(m).packed == m.packed, d
+        # one int row in range and one nonzero int value per column
+        for d, (rows, values) in f.tables.items():
+            top = f.target.dim(d + f.internal_shift)
+            assert len(rows) == len(values) == f.source.dim(d), d
+            assert set(map(type, rows)) == set(map(type, values)) == {int}, d
+            assert 0 <= min(rows) and max(rows) < top and all(values), d
     spans = []
     real = stable.pivot_columns
     monkeypatch.setattr(stable, "pivot_columns", lambda m: spans.append(m) or real(m))

@@ -216,6 +216,50 @@ def test_tor_subcommand(capsys):
     assert doc["tables"][0]["dims"]["6"] == 1  # first kernel generator
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_tor_witness_does_not_depend_on_j_max(capsys, fmt):
+    # Tor_1 at degree 2 is 1 however many tables are printed
+    code, out = run_cli(capsys, "tor", "--j-max", "0", "--max-degree", "4", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        assert [t["j"] for t in doc["tables"]] == [0]
+        assert doc["nonfreeness_witness_tor1_degree2"] == 1
+    else:
+        assert out.splitlines()[-1] == "non-freeness witness: dim Tor_1 at degree 2 = 1"
+
+
+@pytest.mark.parametrize("command, searches", [
+    ("hilbert Htilde", 8), ("tor", 0), ("generators", 8),
+])
+def test_delta_queries_read_delta_off_its_tables(capsys, monkeypatch, command, searches):
+    # the three queries that certify the contraction build no matrix of it
+    # and rank it with no pivot search and no elimination; the one pivot
+    # search per degree that remains is the span's, on 2, 4, ..., 16
+    import mmmcoh.linalg as linalg
+    import mmmcoh.stable as stable
+    from mmmcoh.modules import GradedModuleMap
+
+    def forbidden(*args):
+        raise AssertionError("GradedModuleMap.matrix")
+
+    spans = []
+
+    def counted(m, real=linalg.pivot_columns):
+        spans.append(m)
+        return real(m)
+
+    monkeypatch.setattr(GradedModuleMap, "matrix", forbidden)
+    monkeypatch.setattr(stable, "pivot_columns", counted)
+    monkeypatch.setattr(linalg, "pivot_columns", counted)
+    monkeypatch.setattr(stable, "rank", forbidden)
+    code, _ = run_cli(capsys, *command.split(), "--max-degree", "16", "--format", "json")
+    assert code == 0
+    twisted = stable.StableCohomology(16).twisted_module()
+    assert [m.rows for m in spans] == [twisted.dim(d) for d in range(2, 17, 2)][:searches]
+    assert all(len(col) in (0, 4) for m in spans for col in m.packed)
+
+
 def test_tor_check_rows_are_the_tor_tables(capsys):
     # verify-all's tor-dimensions rows are a view over the tables `tor` prints
     code, doc = run_json(capsys, "tor", "--max-degree", "12")

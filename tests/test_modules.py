@@ -5,10 +5,12 @@ sums, matrix actions), and the Koszul rank oracle for Tor."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmmcoh.algebra import DegreeBoundError, PolynomialAlgebra, exterior_dim
 from mmmcoh.forms import DifferentialForms
-from mmmcoh.linalg import SparseMatrix, VectorQ, kernel_basis, rank
+from mmmcoh.linalg import SparseMatrix, VectorQ, _row_dicts, _rref, kernel_basis, rank
 from mmmcoh.modules import FreeGradedModule, GradedModuleMap, free_module
 from algebra_oracle import Monomial, monomials
 from koszul_oracle import koszul_differential, koszul_dim, tor_dimension, tor_table
@@ -17,6 +19,7 @@ from module_oracle import (
     action,
     direct_sum,
     kernel_module,
+    map_matrices,
     minimal_generators,
     trivial_module,
 )
@@ -110,8 +113,8 @@ def test_direct_sum_dims_and_actions(algebra, rank_one):
 
 
 def test_module_map_shape_validation(algebra, rank_one):
-    with pytest.raises(ValueError):
-        GradedModuleMap(
+    with pytest.raises(ValueError, match="^matrix at degree 0 has the wrong shape$"):
+        GradedModuleMap.of_matrices(
             rank_one,
             rank_one,
             degree_shift=0,
@@ -128,15 +131,15 @@ def test_module_map_equivariance_validation(algebra, rank_one):
         for d in range(0, BOUND + 1, 2)
     }
     with pytest.raises(ValueError, match="^map fails to commute with e1 at degree 0$"):
-        GradedModuleMap(rank_one, rank_one, 0, mats)
+        GradedModuleMap.of_matrices(rank_one, rank_one, 0, mats)
 
 
 def test_kernel_module_of_multiplication_by_e1(algebra, rank_one):
     # e1: A -> A(+2) is injective, so the kernel vanishes wherever the
     # target slice still fits inside the bound (the top slice maps to 0)
     mats = {d: action(rank_one, 1, d) for d in range(0, BOUND - 1, 2)}
-    f = GradedModuleMap(rank_one, rank_one, 2, mats)
-    ker, incl = kernel_module(f.source, f.matrices)
+    f = GradedModuleMap.of_matrices(rank_one, rank_one, 2, mats)
+    ker, incl = kernel_module(f.source, map_matrices(f))
     assert all(ker.dim(d) == 0 for d in ker.degrees() if d + 2 <= BOUND)
     assert sorted(incl) == ker.degrees() == [BOUND]
 
@@ -153,8 +156,8 @@ def test_kernel_module_inherits_actions(algebra):
             r = _oracle_free_index(one, d)[(0, mono)]
             rows[r][c] = Fraction(1)
         mats[d] = SparseMatrix.from_rows(rows) if rows else SparseMatrix.zero(0, two.dim(d))
-    f = GradedModuleMap(two, one, 0, mats)
-    ker, incl = kernel_module(f.source, f.matrices)
+    f = GradedModuleMap.of_matrices(two, one, 0, mats)
+    ker, incl = kernel_module(f.source, map_matrices(f))
     ker.check_action_commutativity()
     for d in range(0, BOUND + 1, 2):
         assert ker.dim(d) == algebra.hilbert_function(d)
@@ -258,22 +261,22 @@ def test_zero_module_from_empty_generator_list(algebra):
 
 def test_kernel_of_identity_and_zero_maps(algebra, rank_one):
     degrees = list(range(0, BOUND + 1, 2))
-    ident = GradedModuleMap(
+    ident = GradedModuleMap.of_matrices(
         rank_one,
         rank_one,
         0,
         {d: SparseMatrix.identity(rank_one.dim(d)) for d in degrees},
     )
-    ker, _ = kernel_module(ident.source, ident.matrices)
+    ker, _ = kernel_module(ident.source, map_matrices(ident))
     assert all(ker.dim(d) == 0 for d in degrees)
 
-    zero = GradedModuleMap(
+    zero = GradedModuleMap.of_matrices(
         rank_one,
         rank_one,
         0,
         {d: SparseMatrix.zero(rank_one.dim(d), rank_one.dim(d)) for d in degrees},
     )
-    ker, incl = kernel_module(zero.source, zero.matrices)
+    ker, incl = kernel_module(zero.source, map_matrices(zero))
     for d in degrees:
         assert ker.dim(d) == rank_one.dim(d)
         assert incl[d] == SparseMatrix.identity(rank_one.dim(d))
@@ -304,7 +307,7 @@ def _sum_map(source, target, keep_second_at_2):
                 entries[(idx[(gen if keep_second_at_2 else 0, mono)], col)] = Fraction(1)
         mats[d] = SparseMatrix(target.dim(d), source.dim(d), entries)
     with pytest.raises(ValueError, match="^map fails to commute with e1 at degree 0$"):
-        GradedModuleMap(source, target, 0, mats)
+        GradedModuleMap.of_matrices(source, target, 0, mats)
     return source, mats
 
 
@@ -474,15 +477,15 @@ def test_broken_contraction_column_fails_equivariance(which, degree, column, how
     cols = list(m.packed)
     r, x = cols[column]
     cols[column] = (r, 2 * x) if how == "scale" else ((r + 1) % m.rows, x)
-    matrices = {**good.matrices, degree: SparseMatrix.of_columns(m.rows, m.cols, cols)}
+    matrices = {**map_matrices(good), degree: SparseMatrix.of_columns(m.rows, m.cols, cols)}
     first = _first_noncommuting_square(good.source, good.target, good.internal_shift, matrices)
     assert first is not None
     assert _first_noncommuting_square(
-        good.source, good.target, good.internal_shift, good.matrices
+        good.source, good.target, good.internal_shift, map_matrices(good)
     ) is None
     i, d = first
     with pytest.raises(ValueError, match=rf"^map fails to commute with e{i} at degree {d}$"):
-        GradedModuleMap(good.source, good.target, good.degree_shift, matrices)
+        GradedModuleMap.of_matrices(good.source, good.target, good.degree_shift, matrices)
 
 
 def test_equivariance_check_makes_no_product(monkeypatch):
@@ -518,4 +521,101 @@ def test_equivariance_check_rejects_a_non_injective_table(monkeypatch):
 
     monkeypatch.setattr(FreeGradedModule, "multiplication_table", merged)
     with pytest.raises(ValueError, match="not injective"):
-        GradedModuleMap(good.source, good.target, good.degree_shift, good.matrices)
+        GradedModuleMap(good.source, good.target, good.degree_shift, good.tables)
+
+
+# -- maps as row tables ------------------------------------------------------------
+
+
+@st.composite
+def one_entry_columns(draw, rows, cols):
+    """Columns with at most one entry each: zero columns, rows that repeat,
+    values -1, 1 and 2."""
+    return [
+        draw(st.one_of(st.just(()), st.tuples(st.integers(0, rows - 1), st.sampled_from((-1, 1, 2)))))
+        if rows else ()
+        for _ in range(cols)
+    ]
+
+
+@given(st.data(), st.integers(0, 6), st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_table_rank_is_the_rank(data, rows, cols):
+    # at bound 0 no e_i acts, so any map of degree-0 slices is a module map
+    algebra = PolynomialAlgebra(0)
+    source, target = free_module(algebra, [0] * cols), free_module(algebra, [0] * rows)
+    m = SparseMatrix.of_columns(rows, cols, data.draw(one_entry_columns(rows, cols)))
+    f = GradedModuleMap.of_matrices(source, target, 0, {0: m})
+    assert f.matrix(0) == m
+    assert f.rank(0) == len(_rref(_row_dicts(m), cols)[0])
+
+
+@given(st.data(), st.integers(1, 5), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_is_minus_is_equality_with_the_negated_matrix(data, rows, cols):
+    # against candidates that are minus the map with a few columns
+    # replaced, some by two entries
+    algebra = PolynomialAlgebra(0)
+    source, target = free_module(algebra, [0] * cols), free_module(algebra, [0] * rows)
+    m = SparseMatrix.of_columns(rows, cols, data.draw(one_entry_columns(rows, cols)))
+    f = GradedModuleMap.of_matrices(source, target, 0, {0: m})
+    candidate = list((-m).packed)
+    for c in data.draw(st.lists(st.integers(0, cols - 1), max_size=2)) if cols else []:
+        candidate[c] = data.draw(st.one_of(
+            one_entry_columns(rows, 1).map(lambda cs: cs[0]),
+            st.just((0, 1, rows - 1, -1) if rows > 1 else (0, -1)),
+        ))
+    candidate = SparseMatrix.of_columns(rows, cols, candidate)
+    assert f.is_minus(0, candidate) == (candidate == -m)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_check_fails_at_the_first_noncommuting_square(data):
+    # a builder's map with a few columns replaced by random one-entry
+    # columns: the check on the tables and the dense product of the object
+    # actions find the same first square, or both find none
+    from mmmcoh.stable import StableCohomology
+
+    sc = StableCohomology(10)
+    good = data.draw(st.sampled_from((sc.delta_covariant(), sc.delta_contravariant())))
+    matrices = map_matrices(good)
+    for _ in range(data.draw(st.integers(0, 3))):
+        d = data.draw(st.sampled_from(sorted(matrices)))
+        m = matrices[d]
+        c = data.draw(st.integers(0, m.cols - 1))
+        cols = list(m.packed)
+        cols[c] = data.draw(one_entry_columns(m.rows, 1))[0]
+        matrices[d] = SparseMatrix.of_columns(m.rows, m.cols, cols)
+    first = _first_noncommuting_square(good.source, good.target, good.internal_shift, matrices)
+    if first is None:
+        GradedModuleMap.of_matrices(good.source, good.target, good.degree_shift, matrices)
+    else:
+        i, d = first
+        with pytest.raises(ValueError, match=rf"^map fails to commute with e{i} at degree {d}$"):
+            GradedModuleMap.of_matrices(good.source, good.target, good.degree_shift, matrices)
+
+
+def test_a_column_with_two_entries_is_rejected(rank_one):
+    # a module map takes one entry per column: the error names where
+    mats = {d: SparseMatrix.identity(rank_one.dim(d)) for d in rank_one.degrees()}
+    m = mats[6]
+    cols = list(m.packed)
+    cols[2] = (0, 1, 2, 1)
+    mats[6] = SparseMatrix.of_columns(m.rows, m.cols, cols)
+    with pytest.raises(ValueError, match="^the matrix at degree 6 has 2 entries in column 2; "):
+        GradedModuleMap.of_matrices(rank_one, rank_one, 0, mats)
+
+
+def test_zero_columns_keep_row_minus_one(rank_one):
+    # the zero map by tables, with rows given anywhere: stored as row -1
+    tables = {d: (range(rank_one.dim(d)), (0,) * rank_one.dim(d)) for d in rank_one.degrees()}
+    zero = GradedModuleMap(rank_one, rank_one, 0, tables)
+    for d in rank_one.degrees():
+        assert zero.table(d) == ((-1,) * rank_one.dim(d), (0,) * rank_one.dim(d))
+        assert zero.rank(d) == 0 and zero.matrix(d).is_zero()
+
+
+def test_a_row_out_of_range_is_rejected(rank_one):
+    with pytest.raises(ValueError, match=r"^a row of the map at degree 2 lies outside range\(1\)$"):
+        GradedModuleMap(rank_one, rank_one, 0, {2: ((1,), (1,))})

@@ -14,7 +14,13 @@ from mmmcoh.stable import (
 )
 import algebra_oracle as oracle
 from algebra_oracle import AlgebraElement, Monomial, TwistedElement, monomials
-from module_oracle import direct_sum, kernel_module, minimal_generators, trivial_module
+from module_oracle import (
+    direct_sum,
+    kernel_module,
+    map_matrices,
+    minimal_generators,
+    trivial_module,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +36,7 @@ def oracle_tilde_module(sc):
 
 def contraction_kernel(sc):
     """The kernel module of the contraction against m_1, from the oracle."""
-    return kernel_module(sc.twisted_module(), sc.delta_covariant().matrices)[0]
+    return kernel_module(sc.twisted_module(), map_matrices(sc.delta_covariant()))[0]
 
 
 def monomial_index(algebra, d):
@@ -373,6 +379,30 @@ def test_kernel_cross_check(sc):
         assert row["kernel_dim_module_route"] == row["kernel_dim_forms_route"]
 
 
+@pytest.mark.parametrize("how", ["scale", "move", "drop"])
+def test_kernel_cross_check_fails_on_a_changed_p1_column(monkeypatch, how):
+    # delta's tables against p_1: one column of p_1 scaled, moved to
+    # another row or emptied fails the row of its degree
+    from mmmcoh.forms import DifferentialForms
+    from mmmcoh.linalg import SparseMatrix
+
+    real = DifferentialForms.interior_product
+
+    def changed(self, n, d):
+        m = real(self, n, d)
+        if (n, d) != (1, 8):
+            return m
+        cols = list(m.packed)
+        r, x = cols[3]
+        cols[3] = {"scale": (r, 2 * x), "move": ((r + 1) % m.rows, x), "drop": ()}[how]
+        return SparseMatrix.of_columns(m.rows, m.cols, cols)
+
+    monkeypatch.setattr(DifferentialForms, "interior_product", changed)
+    with pytest.raises(FalsificationError, match="^forms dictionary fails at degree 8$") as exc:
+        StableCohomology(12).kernel_cross_check()
+    assert [r["matrices_match_up_to_sign"] for r in exc.value.report] == [1, 1, 1, 0]
+
+
 def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch):
     from mmmcoh import stable
     from mmmcoh.linalg import rank
@@ -462,27 +492,30 @@ def test_generator_outside_the_kernel_is_named(monkeypatch):
 
 def test_kernel_membership_is_checked_at_the_generators(monkeypatch):
     # delta is A-linear (checked when it is built), so verify_generators
-    # sends only the M(i, j) of degree d through delta at d: at each d, one
-    # product whose columns are exactly those M(i, j), pair order kept
+    # sends only the M(i, j) of degree d through delta at d: at each d,
+    # exactly those M(i, j), pair order kept, each read through delta's
+    # tables with no matrix product
     from mmmcoh import linalg
+    from mmmcoh.modules import GradedModuleMap
 
     ctx = StableCohomology(14)
     delta = ctx.delta_covariant()
-    F = ctx.twisted_module()
     seen = {}
-    real = linalg.SparseMatrix.__matmul__
+    real = GradedModuleMap.image
 
-    def recording(a, b):
-        for d in range(2, 15, 2):
-            if a is delta.matrix(d):
-                seen.setdefault(d, []).append(b)
-        return real(a, b)
+    def recording(f, d, column):
+        assert f is delta
+        seen.setdefault(d, []).append(column)
+        return real(f, d, column)
 
-    monkeypatch.setattr(linalg.SparseMatrix, "__matmul__", recording)
+    def no_product(a, b):
+        raise AssertionError("a matrix product")
+
+    monkeypatch.setattr(GradedModuleMap, "image", recording)
+    monkeypatch.setattr(linalg.SparseMatrix, "__matmul__", no_product)
     ctx.verify_generators()
-    assert sorted(seen) == list(range(2, 15, 2))
-    for d, products in seen.items():
-        (b,) = products
+    assert sorted(seen) == list(range(6, 15, 2))
+    for d in range(2, 15, 2):
         index = _oracle_twisted_index(ctx, d)
         # M(i, j) = e_i m_j - e_j m_i; m_l sits at generator position l - 1
         expected = [
@@ -491,8 +524,7 @@ def test_kernel_membership_is_checked_at_the_generators(monkeypatch):
             for j in [d // 2 - i]
             if i < j
         ]
-        assert (b.rows, b.cols) == (F.dim(d), len(expected)), d
-        assert [dict(zip(col[0::2], col[1::2])) for col in b.packed] == expected, d
+        assert [dict(zip(col[0::2], col[1::2])) for col in seen.get(d, [])] == expected, d
 
 
 @pytest.mark.parametrize("term", [(1, 1, 1), (1, 3, 1), (2, 2, 1)], ids=["e1m1", "e3m1", "e2m2"])
@@ -529,35 +561,38 @@ def test_injectivity_table_is_computed_once(sc):
 
 
 def test_surjectivity_table_is_computed_once(monkeypatch):
-    # covariant-surjectivity and the Htilde table share one result: the
-    # second call makes no new elimination
+    # covariant-surjectivity and the Htilde table share one result; the
+    # ranks are read off delta's row tables, with no elimination
     import mmmcoh.stable as stable
+    from mmmcoh.modules import GradedModuleMap
 
-    real = stable.rank
-    calls = []
+    real = GradedModuleMap.rank
+    calls, eliminations = [], []
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting(f, d):
+        calls.append(d)
+        return real(f, d)
 
-    monkeypatch.setattr(stable, "rank", counting)
+    monkeypatch.setattr(GradedModuleMap, "rank", counting)
+    monkeypatch.setattr(stable, "rank", lambda m: eliminations.append(m))
     ctx = StableCohomology(12)
     rows = ctx.verify_surjectivity()
-    assert len(calls) == 6  # one rank per positive even degree
+    assert calls == list(range(2, 13, 2))  # one rank per positive even degree
     assert ctx.verify_surjectivity() is rows
+    assert calls == list(range(2, 13, 2))
     ctx.stable_cohomology_tilde()
-    assert len(calls) == 6
+    assert eliminations == []
 
 
 def test_a_failed_surjectivity_run_is_not_kept(monkeypatch):
-    import mmmcoh.stable as stable
+    from mmmcoh.modules import GradedModuleMap
 
-    real = stable.rank
-    monkeypatch.setattr(stable, "rank", lambda m: real(m) - (m.rows == 3))
+    real = GradedModuleMap.rank
+    monkeypatch.setattr(GradedModuleMap, "rank", lambda f, d: real(f, d) - (d == 6))
     ctx = StableCohomology(12)
     with pytest.raises(FalsificationError, match="misses degree 6"):
         ctx.verify_surjectivity()
-    monkeypatch.setattr(stable, "rank", real)
+    monkeypatch.setattr(GradedModuleMap, "rank", real)
     assert ctx.verify_surjectivity()[6] == {"rank": 3, "dim_target": 3, "surjective": 1, "kernel": 1}
 
 

@@ -111,9 +111,10 @@ def test_value_error_in_a_check_is_a_fail_row(monkeypatch):
 
     def broken(self):
         good = real(self)
-        matrices = dict(good.matrices)
-        matrices[4] = matrices[4].scale(2)
-        return GradedModuleMap(good.source, good.target, good.degree_shift, matrices)
+        tables = dict(good.tables)
+        rows, values = tables[4]
+        tables[4] = (rows, tuple(2 * x for x in values))
+        return GradedModuleMap(good.source, good.target, good.degree_shift, tables)
 
     monkeypatch.setattr(StableCohomology, "delta_covariant", broken)
     report = run_verification(8)
