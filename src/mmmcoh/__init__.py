@@ -33,7 +33,6 @@ from .groupcoh import (
 )
 from .linalg import (
     SparseMatrix,
-    VectorQ,
     column_space_basis,
     kernel_basis,
     rank,
@@ -71,7 +70,6 @@ __all__ = [
     "StableCohomologyTable",
     "TorReport",
     "TorResult",
-    "VectorQ",
     "VerificationReport",
     "cocycle_space",
     "coboundary_space",

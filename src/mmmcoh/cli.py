@@ -270,6 +270,12 @@ def cmd_exactness(args, parser) -> View:
 # -- h1 --------------------------------------------------------------------------
 
 
+def _dense_columns(basis) -> List[List[str]]:
+    """The basis vectors, the columns of ``basis``, as lists of values."""
+    rows = basis.to_lists()
+    return [[str(row[c]) for row in rows] for c in range(basis.cols)]
+
+
 def cmd_h1(args, parser) -> View:
     _degree_bound(parser, args)  # h1 has no bound, but a bad one is still a usage error
     if args.input == "b3" and not os.path.exists(args.input):
@@ -291,8 +297,7 @@ def cmd_h1(args, parser) -> View:
         f"dim {name} = {n}" for name, n in zip(("Z^1", "B^1", "H^1"), dims)
     ]
     if args.certify:
-        z1 = [[str(x) for x in v.to_list()] for v in cert.z1_basis]
-        b1 = [[str(x) for x in v.to_list()] for v in cert.b1_basis]
+        z1, b1 = _dense_columns(cert.z1_basis), _dense_columns(cert.b1_basis)
         doc.update(z1_basis=z1, b1_basis=b1)
         lines += ["Z^1 basis:", *(f"  {v}" for v in z1), "B^1 basis:", *(f"  {v}" for v in b1)]
     return View(doc, ["z1_dim", "b1_dim", "h1_dim"], [dims], lines)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SparseMatrix, VectorQ, _row_dicts, _rref, column_space_basis, kernel_basis
+from .linalg import SparseMatrix, _pairs, _row_dicts, _rref, column_space_basis, kernel_basis
 
 Word = Tuple[int, ...]
 
@@ -166,13 +166,13 @@ def _cocycle_matrix(pres: GroupPresentation, rep: MatrixRep) -> SparseMatrix:
     return SparseMatrix(row_off, n * k, entries)
 
 
-def cocycle_space(pres: GroupPresentation, rep: MatrixRep) -> List[VectorQ]:
-    """Basis of Z^1: concatenated generator values (f(x_1), ..., f(x_n))."""
+def cocycle_space(pres: GroupPresentation, rep: MatrixRep) -> SparseMatrix:
+    """Basis of Z^1 as matrix columns: concatenated values (f(x_1), ..., f(x_n))."""
     return kernel_basis(_cocycle_matrix(pres, rep))
 
 
-def coboundary_space(pres: GroupPresentation, rep: MatrixRep) -> List[VectorQ]:
-    """Basis of B^1: the image of v |-> ((rho(x_i) - 1) v)_i."""
+def coboundary_space(pres: GroupPresentation, rep: MatrixRep) -> SparseMatrix:
+    """Basis of B^1 as matrix columns: the image of v |-> ((rho(x_i) - 1) v)_i."""
     k = rep.dimension
     eye = SparseMatrix.identity(k)
     entries: Dict[Tuple[int, int], Fraction] = {}
@@ -186,43 +186,46 @@ def coboundary_space(pres: GroupPresentation, rep: MatrixRep) -> List[VectorQ]:
 
 def h1_dimension(pres: GroupPresentation, rep: MatrixRep) -> int:
     """dim H^1 = dim Z^1 - dim B^1 (B^1 <= Z^1 always; exact arithmetic)."""
-    return len(cocycle_space(pres, rep)) - len(coboundary_space(pres, rep))
+    return cocycle_space(pres, rep).cols - coboundary_space(pres, rep).cols
 
 
 @dataclass(frozen=True)
 class H1Certificate:
-    """Dimensions plus explicit bases, for reporting."""
+    """Dimensions plus explicit bases, for reporting; each basis is a matrix
+    whose columns are its vectors, as `cocycle_space` and `coboundary_space`."""
 
     z1_dim: int
     b1_dim: int
     h1_dim: int
-    z1_basis: Tuple[VectorQ, ...]
-    b1_basis: Tuple[VectorQ, ...]
+    z1_basis: SparseMatrix
+    b1_basis: SparseMatrix
 
 
 def h1_certificate(pres: GroupPresentation, rep: MatrixRep) -> H1Certificate:
     z_matrix = _cocycle_matrix(pres, rep)
     z1 = kernel_basis(z_matrix)
     b1 = coboundary_space(pres, rep)
-    # sanity: every coboundary is a cocycle
-    for j, v in enumerate(b1):
-        if not z_matrix.apply(v).is_zero():
-            values = "(" + ", ".join(map(str, v.to_list())) + ")"
-            raise ValueError(f"coboundary {j} of B^1, {values}, fails the cocycle conditions")
+    # sanity: every coboundary is a cocycle, all in one product
+    images = z_matrix @ b1
+    if not images.is_zero():
+        j = next(j for j, col in enumerate(images.packed) if col)
+        col = dict(_pairs(b1.packed[j]))
+        values = "(" + ", ".join(str(col.get(r, 0)) for r in range(b1.rows)) + ")"
+        raise ValueError(f"coboundary {j} of B^1, {values}, fails the cocycle conditions")
     return H1Certificate(
-        z1_dim=len(z1),
-        b1_dim=len(b1),
-        h1_dim=len(z1) - len(b1),
-        z1_basis=tuple(z1),
-        b1_basis=tuple(b1),
+        z1_dim=z1.cols,
+        b1_dim=b1.cols,
+        h1_dim=z1.cols - b1.cols,
+        z1_basis=z1,
+        b1_basis=b1,
     )
 
 
 def _whole(x, what: str) -> int:
-    # int() would truncate 1.7 to 1 and read true as 1, certifying another group
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"{what} must be an integer, got {json.dumps(x)}")
-    return int(x)
+    # int() would read 1.7, true and "1" as 1, certifying another group
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(x, default=repr)}")
+    return x
 
 
 def _entry(x) -> Fraction:

@@ -1,10 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream — Hilbert functions, kernels of contraction maps,
-minimal generators — reduces to ranks and kernels of sparse matrices
-with ``fractions.Fraction`` entries.  This module is the single place
-where ranks and eliminations happen, and it never touches floating
-point: a rank computed here is the rank, not an estimate.
+The kernel-generator span and the kernel cross-check of ``stable`` take
+their ranks here, and the torus H^1 certificate of ``groupcoh`` takes the
+kernels, column spaces and inverses of its matrices, whose entries are
+``fractions.Fraction`` values.  Nothing here touches floating point: a
+rank computed here is the rank, not an estimate.  The other ranks of the
+certificates are taken where their maps are built: ``modules`` ranks a map
+that sends each basis element to a multiple of one basis element by
+counting distinct rows, and ``forms`` certifies the rank of p by a unit
+minor on the down columns.
 
 Representation: a matrix is stored by column, in the compressed sparse
 column layout (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
@@ -12,9 +16,10 @@ SIAM 2006, ch. 2) with one flat tuple per column: ``packed[c]`` is
 ``(row, value, row, value, ...)`` over the nonzeros of column c, and an
 empty column is ``()``.  This takes about half the memory of a dict keyed
 by ``(row, col)``.  Within a column the entries keep the order they were
-given in; ``==`` and ``hash`` ignore that order.  A vector keeps a dict
-``index -> Fraction``.  Both types are treated as immutable after
-construction, so matrices may share columns.  Matrices from outside
+given in; ``==`` and ``hash`` ignore that order.  A matrix is treated as
+immutable after construction, so matrices may share columns.  A vector is
+a one-column matrix, and a basis of k vectors, such as a kernel or
+column-space basis, is the matrix of its k columns.  Matrices from outside
 input go through ``SparseMatrix.of_columns`` or the dict constructor,
 which run the same checks (row range, each row at most once per column,
 value type, zeros dropped) in C-level passes over all entries at once.
@@ -48,9 +53,8 @@ dict per row, once.
 Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
 ``(k, x)`` of a column, ``x`` times column k of ``A`` into one
 accumulator, so neither operand is re-indexed.  A column of ``B`` with a
-single entry 1 shares column k of ``A`` as it is.  ``apply`` does the same
-as ``@`` for one vector; many vectors go through one ``@`` product with the
-matrix of their columns.
+single entry 1 shares column k of ``A`` as it is.  Many vectors go through
+one ``@`` product with the matrix of their columns.
 
 Arithmetic: a stored value is a Python ``int`` while it is integral and a
 ``Fraction`` otherwise, so ``@``, ``+`` and elimination run on
@@ -60,8 +64,8 @@ division actually happens: elimination negates a row led by -1 and divides
 only a row led by another value than +-1.  A value computed from a
 ``Fraction`` stays one even when it comes out integral; ``==`` and
 ``hash`` compare values, so that is invisible outside.  Every value that
-crosses the interface (``entries``, ``entry``, ``column``, ``to_lists``,
-vector entries, kernel vectors) is a ``Fraction``: ``_as_q`` wraps an
+crosses the interface (``entries``, ``to_lists``) is a ``Fraction``, for a
+kernel or column-space basis too: ``_as_q`` wraps an
 ``int`` through ``_SMALL``, one shared ``Fraction`` per small integer.
 Sharing is safe because ``Fraction`` is immutable, and it saves an
 allocation per entry.
@@ -70,13 +74,12 @@ allocation per entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, mul
+from itertools import chain, repeat
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 _SMALL = {i: Fraction(i) for i in range(-64, 65)}
 _ZERO = _SMALL[0]
-_ONE = _SMALL[1]
 
 # the rows of a packed column (row, value, row, value, ...), and the value
 # of a (row, value) pair, as C-level callables
@@ -93,109 +96,9 @@ def _as_q(x) -> Fraction:
 
 def _int_if_integral(x: Fraction):
     # the one reader of Fraction internals: the public properties are about
-    # 5x slower, and this runs once per vector entry entering a kernel and
+    # 5x slower, and this runs once per non-int entry of a kernel basis and
     # once per Fraction a matrix constructor stores
     return x._numerator if x._denominator == 1 else x
-
-
-class VectorQ:
-    """A sparse rational vector of fixed dimension.
-
-    >>> v = VectorQ(3, {0: 1, 2: Fraction(-1, 2)})
-    >>> v.to_list()
-    [Fraction(1, 1), Fraction(0, 1), Fraction(-1, 2)]
-    >>> (v + v)[2]
-    Fraction(-1, 1)
-    """
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: Optional[Mapping[int, Fraction]] = None):
-        if dim < 0:
-            raise ValueError("dimension must be >= 0")
-        self.dim = dim
-        clean: Dict[int, Fraction] = {}
-        if entries:
-            for i, x in entries.items():
-                if not 0 <= i < dim:
-                    raise IndexError(f"index {i} out of range for dim {dim}")
-                t = type(x)  # the same three paths as in SparseMatrix
-                if t is Fraction:
-                    if x:
-                        clean[i] = x
-                elif t is int:
-                    if x:
-                        q = _SMALL.get(x)
-                        clean[i] = q if q is not None else Fraction(x)
-                else:
-                    x = _as_q(x)
-                    if x:
-                        clean[i] = x
-        self.entries = clean
-
-    @classmethod
-    def from_list(cls, values: Sequence) -> "VectorQ":
-        return cls(len(values), {i: _as_q(x) for i, x in enumerate(values) if x})
-
-    @classmethod
-    def unit(cls, dim: int, i: int) -> "VectorQ":
-        return cls(dim, {i: _ONE})
-
-    def __getitem__(self, i: int) -> Fraction:
-        if not 0 <= i < self.dim:
-            raise IndexError(i)
-        return self.entries.get(i, _ZERO)
-
-    def __add__(self, other: "VectorQ") -> "VectorQ":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.entries)
-        for i, x in other.entries.items():
-            s = out.get(i, _ZERO) + x
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        v = VectorQ.__new__(VectorQ)
-        v.dim, v.entries = self.dim, out
-        return v
-
-    def __sub__(self, other: "VectorQ") -> "VectorQ":
-        return self + (-other)
-
-    def __neg__(self) -> "VectorQ":
-        v = VectorQ.__new__(VectorQ)
-        v.dim = self.dim
-        v.entries = {i: -x for i, x in self.entries.items()}
-        return v
-
-    def scale(self, c) -> "VectorQ":
-        c = _as_q(c)
-        v = VectorQ.__new__(VectorQ)
-        v.dim = self.dim
-        v.entries = {i: c * x for i, x in self.entries.items()} if c else {}
-        return v
-
-    __rmul__ = scale
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def to_list(self) -> List[Fraction]:
-        return [self.entries.get(i, _ZERO) for i in range(self.dim)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorQ)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
-
-    def __repr__(self):
-        return f"VectorQ({self.dim}, {dict(sorted(self.entries.items()))!r})"
 
 
 def _pairs(col):
@@ -207,12 +110,6 @@ def _pairs(col):
 def _pack(acc: Dict[int, object]) -> Tuple:
     """A ``row -> value`` accumulator as a packed column, zeros dropped."""
     return tuple(chain.from_iterable(filter(_VALUE, acc.items())))
-
-
-def _vector(dim: int, col: Tuple) -> VectorQ:
-    v = VectorQ.__new__(VectorQ)
-    v.dim, v.entries = dim, {r: _as_q(x) for r, x in _pairs(col)}
-    return v
 
 
 def _clean_column(col: Tuple) -> Tuple:
@@ -273,29 +170,6 @@ def _scaled(col: Tuple, c) -> Tuple:
     return tuple(out)
 
 
-def offset_columns(m: "SparseMatrix", row_off: int, factor=1) -> List[Tuple]:
-    """The columns of ``factor * m`` with every row moved down by
-    ``row_off``: the columns of ``m`` as a block of a larger matrix.  All
-    entries are moved in one pass over a flat copy, then cut back into
-    columns."""
-    packed = m.packed
-    if not row_off and factor == 1:
-        return list(packed)
-    flat = list(chain.from_iterable(packed))
-    if row_off:
-        flat[0::2] = map(add, flat[0::2], repeat(row_off))
-    if factor != 1:
-        flat[1::2] = map(mul, flat[1::2], repeat(factor))
-    return _cut(flat, packed)
-
-
-def _cut(flat: List, packed: Tuple[Tuple, ...]) -> List[Tuple]:
-    # a flat copy of ``packed``, edited in place, cut back into its columns
-    flat = tuple(flat)
-    ends = list(accumulate(map(len, packed)))
-    return list(map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends)))
-
-
 class SparseMatrix:
     """A sparse rational matrix stored by column: ``packed[c]`` is column
     ``c`` as ``(row, value, row, value, ...)``; ``entries`` gives the
@@ -346,20 +220,6 @@ class SparseMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[VectorQ], rows: Optional[int] = None) -> "SparseMatrix":
-        if rows is None:
-            if not columns:
-                raise ValueError("need explicit row count for empty column list")
-            rows = columns[0].dim
-        packed = []
-        for v in columns:
-            if v.dim != rows:
-                raise ValueError("column dimension mismatch")
-            e = v.entries
-            packed.append(tuple(chain.from_iterable(zip(e, map(_int_if_integral, e.values())))))
-        return cls.of_columns(rows, len(columns), packed)
-
-    @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         return cls.of_columns(n, n, list(zip(range(n), repeat(1))))
 
@@ -374,37 +234,7 @@ class SparseMatrix:
         """The nonzeros as a new dict ``(r, c) -> Fraction``, column by column."""
         return {(r, c): _as_q(x) for c, col in enumerate(self.packed) for r, x in _pairs(col)}
 
-    def entry(self, r: int, c: int) -> Fraction:
-        if 0 <= c < self.cols:
-            col = self.packed[c]
-            rows = col[::2]
-            if r in rows:
-                return _as_q(col[2 * rows.index(r) + 1])
-        return _ZERO
-
-    def column(self, c: int) -> VectorQ:
-        if not 0 <= c < self.cols:
-            raise IndexError(c)
-        return _vector(self.rows, self.packed[c])
-
-    def apply(self, v: VectorQ) -> VectorQ:
-        """Matrix-vector product (column convention), for one vector; for
-        many, multiply by the matrix of their columns instead."""
-        if v.dim != self.cols:
-            raise ValueError("dimension mismatch")
-        packed = self.packed
-        acc: Dict[int, object] = {}
-        for c, x in v.entries.items():
-            x = _int_if_integral(x)
-            for r, a in _pairs(packed[c]):
-                acc[r] = acc.get(r, 0) + a * x
-        w = VectorQ.__new__(VectorQ)
-        w.dim, w.entries = self.rows, {r: _as_q(s) for r, s in acc.items() if s}
-        return w
-
     def __matmul__(self, other):
-        if isinstance(other, VectorQ):
-            return self.apply(other)
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -461,7 +291,7 @@ class SparseMatrix:
         c = _int_if_integral(_as_q(c))
         if not c:
             return SparseMatrix.zero(self.rows, self.cols)
-        return _matrix(self.rows, self.cols, tuple(offset_columns(self, 0, c)))
+        return _matrix(self.rows, self.cols, tuple(map(_scaled, self.packed, repeat(c))))
 
     def nnz(self) -> int:
         return sum(map(len, self.packed)) // 2
@@ -611,14 +441,23 @@ def rank(m: SparseMatrix) -> int:
     return len(pivot_columns(m))
 
 
-def kernel_basis(m: SparseMatrix) -> List[VectorQ]:
-    """Basis of the right null space ``{v : m v = 0}``.
+def kernel_basis(m: SparseMatrix) -> SparseMatrix:
+    """A basis of the right null space ``{v : m v = 0}``, as the columns of
+    an ``m.cols x nullity`` matrix.
 
     One basis vector per free column, in increasing column order; each has a
     1 in its free coordinate and 0 in the other free coordinates (the
     canonical RREF construction), so the basis is deterministic.
+
+    >>> m = SparseMatrix.from_rows([[1, 1, 0], [0, 0, 2]])
+    >>> basis = kernel_basis(m)
+    >>> (basis.rows, basis.cols), basis.to_lists()
+    ((3, 1), [[Fraction(-1, 1)], [Fraction(1, 1)], [Fraction(0, 1)]])
+    >>> (m @ basis).is_zero()
+    True
     """
-    return [_vector(m.cols, col) for col in _kernel_with_free_columns(m)[0]]
+    columns = _kernel_with_free_columns(m)[0]
+    return _matrix(m.cols, len(columns), tuple(columns))
 
 
 def _kernel_with_free_columns(m: SparseMatrix):
@@ -637,6 +476,16 @@ def _kernel_with_free_columns(m: SparseMatrix):
     return [tuple(by_free[f]) for f in free], free
 
 
-def column_space_basis(m: SparseMatrix) -> List[VectorQ]:
-    """The pivot columns of ``m`` (a basis of the image, deterministic)."""
-    return [m.column(c) for c in pivot_columns(m)]
+def column_space_basis(m: SparseMatrix) -> SparseMatrix:
+    """The pivot columns of ``m``, a basis of its image, as the columns of
+    one matrix (deterministic).  The matrix shares them with ``m``.
+
+    >>> m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    >>> basis = column_space_basis(m)
+    >>> (basis.rows, basis.cols)
+    (3, 2)
+    >>> basis.packed[0] is m.packed[0] and basis.packed[1] is m.packed[2]
+    True
+    """
+    pivots = pivot_columns(m)
+    return _matrix(m.rows, len(pivots), tuple(map(m.packed.__getitem__, pivots)))

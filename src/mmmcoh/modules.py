@@ -69,10 +69,6 @@ class FreeGradedModule:
             if n:
                 self.dims[d] = n
 
-    @property
-    def bound(self) -> int:
-        return self.algebra.degree_bound
-
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
 

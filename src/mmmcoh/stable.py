@@ -573,10 +573,6 @@ class GeneratorsReport:
     syzygies_checked: int
     minimal_counts: Dict[int, int]
 
-    @property
-    def ok(self) -> bool:  # construction already implies success
-        return True
-
 
 @dataclass(frozen=True)
 class TorReport:

@@ -17,9 +17,9 @@ from itertools import chain, repeat
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from mmmcoh.linalg import SparseMatrix, offset_columns, rank
+from mmmcoh.linalg import SparseMatrix, rank
 from mmmcoh.modules import TorResult
-from module_oracle import Module, action
+from module_oracle import Module, action, offset_columns
 
 # module -> {(j, d): rank of the Koszul differential}; a module is immutable
 _RANKS: "WeakKeyDictionary[Module, Dict[Tuple[int, int], int]]" = WeakKeyDictionary()

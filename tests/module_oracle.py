@@ -19,14 +19,7 @@ from itertools import chain, repeat
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from mmmcoh.algebra import PolynomialAlgebra
-from mmmcoh.linalg import (
-    SparseMatrix,
-    VectorQ,
-    _kernel_with_free_columns,
-    _pairs,
-    _rref,
-    offset_columns,
-)
+from mmmcoh.linalg import SparseMatrix, _kernel_with_free_columns, _pairs, _rref
 from mmmcoh.modules import FreeGradedModule, GradedModuleMap
 
 
@@ -101,6 +94,15 @@ def action(module: Module, i: int, d: int) -> SparseMatrix:
         table = module.multiplication_table(i, d)
         return SparseMatrix.of_columns(module.dim(d + 2 * i), len(table), list(zip(table, repeat(1))))
     return module.action(i, d)
+
+
+def offset_columns(m: SparseMatrix, row_off: int, factor=1) -> List[Tuple]:
+    """The columns of ``factor * m`` with every row moved down by
+    ``row_off``: the columns of ``m`` as a block of a larger matrix."""
+    return [
+        tuple(chain.from_iterable((r + row_off, factor * x) for r, x in _pairs(col)))
+        for col in m.packed
+    ]
 
 
 def map_matrices(f: GradedModuleMap) -> Dict[int, SparseMatrix]:
@@ -208,10 +210,11 @@ def kernel_module(
 
 @dataclass(frozen=True)
 class MinimalGenerators:
-    """Degreewise generator counts and representative vectors."""
+    """Degreewise generator counts and representative vectors, those of
+    degree d as the columns of one matrix."""
 
     counts: Dict[int, int]
-    representatives: Dict[int, Tuple[VectorQ, ...]]
+    representatives: Dict[int, SparseMatrix]
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -231,7 +234,7 @@ def minimal_generators(module: Module, up_to: Optional[int] = None) -> MinimalGe
         up_to = algebra.degree_bound
     algebra._check_degree(up_to)
     counts: Dict[int, int] = {}
-    reps: Dict[int, Tuple[VectorQ, ...]] = {}
+    reps: Dict[int, SparseMatrix] = {}
     for d in module.degrees():
         if d > up_to:
             continue
@@ -257,5 +260,5 @@ def minimal_generators(module: Module, up_to: Optional[int] = None) -> MinimalGe
         extra = [c - width for c in pivots if c >= width]
         if extra:
             counts[d] = len(extra)
-            reps[d] = tuple(VectorQ.unit(n, r) for r in extra)
+            reps[d] = SparseMatrix.of_columns(n, len(extra), [(r, 1) for r in extra])
     return MinimalGenerators(counts=counts, representatives=reps)

@@ -447,6 +447,28 @@ def test_output_bytes_are_frozen(capsys, command, fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of `h1 --certify` on Z acting on Q by 1/2, whose bases are not
+# integral: Z^1 is spanned by (1) and B^1 by (-1/2)
+RATIONAL_CERTIFY_DIGESTS = [
+    ("json", "b776fdc88b16026e8e2341702c5f4e04ff9d182a7fe2f9f4463fcd1b3336c9db"),
+    ("csv", "6fdab7d5e9698ca5b700452cbfbc7bf7d075683eb692c224be6996e238d6bc76"),
+    ("text", "9620a8fe1cb1d64dcfa22aa2ba50bdcbcc0758c74617bac259fc24526d246319"),
+]
+
+
+@pytest.mark.parametrize("fmt,digest", RATIONAL_CERTIFY_DIGESTS, ids=["json", "csv", "text"])
+def test_rational_certify_bytes_are_frozen(capsys, tmp_path, monkeypatch, fmt, digest):
+    doc = {"generators": 1, "relators": [], "matrices": [[["1/2"]]]}
+    (tmp_path / "group.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the input path is printed, so keep it relative
+    code, out = run_cli(capsys, "h1", "group.json", "--certify", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        assert (doc["z1_basis"], doc["b1_basis"]) == ([["1"]], [["-1/2"]])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # sha256 of the json the benchmark pins: verify-all at 40 and the four
 # queries at 36, each run with its own context as a CLI call is; the
 # verify-all pin is of the report, which the CLI ends with one newline
@@ -513,10 +535,17 @@ def test_version(capsys):
             '{"generators": 1, "relators": [], "matrices": [[["1/0"]]]}',
             'malformed group description: matrix entry "1/0" has a zero denominator',
         ),
+        ('{"generators": "1", "relators": [], "matrices": [[[1]]]}', "must be an integer"),
+        ('{"generators": 1, "relators": [["1"]], "matrices": [[[1]]]}', "must be an integer"),
+        (
+            '{"generators": 0, "relators": [], "matrices": [], "dimension": " 2 "}',
+            "must be an integer",
+        ),
     ],
     ids=[
         "top-level-list", "int-relators", "list-dimension", "infinite-entry", "directory",
         "bool-entry", "float-entry", "bool-dimension", "float-dimension", "zero-denominator",
+        "string-generators", "string-letter", "string-dimension",
     ],
 )
 def test_h1_malformed_input_is_usage_error(capsys, tmp_path, text, message):
@@ -716,13 +745,13 @@ def test_a_coboundary_off_the_cocycles_is_a_fail_row_not_a_traceback(capsys, mon
     # a B^1 basis vector that breaks the relator conditions: torus-h1 fails
     # with a row naming it, and the h1 query exits 1 with the same message
     from mmmcoh import groupcoh
-    from mmmcoh.linalg import VectorQ
+    from mmmcoh.linalg import SparseMatrix
     from mmmcoh.verify import run_verification
 
     real = groupcoh.coboundary_space
 
     def off(pres, rep):
-        return [real(pres, rep)[0], VectorQ.unit(4, 1)]
+        return SparseMatrix.of_columns(4, 2, [real(pres, rep).packed[0], (1, 1)])
 
     monkeypatch.setattr(groupcoh, "coboundary_space", off)
     message = "coboundary 1 of B^1, (0, 1, 0, 0), fails the cocycle conditions"

@@ -4,7 +4,10 @@ The package root re-exports its imports, so it is exempt, and so is an
 import whose line carries ``# noqa: F401`` (a deliberate re-export); the
 root's ``__all__`` lists exactly its public imports instead.  A
 module-level alias of an imported name (``Q = Fraction``) must be read
-somewhere under ``src/``, ``tests/`` or ``perfbench/``.
+somewhere under ``src/``, ``tests/`` or ``perfbench/``.  Every function,
+method, property and class the package defines must be read under
+``src/`` or ``perfbench/``: code that only tests read is not kept in the
+package, save for the few names of ``TEST_ONLY``.
 """
 
 import ast
@@ -18,6 +21,7 @@ PACKAGE = Path(mmmcoh.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
 READERS = sorted(p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py"))
+PACKAGE_READERS = sorted(p for top in ("src", "perfbench") for p in (ROOT / top).rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -130,3 +134,89 @@ def test_the_check_finds_an_unread_alias():
     )
     assert module_aliases(source) == [(3, "Q"), (4, "P")]
     assert {"P", "sep"} <= read_names(source) and "Q" not in read_names(source)
+
+
+def definitions(source: str):
+    """``(line, qualified name)`` of each function, method, property and
+    class a source defines, nested ones included, dunders excepted."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.append((child.lineno, prefix + name))
+                visit(child, f"{prefix}{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def package_reads(source: str):
+    """`read_names`, plus every string constant: the CLI looks commands up
+    by name with ``getattr`` and reads methods with ``methodcaller``."""
+    strings = {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return read_names(source) | strings
+
+
+# definitions that only tests read, each with its reason
+TEST_ONLY = {
+    "GradedModuleMap.of_matrices": "builds a map from matrices, for the module tests' own maps",
+    "GradedModuleMap.matrix": "the matrix of a table-held map, for the tests' matrix oracles",
+}
+
+
+def test_every_definition_is_read_by_the_package():
+    read = set().union(*(package_reads(p.read_text()) for p in PACKAGE_READERS))
+    defined = [
+        (path.name, line, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in definitions(path.read_text())
+    ]
+    unread = [
+        (path, line, name)
+        for path, line, name in defined
+        if name.rsplit(".", 1)[-1] not in read and name not in TEST_ONLY
+    ]
+    assert unread == []
+    # an allowlisted name that is gone leaves the allowlist with it
+    assert set(TEST_ONLY) <= {name for _, _, name in defined}
+
+
+def test_the_check_finds_an_unread_def():
+    source = (
+        "import operator\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n"
+        "    def used(self):\n"
+        "        return self.x\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "def helper():\n"
+        "    return Box().used()\n"
+        "def named():\n"
+        "    pass\n"
+        "TABLE = {'k': 'named'}\n"
+        "get_size = operator.methodcaller('size')\n"
+    )
+    defined = definitions(source)
+    assert defined == [
+        (2, "Box"), (5, "Box.used"), (7, "Box.unused"), (10, "Box.size"), (12, "helper"),
+        (14, "named"),
+    ]
+    read = package_reads(source)
+    assert [name for _, name in defined if name.rsplit(".", 1)[-1] not in read] == [
+        "Box.unused",
+        "helper",
+    ]

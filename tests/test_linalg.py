@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mmmcoh.linalg import (
     SparseMatrix,
-    VectorQ,
     _forest_pivots,
     _kernel_with_free_columns,
     _row_dicts,
@@ -28,20 +27,22 @@ def test_rank_of_frozen_example():
 def test_kernel_of_single_row():
     m = SparseMatrix.from_rows([[1, 1, 0]])
     basis = kernel_basis(m)
-    assert len(basis) == 2
-    for v in basis:
-        assert m.apply(v).is_zero()
-    # canonical RREF kernel: one vector per free column, unit there
-    assert basis[0].to_list() == [Fraction(-1), Fraction(1), Fraction(0)]
-    assert basis[1].to_list() == [Fraction(0), Fraction(0), Fraction(1)]
+    assert (basis.rows, basis.cols) == (3, 2)
+    assert (m @ basis).is_zero()
+    # canonical RREF kernel: one column per free column, unit there
+    assert basis.to_lists() == [[Fraction(-1), 0], [Fraction(1), 0], [0, Fraction(1)]]
+
+
+def _picked(m, cols):
+    """The matrix of the columns ``cols`` of ``m``."""
+    return SparseMatrix.of_columns(m.rows, len(cols), [m.packed[c] for c in cols])
 
 
 def test_column_space_basis_are_original_columns():
     m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     basis = column_space_basis(m)
-    assert len(basis) == rank(m) == 2
-    assert basis[0] == m.column(0)
-    assert basis[1] == m.column(2)
+    assert basis.cols == rank(m) == 2
+    assert basis == _picked(m, [0, 2])
 
 
 def test_exactness_no_floats():
@@ -51,16 +52,16 @@ def test_exactness_no_floats():
         n, n, {(i, j): Fraction(1, i + j + 1) for i in range(n) for j in range(n)}
     )
     assert rank(m) == n
-    assert kernel_basis(m) == []
+    assert kernel_basis(m) == SparseMatrix.zero(n, 0)
 
 
 def test_empty_and_zero_shapes():
     z = SparseMatrix.zero(0, 3)
     assert rank(z) == 0
-    assert len(kernel_basis(z)) == 3
+    assert kernel_basis(z) == SparseMatrix.identity(3)
     z2 = SparseMatrix.zero(3, 0)
     assert rank(z2) == 0
-    assert kernel_basis(z2) == []
+    assert kernel_basis(z2) == SparseMatrix.zero(0, 0)
 
 
 def echelon_form(m):
@@ -90,8 +91,8 @@ def test_matmul_and_vector_ops():
     a = SparseMatrix.from_rows([[1, 2], [3, 4]])
     b = SparseMatrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b).to_lists() == [[2, 1], [4, 3]]
-    v = VectorQ.from_list([1, -1])
-    assert (a @ v).to_list() == [Fraction(-1), Fraction(-1)]
+    v = SparseMatrix.from_rows([[1], [-1]])
+    assert (a @ v).to_lists() == [[Fraction(-1)], [Fraction(-1)]]
     assert (v + v).scale(Fraction(1, 2)) == v
 
 
@@ -119,36 +120,36 @@ def matrices(draw, max_dim=6):
 @given(matrices())
 @settings(max_examples=120, deadline=None)
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    assert rank(m) + kernel_basis(m).cols == m.cols
 
 
 @given(matrices())
 @settings(max_examples=120, deadline=None)
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m):
-        assert m.apply(v).is_zero()
+    basis = kernel_basis(m)
+    assert basis.rows == m.cols
+    assert (m @ basis).is_zero()
 
 
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_column_space_is_independent_and_spans(m):
     basis = column_space_basis(m)
-    assert len(basis) == rank(m)
-    if basis:
-        assert rank(SparseMatrix.from_columns(basis)) == len(basis)
+    assert basis.rows == m.rows
+    assert rank(basis) == basis.cols == rank(m)
 
 
 def test_identity_and_zero_trivial_cases():
     eye = SparseMatrix.identity(2)
     assert rank(eye) == 2
-    assert kernel_basis(eye) == []
-    assert len(column_space_basis(eye)) == 2
+    assert kernel_basis(eye) == SparseMatrix.zero(2, 0)
+    assert column_space_basis(eye) == eye
     assert rank(SparseMatrix.zero(3, 4)) == 0
-    assert column_space_basis(SparseMatrix.zero(3, 4)) == []
+    assert column_space_basis(SparseMatrix.zero(3, 4)) == SparseMatrix.zero(3, 0)
 
     col = SparseMatrix.from_rows([[Fraction(1)], [Fraction(2)]])
-    (v,) = column_space_basis(col)
-    assert v.to_list()[1] == 2 * v.to_list()[0] != 0
+    (x,), (y,) = column_space_basis(col).to_lists()
+    assert y == 2 * x != 0
 
 
 # -- differential tests against an independent elimination ---------------------
@@ -218,14 +219,14 @@ def _oracle_rref(m):
 
 def _oracle_kernel_basis(m):
     pivots, echelon = _oracle_rref(m)
-    basis = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        entries = {f: Fraction(1)}
+    free = [c for c in range(m.cols) if c not in pivots]
+    entries = {}
+    for j, f in enumerate(free):
+        entries[(f, j)] = Fraction(1)
         for k, col in enumerate(pivots):
             if f in echelon[k]:
-                entries[col] = -echelon[k][f]
-        basis.append(VectorQ(m.cols, entries))
-    return basis
+                entries[(col, j)] = -echelon[k][f]
+    return SparseMatrix(m.cols, len(free), entries)
 
 
 # entries in {0, +-1} leave many rows empty and many pivot candidates tied on
@@ -251,7 +252,7 @@ def tie_matrices(draw, max_dim=8, rows=None, cols=None):
 def test_rank_and_column_space_match_oracle(m):
     pivots, _ = _oracle_forward(_row_dicts_of(m), m.cols)
     assert rank(m) == len(pivots)
-    assert column_space_basis(m) == [m.column(c) for c in pivots]
+    assert column_space_basis(m) == _picked(m, pivots)
 
 
 @given(tie_matrices())
@@ -323,15 +324,15 @@ def test_matmul_matches_fraction_oracle(ab):
 
 @given(tie_matrices(max_dim=6), st.data())
 @settings(max_examples=150, deadline=None)
-def test_add_and_apply_match_fraction_oracle(a, data):
+def test_add_and_column_product_match_fraction_oracle(a, data):
     b = data.draw(tie_matrices(rows=a.rows, cols=a.cols))
     total = a + b
     assert total.entries == _oracle_add(a, b)
     _assert_fractions(total.entries.values())
-    v = VectorQ.from_list(data.draw(st.lists(tied_or_small, min_size=a.cols, max_size=a.cols)))
-    w = a @ v
-    column = SparseMatrix.from_columns([v], rows=a.cols)
-    assert {(r, 0): x for r, x in w.entries.items()} == _oracle_matmul(a, column)
+    values = data.draw(st.lists(tied_or_small, min_size=a.cols, max_size=a.cols))
+    column = SparseMatrix(a.cols, 1, {(r, 0): x for r, x in enumerate(values)})
+    w = a @ column
+    assert w.entries == _oracle_matmul(a, column)
     _assert_fractions(w.entries.values())
 
 
@@ -341,8 +342,8 @@ def test_elimination_results_are_fractions(m):
     _, echelon = echelon_form(m)
     for row in echelon:
         _assert_exact(row.values())
-    for v in kernel_basis(m) + column_space_basis(m):
-        _assert_fractions(v.entries.values())
+    for basis in (kernel_basis(m), column_space_basis(m)):
+        _assert_fractions(basis.entries.values())
 
 
 def test_pivots_led_by_minus_one_and_two():
@@ -365,9 +366,9 @@ def test_pivots_led_by_minus_one_and_two():
         [Fraction, Fraction],
         [Fraction],
     ]
-    (v,) = kernel_basis(m)
-    assert v.to_list() == [Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(0)]
-    _assert_fractions(v.entries.values())
+    basis = kernel_basis(m)
+    assert basis.to_lists() == [[Fraction(-1, 2)], [Fraction(-1, 2)], [Fraction(1)], [Fraction(0)]]
+    _assert_fractions(basis.entries.values())
 
 
 def test_kernel_columns_keep_integral_values_as_ints():
@@ -380,9 +381,12 @@ def test_kernel_columns_keep_integral_values_as_ints():
     assert [list(map(type, col[1::2])) for col in columns] == [[int, int], [int, Fraction]]
     # an all-int column passes the column constructor unrebuilt
     assert SparseMatrix.of_columns(3, 1, columns[:1]).packed[0] is columns[0]
-    assert [v.to_list() for v in kernel_basis(m)] == [
-        [Fraction(-2), Fraction(1), Fraction(0)],
-        [Fraction(-1, 2), Fraction(0), Fraction(1)],
+    # the kernel basis is the matrix of these columns, as they are
+    assert kernel_basis(m).packed == tuple(columns)
+    assert kernel_basis(m).to_lists() == [
+        [Fraction(-2), Fraction(-1, 2)],
+        [Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(1)],
     ]
 
 
@@ -391,12 +395,14 @@ def test_kernel_columns_keep_integral_values_as_ints():
 def test_kernel_columns_are_ints_where_integral(m):
     columns, free = _kernel_with_free_columns(m)
     basis = kernel_basis(m)
-    assert len(columns) == len(free) == len(basis)
-    for col, v in zip(columns, basis):
+    assert len(columns) == len(free) == basis.cols
+    for col in columns:
         for x in col[1::2]:
             assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), repr(x)
-        assert {r: Fraction(x) for r, x in zip(col[0::2], col[1::2])} == v.entries
-        _assert_fractions(v.entries.values())
+    assert basis.entries == {
+        (r, j): Fraction(x) for j, col in enumerate(columns) for r, x in zip(col[0::2], col[1::2])
+    }
+    _assert_fractions(basis.entries.values())
 
 
 # -- constructor checks ------------------------------------------------------------
@@ -406,9 +412,6 @@ def test_constructors_reject_out_of_range_keys():
     for entries in ({(2, 0): 1}, {(0, 3): Fraction(1, 2)}, {(-1, 0): 1}, {(0, 0): 1, (1, 3): 0}):
         with pytest.raises(IndexError):
             SparseMatrix(2, 3, entries)
-    for entries in ({3: 1}, {-1: Fraction(2)}, {0: 1, 5: 0}):
-        with pytest.raises(IndexError):
-            VectorQ(3, entries)
 
 
 def test_constructors_drop_zeros_and_store_fractions():
@@ -417,11 +420,9 @@ def test_constructors_drop_zeros_and_store_fractions():
         3: Fraction(2), 4: Fraction(-64), 5: Fraction(65), 6: Fraction(10**30),
         7: Fraction(-3, 4), 8: Fraction(1, 4), 9: Fraction(-3, 2),
     }
-    v = VectorQ(len(values), dict(enumerate(values)))
     m = SparseMatrix(1, len(values), {(0, c): x for c, x in enumerate(values)})
-    assert v.entries == expected
     assert m.entries == {(0, c): x for c, x in expected.items()}
-    for x in list(v.entries.values()) + list(m.entries.values()):
+    for x in m.entries.values():
         assert type(x) is Fraction
     # keys keep the order they came in
     assert list(m.entries) == [(0, c) for c in expected]
@@ -476,8 +477,10 @@ def test_storage_reads_back_the_entry_dict_in_any_order(case):
         assert m.nnz() == len(oracle)
         assert m.is_zero() == (not oracle)
         assert m == built[0] and hash(m) == hash(built[0])
-        for (r, c) in oracle:
-            assert m.entry(r, c) == oracle[(r, c)]
+        dense = m.to_lists()
+        assert sum(x != 0 for row in dense for x in row) == len(oracle)
+        for (r, c), x in oracle.items():
+            assert dense[r][c] == x
     # column-major, each column in the order its entries came in
     assert list(built[1].entries) == sorted(shuffled, key=lambda key: key[1])
     if oracle:
@@ -513,11 +516,9 @@ def test_products_and_sums_with_non_integral_values(data):
     assert total.entries == _oracle_add(a, c)
     _assert_fractions(total.entries.values())
     assert (total - c) == a
-    v = VectorQ(k, {i: Fraction(2 * i + 1, 2) for i in range(k)})
-    w = a.apply(v)
-    assert {(r, 0): x for r, x in w.entries.items()} == _oracle_matmul(
-        a, SparseMatrix.from_columns([v], rows=k)
-    )
+    v = SparseMatrix(k, 1, {(i, 0): Fraction(2 * i + 1, 2) for i in range(k)})
+    w = a @ v
+    assert w.entries == _oracle_matmul(a, v)
     _assert_fractions(w.entries.values())
 
 
@@ -588,7 +589,7 @@ def test_forest_pivots_match_the_elimination_oracle(m):
     pivots, _ = _oracle_forward(_row_dicts_of(m), m.cols)
     assert _forest_pivots(m.packed, m.rows) == pivots
     assert rank(m) == len(pivots)
-    assert column_space_basis(m) == [m.column(c) for c in pivots]
+    assert column_space_basis(m) == _picked(m, pivots)
 
 
 def test_forest_pivots_on_parallel_edges_and_zero_rows():
@@ -619,7 +620,7 @@ def test_non_graphic_matrices_fall_back_to_elimination(m, data):
     assert _forest_pivots(wide.packed, wide.rows) is None
     assert rank(wide) == len(_oracle_forward(_row_dicts_of(wide), wide.cols)[0])
     pivots, _ = _oracle_forward(_row_dicts_of(wide), wide.cols)
-    assert column_space_basis(wide) == [wide.column(c) for c in pivots]
+    assert column_space_basis(wide) == _picked(wide, pivots)
 
 
 # -- products by composition ---------------------------------------------------

