@@ -13,9 +13,17 @@ partitions of d/2 (the part i contributing one factor e_i).  A degree bound
 caps every per-degree enumeration.
 
 Each `PolynomialAlgebra` builds its own per-degree tables on first use, by
-index arithmetic: monomial bases generated in canonical order, the
-multiplication tables, total exponents, smallest indices and exterior
-bases.
+index arithmetic.  Write B(k, s) for the monomials of degree 2k whose
+indices are all >= s, in canonical order: first index ascending, its
+exponent descending, then the tails in the same order.  Its block (j, e)
+is e_j^e times the tails B(k - je, j + 1), so the counts N(k, s) of these
+sets fix every block's offset, and the Hilbert function, the
+multiplication tables and the smallest indices are arithmetic on them,
+with no monomial enumerated (A. Nijenhuis and H. Wilf, *Combinatorial
+Algorithms*, 2nd ed., 1978, ch. 9-10).  The monomial bases themselves are
+generated only for the readers that need each monomial's pairs: the
+total exponents and the forms' exterior derivative.  Exterior bases are
+enumerated once per instance.
 
 >>> A = PolynomialAlgebra(24)
 >>> A.monomial_basis(4)  # e1^2, e2
@@ -26,6 +34,8 @@ bases.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple
 
 # a monomial in the e_i, as its pairs (see above)
@@ -52,16 +62,6 @@ def _canonical_pairs(k: int, start: int = 1) -> Iterator[Pairs]:
                     yield ((i, e),) + tail
 
 
-def _times(pairs: Pairs, i: int) -> Pairs:
-    """The pairs of the monomial times e_i, kept sorted by index."""
-    for k, (j, e) in enumerate(pairs):
-        if j == i:
-            return pairs[:k] + ((i, e + 1),) + pairs[k + 1 :]
-        if j > i:
-            return pairs[:k] + ((i, 1),) + pairs[k:]
-    return pairs + ((i, 1),)
-
-
 class PolynomialAlgebra:
     """The ring Q[e_1, e_2, ...] with deg e_i = 2i, enumerated up to a bound.
 
@@ -74,7 +74,8 @@ class PolynomialAlgebra:
             raise ValueError("degree bound must be even and >= 0")
         self.degree_bound = degree_bound
         self._basis_cache: Dict[int, Tuple[Pairs, ...]] = {}
-        self._position_cache: Dict[int, Dict[Pairs, int]] = {}
+        self._count_cache: List[List[int]] = []
+        self._start_cache: Dict[Tuple[int, int], List[int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._total_cache: Dict[int, Tuple[int, ...]] = {}
         self._smallest_cache: Dict[int, Tuple[int, ...]] = {}
@@ -103,16 +104,44 @@ class PolynomialAlgebra:
             cached = self._basis_cache[d] = tuple(_canonical_pairs(d // 2))
         return cached
 
-    def hilbert_function(self, d: int) -> int:
-        """dim_Q of the degree-d slice: the partition count p(d/2)."""
-        return len(self.monomial_basis(d))
+    def _counts(self) -> List[List[int]]:
+        """N[k][s], the size of B(k, s), for k up to half the bound and s up
+        to one past every index inside the bound: N[0][s] = 1 (the unit),
+        N[k][s] = 0 for s > k > 0, and otherwise the monomials with first
+        index s (e_s^e times B(k - se, s + 1)) plus those above it."""
+        counts = self._count_cache
+        if not counts:
+            top = self.degree_bound // 2
+            for k in range(top + 1):
+                row = [1] * (top + 2) if k == 0 else [0] * (top + 2)
+                for s in range(k, 0, -1):
+                    row[s] = row[s + 1] + sum(counts[k - s * e][s + 1] for e in range(1, k // s + 1))
+                counts.append(row)
+        return counts
 
-    def _positions(self, d: int) -> Dict[Pairs, int]:
-        # the position of each basis monomial of degree d, for the tables
-        pos = self._position_cache.get(d)
-        if pos is None:
-            pos = self._position_cache[d] = {m: k for k, m in enumerate(self.monomial_basis(d))}
-        return pos
+    def hilbert_function(self, d: int) -> int:
+        """dim_Q of the degree-d slice: the partition count p(d/2), read
+        from the counts, with no monomial enumerated."""
+        self._check_degree(d)
+        return 0 if d % 2 else self._counts()[d // 2][1]
+
+    def _block_starts(self, k: int, j: int) -> List[int]:
+        """Entry e is the position of block (j, e), e_j^e times
+        B(k - je, j + 1), in the basis of degree 2k: after the monomials
+        with first index below j and the blocks (j, f) with f > e.  Entry 0
+        is the end of the run of first index j."""
+        key = (k, j)
+        starts = self._start_cache.get(key)
+        if starts is None:
+            n = self._counts()
+            top = k // j
+            starts = [0] * (top + 1)
+            at = n[k][1] - n[k][j]
+            for e in range(top, -1, -1):
+                starts[e] = at
+                at += n[k - j * e][j + 1]
+            self._start_cache[key] = starts
+        return starts
 
     def multiplication_table(self, i: int, d: int) -> Tuple[int, ...]:
         """Multiplication by e_i from degree d to degree d + 2i, as positions:
@@ -120,8 +149,19 @@ class PolynomialAlgebra:
         m_k the k-th basis monomial of degree d.
 
         Every matrix that multiplies by a generator is built from these
-        tables by index arithmetic, with no monomial per matrix entry; a
-        table itself puts e_i into each monomial's pairs.
+        tables by index arithmetic, with no monomial per matrix entry.  A
+        table is built from the source basis's blocks (j, e), k = d/2, in
+        their order:
+
+        * j < i: e_i goes into the tail, so the block is the table of e_i
+          on B(k - je, j + 1), shifted into the target block (j, e).  That
+          sub-table is the tail of the table of e_i from degree
+          2(k - je), whose positions in B(k - je + i, 1) lie in its suffix
+          B(k - je + i, j + 1);
+        * j = i: the block (i, e) goes onto the target block (i, e + 1),
+          one contiguous range;
+        * j > i: these monomials are B(k, i + 1), contiguous, and go onto
+          the target block (i, 1), whose tails they are.
 
         >>> A = PolynomialAlgebra(24)
         >>> A.monomial_basis(6)  # e1^3, e1*e2, e3
@@ -132,12 +172,14 @@ class PolynomialAlgebra:
         key = (i, d)
         table = self._mult_cache.get(key)
         if table is None:
-            target = self._positions(d + 2 * i)
-            table = tuple(map(target.get, (_times(m, i) for m in self.monomial_basis(d))))
+            if i < 1:
+                raise ValueError("generator indices start at 1")
+            self._check_degree(d)
+            self._check_degree(d + 2 * i)
+            table = () if d % 2 else self._build_table(i, d // 2)
             # checked once here, so that a matrix built from the table needs
             # no check per entry: one entry per monomial, each an int in
-            # range of the target basis (a product missing from the target
-            # is a None)
+            # range of the target basis
             size = self.hilbert_function(d + 2 * i)
             if len(table) != self.hilbert_function(d) or table and (
                 set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size
@@ -148,6 +190,26 @@ class PolynomialAlgebra:
                 )
             self._mult_cache[key] = table
         return table
+
+    def _build_table(self, i: int, k: int) -> Tuple[int, ...]:
+        # the three kinds of block of `multiplication_table`, in source order
+        n = self._counts()
+        starts = self._block_starts
+        parts: List = []
+        for j in range(1, i):
+            onto = starts(k + i, j)
+            for e in range(k // j, 0, -1):
+                rest = k - j * e
+                size = n[rest][j + 1]
+                if size:
+                    sub = self.multiplication_table(i, 2 * rest)
+                    shift = onto[e] - n[rest + i][1] + n[rest + i][j + 1]
+                    parts.append(map(add, sub[len(sub) - size :], repeat(shift)))
+        onto = starts(k + i, i)
+        for e in range(k // i, 0, -1):
+            parts.append(range(onto[e + 1], onto[e + 1] + n[k - i * e][i + 1]))
+        parts.append(range(onto[1], onto[1] + n[k][i + 1]))
+        return tuple(chain.from_iterable(parts))
 
     def _block_offset(
         self, block: Optional[Tuple[int, int]], degree: int, rows: int
@@ -183,10 +245,18 @@ class PolynomialAlgebra:
         """
         table = self._smallest_cache.get(d)
         if table is None:
-            past = self.degree_bound // 2 + 1
-            table = self._smallest_cache[d] = tuple(
-                m[0][0] if m else past for m in self.monomial_basis(d)
-            )
+            # runs of j: B(k, j) less B(k, j + 1) has first index j
+            self._check_degree(d)
+            k, n = d // 2, self._counts()
+            if d % 2:
+                table = ()
+            elif k == 0:
+                table = (self.degree_bound // 2 + 1,)
+            else:
+                table = tuple(
+                    chain.from_iterable(repeat(j, n[k][j] - n[k][j + 1]) for j in range(1, k + 1))
+                )
+            self._smallest_cache[d] = table
         return table
 
     def exterior_basis(self, n: int, d: int) -> Tuple[Tuple[int, ...], ...]:

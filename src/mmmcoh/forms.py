@@ -217,10 +217,11 @@ class DifferentialForms:
         columns: List[Tuple[int, ...]] = []
         for wedge, (_, deg) in src.items():
             # contracting slot k moves e_{wedge[k]} into the coefficient:
-            # per slot, the (row, sign) pair of every column, at the target
-            # block's offset plus the position of m * e_i
+            # per slot, the rows of every column, at the target block's
+            # offset plus the position of m * e_i, each followed by the
+            # slot's sign, so one zip of them yields the packed columns
             size = hilbert(deg)
-            slots = []
+            its: List[Iterable[int]] = []
             for k in range(len(wedge)):
                 sign, i, rest = wedge_remove(k, wedge)
                 row_off = self._target_offset("p", n, d, tgt, rows, rest, deg + 2 * i)
@@ -230,8 +231,8 @@ class DifferentialForms:
                         f"p: the table of e{i} into the block of {rest} is not the size "
                         f"of the block of {wedge} at (n, d) = ({n}, {d})"
                     )
-                slots.append(zip(map(add, product, repeat(row_off)), repeat(sign)))
-            columns.extend(map(tuple, map(chain.from_iterable, zip(*slots))))
+                its += (map(add, product, repeat(row_off)), repeat(sign))
+            columns.extend(zip(*its))
         return _operator("p", n, d, rows, cols, columns)
 
     def _target_offset(
@@ -269,7 +270,7 @@ class DifferentialForms:
         for wedge, (off, deg) in self._layout(n, d)[0].items():
             table = smallest(deg)
             if wedge:
-                up[off : off + len(table)] = bytes(t < wedge[0] for t in table)
+                up[off : off + len(table)] = bytes(map(wedge[0].__gt__, table))
             else:
                 up[off : off + len(table)] = b"\x01" * len(table)
         return up

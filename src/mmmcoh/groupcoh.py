@@ -90,7 +90,7 @@ class MatrixRep:
             raise ValueError("one matrix per generator")
         dims = {m.rows for m in images} | {m.cols for m in images}
         if dimension is not None:
-            dims.add(int(dimension))
+            dims.add(_whole(dimension, "dimension"))
         if len(dims) > 1:
             raise ValueError("all images must be square of one size")
         if not dims:
@@ -259,10 +259,7 @@ def load_group_data(doc: dict) -> Tuple[GroupPresentation, MatrixRep]:
         relators=tuple(tuple(_whole(x, "relator letter") for x in w) for w in doc["relators"]),
     )
     matrices = [[[_entry(x) for x in row] for row in m] for m in doc["matrices"]]
-    dimension = doc.get("dimension")
-    if dimension is not None:
-        dimension = _whole(dimension, "dimension")
-    rep = MatrixRep.from_integer_matrices(pres, matrices, dimension=dimension)
+    rep = MatrixRep.from_integer_matrices(pres, matrices, dimension=doc.get("dimension"))
     return pres, rep
 
 

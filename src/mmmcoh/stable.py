@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
@@ -376,7 +376,7 @@ class StableCohomology:
                 # are read), so their blocks are disjoint
                 deg = d - 2 * (i + j)
                 size = algebra.hilbert_function(deg)
-                slots = []
+                its: List[Iterable[int]] = []
                 for l, k, c in terms[i, j]:
                     block = blocks.get(self.generator_index(l))
                     offset = algebra._block_offset(block, deg + 2 * k, rows)
@@ -386,8 +386,8 @@ class StableCohomology:
                             f"the span: the term {c}*e{k}*m{l} of M({i},{j}) is not a nonzero "
                             f"int on a degree-{deg + 2 * k} block inside {rows} rows at degree {d}"
                         )
-                    slots.append(zip(map(add, table, repeat(offset)), repeat(c)))
-                columns += [tuple(chain.from_iterable(s)) for _, *s in zip(range(size), *slots)]
+                    its += (map(add, table, repeat(offset)), repeat(c))
+                columns += zip(*its) if its else repeat((), size)
             span = _matrix(rows, len(columns), tuple(columns))
             # the M(i, j) of degree d, one column each, are the new vectors
             top = _lambda2_pairs(d)

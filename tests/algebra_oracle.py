@@ -9,6 +9,11 @@ arithmetic they replaced: monomials, ring elements and twisted classes as
 objects with exact ``Fraction`` coefficients, the pairing as an A-bilinear
 form on them, and M(i, j) as a twisted element.  The tests check the
 tables and the index data against it.
+
+The algebra's tables come from counts of its blocks; ``multiplication_table``,
+``hilbert_function`` and ``smallest_indices`` here are the enumeration they
+replaced: every basis monomial, e_i put into its pairs (``times``) and the
+product looked up among the target basis.
 """
 
 from fractions import Fraction
@@ -21,6 +26,40 @@ _ONE = Fraction(1)
 def monomials(algebra, d: int) -> Tuple["Monomial", ...]:
     """``algebra.monomial_basis(d)`` as Monomial objects, in its order."""
     return tuple(map(Monomial, algebra.monomial_basis(d)))
+
+
+def times(pairs: Tuple[Tuple[int, int], ...], i: int) -> Tuple[Tuple[int, int], ...]:
+    """The pairs of the monomial times e_i, kept sorted by index."""
+    for k, (j, e) in enumerate(pairs):
+        if j == i:
+            return pairs[:k] + ((i, e + 1),) + pairs[k + 1 :]
+        if j > i:
+            return pairs[:k] + ((i, 1),) + pairs[k:]
+    return pairs + ((i, 1),)
+
+
+def multiplication_table(algebra, i: int, d: int) -> Tuple[int, ...]:
+    """The table of e_i from degree d by enumeration: each basis monomial's
+    pairs with e_i put in, looked up among the degree d + 2i basis.
+
+    >>> from mmmcoh.algebra import PolynomialAlgebra
+    >>> multiplication_table(PolynomialAlgebra(24), 1, 4)  # e1^2 -> e1^3, e2 -> e1*e2
+    (0, 1)
+    """
+    target = {m: k for k, m in enumerate(algebra.monomial_basis(d + 2 * i))}
+    return tuple(target[times(m, i)] for m in algebra.monomial_basis(d))
+
+
+def hilbert_function(algebra, d: int) -> int:
+    """The dimension of degree d as the length of its enumerated basis."""
+    return len(algebra.monomial_basis(d))
+
+
+def smallest_indices(algebra, d: int) -> Tuple[int, ...]:
+    """The first index of each enumerated basis monomial; the unit reads
+    one past the bound's indices."""
+    past = algebra.degree_bound // 2 + 1
+    return tuple(m[0][0] if m else past for m in algebra.monomial_basis(d))
 
 
 class Monomial:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmmcoh.algebra import DegreeBoundError, PolynomialAlgebra, exterior_basis, exterior_dim
+import algebra_oracle
 from algebra_oracle import AlgebraElement, Monomial, TwistedElement, monomials
 
 
@@ -303,7 +304,7 @@ def test_every_instance_builds_its_own_tables():
     def tables(A):
         return (
             [A.monomial_basis(d) for d in range(0, 37, 2)]
-            + [A._positions(d) for d in range(0, 37, 2)]
+            + [A.smallest_indices(d) for d in range(0, 37, 2)]
             + [A.total_exponents(d) for d in range(0, 37, 2)]
             + [A.multiplication_table(i, d) for d in range(0, 35, 2) for i in (1, (36 - d) // 2)]
             + [A.exterior_basis(n, d) for n in range(1, 4) for d in range(6, 37, 2)]
@@ -323,3 +324,82 @@ def test_multiplication_table_respects_the_bound():
     assert A.multiplication_table(1, 6) == (0, 1, 2)
     with pytest.raises(DegreeBoundError):
         A.multiplication_table(2, 6)
+
+
+# -- tables from counts against the enumeration ---------------------------------
+
+
+def test_tables_from_counts_match_the_enumeration_up_to_64():
+    A, oracle = PolynomialAlgebra(64), PolynomialAlgebra(64)
+    for d in range(65):
+        assert A.hilbert_function(d) == algebra_oracle.hilbert_function(oracle, d), d
+        assert A.smallest_indices(d) == algebra_oracle.smallest_indices(oracle, d), d
+        for i in range(1, (64 - d) // 2 + 1):
+            expected = algebra_oracle.multiplication_table(oracle, i, d)
+            assert A.multiplication_table(i, d) == expected, (i, d)
+    # nothing of the above enumerated a monomial basis
+    assert A._basis_cache == {}
+
+
+def _pentagonal_partition_counts(n_max):
+    """p(n) by Euler's pentagonal number recurrence,
+    p(n) = sum_{k >= 1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            p[n] += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                p[n] += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+    return p
+
+
+def test_hilbert_function_up_to_200_is_the_partition_count():
+    A = PolynomialAlgebra(200)
+    p = _pentagonal_partition_counts(100)
+    assert [A.hilbert_function(d) for d in range(201)] == [
+        0 if d % 2 else p[d // 2] for d in range(201)
+    ]
+    assert p[100] == 190569292
+    assert A._basis_cache == {}
+
+
+def test_tables_keep_the_bound_and_the_generator_range():
+    A = PolynomialAlgebra(8)
+    with pytest.raises(DegreeBoundError):
+        A.multiplication_table(1, 10)
+    with pytest.raises(ValueError, match="generator indices start at 1"):
+        A.multiplication_table(0, 4)
+    assert A.multiplication_table(1, 5) == ()
+    assert A.smallest_indices(5) == ()
+    with pytest.raises(DegreeBoundError):
+        A.smallest_indices(10)
+    with pytest.raises(ValueError):
+        A.hilbert_function(-2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tor"],
+        ["exactness"],
+        ["hilbert", "Htilde"],
+        ["generators"],
+    ],
+)
+def test_the_cold_queries_enumerate_no_monomial_basis(argv, capsys, monkeypatch):
+    from mmmcoh.cli import main
+
+    made = []
+    real = PolynomialAlgebra.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(PolynomialAlgebra, "__init__", recording)
+    assert main([*argv, "--max-degree", "24", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert made and all(A._basis_cache == {} for A in made)

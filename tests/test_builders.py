@@ -184,14 +184,14 @@ def test_a_zero_generator_coefficient_is_named_by_the_span(monkeypatch):
 
 
 def test_a_table_entry_out_of_range_is_rejected_where_the_table_is_made(monkeypatch):
-    # e1^3 placed one past the end of the degree 6 basis
-    real = PolynomialAlgebra._positions
+    # e1^3, the block (1, 3) of degree 6, placed one past the end of its basis
+    real = PolynomialAlgebra._block_starts
 
-    def corrupt(self, d):
-        pos = real(self, d)
-        return {**pos, next(iter(pos)): len(pos)} if d == 6 else pos
+    def corrupt(self, k, j):
+        starts = real(self, k, j)
+        return [*starts[:3], 3, *starts[4:]] if (k, j) == (3, 1) else starts
 
-    monkeypatch.setattr(PolynomialAlgebra, "_positions", corrupt)
+    monkeypatch.setattr(PolynomialAlgebra, "_block_starts", corrupt)
     algebra = PolynomialAlgebra(8)
     with pytest.raises(ValueError, match=r"^the table of e1 from degree 4 is not 2 positions in range\(3\)$"):
         algebra.multiplication_table(1, 4)

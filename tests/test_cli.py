@@ -703,13 +703,14 @@ def test_a_corrupt_table_is_fail_rows_not_a_traceback(capsys, monkeypatch):
     # reads the table of e1 from degree 4 fails with the table's message
     from mmmcoh.algebra import PolynomialAlgebra
 
-    real = PolynomialAlgebra._positions
+    real = PolynomialAlgebra._block_starts
 
-    def corrupt(self, d):
-        pos = real(self, d)
-        return {**pos, next(iter(pos)): len(pos)} if d == 6 else pos
+    def corrupt(self, k, j):
+        # the block (1, 3) of degree 6 holds e1^3
+        starts = real(self, k, j)
+        return [*starts[:3], 3, *starts[4:]] if (k, j) == (3, 1) else starts
 
-    monkeypatch.setattr(PolynomialAlgebra, "_positions", corrupt)
+    monkeypatch.setattr(PolynomialAlgebra, "_block_starts", corrupt)
     assert main(["verify-all", "--max-degree", "12", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -724,13 +725,14 @@ def test_a_wrong_table_in_range_is_fail_rows_not_a_traceback(capsys, monkeypatch
     # e1 into degree 6, would leave e1^3 with no quotient
     from mmmcoh.algebra import PolynomialAlgebra
 
-    real = PolynomialAlgebra._positions
+    real = PolynomialAlgebra._block_starts
 
-    def wrong(self, d):
-        pos = real(self, d)
-        return {**pos, ((1, 3),): 1} if d == 6 else pos
+    def wrong(self, k, j):
+        # the block (1, 3) of degree 6 holds e1^3
+        starts = real(self, k, j)
+        return [*starts[:3], 1, *starts[4:]] if (k, j) == (3, 1) else starts
 
-    monkeypatch.setattr(PolynomialAlgebra, "_positions", wrong)
+    monkeypatch.setattr(PolynomialAlgebra, "_block_starts", wrong)
     assert main(["verify-all", "--max-degree", "12", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err

@@ -112,6 +112,13 @@ def test_trivial_group_has_no_first_cohomology():
         MatrixRep(pres, [])  # dimension must be given explicitly
 
 
+@pytest.mark.parametrize("dimension", [2.7, "3", True])
+def test_matrix_rep_rejects_a_dimension_that_is_not_an_int(dimension):
+    # int() would read 2.7 as 2, "3" as 3 and true as 1: another representation
+    with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+        MatrixRep(GroupPresentation(num_generators=0, relators=()), [], dimension=dimension)
+
+
 def test_dimension_zero_rep_is_empty():
     pres = GroupPresentation(num_generators=1, relators=())
     rep = MatrixRep(pres, [SparseMatrix(0, 0, {})])
