@@ -1,14 +1,15 @@
 """Exact sparse linear algebra over the rationals.
 
-The kernel-generator span and the kernel cross-check of ``stable`` take
-their ranks here, and the torus H^1 certificate of ``groupcoh`` takes the
-kernels, column spaces and inverses of its matrices, whose entries are
-``fractions.Fraction`` values.  Nothing here touches floating point: a
-rank computed here is the rank, not an estimate.  The other ranks of the
-certificates are taken where their maps are built: ``modules`` ranks a map
-that sends each basis element to a multiple of one basis element by
-counting distinct rows, and ``forms`` certifies the rank of p by a unit
-minor on the down columns.
+The torus H^1 certificate of ``groupcoh`` takes the kernels, column
+spaces and inverses of its matrices here, whose entries are
+``fractions.Fraction`` values, and the kernel cross-check of ``stable``
+takes the rank of a p_1 that fails its row.  Nothing here touches
+floating point: a rank computed here is the rank, not an estimate.  The
+other ranks of the certificates are taken where their maps are built:
+``modules`` ranks a map that sends each basis element to a multiple of one
+basis element by counting distinct rows, ``forms`` certifies the rank of
+p by a unit minor on the down columns, and ``stable`` reads the rank of
+the kernel-generator span off a spanning forest of its edges.
 
 Representation: a matrix is stored by column, in the compressed sparse
 column layout (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
@@ -23,31 +24,23 @@ column-space basis, is the matrix of its k columns.  Matrices from outside
 input go through ``SparseMatrix.of_columns`` or the dict constructor,
 which run the same checks (row range, each row at most once per column,
 value type, zeros dropped) in C-level passes over all entries at once.
-The index-arithmetic builders in ``forms`` and ``stable`` (p, d, the
-kernel-generator span) check the same properties once per block instead,
-where their tables and layouts make them hold for every entry of the
-block, and hand their columns to the unchecked ``_matrix``.  The
-contraction and the cup product are no matrices here: each sends a basis
-element to a multiple of one basis element, so ``modules.GradedModuleMap``
-keeps it as a row table and a value table and ranks it by counting
-distinct rows.
+The index-arithmetic builders in ``forms`` (p and d) check the same
+properties once per block instead, where their tables and layouts make
+them hold for every entry of the block, and hand their columns to the
+unchecked ``_matrix``.  The contraction and the cup product are no
+matrices here: each sends a basis element to a multiple of one basis
+element, so ``modules.GradedModuleMap`` keeps it as a row table and a
+value table and ranks it by counting distinct rows.
 
-Graphic matrices: the kernel-generator span has columns that are zero,
-``x e_u`` or ``x (e_u - e_v)``.  Such a matrix is the incidence matrix of
-a graph on its rows (a single entry is an edge to one extra ground
-vertex), its column matroid is graphic over any field (J. Oxley, *Matroid
-Theory*, 2nd ed., 2011, section 5.1), and ``pivot_columns`` reads its
-pivots off a spanning forest by union-find, with no elimination.
-
-Reduction strategy: every other matrix goes through one Gauss-Jordan
-routine, ``_rref``.  It takes columns from the left, makes the first
-remaining row that holds a column its pivot row, scales that row to a
-leading 1 and clears the column from every other row.  What it returns is
+Reduction strategy: every matrix goes through one Gauss-Jordan routine,
+``_rref``.  It takes columns from the left, makes the first remaining row
+that holds a column its pivot row, scales that row to a leading 1 and
+clears the column from every other row.  What it returns is
 the reduced row echelon form, which is unique, so the pivot columns, the
 kernel basis read off it and the inverse read off ``(m | 1)`` are
-canonical.  The only matrices of the certificates that are not graphic
-are the torus H^1 certificate's, of a few rows each, so no pivot is chosen
-to limit fill-in.  Each elimination first transposes the columns into one
+canonical.  The matrices eliminated in a passing run are the torus H^1
+certificate's, of a few rows each, so no pivot is chosen to limit
+fill-in.  Each elimination first transposes the columns into one
 dict per row, once.
 
 Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
@@ -382,58 +375,18 @@ def _rref(rows: List[Dict[int, object]], width: int):
     return pivots, reduced
 
 
-def _forest_pivots(packed: Tuple[Tuple, ...], ground: int) -> Optional[List[int]]:
-    """The pivot columns of a graphic matrix, or None if it is not one.
-
-    A column ``x e_u`` is an edge from row u to an extra ground vertex, a
-    column ``x (e_u - e_v)`` an edge from u to v, and a zero column a loop.
-    Scaling a column or adding the ground row (minus the sum of the others)
-    changes no linear dependency, so the columns are independent exactly
-    when their edges form a forest, over any field.  Union-find takes the
-    edges in column order and keeps one iff it joins two components: the
-    leftmost independent set, which is the pivot set of `_rref`.
-    """
-    parent = list(range(ground + 1))
-    pivots: List[int] = []
-    for c, col in enumerate(packed):
-        n = len(col)
-        if n == 2:
-            u, v = col[0], ground
-        elif n == 4 and col[3] == -col[1]:
-            u, v = col[0], col[2]
-        elif n:
-            return None
-        else:
-            continue
-        # the two roots, halving each path on the way
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            pivots.append(c)
-    return pivots
-
-
 def pivot_columns(m: SparseMatrix) -> List[int]:
-    """The pivot columns of the canonical echelon form, increasing.
+    """The pivot columns of the canonical echelon form (`_rref`),
+    increasing.
 
     Columns are cleared from the left, so the pivots among the first k
-    columns number the rank of those k columns.  A matrix whose every
-    column is zero, ``x e_u`` or ``x (e_u - e_v)`` (the kernel-generator
-    span) is the incidence matrix of a graph on its rows, and its pivots come from a spanning forest with no
-    elimination (`_forest_pivots`); any other matrix goes through
-    `_rref`.  In the triangle on rows 0, 1, 2 the third edge closes a
-    cycle:
+    columns number the rank of those k columns.  In the triangle on rows
+    0, 1, 2 the third edge closes a cycle:
 
     >>> pivot_columns(SparseMatrix.of_columns(3, 3, [(0, 1, 1, -1), (1, 1, 2, -1), (0, 1, 2, -1)]))
     [0, 1]
     """
-    pivots = _forest_pivots(m.packed, m.rows)
-    if pivots is None:
-        pivots = _rref(_row_dicts(m), m.cols)[0]
-    return pivots
+    return _rref(_row_dicts(m), m.cols)[0]
 
 
 def rank(m: SparseMatrix) -> int:

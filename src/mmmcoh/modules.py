@@ -20,9 +20,9 @@ of distinct rows among its nonzero columns (`GradedModuleMap.rank`), with
 no elimination.  `stable.StableCohomology` reads the contraction kernel's
 dimensions off those ranks, and its minimal generator counts off the
 pivots of the kernel-generator span, whose columns hold two entries, +1
-and -1, so that its rank is a spanning-forest count
-(`linalg.pivot_columns`); there is no module structure on the kernel.  The
-dimensions of Tor_j(Q, M) are held in ``TorResult``;
+and -1, so that each is an edge and the pivots come from a spanning
+forest (`stable._forest_pivots`); there is no module structure on the
+kernel.  The dimensions of Tor_j(Q, M) are held in ``TorResult``;
 `stable.StableCohomology.verify_tor` derives them by dimension shifting,
 with no Koszul complex of M.
 

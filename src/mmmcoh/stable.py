@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
-from .linalg import _matrix, pivot_columns, rank
+from .linalg import rank
 from .modules import FreeGradedModule, GradedModuleMap, TorResult, free_module
 
 
@@ -339,12 +339,18 @@ class StableCohomology:
         block spans A_+ K_d; pivots are taken from the left, so its pivots
         number dim (A_+ K)_d, and the pivots past it number the minimal
         generators dim K_d - dim (A_+ K)_d (E. Miller and B. Sturmfels,
-        *Combinatorial Commutative Algebra*, GTM 227, 2005, ch. 1).  Every
-        column is zero or +-(e_u - e_v), so the pivots come from a spanning
-        forest (`linalg.pivot_columns`), with no elimination.
+        *Combinatorial Commutative Algebra*, GTM 227, 2005, ch. 1).
 
-        Kernel membership is checked at the generators: only the M(i, j) of
-        degree d go through delta at d, each read through delta's tables
+        Its premise is that the span is graphic: each column is zero, c e_u
+        or c (e_u - e_v), an edge read straight off the multiplication
+        tables, so the pivots come from a spanning forest (`_forest_pivots`)
+        and no matrix is built.  It is checked per M(i, j) and degree,
+        beside each term's check: one term, or two with opposite values, or
+        none.  The terms have distinct l, so u != v.
+
+        Kernel membership is checked at the generators, before the graphic
+        premise: only the M(i, j) of degree d go through delta at d, each
+        one packed column read through delta's tables
         (`GradedModuleMap.image`).  The premise is that delta is A-linear,
         certified by `GradedModuleMap.check_equivariance` when
         `delta_covariant` builds it; then delta(mono * M(i, j)) =
@@ -366,17 +372,16 @@ class StableCohomology:
             blocks = F.generator_blocks(d)[0]
             # the M(i, j) of degree d last, each pair order kept
             pairs = sorted(_pairs_up_to(d), key=lambda p: 2 * (p[0] + p[1]) == d)
-            columns: List[Tuple] = []
+            edges: List[Iterable[Tuple[int, int]]] = []
+            columns = 0
             for (i, j) in pairs:
                 # column mono * M(i, j): per term, c at the row of mono * e_k
-                # in the m_l block (an M(i, j) = 0 keeps its empty columns).
-                # Checked per term, not per entry: the block of m_l has
-                # degree deg + 2k and lies inside the rows, and c is a
-                # nonzero int; the terms have distinct l (checked when they
-                # are read), so their blocks are disjoint
+                # in the m_l block.  Checked per term, not per entry: the
+                # block of m_l has degree deg + 2k and lies inside the rows,
+                # and c is a nonzero int
                 deg = d - 2 * (i + j)
                 size = algebra.hilbert_function(deg)
-                its: List[Iterable[int]] = []
+                placed: List[Tuple[Tuple[int, ...], int, int]] = []
                 for l, k, c in terms[i, j]:
                     block = blocks.get(self.generator_index(l))
                     offset = algebra._block_offset(block, deg + 2 * k, rows)
@@ -386,16 +391,26 @@ class StableCohomology:
                             f"the span: the term {c}*e{k}*m{l} of M({i},{j}) is not a nonzero "
                             f"int on a degree-{deg + 2 * k} block inside {rows} rows at degree {d}"
                         )
-                    its += (map(add, table, repeat(offset)), repeat(c))
-                columns += zip(*its) if its else repeat((), size)
-            span = _matrix(rows, len(columns), tuple(columns))
-            # the M(i, j) of degree d, one column each, are the new vectors
-            top = _lambda2_pairs(d)
-            split = len(columns) - len(top)
-            for (i, j), col in zip(top, columns[split:]):
-                if delta.image(d, col):
-                    raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
-            pivots = pivot_columns(span)
+                    placed.append((table, offset, c))
+                if not deg:
+                    # M(i, j) itself, the one column formed
+                    column = tuple(chain.from_iterable((t[0] + o, c) for t, o, c in placed))
+                    if delta.image(d, column):
+                        raise FalsificationError(f"M({i},{j}) leaves the kernel at degree {d}")
+                values = [c for _, _, c in placed]
+                if len(values) > 2 or values[1:] and values[1] != -values[0]:
+                    raise ValueError(
+                        f"the span: M({i},{j}) is not graphic at degree {d}: its terms "
+                        f"{values} are not one nonzero int or two with opposite values"
+                    )
+                # one edge per column; a missing end is the ground vertex, so
+                # one term gives edges to it and none gives loops
+                ends = [map(add, t, repeat(o)) for t, o, _ in placed]
+                ends += [repeat(rows, size) for _ in range(2 - len(ends))]
+                edges.append(zip(*ends))
+                columns += size
+            split = columns - len(_lambda2_pairs(d))
+            pivots = _forest_pivots(chain.from_iterable(edges), rows)
             span_rank = len(pivots)
             minimal = sum(1 for c in pivots if c >= split)
             if minimal:
@@ -405,7 +420,7 @@ class StableCohomology:
                     "degree": d,
                     "kernel_dim": kernel_dim,
                     "span_rank": span_rank,
-                    "spanning_vectors": len(columns),
+                    "spanning_vectors": columns,
                 }
             )
             if span_rank != kernel_dim:
@@ -539,8 +554,9 @@ class StableCohomology:
         `DifferentialForms.verify_exactness` certified (spot 0's
         ``rank_in``, the number of down forms of Omega^1_d; a memo hit once
         resolution-exactness or Tor has run).  Where that certificate
-        fails, p_1 is eliminated here, so a broken identity elsewhere in
-        the forms complex is not a failure of this check."""
+        fails, a p_1 equal to -delta takes delta's rank and only one that
+        fails its row is eliminated: a broken identity elsewhere in the
+        forms complex is not a failure of this check."""
         delta = self.delta_covariant()
         rows = []
         for d in range(2, self.degree_bound + 1, 2):
@@ -550,7 +566,7 @@ class StableCohomology:
             try:
                 rank_p = self.forms.verify_exactness(d).spots[0].rank_in
             except ValueError:
-                rank_p = rank(m_p)
+                rank_p = delta.rank(d) if same else rank(m_p)
             k_p = m_p.cols - rank_p
             rows.append(
                 {
@@ -615,6 +631,35 @@ def _cyclic_syzygies(terms: GeneratorTerms, bound: int) -> int:
         if any(lhs.values()):
             raise FalsificationError(f"syzygy fails at ({i},{j},{k})")
     return len(triples)
+
+
+def _forest_pivots(edges: Iterable[Tuple[int, int]], ground: int) -> List[int]:
+    """The pivot columns of a graphic matrix with rows 0 .. ground - 1,
+    given as one edge per column in column order: (u, v) for a column
+    x (e_u - e_v), (u, ground) for x e_u, and a loop for a zero column.
+
+    Scaling a column or adding the ground row (minus the sum of the
+    others) changes no linear dependency, so columns are independent
+    exactly when their edges form a forest, over any field (J. Oxley,
+    *Matroid Theory*, 2nd ed., 2011, section 5.1).  Union-find keeps an
+    edge iff it joins two components: the leftmost independent set, which
+    is the pivot set of elimination from the left.
+
+    >>> _forest_pivots([(0, 1), (1, 2), (0, 2), (3, 3), (2, 3)], 3)
+    [0, 1, 4]
+    """
+    parent = list(range(ground + 1))
+    pivots: List[int] = []
+    for c, (u, v) in enumerate(edges):
+        # the two roots, halving each path on the way
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            pivots.append(c)
+    return pivots
 
 
 def _pairs_up_to(d: int) -> List[Tuple[int, int]]:

@@ -4,9 +4,11 @@ p, d, the contraction delta, the cup product and the kernel-generator span
 are built from multiplication tables and layouts.  Each checks, once per
 block, the properties that `linalg._checked_columns` checks entry by entry
 (every row in range and at most once per column, every value a nonzero
-int), and hands its columns to the unchecked `linalg._matrix`.  These
-tests hold the builders' output to the checked constructor, break one
-block at a time, and make sure no builder reaches the entry check.
+int).  p and d hand their columns to the unchecked `linalg._matrix`,
+delta and the cup product are row tables, and the span is a stream of
+edges for `stable._forest_pivots`.  These tests hold the builders' output
+to the checked constructor, break one block at a time, and make sure no
+builder reaches the entry check.
 """
 
 import sys
@@ -41,13 +43,26 @@ def test_every_builder_passes_the_entry_check_at_bound_24(monkeypatch):
             assert len(rows) == len(values) == f.source.dim(d), d
             assert set(map(type, rows)) == set(map(type, values)) == {int}, d
             assert 0 <= min(rows) and max(rows) < top and all(values), d
+    # each edge (u, v) of the span as the column (u, c, v, -c), an edge to
+    # the ground vertex as (u, c) and a loop as ()
     spans = []
-    real = stable.pivot_columns
-    monkeypatch.setattr(stable, "pivot_columns", lambda m: spans.append(m) or real(m))
-    ctx.verify_generators()
-    assert len(spans) == 12
-    for m in spans:
-        assert _checked(m) == m and _checked(m).packed == m.packed
+    real = stable._forest_pivots
+
+    def capturing(edges, ground):
+        edges = list(edges)
+        spans.append((ground, edges))
+        return real(edges, ground)
+
+    monkeypatch.setattr(stable, "_forest_pivots", capturing)
+    report = ctx.verify_generators()
+    assert [len(edges) for _, edges in spans] == [r["spanning_vectors"] for r in report.per_degree]
+    for ground, edges in spans:
+        columns = [
+            () if u == v == ground else (u, 1) if v == ground else (u, 1, v, -1)
+            for u, v in edges
+        ]
+        m = SparseMatrix.of_columns(ground, len(columns), columns)
+        assert m.packed == tuple(columns)
 
 
 def test_no_builder_reaches_the_entry_check(monkeypatch):

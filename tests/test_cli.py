@@ -235,7 +235,8 @@ def test_tor_witness_does_not_depend_on_j_max(capsys, fmt):
 def test_delta_queries_read_delta_off_its_tables(capsys, monkeypatch, command, searches):
     # the three queries that certify the contraction build no matrix of it
     # and rank it with no pivot search and no elimination; the one pivot
-    # search per degree that remains is the span's, on 2, 4, ..., 16
+    # search per degree that remains is the span's spanning forest, on
+    # 2, 4, ..., 16, with an edge between two rows for every column
     import mmmcoh.linalg as linalg
     import mmmcoh.stable as stable
     from mmmcoh.modules import GradedModuleMap
@@ -245,19 +246,20 @@ def test_delta_queries_read_delta_off_its_tables(capsys, monkeypatch, command, s
 
     spans = []
 
-    def counted(m, real=linalg.pivot_columns):
-        spans.append(m)
-        return real(m)
+    def counted(edges, ground, real=stable._forest_pivots):
+        edges = list(edges)
+        spans.append((ground, edges))
+        return real(edges, ground)
 
     monkeypatch.setattr(GradedModuleMap, "matrix", forbidden)
-    monkeypatch.setattr(stable, "pivot_columns", counted)
-    monkeypatch.setattr(linalg, "pivot_columns", counted)
+    monkeypatch.setattr(stable, "_forest_pivots", counted)
+    monkeypatch.setattr(linalg, "pivot_columns", forbidden)
     monkeypatch.setattr(stable, "rank", forbidden)
     code, _ = run_cli(capsys, *command.split(), "--max-degree", "16", "--format", "json")
     assert code == 0
     twisted = stable.StableCohomology(16).twisted_module()
-    assert [m.rows for m in spans] == [twisted.dim(d) for d in range(2, 17, 2)][:searches]
-    assert all(len(col) in (0, 4) for m in spans for col in m.packed)
+    assert [ground for ground, _ in spans] == [twisted.dim(d) for d in range(2, 17, 2)][:searches]
+    assert all(u != v and max(u, v) < ground for ground, edges in spans for u, v in edges)
 
 
 def test_tor_check_rows_are_the_tor_tables(capsys):

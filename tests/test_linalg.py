@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mmmcoh.linalg import (
     SparseMatrix,
-    _forest_pivots,
     _kernel_with_free_columns,
     _row_dicts,
     _rref,
@@ -549,78 +548,6 @@ def test_column_constructor_checks_like_the_dict_constructor():
     # stored values are ints while integral
     stored = [x for col in m.packed for x in col[1::2]]
     assert [type(x) for x in stored] == [int] * 4 + [Fraction] * 3 + [int] * 2
-
-
-# -- the spanning-forest pivots ------------------------------------------------
-#
-# A matrix whose every column is zero, x e_u or x (e_u - e_v) is graphic:
-# pivot_columns reads its pivots off a spanning forest.  They must be the
-# pivots of the elimination oracle, whatever the scale of each column, with
-# parallel edges, single-entry columns and zero columns mixed in.
-
-graphic_value = st.one_of(
-    st.sampled_from([1, -1, 2, -3]),
-    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(2, 4)),
-)
-
-
-@st.composite
-def graphic_matrices(draw, max_rows=6, max_cols=10):
-    rows = draw(st.integers(0, max_rows))
-    cols = draw(st.integers(0, max_cols))
-    columns = []
-    for _ in range(cols):
-        # an edge needs two rows, a single entry one
-        kind = draw(st.sampled_from(["zero", "single", "edge"][: 1 + min(rows, 2)]))
-        x = draw(graphic_value)
-        if kind == "zero":
-            columns.append(())
-        elif kind == "single":
-            columns.append((draw(st.integers(0, rows - 1)), x))
-        else:
-            u, v = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
-            columns.append((u, x, v, -x))
-    return SparseMatrix.of_columns(rows, cols, columns)
-
-
-@given(graphic_matrices())
-@settings(max_examples=300, deadline=None)
-def test_forest_pivots_match_the_elimination_oracle(m):
-    pivots, _ = _oracle_forward(_row_dicts_of(m), m.cols)
-    assert _forest_pivots(m.packed, m.rows) == pivots
-    assert rank(m) == len(pivots)
-    assert column_space_basis(m) == _picked(m, pivots)
-
-
-def test_forest_pivots_on_parallel_edges_and_zero_rows():
-    # a doubled edge, a scaled copy of it reversed, then a single entry on
-    # each end: the second single entry closes a cycle through the ground
-    m = SparseMatrix.of_columns(
-        3, 5, [(0, 1, 1, -1), (1, 2, 0, -2), (), (0, Fraction(1, 2)), (1, -1)]
-    )
-    assert _forest_pivots(m.packed, m.rows) == [0, 3] == _oracle_forward(_row_dicts_of(m), 5)[0]
-    assert _forest_pivots(SparseMatrix.zero(0, 4).packed, 0) == []
-    assert rank(SparseMatrix.zero(0, 4)) == 0
-
-
-@given(tie_matrices(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_non_graphic_matrices_fall_back_to_elimination(m, data):
-    # one column with two entries y != -x, or with three or more entries,
-    # sends the whole matrix through _rref
-    r = data.draw(st.integers(0, 7))
-    if data.draw(st.booleans()):
-        x = data.draw(graphic_value)
-        col = (r, x, r + 1, data.draw(graphic_value.filter(lambda y: y != -x)))
-    else:
-        col = tuple(v for k in range(data.draw(st.integers(3, 4))) for v in (r + k, 1 + k))
-    cols = list(m.packed)
-    cols.insert(data.draw(st.integers(0, len(cols))), col)
-    wide = SparseMatrix.of_columns(max(m.rows, r + 4), len(cols), cols)
-    assert _forest_pivots(wide.packed, wide.rows) is None
-    assert rank(wide) == len(_oracle_forward(_row_dicts_of(wide), wide.cols)[0])
-    pivots, _ = _oracle_forward(_row_dicts_of(wide), wide.cols)
-    assert column_space_basis(wide) == _picked(wide, pivots)
 
 
 # -- products by composition ---------------------------------------------------

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmmcoh.linalg import SparseMatrix
 from mmmcoh.stable import (
     FalsificationError,
     StableCohomology,
+    _forest_pivots,
     _pairs_up_to,
     contraction_pairing,
     kernel_generator,
@@ -21,6 +24,7 @@ from module_oracle import (
     minimal_generators,
     trivial_module,
 )
+from test_linalg import _oracle_forward, _row_dicts_of
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +434,33 @@ def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch
         assert row["matrices_match_up_to_sign"] == 1
 
 
+def test_kernel_cross_check_passes_a_broken_p2_without_elimination(monkeypatch):
+    # an emptied column of p_2 fails the exactness certificate at degree 8,
+    # but p_1 still equals -delta there: its rank is delta's, with no
+    # elimination, and the rows are those of the unbroken complex
+    from mmmcoh import stable
+    from mmmcoh.forms import DifferentialForms
+
+    expected = StableCohomology(12).kernel_cross_check()
+    real = DifferentialForms.interior_product
+
+    def broken(self, n, d):
+        m = real(self, n, d)
+        if (n, d) != (2, 8):
+            return m
+        return SparseMatrix.of_columns(m.rows, m.cols, [(), *m.packed[1:]])
+
+    def forbidden(m):
+        raise AssertionError("stable.rank")
+
+    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    monkeypatch.setattr(stable, "rank", forbidden)
+    ctx = StableCohomology(12)
+    with pytest.raises(ValueError, match=r"at \(n, d\) = \(2, 8\)$"):
+        ctx.forms.verify_exactness(8)
+    assert ctx.kernel_cross_check() == expected
+
+
 def test_tables_reject_out_of_range(sc):
     # the tables stop at the bound, and so do the modules' action tables
     from mmmcoh.algebra import DegreeBoundError
@@ -556,6 +587,110 @@ def test_generator_terms_on_one_class_are_rejected(monkeypatch):
         StableCohomology(10).verify_generators()
 
 
+def test_a_generator_off_the_graphic_premise_is_named(monkeypatch, capsys):
+    # M(1,4) + M(2,3) lies in the kernel, but its columns hold four entries:
+    # the span is no longer graphic, and kernel-generators alone fails
+    import mmmcoh.stable as stable
+    from mmmcoh.cli import main
+    from mmmcoh.verify import run_verification
+
+    real = stable.kernel_generator
+    summed = [(4, 1, 1), (1, 4, -1), (3, 2, 1), (2, 3, -1)]
+    monkeypatch.setattr(
+        stable, "kernel_generator", lambda i, j: summed if (i, j) == (1, 4) else real(i, j)
+    )
+    failed = [c for c in run_verification(12).checks if c.status == "fail"]
+    assert [c.check_id for c in failed] == ["kernel-generators"]
+    assert failed[0].failure == (
+        "the span: M(1,4) is not graphic at degree 10: its terms [1, -1, 1, -1] "
+        "are not one nonzero int or two with opposite values"
+    )
+    assert main(["verify-all", "--max-degree", "12"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_generators_build_no_matrix(monkeypatch):
+    # the span's edges come straight off the tables: no SparseMatrix is
+    # built anywhere inside verify_generators
+    import sys
+
+    from mmmcoh import linalg
+
+    ctx = StableCohomology(24)
+    ctx.verify_surjectivity()
+
+    def forbidden(*args):
+        raise AssertionError("a SparseMatrix")
+
+    # every module of the package that binds the unchecked constructor
+    real = linalg._matrix
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mmmcoh.") and getattr(module, "_matrix", None) is real:
+            monkeypatch.setattr(module, "_matrix", forbidden)
+    monkeypatch.setattr(linalg.SparseMatrix, "__init__", forbidden)
+    assert ctx.verify_generators().minimal_counts == {
+        d: len([(i, j) for (i, j) in _pairs_up_to(d) if 2 * (i + j) == d])
+        for d in range(6, 25, 2)
+    }
+
+
+# -- the spanning-forest pivots ------------------------------------------------
+#
+# A matrix whose every column is zero, x e_u or x (e_u - e_v) is graphic:
+# _forest_pivots reads its pivots off a spanning forest of the columns'
+# edges.  They must be the pivots of the elimination oracle, whatever the
+# scale of each column, with parallel edges, single-entry columns and zero
+# columns mixed in.
+
+graphic_value = st.one_of(
+    st.sampled_from([1, -1, 2, -3]),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(2, 4)),
+)
+
+
+@st.composite
+def graphic_matrices(draw, max_rows=6, max_cols=10):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    columns = []
+    for _ in range(cols):
+        # an edge needs two rows, a single entry one
+        kind = draw(st.sampled_from(["zero", "single", "edge"][: 1 + min(rows, 2)]))
+        x = draw(graphic_value)
+        if kind == "zero":
+            columns.append(())
+        elif kind == "single":
+            columns.append((draw(st.integers(0, rows - 1)), x))
+        else:
+            u, v = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+            columns.append((u, x, v, -x))
+    return SparseMatrix.of_columns(rows, cols, columns)
+
+
+def _edges(m):
+    """The edges of a graphic matrix's columns, ground vertex ``m.rows``,
+    as one iterator, as the span streams them."""
+    ground = m.rows
+    return iter([(c[0], c[2]) if len(c) == 4 else (c[0], ground) if c else (ground, ground)
+                 for c in m.packed])
+
+
+@given(graphic_matrices())
+@settings(max_examples=300, deadline=None)
+def test_forest_pivots_match_the_elimination_oracle(m):
+    assert _forest_pivots(_edges(m), m.rows) == _oracle_forward(_row_dicts_of(m), m.cols)[0]
+
+
+def test_forest_pivots_on_parallel_edges_and_zero_rows():
+    # a doubled edge, a scaled copy of it reversed, then a single entry on
+    # each end: the second single entry closes a cycle through the ground
+    m = SparseMatrix.of_columns(
+        3, 5, [(0, 1, 1, -1), (1, 2, 0, -2), (), (0, Fraction(1, 2)), (1, -1)]
+    )
+    assert _forest_pivots(_edges(m), m.rows) == [0, 3] == _oracle_forward(_row_dicts_of(m), 5)[0]
+    assert _forest_pivots(_edges(SparseMatrix.zero(0, 4)), 0) == []
+
+
 def test_injectivity_table_is_computed_once(sc):
     # the dual-injectivity check and the HtildeDual table share one result
     assert sc.verify_injectivity() is sc.verify_injectivity()
@@ -599,18 +734,18 @@ def test_a_failed_surjectivity_run_is_not_kept(monkeypatch):
 
 def test_kernel_minimal_generators_computed_once_per_run(monkeypatch):
     # covariant-surjectivity and kernel-generators share one full-bound
-    # report: one span elimination per degree in the whole run
+    # report: one span search per degree in the whole run
     import mmmcoh.stable as stable
     from mmmcoh.verify import run_verification
 
-    real = stable.pivot_columns
+    real = stable._forest_pivots
     calls = []
 
-    def counting(m):
-        calls.append(m.rows)
-        return real(m)
+    def counting(edges, ground):
+        calls.append(ground)
+        return real(edges, ground)
 
-    monkeypatch.setattr(stable, "pivot_columns", counting)
+    monkeypatch.setattr(stable, "_forest_pivots", counting)
     assert run_verification(12).passed
     twisted = StableCohomology(12).twisted_module()
     assert calls == [twisted.dim(d) for d in range(2, 13, 2)]

@@ -274,11 +274,12 @@ def test_even_part_failure_keeps_its_message(monkeypatch):
 
 
 def test_verify_all_eliminates_only_the_group_cohomology(monkeypatch, capsys):
-    # every matrix the StableCohomology checks and the CLI queries rank is
-    # graphic, so their pivots come from spanning forests; Gaussian
-    # elimination is left to the torus-h1 certificate, whose matrices are
-    # not: the inverses of the two generator images and the cocycle kernel,
-    # each of width 4
+    # the StableCohomology checks and the CLI queries rank nothing by
+    # elimination: delta by distinct rows, p by unit minors and the span of
+    # the M(i, j) by a spanning forest of its edges.  Gaussian elimination
+    # is left to the torus-h1 certificate: the inverses of the two
+    # generator images and the cocycle kernel, each of width 4, and the
+    # column space of the two coboundary generators
     import sys
 
     from mmmcoh import linalg
@@ -305,4 +306,4 @@ def test_verify_all_eliminates_only_the_group_cohomology(monkeypatch, capsys):
     in_run = list(calls)
     calls.clear()
     h1_certificate(*load_bundled_b3())
-    assert in_run == calls == [4, 4, 4]
+    assert in_run == calls == [4, 4, 4, 2]
