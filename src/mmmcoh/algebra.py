@@ -17,13 +17,14 @@ index arithmetic.  Write B(k, s) for the monomials of degree 2k whose
 indices are all >= s, in canonical order: first index ascending, its
 exponent descending, then the tails in the same order.  Its block (j, e)
 is e_j^e times the tails B(k - je, j + 1), so the counts N(k, s) of these
-sets fix every block's offset, and the Hilbert function, the
-multiplication tables and the smallest indices are arithmetic on them,
-with no monomial enumerated (A. Nijenhuis and H. Wilf, *Combinatorial
-Algorithms*, 2nd ed., 1978, ch. 9-10).  The monomial bases themselves are
-generated only for the readers that need each monomial's pairs: the
-total exponents and the forms' exterior derivative.  Exterior bases are
-enumerated once per instance.
+sets fix every block's offset, and the Hilbert function and the
+multiplication tables are arithmetic on them, with no monomial enumerated
+(A. Nijenhuis and H. Wilf, *Combinatorial Algorithms*, 2nd ed., 1978,
+ch. 9-10).  B(k, s) is a suffix of B(k, 1), so the forms read their
+matching off the counts too (`DifferentialForms._up_marks`).  The
+monomial bases themselves are generated only for the readers that need
+each monomial's pairs: the total exponents and the forms' exterior
+derivative.  Exterior bases are enumerated once per instance.
 
 >>> A = PolynomialAlgebra(24)
 >>> A.monomial_basis(4)  # e1^2, e2
@@ -78,7 +79,6 @@ class PolynomialAlgebra:
         self._start_cache: Dict[Tuple[int, int], List[int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._total_cache: Dict[int, Tuple[int, ...]] = {}
-        self._smallest_cache: Dict[int, Tuple[int, ...]] = {}
         self._exterior_cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
 
     def generator_indices(self) -> range:
@@ -232,31 +232,6 @@ class PolynomialAlgebra:
             table = self._total_cache[d] = tuple(
                 sum(e for _, e in m) for m in self.monomial_basis(d)
             )
-        return table
-
-    def smallest_indices(self, d: int) -> Tuple[int, ...]:
-        """The smallest generator index dividing each basis monomial of
-        degree d.  The unit, which no generator divides, reads
-        ``degree_bound // 2 + 1``, past every index inside the bound.
-
-        >>> A = PolynomialAlgebra(24)
-        >>> A.smallest_indices(6), A.smallest_indices(0)  # e1^3, e1*e2, e3; 1
-        ((1, 1, 3), (13,))
-        """
-        table = self._smallest_cache.get(d)
-        if table is None:
-            # runs of j: B(k, j) less B(k, j + 1) has first index j
-            self._check_degree(d)
-            k, n = d // 2, self._counts()
-            if d % 2:
-                table = ()
-            elif k == 0:
-                table = (self.degree_bound // 2 + 1,)
-            else:
-                table = tuple(
-                    chain.from_iterable(repeat(j, n[k][j] - n[k][j + 1]) for j in range(1, k + 1))
-                )
-            self._smallest_cache[d] = table
         return table
 
     def exterior_basis(self, n: int, d: int) -> Tuple[Tuple[int, ...], ...]:

@@ -25,6 +25,19 @@ the Cartan identity with p keeping the Euler weight, these settle the
 up forms too (`DifferentialForms._certify`).
 d^2 = 0 is checked only by tests/test_forms.py, at bound 24.
 
+The unit minor and p^2 = 0 are slot tests over whole operators, with no
+loop per column.  A column of p_n lists its n entries in slot order, so
+slot t of every column is one ``itemgetter`` away.  The unit minor holds
+when slot 0 of each down column is an up row, no other slot is, and the
+slot-0 rows are distinct.  p_{n-1} p_n = 0 holds when the values follow
+the Koszul signs and, for slots t < u, "contract t, then u - 1" lands on
+the row of "contract u, then t": the two terms cancel, and such pairs
+cover every term.  The lists are taken in chunks of columns, so they add
+little to the peak.  A slot test certifies only what it proves; when one
+does not close, the scan of each column decides (`_minor_scan`,
+`_square_scan`), so the verdicts, messages and reports are those of the
+scans.  The Cartan identity is walked column by column.
+
 The complex is streamed degree by degree: the operator matrices are built
 on each call and kept by no one here, so `verify_exactness(d)` and
 `verify_cartan(d)` hold the operators of degree d only while they walk
@@ -52,10 +65,11 @@ of that order.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import add, itemgetter, not_
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain, compress, count, islice, repeat
+from operator import add, itemgetter, not_, setitem
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .algebra import PolynomialAlgebra
 from .linalg import _ROWS, SparseMatrix, _matrix
@@ -71,12 +85,6 @@ def wedge_insert(i: int, wedge: Tuple[int, ...]):
     pos = sum(1 for j in wedge if j < i)
     sign = -1 if pos % 2 else 1
     return sign, wedge[:pos] + (i,) + wedge[pos:]
-
-
-def wedge_remove(k: int, wedge: Tuple[int, ...]):
-    """Contract the k-th slot (0-based): (sign, index removed, rest)."""
-    sign = -1 if k % 2 else 1
-    return sign, wedge[k], wedge[:k] + wedge[k + 1 :]
 
 
 class DifferentialForms:
@@ -114,10 +122,11 @@ class DifferentialForms:
             blocks: Dict[Tuple[int, ...], Tuple[int, int]] = {}
             off = 0
             if d % 2 == 0:
+                hilbert = _hilbert_counts(self.algebra)
                 for wedge in self._wedges(n, d):
                     deg = d - 2 * sum(wedge)
                     blocks[wedge] = (off, deg)
-                    off += self.algebra.hilbert_function(deg)
+                    off += hilbert[deg // 2]
             cached = (blocks, off)
             self._layouts[key] = cached
         return cached
@@ -167,12 +176,13 @@ class DifferentialForms:
         """Matrix of d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed),
         built on each call.
 
-        Checked per target block, not per entry (`_target_offset`): the
-        positions of m / e_i lie in range of the degree deg - 2i basis, and
-        distinct i join distinct wedges, so the entries of a column lie in
-        disjoint blocks; each value is sign * e with e >= 1."""
+        Checked per target block, not per entry: the positions of m / e_i
+        lie in range of the degree deg - 2i basis, and distinct i join
+        distinct wedges, so the entries of a column lie in disjoint blocks;
+        each value is sign * e with e >= 1."""
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n + 1, d)
+        hilbert = _hilbert_counts(self.algebra)
         columns: List[Tuple[int, ...]] = []
         for wedge, (_, deg) in src.items():
             # e_i leaves the coefficient and joins the wedge: per i, the
@@ -182,7 +192,9 @@ class DifferentialForms:
                 ins = wedge_insert(i, wedge)
                 if ins is not None:
                     sign, joined = ins
-                    row_off = self._target_offset("d", n, d, tgt, rows, joined, deg - 2 * i)
+                    row_off, into = tgt.get(joined, (-1, -1))
+                    if into != deg - 2 * i or not 0 <= row_off <= rows - hilbert[into // 2]:
+                        raise _block_error("d", n, d, rows, joined, deg - 2 * i)
                     moves[i] = (sign, row_off, self._quotient_positions(i, deg))
             for q, mono in enumerate(self.algebra.monomial_basis(deg)):
                 col: List[int] = []
@@ -200,56 +212,47 @@ class DifferentialForms:
             p(m * de_{i_1}^...^de_{i_n})
                 = sum_k (-1)^{k-1} e_{i_k} m * de_{i_1}^...(drop k)...^de_{i_n},
 
-        built on each call.
+        built on each call.  Each column lists its entries in slot order:
+        the entry that contracts slot k (0-based) comes k-th, which the slot
+        tests of the exactness certificate read (`_unit_minor`,
+        `_square_zero`).
 
-        Checked per target block, not per entry (`_target_offset`): each
-        multiplication table has one position per monomial of its source
-        block, in range of its target block, and the slots of one wedge
-        drop distinct indices, so they land in distinct wedges, whose
-        blocks are disjoint; each value is +-1.
+        Checked per target block, not per entry: each multiplication table
+        has one position per monomial of its source block, in range of its
+        target block, and the slots of one wedge drop distinct indices, so
+        they land in distinct wedges, whose blocks are disjoint; each value
+        is +-1.
         """
         if n < 1:
             # Omega^{-1} = 0; keep the shape so rank bookkeeping stays total
             return SparseMatrix.zero(0, self.dim(0, d) if n == 0 else 0)
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n - 1, d)
-        hilbert = self.algebra.hilbert_function
+        hilbert = _hilbert_counts(self.algebra)
+        table = self.algebra.multiplication_table
         columns: List[Tuple[int, ...]] = []
         for wedge, (_, deg) in src.items():
-            # contracting slot k moves e_{wedge[k]} into the coefficient:
-            # per slot, the rows of every column, at the target block's
-            # offset plus the position of m * e_i, each followed by the
-            # slot's sign, so one zip of them yields the packed columns
-            size = hilbert(deg)
+            # contracting slot k moves e_i, i = wedge[k], into the
+            # coefficient with sign (-1)^k: per slot, the rows of every
+            # column, at the target block's offset plus the position of
+            # m * e_i, each followed by the slot's sign, so one zip of them
+            # yields the packed columns
+            size = hilbert[deg // 2]
             its: List[Iterable[int]] = []
-            for k in range(len(wedge)):
-                sign, i, rest = wedge_remove(k, wedge)
-                row_off = self._target_offset("p", n, d, tgt, rows, rest, deg + 2 * i)
-                product = self.algebra.multiplication_table(i, deg)
+            for k, i in enumerate(wedge):
+                rest = wedge[:k] + wedge[k + 1 :]
+                row_off, into = tgt.get(rest, (-1, -1))
+                if into != deg + 2 * i or not 0 <= row_off <= rows - hilbert[into // 2]:
+                    raise _block_error("p", n, d, rows, rest, deg + 2 * i)
+                product = table(i, deg)
                 if len(product) != size:
                     raise ValueError(
                         f"p: the table of e{i} into the block of {rest} is not the size "
                         f"of the block of {wedge} at (n, d) = ({n}, {d})"
                     )
-                its += (map(add, product, repeat(row_off)), repeat(sign))
+                its += (map(add, product, repeat(row_off)), repeat(-1 if k % 2 else 1))
             columns.extend(zip(*its))
         return _operator("p", n, d, rows, cols, columns)
-
-    def _target_offset(
-        self, name: str, n: int, d: int, tgt: Dict[Tuple[int, ...], Tuple[int, int]],
-        rows: int, wedge: Tuple[int, ...], deg: int,
-    ) -> int:
-        """The offset of ``wedge``'s block in the target layout ``tgt`` of
-        the operator ``name`` at (n, d), checked to exist, to hold the
-        coefficient degree ``deg`` and to end inside ``rows``; a ValueError
-        naming the operator, the block and (n, d) otherwise."""
-        offset = self.algebra._block_offset(tgt.get(wedge), deg, rows)
-        if offset is None:
-            raise ValueError(
-                f"{name}: the block of {wedge} is not a coefficient-degree-{deg} "
-                f"block inside {rows} rows at (n, d) = ({n}, {d})"
-            )
-        return offset
 
     def euler_weights(self, n: int, d: int) -> List[int]:
         """Predicted eigenvalue (generator factors + form degree) per basis
@@ -264,15 +267,16 @@ class DifferentialForms:
         smallest index dividing m; it is matched with the up form
         (e_{min S} m) * de_{S - min S}, the term of p(m * de_S) that
         contracts slot 0.  In positive degree this matches every form
-        (E. Skoldberg, *Trans. Amer. Math. Soc.* 358, 2006)."""
+        (E. Skoldberg, *Trans. Amer. Math. Soc.* 358, 2006).  The down
+        forms of a block of coefficient degree 2k are the monomials whose
+        indices are all >= min S, the suffix B(k, min S) of its canonical
+        order, so its up forms are the prefix of N(k, 1) - N(k, min S)."""
         up = bytearray(self.dim(n, d))
-        smallest = self.algebra.smallest_indices
+        counts = self.algebra._counts()
         for wedge, (off, deg) in self._layout(n, d)[0].items():
-            table = smallest(deg)
-            if wedge:
-                up[off : off + len(table)] = bytes(map(wedge[0].__gt__, table))
-            else:
-                up[off : off + len(table)] = b"\x01" * len(table)
+            row = counts[deg // 2]
+            ups = row[1] - row[wedge[0]] if wedge else row[1]
+            up[off : off + ups] = b"\x01" * ups
         return up
 
     @staticmethod
@@ -281,13 +285,26 @@ class DifferentialForms:
         one entry in an up row of Omega^{n-1}, with no two of them in the
         same row.  Those rows and columns then carry a generalized
         permutation minor, so rank p_n >= the number of down forms of
-        Omega^n."""
-        used = bytearray(len(up_in))
-        for rows in down_rows:
-            hit = [r for r in rows if up_in[r]]
-            if len(hit) != 1 or used[hit[0]]:
+        Omega^n.
+
+        Settled over all columns at once when the slots allow it
+        (`_minor_slots`), else by the scan of each column (`_minor_scan`),
+        whose verdict it then is."""
+        return _minor_slots(down_rows, up_in) or _minor_scan(down_rows, up_in)
+
+    @staticmethod
+    def _square_zero(cols: Iterable[Tuple[int, ...]], p_down: Packed) -> bool:
+        """Whether p_{n-1} p_n vanishes on each of the packed columns
+        ``cols`` of p_n, ``p_down`` the packed columns of p_{n-1}.
+
+        Taken in chunks of `_CHUNK` columns: each chunk is settled by the
+        Koszul pairing of its terms when its slots allow it
+        (`_square_slots`), else by the scan of each column (`_square_scan`),
+        whose verdict it then is."""
+        cols = iter(cols)
+        for chunk in iter(lambda: list(islice(cols, _CHUNK)), []):
+            if not (_square_slots(chunk, p_down) or _square_scan(chunk, p_down)):
                 return False
-            used[hit[0]] = 1
         return True
 
     @staticmethod
@@ -313,45 +330,39 @@ class DifferentialForms:
     ) -> Tuple[Optional[bool], bool]:
         """Whether p(dw) + d(pw) = weight * w, and whether p(pw) = 0, for
         each basis form w of Omega^n_d at a position in ``columns`` (every
-        one by default): one walk over the packed columns of p_n and
-        p_{n-1}, with no product matrix.  The Cartan half runs only when
-        ``cartan = (weights, d_n, p_{n+1}, d_{n-1})`` is given; without it
-        the first answer is None."""
-        square: Dict[int, int] = {}  # p(pw)
-        sget = square.get
+        one by default), with no product matrix.  p^2 is `_square_zero` on
+        those columns of p_n; the Cartan half runs only when ``cartan =
+        (weights, d_n, p_{n+1}, d_{n-1})`` is given, as one dict walk per
+        column over d_n, p_{n+1}, p_n and d_{n-1}; without it the first
+        answer is None."""
         if cartan is None:
-            for col in p_out if columns is None else map(p_out.__getitem__, columns):
-                it = iter(col)
-                for r, x in zip(it, it):
-                    lt = iter(p_down[r])
-                    for s, y in zip(lt, lt):
-                        square[s] = sget(s, 0) + x * y
-                if any(square.values()):
-                    return None, False
-                square.clear()
-            return None, True
+            cols = p_out if columns is None else map(p_out.__getitem__, columns)
+            return None, DifferentialForms._square_zero(cols, p_down)
         weights, d_out, p_up, d_down = cartan
         identity = nilpotent = True
         acc: Dict[int, int] = {}  # p(dw) + d(pw)
         get = acc.get
+        # the walked columns of p_n, handed to `_square_zero` a chunk at a time
+        walked: List[Tuple[int, ...]] = []
         for c in range(len(weights)) if columns is None else columns:
             it = iter(d_out[c])
             for r, x in zip(it, it):
                 lt = iter(p_up[r])
                 for s, y in zip(lt, lt):
                     acc[s] = get(s, 0) + x * y
-            it = iter(p_out[c])
+            col = p_out[c]
+            it = iter(col)
             for r, x in zip(it, it):
                 lt = iter(d_down[r])
                 for s, y in zip(lt, lt):
                     acc[s] = get(s, 0) + x * y
-                lt = iter(p_down[r])
-                for s, y in zip(lt, lt):
-                    square[s] = sget(s, 0) + x * y
             identity = identity and acc.pop(c, 0) == weights[c] and not any(acc.values())
-            nilpotent = nilpotent and not any(square.values())
             acc.clear()
-            square.clear()
+            walked.append(col)
+            if len(walked) == _CHUNK:
+                nilpotent = nilpotent and DifferentialForms._square_zero(walked, p_down)
+                walked.clear()
+        nilpotent = nilpotent and DifferentialForms._square_zero(walked, p_down)
         return identity, nilpotent
 
     # -- exactness ---------------------------------------------------------
@@ -363,9 +374,11 @@ class DifferentialForms:
         Write u_n for the number of down forms of Omega^n_d (`_up_marks`).
         For n in 0..top+1 the packed columns of p_n are checked to carry a
         unit minor on the down columns (`_unit_minor`, so rank p_n >= u_n)
-        and p_{n-1} p_n = 0 (the p^2 half of `_homotopy_walk`, walked on
-        the down columns, which settle the up ones: see `_certify`), and the
-        counts u_n + u_{n+1} = dim Omega^n_d and Omega^{top+1}_d = 0.  Then
+        and p_{n-1} p_n = 0 (`_square_zero`, on the down columns, which
+        settle the up ones: see `_certify`), both by slot tests over all
+        the columns at once, with the scan of each column as their
+        fallback, and the counts u_n + u_{n+1} = dim Omega^n_d and
+        Omega^{top+1}_d = 0.  Then
         rank p_n + rank p_{n+1} <= dim Omega^n_d = u_n + u_{n+1} forces
         rank p_n = u_n and exactness at every n.  A broken identity raises
         ValueError naming it and (n, d).  The ranks in the report are the
@@ -422,6 +435,11 @@ class DifferentialForms:
         and so on u.  No smaller set of columns would do: the set walked in
         Omega^n must span it modulo im p_{n+1}, which takes rank p_n = u_n
         columns.
+
+        The unit minor and p^2 = 0 are slot tests (`_unit_minor`,
+        `_square_zero`): whole operators at once where the slots of the
+        built p_n show them, else the scan of each column, whose verdict
+        it then is.  The Cartan half walks each down column.
 
         If the down-column walk fails, the degree is walked again over
         every column, and the error is that walk's: the first broken
@@ -509,6 +527,123 @@ def _operator(
     if len(columns) != cols:
         raise ValueError(f"{name} has {len(columns)} of its {cols} columns at (n, d) = ({n}, {d})")
     return _matrix(rows, cols, tuple(columns))
+
+
+def _hilbert_counts(algebra: PolynomialAlgebra) -> List[int]:
+    """dim A_{2k} at entry k, for every 2k inside the algebra's bound."""
+    return list(map(itemgetter(1), algebra._counts()))
+
+
+def _block_error(name: str, n: int, d: int, rows: int, wedge: Tuple[int, ...], deg: int):
+    """The error of a builder whose target block for ``wedge`` is missing,
+    holds another coefficient degree than ``deg`` or ends past ``rows``."""
+    return ValueError(
+        f"{name}: the block of {wedge} is not a coefficient-degree-{deg} "
+        f"block inside {rows} rows at (n, d) = ({n}, {d})"
+    )
+
+
+# -- the slot tests of the exactness certificate, and the scans they fall
+# back to (see the module docstring)
+
+# columns per chunk of the slot lists, which bounds the lists alive at once:
+# with 512 the traced peak of verify_exactness(40) is 3% above that of the
+# per-column scans, with 4096 6%; 256 costs 5% more time at 64
+_CHUNK = 512
+
+
+def _gather(seq, positions: List[int]) -> tuple:
+    """The items of ``seq`` at ``positions`` (not empty), in one call."""
+    return itemgetter(*positions)(seq) if len(positions) > 1 else (seq[positions[0]],)
+
+
+def _all_of_length(columns: Sequence[tuple], length: int) -> bool:
+    return min(map(len, columns)) == length == max(map(len, columns))
+
+
+def _minor_slots(down_rows: List[Tuple[int, ...]], up_in: bytearray) -> bool:
+    """True if every column has the same number n > 0 of rows, slot 0 is
+    an up row and no other slot is, and the slot-0 rows are distinct:
+    then every column has one entry in an up row and no two share it.
+    False says only that the slots do not show it."""
+    if not down_rows:
+        return True
+    n = len(down_rows[0])
+    used = bytearray(len(up_in))
+    for start in range(0, len(down_rows), _CHUNK):
+        chunk = down_rows[start : start + _CHUNK]
+        if not n or not _all_of_length(chunk, n):
+            return False
+        slots = [list(map(itemgetter(t), chunk)) for t in range(n)]
+        if _gather(up_in, slots[0]).count(1) != len(chunk) or any(
+            1 in _gather(up_in, rows) for rows in slots[1:]
+        ):
+            return False
+        # mark the slot-0 rows: a row met twice leaves fewer marks than columns
+        deque(map(setitem, repeat(used), slots[0], repeat(1)), 0)
+    return used.count(1) == len(down_rows)
+
+
+def _minor_scan(down_rows: List[Tuple[int, ...]], up_in: bytearray) -> bool:
+    """`DifferentialForms._unit_minor` by a scan of each column."""
+    used = bytearray(len(up_in))
+    for rows in down_rows:
+        hit = [r for r in rows if up_in[r]]
+        if len(hit) != 1 or used[hit[0]]:
+            return False
+        used[hit[0]] = 1
+    return True
+
+
+def _koszul_columns(columns: Sequence[Tuple[int, ...]], n: int) -> bool:
+    """Whether every packed column holds n entries, the one of slot t with
+    the value (-1)^t."""
+    size = len(columns)
+    return _all_of_length(columns, 2 * n) and all(
+        list(map(itemgetter(2 * t + 1), columns)).count(-1 if t % 2 else 1) == size
+        for t in range(n)
+    )
+
+
+def _square_slots(chunk: List[Tuple[int, ...]], p_down: Packed) -> bool:
+    """True if p_{n-1} p_n vanishes on the packed columns ``chunk`` of p_n
+    by exact cancellation in pairs.  Every column must hold n entries with
+    the Koszul signs +1, -1, +1, ... in slot order, and so must every column
+    of ``p_down`` (p_{n-1}) that they reach, with n - 1 entries.  The term
+    "contract slot t, then slot u - 1 of the rest", t < u, then has the
+    value (-1)^(t + u - 1), the opposite of "contract slot u, then slot t",
+    and the two must sit on one row.  These pairs cover all n(n - 1) terms
+    of a column, so its image under p_{n-1} p_n is zero.  False says only
+    that the slots do not show it."""
+    n = len(chunk[0]) // 2
+    if not _koszul_columns(chunk, n):
+        return False
+    below = [_gather(p_down, list(map(itemgetter(2 * t), chunk))) for t in range(n)]
+    if not all(_koszul_columns(reached, n - 1) for reached in below):
+        return False
+    # the row of "contract t, then u - 1" against that of "contract u, then t"
+    return all(
+        list(map(itemgetter(2 * u - 2), below[t])) == list(map(itemgetter(2 * t), below[u]))
+        for u in range(1, n)
+        for t in range(u)
+    )
+
+
+def _square_scan(cols: Iterable[Tuple[int, ...]], p_down: Packed) -> bool:
+    """`DifferentialForms._square_zero` by a scan of each column: p(p c)
+    summed in a dict."""
+    square: Dict[int, int] = {}
+    sget = square.get
+    for col in cols:
+        it = iter(col)
+        for r, x in zip(it, it):
+            lt = iter(p_down[r])
+            for s, y in zip(lt, lt):
+                square[s] = sget(s, 0) + x * y
+        if any(square.values()):
+            return False
+        square.clear()
+    return True
 
 
 @dataclass(frozen=True)

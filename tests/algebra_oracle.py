@@ -13,7 +13,10 @@ tables and the index data against it.
 The algebra's tables come from counts of its blocks; ``multiplication_table``,
 ``hilbert_function`` and ``smallest_indices`` here are the enumeration they
 replaced: every basis monomial, e_i put into its pairs (``times``) and the
-product looked up among the target basis.
+product looked up among the target basis.  ``smallest_indices`` also
+states the forms' matching per monomial, which ``_up_marks`` reads off the
+counts, and ``wedge_remove`` contracts one slot of a wedge, for the
+operator oracles of the forms tests.
 """
 
 from fractions import Fraction
@@ -57,9 +60,26 @@ def hilbert_function(algebra, d: int) -> int:
 
 def smallest_indices(algebra, d: int) -> Tuple[int, ...]:
     """The first index of each enumerated basis monomial; the unit reads
-    one past the bound's indices."""
+    one past the bound's indices.
+
+    >>> from mmmcoh.algebra import PolynomialAlgebra
+    >>> A = PolynomialAlgebra(24)
+    >>> smallest_indices(A, 6), smallest_indices(A, 0)  # e1^3, e1*e2, e3; 1
+    ((1, 1, 3), (13,))
+    """
     past = algebra.degree_bound // 2 + 1
     return tuple(m[0][0] if m else past for m in algebra.monomial_basis(d))
+
+
+def wedge_remove(k: int, wedge: Tuple[int, ...]):
+    """Contract the k-th slot (0-based) of a wedge: (sign, index removed,
+    rest).
+
+    >>> wedge_remove(1, (1, 2, 3))
+    (-1, 2, (1, 3))
+    """
+    sign = -1 if k % 2 else 1
+    return sign, wedge[k], wedge[:k] + wedge[k + 1 :]
 
 
 class Monomial:

@@ -12,11 +12,11 @@ from mmmcoh.forms import (
     ExactnessReport,
     SpotCheck,
     wedge_insert,
-    wedge_remove,
 )
-from mmmcoh.linalg import SparseMatrix, rank
+from mmmcoh.linalg import SparseMatrix, _matrix, rank
 from mmmcoh.verify import run_verification
-from algebra_oracle import Monomial, monomials
+import mmmcoh.forms as forms_module
+from algebra_oracle import Monomial, monomials, smallest_indices, wedge_remove
 
 
 @pytest.fixture(scope="module")
@@ -594,6 +594,21 @@ def test_every_positive_degree_form_is_matched():
     assert list(forms._up_marks(0, 0)) == [1]
 
 
+def test_up_marks_follow_the_smallest_index_of_each_monomial():
+    # the counts' suffix rule gives what the rule per monomial gave: m de_S
+    # is up when S is empty or min S exceeds the smallest index dividing m
+    algebra = PolynomialAlgebra(40)
+    forms = DifferentialForms(algebra)
+    for d in range(0, 41, 2):
+        for n in range(forms.max_form_degree() + 2):
+            want = bytearray(forms.dim(n, d))
+            for wedge, (off, deg) in forms._layout(n, d)[0].items():
+                smallest = smallest_indices(algebra, deg)
+                flags = [not wedge or wedge[0] > s for s in smallest]
+                want[off : off + len(flags)] = bytes(flags)
+            assert forms._up_marks(n, d) == want, (n, d)
+
+
 def test_unit_minor_is_the_partner_of_each_down_form(forms):
     # the one up-row entry of each down column of p_n is its matched form
     # (e_{min S} m) de_{S - min S}, with sign +1
@@ -906,3 +921,200 @@ def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry
             got = _outcome(getattr(DifferentialForms(PolynomialAlgebra(16)), check), d)
             oracle = DifferentialForms(PolynomialAlgebra(16))._walk_degree
             assert got == _outcome(oracle, d, cartan, False), check
+
+
+# -- the slot tests: whole operators at once, the scans as their fallback --------
+
+
+def _count_scans(monkeypatch):
+    """Count the calls of the per-column scans that the slot tests fall
+    back to, by name."""
+    calls = {"_minor_scan": 0, "_square_scan": 0}
+    for name in calls:
+
+        def counted(*args, real=getattr(forms_module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(forms_module, name, counted)
+    return calls
+
+
+def test_no_degree_to_24_falls_back_to_a_scan(monkeypatch):
+    # the builders list each p column in slot order, so the slot tests
+    # settle every degree; a builder change that breaks the Koszul slot
+    # order would still certify, through the scans, at half the speed
+    calls = _count_scans(monkeypatch)
+    forms, cartan = DifferentialForms(PolynomialAlgebra(24)), DifferentialForms(PolynomialAlgebra(24))
+    for d in range(1, 25):
+        assert forms.verify_exactness(d).all_exact
+        assert cartan.verify_cartan(d).all_exact
+    assert calls == {"_minor_scan": 0, "_square_scan": 0}
+
+
+def _rotate_slots(self, n, d, real=DifferentialForms.interior_product):
+    # every column lists its entries from slot 1 on, then slot 0: the same
+    # matrix, so p^2 = 0 still, in another slot order
+    m = real(self, n, d)
+    return _matrix(m.rows, m.cols, tuple(col[2:] + col[:2] for col in m.packed))
+
+
+def test_a_p_in_another_slot_order_certifies_through_the_scans(monkeypatch):
+    reports = {
+        check: [getattr(DifferentialForms(PolynomialAlgebra(16)), check)(d) for d in range(1, 17)]
+        for check in ("verify_exactness", "verify_cartan")
+    }
+    monkeypatch.setattr(DifferentialForms, "interior_product", _rotate_slots)
+    calls = _count_scans(monkeypatch)
+    for check, want in reports.items():
+        forms = DifferentialForms(PolynomialAlgebra(16))
+        assert [getattr(forms, check)(d) for d in range(1, 17)] == want, check
+    assert calls["_minor_scan"] > 0 and calls["_square_scan"] > 0
+
+
+def test_one_flipped_value_inside_a_pair_fails_p_squared(monkeypatch):
+    # the value of slot 1 of the first down column of p_3 at degree 20
+    # negated: its pairs with slot 0 and slot 2 no longer cancel
+    key = (3, 20)
+    col = DifferentialForms(PolynomialAlgebra(20))._up_marks(*key).index(0)
+    real = DifferentialForms.interior_product
+
+    def broken(self, n, d):
+        m = real(self, n, d)
+        if (n, d) != key:
+            return m
+        packed = list(m.packed)
+        packed[col] = packed[col][:3] + (-packed[col][3],) + packed[col][4:]
+        return _matrix(m.rows, m.cols, tuple(packed))
+
+    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    forms = DifferentialForms(PolynomialAlgebra(20))
+    p3, p2 = forms.interior_product(3, 20).packed, forms.interior_product(2, 20).packed
+    assert not forms_module._square_slots([p3[col]], p2)
+    assert not forms._square_zero(iter(p3), p2)
+    with pytest.raises(ValueError) as exc:
+        forms.verify_exactness(20)
+    assert str(exc.value) == "p^2 is not zero at (n, d) = (3, 20)"
+
+
+def test_a_moved_row_inside_a_pair_fails_the_slot_test():
+    # the column of p_2 that slot 0 of a down column of p_3 reaches, its
+    # first entry moved to a row it does not hold with its value kept: the
+    # Koszul signs still hold, and only the rows of the pairs tell
+    forms = DifferentialForms(PolynomialAlgebra(20))
+    p3, p2 = forms.interior_product(3, 20).packed, forms.interior_product(2, 20).packed
+    col = p3[forms._up_marks(3, 20).index(0)]
+    reached = p2[col[0]]
+    free = next(s for s in range(forms.dim(1, 20)) if s not in reached[::2])
+    below = p2[: col[0]] + ((free,) + reached[1:],) + p2[col[0] + 1 :]
+    assert forms_module._square_slots([col], p2)
+    assert not forms_module._square_slots([col], below)
+    assert not forms_module._square_scan([col], below)
+
+
+def _mutate(packed, rows, column, entry, how, value):
+    """``packed`` with one change to the column at ``column % len``: its
+    entry ``entry`` negated, doubled or moved to row ``value % rows``, or
+    two of its slots swapped."""
+    packed = list(packed)
+    c = column % len(packed)
+    col = list(packed[c])
+    if len(col) >= 2:
+        k = 2 * (entry % (len(col) // 2))
+        if how == "negate":
+            col[k + 1] = -col[k + 1]
+        elif how == "double":
+            col[k + 1] *= 2
+        elif how == "row" and rows:
+            col[k] = value % rows
+        elif how == "swap" and len(col) >= 4:
+            j = 2 * ((entry + 1) % (len(col) // 2))
+            col[k : k + 2], col[j : j + 2] = col[j : j + 2], col[k : k + 2]
+    packed[c] = tuple(col)
+    return tuple(packed)
+
+
+KINDS = ["none", "negate", "double", "row", "swap"]
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.sampled_from(["out", "down"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(KINDS),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_each_slot_test_agrees_with_its_scan_on_p(n, half, where, column, entry, how, value):
+    # the down columns of p_n and the columns of p_{n-1} at degree <= 16,
+    # one of the two changed: a slot test that certifies is never wrong,
+    # and its function's verdict is the scan's
+    forms = DifferentialForms(PolynomialAlgebra(16))
+    d = 2 * half
+    p_out, p_down = forms.interior_product(n, d), forms.interior_product(n - 1, d)
+    up_out, up_in = forms._up_marks(n, d), forms._up_marks(n - 1, d)
+    down = tuple(col for col, up in zip(p_out.packed, up_out) if not up)
+    assume(down)
+    cols, below = down, p_down.packed
+    if where == "out":
+        cols = _mutate(down, p_out.rows, column, entry, how, value)
+    elif below:
+        below = _mutate(below, p_down.rows, column, entry, how, value)
+    chunk = list(cols)
+    square = forms_module._square_scan(chunk, below)
+    if forms_module._square_slots(chunk, below):
+        assert square
+    assert DifferentialForms._square_zero(iter(chunk), below) == square
+    rows = [col[::2] for col in chunk]
+    minor = forms_module._minor_scan(rows, up_in)
+    if forms_module._minor_slots(rows, up_in):
+        assert minor
+    assert DifferentialForms._unit_minor(rows, up_in) == minor
+    if how == "none":
+        # unchanged operators certify on the slot tests alone
+        assert forms_module._square_slots(chunk, below) and forms_module._minor_slots(rows, up_in)
+
+
+_values = st.sampled_from([1, -1, 2])
+
+
+@given(st.integers(0, 3), st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_each_slot_test_agrees_with_its_scan_on_random_columns(n, size, data):
+    # random packed columns of n entries over 6 rows, their rows' columns
+    # of n - 1 entries, and random up marks: the slot tests may only say
+    # what the scans say
+    def column(width):
+        rows = data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width, unique=True))
+        return tuple(x for r in rows for x in (r, data.draw(_values)))
+
+    chunk = [column(n) for _ in range(size)]
+    below = tuple(column(max(n - 1, 0)) for _ in range(6))
+    up_in = bytearray(data.draw(st.lists(st.integers(0, 1), min_size=6, max_size=6)))
+    square = forms_module._square_scan(chunk, below)
+    assert not forms_module._square_slots(chunk, below) or square
+    assert DifferentialForms._square_zero(iter(chunk), below) == square
+    rows = [col[::2] for col in chunk]
+    minor = forms_module._minor_scan(rows, up_in)
+    assert not forms_module._minor_slots(rows, up_in) or minor
+    assert DifferentialForms._unit_minor(rows, up_in) == minor
+
+
+def test_square_zero_takes_its_columns_in_chunks(monkeypatch):
+    # more columns than one chunk: each chunk is settled on its own, and a
+    # failure in the last one is still found
+    forms = DifferentialForms(PolynomialAlgebra(24))
+    p3, p2 = forms.interior_product(3, 24).packed, forms.interior_product(2, 24).packed
+    monkeypatch.setattr(forms_module, "_CHUNK", 7)
+    seen = []
+    real = forms_module._square_slots
+    monkeypatch.setattr(
+        forms_module, "_square_slots", lambda chunk, below: seen.append(len(chunk)) or real(chunk, below)
+    )
+    assert forms._square_zero(iter(p3), p2)
+    assert sum(seen) == len(p3) and max(seen) == 7
+    last = p3[-1]
+    broken = p3[:-1] + (last[:1] + (2 * last[1],) + last[2:],)
+    assert not forms._square_zero(iter(broken), p2)
