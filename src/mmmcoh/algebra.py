@@ -4,8 +4,8 @@ The stable cohomology ring of the mapping class groups (boundary case) is a
 polynomial ring over Q on generators e_1, e_2, e_3, ... — the
 Mumford-Morita-Miller classes — with e_i placed in degree 2i.  This module
 enumerates that ring degree by degree, as index data: there are no ring
-elements.  A monomial is its pairs, the tuple ((i, e), ...) of each index
-with its positive exponent, indices ascending; the unit is ().
+elements, and no monomial is ever built.  A monomial is its position in
+the canonical basis of its degree.
 
 Degrees are always *internal* (cohomological) degrees, so everything lives
 in even degree; the basis of the degree-d slice corresponds to the
@@ -17,50 +17,30 @@ index arithmetic.  Write B(k, s) for the monomials of degree 2k whose
 indices are all >= s, in canonical order: first index ascending, its
 exponent descending, then the tails in the same order.  Its block (j, e)
 is e_j^e times the tails B(k - je, j + 1), so the counts N(k, s) of these
-sets fix every block's offset, and the Hilbert function and the
-multiplication tables are arithmetic on them, with no monomial enumerated
+sets fix every block's offset, and the Hilbert function, the
+multiplication tables and the total exponents are arithmetic on them
 (A. Nijenhuis and H. Wilf, *Combinatorial Algorithms*, 2nd ed., 1978,
 ch. 9-10).  B(k, s) is a suffix of B(k, 1), so the forms read their
 matching off the counts too (`DifferentialForms._up_marks`).  The
-monomial bases themselves are generated only for the readers that need
-each monomial's pairs: the total exponents and the forms' exterior
-derivative.  Exterior bases are enumerated once per instance.
+exponent of e_i at each position, which the forms' exterior derivative
+reads, is scattered through the table of e_i from its quotients'
+exponents.  Exterior bases are enumerated once per instance.
 
 >>> A = PolynomialAlgebra(24)
->>> A.monomial_basis(4)  # e1^2, e2
-(((1, 2),), ((2, 1),))
 >>> A.hilbert_function(10)
 7
+>>> A.total_exponents(8)  # e1^4, e1^2*e2, e1*e3, e2^2, e4
+(4, 3, 2, 2, 1)
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import add
-from typing import Dict, Iterator, List, Optional, Tuple
-
-# a monomial in the e_i, as its pairs (see above)
-Pairs = Tuple[Tuple[int, int], ...]
-
+from typing import Dict, List, Optional, Tuple
 
 class DegreeBoundError(ValueError):
     """A per-degree enumeration was requested beyond the configured bound."""
-
-
-def _canonical_pairs(k: int, start: int = 1) -> Iterator[Pairs]:
-    """The pairs of the monomials of degree 2k in the e_i, i >= start, in
-    canonical order: first index ascending, its exponent descending, ..."""
-    if k == 0:
-        yield ()
-        return
-    for i in range(start, k + 1):
-        for e in range(k // i, 0, -1):
-            rest = k - i * e
-            if rest == 0:
-                yield ((i, e),)
-            elif rest > i:  # the rest needs an index above i
-                for tail in _canonical_pairs(rest, i + 1):
-                    yield ((i, e),) + tail
 
 
 class PolynomialAlgebra:
@@ -74,11 +54,11 @@ class PolynomialAlgebra:
         if degree_bound < 0 or degree_bound % 2:
             raise ValueError("degree bound must be even and >= 0")
         self.degree_bound = degree_bound
-        self._basis_cache: Dict[int, Tuple[Pairs, ...]] = {}
         self._count_cache: List[List[int]] = []
         self._start_cache: Dict[Tuple[int, int], List[int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._total_cache: Dict[int, Tuple[int, ...]] = {}
+        self._exp_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._exterior_cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
 
     def generator_indices(self) -> range:
@@ -92,17 +72,6 @@ class PolynomialAlgebra:
             raise DegreeBoundError(
                 f"degree {d} exceeds the configured bound {self.degree_bound}"
             )
-
-    def monomial_basis(self, d: int) -> Tuple[Pairs, ...]:
-        """The pairs of every monomial of internal degree d, canonically
-        ordered: first index ascending, its exponent descending, ..."""
-        self._check_degree(d)
-        if d % 2:
-            return ()
-        cached = self._basis_cache.get(d)
-        if cached is None:
-            cached = self._basis_cache[d] = tuple(_canonical_pairs(d // 2))
-        return cached
 
     def _counts(self) -> List[List[int]]:
         """N[k][s], the size of B(k, s), for k up to half the bound and s up
@@ -145,7 +114,7 @@ class PolynomialAlgebra:
 
     def multiplication_table(self, i: int, d: int) -> Tuple[int, ...]:
         """Multiplication by e_i from degree d to degree d + 2i, as positions:
-        entry k is the index of m_k * e_i in ``monomial_basis(d + 2i)``,
+        entry k is the position of m_k * e_i in the basis of degree d + 2i,
         m_k the k-th basis monomial of degree d.
 
         Every matrix that multiplies by a generator is built from these
@@ -164,9 +133,7 @@ class PolynomialAlgebra:
           the target block (i, 1), whose tails they are.
 
         >>> A = PolynomialAlgebra(24)
-        >>> A.monomial_basis(6)  # e1^3, e1*e2, e3
-        (((1, 3),), ((1, 1), (2, 1)), ((3, 1),))
-        >>> A.multiplication_table(1, 4)  # e1^2 -> e1^3, e2 -> e1*e2
+        >>> A.multiplication_table(1, 4)  # e1^2 -> e1^3, e2 -> e1*e2 of e1^3, e1*e2, e3
         (0, 1)
         """
         key = (i, d)
@@ -226,13 +193,46 @@ class PolynomialAlgebra:
         return None
 
     def total_exponents(self, d: int) -> Tuple[int, ...]:
-        """The number of generator factors of each basis monomial of degree d."""
-        table = self._total_cache.get(d)
-        if table is None:
-            table = self._total_cache[d] = tuple(
-                sum(e for _, e in m) for m in self.monomial_basis(d)
-            )
-        return table
+        """The number of generator factors of each basis monomial of degree
+        d, from the counts alone: the run of first index j in degree 2k is
+        e_j times B(k - j, j), the last N(k - j, j) monomials of degree
+        2(k - j), so each of its monomials has one factor more than there.
+        No multiplication table is read, so the Euler weights built on these
+        cross-check the forms' operators, which are built from the tables."""
+        self._check_degree(d)
+        if d % 2:
+            return ()
+        totals = self._total_cache.get(d)
+        if totals is None:
+            k = d // 2
+            n = self._counts()
+            parts: List = [(0,)] if k == 0 else []
+            for j in range(1, k + 1):
+                below = self.total_exponents(2 * (k - j))
+                parts.append(map(add, below[len(below) - n[k - j][j] :], repeat(1)))
+            totals = self._total_cache[d] = tuple(chain.from_iterable(parts))
+        return totals
+
+    def exponents(self, i: int, d: int) -> Tuple[int, ...]:
+        """The exponent of e_i in each basis monomial of degree d: 0 where
+        e_i does not divide it, and where it does, at entry k of the table
+        of e_i from degree d - 2i, one more than at k there.
+
+        >>> PolynomialAlgebra(24).exponents(1, 6)  # e1^3, e1*e2, e3
+        (3, 1, 0)
+        """
+        key = (i, d)
+        exps = self._exp_cache.get(key)
+        if exps is None:
+            if i < 1:
+                raise ValueError("generator indices start at 1")
+            out = [0] * self.hilbert_function(d)
+            if d >= 2 * i:
+                below = d - 2 * i
+                for q, e in zip(self.multiplication_table(i, below), self.exponents(i, below)):
+                    out[q] = e + 1
+            exps = self._exp_cache[key] = tuple(out)
+        return exps
 
     def exterior_basis(self, n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
         """:func:`exterior_basis` ``(n, d)``, enumerated once per instance."""

@@ -41,10 +41,11 @@ scans.  The Cartan identity is walked column by column.
 The complex is streamed degree by degree: the operator matrices are built
 on each call and kept by no one here, so `verify_exactness(d)` and
 `verify_cartan(d)` hold the operators of degree d only while they walk
-them.  An instance keeps the quotient positions, one exactness report per
-degree, and the layouts read since the last walk began: a walk of degree
-d drops the layouts of every other degree, and a later statement that
-reads one builds it again.
+them.  An instance keeps one exactness report per degree and the layouts
+read since the last walk began: a walk of degree d drops the layouts of
+every other degree, and a later statement that reads one builds it again.
+The algebra's tables, the exponents that d reads among them, are kept by
+the algebra.
 
 Everything here is a finite matrix per (form degree, internal degree), and
 all matrices are exact.
@@ -52,12 +53,13 @@ all matrices are exact.
 Layout: the basis of Omega^n_d is wedge-major.  The wedges of weight at
 most d come in ascending lex order, and each wedge w owns one block, the
 monomial basis of the coefficient degree d - wt(w), at an offset fixed by
-the blocks before it.  The operator matrices are built from these offsets
-and the algebra's multiplication tables (d uses their inverse, division by
-e_i), so a matrix entry is index arithmetic.  The builders check each
-target block once (its coefficient degree and its place inside the
-rows), not each entry: a table's positions are checked to lie in range
-when the algebra makes it, so every row of the block is then in range.
+the blocks before it.  The operator matrices are built from these offsets,
+the algebra's multiplication tables and, for d, the exponent of e_i at
+each position (`PolynomialAlgebra.exponents`), so a matrix entry is index
+arithmetic.  The builders check each target block once (its coefficient
+degree and its place inside the rows), not each entry: a table's
+positions are checked to lie in range when the algebra makes it, so every
+row of the block is then in range.
 A basis form is never built as an object: it is the pair (monomial,
 wedge) at its position in the layout, and ``_layout`` is the one record
 of that order.
@@ -68,11 +70,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import add, itemgetter, not_, setitem
+from operator import add, floordiv, itemgetter, not_, setitem
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .algebra import PolynomialAlgebra
-from .linalg import _ROWS, SparseMatrix, _matrix
+from .linalg import _ROWS, SparseMatrix, _gathered, _matrix
 
 # the packed columns of an operator matrix, ``SparseMatrix.packed``
 Packed = Tuple[Tuple[int, ...], ...]
@@ -93,7 +95,6 @@ class DifferentialForms:
     def __init__(self, algebra: PolynomialAlgebra):
         self.algebra = algebra
         self._layouts: Dict[Tuple[int, int], Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]] = {}
-        self._quotients: Dict[Tuple[int, int], List[Optional[int]]] = {}
         self._exactness: Dict[int, ExactnessReport] = {}
         self._cartan: Set[int] = set()  # degrees whose Cartan walk passed
 
@@ -139,34 +140,6 @@ class DifferentialForms:
         found.sort()
         return found
 
-    def _quotient_positions(self, i: int, d: int) -> List[Optional[int]]:
-        """Division by e_i, the inverse of the multiplication table into
-        degree d: entry k is the index of m_k / e_i in the degree d - 2i
-        basis, or None where e_i does not divide m_k.
-
-        e_i divides as many monomials of degree d as the table has entries,
-        so the table fills exactly their positions if its positions are
-        distinct and each holds e_i; a ValueError naming (i, d) otherwise,
-        since `exterior_derivative` reads every one of them."""
-        key = (i, d)
-        cached = self._quotients.get(key)
-        if cached is None:
-            basis = self.algebra.monomial_basis(d)
-            table = self.algebra.multiplication_table(i, d - 2 * i)
-            index_of = itemgetter(0)
-            if len(set(table)) != len(table) or not all(
-                i in map(index_of, basis[q]) for q in table
-            ):
-                raise ValueError(
-                    f"the table of e{i} into degree {d} does not fill exactly "
-                    f"the monomials that e{i} divides"
-                )
-            cached = [None] * len(basis)
-            for k, product in enumerate(table):
-                cached[product] = k
-            self._quotients[key] = cached
-        return cached
-
     def dim(self, n: int, d: int) -> int:
         return self._layout(n, d)[1]
 
@@ -176,34 +149,38 @@ class DifferentialForms:
         """Matrix of d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed),
         built on each call.
 
-        Checked per target block, not per entry: the positions of m / e_i
-        lie in range of the degree deg - 2i basis, and distinct i join
-        distinct wedges, so the entries of a column lie in disjoint blocks;
-        each value is sign * e with e >= 1."""
+        Built per source block and index i: the monomials m that e_i
+        divides are the positions of the table of e_i into the block's
+        degree, entry k the product of the k-th monomial m / e_i of the
+        target block.  So column table[k] gets row k of that block, with
+        the value sign * (the exponent of e_i at k, plus one).  Appending
+        in increasing i keeps each column's entries in index order.
+
+        Checked per target block, not per entry: the positions of a table
+        lie in range of its target degree's basis, distinct i join
+        distinct wedges, so the entries of a column lie in disjoint blocks,
+        and each value is sign * e with e >= 1."""
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n + 1, d)
         hilbert = _hilbert_counts(self.algebra)
+        table, exponents = self.algebra.multiplication_table, self.algebra.exponents
         columns: List[Tuple[int, ...]] = []
         for wedge, (_, deg) in src.items():
-            # e_i leaves the coefficient and joins the wedge: per i, the
-            # sign, the target block and the positions of m / e_i
-            moves = {}
+            # one tuple per column, grown by concatenation: a tuple of ints
+            # leaves the collector's watch, a list would stay on it
+            block: List[Tuple[int, ...]] = [()] * hilbert[deg // 2]
+            # e_i leaves the coefficient and joins the wedge
             for i in range(1, deg // 2 + 1):
                 ins = wedge_insert(i, wedge)
                 if ins is not None:
                     sign, joined = ins
-                    row_off, into = tgt.get(joined, (-1, -1))
-                    if into != deg - 2 * i or not 0 <= row_off <= rows - hilbert[into // 2]:
-                        raise _block_error("d", n, d, rows, joined, deg - 2 * i)
-                    moves[i] = (sign, row_off, self._quotient_positions(i, deg))
-            for q, mono in enumerate(self.algebra.monomial_basis(deg)):
-                col: List[int] = []
-                for i, e in mono:
-                    move = moves.get(i)
-                    if move is not None:
-                        sign, row_off, quotient = move
-                        col += (row_off + quotient[q], sign * e)
-                columns.append(tuple(col))
+                    into = deg - 2 * i
+                    row_off, at = tgt.get(joined, (-1, -1))
+                    if at != into or not 0 <= row_off <= rows - hilbert[into // 2]:
+                        raise _block_error("d", n, d, rows, joined, into)
+                    for q, row, e in zip(table(i, into), count(row_off), exponents(i, into)):
+                        block[q] += (row, sign * (e + 1))
+            columns.extend(block)
         return _operator("d", n, d, rows, cols, columns)
 
     def interior_product(self, n: int, d: int) -> SparseMatrix:
@@ -280,17 +257,16 @@ class DifferentialForms:
         return up
 
     @staticmethod
-    def _unit_minor(down_rows: List[Tuple[int, ...]], up_in: bytearray) -> bool:
-        """Whether every down column of p_n, given by its rows, has exactly
-        one entry in an up row of Omega^{n-1}, with no two of them in the
-        same row.  Those rows and columns then carry a generalized
-        permutation minor, so rank p_n >= the number of down forms of
-        Omega^n.
+    def _unit_minor(down_cols: List[Tuple[int, ...]], up_in: bytearray) -> bool:
+        """Whether every down column of p_n, packed, has exactly one entry
+        in an up row of Omega^{n-1}, with no two of them in the same row.
+        Those rows and columns then carry a generalized permutation minor,
+        so rank p_n >= the number of down forms of Omega^n.
 
         Settled over all columns at once when the slots allow it
         (`_minor_slots`), else by the scan of each column (`_minor_scan`),
         whose verdict it then is."""
-        return _minor_slots(down_rows, up_in) or _minor_scan(down_rows, up_in)
+        return _minor_slots(down_cols, up_in) or _minor_scan(down_cols, up_in)
 
     @staticmethod
     def _square_zero(cols: Iterable[Tuple[int, ...]], p_down: Packed) -> bool:
@@ -309,17 +285,19 @@ class DifferentialForms:
 
     @staticmethod
     def _keeps_weight(
-        down_rows: List[Tuple[int, ...]],
+        down_cols: List[Tuple[int, ...]],
         up_out: bytearray,
         weights_out: List[int],
         weights_in: List[int],
     ) -> bool:
-        """Whether every entry of a down column of p_n, given by its rows,
-        joins two forms of equal Euler weight, that is, whether
-        p_n L = L p_n on the down forms of Omega^n."""
+        """Whether every entry of a down column of p_n, packed, joins two
+        forms of equal Euler weight, that is, whether p_n L = L p_n on the
+        down forms of Omega^n."""
         weights = compress(weights_out, map(not_, up_out))
-        want = chain.from_iterable(map(repeat, weights, map(len, down_rows)))
-        return list(map(weights_in.__getitem__, chain.from_iterable(down_rows))) == list(want)
+        sizes = map(floordiv, map(len, down_cols), repeat(2))
+        want = chain.from_iterable(map(repeat, weights, sizes))
+        rows = islice(chain.from_iterable(down_cols), 0, None, 2)
+        return list(map(weights_in.__getitem__, rows)) == list(want)
 
     @staticmethod
     def _homotopy_walk(
@@ -475,18 +453,18 @@ class DifferentialForms:
             downs[n] = up_out.count(0)
             # the down positions, made as the walk reads them
             columns = compress(count(), map(not_, up_out)) if down_only else None
-            # the rows of each down column of p_n, sliced once for the unit
-            # minor and the weight check, and dropped before the walk
-            down_rows = list(map(_ROWS, compress(p_out, map(not_, up_out))))
-            minor = self._unit_minor(down_rows, up_in)
+            # the down columns of p_n, listed once for the unit minor and
+            # the weight check, and dropped before the walk
+            down_cols = list(compress(p_out, map(not_, up_out)))
+            minor = self._unit_minor(down_cols, up_in)
             # the down columns settle Cartan only where p commutes with L;
             # checked first, so that one weight list is alive when d_n and
             # p_{n+1} are built
             weights = self.euler_weights(n, d) if cartan else []
             keeps = not (cartan and down_only) or self._keeps_weight(
-                down_rows, up_out, weights, weights_in
+                down_cols, up_out, weights, weights_in
             )
-            del down_rows
+            del down_cols
             if cartan:
                 weights_in = weights
                 d_out = self.exterior_derivative(n, d).packed
@@ -552,43 +530,39 @@ def _block_error(name: str, n: int, d: int, rows: int, wedge: Tuple[int, ...], d
 _CHUNK = 512
 
 
-def _gather(seq, positions: List[int]) -> tuple:
-    """The items of ``seq`` at ``positions`` (not empty), in one call."""
-    return itemgetter(*positions)(seq) if len(positions) > 1 else (seq[positions[0]],)
-
-
 def _all_of_length(columns: Sequence[tuple], length: int) -> bool:
     return min(map(len, columns)) == length == max(map(len, columns))
 
 
-def _minor_slots(down_rows: List[Tuple[int, ...]], up_in: bytearray) -> bool:
-    """True if every column has the same number n > 0 of rows, slot 0 is
-    an up row and no other slot is, and the slot-0 rows are distinct:
-    then every column has one entry in an up row and no two share it.
-    False says only that the slots do not show it."""
-    if not down_rows:
+def _minor_slots(down_cols: List[Tuple[int, ...]], up_in: bytearray) -> bool:
+    """True if every packed column has the same number n > 0 of entries,
+    the row of slot 0, at index 0, is an up row and no other slot's is,
+    and the slot-0 rows are distinct: then every column has one entry in
+    an up row and no two share it.  False says only that the slots do not
+    show it."""
+    if not down_cols:
         return True
-    n = len(down_rows[0])
+    n = len(down_cols[0]) // 2
     used = bytearray(len(up_in))
-    for start in range(0, len(down_rows), _CHUNK):
-        chunk = down_rows[start : start + _CHUNK]
-        if not n or not _all_of_length(chunk, n):
+    for start in range(0, len(down_cols), _CHUNK):
+        chunk = down_cols[start : start + _CHUNK]
+        if not n or not _all_of_length(chunk, 2 * n):
             return False
-        slots = [list(map(itemgetter(t), chunk)) for t in range(n)]
-        if _gather(up_in, slots[0]).count(1) != len(chunk) or any(
-            1 in _gather(up_in, rows) for rows in slots[1:]
+        slots = [list(map(itemgetter(2 * t), chunk)) for t in range(n)]
+        if _gathered(up_in, slots[0]).count(1) != len(chunk) or any(
+            1 in _gathered(up_in, rows) for rows in slots[1:]
         ):
             return False
         # mark the slot-0 rows: a row met twice leaves fewer marks than columns
         deque(map(setitem, repeat(used), slots[0], repeat(1)), 0)
-    return used.count(1) == len(down_rows)
+    return used.count(1) == len(down_cols)
 
 
-def _minor_scan(down_rows: List[Tuple[int, ...]], up_in: bytearray) -> bool:
+def _minor_scan(down_cols: List[Tuple[int, ...]], up_in: bytearray) -> bool:
     """`DifferentialForms._unit_minor` by a scan of each column."""
     used = bytearray(len(up_in))
-    for rows in down_rows:
-        hit = [r for r in rows if up_in[r]]
+    for col in down_cols:
+        hit = [r for r in _ROWS(col) if up_in[r]]
         if len(hit) != 1 or used[hit[0]]:
             return False
         used[hit[0]] = 1
@@ -618,7 +592,7 @@ def _square_slots(chunk: List[Tuple[int, ...]], p_down: Packed) -> bool:
     n = len(chunk[0]) // 2
     if not _koszul_columns(chunk, n):
         return False
-    below = [_gather(p_down, list(map(itemgetter(2 * t), chunk))) for t in range(n)]
+    below = [_gathered(p_down, list(map(itemgetter(2 * t), chunk))) for t in range(n)]
     if not all(_koszul_columns(reached, n - 1) for reached in below):
         return False
     # the row of "contract t, then u - 1" against that of "contract u, then t"

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, neg
+from operator import add, neg
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import DegreeBoundError, PolynomialAlgebra
 from .linalg import (
     SparseMatrix,
+    _gathered,
     _pack,
     rank,  # noqa: F401  (perfbench/test_perfbench.py reads modules.rank)
 )
@@ -284,15 +285,6 @@ class GradedModuleMap:
                     raise ValueError(
                         f"map fails to commute with e{i} at degree {d}"
                     )
-
-
-def _gathered(seq: Sequence, indices: Sequence[int]) -> Tuple:
-    """``seq[i]`` for each ``i`` in ``indices``, as a tuple, in one C-level
-    call: ``map(seq.__getitem__, indices)`` goes through a slot wrapper per
-    item and is about four times slower on a tuple."""
-    if len(indices) > 1:
-        return itemgetter(*indices)(seq)
-    return tuple(seq[i] for i in indices)
 
 
 @dataclass(frozen=True)

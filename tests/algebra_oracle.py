@@ -2,33 +2,76 @@
 test-only oracle.
 
 ``PolynomialAlgebra`` enumerates A = Q[e_1, e_2, ...] as index data: a
-monomial is its pairs tuple ``((i, e), ...)``, and every matrix is built
-from multiplication tables.  ``mmmcoh.stable`` states the contraction
+monomial is its position in the canonical basis of its degree, and every
+matrix is built from multiplication tables.  ``mmmcoh.stable`` states the contraction
 pairing and the kernel generators M(i, j) as index data too.  This is the
 arithmetic they replaced: monomials, ring elements and twisted classes as
 objects with exact ``Fraction`` coefficients, the pairing as an A-bilinear
 form on them, and M(i, j) as a twisted element.  The tests check the
 tables and the index data against it.
 
-The algebra's tables come from counts of its blocks; ``multiplication_table``,
-``hilbert_function`` and ``smallest_indices`` here are the enumeration they
-replaced: every basis monomial, e_i put into its pairs (``times``) and the
-product looked up among the target basis.  ``smallest_indices`` also
+The algebra's tables come from counts of its blocks; ``monomial_basis``
+here is the enumeration they replaced, each monomial as its pairs tuple
+``((i, e), ...)`` of each index with its positive exponent, indices
+ascending, and ``multiplication_table``, ``hilbert_function``,
+``total_exponents``, ``exponents`` and ``smallest_indices`` read it: every
+basis monomial, e_i put into its pairs (``times``) and the product looked
+up among the target basis.  ``smallest_indices`` also
 states the forms' matching per monomial, which ``_up_marks`` reads off the
 counts, and ``wedge_remove`` contracts one slot of a wedge, for the
 operator oracles of the forms tests.
 """
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# a monomial in the e_i, as its pairs (see above)
+Pairs = Tuple[Tuple[int, int], ...]
+
+
+def _canonical_pairs(k: int, start: int = 1) -> Iterator[Pairs]:
+    """The pairs of the monomials of degree 2k in the e_i, i >= start, in
+    canonical order: first index ascending, its exponent descending, ..."""
+    if k == 0:
+        yield ()
+        return
+    for i in range(start, k + 1):
+        for e in range(k // i, 0, -1):
+            rest = k - i * e
+            if rest == 0:
+                yield ((i, e),)
+            elif rest > i:  # the rest needs an index above i
+                for tail in _canonical_pairs(rest, i + 1):
+                    yield ((i, e),) + tail
+
+
+@lru_cache(maxsize=None)
+def _basis(k: int) -> Tuple[Pairs, ...]:
+    return tuple(_canonical_pairs(k))
+
+
+def monomial_basis(algebra, d: int) -> Tuple[Pairs, ...]:
+    """The pairs of every monomial of internal degree d, canonically
+    ordered, inside the algebra's bound.
+
+    >>> from mmmcoh.algebra import PolynomialAlgebra
+    >>> A = PolynomialAlgebra(24)
+    >>> monomial_basis(A, 4)  # e1^2, e2
+    (((1, 2),), ((2, 1),))
+    >>> monomial_basis(A, 6)  # e1^3, e1*e2, e3
+    (((1, 3),), ((1, 1), (2, 1)), ((3, 1),))
+    """
+    algebra._check_degree(d)
+    return () if d % 2 else _basis(d // 2)
+
 
 def monomials(algebra, d: int) -> Tuple["Monomial", ...]:
-    """``algebra.monomial_basis(d)`` as Monomial objects, in its order."""
-    return tuple(map(Monomial, algebra.monomial_basis(d)))
+    """``monomial_basis(algebra, d)`` as Monomial objects, in its order."""
+    return tuple(map(Monomial, monomial_basis(algebra, d)))
 
 
 def times(pairs: Tuple[Tuple[int, int], ...], i: int) -> Tuple[Tuple[int, int], ...]:
@@ -49,13 +92,24 @@ def multiplication_table(algebra, i: int, d: int) -> Tuple[int, ...]:
     >>> multiplication_table(PolynomialAlgebra(24), 1, 4)  # e1^2 -> e1^3, e2 -> e1*e2
     (0, 1)
     """
-    target = {m: k for k, m in enumerate(algebra.monomial_basis(d + 2 * i))}
-    return tuple(target[times(m, i)] for m in algebra.monomial_basis(d))
+    target = {m: k for k, m in enumerate(monomial_basis(algebra, d + 2 * i))}
+    return tuple(target[times(m, i)] for m in monomial_basis(algebra, d))
 
 
 def hilbert_function(algebra, d: int) -> int:
     """The dimension of degree d as the length of its enumerated basis."""
-    return len(algebra.monomial_basis(d))
+    return len(monomial_basis(algebra, d))
+
+
+def total_exponents(algebra, d: int) -> Tuple[int, ...]:
+    """The number of generator factors of each enumerated basis monomial."""
+    return tuple(sum(e for _, e in m) for m in monomial_basis(algebra, d))
+
+
+def exponents(algebra, i: int, d: int) -> Tuple[int, ...]:
+    """The exponent of e_i in each enumerated basis monomial, 0 where e_i
+    does not divide it."""
+    return tuple(dict(m).get(i, 0) for m in monomial_basis(algebra, d))
 
 
 def smallest_indices(algebra, d: int) -> Tuple[int, ...]:
@@ -68,7 +122,7 @@ def smallest_indices(algebra, d: int) -> Tuple[int, ...]:
     ((1, 1, 3), (13,))
     """
     past = algebra.degree_bound // 2 + 1
-    return tuple(m[0][0] if m else past for m in algebra.monomial_basis(d))
+    return tuple(m[0][0] if m else past for m in monomial_basis(algebra, d))
 
 
 def wedge_remove(k: int, wedge: Tuple[int, ...]):

@@ -34,8 +34,11 @@ def assert_suffix_counts(counts, smallest, d):
 
 def test_monomial_basis_degree_4_exact_order():
     A = PolynomialAlgebra(24)
-    assert A.monomial_basis(4) == (((1, 2),), ((2, 1),))
+    assert algebra_oracle.monomial_basis(A, 4) == (((1, 2),), ((2, 1),))
     assert [str(m) for m in monomials(A, 4)] == ["e1^2", "e2"]
+    # the algebra's own data in that order: e1^2, e2
+    assert A.total_exponents(4) == (2, 1)
+    assert (A.exponents(1, 4), A.exponents(2, 4)) == ((2, 0), (0, 1))
 
 
 def test_monomial_basis_degree_8_contents():
@@ -71,9 +74,14 @@ def test_basis_is_degree_homogeneous_and_duplicate_free():
 
 def test_degree_bound_is_enforced():
     A = PolynomialAlgebra(8)
-    A.monomial_basis(8)
+    A.total_exponents(8)
+    A.exponents(1, 8)
     with pytest.raises(DegreeBoundError):
-        A.monomial_basis(10)
+        A.total_exponents(10)
+    with pytest.raises(DegreeBoundError):
+        A.exponents(1, 10)
+    with pytest.raises(DegreeBoundError):
+        algebra_oracle.monomial_basis(A, 10)
     with pytest.raises(DegreeBoundError):
         A.hilbert_function(26)
     with pytest.raises(ValueError):
@@ -223,8 +231,10 @@ def test_products_of_basis_elements_stay_in_basis(d):
 
 def test_contract_edge_cases():
     A = PolynomialAlgebra(24)
-    assert A.monomial_basis(5) == ()  # odd degrees are empty, not an error
-    assert A.monomial_basis(0) == ((),)
+    # odd degrees are empty, not an error
+    assert A.total_exponents(5) == A.exponents(1, 5) == algebra_oracle.monomial_basis(A, 5) == ()
+    assert algebra_oracle.monomial_basis(A, 0) == ((),)
+    assert (A.total_exponents(0), A.exponents(1, 0)) == ((0,), (0,))
     assert [str(m) for m in monomials(A, 0)] == ["1"]
     basis = monomials(A, 4)
     assert [AlgebraElement.zero().coefficient(m) for m in basis] == [0, 0]
@@ -282,7 +292,7 @@ def test_tables_match_the_sorted_partition_oracle():
     A = PolynomialAlgebra(40)
     bases = [_oracle_basis(d) for d in range(41)]
     for d in range(41):
-        assert A.monomial_basis(d) == tuple(m.pairs for m in bases[d]), d
+        assert algebra_oracle.monomial_basis(A, d) == tuple(m.pairs for m in bases[d]), d
         assert A.total_exponents(d) == tuple(m.total_exponent for m in bases[d]), d
         smallest = [m.pairs[0][0] if m.pairs else 21 for m in bases[d]]
         if d % 2 == 0:
@@ -315,8 +325,8 @@ def test_every_instance_builds_its_own_tables():
 
     def tables(A):
         return (
-            [A.monomial_basis(d) for d in range(0, 37, 2)]
-            + [A.total_exponents(d) for d in range(0, 37, 2)]
+            [A.total_exponents(d) for d in range(0, 37, 2)]
+            + [A.exponents(i, d) for d in range(0, 37, 2) for i in (1, 2, d // 2 or 1)]
             + [A.multiplication_table(i, d) for d in range(0, 35, 2) for i in (1, (36 - d) // 2)]
             + [A.exterior_basis(n, d) for n in range(1, 4) for d in range(6, 37, 2)]
         )
@@ -344,14 +354,17 @@ def test_tables_from_counts_match_the_enumeration_up_to_64():
     A, oracle = PolynomialAlgebra(64), PolynomialAlgebra(64)
     for d in range(65):
         assert A.hilbert_function(d) == algebra_oracle.hilbert_function(oracle, d), d
+        assert A.total_exponents(d) == algebra_oracle.total_exponents(oracle, d), d
         if d % 2 == 0:
             smallest = algebra_oracle.smallest_indices(oracle, d)
             assert_suffix_counts(A._counts()[d // 2], smallest, d)
         for i in range(1, (64 - d) // 2 + 1):
             expected = algebra_oracle.multiplication_table(oracle, i, d)
             assert A.multiplication_table(i, d) == expected, (i, d)
-    # nothing of the above enumerated a monomial basis
-    assert A._basis_cache == {}
+        # every index inside the bound, those that divide no monomial of
+        # degree d included
+        for i in range(1, 33):
+            assert A.exponents(i, d) == algebra_oracle.exponents(oracle, i, d), (i, d)
 
 
 def _pentagonal_partition_counts(n_max):
@@ -376,7 +389,8 @@ def test_hilbert_function_up_to_200_is_the_partition_count():
         0 if d % 2 else p[d // 2] for d in range(201)
     ]
     assert p[100] == 190569292
-    assert A._basis_cache == {}
+    # the counts alone: no exponent table is built
+    assert A._total_cache == {} and A._exp_cache == {}
 
 
 def test_tables_keep_the_bound_and_the_generator_range():
@@ -412,4 +426,6 @@ def test_the_cold_queries_enumerate_no_monomial_basis(argv, capsys, monkeypatch)
     monkeypatch.setattr(PolynomialAlgebra, "__init__", recording)
     assert main([*argv, "--max-degree", "24", "--format", "json"]) == 0
     capsys.readouterr()
-    assert made and all(A._basis_cache == {} for A in made)
+    # the exponent tables are read by d and the Euler weights only, which
+    # no cold query builds
+    assert made and all(A._total_cache == {} and A._exp_cache == {} for A in made)

@@ -723,8 +723,9 @@ def test_a_corrupt_table_is_fail_rows_not_a_traceback(capsys, monkeypatch):
 
 def test_a_wrong_table_in_range_is_fail_rows_not_a_traceback(capsys, monkeypatch):
     # e1^3 placed at the position of e1*e2 in degree 6: the table of e1 from
-    # degree 4 is in range but not injective, and its inverse, division by
-    # e1 into degree 6, would leave e1^3 with no quotient
+    # degree 4 is in range but not injective, so the d it scatters and the
+    # p it builds break the Cartan identity, which the forms certificate
+    # walks first
     from mmmcoh.algebra import PolynomialAlgebra
 
     real = PolynomialAlgebra._block_starts
@@ -740,8 +741,8 @@ def test_a_wrong_table_in_range_is_fail_rows_not_a_traceback(capsys, monkeypatch
     assert "Traceback" not in captured.err
     status = {c["check_id"]: c.get("failure", "pass") for c in json.loads(captured.out)["checks"]}
     assert status.pop("contraction-identity") == status.pop("torus-h1") == "pass"
-    division = "the table of e1 into degree 6 does not fill exactly the monomials that e1 divides"
-    assert status.pop("tor-dimensions") == status.pop("resolution-exactness") == division
+    cartan = "d p + p d is not the weight diagonal at (n, d) = (0, 6)"
+    assert status.pop("tor-dimensions") == status.pop("resolution-exactness") == cartan
     assert set(status.values()) == {"the row table is not injective"}
 
 

@@ -321,14 +321,44 @@ def test_operators_match_object_oracles_at_bound_24():
 def test_division_needs_a_table_onto_the_monomials_e_i_divides(table):
     # into degree 8 (e1^4, e1^2*e2, e1*e3, e2^2, e4), e1 divides the first
     # three; a table in range that does not fill exactly those positions
-    # would leave one of them with no quotient
+    # gives d the wrong exponents and p the wrong products, and the
+    # certificate of degree 8 fails on both
     forms = DifferentialForms(PolynomialAlgebra(24))
     assert forms.algebra.multiplication_table(1, 6) == (0, 1, 2)
-    assert forms._quotient_positions(1, 8) == [0, 1, 2, None, None]
-    forms = DifferentialForms(PolynomialAlgebra(24))
-    forms.algebra._mult_cache[1, 6] = table
-    with pytest.raises(ValueError, match=r"^the table of e1 into degree 8 does not fill exactly "):
-        forms._quotient_positions(1, 8)
+    assert forms.algebra.exponents(1, 8) == (4, 2, 1, 0, 0)
+    for check, message in (
+        ("verify_cartan", "d p + p d is not the weight diagonal at (n, d) = (0, 8)"),
+        ("verify_exactness", "p has no unit minor on the down forms at (n, d) = (1, 8)"),
+    ):
+        forms = DifferentialForms(PolynomialAlgebra(24))
+        forms.algebra._mult_cache[1, 6] = table
+        with pytest.raises(ValueError) as exc:
+            getattr(forms, check)(8)
+        assert str(exc.value) == message, check
+
+
+def test_every_wrong_table_entry_fails_cartan_at_bound_12():
+    # each single entry of each multiplication table moved to another
+    # position in range: the certificate of the degree the table maps into
+    # fails, whether the table then repeats a position or not
+    tables = {}
+    A = PolynomialAlgebra(12)
+    for d in range(0, 11, 2):
+        for i in range(1, (12 - d) // 2 + 1):
+            tables[i, d] = A.multiplication_table(i, d)
+    tried = 0
+    for (i, d), table in tables.items():
+        size = A.hilbert_function(d + 2 * i)
+        for k, q in enumerate(table):
+            for wrong in range(size):
+                if wrong == q:
+                    continue
+                forms = DifferentialForms(PolynomialAlgebra(12))
+                forms.algebra._mult_cache[i, d] = table[:k] + (wrong,) + table[k + 1 :]
+                with pytest.raises(ValueError):
+                    forms.verify_cartan(d + 2 * i)
+                tried += 1
+    assert tried == 300
 
 
 # -- the product and rank routes, kept as test-only oracles -------------------------
@@ -1067,14 +1097,13 @@ def test_each_slot_test_agrees_with_its_scan_on_p(n, half, where, column, entry,
     if forms_module._square_slots(chunk, below):
         assert square
     assert DifferentialForms._square_zero(iter(chunk), below) == square
-    rows = [col[::2] for col in chunk]
-    minor = forms_module._minor_scan(rows, up_in)
-    if forms_module._minor_slots(rows, up_in):
+    minor = forms_module._minor_scan(chunk, up_in)
+    if forms_module._minor_slots(chunk, up_in):
         assert minor
-    assert DifferentialForms._unit_minor(rows, up_in) == minor
+    assert DifferentialForms._unit_minor(chunk, up_in) == minor
     if how == "none":
         # unchanged operators certify on the slot tests alone
-        assert forms_module._square_slots(chunk, below) and forms_module._minor_slots(rows, up_in)
+        assert forms_module._square_slots(chunk, below) and forms_module._minor_slots(chunk, up_in)
 
 
 _values = st.sampled_from([1, -1, 2])
@@ -1096,10 +1125,9 @@ def test_each_slot_test_agrees_with_its_scan_on_random_columns(n, size, data):
     square = forms_module._square_scan(chunk, below)
     assert not forms_module._square_slots(chunk, below) or square
     assert DifferentialForms._square_zero(iter(chunk), below) == square
-    rows = [col[::2] for col in chunk]
-    minor = forms_module._minor_scan(rows, up_in)
-    assert not forms_module._minor_slots(rows, up_in) or minor
-    assert DifferentialForms._unit_minor(rows, up_in) == minor
+    minor = forms_module._minor_scan(chunk, up_in)
+    assert not forms_module._minor_slots(chunk, up_in) or minor
+    assert DifferentialForms._unit_minor(chunk, up_in) == minor
 
 
 def test_square_zero_takes_its_columns_in_chunks(monkeypatch):
