@@ -71,7 +71,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import add, floordiv, itemgetter, not_, setitem
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .algebra import PolynomialAlgebra
 from .linalg import _ROWS, SparseMatrix, _gathered, _matrix
@@ -301,47 +301,33 @@ class DifferentialForms:
 
     @staticmethod
     def _homotopy_walk(
+        weights: List[int],
+        d_out: Packed,
+        p_up: Packed,
         p_out: Packed,
-        p_down: Packed,
-        cartan: Optional[Tuple[List[int], Packed, Packed, Packed]] = None,
-        columns: Optional[Iterable[int]] = None,
-    ) -> Tuple[Optional[bool], bool]:
-        """Whether p(dw) + d(pw) = weight * w, and whether p(pw) = 0, for
-        each basis form w of Omega^n_d at a position in ``columns`` (every
-        one by default), with no product matrix.  p^2 is `_square_zero` on
-        those columns of p_n; the Cartan half runs only when ``cartan =
-        (weights, d_n, p_{n+1}, d_{n-1})`` is given, as one dict walk per
-        column over d_n, p_{n+1}, p_n and d_{n-1}; without it the first
-        answer is None."""
-        if cartan is None:
-            cols = p_out if columns is None else map(p_out.__getitem__, columns)
-            return None, DifferentialForms._square_zero(cols, p_down)
-        weights, d_out, p_up, d_down = cartan
-        identity = nilpotent = True
+        d_down: Packed,
+        columns: Iterable[int],
+    ) -> bool:
+        """Whether p(dw) + d(pw) = weight * w for each basis form w of
+        Omega^n_d at a position in ``columns``, with no product matrix: one
+        dict walk per column over d_n, p_{n+1}, p_n and d_{n-1}."""
         acc: Dict[int, int] = {}  # p(dw) + d(pw)
         get = acc.get
-        # the walked columns of p_n, handed to `_square_zero` a chunk at a time
-        walked: List[Tuple[int, ...]] = []
-        for c in range(len(weights)) if columns is None else columns:
+        for c in columns:
             it = iter(d_out[c])
             for r, x in zip(it, it):
                 lt = iter(p_up[r])
                 for s, y in zip(lt, lt):
                     acc[s] = get(s, 0) + x * y
-            col = p_out[c]
-            it = iter(col)
+            it = iter(p_out[c])
             for r, x in zip(it, it):
                 lt = iter(d_down[r])
                 for s, y in zip(lt, lt):
                     acc[s] = get(s, 0) + x * y
-            identity = identity and acc.pop(c, 0) == weights[c] and not any(acc.values())
+            if acc.pop(c, 0) != weights[c] or any(acc.values()):
+                return False
             acc.clear()
-            walked.append(col)
-            if len(walked) == _CHUNK:
-                nilpotent = nilpotent and DifferentialForms._square_zero(walked, p_down)
-                walked.clear()
-        nilpotent = nilpotent and DifferentialForms._square_zero(walked, p_down)
-        return identity, nilpotent
+        return True
 
     # -- exactness ---------------------------------------------------------
 
@@ -451,8 +437,6 @@ class DifferentialForms:
         for n in range(top + 2):
             up_out = self._up_marks(n, d)
             downs[n] = up_out.count(0)
-            # the down positions, made as the walk reads them
-            columns = compress(count(), map(not_, up_out)) if down_only else None
             # the down columns of p_n, listed once for the unit minor and
             # the weight check, and dropped before the walk
             down_cols = list(compress(p_out, map(not_, up_out)))
@@ -465,19 +449,21 @@ class DifferentialForms:
                 down_cols, up_out, weights, weights_in
             )
             del down_cols
+            square = self._square_zero(map(p_out.__getitem__, _walked(up_out, down_only)), p_down)
+            homotopy = True
             if cartan:
                 weights_in = weights
                 d_out = self.exterior_derivative(n, d).packed
                 p_up = self.interior_product(n + 1, d).packed
-                walk = self._homotopy_walk(p_out, p_down, (weights, d_out, p_up, d_down), columns)
-            else:
-                walk = self._homotopy_walk(p_out, p_down, None, columns)
+                homotopy = self._homotopy_walk(
+                    weights, d_out, p_up, p_out, d_down, _walked(up_out, down_only)
+                )
             positive = all(w > 0 for w in weights)
             for ok, identity in (
                 (positive, "the weights of d p + p d are not positive"),
-                (walk[0] is not False and keeps, "d p + p d is not the weight diagonal"),
+                (homotopy and keeps, "d p + p d is not the weight diagonal"),
                 (minor, "p has no unit minor on the down forms"),
-                (walk[1], "p^2 is not zero"),
+                (square, "p^2 is not zero"),
                 (n == 0 or downs[n - 1] + downs[n] == self.dim(n - 1, d),
                  "the down forms of Omega^(n-1) and Omega^n do not add up to dim Omega^(n-1)"),
                 (n <= top or not self.dim(n, d), "Omega^n is not zero"),
@@ -495,6 +481,12 @@ class DifferentialForms:
         spots = [SpotCheck(0, dims[0], 0, downs[1], downs[1] == dims[0])]
         spots += [SpotCheck(n, dims[n], downs[n], downs[n + 1], True) for n in range(1, top + 1)]
         return ExactnessReport(degree=d, spots=tuple(spots))
+
+
+def _walked(up_out: bytearray, down_only: bool) -> Iterable[int]:
+    """The positions of Omega^n_d that a walk reads, made as it reads them:
+    the down ones (0 in ``up_out``) when ``down_only``, else all."""
+    return compress(count(), map(not_, up_out)) if down_only else range(len(up_out))
 
 
 def _operator(

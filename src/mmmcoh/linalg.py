@@ -15,22 +15,21 @@ Representation: a matrix is stored by column, in the compressed sparse
 column layout (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006, ch. 2) with one flat tuple per column: ``packed[c]`` is
 ``(row, value, row, value, ...)`` over the nonzeros of column c, and an
-empty column is ``()``.  This takes about half the memory of a dict keyed
-by ``(row, col)``.  Within a column the entries keep the order they were
-given in; ``==`` and ``hash`` ignore that order.  A matrix is treated as
-immutable after construction, so matrices may share columns.  A vector is
-a one-column matrix, and a basis of k vectors, such as a kernel or
-column-space basis, is the matrix of its k columns.  Matrices from outside
-input go through ``SparseMatrix.of_columns`` or the dict constructor,
-which run the same checks (row range, each row at most once per column,
-value type, zeros dropped) in C-level passes over all entries at once.
-The index-arithmetic builders in ``forms`` (p and d) check the same
-properties once per block instead, where their tables and layouts make
-them hold for every entry of the block, and hand their columns to the
-unchecked ``_matrix``.  The contraction and the cup product are no
-matrices here: each sends a basis element to a multiple of one basis
-element, so ``modules.GradedModuleMap`` keeps it as a row table and a
-value table and ranks it by counting distinct rows.
+empty column is ``()``.  Within a column the entries keep the order they
+were given in; ``==`` and ``hash`` ignore that order.  A matrix is treated
+as immutable after construction.  A vector is a one-column matrix, and a
+basis of k vectors, such as a kernel or column-space basis, is the matrix
+of its k columns.  Matrices from outside input go through
+``SparseMatrix.of_columns`` or the dict constructor, which check each
+entry in one loop per column (row range, each row at most once per
+column, value type, zeros dropped).  The index-arithmetic builders in
+``forms`` (p and d) check the same properties once per block instead,
+where their tables and layouts make them hold for every entry of the
+block, and hand their columns to the unchecked ``_matrix``.  The
+contraction and the cup product are no matrices here: each sends a basis
+element to a multiple of one basis element, so
+``modules.GradedModuleMap`` keeps it as a row table and a value table and
+ranks it by counting distinct rows.
 
 Reduction strategy: every matrix goes through one Gauss-Jordan routine,
 ``_rref``.  It takes columns from the left, makes the first remaining row
@@ -44,24 +43,24 @@ fill-in.  Each elimination first transposes the columns into one
 dict per row, once.
 
 Products: ``A @ B`` reads the columns of ``B`` and adds, for each entry
-``(k, x)`` of a column, ``x`` times column k of ``A`` into one
-accumulator, so neither operand is re-indexed.  A column of ``B`` with a
-single entry 1 shares column k of ``A`` as it is.  Many vectors go through
-one ``@`` product with the matrix of their columns.
+``(k, x)`` of a column, ``x`` times column k of ``A`` into one dict
+accumulator per column, so neither operand is re-indexed; ``A + B`` merges
+each pair of columns the same way.  In a passing run the products, sums
+and checked constructions all come from the torus H^1 certificate of
+``groupcoh``: the words of the braid group B_3 on the torus lattice, the
+cocycle matrix and the check that every coboundary is a cocycle, on
+matrices of at most 4 rows and columns.
 
 Arithmetic: a stored value is a Python ``int`` while it is integral and a
-``Fraction`` otherwise, so ``@``, ``+`` and elimination run on
-machine-independent ``int`` arithmetic with no conversion per entry, and
-Python's numeric tower keeps a value exact as a ``Fraction`` where a
-division actually happens: elimination negates a row led by -1 and divides
-only a row led by another value than +-1.  A value computed from a
-``Fraction`` stays one even when it comes out integral; ``==`` and
-``hash`` compare values, so that is invisible outside.  Every value that
-crosses the interface (``entries``, ``to_lists``) is a ``Fraction``, for a
-kernel or column-space basis too: ``_as_q`` wraps an
-``int`` through ``_SMALL``, one shared ``Fraction`` per small integer.
-Sharing is safe because ``Fraction`` is immutable, and it saves an
-allocation per entry.
+``Fraction`` otherwise, so ``@``, ``+`` and elimination run on ``int``
+arithmetic with no conversion per entry, and Python's numeric tower keeps
+a value exact as a ``Fraction`` where a division actually happens:
+elimination negates a row led by -1 and divides only a row led by another
+value than +-1.  A value computed from a ``Fraction`` stays one even when
+it comes out integral; ``==`` and ``hash`` compare values, so that is
+invisible outside.  Every value that crosses the interface (``entries``,
+``to_lists``) is a new ``Fraction``, for a kernel or column-space basis
+too.
 """
 
 from __future__ import annotations
@@ -69,10 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter, mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-_SMALL = {i: Fraction(i) for i in range(-64, 65)}
-_ZERO = _SMALL[0]
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 # the rows of a packed column (row, value, row, value, ...), and the value
 # of a (row, value) pair, as C-level callables
@@ -89,18 +85,8 @@ def _gathered(seq: Sequence, indices: Sequence[int]) -> Tuple:
     return tuple(seq[i] for i in indices)
 
 
-def _as_q(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    q = _SMALL.get(x)  # no truth test: Fraction.__bool__ runs in Python
-    return q if q is not None else Fraction(x)
-
-
 def _int_if_integral(x: Fraction):
-    # the one reader of Fraction internals: the public properties are about
-    # 5x slower, and this runs once per non-int entry of a kernel basis and
-    # once per Fraction a matrix constructor stores
-    return x._numerator if x._denominator == 1 else x
+    return x.numerator if x.denominator == 1 else x
 
 
 def _pairs(col):
@@ -114,45 +100,26 @@ def _pack(acc: Dict[int, object]) -> Tuple:
     return tuple(chain.from_iterable(filter(_VALUE, acc.items())))
 
 
-def _clean_column(col: Tuple) -> Tuple:
-    # the slow path of the checks: wrap what is not an int, unwrap what is
-    # integral, drop zeros
-    out: List[object] = []
-    for r, x in _pairs(col):
-        if type(x) is not int:
-            x = _int_if_integral(_as_q(x))
-        if x:
-            out += (r, x)
+def _checked_columns(rows: int, columns: Sequence[Sequence]) -> Tuple[Tuple, ...]:
+    """``columns`` as a tuple of packed columns, checked entry by entry:
+    whole pairs only, every row an ``int`` in ``range(rows)`` and at most
+    once per column; every value is stored as an ``int`` when integral and
+    dropped when zero.  The checks of the dict constructor and
+    ``of_columns``, for columns whose properties nothing else has
+    established."""
+    out: List[Tuple] = []
+    for c, col in enumerate(columns):
+        if len(col) % 2:
+            raise ValueError("a packed column must hold (row, value) pairs")
+        acc: Dict[int, object] = {}
+        for r, x in _pairs(col):
+            if type(r) is not int or not 0 <= r < rows:
+                raise IndexError(f"entry ({r!r},{c}) outside {rows}x{len(columns)}")
+            if r in acc:
+                raise ValueError("a row appears twice in one column")
+            acc[r] = x if type(x) is int else _int_if_integral(Fraction(x))
+        out.append(_pack(acc))
     return tuple(out)
-
-
-def _checked_columns(rows: int, columns: Iterable[Sequence]) -> Tuple[Tuple, ...]:
-    """``columns`` as a tuple of packed columns, checked: whole pairs only,
-    every row an ``int`` in ``range(rows)`` and at most once per column,
-    every value nonzero and an ``int`` when integral.  Each check is one
-    C-level pass over all columns or entries; only when a value is not a
-    nonzero ``int`` are the columns rebuilt entry by entry.  The checks
-    of the dict constructor and ``of_columns``, for columns whose
-    properties nothing else has established."""
-    columns = tuple(map(tuple, columns))
-    row_parts = list(map(_ROWS, columns))
-    row_counts = list(map(len, row_parts))
-    flat = list(chain.from_iterable(columns))
-    # a column of odd length has one more row slot than it has pairs
-    if 2 * sum(row_counts) != len(flat):
-        raise ValueError("a packed column must hold (row, value) pairs")
-    all_rows, values = flat[0::2], flat[1::2]
-    if all_rows:
-        if set(map(type, all_rows)) != {int} or min(all_rows) < 0 or max(all_rows) >= rows:
-            for c, col in enumerate(columns):
-                for r in col[0::2]:
-                    if type(r) is not int or not 0 <= r < rows:
-                        raise IndexError(f"entry ({r!r},{c}) outside {rows}x{len(columns)}")
-        if list(map(len, map(set, row_parts))) != row_counts:
-            raise ValueError("a row appears twice in one column")
-    if set(map(type, values)) <= {int} and all(values):
-        return columns
-    return tuple(map(_clean_column, columns))
 
 
 def _matrix(rows: int, cols: int, packed: Tuple[Tuple, ...]) -> "SparseMatrix":
@@ -234,7 +201,7 @@ class SparseMatrix:
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
         """The nonzeros as a new dict ``(r, c) -> Fraction``, column by column."""
-        return {(r, c): _as_q(x) for c, col in enumerate(self.packed) for r, x in _pairs(col)}
+        return {(r, c): Fraction(x) for c, col in enumerate(self.packed) for r, x in _pairs(col)}
 
     def __matmul__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -244,27 +211,10 @@ class SparseMatrix:
         left = self.packed
         out: List[Tuple] = []
         for col in other.packed:
-            n = len(col)
-            if n == 2:
-                # one entry: a multiple of one column of the left operand,
-                # shared as it is when the multiple is 1
-                k, x = col
-                out.append(left[k] if x == 1 else _scaled(left[k], x))
-                continue
-            if not n:
-                out.append(col)
-                continue
             acc: Dict[int, object] = {}
-            get = acc.get
-            it = iter(col)
-            for k, x in zip(it, it):
-                lt = iter(left[k])
-                if x == 1:
-                    for r, a in zip(lt, lt):
-                        acc[r] = get(r, 0) + a
-                else:
-                    for r, a in zip(lt, lt):
-                        acc[r] = get(r, 0) + a * x
+            for k, x in _pairs(col):
+                for r, a in _pairs(left[k]):
+                    acc[r] = acc.get(r, 0) + a * x
             out.append(_pack(acc))
         return _matrix(self.rows, other.cols, tuple(out))
 
@@ -273,14 +223,10 @@ class SparseMatrix:
             raise ValueError("shape mismatch")
         out: List[Tuple] = []
         for a, b in zip(self.packed, other.packed):
-            if a and b:
-                acc = dict(_pairs(a))
-                for r, x in _pairs(b):
-                    acc[r] = acc.get(r, 0) + x
-                a = _pack(acc)
-            elif b:
-                a = b
-            out.append(a)
+            acc = dict(_pairs(a))
+            for r, x in _pairs(b):
+                acc[r] = acc.get(r, 0) + x
+            out.append(_pack(acc))
         return _matrix(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -290,7 +236,7 @@ class SparseMatrix:
         return self.scale(-1)
 
     def scale(self, c) -> "SparseMatrix":
-        c = _int_if_integral(_as_q(c))
+        c = _int_if_integral(Fraction(c))
         if not c:
             return SparseMatrix.zero(self.rows, self.cols)
         return _matrix(self.rows, self.cols, tuple(map(_scaled, self.packed, repeat(c))))
@@ -302,17 +248,15 @@ class SparseMatrix:
         return not any(self.packed)
 
     def to_lists(self) -> List[List[Fraction]]:
-        out = [[_ZERO] * self.cols for _ in range(self.rows)]
+        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
         for c, col in enumerate(self.packed):
             for r, x in _pairs(col):
-                out[r][c] = _as_q(x)
+                out[r][c] = Fraction(x)
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix) or (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self.packed == other.packed:
-            return True
         # the same entries may sit in another order within a column
         return all(
             a == b or (len(a) == len(b) and dict(_pairs(a)) == dict(_pairs(b)))

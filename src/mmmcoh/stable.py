@@ -513,7 +513,10 @@ class StableCohomology:
 
     def _free_generators(self, n: int, d: int) -> int:
         """The degree-d generators of the free module Omega^n: the blocks
-        of its layout whose coefficient degree is 0."""
+        of its layout whose coefficient degree is 0.  Past the largest form
+        degree Omega^n is zero, and no layout is built for it."""
+        if n > self.forms.max_form_degree():
+            return 0
         return sum(1 for _, deg in self.forms._layout(n, d)[0].values() if deg == 0)
 
     def exact_sequence_audit(self) -> List[Dict[str, int]]:

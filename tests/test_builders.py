@@ -17,6 +17,7 @@ import pytest
 
 from mmmcoh import linalg, stable
 from mmmcoh.algebra import PolynomialAlgebra
+from mmmcoh.cli import main
 from mmmcoh.forms import DifferentialForms
 from mmmcoh.linalg import SparseMatrix
 from mmmcoh.stable import StableCohomology
@@ -65,24 +66,38 @@ def test_every_builder_passes_the_entry_check_at_bound_24(monkeypatch):
         assert m.packed == tuple(columns)
 
 
-def test_no_builder_reaches_the_entry_check(monkeypatch):
-    # count the calls of _checked_columns with a forms or stable frame on
-    # the stack; the small groupcoh matrices still go through it
+def test_no_builder_reaches_the_entry_check(monkeypatch, capsys):
+    # every call of the entry check _checked_columns, and of @ and +, in a
+    # run has a groupcoh frame on its stack (the small torus H^1 matrices)
+    # and no forms, modules or stable frame; the CLI queries make none
     callers = []
-    real = linalg._checked_columns
 
-    def counting(rows, columns):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_globals.get("__name__"))
-            frame = frame.f_back
-        callers.append(names)
-        return real(rows, columns)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(linalg, "_checked_columns", counting)
+        def counting(*args):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_globals.get("__name__"))
+                frame = frame.f_back
+            callers.append((name, names))
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(SparseMatrix, "__matmul__")
+    counted(SparseMatrix, "__add__")
+    counted(linalg, "_checked_columns")
     assert run_verification(24).passed
-    assert any("mmmcoh.groupcoh" in names for names in callers)
-    assert not any(names & {"mmmcoh.forms", "mmmcoh.stable"} for names in callers)
+    assert {name for name, _ in callers} == {"__matmul__", "__add__", "_checked_columns"}
+    for name, names in callers:
+        assert "mmmcoh.groupcoh" in names, name
+        assert not names & {"mmmcoh.forms", "mmmcoh.modules", "mmmcoh.stable"}, name
+    callers.clear()
+    for query in (["hilbert", "Htilde"], ["tor"], ["generators"], ["exactness"]):
+        assert main(query + ["--max-degree", "16"]) == 0
+    capsys.readouterr()
+    assert callers == []
 
 
 # -- one broken block at a time: a ValueError naming it ---------------------------

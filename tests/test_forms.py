@@ -372,25 +372,24 @@ def test_every_wrong_table_entry_fails_cartan_at_bound_12():
 
 
 def homotopy_walk(forms, n, d):
-    """The walk on Omega^n_d alone, over the five operators it reads, each
-    built through the class's builder methods."""
+    """The walk on every column of Omega^n_d alone, over the weights and the
+    four operators it reads, each built through the class's builder
+    methods."""
     d_down = forms.exterior_derivative(n - 1, d).packed if n else ()
     return forms._homotopy_walk(
+        forms.euler_weights(n, d),
+        forms.exterior_derivative(n, d).packed,
+        forms.interior_product(n + 1, d).packed,
         forms.interior_product(n, d).packed,
-        forms.interior_product(n - 1, d).packed,
-        (
-            forms.euler_weights(n, d),
-            forms.exterior_derivative(n, d).packed,
-            forms.interior_product(n + 1, d).packed,
-            d_down,
-        ),
+        d_down,
+        range(forms.dim(n, d)),
     )
 
 
 def verify_cartan(forms, n, d):
     """d p + p d equals the predicted diagonal on Omega^n_d, read from the
     homotopy walk."""
-    return homotopy_walk(forms, n, d)[0]
+    return homotopy_walk(forms, n, d)
 
 
 def lie_derivative_oracle(forms, n, d):
@@ -515,15 +514,15 @@ def test_broken_premise_is_a_resolution_exactness_fail_row(monkeypatch, capsys, 
 
 
 def test_walk_detects_a_nonzero_p_squared(monkeypatch):
-    # the walk on Omega^3 reads p_2 only as the p of p(pw), so doubling an
-    # entry of a column of p_2 that p(de1^de2^de3) hits leaves Cartan there
-    # intact and breaks p^2 = 0, with or without the Cartan half
+    # on Omega^3, p_2 is read only as the p of p(pw), so doubling an entry
+    # of a column of p_2 that p(de1^de2^de3) hits leaves the Cartan walk
+    # there intact and breaks p^2 = 0
     hit = DifferentialForms(PolynomialAlgebra(12)).interior_product(3, 12).packed[0][0]
     _break_operator("interior_product", (2, 12), col=hit)(monkeypatch)
     forms = DifferentialForms(PolynomialAlgebra(12))
-    assert homotopy_walk(forms, 3, 12) == (True, False)
+    assert homotopy_walk(forms, 3, 12)
     p3, p2 = (forms.interior_product(n, 12).packed for n in (3, 2))
-    assert forms._homotopy_walk(p3, p2) == (None, False)
+    assert not forms._square_zero(iter(p3), p2)
     # the exactness certificate meets p_2 first as p_1 p_2, on Omega^2
     with pytest.raises(ValueError, match=r"^p\^2 is not zero at \(n, d\) = \(2, 12\)$"):
         forms.verify_exactness(12)
@@ -857,42 +856,73 @@ def test_the_weight_premise_is_what_settles_the_up_forms(monkeypatch):
 
 
 def test_a_failed_down_walk_that_the_full_walk_passes_is_an_error(monkeypatch):
-    real = DifferentialForms._homotopy_walk
+    # the first call of a reader that reads a column, which the down walk
+    # makes, answers False; every later one answers as the reader does.  p^2
+    # is read by both checks, the homotopy walk by verify_cartan only
+    failed = []
+    real_square, real_walk = DifferentialForms._square_zero, DifferentialForms._homotopy_walk
 
-    def walk(p_out, p_down, cartan=None, columns=None):
-        if columns is not None and list(columns):
-            return False, False
-        return real(p_out, p_down, cartan, columns)
+    def square(cols, p_down):
+        cols = list(cols)
+        if cols and not failed:
+            failed.append(True)
+            return False
+        return real_square(cols, p_down)
 
-    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
-    for check in ("verify_exactness", "verify_cartan"):
-        forms = DifferentialForms(PolynomialAlgebra(8))
-        with pytest.raises(ValueError, match=r"^the down-column and full walks disagree at d = 8$"):
-            getattr(forms, check)(8)
-        assert 8 not in forms._exactness
+    def walk(*operators):
+        columns = list(operators[-1])
+        if columns and not failed:
+            failed.append(True)
+            return False
+        return real_walk(*operators[:-1], columns)
+
+    for reader, broken, checks in (
+        ("_square_zero", square, ("verify_exactness", "verify_cartan")),
+        ("_homotopy_walk", walk, ("verify_cartan",)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(DifferentialForms, reader, staticmethod(broken))
+            for check in checks:
+                failed.clear()
+                forms = DifferentialForms(PolynomialAlgebra(8))
+                with pytest.raises(
+                    ValueError, match=r"^the down-column and full walks disagree at d = 8$"
+                ):
+                    getattr(forms, check)(8)
+                assert failed and 8 not in forms._exactness
 
 
 @pytest.mark.parametrize("check", ["verify_exactness", "verify_cartan"])
 def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
-    # per degree, sum_n u_n columns: half of sum_n dim Omega^n_d
-    real = DifferentialForms._homotopy_walk
-    walked = []
+    # per degree, sum_n u_n columns: half of sum_n dim Omega^n_d.  p^2 reads
+    # the columns of p_n at them, and in verify_cartan the homotopy walk
+    # reads the same positions
+    real_square, real_walk = DifferentialForms._square_zero, DifferentialForms._homotopy_walk
+    squared, walked = [], []
 
-    def walk(p_out, p_down, cartan=None, columns=None):
-        walked.append(list(columns))
-        return real(p_out, p_down, cartan, walked[-1])
+    def square(cols, p_down):
+        squared.append(list(cols))
+        return real_square(squared[-1], p_down)
 
+    def walk(*operators):
+        walked.append(list(operators[-1]))
+        return real_walk(*operators[:-1], walked[-1])
+
+    monkeypatch.setattr(DifferentialForms, "_square_zero", staticmethod(square))
     monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
     forms = DifferentialForms(PolynomialAlgebra(24))
     top = forms.max_form_degree()
     for d in range(1, 25):
+        squared.clear()
         walked.clear()
         getattr(forms, check)(d)
         downs = [
             [c for c, up in enumerate(forms._up_marks(n, d)) if not up] for n in range(top + 2)
         ]
-        assert walked == downs, d
-        read = sum(map(len, walked))
+        p = [forms.interior_product(n, d).packed for n in range(top + 2)]
+        assert squared == [[p[n][c] for c in down] for n, down in enumerate(downs)], d
+        assert walked == (downs if check == "verify_cartan" else []), d
+        read = sum(map(len, squared))
         assert 2 * read == sum(forms.dim(n, d) for n in range(top + 2)), d
         assert read == sum(s.rank_out for s in forms.verify_exactness(d).spots), d
 

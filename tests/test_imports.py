@@ -2,9 +2,11 @@
 
 The package root re-exports its imports, so it is exempt, and so is an
 import whose line carries ``# noqa: F401`` (a deliberate re-export); the
-root's ``__all__`` lists exactly its public imports instead.  A
-module-level alias of an imported name (``Q = Fraction``) must be read
-somewhere under ``src/``, ``tests/`` or ``perfbench/``.  Every function,
+root's ``__all__`` lists exactly its public imports instead.  A name
+that a module-level assignment binds, such as a constant (``_CHUNK =
+512``) or an alias of an imported name (``Q = Fraction``), must be read
+somewhere under ``src/``, ``tests/`` or ``perfbench/``, dunders
+excepted.  Every function,
 method, property and class the package defines must be read under
 ``src/`` or ``perfbench/``: code that only tests read is not kept in the
 package, save for the few names of ``TEST_ONLY``.
@@ -77,24 +79,20 @@ def test_the_check_finds_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == [(1, "Sequence"), (5, "solve")]
 
 
-def module_aliases(source: str):
-    """``(line, name)`` of each module-level ``NAME = imported_name``."""
-    tree = ast.parse(source)
-    imported = {
-        alias.asname or alias.name.split(".")[0]
-        for node in tree.body
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    }
-    return [
-        (node.lineno, node.targets[0].id)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and len(node.targets) == 1
-        and isinstance(node.targets[0], ast.Name)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in imported
-    ]
+def module_constants(source: str):
+    """``(line, name)`` of each name a module-level ``Assign`` or
+    ``AnnAssign`` binds, unpacked targets included, dunders excepted."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (
+                        name.id.startswith("__") and name.id.endswith("__")
+                    ):
+                        out.append((node.lineno, name.id))
+    return out
 
 
 def read_names(source: str):
@@ -116,7 +114,7 @@ def test_every_module_alias_is_read():
     unread = [
         (path.name, line, name)
         for path in sorted(PACKAGE.glob("*.py"))
-        for line, name in module_aliases(path.read_text())
+        for line, name in module_constants(path.read_text())
         if name not in read
     ]
     assert unread == []
@@ -130,10 +128,19 @@ def test_the_check_finds_an_unread_alias():
         "P = os\n"
         "_ONE = Fraction(1)\n"
         "R = _ONE\n"
+        "_SMALL = {i: Fraction(i) for i in range(-2, 3)}\n"
+        "LIMIT: int = 3\n"
+        "__all__ = ['R']\n"
         "print(P.sep)\n"
     )
-    assert module_aliases(source) == [(3, "Q"), (4, "P")]
-    assert {"P", "sep"} <= read_names(source) and "Q" not in read_names(source)
+    assert module_constants(source) == [
+        (3, "Q"), (4, "P"), (5, "_ONE"), (6, "R"), (7, "_SMALL"), (8, "LIMIT"),
+    ]
+    read = read_names(source)
+    assert {"P", "sep", "_ONE"} <= read
+    assert [name for _, name in module_constants(source) if name not in read] == [
+        "Q", "R", "_SMALL", "LIMIT",
+    ]
 
 
 def definitions(source: str):

@@ -378,8 +378,8 @@ def test_kernel_columns_keep_integral_values_as_ints():
     assert free == [1, 2]
     assert columns == [(1, 1, 0, -2), (2, 1, 0, Fraction(-1, 2))]
     assert [list(map(type, col[1::2])) for col in columns] == [[int, int], [int, Fraction]]
-    # an all-int column passes the column constructor unrebuilt
-    assert SparseMatrix.of_columns(3, 1, columns[:1]).packed[0] is columns[0]
+    # an all-int column passes the column constructor as it is
+    assert SparseMatrix.of_columns(3, 1, columns[:1]).packed[0] == columns[0]
     # the kernel basis is the matrix of these columns, as they are
     assert kernel_basis(m).packed == tuple(columns)
     assert kernel_basis(m).to_lists() == [
@@ -553,9 +553,8 @@ def test_column_constructor_checks_like_the_dict_constructor():
 # -- products by composition ---------------------------------------------------
 #
 # A one-entry column x e_k of the right operand picks column k of the left
-# operand: shared when x is 1, and composed by index into one
-# (row, value * x) pair when that column has one entry too.  The packed
-# columns, value types included, must be those of scaling the picked column.
+# operand, times x.  The packed columns, value types included, must be
+# those of scaling the picked column.
 
 
 def _typed(packed):
@@ -585,8 +584,6 @@ def test_composition_matches_scaling_the_picked_column(data):
     b = data.draw(one_entry_matrices(inner, values=value))
     got = a @ b
     assert (got.rows, got.cols) == (a.rows, b.cols)
-    scaled = [a.packed[k] if x == 1 else _scaled(a.packed[k], x) for k, x in b.packed]
+    scaled = [_scaled(a.packed[k], x) for k, x in b.packed]
     assert _typed(got.packed) == _typed(scaled)
-    for (k, x), col in zip(b.packed, got.packed):
-        assert x != 1 or col is a.packed[k]
     assert got.entries == _oracle_matmul(a, b)

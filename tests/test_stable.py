@@ -355,6 +355,17 @@ def test_tor_matches_two_wedge_columns(sc):
             ), (table.j, d)
 
 
+def test_tor_builds_no_layout_past_the_largest_form_degree():
+    # Omega^n is zero for n > max_form_degree, so a large j_max keeps the
+    # layouts and exterior bases of j_max = 4
+    small, large = StableCohomology(24), StableCohomology(24)
+    few, many = small.verify_tor(j_max=4), large.verify_tor(j_max=2000)
+    assert len(many.results) == 2001
+    assert many.results[:5] == few.results
+    assert len(large.forms._layouts) == len(small.forms._layouts)
+    assert len(large.algebra._exterior_cache) == len(small.algebra._exterior_cache)
+
+
 def test_nonfreeness_witness(sc):
     report = sc.verify_tor(j_max=1)
     assert report.nonfreeness_witness == 1
