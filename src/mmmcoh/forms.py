@@ -25,21 +25,29 @@ the Cartan identity with p keeping the Euler weight, these settle the
 up forms too (`DifferentialForms._certify`).
 d^2 = 0 is checked only by tests/test_forms.py, at bound 24.
 
-The unit minor and p^2 = 0 are slot tests over whole operators, with no
-loop per column.  A column of p_n lists its n entries in slot order, so
-slot t of every column is one ``itemgetter`` away.  The unit minor holds
-when slot 0 of each down column is an up row, no other slot is, and the
-slot-0 rows are distinct.  p_{n-1} p_n = 0 holds when the values follow
-the Koszul signs and, for slots t < u, "contract t, then u - 1" lands on
-the row of "contract u, then t": the two terms cancel, and such pairs
-cover every term.  The lists are taken in chunks of columns, so they add
-little to the peak.  A slot test certifies only what it proves; when one
-does not close, the scan of each column decides (`_minor_scan`,
+The certificates read p slot-major.  Every column of p_n has n entries,
+entry t contracting slot t of its wedge, so p_n is built as n lists of
+rows and n lists of values, list t holding entry t of every column
+(`DifferentialForms._contraction`; the fixed-width ELLPACK layout of
+Y. Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM
+2003, section 3.4), with no tuple per column.  The unit minor and
+p^2 = 0 are slot tests over these lists, with no loop per column.  The
+unit minor holds when slot 0 of each down column is an up row, no other
+slot is, and the slot-0 rows are distinct.  p_{n-1} p_n = 0 holds when
+the values follow the Koszul signs and, for slots t < u, "contract t,
+then u - 1" lands on the row of "contract u, then t": the two terms
+cancel, and such pairs cover every term.  Each is a few passes at C
+level over whole lists: ``compress`` of each slot list to the down
+positions, a gather through the slot lists of p_{n-1}, one count per
+value list.  A slot test certifies only what it proves; when one does
+not close, the scan of each packed column decides (`_minor_scan`,
 `_square_scan`), so the verdicts, messages and reports are those of the
-scans.  The Cartan identity is walked column by column.
+scans.  The Cartan identity is walked column by column, reading p by
+slot.  ``interior_product`` is the packed matrix of p, for the readers
+of whole columns.
 
-The complex is streamed degree by degree: the operator matrices are built
-on each call and kept by no one here, so `verify_exactness(d)` and
+The complex is streamed degree by degree: the operators are built on
+each call and kept by no one here, so `verify_exactness(d)` and
 `verify_cartan(d)` hold the operators of degree d only while they walk
 them.  An instance keeps one exactness report per degree and the layouts
 read since the last walk began: a walk of degree d drops the layouts of
@@ -67,10 +75,11 @@ of that order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
-from operator import add, floordiv, itemgetter, not_, setitem
+from itertools import chain, compress, count, repeat
+from operator import add, itemgetter, setitem
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .algebra import PolynomialAlgebra
@@ -78,6 +87,10 @@ from .linalg import _ROWS, SparseMatrix, _gathered, _matrix
 
 # the packed columns of an operator matrix, ``SparseMatrix.packed``
 Packed = Tuple[Tuple[int, ...], ...]
+
+# p_n as `DifferentialForms._contraction` builds it: (rows, cols, slot_rows,
+# slot_values), entry t of column c at (slot_rows[t][c], slot_values[t][c])
+Slots = Tuple[int, int, List[List[int]], List[List[int]]]
 
 
 def wedge_insert(i: int, wedge: Tuple[int, ...]):
@@ -104,11 +117,9 @@ class DifferentialForms:
 
     def max_form_degree(self) -> int:
         """Largest n with a nonzero Omega^n inside the bound: the minimal
-        internal degree of Omega^n is 2(1+...+n) = n(n+1)."""
-        n = 0
-        while (n + 1) * (n + 2) <= self.degree_bound:
-            n += 1
-        return n
+        internal degree of Omega^n is 2(1+...+n) = n(n+1), and n(n+1) <= b
+        exactly when (2n+1)^2 <= 4b + 1."""
+        return (math.isqrt(4 * self.degree_bound + 1) - 1) // 2
 
     def _layout(self, n: int, d: int) -> Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]:
         """The wedge-major layout of Omega^n_d: ``({wedge: (offset,
@@ -181,18 +192,34 @@ class DifferentialForms:
                     for q, row, e in zip(table(i, into), count(row_off), exponents(i, into)):
                         block[q] += (row, sign * (e + 1))
             columns.extend(block)
-        return _operator("d", n, d, rows, cols, columns)
+        _count_columns("d", n, d, cols, columns)
+        return _matrix(rows, cols, tuple(columns))
 
     def interior_product(self, n: int, d: int) -> SparseMatrix:
         """Matrix of the Euler contraction p: Omega^n_d -> Omega^{n-1}_d,
+        the packed view of `_contraction`, built on each call: column c
+        lists its entries in slot order, ``(slot_rows[t][c],
+        slot_values[t][c])`` for t = 0, 1, ..., with ``int`` values.  The
+        certificates read p as its slot lists; the kernel cross-check of
+        ``stable`` reads this view."""
+        p = self._contraction(n, d)
+        return _matrix(p[0], p[1], _columns(p))
+
+    def _contraction(self, n: int, d: int) -> Slots:
+        """The Euler contraction p: Omega^n_d -> Omega^{n-1}_d,
 
             p(m * de_{i_1}^...^de_{i_n})
                 = sum_k (-1)^{k-1} e_{i_k} m * de_{i_1}^...(drop k)...^de_{i_n},
 
-        built on each call.  Each column lists its entries in slot order:
-        the entry that contracts slot k (0-based) comes k-th, which the slot
-        tests of the exactness certificate read (`_unit_minor`,
-        `_square_zero`).
+        slot-major, built on each call: ``(rows, cols, slot_rows,
+        slot_values)``, where entry t of column c, the term that contracts
+        slot t (0-based) of the wedge, is ``(slot_rows[t][c],
+        slot_values[t][c])``.  Every column has n entries, so each of the
+        2n lists holds one entry of every column.  Contracting slot k moves
+        e_i, i = wedge[k], into the coefficient with sign (-1)^k: per
+        (wedge, slot), the rows of the block's columns are the target
+        block's offset plus the positions of m * e_i, and every value of
+        slot k is (-1)^k.
 
         Checked per target block, not per entry: each multiplication table
         has one position per monomial of its source block, in range of its
@@ -202,20 +229,14 @@ class DifferentialForms:
         """
         if n < 1:
             # Omega^{-1} = 0; keep the shape so rank bookkeeping stays total
-            return SparseMatrix.zero(0, self.dim(0, d) if n == 0 else 0)
+            return 0, self.dim(0, d) if n == 0 else 0, [], []
         src, cols = self._layout(n, d)
         tgt, rows = self._layout(n - 1, d)
         hilbert = _hilbert_counts(self.algebra)
         table = self.algebra.multiplication_table
-        columns: List[Tuple[int, ...]] = []
+        slot_rows: List[List[int]] = [[] for _ in range(n)]
         for wedge, (_, deg) in src.items():
-            # contracting slot k moves e_i, i = wedge[k], into the
-            # coefficient with sign (-1)^k: per slot, the rows of every
-            # column, at the target block's offset plus the position of
-            # m * e_i, each followed by the slot's sign, so one zip of them
-            # yields the packed columns
             size = hilbert[deg // 2]
-            its: List[Iterable[int]] = []
             for k, i in enumerate(wedge):
                 rest = wedge[:k] + wedge[k + 1 :]
                 row_off, into = tgt.get(rest, (-1, -1))
@@ -227,9 +248,10 @@ class DifferentialForms:
                         f"p: the table of e{i} into the block of {rest} is not the size "
                         f"of the block of {wedge} at (n, d) = ({n}, {d})"
                     )
-                its += (map(add, product, repeat(row_off)), repeat(-1 if k % 2 else 1))
-            columns.extend(zip(*its))
-        return _operator("p", n, d, rows, cols, columns)
+                slot_rows[k] += map(add, product, repeat(row_off))
+        for listed in slot_rows:
+            _count_columns("p", n, d, cols, listed)
+        return rows, cols, slot_rows, [[-1 if k % 2 else 1] * cols for k in range(n)]
 
     def euler_weights(self, n: int, d: int) -> List[int]:
         """Predicted eigenvalue (generator factors + form degree) per basis
@@ -257,71 +279,68 @@ class DifferentialForms:
         return up
 
     @staticmethod
-    def _unit_minor(down_cols: List[Tuple[int, ...]], up_in: bytearray) -> bool:
-        """Whether every down column of p_n, packed, has exactly one entry
-        in an up row of Omega^{n-1}, with no two of them in the same row.
-        Those rows and columns then carry a generalized permutation minor,
-        so rank p_n >= the number of down forms of Omega^n.
+    def _unit_minor(down_p: Slots, up_in: bytearray) -> bool:
+        """Whether every down column of p_n, ``down_p`` (`_compressed`),
+        has exactly one entry in an up row of Omega^{n-1}, with no two of
+        them in the same row.  Those rows and columns then carry a
+        generalized permutation minor, so rank p_n >= the number of down
+        forms of Omega^n.
 
-        Settled over all columns at once when the slots allow it
-        (`_minor_slots`), else by the scan of each column (`_minor_scan`),
-        whose verdict it then is."""
-        return _minor_slots(down_cols, up_in) or _minor_scan(down_cols, up_in)
+        Settled on the slot lists when they allow it (`_minor_slots`), else
+        by the scan of each packed column (`_minor_scan`), whose verdict it
+        then is."""
+        return _minor_slots(down_p, up_in) or _minor_scan(_columns(down_p), up_in)
 
     @staticmethod
-    def _square_zero(cols: Iterable[Tuple[int, ...]], p_down: Packed) -> bool:
-        """Whether p_{n-1} p_n vanishes on each of the packed columns
-        ``cols`` of p_n, ``p_down`` the packed columns of p_{n-1}.
+    def _square_zero(walked_p: Slots, p_down: Slots) -> bool:
+        """Whether p_{n-1} p_n vanishes on the columns ``walked_p`` of p_n
+        (`_compressed` to the walked positions), ``p_down`` the slot record
+        of p_{n-1}.
 
-        Taken in chunks of `_CHUNK` columns: each chunk is settled by the
-        Koszul pairing of its terms when its slots allow it
-        (`_square_slots`), else by the scan of each column (`_square_scan`),
-        whose verdict it then is."""
-        cols = iter(cols)
-        for chunk in iter(lambda: list(islice(cols, _CHUNK)), []):
-            if not (_square_slots(chunk, p_down) or _square_scan(chunk, p_down)):
-                return False
-        return True
+        Settled on the slot lists by the Koszul pairing of the terms when
+        they allow it (`_square_slots`), else by the scan of each packed
+        column (`_square_scan`), whose verdict it then is."""
+        return _square_slots(walked_p, p_down) or _square_scan(
+            _columns(walked_p), _columns(p_down)
+        )
 
     @staticmethod
     def _keeps_weight(
-        down_cols: List[Tuple[int, ...]],
-        up_out: bytearray,
-        weights_out: List[int],
-        weights_in: List[int],
+        down_p: Slots, down: bytearray, weights_out: List[int], weights_in: List[int]
     ) -> bool:
-        """Whether every entry of a down column of p_n, packed, joins two
-        forms of equal Euler weight, that is, whether p_n L = L p_n on the
-        down forms of Omega^n."""
-        weights = compress(weights_out, map(not_, up_out))
-        sizes = map(floordiv, map(len, down_cols), repeat(2))
-        want = chain.from_iterable(map(repeat, weights, sizes))
-        rows = islice(chain.from_iterable(down_cols), 0, None, 2)
-        return list(map(weights_in.__getitem__, rows)) == list(want)
+        """Whether every entry of a down column of p_n, ``down_p``, joins
+        two forms of equal Euler weight, that is, whether p_n L = L p_n on
+        the down forms of Omega^n (the 1s of ``down``): the weights of the
+        rows of each slot are those of the down forms."""
+        want = tuple(compress(weights_out, down))
+        return all(_gathered(weights_in, rows) == want for rows in down_p[2])
 
     @staticmethod
     def _homotopy_walk(
         weights: List[int],
         d_out: Packed,
-        p_up: Packed,
-        p_out: Packed,
+        p_up: Slots,
+        p_out: Slots,
         d_down: Packed,
         columns: Iterable[int],
     ) -> bool:
         """Whether p(dw) + d(pw) = weight * w for each basis form w of
         Omega^n_d at a position in ``columns``, with no product matrix: one
-        dict walk per column over d_n, p_{n+1}, p_n and d_{n-1}."""
+        dict walk per column over d_n, p_{n+1}, p_n and d_{n-1}, p read by
+        slot."""
         acc: Dict[int, int] = {}  # p(dw) + d(pw)
         get = acc.get
+        up = list(zip(p_up[2], p_up[3]))
+        out = list(zip(p_out[2], p_out[3]))
         for c in columns:
             it = iter(d_out[c])
             for r, x in zip(it, it):
-                lt = iter(p_up[r])
-                for s, y in zip(lt, lt):
-                    acc[s] = get(s, 0) + x * y
-            it = iter(p_out[c])
-            for r, x in zip(it, it):
-                lt = iter(d_down[r])
+                for rows, values in up:
+                    s = rows[r]
+                    acc[s] = get(s, 0) + x * values[r]
+            for rows, values in out:
+                x = values[c]
+                lt = iter(d_down[rows[c]])
                 for s, y in zip(lt, lt):
                     acc[s] = get(s, 0) + x * y
             if acc.pop(c, 0) != weights[c] or any(acc.values()):
@@ -336,12 +355,12 @@ class DifferentialForms:
         certified from p alone, with no d.
 
         Write u_n for the number of down forms of Omega^n_d (`_up_marks`).
-        For n in 0..top+1 the packed columns of p_n are checked to carry a
-        unit minor on the down columns (`_unit_minor`, so rank p_n >= u_n)
-        and p_{n-1} p_n = 0 (`_square_zero`, on the down columns, which
-        settle the up ones: see `_certify`), both by slot tests over all
-        the columns at once, with the scan of each column as their
-        fallback, and the counts u_n + u_{n+1} = dim Omega^n_d and
+        For n in 0..top+1 the slot lists of p_n (`_contraction`) are checked
+        to carry a unit minor on the down columns (`_unit_minor`, so
+        rank p_n >= u_n) and p_{n-1} p_n = 0 (`_square_zero`, on the down
+        columns, which settle the up ones: see `_certify`), both by slot
+        tests over whole lists, with the scan of each packed column as
+        their fallback, and the counts u_n + u_{n+1} = dim Omega^n_d and
         Omega^{top+1}_d = 0.  Then
         rank p_n + rank p_{n+1} <= dim Omega^n_d = u_n + u_{n+1} forces
         rank p_n = u_n and exactness at every n.  A broken identity raises
@@ -400,10 +419,12 @@ class DifferentialForms:
         Omega^n must span it modulo im p_{n+1}, which takes rank p_n = u_n
         columns.
 
-        The unit minor and p^2 = 0 are slot tests (`_unit_minor`,
-        `_square_zero`): whole operators at once where the slots of the
-        built p_n show them, else the scan of each column, whose verdict
-        it then is.  The Cartan half walks each down column.
+        p_n is read as its slot lists only (`_contraction`).  The unit
+        minor and p^2 = 0 are slot tests (`_unit_minor`, `_square_zero`):
+        whole lists at once where the slots of the built p_n show them,
+        else the scan of each packed column, made from the slot lists only
+        then, whose verdict it then is.  The Cartan half walks each down
+        column, reading p_{n+1} and p_n by slot.
 
         If the down-column walk fails, the degree is walked again over
         every column, and the error is that walk's: the first broken
@@ -428,35 +449,37 @@ class DifferentialForms:
         # are dropped, and rebuilt if a later statement reads them
         self._layouts.clear()
         # Omega^{-1} = 0: p_0 has only empty columns, so nothing reads
-        # d_{-1} or p_{-1}, and Omega^{-1} has no rows to mark
-        d_down = p_down = ()
+        # d_{-1} or the slots of p_{-1}, and Omega^{-1} has no rows to mark
+        d_down: Packed = ()
+        p_down: Slots = (0, 0, [], [])
         up_in = bytearray()
         weights_in: List[int] = []
-        p_out = self.interior_product(0, d).packed
+        p_out = self._contraction(0, d)
         downs = [0] * (top + 2)  # u_n
         for n in range(top + 2):
             up_out = self._up_marks(n, d)
             downs[n] = up_out.count(0)
-            # the down columns of p_n, listed once for the unit minor and
-            # the weight check, and dropped before the walk
-            down_cols = list(compress(p_out, map(not_, up_out)))
-            minor = self._unit_minor(down_cols, up_in)
+            down = up_out.translate(_FLIP)
+            # the down columns of p_n, for the unit minor, the weight check
+            # and a down-only p^2, dropped before the walk
+            down_p = _compressed(p_out, down)
+            minor = self._unit_minor(down_p, up_in)
             # the down columns settle Cartan only where p commutes with L;
             # checked first, so that one weight list is alive when d_n and
             # p_{n+1} are built
             weights = self.euler_weights(n, d) if cartan else []
             keeps = not (cartan and down_only) or self._keeps_weight(
-                down_cols, up_out, weights, weights_in
+                down_p, down, weights, weights_in
             )
-            del down_cols
-            square = self._square_zero(map(p_out.__getitem__, _walked(up_out, down_only)), p_down)
+            square = self._square_zero(down_p if down_only else p_out, p_down)
+            del down_p
             homotopy = True
             if cartan:
                 weights_in = weights
                 d_out = self.exterior_derivative(n, d).packed
-                p_up = self.interior_product(n + 1, d).packed
+                p_up = self._contraction(n + 1, d)
                 homotopy = self._homotopy_walk(
-                    weights, d_out, p_up, p_out, d_down, _walked(up_out, down_only)
+                    weights, d_out, p_up, p_out, d_down, _walked(down, down_only)
                 )
             positive = all(w > 0 for w in weights)
             for ok, identity in (
@@ -475,7 +498,7 @@ class DifferentialForms:
                 d_down, p_down, p_out = d_out, p_out, p_up
             elif n <= top:
                 p_down = p_out  # p_{n-1} is dropped before p_{n+1} is built
-                p_out = self.interior_product(n + 1, d).packed
+                p_out = self._contraction(n + 1, d)
         dims = [self.dim(n, d) for n in range(top + 1)]
         # rank p_n = u_n = downs[n], and u_{top+1} = 0
         spots = [SpotCheck(0, dims[0], 0, downs[1], downs[1] == dims[0])]
@@ -483,20 +506,18 @@ class DifferentialForms:
         return ExactnessReport(degree=d, spots=tuple(spots))
 
 
-def _walked(up_out: bytearray, down_only: bool) -> Iterable[int]:
+def _walked(down: bytearray, down_only: bool) -> Iterable[int]:
     """The positions of Omega^n_d that a walk reads, made as it reads them:
-    the down ones (0 in ``up_out``) when ``down_only``, else all."""
-    return compress(count(), map(not_, up_out)) if down_only else range(len(up_out))
+    the down ones (1 in ``down``) when ``down_only``, else all."""
+    return compress(count(), down) if down_only else range(len(down))
 
 
-def _operator(
-    name: str, n: int, d: int, rows: int, cols: int, columns: List[Tuple[int, ...]]
-) -> SparseMatrix:
-    # the builders' columns, each block already checked; a short table
-    # would have cut a zip short, so the count is checked too
+def _count_columns(name: str, n: int, d: int, cols: int, columns: Sequence) -> None:
+    # the builders' columns (for p, one slot of each column), each block
+    # already checked; a short table would have cut them short, so the
+    # count is checked too
     if len(columns) != cols:
         raise ValueError(f"{name} has {len(columns)} of its {cols} columns at (n, d) = ({n}, {d})")
-    return _matrix(rows, cols, tuple(columns))
 
 
 def _hilbert_counts(algebra: PolynomialAlgebra) -> List[int]:
@@ -513,45 +534,60 @@ def _block_error(name: str, n: int, d: int, rows: int, wedge: Tuple[int, ...], d
     )
 
 
-# -- the slot tests of the exactness certificate, and the scans they fall
-# back to (see the module docstring)
+# -- p slot-major, the slot tests of the exactness certificate, and the
+# scans they fall back to (see the module docstring)
 
-# columns per chunk of the slot lists, which bounds the lists alive at once:
-# with 512 the traced peak of verify_exactness(40) is 3% above that of the
-# per-column scans, with 4096 6%; 256 costs 5% more time at 64
-_CHUNK = 512
+# maps the up marks of `DifferentialForms._up_marks` to down marks
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _all_of_length(columns: Sequence[tuple], length: int) -> bool:
-    return min(map(len, columns)) == length == max(map(len, columns))
+def _columns(p: Slots) -> Tuple[Tuple[int, ...], ...]:
+    """The packed columns of ``p``: column c is ``(slot_rows[0][c],
+    slot_values[0][c], slot_rows[1][c], ...)``.  Made where whole columns
+    are read: the packed view and the scans a slot test falls back to."""
+    _, cols, slot_rows, slot_values = p
+    if not slot_rows:
+        return ((),) * cols
+    return tuple(zip(*chain.from_iterable(zip(slot_rows, slot_values))))
 
 
-def _minor_slots(down_cols: List[Tuple[int, ...]], up_in: bytearray) -> bool:
-    """True if every packed column has the same number n > 0 of entries,
-    the row of slot 0, at index 0, is an up row and no other slot's is,
-    and the slot-0 rows are distinct: then every column has one entry in
-    an up row and no two share it.  False says only that the slots do not
-    show it."""
-    if not down_cols:
+def _compressed(p: Slots, keep: bytearray) -> Slots:
+    """The columns of ``p`` at the 1s of ``keep``, slot-major."""
+    rows, _, slot_rows, slot_values = p
+    return (
+        rows,
+        keep.count(1),
+        [list(compress(listed, keep)) for listed in slot_rows],
+        [list(compress(listed, keep)) for listed in slot_values],
+    )
+
+
+def _koszul_signs(p: Slots) -> bool:
+    """Whether every value of slot t of ``p`` is (-1)^t."""
+    cols = p[1]
+    return all(values.count(-1 if t % 2 else 1) == cols for t, values in enumerate(p[3]))
+
+
+def _minor_slots(p: Slots, up_in: bytearray) -> bool:
+    """True if the row of slot 0 of every column of ``p`` is an up row and
+    no other slot's is, and the slot-0 rows are distinct: then every column
+    has one entry in an up row and no two share it.  False says only that
+    the slots do not show it."""
+    _, cols, slot_rows, _ = p
+    if not cols:
         return True
-    n = len(down_cols[0]) // 2
+    if not slot_rows or _gathered(up_in, slot_rows[0]).count(1) != cols or any(
+        1 in _gathered(up_in, listed) for listed in slot_rows[1:]
+    ):
+        return False
+    # mark the slot-0 rows: a row met twice leaves fewer marks than columns
     used = bytearray(len(up_in))
-    for start in range(0, len(down_cols), _CHUNK):
-        chunk = down_cols[start : start + _CHUNK]
-        if not n or not _all_of_length(chunk, 2 * n):
-            return False
-        slots = [list(map(itemgetter(2 * t), chunk)) for t in range(n)]
-        if _gathered(up_in, slots[0]).count(1) != len(chunk) or any(
-            1 in _gathered(up_in, rows) for rows in slots[1:]
-        ):
-            return False
-        # mark the slot-0 rows: a row met twice leaves fewer marks than columns
-        deque(map(setitem, repeat(used), slots[0], repeat(1)), 0)
-    return used.count(1) == len(down_cols)
+    deque(map(setitem, repeat(used), slot_rows[0], repeat(1)), 0)
+    return used.count(1) == cols
 
 
-def _minor_scan(down_cols: List[Tuple[int, ...]], up_in: bytearray) -> bool:
-    """`DifferentialForms._unit_minor` by a scan of each column."""
+def _minor_scan(down_cols: Sequence[Tuple[int, ...]], up_in: bytearray) -> bool:
+    """`DifferentialForms._unit_minor` by a scan of each packed column."""
     used = bytearray(len(up_in))
     for col in down_cols:
         hit = [r for r in _ROWS(col) if up_in[r]]
@@ -561,43 +597,32 @@ def _minor_scan(down_cols: List[Tuple[int, ...]], up_in: bytearray) -> bool:
     return True
 
 
-def _koszul_columns(columns: Sequence[Tuple[int, ...]], n: int) -> bool:
-    """Whether every packed column holds n entries, the one of slot t with
-    the value (-1)^t."""
-    size = len(columns)
-    return _all_of_length(columns, 2 * n) and all(
-        list(map(itemgetter(2 * t + 1), columns)).count(-1 if t % 2 else 1) == size
-        for t in range(n)
-    )
-
-
-def _square_slots(chunk: List[Tuple[int, ...]], p_down: Packed) -> bool:
-    """True if p_{n-1} p_n vanishes on the packed columns ``chunk`` of p_n
-    by exact cancellation in pairs.  Every column must hold n entries with
-    the Koszul signs +1, -1, +1, ... in slot order, and so must every column
-    of ``p_down`` (p_{n-1}) that they reach, with n - 1 entries.  The term
+def _square_slots(p: Slots, p_down: Slots) -> bool:
+    """True if p_{n-1} p_n vanishes on the columns of ``p`` (of p_n) by
+    exact cancellation in pairs.  ``p_down`` (p_{n-1}) must have n - 1
+    slots, and the values of slot t must be (-1)^t in both.  The term
     "contract slot t, then slot u - 1 of the rest", t < u, then has the
     value (-1)^(t + u - 1), the opposite of "contract slot u, then slot t",
-    and the two must sit on one row.  These pairs cover all n(n - 1) terms
-    of a column, so its image under p_{n-1} p_n is zero.  False says only
-    that the slots do not show it."""
-    n = len(chunk[0]) // 2
-    if not _koszul_columns(chunk, n):
+    and the two must sit on one row: slot u - 1 of p_{n-1} gathered at the
+    rows of slot t against slot t gathered at the rows of slot u.  These
+    pairs cover all n(n - 1) terms of a column, so its image under
+    p_{n-1} p_n is zero.  False says only that the slots do not show it."""
+    slot_rows, below = p[2], p_down[2]
+    n = len(slot_rows)
+    if not p[1]:
+        return True
+    if (n and len(below) != n - 1) or not (_koszul_signs(p) and _koszul_signs(p_down)):
         return False
-    below = [_gathered(p_down, list(map(itemgetter(2 * t), chunk))) for t in range(n)]
-    if not all(_koszul_columns(reached, n - 1) for reached in below):
-        return False
-    # the row of "contract t, then u - 1" against that of "contract u, then t"
     return all(
-        list(map(itemgetter(2 * u - 2), below[t])) == list(map(itemgetter(2 * t), below[u]))
+        _gathered(below[u - 1], slot_rows[t]) == _gathered(below[t], slot_rows[u])
         for u in range(1, n)
         for t in range(u)
     )
 
 
 def _square_scan(cols: Iterable[Tuple[int, ...]], p_down: Packed) -> bool:
-    """`DifferentialForms._square_zero` by a scan of each column: p(p c)
-    summed in a dict."""
+    """`DifferentialForms._square_zero` by a scan of each packed column:
+    p(p c) summed in a dict."""
     square: Dict[int, int] = {}
     sget = square.get
     for col in cols:

@@ -587,33 +587,27 @@ def _break_tor(monkeypatch):
 def _break_cartan(monkeypatch):
     # p_2 scaled by 2 at degree 8 is still a complex with the same ranks,
     # so still exact; only d p + p d = L sees it
-    from mmmcoh.forms import DifferentialForms
+    from slot_patch import patch_p
 
-    real = DifferentialForms.interior_product
-
-    def broken(self, n, d):
-        m = real(self, n, d)
+    def broken(self, n, d, m):
         return m.scale(2) if (n, d) == (2, 8) else m
 
-    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    patch_p(monkeypatch, broken)
 
 
 def _break_p_squared(monkeypatch):
     # one sign of p_2 flipped at degree 8: p_1 p_2 is no longer zero
-    from mmmcoh.forms import DifferentialForms
     from mmmcoh.linalg import SparseMatrix
+    from slot_patch import patch_p
 
-    real = DifferentialForms.interior_product
-
-    def broken(self, n, d):
-        m = real(self, n, d)
+    def broken(self, n, d, m):
         if (n, d) != (2, 8):
             return m
         entries = m.entries
         entries[next(iter(entries))] *= -1
         return SparseMatrix(m.rows, m.cols, entries)
 
-    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    patch_p(monkeypatch, broken)
 
 
 def test_failed_statement_leaves_no_stale_document_at_out(capsys, monkeypatch, tmp_path):

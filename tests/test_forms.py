@@ -1,6 +1,7 @@
 """Differential forms on the graded algebra: d, contraction, Cartan identity."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from mmmcoh.linalg import SparseMatrix, _matrix, rank
 from mmmcoh.verify import run_verification
 import mmmcoh.forms as forms_module
 from algebra_oracle import Monomial, monomials, smallest_indices, wedge_remove
+from slot_patch import patch_p, slots_of
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,20 @@ def test_form_dimensions_factor_through_exterior_algebra(forms):
                 for k in range(0, d + 1, 2)
             )
             assert forms.dim(n, d) == expected, (n, d)
+
+
+def test_max_form_degree_is_the_loop_in_closed_form():
+    # the largest n with n(n+1) <= bound, as the loop over n found it
+    def loop(bound):
+        n = 0
+        while (n + 1) * (n + 2) <= bound:
+            n += 1
+        return n
+
+    for bound in range(0, 2001):
+        forms = DifferentialForms.__new__(DifferentialForms)
+        forms.algebra = SimpleNamespace(degree_bound=bound)
+        assert forms.max_form_degree() == loop(bound), bound
 
 
 def test_max_form_degree_values():
@@ -317,6 +333,27 @@ def test_operators_match_object_oracles_at_bound_24():
                 ), ("p", n, d)
 
 
+def test_the_packed_view_of_p_lists_its_slots_in_order_at_bound_24():
+    # interior_product is _contraction's slot lists interleaved: the
+    # oracle's columns tuple for tuple, entry t contracting slot t, with
+    # int values
+    algebra = PolynomialAlgebra(24)
+    forms = DifferentialForms(algebra)
+    for n in range(0, forms.max_form_degree() + 2):
+        for d in range(0, 25):
+            m = forms.interior_product(n, d)
+            rows, cols, slot_rows, slot_values = forms._contraction(n, d)
+            assert (m.rows, m.cols, len(slot_rows)) == (rows, cols, n), (n, d)
+            if n >= 1:
+                assert m.packed == _oracle_interior_product(algebra, n, d).packed, (n, d)
+            else:
+                assert m == SparseMatrix.zero(0, forms.dim(0, d)), (n, d)
+            assert all(type(x) is int for col in m.packed for x in col), (n, d)
+            for t in range(n):
+                assert [col[2 * t] for col in m.packed] == slot_rows[t], (n, d, t)
+                assert [col[2 * t + 1] for col in m.packed] == slot_values[t], (n, d, t)
+
+
 @pytest.mark.parametrize("table", [(0, 0, 2), (0, 1, 3)], ids=["repeated", "onto-e2^2"])
 def test_division_needs_a_table_onto_the_monomials_e_i_divides(table):
     # into degree 8 (e1^4, e1^2*e2, e1*e3, e2^2, e4), e1 divides the first
@@ -379,8 +416,8 @@ def homotopy_walk(forms, n, d):
     return forms._homotopy_walk(
         forms.euler_weights(n, d),
         forms.exterior_derivative(n, d).packed,
-        forms.interior_product(n + 1, d).packed,
-        forms.interior_product(n, d).packed,
+        forms._contraction(n + 1, d),
+        forms._contraction(n, d),
         d_down,
         range(forms.dim(n, d)),
     )
@@ -453,14 +490,17 @@ def _break_weight(monkeypatch):
 
 
 def _break_operator(name, key, col=None):
+    def broken(self, n, d, m):
+        return _double_entry(m, col) if (n, d) == key else m
+
     def patch(monkeypatch):
+        if name == "interior_product":
+            patch_p(monkeypatch, broken)
+            return
         real = getattr(DifferentialForms, name)
-
-        def broken(self, n, d):
-            m = real(self, n, d)
-            return _double_entry(m, col) if (n, d) == key else m
-
-        monkeypatch.setattr(DifferentialForms, name, broken)
+        monkeypatch.setattr(
+            DifferentialForms, name, lambda self, n, d: broken(self, n, d, real(self, n, d))
+        )
 
     return patch
 
@@ -521,8 +561,8 @@ def test_walk_detects_a_nonzero_p_squared(monkeypatch):
     _break_operator("interior_product", (2, 12), col=hit)(monkeypatch)
     forms = DifferentialForms(PolynomialAlgebra(12))
     assert homotopy_walk(forms, 3, 12)
-    p3, p2 = (forms.interior_product(n, 12).packed for n in (3, 2))
-    assert not forms._square_zero(iter(p3), p2)
+    p3, p2 = (forms._contraction(n, 12) for n in (3, 2))
+    assert not forms._square_zero(p3, p2)
     # the exactness certificate meets p_2 first as p_1 p_2, on Omega^2
     with pytest.raises(ValueError, match=r"^p\^2 is not zero at \(n, d\) = \(2, 12\)$"):
         forms.verify_exactness(12)
@@ -535,17 +575,14 @@ def _flip_sign(key, col=0):
     """Break p at (n, d) = key: the first entry of column ``col`` negated."""
 
     def patch(monkeypatch):
-        real = DifferentialForms.interior_product
-
-        def broken(self, n, d):
-            m = real(self, n, d)
+        def broken(self, n, d, m):
             if (n, d) != key:
                 return m
             entries = m.entries
             entries[next(k for k in entries if k[1] == col)] *= -1
             return SparseMatrix(m.rows, m.cols, entries)
 
-        monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+        patch_p(monkeypatch, broken)
 
     return patch
 
@@ -571,10 +608,7 @@ def _move_up_entry(key, onto):
     or to a down row the column does not hold (``onto="down"``)."""
 
     def patch(monkeypatch):
-        real = DifferentialForms.interior_product
-
-        def broken(self, n, d):
-            m = real(self, n, d)
+        def broken(self, n, d, m):
             if (n, d) != key:
                 return m
             up_in, up_out = self._up_marks(n - 1, d), self._up_marks(n, d)
@@ -589,7 +623,7 @@ def _move_up_entry(key, onto):
             entries[target, down[0]] = entries.pop((r, down[0]))
             return SparseMatrix(m.rows, m.cols, entries)
 
-        monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+        patch_p(monkeypatch, broken)
 
     return patch
 
@@ -684,7 +718,7 @@ def test_no_operator_outlives_its_degree():
 
 
 def _count_builds(monkeypatch, built):
-    for name in ("exterior_derivative", "interior_product", "euler_weights"):
+    for name in ("exterior_derivative", "interior_product", "_contraction", "euler_weights"):
 
         def counted(self, n, d, real=getattr(DifferentialForms, name), name=name):
             built.append((name, n, d))
@@ -698,11 +732,12 @@ def test_each_degree_builds_each_operator_once(monkeypatch):
     _count_builds(monkeypatch, built)
     top = DifferentialForms(PolynomialAlgebra(24)).max_form_degree()
     for d in range(1, 25):
-        # the exactness certificate: p_0 .. p_{top+1}, no d and no weights
+        # the exactness certificate: p_0 .. p_{top+1} slot-major, no packed
+        # p, no d and no weights
         forms = DifferentialForms(PolynomialAlgebra(24))
         built.clear()
         forms.verify_exactness(d)
-        assert sorted(built) == [("interior_product", n, d) for n in range(top + 2)], d
+        assert sorted(built) == [("_contraction", n, d) for n in range(top + 2)], d
         built.clear()
         forms.verify_exactness(d)
         assert built == [], d
@@ -712,7 +747,7 @@ def test_each_degree_builds_each_operator_once(monkeypatch):
         assert sorted(built) == sorted(
             [("exterior_derivative", n, d) for n in range(top + 2)]
             + [("euler_weights", n, d) for n in range(top + 2)]
-            + [("interior_product", n, d) for n in range(top + 3)]
+            + [("_contraction", n, d) for n in range(top + 3)]
         ), d
         built.clear()
         forms.verify_cartan(d)
@@ -809,10 +844,8 @@ def test_a_p_entry_moved_onto_another_weight_fails_cartan(monkeypatch):
     # of Omega^1 whose Euler weight differs from its own
     key = (2, 12)
     col = _first_up_column(*key)
-    real = DifferentialForms.interior_product
 
-    def broken(self, n, d):
-        m = real(self, n, d)
+    def broken(self, n, d, m):
         if (n, d) != key:
             return m
         weights = self.euler_weights(n - 1, d)
@@ -823,7 +856,7 @@ def test_a_p_entry_moved_onto_another_weight_fails_cartan(monkeypatch):
         entries[target, col] = entries.pop((r, col))
         return SparseMatrix(m.rows, m.cols, entries)
 
-    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    patch_p(monkeypatch, broken)
     with pytest.raises(ValueError) as exc:
         DifferentialForms(PolynomialAlgebra(12)).verify_cartan(12)
     assert str(exc.value) == "d p + p d is not the weight diagonal at (n, d) = (1, 12)"
@@ -862,12 +895,11 @@ def test_a_failed_down_walk_that_the_full_walk_passes_is_an_error(monkeypatch):
     failed = []
     real_square, real_walk = DifferentialForms._square_zero, DifferentialForms._homotopy_walk
 
-    def square(cols, p_down):
-        cols = list(cols)
-        if cols and not failed:
+    def square(walked_p, p_down):
+        if walked_p[1] and not failed:
             failed.append(True)
             return False
-        return real_square(cols, p_down)
+        return real_square(walked_p, p_down)
 
     def walk(*operators):
         columns = list(operators[-1])
@@ -900,9 +932,9 @@ def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
     real_square, real_walk = DifferentialForms._square_zero, DifferentialForms._homotopy_walk
     squared, walked = [], []
 
-    def square(cols, p_down):
-        squared.append(list(cols))
-        return real_square(squared[-1], p_down)
+    def square(walked_p, p_down):
+        squared.append(list(forms_module._columns(walked_p)))
+        return real_square(walked_p, p_down)
 
     def walk(*operators):
         walked.append(list(operators[-1]))
@@ -976,7 +1008,10 @@ def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry
         return corrupt if (k, e) == (n, d) else real(self, k, e)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DifferentialForms, name, broken)
+        if name == "interior_product":
+            patch_p(mp, lambda self, k, e, m: corrupt if (k, e) == (n, d) else m)
+        else:
+            mp.setattr(DifferentialForms, name, broken)
         for check, cartan in (("verify_exactness", False), ("verify_cartan", True)):
             got = _outcome(getattr(DifferentialForms(PolynomialAlgebra(16)), check), d)
             oracle = DifferentialForms(PolynomialAlgebra(16))._walk_degree
@@ -1012,10 +1047,9 @@ def test_no_degree_to_24_falls_back_to_a_scan(monkeypatch):
     assert calls == {"_minor_scan": 0, "_square_scan": 0}
 
 
-def _rotate_slots(self, n, d, real=DifferentialForms.interior_product):
+def _rotate_slots(self, n, d, m):
     # every column lists its entries from slot 1 on, then slot 0: the same
     # matrix, so p^2 = 0 still, in another slot order
-    m = real(self, n, d)
     return _matrix(m.rows, m.cols, tuple(col[2:] + col[:2] for col in m.packed))
 
 
@@ -1024,7 +1058,7 @@ def test_a_p_in_another_slot_order_certifies_through_the_scans(monkeypatch):
         check: [getattr(DifferentialForms(PolynomialAlgebra(16)), check)(d) for d in range(1, 17)]
         for check in ("verify_exactness", "verify_cartan")
     }
-    monkeypatch.setattr(DifferentialForms, "interior_product", _rotate_slots)
+    patch_p(monkeypatch, _rotate_slots)
     calls = _count_scans(monkeypatch)
     for check, want in reports.items():
         forms = DifferentialForms(PolynomialAlgebra(16))
@@ -1037,21 +1071,19 @@ def test_one_flipped_value_inside_a_pair_fails_p_squared(monkeypatch):
     # negated: its pairs with slot 0 and slot 2 no longer cancel
     key = (3, 20)
     col = DifferentialForms(PolynomialAlgebra(20))._up_marks(*key).index(0)
-    real = DifferentialForms.interior_product
 
-    def broken(self, n, d):
-        m = real(self, n, d)
+    def broken(self, n, d, m):
         if (n, d) != key:
             return m
         packed = list(m.packed)
         packed[col] = packed[col][:3] + (-packed[col][3],) + packed[col][4:]
         return _matrix(m.rows, m.cols, tuple(packed))
 
-    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    patch_p(monkeypatch, broken)
     forms = DifferentialForms(PolynomialAlgebra(20))
-    p3, p2 = forms.interior_product(3, 20).packed, forms.interior_product(2, 20).packed
-    assert not forms_module._square_slots([p3[col]], p2)
-    assert not forms._square_zero(iter(p3), p2)
+    p3, p2 = forms._contraction(3, 20), forms._contraction(2, 20)
+    assert not forms_module._square_slots(_column_of(p3, col), p2)
+    assert not forms._square_zero(p3, p2)
     with pytest.raises(ValueError) as exc:
         forms.verify_exactness(20)
     assert str(exc.value) == "p^2 is not zero at (n, d) = (3, 20)"
@@ -1062,36 +1094,59 @@ def test_a_moved_row_inside_a_pair_fails_the_slot_test():
     # first entry moved to a row it does not hold with its value kept: the
     # Koszul signs still hold, and only the rows of the pairs tell
     forms = DifferentialForms(PolynomialAlgebra(20))
-    p3, p2 = forms.interior_product(3, 20).packed, forms.interior_product(2, 20).packed
-    col = p3[forms._up_marks(3, 20).index(0)]
-    reached = p2[col[0]]
-    free = next(s for s in range(forms.dim(1, 20)) if s not in reached[::2])
-    below = p2[: col[0]] + ((free,) + reached[1:],) + p2[col[0] + 1 :]
-    assert forms_module._square_slots([col], p2)
-    assert not forms_module._square_slots([col], below)
-    assert not forms_module._square_scan([col], below)
+    p3, p2 = forms._contraction(3, 20), forms._contraction(2, 20)
+    col = _column_of(p3, forms._up_marks(3, 20).index(0))
+    reached = col[2][0][0]
+    rows, cols, slot_rows, slot_values = p2
+    free = next(s for s in range(forms.dim(1, 20)) if s not in [r[reached] for r in slot_rows])
+    moved = [list(r) for r in slot_rows]
+    moved[0][reached] = free
+    below = (rows, cols, moved, slot_values)
+    assert forms_module._square_slots(col, p2)
+    assert not forms_module._square_slots(col, below)
+    assert not forms_module._square_scan(forms_module._columns(col), forms_module._columns(below))
 
 
-def _mutate(packed, rows, column, entry, how, value):
-    """``packed`` with one change to the column at ``column % len``: its
-    entry ``entry`` negated, doubled or moved to row ``value % rows``, or
-    two of its slots swapped."""
-    packed = list(packed)
-    c = column % len(packed)
-    col = list(packed[c])
-    if len(col) >= 2:
-        k = 2 * (entry % (len(col) // 2))
+def test_a_p_down_of_another_width_fails_the_slot_test():
+    # the pairs cover every term only when p_{n-1} has n - 1 slots: against
+    # a p_0 given one slot, into row 0 with value 1, p_1 meets no pair, and
+    # p_0 p_1 is not zero
+    forms = DifferentialForms(PolynomialAlgebra(8))
+    p1 = forms._contraction(1, 8)
+    cols = forms.dim(0, 8)
+    widened = (1, cols, [[0] * cols], [[1] * cols])
+    assert forms_module._square_slots(p1, forms._contraction(0, 8))
+    assert not forms_module._square_slots(p1, widened)
+    assert not DifferentialForms._square_zero(p1, widened)
+
+
+def _column_of(p, col):
+    """Column ``col`` of the slot record ``p``, alone, slot-major."""
+    keep = bytearray(p[1])
+    keep[col] = 1
+    return forms_module._compressed(p, keep)
+
+
+def _mutate(p, column, entry, how, value):
+    """The slot record ``p`` with one change to the column at ``column %
+    cols``: its entry in slot ``entry % n`` negated, doubled or moved to
+    row ``value % rows``, or two of its slots swapped."""
+    rows, cols, slot_rows, slot_values = p
+    slot_rows, slot_values = [list(r) for r in slot_rows], [list(v) for v in slot_values]
+    n = len(slot_rows)
+    if cols and n:
+        c, k = column % cols, entry % n
         if how == "negate":
-            col[k + 1] = -col[k + 1]
+            slot_values[k][c] = -slot_values[k][c]
         elif how == "double":
-            col[k + 1] *= 2
+            slot_values[k][c] *= 2
         elif how == "row" and rows:
-            col[k] = value % rows
-        elif how == "swap" and len(col) >= 4:
-            j = 2 * ((entry + 1) % (len(col) // 2))
-            col[k : k + 2], col[j : j + 2] = col[j : j + 2], col[k : k + 2]
-    packed[c] = tuple(col)
-    return tuple(packed)
+            slot_rows[k][c] = value % rows
+        elif how == "swap" and n >= 2:
+            j = (entry + 1) % n
+            for listed in (slot_rows, slot_values):
+                listed[k][c], listed[j][c] = listed[j][c], listed[k][c]
+    return rows, cols, slot_rows, slot_values
 
 
 KINDS = ["none", "negate", "double", "row", "swap"]
@@ -1109,31 +1164,30 @@ KINDS = ["none", "negate", "double", "row", "swap"]
 @settings(max_examples=150, deadline=None)
 def test_each_slot_test_agrees_with_its_scan_on_p(n, half, where, column, entry, how, value):
     # the down columns of p_n and the columns of p_{n-1} at degree <= 16,
-    # one of the two changed: a slot test that certifies is never wrong,
-    # and its function's verdict is the scan's
+    # slot-major, one of the two changed: a slot test that certifies is
+    # never wrong, and its function's verdict is the scan's
     forms = DifferentialForms(PolynomialAlgebra(16))
     d = 2 * half
-    p_out, p_down = forms.interior_product(n, d), forms.interior_product(n - 1, d)
+    p_out, below = forms._contraction(n, d), forms._contraction(n - 1, d)
     up_out, up_in = forms._up_marks(n, d), forms._up_marks(n - 1, d)
-    down = tuple(col for col, up in zip(p_out.packed, up_out) if not up)
-    assume(down)
-    cols, below = down, p_down.packed
+    cols = forms_module._compressed(p_out, up_out.translate(forms_module._FLIP))
+    assume(cols[1])
     if where == "out":
-        cols = _mutate(down, p_out.rows, column, entry, how, value)
-    elif below:
-        below = _mutate(below, p_down.rows, column, entry, how, value)
-    chunk = list(cols)
-    square = forms_module._square_scan(chunk, below)
-    if forms_module._square_slots(chunk, below):
+        cols = _mutate(cols, column, entry, how, value)
+    else:
+        below = _mutate(below, column, entry, how, value)
+    packed = forms_module._columns(cols)
+    square = forms_module._square_scan(packed, forms_module._columns(below))
+    if forms_module._square_slots(cols, below):
         assert square
-    assert DifferentialForms._square_zero(iter(chunk), below) == square
-    minor = forms_module._minor_scan(chunk, up_in)
-    if forms_module._minor_slots(chunk, up_in):
+    assert DifferentialForms._square_zero(cols, below) == square
+    minor = forms_module._minor_scan(packed, up_in)
+    if forms_module._minor_slots(cols, up_in):
         assert minor
-    assert DifferentialForms._unit_minor(chunk, up_in) == minor
+    assert DifferentialForms._unit_minor(cols, up_in) == minor
     if how == "none":
         # unchanged operators certify on the slot tests alone
-        assert forms_module._square_slots(chunk, below) and forms_module._minor_slots(chunk, up_in)
+        assert forms_module._square_slots(cols, below) and forms_module._minor_slots(cols, up_in)
 
 
 _values = st.sampled_from([1, -1, 2])
@@ -1142,37 +1196,40 @@ _values = st.sampled_from([1, -1, 2])
 @given(st.integers(0, 3), st.integers(1, 6), st.data())
 @settings(max_examples=150, deadline=None)
 def test_each_slot_test_agrees_with_its_scan_on_random_columns(n, size, data):
-    # random packed columns of n entries over 6 rows, their rows' columns
-    # of n - 1 entries, and random up marks: the slot tests may only say
-    # what the scans say
+    # random slot lists of n slots over 6 rows, each column's rows
+    # distinct, those of the columns its rows reach with n - 1 slots (or
+    # one more), and random up marks: the slot tests may only say what the
+    # scans say
     def column(width):
         rows = data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width, unique=True))
         return tuple(x for r in rows for x in (r, data.draw(_values)))
 
+    width = max(n - 1, 0) + data.draw(st.integers(0, 1))
     chunk = [column(n) for _ in range(size)]
-    below = tuple(column(max(n - 1, 0)) for _ in range(6))
+    below = tuple(column(width) for _ in range(6))
+    cols, p_down = slots_of(6, chunk, n), slots_of(6, below, width)
     up_in = bytearray(data.draw(st.lists(st.integers(0, 1), min_size=6, max_size=6)))
     square = forms_module._square_scan(chunk, below)
-    assert not forms_module._square_slots(chunk, below) or square
-    assert DifferentialForms._square_zero(iter(chunk), below) == square
+    assert not forms_module._square_slots(cols, p_down) or square
+    assert DifferentialForms._square_zero(cols, p_down) == square
     minor = forms_module._minor_scan(chunk, up_in)
-    assert not forms_module._minor_slots(chunk, up_in) or minor
-    assert DifferentialForms._unit_minor(chunk, up_in) == minor
+    assert not forms_module._minor_slots(cols, up_in) or minor
+    assert DifferentialForms._unit_minor(cols, up_in) == minor
 
 
-def test_square_zero_takes_its_columns_in_chunks(monkeypatch):
-    # more columns than one chunk: each chunk is settled on its own, and a
-    # failure in the last one is still found
+def test_square_zero_settles_all_its_columns_at_once(monkeypatch):
+    # every column of p_3 goes to one slot test, and a failure in the last
+    # one is still found
     forms = DifferentialForms(PolynomialAlgebra(24))
-    p3, p2 = forms.interior_product(3, 24).packed, forms.interior_product(2, 24).packed
-    monkeypatch.setattr(forms_module, "_CHUNK", 7)
+    p3, p2 = forms._contraction(3, 24), forms._contraction(2, 24)
     seen = []
     real = forms_module._square_slots
     monkeypatch.setattr(
-        forms_module, "_square_slots", lambda chunk, below: seen.append(len(chunk)) or real(chunk, below)
+        forms_module, "_square_slots", lambda p, below: seen.append(p[1]) or real(p, below)
     )
-    assert forms._square_zero(iter(p3), p2)
-    assert sum(seen) == len(p3) and max(seen) == 7
-    last = p3[-1]
-    broken = p3[:-1] + (last[:1] + (2 * last[1],) + last[2:],)
-    assert not forms._square_zero(iter(broken), p2)
+    assert forms._square_zero(p3, p2)
+    assert seen == [p3[1]] and p3[1] > 1
+    rows, cols, slot_rows, slot_values = p3
+    doubled = [list(v) for v in slot_values]
+    doubled[0][-1] *= 2
+    assert not forms._square_zero((rows, cols, slot_rows, doubled), p2)

@@ -3,8 +3,8 @@
 The package root re-exports its imports, so it is exempt, and so is an
 import whose line carries ``# noqa: F401`` (a deliberate re-export); the
 root's ``__all__`` lists exactly its public imports instead.  A name
-that a module-level assignment binds, such as a constant (``_CHUNK =
-512``) or an alias of an imported name (``Q = Fraction``), must be read
+that a module-level assignment binds, such as a constant (``_FLIP``, a
+translation table) or an alias of an imported name (``Q = Fraction``), must be read
 somewhere under ``src/``, ``tests/`` or ``perfbench/``, dunders
 excepted.  Every function,
 method, property and class the package defines must be read under

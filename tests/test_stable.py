@@ -24,6 +24,7 @@ from module_oracle import (
     minimal_generators,
     trivial_module,
 )
+from slot_patch import patch_p
 from test_linalg import _oracle_forward, _row_dicts_of
 
 
@@ -446,25 +447,24 @@ def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch
 
 
 def test_kernel_cross_check_passes_a_broken_p2_without_elimination(monkeypatch):
-    # an emptied column of p_2 fails the exactness certificate at degree 8,
-    # but p_1 still equals -delta there: its rank is delta's, with no
-    # elimination, and the rows are those of the unbroken complex
+    # a negated entry of the first column of p_2 fails the exactness
+    # certificate at degree 8, but p_1 still equals -delta there: its rank
+    # is delta's, with no elimination, and the rows are those of the
+    # unbroken complex
     from mmmcoh import stable
-    from mmmcoh.forms import DifferentialForms
 
     expected = StableCohomology(12).kernel_cross_check()
-    real = DifferentialForms.interior_product
 
-    def broken(self, n, d):
-        m = real(self, n, d)
+    def broken(self, n, d, m):
         if (n, d) != (2, 8):
             return m
-        return SparseMatrix.of_columns(m.rows, m.cols, [(), *m.packed[1:]])
+        r, x, *rest = m.packed[0]
+        return SparseMatrix.of_columns(m.rows, m.cols, [(r, -x, *rest), *m.packed[1:]])
 
     def forbidden(m):
         raise AssertionError("stable.rank")
 
-    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    patch_p(monkeypatch, broken)
     monkeypatch.setattr(stable, "rank", forbidden)
     ctx = StableCohomology(12)
     with pytest.raises(ValueError, match=r"at \(n, d\) = \(2, 8\)$"):

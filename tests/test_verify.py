@@ -163,7 +163,7 @@ def test_verify_all_builds_each_forms_operator_once_per_degree(monkeypatch):
     from mmmcoh.forms import DifferentialForms
 
     built = Counter()
-    for name in ("exterior_derivative", "interior_product"):
+    for name in ("exterior_derivative", "interior_product", "_contraction"):
 
         def counted(self, n, d, real=getattr(DifferentialForms, name), name=name):
             built[name, n, d] += 1
@@ -174,33 +174,33 @@ def test_verify_all_builds_each_forms_operator_once_per_degree(monkeypatch):
     once = Counter()
     for d in range(1, 13):
         once.update(("exterior_derivative", n, d) for n in range(top + 2))
-        once.update(("interior_product", n, d) for n in range(top + 3))
+        once.update(("_contraction", n, d) for n in range(top + 3))
+    # p slot-major only: the certificate builds no packed p
     assert run_verification(12, check_ids=["tor-dimensions", "resolution-exactness"]).passed
     assert built == once
     built.clear()
     assert run_verification(12).passed
-    # and kernel-cross-check compares p_1 with the contraction at even d
+    # and kernel-cross-check compares the packed p_1, built from its slots,
+    # with the contraction at even d
     once.update(("interior_product", 1, d) for d in range(2, 13, 2))
+    once.update(("_contraction", 1, d) for d in range(2, 13, 2))
     assert built == once
 
 
 def test_corrupt_contraction_fails_tor_and_exactness(monkeypatch):
     # tor-dimensions rests on the exactness of the contraction complex, so
     # one wrong entry of p_3 fails both rows with the walk's message
-    from mmmcoh.forms import DifferentialForms
     from mmmcoh.linalg import SparseMatrix
+    from slot_patch import patch_p
 
-    real = DifferentialForms.interior_product
-
-    def broken(self, n, d):
-        m = real(self, n, d)
+    def broken(self, n, d, m):
         if (n, d) != (3, 12):
             return m
         entries = m.entries
         entries[next(iter(entries))] *= 2
         return SparseMatrix(m.rows, m.cols, entries)
 
-    monkeypatch.setattr(DifferentialForms, "interior_product", broken)
+    patch_p(monkeypatch, broken)
     by_id = {c.check_id: c for c in run_verification(12).checks}
     failed = {cid for cid, c in by_id.items() if c.status == "fail"}
     assert failed == {"tor-dimensions", "resolution-exactness"}
