@@ -32,8 +32,8 @@ rows and n lists of values, list t holding entry t of every column
 Y. Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM
 2003, section 3.4), with no tuple per column.  The unit minor and
 p^2 = 0 are slot tests over these lists, with no loop per column.  The
-unit minor holds when slot 0 of each down column is an up row, no other
-slot is, and the slot-0 rows are distinct.  p_{n-1} p_n = 0 holds when
+unit minor holds when slot 0 of each down column is an up row with a
+nonzero value, no other slot is, and the slot-0 rows are distinct.  p_{n-1} p_n = 0 holds when
 the values follow the Koszul signs and, for slots t < u, "contract t,
 then u - 1" lands on the row of "contract u, then t": the two terms
 cancel, and such pairs cover every term.  Each is a few passes at C
@@ -43,8 +43,8 @@ value list.  A slot test certifies only what it proves; when one does
 not close, the scan of each packed column decides (`_minor_scan`,
 `_square_scan`), so the verdicts, messages and reports are those of the
 scans.  The Cartan identity is walked column by column, reading p by
-slot.  ``interior_product`` is the packed matrix of p, for the readers
-of whole columns.
+slot and d as its packed columns (`exterior_derivative`); no operator
+here is a matrix object.
 
 The complex is streamed degree by degree: the operators are built on
 each call and kept by no one here, so `verify_exactness(d)` and
@@ -55,15 +55,15 @@ every other degree, and a later statement that reads one builds it again.
 The algebra's tables, the exponents that d reads among them, are kept by
 the algebra.
 
-Everything here is a finite matrix per (form degree, internal degree), and
-all matrices are exact.
+Every operator here is finite per (form degree, internal degree), and
+exact: its values are ints.
 
 Layout: the basis of Omega^n_d is wedge-major.  The wedges of weight at
 most d come in ascending lex order, and each wedge w owns one block, the
 monomial basis of the coefficient degree d - wt(w), at an offset fixed by
-the blocks before it.  The operator matrices are built from these offsets,
-the algebra's multiplication tables and, for d, the exponent of e_i at
-each position (`PolynomialAlgebra.exponents`), so a matrix entry is index
+the blocks before it.  The operators are built from these offsets, the
+algebra's multiplication tables and, for d, the exponent of e_i at each
+position (`PolynomialAlgebra.exponents`), so an operator entry is index
 arithmetic.  The builders check each target block once (its coefficient
 degree and its place inside the rows), not each entry: a table's
 positions are checked to lie in range when the algebra makes it, so every
@@ -83,9 +83,10 @@ from operator import add, itemgetter, setitem
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .algebra import PolynomialAlgebra
-from .linalg import _ROWS, SparseMatrix, _gathered, _matrix
+from .linalg import _gathered
 
-# the packed columns of an operator matrix, ``SparseMatrix.packed``
+# an operator as packed columns ``(row, value, row, value, ...)``, with no
+# matrix object: d as `exterior_derivative` builds it, p where a scan reads it
 Packed = Tuple[Tuple[int, ...], ...]
 
 # p_n as `DifferentialForms._contraction` builds it: (rows, cols, slot_rows,
@@ -103,7 +104,7 @@ def wedge_insert(i: int, wedge: Tuple[int, ...]):
 
 
 class DifferentialForms:
-    """Per-degree bases and operator matrices for the forms complex."""
+    """Per-degree bases and operators for the forms complex."""
 
     def __init__(self, algebra: PolynomialAlgebra):
         self.algebra = algebra
@@ -156,9 +157,9 @@ class DifferentialForms:
 
     # -- operators ---------------------------------------------------------
 
-    def exterior_derivative(self, n: int, d: int) -> SparseMatrix:
-        """Matrix of d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed),
-        built on each call.
+    def exterior_derivative(self, n: int, d: int) -> Packed:
+        """d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed) as its
+        packed columns, rows in Omega^{n+1}_d, built on each call.
 
         Built per source block and index i: the monomials m that e_i
         divides are the positions of the table of e_i into the block's
@@ -193,17 +194,7 @@ class DifferentialForms:
                         block[q] += (row, sign * (e + 1))
             columns.extend(block)
         _count_columns("d", n, d, cols, columns)
-        return _matrix(rows, cols, tuple(columns))
-
-    def interior_product(self, n: int, d: int) -> SparseMatrix:
-        """Matrix of the Euler contraction p: Omega^n_d -> Omega^{n-1}_d,
-        the packed view of `_contraction`, built on each call: column c
-        lists its entries in slot order, ``(slot_rows[t][c],
-        slot_values[t][c])`` for t = 0, 1, ..., with ``int`` values.  The
-        certificates read p as its slot lists; the kernel cross-check of
-        ``stable`` reads this view."""
-        p = self._contraction(n, d)
-        return _matrix(p[0], p[1], _columns(p))
+        return tuple(columns)
 
     def _contraction(self, n: int, d: int) -> Slots:
         """The Euler contraction p: Omega^n_d -> Omega^{n-1}_d,
@@ -476,7 +467,7 @@ class DifferentialForms:
             homotopy = True
             if cartan:
                 weights_in = weights
-                d_out = self.exterior_derivative(n, d).packed
+                d_out = self.exterior_derivative(n, d)
                 p_up = self._contraction(n + 1, d)
                 homotopy = self._homotopy_walk(
                     weights, d_out, p_up, p_out, d_down, _walked(down, down_only)
@@ -543,8 +534,8 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 def _columns(p: Slots) -> Tuple[Tuple[int, ...], ...]:
     """The packed columns of ``p``: column c is ``(slot_rows[0][c],
-    slot_values[0][c], slot_rows[1][c], ...)``.  Made where whole columns
-    are read: the packed view and the scans a slot test falls back to."""
+    slot_values[0][c], slot_rows[1][c], ...)``.  Made only where whole
+    columns are read: the scans a slot test falls back to."""
     _, cols, slot_rows, slot_values = p
     if not slot_rows:
         return ((),) * cols
@@ -570,15 +561,15 @@ def _koszul_signs(p: Slots) -> bool:
 
 def _minor_slots(p: Slots, up_in: bytearray) -> bool:
     """True if the row of slot 0 of every column of ``p`` is an up row and
-    no other slot's is, and the slot-0 rows are distinct: then every column
-    has one entry in an up row and no two share it.  False says only that
-    the slots do not show it."""
-    _, cols, slot_rows, _ = p
+    no other slot's is, the slot-0 values are nonzero and the slot-0 rows
+    are distinct: then every column has one entry in an up row and no two
+    share it.  False says only that the slots do not show it."""
+    _, cols, slot_rows, slot_values = p
     if not cols:
         return True
-    if not slot_rows or _gathered(up_in, slot_rows[0]).count(1) != cols or any(
-        1 in _gathered(up_in, listed) for listed in slot_rows[1:]
-    ):
+    if not slot_rows or 0 in slot_values[0] or _gathered(up_in, slot_rows[0]).count(1) != cols:
+        return False
+    if any(1 in _gathered(up_in, listed) for listed in slot_rows[1:]):
         return False
     # mark the slot-0 rows: a row met twice leaves fewer marks than columns
     used = bytearray(len(up_in))
@@ -587,10 +578,12 @@ def _minor_slots(p: Slots, up_in: bytearray) -> bool:
 
 
 def _minor_scan(down_cols: Sequence[Tuple[int, ...]], up_in: bytearray) -> bool:
-    """`DifferentialForms._unit_minor` by a scan of each packed column."""
+    """`DifferentialForms._unit_minor` by a scan of each packed column; an
+    entry of value 0, which a slot list can hold, is no entry."""
     used = bytearray(len(up_in))
     for col in down_cols:
-        hit = [r for r in _ROWS(col) if up_in[r]]
+        it = iter(col)
+        hit = [r for r, x in zip(it, it) if x and up_in[r]]
         if len(hit) != 1 or used[hit[0]]:
             return False
         used[hit[0]] = 1

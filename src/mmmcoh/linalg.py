@@ -2,14 +2,14 @@
 
 The torus H^1 certificate of ``groupcoh`` takes the kernels, column
 spaces and inverses of its matrices here, whose entries are
-``fractions.Fraction`` values, and the kernel cross-check of ``stable``
-takes the rank of a p_1 that fails its row.  Nothing here touches
-floating point: a rank computed here is the rank, not an estimate.  The
-other ranks of the certificates are taken where their maps are built:
-``modules`` ranks a map that sends each basis element to a multiple of one
-basis element by counting distinct rows, ``forms`` certifies the rank of
-p by a unit minor on the down columns, and ``stable`` reads the rank of
-the kernel-generator span off a spanning forest of its edges.
+``fractions.Fraction`` values.  Nothing here touches floating point: a
+rank computed here is the rank, not an estimate.  The other ranks of the
+certificates are taken where their maps are built: ``modules`` ranks a
+map that sends each basis element to a multiple of one basis element by
+counting distinct rows (and ``stable`` ranks a p_1 that fails its row
+the same way), ``forms`` certifies the rank of p by a unit minor on the
+down columns, and ``stable`` reads the rank of the kernel-generator span
+off a spanning forest of its edges.
 
 Representation: a matrix is stored by column, in the compressed sparse
 column layout (T. A. Davis, *Direct Methods for Sparse Linear Systems*,
@@ -25,11 +25,11 @@ entry in one loop per column (row range, each row at most once per
 column, value type, zeros dropped).  The index-arithmetic builders in
 ``forms`` (p and d) check the same properties once per block instead,
 where their tables and layouts make them hold for every entry of the
-block, and hand their columns to the unchecked ``_matrix``.  The
-contraction and the cup product are no matrices here: each sends a basis
-element to a multiple of one basis element, so
-``modules.GradedModuleMap`` keeps it as a row table and a value table and
-ranks it by counting distinct rows.
+block, and build no matrix: p is a list of rows and a list of values per
+slot, d a tuple of packed columns.  The contraction and the cup product
+are no matrices here either: each sends a basis element to a multiple of
+one basis element, so ``modules.GradedModuleMap`` keeps it as a row table
+and a value table and ranks it by counting distinct rows.
 
 Reduction strategy: every matrix goes through one Gauss-Jordan routine,
 ``_rref``.  It takes columns from the left, makes the first remaining row
@@ -70,9 +70,7 @@ from itertools import chain, repeat
 from operator import itemgetter, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-# the rows of a packed column (row, value, row, value, ...), and the value
-# of a (row, value) pair, as C-level callables
-_ROWS = itemgetter(slice(0, None, 2))
+# the value of a (row, value) pair, as a C-level callable
 _VALUE = itemgetter(1)
 
 

@@ -221,23 +221,17 @@ class GradedModuleMap:
         rows, values = self.table(d)
         return len(set(compress(rows, values)))
 
-    def is_minus(self, d: int, m: SparseMatrix) -> bool:
-        """Whether ``m`` is minus the degree-d map, read off the tables:
-        column c of ``m`` is empty where ``values[c]`` is 0, and otherwise
-        holds the one entry ``-values[c]`` at row ``rows[c]``."""
-        rows, values = self.table(d)
-        packed = m.packed
-        if (m.rows, m.cols) != (self.target.dim(d + self.internal_shift), len(values)) or list(
-            map(bool, packed)
-        ) != list(map(bool, values)):
-            return False
-        flat = list(chain.from_iterable(packed))
-        # every nonempty column holds an entry, so this many entries means
-        # one per column
+    def is_minus(self, d: int, n_rows: int, rows: Sequence[int], values: Sequence) -> bool:
+        """Whether the matrix with ``n_rows`` rows whose column c holds
+        ``values[c]`` at row ``rows[c]`` (one entry per column, as in a slot
+        list, and a value of 0 an empty column) is minus the degree-d map:
+        the same shape and nonzero columns, there the same rows and -values."""
+        own_rows, own_values = self.table(d)
         return (
-            len(flat) == 2 * sum(map(bool, values))
-            and flat[0::2] == list(compress(rows, values))
-            and flat[1::2] == list(map(neg, compress(values, values)))
+            (n_rows, len(rows)) == (self.target.dim(d + self.internal_shift), len(values))
+            and list(map(bool, values)) == list(map(bool, own_values))
+            and list(compress(rows, values)) == list(compress(own_rows, own_values))
+            and list(map(neg, compress(values, values))) == list(compress(own_values, own_values))
         )
 
     def image(self, d: int, column: Sequence) -> Tuple:

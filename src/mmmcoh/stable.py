@@ -35,13 +35,12 @@ cross-check compares entry for entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import PolynomialAlgebra, exterior_dim
 from .forms import DifferentialForms
-from .linalg import rank
 from .modules import FreeGradedModule, GradedModuleMap, TorResult, free_module
 
 
@@ -550,27 +549,29 @@ class StableCohomology:
     def kernel_cross_check(self) -> List[Dict[str, int]]:
         """The contraction against m_1 *is* -p on 1-forms under the
         dictionary m_i <-> de_i: identical matrices up to the global sign,
-        and identical kernel dimensions per degree.  The matrices are
-        compared on delta's tables, with no matrix built for delta.
+        and identical kernel dimensions per degree.  The one slot list of
+        p_1 (`DifferentialForms._contraction`) is compared with delta's row
+        table (`GradedModuleMap.is_minus`), with no matrix built.
 
         The rank of p_1 is the one the forms certificate of
         `DifferentialForms.verify_exactness` certified (spot 0's
         ``rank_in``, the number of down forms of Omega^1_d; a memo hit once
         resolution-exactness or Tor has run).  Where that certificate
-        fails, a p_1 equal to -delta takes delta's rank and only one that
-        fails its row is eliminated: a broken identity elsewhere in the
-        forms complex is not a failure of this check."""
+        fails, it is the number of distinct rows among the nonzero columns
+        of p_1, exact for one entry per column (`GradedModuleMap.rank`): a
+        broken identity elsewhere in the forms complex is not a failure of
+        this check."""
         delta = self.delta_covariant()
         rows = []
         for d in range(2, self.degree_bound + 1, 2):
-            m_p = self.forms.interior_product(1, d)
-            same = delta.is_minus(d, m_p)
+            p_rows, cols, (slot_rows,), (slot_values,) = self.forms._contraction(1, d)
+            same = delta.is_minus(d, p_rows, slot_rows, slot_values)
             k_delta = self.kernel_dim(d)
             try:
                 rank_p = self.forms.verify_exactness(d).spots[0].rank_in
             except ValueError:
-                rank_p = delta.rank(d) if same else rank(m_p)
-            k_p = m_p.cols - rank_p
+                rank_p = len(set(compress(slot_rows, slot_values)))
+            k_p = cols - rank_p
             rows.append(
                 {
                     "internal_degree": d,

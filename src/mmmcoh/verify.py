@@ -265,7 +265,8 @@ def run_verification(
 
     ``jobs`` accepts only 1: the degree-level process pool was removed
     because it was no faster than the serial run and used more CPU time
-    and memory.
+    and memory.  It stays because ``perfbench/unit.py`` passes ``jobs=``
+    in every certify unit: removing it would fail every benchmark run.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the process pool was removed; only jobs=1 is accepted")

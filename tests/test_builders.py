@@ -4,11 +4,14 @@ p, d, the contraction delta, the cup product and the kernel-generator span
 are built from multiplication tables and layouts.  Each checks, once per
 block, the properties that `linalg._checked_columns` checks entry by entry
 (every row in range and at most once per column, every value a nonzero
-int).  p and d hand their columns to the unchecked `linalg._matrix`,
-delta and the cup product are row tables, and the span is a stream of
-edges for `stable._forest_pivots`.  These tests hold the builders' output
-to the checked constructor, break one block at a time, and make sure no
-builder reaches the entry check.
+int).  p is a list of rows and a list of values per slot, d a tuple of
+packed columns, delta and the cup product are row tables, and the span
+is a stream of edges for `stable._forest_pivots`; none is a matrix.
+These tests hold the builders' output, read as matrices
+(`slot_patch.p_matrix` and `d_matrix`), to the checked constructor,
+break one block at a time, and make sure that no builder reaches the
+entry check and that no run outside the torus H^1 certificate builds a
+matrix.
 """
 
 import sys
@@ -21,7 +24,15 @@ from mmmcoh.cli import main
 from mmmcoh.forms import DifferentialForms
 from mmmcoh.linalg import SparseMatrix
 from mmmcoh.stable import StableCohomology
-from mmmcoh.verify import run_verification
+from mmmcoh.verify import CHECKS, run_verification
+from slot_patch import d_matrix, p_matrix
+
+# the builders of p and d by the parameter names of the tests below: p
+# slot-major, d as packed columns
+BUILDERS = {
+    "interior_product": DifferentialForms._contraction,
+    "exterior_derivative": DifferentialForms.exterior_derivative,
+}
 
 
 def _checked(m):
@@ -34,7 +45,7 @@ def test_every_builder_passes_the_entry_check_at_bound_24(monkeypatch):
     forms = DifferentialForms(PolynomialAlgebra(24))
     for n in range(0, forms.max_form_degree() + 2):
         for d in range(0, 25):
-            for m in (forms.interior_product(n, d), forms.exterior_derivative(n, d)):
+            for m in (p_matrix(forms, n, d), d_matrix(forms, n, d)):
                 assert _checked(m) == m and _checked(m).packed == m.packed, (n, d)
     ctx = StableCohomology(24)
     for f in (ctx.delta_covariant(), ctx.delta_contravariant()):
@@ -100,6 +111,62 @@ def test_no_builder_reaches_the_entry_check(monkeypatch, capsys):
     assert callers == []
 
 
+# run in a fresh interpreter: once a class has had ``__new__`` set, deleting
+# it does not give back object.__new__'s handling of the constructor's
+# arguments, so the count cannot be undone in this process
+_COUNT_MATRICES = """
+import contextlib, io, json
+from mmmcoh.cli import main
+from mmmcoh.linalg import SparseMatrix
+from mmmcoh.verify import CHECKS, run_verification
+
+made = []
+
+def counting(cls, *args, **kwargs):
+    made.append(cls)
+    return object.__new__(cls)
+
+SparseMatrix.__new__ = staticmethod(counting)
+SparseMatrix.zero(2, 1)
+SparseMatrix(2, 1, {(0, 0): 1})
+counts = {"constructors": len(made)}
+checks = [check_id for check_id, _, _ in CHECKS if check_id != "torus-h1"]
+made.clear()
+counts["checks"] = len(checks), len(CHECKS)
+counts["passed"] = run_verification(24, check_ids=checks).passed
+counts["verify-all"] = len(made)
+for query in (["hilbert", "Htilde"], ["tor"], ["generators"], ["exactness"]):
+    made.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(query + ["--max-degree", "24"])
+    counts[" ".join(query)] = code, len(made)
+print(json.dumps(counts))
+"""
+
+
+def test_no_matrix_is_built_outside_the_torus_h1_certificate():
+    # every SparseMatrix is made through SparseMatrix.__new__, the checked
+    # constructors and the unchecked _matrix alike: a run of every check
+    # but torus-h1 makes none, and neither does any of the four CLI
+    # queries (each with exit code 0)
+    import json
+    import subprocess
+
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_MATRICES], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == {
+        "constructors": 2,  # the count sees the unchecked and the dict constructor
+        "checks": [8, 9],
+        "passed": True,
+        "verify-all": 0,
+        "hilbert Htilde": [0, 0],
+        "tor": [0, 0],
+        "generators": [0, 0],
+        "exactness": [0, 0],
+    }
+
+
 # -- one broken block at a time: a ValueError naming it ---------------------------
 
 
@@ -128,7 +195,7 @@ def test_a_block_of_the_wrong_coefficient_degree_is_named(monkeypatch, name, n, 
     # the block of de_1 in Omega^1_8 claims coefficient degree 4, not 6
     _patch_layout(monkeypatch, (1, 8), (1,), lambda off, deg: (off, deg - 2))
     with pytest.raises(ValueError, match=message):
-        getattr(DifferentialForms(PolynomialAlgebra(8)), name)(n, 8)
+        BUILDERS[name](DifferentialForms(PolynomialAlgebra(8)), n, 8)
 
 
 @pytest.mark.parametrize("name,n", [("interior_product", 2), ("exterior_derivative", 0)])
@@ -142,7 +209,7 @@ def test_a_block_past_the_rows_is_named(monkeypatch, name, n):
         r"at \(n, d\) = \(%d, 8\)$" % (symbol, n)
     )
     with pytest.raises(ValueError, match=message):
-        getattr(DifferentialForms(PolynomialAlgebra(8)), name)(n, 8)
+        BUILDERS[name](DifferentialForms(PolynomialAlgebra(8)), n, 8)
 
 
 def _short_table(monkeypatch, key):
@@ -164,7 +231,7 @@ def test_a_short_table_is_named_by_p(monkeypatch):
         r"\(1, 2\) at \(n, d\) = \(2, 8\)$"
     )
     with pytest.raises(ValueError, match=message):
-        DifferentialForms(PolynomialAlgebra(8)).interior_product(2, 8)
+        DifferentialForms(PolynomialAlgebra(8))._contraction(2, 8)
 
 
 def test_a_short_table_is_named_by_delta(monkeypatch):

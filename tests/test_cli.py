@@ -254,7 +254,7 @@ def test_delta_queries_read_delta_off_its_tables(capsys, monkeypatch, command, s
     monkeypatch.setattr(GradedModuleMap, "matrix", forbidden)
     monkeypatch.setattr(stable, "_forest_pivots", counted)
     monkeypatch.setattr(linalg, "pivot_columns", forbidden)
-    monkeypatch.setattr(stable, "rank", forbidden)
+    monkeypatch.setattr(linalg, "_rref", forbidden)
     code, _ = run_cli(capsys, *command.split(), "--max-degree", "16", "--format", "json")
     assert code == 0
     twisted = stable.StableCohomology(16).twisted_module()

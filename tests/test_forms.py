@@ -18,7 +18,7 @@ from mmmcoh.linalg import SparseMatrix, _matrix, rank
 from mmmcoh.verify import run_verification
 import mmmcoh.forms as forms_module
 from algebra_oracle import Monomial, monomials, smallest_indices, wedge_remove
-from slot_patch import patch_p, slots_of
+from slot_patch import d_matrix, p_matrix, patch_d, patch_p, slots_of
 
 
 @pytest.fixture(scope="module")
@@ -41,27 +41,27 @@ def image(forms, mat, form, n, d, n_out):
 def test_exterior_derivative_of_monomial_times_generator_form(forms):
     # d(e1^2 de2) = 2 e1 de1 ^ de2
     x = (Monomial.from_exponents({1: 2}), (2,))
-    out = image(forms, forms.exterior_derivative(1, 8), x, 1, 8, 2)
+    out = image(forms, d_matrix(forms, 1, 8), x, 1, 8, 2)
     assert out == {(Monomial.generator(1), (1, 2)): Fraction(2)}
 
 
 def test_exterior_derivative_antisymmetry_collapse(forms):
     # d(e2 de2) = de2 ^ de2 = 0
     x = (Monomial.generator(2), (2,))
-    assert image(forms, forms.exterior_derivative(1, 8), x, 1, 8, 2) == {}
+    assert image(forms, d_matrix(forms, 1, 8), x, 1, 8, 2) == {}
 
 
 def test_interior_product_on_one_form(forms):
     # p(e2 de3) = e2 e3
     x = (Monomial.generator(2), (3,))
-    out = image(forms, forms.interior_product(1, 10), x, 1, 10, 0)
+    out = image(forms, p_matrix(forms, 1, 10), x, 1, 10, 0)
     assert out == {(Monomial.from_exponents({2: 1, 3: 1}), ()): Fraction(1)}
 
 
 def test_interior_product_on_two_form_has_koszul_signs(forms):
     # p(de1 ^ de2) = e1 de2 - e2 de1
     x = (Monomial.one(), (1, 2))
-    out = image(forms, forms.interior_product(2, 6), x, 2, 6, 1)
+    out = image(forms, p_matrix(forms, 2, 6), x, 2, 6, 1)
     assert out == {
         (Monomial.generator(1), (2,)): Fraction(1),
         (Monomial.generator(2), (1,)): Fraction(-1),
@@ -87,16 +87,16 @@ def test_wedge_remove_signs():
 def test_d_squared_is_zero(forms):
     for d in range(2, 25, 2):
         for n in range(0, forms.max_form_degree() + 1):
-            d1 = forms.exterior_derivative(n, d)
-            d2 = forms.exterior_derivative(n + 1, d)
+            d1 = d_matrix(forms, n, d)
+            d2 = d_matrix(forms, n + 1, d)
             assert (d2 @ d1).nnz() == 0, (n, d)
 
 
 def test_contraction_squared_is_zero(forms):
     for d in range(2, 25, 2):
         for n in range(2, forms.max_form_degree() + 2):
-            p1 = forms.interior_product(n, d)
-            p2 = forms.interior_product(n - 1, d)
+            p1 = p_matrix(forms, n, d)
+            p2 = p_matrix(forms, n - 1, d)
             assert (p2 @ p1).nnz() == 0, (n, d)
 
 
@@ -209,7 +209,7 @@ def test_derivative_of_product_rule(i, j, e):
     if d_int > 24:
         return
     x = (Monomial.from_exponents({i: e}), (j,))
-    out = image(forms, forms.exterior_derivative(1, d_int), x, 1, d_int, 2)
+    out = image(forms, d_matrix(forms, 1, d_int), x, 1, d_int, 2)
     ins = wedge_insert(i, (j,))
     if ins is None:
         assert out == {}
@@ -222,17 +222,17 @@ def test_derivative_of_product_rule(i, j, e):
 def test_generator_rules_frozen(forms):
     # d(e1) = de1 and p(de1) = e1: the defining rules of both derivations
     x = (Monomial.generator(1), ())
-    out = image(forms, forms.exterior_derivative(0, 2), x, 0, 2, 1)
+    out = image(forms, d_matrix(forms, 0, 2), x, 0, 2, 1)
     assert out == {(Monomial.one(), (1,)): Fraction(1)}
 
     y = (Monomial.one(), (1,))
-    out = image(forms, forms.interior_product(1, 2), y, 1, 2, 0)
+    out = image(forms, p_matrix(forms, 1, 2), y, 1, 2, 0)
     assert out == {(Monomial.generator(1), ()): Fraction(1)}
 
 
 def test_derivative_kills_constant_forms(forms):
     x = (Monomial.one(), (1, 2))
-    assert image(forms, forms.exterior_derivative(2, 6), x, 2, 6, 3) == {}
+    assert image(forms, d_matrix(forms, 2, 6), x, 2, 6, 3) == {}
 
 
 def test_degree_operator_frozen_eigenvalues(forms):
@@ -325,23 +325,23 @@ def test_operators_match_object_oracles_at_bound_24():
             assert forms.dim(n, d) == len(basis), (n, d)
             assert forms.euler_weights(n, d) == [m.total_exponent + n for m, _ in basis], (n, d)
             assert _same_matrix(
-                forms.exterior_derivative(n, d), _oracle_exterior_derivative(algebra, n, d)
+                d_matrix(forms, n, d), _oracle_exterior_derivative(algebra, n, d)
             ), ("d", n, d)
             if n >= 1:
                 assert _same_matrix(
-                    forms.interior_product(n, d), _oracle_interior_product(algebra, n, d)
+                    p_matrix(forms, n, d), _oracle_interior_product(algebra, n, d)
                 ), ("p", n, d)
 
 
 def test_the_packed_view_of_p_lists_its_slots_in_order_at_bound_24():
-    # interior_product is _contraction's slot lists interleaved: the
+    # the packed matrix of p is _contraction's slot lists interleaved: the
     # oracle's columns tuple for tuple, entry t contracting slot t, with
     # int values
     algebra = PolynomialAlgebra(24)
     forms = DifferentialForms(algebra)
     for n in range(0, forms.max_form_degree() + 2):
         for d in range(0, 25):
-            m = forms.interior_product(n, d)
+            m = p_matrix(forms, n, d)
             rows, cols, slot_rows, slot_values = forms._contraction(n, d)
             assert (m.rows, m.cols, len(slot_rows)) == (rows, cols, n), (n, d)
             if n >= 1:
@@ -412,10 +412,10 @@ def homotopy_walk(forms, n, d):
     """The walk on every column of Omega^n_d alone, over the weights and the
     four operators it reads, each built through the class's builder
     methods."""
-    d_down = forms.exterior_derivative(n - 1, d).packed if n else ()
+    d_down = forms.exterior_derivative(n - 1, d) if n else ()
     return forms._homotopy_walk(
         forms.euler_weights(n, d),
-        forms.exterior_derivative(n, d).packed,
+        forms.exterior_derivative(n, d),
         forms._contraction(n + 1, d),
         forms._contraction(n, d),
         d_down,
@@ -433,11 +433,11 @@ def lie_derivative_oracle(forms, n, d):
     """L = d p + p d on Omega^n_d, assembled from operator products."""
     dim0 = forms.dim(0, d)
     p_then_d = (
-        forms.exterior_derivative(n - 1, d) @ forms.interior_product(n, d)
+        d_matrix(forms, n - 1, d) @ p_matrix(forms, n, d)
         if n >= 1
         else SparseMatrix.zero(dim0, dim0)
     )
-    d_then_p = forms.interior_product(n + 1, d) @ forms.exterior_derivative(n, d)
+    d_then_p = p_matrix(forms, n + 1, d) @ d_matrix(forms, n, d)
     return p_then_d + d_then_p
 
 
@@ -445,7 +445,7 @@ def rank_exactness_oracle(forms, d):
     """The exactness report from the rank of every contraction p_n."""
     top = forms.max_form_degree()
     dims = {n: forms.dim(n, d) for n in range(top + 2)}
-    ranks = {n: rank(forms.interior_product(n, d)) for n in range(1, top + 2)}
+    ranks = {n: rank(p_matrix(forms, n, d)) for n in range(1, top + 2)}
     spots = [SpotCheck(0, dims[0], 0, ranks[1], ranks[1] == dims[0])]
     for n in range(1, top + 1):
         spots.append(
@@ -494,13 +494,7 @@ def _break_operator(name, key, col=None):
         return _double_entry(m, col) if (n, d) == key else m
 
     def patch(monkeypatch):
-        if name == "interior_product":
-            patch_p(monkeypatch, broken)
-            return
-        real = getattr(DifferentialForms, name)
-        monkeypatch.setattr(
-            DifferentialForms, name, lambda self, n, d: broken(self, n, d, real(self, n, d))
-        )
+        (patch_p if name == "interior_product" else patch_d)(monkeypatch, broken)
 
     return patch
 
@@ -557,7 +551,7 @@ def test_walk_detects_a_nonzero_p_squared(monkeypatch):
     # on Omega^3, p_2 is read only as the p of p(pw), so doubling an entry
     # of a column of p_2 that p(de1^de2^de3) hits leaves the Cartan walk
     # there intact and breaks p^2 = 0
-    hit = DifferentialForms(PolynomialAlgebra(12)).interior_product(3, 12).packed[0][0]
+    hit = p_matrix(DifferentialForms(PolynomialAlgebra(12)), 3, 12).packed[0][0]
     _break_operator("interior_product", (2, 12), col=hit)(monkeypatch)
     forms = DifferentialForms(PolynomialAlgebra(12))
     assert homotopy_walk(forms, 3, 12)
@@ -644,6 +638,29 @@ def test_a_moved_up_entry_fails_the_unit_minor(monkeypatch, key, onto):
         forms.verify_cartan(key[1])
 
 
+@pytest.mark.parametrize("key", [(1, 8), (2, 12), (3, 20)])
+def test_a_zero_unit_of_p_fails_the_unit_minor(monkeypatch, key):
+    # the entry that the first down column has in an up row, its value set
+    # to 0: a slot list holds it, but it is no unit.  For p_1 nothing else
+    # reads it (p_0 has no entries, so p_0 p_1 = 0 holds), so only the
+    # unit minor can refuse it
+    def broken(self, n, d, m):
+        if (n, d) != key:
+            return m
+        up_in, up_out = self._up_marks(n - 1, d), self._up_marks(n, d)
+        c = next(c for c in range(m.cols) if not up_out[c])
+        col = list(m.packed[c])
+        t = next(t for t in range(0, len(col), 2) if up_in[col[t]])
+        col[t + 1] = 0
+        return _matrix(m.rows, m.cols, m.packed[:c] + (tuple(col),) + m.packed[c + 1 :])
+
+    patch_p(monkeypatch, broken)
+    message = "p has no unit minor on the down forms at (n, d) = (%d, %d)" % key
+    with pytest.raises(ValueError) as exc:
+        DifferentialForms(PolynomialAlgebra(20)).verify_exactness(key[1])
+    assert str(exc.value) == message
+
+
 def test_every_positive_degree_form_is_matched():
     # the down forms of Omega^n and the up forms of Omega^(n-1) pair off,
     # and every form but the unit of Omega^0_0 has a partner
@@ -680,7 +697,7 @@ def test_unit_minor_is_the_partner_of_each_down_form(forms):
             basis = layout_basis(forms, n, d)
             below = _oracle_index(forms.algebra, n - 1, d)
             up_in, up_out = forms._up_marks(n - 1, d), forms._up_marks(n, d)
-            for c, col in enumerate(forms.interior_product(n, d).packed):
+            for c, col in enumerate(p_matrix(forms, n, d).packed):
                 if up_out[c]:
                     continue
                 m, wedge = basis[c]
@@ -705,20 +722,30 @@ def _reachable(obj):
             stack.extend(x)
 
 
+def _is_operator(x):
+    """Whether ``x`` holds an operator: a matrix, or a list or tuple of
+    lists or tuples, as the slot lists of p and the packed columns of d
+    are (no layout is: its blocks are a dict)."""
+    return isinstance(x, SparseMatrix) or (
+        isinstance(x, (list, tuple)) and bool(x) and all(isinstance(c, (list, tuple)) for c in x)
+    )
+
+
 def test_no_operator_outlives_its_degree():
     forms = DifferentialForms(PolynomialAlgebra(24))
     for d in range(1, 25):
         assert forms.verify_exactness(d).all_exact
+        assert forms.verify_cartan(d).all_exact
+    for operator in (forms._contraction(2, 24), forms.exterior_derivative(1, 24)):
+        assert any(map(_is_operator, _reachable(operator)))
     held = [
-        name
-        for name, value in vars(forms).items()
-        if any(isinstance(x, SparseMatrix) for x in _reachable(value))
+        name for name, value in vars(forms).items() if any(map(_is_operator, _reachable(value)))
     ]
     assert held == []
 
 
 def _count_builds(monkeypatch, built):
-    for name in ("exterior_derivative", "interior_product", "_contraction", "euler_weights"):
+    for name in ("exterior_derivative", "_contraction", "euler_weights"):
 
         def counted(self, n, d, real=getattr(DifferentialForms, name), name=name):
             built.append((name, n, d))
@@ -732,8 +759,8 @@ def test_each_degree_builds_each_operator_once(monkeypatch):
     _count_builds(monkeypatch, built)
     top = DifferentialForms(PolynomialAlgebra(24)).max_form_degree()
     for d in range(1, 25):
-        # the exactness certificate: p_0 .. p_{top+1} slot-major, no packed
-        # p, no d and no weights
+        # the exactness certificate: p_0 .. p_{top+1} slot-major, no d and
+        # no weights
         forms = DifferentialForms(PolynomialAlgebra(24))
         built.clear()
         forms.verify_exactness(d)
@@ -951,7 +978,7 @@ def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
         downs = [
             [c for c, up in enumerate(forms._up_marks(n, d)) if not up] for n in range(top + 2)
         ]
-        p = [forms.interior_product(n, d).packed for n in range(top + 2)]
+        p = [p_matrix(forms, n, d).packed for n in range(top + 2)]
         assert squared == [[p[n][c] for c in down] for n, down in enumerate(downs)], d
         assert walked == (downs if check == "verify_cartan" else []), d
         read = sum(map(len, squared))
@@ -983,7 +1010,9 @@ def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry
     # certificates must say what the walk over every column says, a report
     # or the same message
     d = 2 * half
-    m = getattr(DifferentialForms(PolynomialAlgebra(16)), name)(n, d)
+    forms = DifferentialForms(PolynomialAlgebra(16))
+    views = {"interior_product": p_matrix, "exterior_derivative": d_matrix}
+    m = views[name](forms, n, d) if name in views else forms.euler_weights(n, d)
     if name == "euler_weights":
         assume(m)
         m[col % len(m)] += 1
@@ -1002,16 +1031,17 @@ def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry
         else:
             entries[r, c] *= -1 if how == "negate" else 2
         corrupt = SparseMatrix(m.rows, m.cols, entries)
-    real = getattr(DifferentialForms, name)
+    real = DifferentialForms.euler_weights
 
     def broken(self, k, e):
         return corrupt if (k, e) == (n, d) else real(self, k, e)
 
     with pytest.MonkeyPatch.context() as mp:
-        if name == "interior_product":
-            patch_p(mp, lambda self, k, e, m: corrupt if (k, e) == (n, d) else m)
-        else:
+        if name == "euler_weights":
             mp.setattr(DifferentialForms, name, broken)
+        else:
+            patch = patch_p if name == "interior_product" else patch_d
+            patch(mp, lambda self, k, e, m: corrupt if (k, e) == (n, d) else m)
         for check, cartan in (("verify_exactness", False), ("verify_cartan", True)):
             got = _outcome(getattr(DifferentialForms(PolynomialAlgebra(16)), check), d)
             oracle = DifferentialForms(PolynomialAlgebra(16))._walk_degree
@@ -1129,8 +1159,8 @@ def _column_of(p, col):
 
 def _mutate(p, column, entry, how, value):
     """The slot record ``p`` with one change to the column at ``column %
-    cols``: its entry in slot ``entry % n`` negated, doubled or moved to
-    row ``value % rows``, or two of its slots swapped."""
+    cols``: its entry in slot ``entry % n`` negated, doubled, set to 0 or
+    moved to row ``value % rows``, or two of its slots swapped."""
     rows, cols, slot_rows, slot_values = p
     slot_rows, slot_values = [list(r) for r in slot_rows], [list(v) for v in slot_values]
     n = len(slot_rows)
@@ -1140,6 +1170,8 @@ def _mutate(p, column, entry, how, value):
             slot_values[k][c] = -slot_values[k][c]
         elif how == "double":
             slot_values[k][c] *= 2
+        elif how == "zero":
+            slot_values[k][c] = 0
         elif how == "row" and rows:
             slot_rows[k][c] = value % rows
         elif how == "swap" and n >= 2:
@@ -1149,7 +1181,7 @@ def _mutate(p, column, entry, how, value):
     return rows, cols, slot_rows, slot_values
 
 
-KINDS = ["none", "negate", "double", "row", "swap"]
+KINDS = ["none", "negate", "double", "zero", "row", "swap"]
 
 
 @given(
@@ -1190,7 +1222,7 @@ def test_each_slot_test_agrees_with_its_scan_on_p(n, half, where, column, entry,
         assert forms_module._square_slots(cols, below) and forms_module._minor_slots(cols, up_in)
 
 
-_values = st.sampled_from([1, -1, 2])
+_values = st.sampled_from([1, -1, 2, 0])
 
 
 @given(st.integers(0, 3), st.integers(1, 6), st.data())

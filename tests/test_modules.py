@@ -554,20 +554,29 @@ def test_table_rank_is_the_rank(data, rows, cols):
 @given(st.data(), st.integers(1, 5), st.integers(0, 6))
 @settings(max_examples=150, deadline=None)
 def test_is_minus_is_equality_with_the_negated_matrix(data, rows, cols):
-    # against candidates that are minus the map with a few columns
-    # replaced, some by two entries
+    # against candidates as a slot list holds them, one entry per column and
+    # a value of 0 for an empty column: minus the map with a few columns
+    # replaced by any row and a value among -1, 0, 1 and 2, or two columns
+    # swapped, and sometimes one row more
     algebra = PolynomialAlgebra(0)
     source, target = free_module(algebra, [0] * cols), free_module(algebra, [0] * rows)
     m = SparseMatrix.of_columns(rows, cols, data.draw(one_entry_columns(rows, cols)))
     f = GradedModuleMap.of_matrices(source, target, 0, {0: m})
-    candidate = list((-m).packed)
+    any_row = st.integers(0, rows - 1)
+    slot_rows = [col[0] if col else data.draw(any_row) for col in (-m).packed]
+    slot_values = [col[1] if col else 0 for col in (-m).packed]
     for c in data.draw(st.lists(st.integers(0, cols - 1), max_size=2)) if cols else []:
-        candidate[c] = data.draw(st.one_of(
-            one_entry_columns(rows, 1).map(lambda cs: cs[0]),
-            st.just((0, 1, rows - 1, -1) if rows > 1 else (0, -1)),
-        ))
-    candidate = SparseMatrix.of_columns(rows, cols, candidate)
-    assert f.is_minus(0, candidate) == (candidate == -m)
+        slot_rows[c] = data.draw(any_row)
+        slot_values[c] = data.draw(st.sampled_from((-1, 0, 1, 2)))
+    if cols > 1 and data.draw(st.booleans()):
+        a, b = data.draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=2, unique=True))
+        for listed in (slot_rows, slot_values):
+            listed[a], listed[b] = listed[b], listed[a]
+    n_rows = data.draw(st.sampled_from((rows, rows, rows + 1)))
+    candidate = SparseMatrix.of_columns(
+        n_rows, cols, [(r, x) if x else () for r, x in zip(slot_rows, slot_values)]
+    )
+    assert f.is_minus(0, n_rows, slot_rows, slot_values) == (candidate == -m)
 
 
 @given(st.data())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmmcoh.linalg import SparseMatrix
+from mmmcoh.linalg import SparseMatrix, _matrix
 from mmmcoh.stable import (
     FalsificationError,
     StableCohomology,
@@ -24,7 +24,7 @@ from module_oracle import (
     minimal_generators,
     trivial_module,
 )
-from slot_patch import patch_p
+from slot_patch import p_matrix, patch_p
 from test_linalg import _oracle_forward, _row_dicts_of
 
 
@@ -399,49 +399,77 @@ def test_kernel_cross_check(sc):
 @pytest.mark.parametrize("how", ["scale", "move", "drop"])
 def test_kernel_cross_check_fails_on_a_changed_p1_column(monkeypatch, how):
     # delta's tables against p_1: one column of p_1 scaled, moved to
-    # another row or emptied fails the row of its degree
-    from mmmcoh.forms import DifferentialForms
-    from mmmcoh.linalg import SparseMatrix
+    # another row or emptied (its value set to 0, as a slot list has no
+    # empty column) fails the row of its degree, whose forms-route kernel
+    # is read off the changed p_1
+    from mmmcoh import linalg
 
-    real = DifferentialForms.interior_product
-
-    def changed(self, n, d):
-        m = real(self, n, d)
+    def changed(self, n, d, m):
         if (n, d) != (1, 8):
             return m
         cols = list(m.packed)
         r, x = cols[3]
-        cols[3] = {"scale": (r, 2 * x), "move": ((r + 1) % m.rows, x), "drop": ()}[how]
-        return SparseMatrix.of_columns(m.rows, m.cols, cols)
+        cols[3] = {"scale": (r, 2 * x), "move": ((r + 1) % m.rows, x), "drop": (r, 0)}[how]
+        return _matrix(m.rows, m.cols, tuple(cols))
 
-    monkeypatch.setattr(DifferentialForms, "interior_product", changed)
+    patch_p(monkeypatch, changed)
+    ctx = StableCohomology(12)
     with pytest.raises(FalsificationError, match="^forms dictionary fails at degree 8$") as exc:
-        StableCohomology(12).kernel_cross_check()
+        ctx.kernel_cross_check()
     assert [r["matrices_match_up_to_sign"] for r in exc.value.report] == [1, 1, 1, 0]
+    # the changed p_1 fails the exactness certificate of degree 8, so its
+    # rank is counted off its slot list: the elimination agrees
+    p1 = p_matrix(ctx.forms, 1, 8)
+    p1 = SparseMatrix.of_columns(p1.rows, p1.cols, p1.packed)  # a 0 value dropped
+    assert exc.value.report[-1]["kernel_dim_forms_route"] == p1.cols - linalg.rank(p1)
+
+
+def test_kernel_cross_check_counts_a_zero_value_of_p1_as_an_empty_column(monkeypatch):
+    # p_1 at degree 2 is the 1x1 matrix of p(de1) = e1; with its one value
+    # set to 0 it fails its exactness certificate and has rank 0, so the
+    # forms route reads a kernel of 1
+    def zeroed(self, n, d, m):
+        return _matrix(m.rows, m.cols, ((0, 0),)) if (n, d) == (1, 2) else m
+
+    patch_p(monkeypatch, zeroed)
+    ctx = StableCohomology(4)
+    message = r"^p has no unit minor on the down forms at \(n, d\) = \(1, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        ctx.forms.verify_exactness(2)
+    with pytest.raises(FalsificationError, match="^forms dictionary fails at degree 2$") as exc:
+        ctx.kernel_cross_check()
+    assert exc.value.report == [
+        {
+            "internal_degree": 2,
+            "kernel_dim_module_route": 0,
+            "kernel_dim_forms_route": 1,
+            "matrices_match_up_to_sign": 0,
+        }
+    ]
 
 
 def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch):
-    from mmmcoh import stable
-    from mmmcoh.linalg import rank
+    from mmmcoh import linalg
 
     ctx = StableCohomology(24)
     for d in range(1, 25):
         ctx.forms.verify_exactness(d)
     ctx.verify_surjectivity()  # the kernel dimensions, from the ranks of delta
     calls = []
+    real = linalg._rref
 
-    def counted(m):
-        calls.append((m.rows, m.cols))
-        return rank(m)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(stable, "rank", counted)
+    monkeypatch.setattr(linalg, "_rref", counted)
     rows = ctx.kernel_cross_check()
     assert calls == []
     # the rows the elimination of each p_1 gives
     assert [r["internal_degree"] for r in rows] == list(range(2, 25, 2))
     for row in rows:
-        p1 = ctx.forms.interior_product(1, row["internal_degree"])
-        assert row["kernel_dim_forms_route"] == p1.cols - rank(p1)
+        p1 = p_matrix(ctx.forms, 1, row["internal_degree"])
+        assert row["kernel_dim_forms_route"] == p1.cols - linalg.rank(p1)
         assert row["kernel_dim_module_route"] == row["kernel_dim_forms_route"]
         assert row["matrices_match_up_to_sign"] == 1
 
@@ -449,9 +477,9 @@ def test_kernel_cross_check_takes_rank_p1_from_the_exactness_reports(monkeypatch
 def test_kernel_cross_check_passes_a_broken_p2_without_elimination(monkeypatch):
     # a negated entry of the first column of p_2 fails the exactness
     # certificate at degree 8, but p_1 still equals -delta there: its rank
-    # is delta's, with no elimination, and the rows are those of the
-    # unbroken complex
-    from mmmcoh import stable
+    # is counted off its slot list, with no elimination, and the rows are
+    # those of the unbroken complex
+    from mmmcoh import linalg
 
     expected = StableCohomology(12).kernel_cross_check()
 
@@ -461,11 +489,11 @@ def test_kernel_cross_check_passes_a_broken_p2_without_elimination(monkeypatch):
         r, x, *rest = m.packed[0]
         return SparseMatrix.of_columns(m.rows, m.cols, [(r, -x, *rest), *m.packed[1:]])
 
-    def forbidden(m):
-        raise AssertionError("stable.rank")
+    def forbidden(*args):
+        raise AssertionError("linalg._rref")
 
     patch_p(monkeypatch, broken)
-    monkeypatch.setattr(stable, "rank", forbidden)
+    monkeypatch.setattr(linalg, "_rref", forbidden)
     ctx = StableCohomology(12)
     with pytest.raises(ValueError, match=r"at \(n, d\) = \(2, 8\)$"):
         ctx.forms.verify_exactness(8)
@@ -710,7 +738,7 @@ def test_injectivity_table_is_computed_once(sc):
 def test_surjectivity_table_is_computed_once(monkeypatch):
     # covariant-surjectivity and the Htilde table share one result; the
     # ranks are read off delta's row tables, with no elimination
-    import mmmcoh.stable as stable
+    import mmmcoh.linalg as linalg
     from mmmcoh.modules import GradedModuleMap
 
     real = GradedModuleMap.rank
@@ -721,7 +749,7 @@ def test_surjectivity_table_is_computed_once(monkeypatch):
         return real(f, d)
 
     monkeypatch.setattr(GradedModuleMap, "rank", counting)
-    monkeypatch.setattr(stable, "rank", lambda m: eliminations.append(m))
+    monkeypatch.setattr(linalg, "_rref", lambda *args: eliminations.append(args))
     ctx = StableCohomology(12)
     rows = ctx.verify_surjectivity()
     assert calls == list(range(2, 13, 2))  # one rank per positive even degree
@@ -881,7 +909,7 @@ def test_contraction_is_the_koszul_complex_of_the_ring():
 
     for d in range(0, 21):
         for j in range(1, forms.max_form_degree() + 2):
-            k, p = koszul_differential(ring, j, d), forms.interior_product(j, d)
+            k, p = koszul_differential(ring, j, d), p_matrix(forms, j, d)
             rows, cols = to_forms(j - 1, d), to_forms(j, d)
             assert (k.rows, k.cols) == (p.rows, p.cols) == (len(rows), len(cols)), (j, d)
             moved = {(rows[r], cols[c]): x for (r, c), x in k.entries.items()}
