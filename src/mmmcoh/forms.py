@@ -18,11 +18,14 @@ The chain of contractions ... -> Omega^2 -> Omega^1 -> Omega^0 -> Q -> 0
 is exact in every positive internal degree.  `verify_exactness` certifies
 it from p alone, by a unit minor of each p_n on the forms of a discrete
 Morse matching, p^2 = 0 and the counts of the matching; `verify_cartan`
-also checks, in the same pass, that L is the diagonal of positive weights.
-Both walk their identities on the down forms of the matching only, half
-the columns of each degree: with the unit minors and the counts, and for
-the Cartan identity with p keeping the Euler weight, these settle the
-up forms too (`DifferentialForms._certify`).
+also certifies, in the same pass, that L is the diagonal of positive
+weights.  The exactness identities are checked on the down forms of the
+matching only, half the columns of each degree: with the unit minors and
+the counts, these settle the up forms too.  The Cartan identity is
+certified on every column at once, by premises over whole lists
+(`DifferentialForms._cartan_slots`): they pair off every term of
+d p + p d off the diagonal, make K = d p + p d - L commute with p, and
+give K = 0 from the top form degree down (`DifferentialForms._certify`).
 d^2 = 0 is checked only by tests/test_forms.py, at bound 24.
 
 The certificates read p slot-major.  Every column of p_n has n entries,
@@ -42,9 +45,19 @@ positions, a gather through the slot lists of p_{n-1}, one count per
 value list.  A slot test certifies only what it proves; when one does
 not close, the scan of each packed column decides (`_minor_scan`,
 `_square_scan`), so the verdicts, messages and reports are those of the
-scans.  The Cartan identity is walked column by column, reading p by
-slot and d as its packed columns (`exterior_derivative`); no operator
-here is a matrix object.
+scans.
+
+d is kept on the same pattern, transposed: a basis form of Omega^{n+1}
+is a row of d_n that meets exactly the n + 1 columns p_{n+1} sends it
+to, so d_n is the slot rows of p_{n+1} with one list per slot of the
+exponents its values are made of (`exterior_derivative`), and nothing is
+transposed on the pass path.  The Cartan premises are slot tests as
+well: gathers of the rows of p_n and the exponents of d_{n-1} at the
+rows of p_{n+1}, a check of each (block, slot) run of p_{n+1}, and one
+count of its rows.  When they do not close, the degree is walked again
+column by column (`_homotopy_walk`), over packed columns of d made only
+then, and the verdicts and messages are that walk's.  No operator here
+is a matrix object.
 
 The complex is streamed degree by degree: the operators are built on
 each call and kept by no one here, so `verify_exactness(d)` and
@@ -76,31 +89,26 @@ of that order.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import add, itemgetter, setitem
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import add, itemgetter, le, lt, mul, setitem
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .algebra import PolynomialAlgebra
-from .linalg import _gathered
+from .linalg import _gathered, _getter
 
 # an operator as packed columns ``(row, value, row, value, ...)``, with no
-# matrix object: d as `exterior_derivative` builds it, p where a scan reads it
+# matrix object: what the scans and the full Cartan walk read
 Packed = Tuple[Tuple[int, ...], ...]
 
 # p_n as `DifferentialForms._contraction` builds it: (rows, cols, slot_rows,
 # slot_values), entry t of column c at (slot_rows[t][c], slot_values[t][c])
 Slots = Tuple[int, int, List[List[int]], List[List[int]]]
 
-
-def wedge_insert(i: int, wedge: Tuple[int, ...]):
-    """de_i ^ (wedge): None if i repeats, else (sign, sorted wedge)."""
-    if i in wedge:
-        return None
-    pos = sum(1 for j in wedge if j < i)
-    sign = -1 if pos % 2 else 1
-    return sign, wedge[:pos] + (i,) + wedge[pos:]
+# d_n as `DifferentialForms.exterior_derivative` builds it: (p_{n+1}, exps),
+# entry t of row v at column p_{n+1}[2][t][v] with value (-1)^t (exps[t][v] + 1)
+Derivative = Tuple[Slots, List[Tuple[int, ...]]]
 
 
 class DifferentialForms:
@@ -157,44 +165,39 @@ class DifferentialForms:
 
     # -- operators ---------------------------------------------------------
 
-    def exterior_derivative(self, n: int, d: int) -> Packed:
-        """d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed) as its
-        packed columns, rows in Omega^{n+1}_d, built on each call.
+    def exterior_derivative(self, n: int, d: int) -> Derivative:
+        """d: Omega^n_d -> Omega^{n+1}_d (internal degree fixed), row by row
+        on the pattern of p_{n+1}, built on each call: ``(p_up, exps)``,
+        p_up the slot record of p_{n+1} (`_contraction`), and row v of d_n
+        holding, for each slot t, the value (-1)^t (exps[t][v] + 1) in
+        column ``p_up[2][t][v]``.
 
-        Built per source block and index i: the monomials m that e_i
-        divides are the positions of the table of e_i into the block's
-        degree, entry k the product of the k-th monomial m / e_i of the
-        target block.  So column table[k] gets row k of that block, with
-        the value sign * (the exponent of e_i at k, plus one).  Appending
-        in increasing i keeps each column's entries in index order.
+        A row v = m * de_T of Omega^{n+1} meets exactly the columns that p
+        sends v to: slot t of p_{n+1} contracts de_i, i = T_t, into
+        (e_i m) de_{T - i}, and d of that form has the term
+        (-1)^t (a + 1) m de_T, a the exponent of e_i in m.  So exps[t] is,
+        block by block of Omega^{n+1}, the algebra's exponents of e_i in
+        the block's coefficient degree (`PolynomialAlgebra.exponents`):
+        no scatter, no tuple per row or column, and the ints of the
+        algebra's lists.  The sign of the slot and the shift by one are the
+        format's, not stored.
 
-        Checked per target block, not per entry: the positions of a table
-        lie in range of its target degree's basis, distinct i join
-        distinct wedges, so the entries of a column lie in disjoint blocks,
-        and each value is sign * e with e >= 1."""
-        src, cols = self._layout(n, d)
+        Checked per row block, not per entry: each block of Omega^{n+1}
+        has the coefficient degree of its wedge and lies inside the rows,
+        so its exponent list has one entry per row; the columns are p's,
+        checked where p is built, so every row has n + 1 entries in n + 1
+        distinct columns, and each value is +-(a + 1) with a >= 0."""
         tgt, rows = self._layout(n + 1, d)
         hilbert = _hilbert_counts(self.algebra)
-        table, exponents = self.algebra.multiplication_table, self.algebra.exponents
-        columns: List[Tuple[int, ...]] = []
-        for wedge, (_, deg) in src.items():
-            # one tuple per column, grown by concatenation: a tuple of ints
-            # leaves the collector's watch, a list would stay on it
-            block: List[Tuple[int, ...]] = [()] * hilbert[deg // 2]
-            # e_i leaves the coefficient and joins the wedge
-            for i in range(1, deg // 2 + 1):
-                ins = wedge_insert(i, wedge)
-                if ins is not None:
-                    sign, joined = ins
-                    into = deg - 2 * i
-                    row_off, at = tgt.get(joined, (-1, -1))
-                    if at != into or not 0 <= row_off <= rows - hilbert[into // 2]:
-                        raise _block_error("d", n, d, rows, joined, into)
-                    for q, row, e in zip(table(i, into), count(row_off), exponents(i, into)):
-                        block[q] += (row, sign * (e + 1))
-            columns.extend(block)
-        _count_columns("d", n, d, cols, columns)
-        return tuple(columns)
+        exponents = self.algebra.exponents
+        runs: List[List[Tuple[int, ...]]] = [[] for _ in range(n + 1)]
+        for wedge, (off, deg) in tgt.items():
+            into = d - 2 * sum(wedge)
+            if deg != into or not 0 <= off <= rows - hilbert[into // 2]:
+                raise _block_error("d", n, d, rows, wedge, into)
+            for t, i in enumerate(wedge):
+                runs[t].append(exponents(i, deg))
+        return self._contraction(n + 1, d), [tuple(chain.from_iterable(r)) for r in runs]
 
     def _contraction(self, n: int, d: int) -> Slots:
         """The Euler contraction p: Omega^n_d -> Omega^{n-1}_d,
@@ -295,35 +298,133 @@ class DifferentialForms:
             _columns(walked_p), _columns(p_down)
         )
 
-    @staticmethod
-    def _keeps_weight(
-        down_p: Slots, down: bytearray, weights_out: List[int], weights_in: List[int]
+    def _cartan_slots(
+        self,
+        n: int,
+        d: int,
+        d_out: Derivative,
+        d_down: Derivative,
+        weights_in: List[int],
+        weights: List[int],
     ) -> bool:
-        """Whether every entry of a down column of p_n, ``down_p``, joins
-        two forms of equal Euler weight, that is, whether p_n L = L p_n on
-        the down forms of Omega^n (the 1s of ``down``): the weights of the
-        rows of each slot are those of the down forms."""
-        want = tuple(compress(weights_out, down))
-        return all(_gathered(weights_in, rows) == want for rows in down_p[2])
+        """The slot test of the Cartan identity at Omega^n_d: whole-list
+        premises on d_n (``d_out``, on the pattern of p_{n+1}), d_{n-1}
+        (``d_down``, on the pattern of p_n) and the Euler weights of
+        Omega^{n-1} and Omega^n.  Passing it at every n of a degree, with
+        Omega^{top+1}_d = 0, certifies K = d p + p d - L = 0 there, and
+        p^2 = 0 on every column (`_certify` gives the argument).  False
+        says only that the lists do not show it.
+
+        Write R+ for the slot rows of p_{n+1}, R for those of p_n, a and a'
+        for the exponent lists of d_n and d_{n-1} (`exterior_derivative`),
+        and for slots s != t of a row v of d_n, s' = s - [s > t] and
+        t' = t - [t > s].  The premises, in the order checked:
+
+        (I) each slot's rows rise strictly inside each block of
+            Omega^{n+1}, and the first and last row of the run of slot s
+            in the block of wedge T lie in the block of T - T_s, so the
+            whole run does (`_runs_in_blocks`).  So the rows of a column
+            of p_{n+1} are distinct, and (v, s, t) -> ((R+_s[v], t'),
+            (R+_t[v], s')) is injective: the blocks of R+_s[v] and
+            R+_t[v] give T - T_s and T - T_t, whose union is T, so s and
+            t, and a run is injective;
+        (P) p_n p_{n+1} = 0 on every column, by `_square_slots` on all
+            of p_{n+1}: the Koszul signs of both, and for s != t
+            R_s'[R+_t[v]] = R_t'[R+_s[v]];
+        (V) a_t[v] = a'_t'[R+_s[v]]: as values, slot t of d_n at v is
+            -(-1)^(s + s') times slot t' of d_{n-1} at R+_s[v];
+        (C) sum_y c(y)^2 = (n + 1) (dim Omega^{n+1} + (n + 2) dim
+            Omega^{n+2}), c(y) the number of entries of p_{n+1} in row y:
+            the count of Omega^{n+1}, checked here for p_{n+1};
+        (W) p_n keeps the Euler weight on every column (`_keeps_weight`);
+        (D) n + sum_k a'_k[u], which is sum_k (-1)^k (slot k of d_{n-1}
+            at u), is the weight of u at every u of Omega^n that no entry
+            of p_{n+1} reaches.
+
+        (V) reads each slot of p_{n+1} through one getter, n gathers
+        each.  With no column in p_{n+1}, (I), (P), (V) and (C) hold.
+        """
+        p_up, exps = d_out
+        p_out, below = d_down
+        rows_up = p_up[2]
+        if not len(rows_up) == len(exps) == n + 1 or not len(p_out[2]) == len(below) == n:
+            return False
+        hits: Dict[int, int] = {}
+        if p_up[1]:
+            if not (self._runs_in_blocks(n, d, rows_up) and _square_slots(p_up, p_out)):
+                return False
+            # (V), per pair of slots t < u of p_{n+1}
+            gets = list(map(_getter, rows_up))
+            for u in range(1, n + 1):
+                for t in range(u):
+                    if gets[t](below[u - 1]) != exps[u] or gets[u](below[t]) != exps[t]:
+                        return False
+            del gets
+            # (C)
+            hits = Counter(chain.from_iterable(rows_up))
+            if sum(map(mul, hits.values(), hits.values())) != (n + 1) * (
+                p_up[1] + (n + 2) * self.dim(n + 2, d)
+            ):
+                return False
+        # (W) and (D)
+        if not self._keeps_weight(p_out, weights_in, weights):
+            return False
+        return all(
+            n + sum(listed[u] for listed in below) == weights[u]
+            for u in filterfalse(hits.__contains__, range(len(weights)))
+        )
+
+    @staticmethod
+    def _keeps_weight(p: Slots, weights_in: List[int], weights: List[int]) -> bool:
+        """Premise (W) of `_cartan_slots`: whether every entry of p_n joins
+        two forms of equal Euler weight, ``weights_in`` those of
+        Omega^{n-1} and ``weights`` of Omega^n, that is, whether
+        p_n L_n = L_{n-1} p_n."""
+        want = tuple(weights)
+        return all(_gathered(weights_in, rows) == want for rows in p[2])
+
+    def _runs_in_blocks(self, n: int, d: int, rows_up: List[List[int]]) -> bool:
+        """Premise (I) of `_cartan_slots` on the slot rows of p_{n+1}: each
+        slot's rows rise strictly inside each block of Omega^{n+1}, and the
+        run of slot s in the block of wedge T starts and ends inside the
+        block of T - T_s in Omega^n."""
+        tgt = self._layout(n, d)[0]
+        hilbert = _hilbert_counts(self.algebra)
+        firsts, lasts = [], []
+        lows: List[List[int]] = [[] for _ in range(n + 1)]
+        highs: List[List[int]] = [[] for _ in range(n + 1)]
+        for wedge, (off, deg) in self._layout(n + 1, d)[0].items():
+            firsts.append(off)
+            lasts.append(off + hilbert[deg // 2] - 1)
+            for k in range(n + 1):
+                block = tgt.get(wedge[:k] + wedge[k + 1 :])
+                if block is None:
+                    return False
+                lows[k].append(block[0])
+                highs[k].append(block[0] + hilbert[block[1] // 2])
+        within = bytearray(b"\x01") * (lasts[-1] if lasts else 0)  # v, v + 1 in one block
+        deque(map(setitem, repeat(within), lasts[:-1], repeat(0)), 0)
+        return all(
+            all(compress(map(lt, rows, islice(rows, 1, None)), within))
+            and all(map(le, low, _gathered(rows, firsts)))
+            and all(map(lt, _gathered(rows, lasts), high))
+            for rows, low, high in zip(rows_up, lows, highs)
+        )
 
     @staticmethod
     def _homotopy_walk(
-        weights: List[int],
-        d_out: Packed,
-        p_up: Slots,
-        p_out: Slots,
-        d_down: Packed,
-        columns: Iterable[int],
+        weights: List[int], d_out: Packed, p_up: Slots, p_out: Slots, d_down: Packed
     ) -> bool:
-        """Whether p(dw) + d(pw) = weight * w for each basis form w of
-        Omega^n_d at a position in ``columns``, with no product matrix: one
-        dict walk per column over d_n, p_{n+1}, p_n and d_{n-1}, p read by
-        slot."""
+        """Whether p(dw) + d(pw) = weight * w for every basis form w of
+        Omega^n_d, with no product matrix: one dict walk per column over
+        d_n, p_{n+1}, p_n and d_{n-1}, p read by slot and d as packed
+        columns (`_transposed`).  The full walk that names a failure of
+        the slot test (`_certify`)."""
         acc: Dict[int, int] = {}  # p(dw) + d(pw)
         get = acc.get
         up = list(zip(p_up[2], p_up[3]))
         out = list(zip(p_out[2], p_out[3]))
-        for c in columns:
+        for c, weight in enumerate(weights):
             it = iter(d_out[c])
             for r, x in zip(it, it):
                 for rows, values in up:
@@ -331,10 +432,10 @@ class DifferentialForms:
                     acc[s] = get(s, 0) + x * values[r]
             for rows, values in out:
                 x = values[c]
-                lt = iter(d_down[rows[c]])
-                for s, y in zip(lt, lt):
+                jt = iter(d_down[rows[c]])
+                for s, y in zip(jt, jt):
                     acc[s] = get(s, 0) + x * y
-            if acc.pop(c, 0) != weights[c] or any(acc.values()):
+            if acc.pop(c, 0) != weight or any(acc.values()):
                 return False
             acc.clear()
         return True
@@ -373,15 +474,17 @@ class DifferentialForms:
         """`verify_exactness` plus the Cartan identity d p + p d = L, the
         diagonal of positive weights, on every Omega^n_d, n in 0..top+1.
 
-        The same pass walks both, on the down columns, and checks one more
-        premise there, that p keeps the Euler weight (`_certify`).  It
-        builds d_0 .. d_{top+1} and p_0 .. p_{top+2} once each, at most
-        five alive at once.  L is then invertible and commutes with p, so
-        pw = 0 gives w = p(L^-1 dw): the contracting homotopy (C. Weibel,
-        *An Introduction to Homological Algebra*, 1994, section 1.4), a
-        second proof of exactness.  The report fills the exactness memo
-        when that is empty, so a degree that both statements read is
-        walked once.
+        The same pass certifies both: the exactness half on the down
+        columns, and the Cartan identity by a slot test over whole lists
+        (`_cartan_slots`), which also certifies p^2 = 0 on every column
+        (`_certify`).  It builds d_0 .. d_{top+1} (`exterior_derivative`,
+        each with the p_{n+1} whose pattern it shares) and p_0 once each,
+        at most two of each alive at once.  L is then invertible and
+        commutes with p, so pw = 0 gives w = p(L^-1 dw): the contracting
+        homotopy (C. Weibel, *An Introduction to Homological Algebra*,
+        1994, section 1.4), a second proof of exactness.  The report fills
+        the exactness memo when that is empty, so a degree that both
+        statements read is certified once.
         """
         if d not in self._cartan:
             report = self._certify(d, cartan=True)
@@ -390,37 +493,52 @@ class DifferentialForms:
         return self._exactness[d]
 
     def _certify(self, d: int, cartan: bool) -> "ExactnessReport":
-        """The report of `verify_exactness`, walking the Cartan half too
+        """The report of `verify_exactness`, certifying the Cartan half too
         when ``cartan``; raises on the first broken identity.
 
-        The identities are walked on the down columns of each Omega^n_d
-        only, sum_n u_n = half of sum_n dim Omega^n_d columns, and these
-        settle the whole degree once the unit minors and the counts hold.
-        Each up form u of Omega^n is (p v - y) / x, with v its matched down
-        form of Omega^{n+1}, x the entry of p v in row u and y in the span
-        of the down forms of Omega^n, so p^2 u = (p (p p v) - p^2 y) / x = 0.
-        The Cartan half needs one more premise, that p keeps the Euler
-        weight on the down forms (`_keeps_weight`): p L v = L p v for every
-        down v.  Then K = d p + p d - L vanishes on p v for v down in
-        Omega^{n+1}, since p^2 = 0 everywhere by now:
+        The exactness identities are checked on the down columns of each
+        Omega^n_d only, sum_n u_n = half of sum_n dim Omega^n_d columns, and
+        these settle the whole degree once the unit minors and the counts
+        hold.  Each up form u of Omega^n is (p v - y) / x, with v its
+        matched down form of Omega^{n+1}, x the entry of p v in row u and y
+        in the span of the down forms of Omega^n, so
+        p^2 u = (p (p p v) - p^2 y) / x = 0.  No smaller set of columns
+        would do: the set checked in Omega^n must span it modulo
+        im p_{n+1}, which takes rank p_n = u_n columns.
 
-            K(p v) = d p^2 v + p (L v - p d v) - L p v = p L v - L p v = 0,
+        The Cartan half is certified on every column, by the premises of
+        `_cartan_slots` at each n, d_n read on the pattern of p_{n+1}
+        (`exterior_derivative`).  Write K_n = p_{n+1} d_n + d_{n-1} p_n - L_n.
 
-        and so on u.  No smaller set of columns would do: the set walked in
-        Omega^n must span it modulo im p_{n+1}, which takes rank p_n = u_n
-        columns.
+        1. K_n is diagonal.  In column u of Omega^n, the term of p d that
+           goes up through slot t of a row v and down through slot s != t
+           sits in row R+_s[v] with the value (-1)^s (slot t of d_n at v);
+           the term of d p through slot s' of u and slot t' of
+           y = R+_s[v] sits in the same row (P) with the opposite value
+           (V).  This pairing is injective (I), and both sides have
+           n (n + 1) dim Omega^{n+1} terms off the diagonal (C), so every
+           such term cancels.
+        2. K commutes with p: with p^2 = 0 (P), K_n p_{n+1} and
+           p_{n+1} K_{n+1} both equal p_{n+1} d_n p_{n+1} less
+           L_n p_{n+1} = p_{n+1} L_{n+1} (W).  As the rows of a column of
+           p_{n+1} are distinct (I), K takes one value along every entry of
+           p.
+        3. K = 0 from the top down: Omega^{top+1}_d = 0, a form that p_{n+1}
+           reaches takes the value of K_{n+1} on a form that reaches it,
+           and at a form that it does not reach K is (D) minus the weight.
 
         p_n is read as its slot lists only (`_contraction`).  The unit
         minor and p^2 = 0 are slot tests (`_unit_minor`, `_square_zero`):
         whole lists at once where the slots of the built p_n show them,
         else the scan of each packed column, made from the slot lists only
-        then, whose verdict it then is.  The Cartan half walks each down
-        column, reading p_{n+1} and p_n by slot.
+        then, whose verdict it then is.
 
-        If the down-column walk fails, the degree is walked again over
-        every column, and the error is that walk's: the first broken
-        identity and its (n, d) in the order of a full walk.  Should the
-        full walk pass there, a ValueError says that the two disagree.
+        If the first pass fails (the down columns, and the Cartan slot
+        test), the degree is walked again over every column, with the
+        Cartan identity walked column by column (`_homotopy_walk`), and
+        the error is that walk's: the first broken identity and its (n, d)
+        in the order of a full walk.  Should the full walk pass there, a
+        ValueError says that the two disagree.
         """
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")
@@ -433,49 +551,49 @@ class DifferentialForms:
         raise ValueError(f"the down-column and full walks disagree at d = {d}")
 
     def _walk_degree(self, d: int, cartan: bool, down_only: bool) -> "ExactnessReport":
-        """One certifying pass over degree d, on the down columns of each
-        Omega^n_d when ``down_only``, else on all of them."""
+        """One certifying pass over degree d.  With ``down_only``, the first
+        pass: the exactness identities on the down columns of each
+        Omega^n_d and, with ``cartan``, the Cartan slot test.  Else the
+        full walk: every column, the Cartan identity by `_homotopy_walk`
+        over packed columns of d made here."""
         top = self.max_form_degree()
         # a walk reads the layouts of degree d only: those of other degrees
         # are dropped, and rebuilt if a later statement reads them
         self._layouts.clear()
-        # Omega^{-1} = 0: p_0 has only empty columns, so nothing reads
-        # d_{-1} or the slots of p_{-1}, and Omega^{-1} has no rows to mark
-        d_down: Packed = ()
+        # Omega^{-1} = 0: p_0 has only empty columns and no slots, so d_{-1}
+        # has no values on its pattern, and Omega^{-1} has no rows to mark
         p_down: Slots = (0, 0, [], [])
+        p_out = self._contraction(0, d)
+        d_down: Derivative = (p_out, [])
+        packed_down: Packed = ()
         up_in = bytearray()
         weights_in: List[int] = []
-        p_out = self._contraction(0, d)
+        slot_test = cartan and down_only
         downs = [0] * (top + 2)  # u_n
         for n in range(top + 2):
             up_out = self._up_marks(n, d)
             downs[n] = up_out.count(0)
-            down = up_out.translate(_FLIP)
-            # the down columns of p_n, for the unit minor, the weight check
-            # and a down-only p^2, dropped before the walk
-            down_p = _compressed(p_out, down)
+            # the down columns of p_n, for the unit minor and a down-only
+            # p^2, dropped before d_n is built
+            down_p = _compressed(p_out, up_out.translate(_FLIP))
             minor = self._unit_minor(down_p, up_in)
-            # the down columns settle Cartan only where p commutes with L;
-            # checked first, so that one weight list is alive when d_n and
-            # p_{n+1} are built
-            weights = self.euler_weights(n, d) if cartan else []
-            keeps = not (cartan and down_only) or self._keeps_weight(
-                down_p, down, weights, weights_in
-            )
-            square = self._square_zero(down_p if down_only else p_out, p_down)
+            # the slot test at n - 1 certified p_{n-1} p_n = 0 on every column
+            square = slot_test or self._square_zero(down_p if down_only else p_out, p_down)
             del down_p
+            weights = self.euler_weights(n, d) if cartan else []
             homotopy = True
             if cartan:
-                weights_in = weights
                 d_out = self.exterior_derivative(n, d)
-                p_up = self._contraction(n + 1, d)
-                homotopy = self._homotopy_walk(
-                    weights, d_out, p_up, p_out, d_down, _walked(down, down_only)
-                )
-            positive = all(w > 0 for w in weights)
+                if slot_test:
+                    homotopy = self._cartan_slots(n, d, d_out, d_down, weights_in, weights)
+                else:
+                    packed = _transposed(d_out)
+                    homotopy = self._homotopy_walk(weights, packed, d_out[0], p_out, packed_down)
+                    packed_down = packed
+            positive = min(weights, default=1) > 0
             for ok, identity in (
                 (positive, "the weights of d p + p d are not positive"),
-                (homotopy and keeps, "d p + p d is not the weight diagonal"),
+                (homotopy, "d p + p d is not the weight diagonal"),
                 (minor, "p has no unit minor on the down forms"),
                 (square, "p^2 is not zero"),
                 (n == 0 or downs[n - 1] + downs[n] == self.dim(n - 1, d),
@@ -486,7 +604,10 @@ class DifferentialForms:
                     raise ValueError(f"{identity} at (n, d) = ({n}, {d})")
             up_in = up_out
             if cartan:
-                d_down, p_down, p_out = d_out, p_out, p_up
+                weights_in = weights
+                if not slot_test:  # the slot test reads no p_{n-1}, so none is kept
+                    p_down = p_out
+                d_down, p_out = d_out, d_out[0]
             elif n <= top:
                 p_down = p_out  # p_{n-1} is dropped before p_{n+1} is built
                 p_out = self._contraction(n + 1, d)
@@ -497,10 +618,19 @@ class DifferentialForms:
         return ExactnessReport(degree=d, spots=tuple(spots))
 
 
-def _walked(down: bytearray, down_only: bool) -> Iterable[int]:
-    """The positions of Omega^n_d that a walk reads, made as it reads them:
-    the down ones (1 in ``down``) when ``down_only``, else all."""
-    return compress(count(), down) if down_only else range(len(down))
+def _transposed(derivative: Derivative) -> Packed:
+    """The packed columns of d from its rows on the pattern of p: column u
+    lists ``(v, (-1)^t (exps[t][v] + 1))`` for each slot t of each row v
+    that p sends to u, rows ascending.  Made only for the full walk.  An
+    entry whose column is out of range has none to go to; the walk still
+    meets it, as the row of p_{n+1} that it shares."""
+    (cols, _, slot_cols, _), exps = derivative
+    signs = [-1 if t % 2 else 1 for t in range(len(exps))]
+    columns: Dict[int, List[int]] = {}
+    for v, (reached, found) in enumerate(zip(zip(*slot_cols), zip(*exps))):
+        for u, a, sign in zip(reached, found, signs):
+            columns.setdefault(u, []).extend((v, sign * (a + 1)))
+    return tuple(tuple(columns.get(u, ())) for u in range(cols))
 
 
 def _count_columns(name: str, n: int, d: int, cols: int, columns: Sequence) -> None:

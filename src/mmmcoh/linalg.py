@@ -68,7 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter, mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 # the value of a (row, value) pair, as a C-level callable
 _VALUE = itemgetter(1)
@@ -81,6 +81,15 @@ def _gathered(seq: Sequence, indices: Sequence[int]) -> Tuple:
     if len(indices) > 1:
         return itemgetter(*indices)(seq)
     return tuple(seq[i] for i in indices)
+
+
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """The function ``seq -> _gathered(seq, indices)``: made once, it
+    gathers several sequences at the same indices without copying them
+    again into the ``itemgetter``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
 
 
 def _int_if_integral(x: Fraction):

@@ -121,11 +121,11 @@ def _check_generators(ctx: StableCohomology) -> List[Dict[str, object]]:
 
 
 def _walk_cartan(ctx: StableCohomology) -> None:
-    # the forms certificate with its Cartan half, per degree, walked on the
-    # down forms of the matching only (with p keeping the Euler weight
-    # there, they settle the up forms): it fills the exactness memo that
-    # verify_tor and the exactness rows read, so a run of both checks
-    # builds each p_n once
+    # the forms certificate with its Cartan half, per degree: the exactness
+    # identities on the down forms of the matching, and d p + p d = L by a
+    # slot test over whole lists of d (on the pattern of p) and p.  It fills
+    # the exactness memo that verify_tor and the exactness rows read, so a
+    # run of both checks builds each p_n once
     for d in range(1, ctx.degree_bound + 1):
         ctx.forms.verify_cartan(d)
 
@@ -149,9 +149,9 @@ def _check_tor(ctx: StableCohomology) -> List[Dict[str, object]]:
 def _check_exactness(ctx: StableCohomology) -> List[Dict[str, object]]:
     # verify_cartan raises ValueError unless d p + p d is the diagonal of
     # positive weights (cartan, diagonal), and unless the matched unit
-    # minors of p and p^2 = 0 certify exactness; both identities are
-    # walked on the down forms, which settle the up forms, and a failure
-    # is named by a full walk
+    # minors of p and p^2 = 0 certify exactness; exactness is checked on
+    # the down forms, which settle the up forms, the Cartan identity by its
+    # slot test on every column, and a failure is named by a full walk
     _walk_cartan(ctx)
     rows: List[Dict[str, object]] = []
     for d in range(1, ctx.degree_bound + 1):

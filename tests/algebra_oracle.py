@@ -18,8 +18,9 @@ ascending, and ``multiplication_table``, ``hilbert_function``,
 basis monomial, e_i put into its pairs (``times``) and the product looked
 up among the target basis.  ``smallest_indices`` also
 states the forms' matching per monomial, which ``_up_marks`` reads off the
-counts, and ``wedge_remove`` contracts one slot of a wedge, for the
-operator oracles of the forms tests.
+counts, and ``wedge_insert`` and ``wedge_remove`` put an index into a
+wedge and contract one slot of it, for the operator oracles of the forms
+tests (the package's d reads its columns off p and inserts no index).
 """
 
 from fractions import Fraction
@@ -123,6 +124,19 @@ def smallest_indices(algebra, d: int) -> Tuple[int, ...]:
     """
     past = algebra.degree_bound // 2 + 1
     return tuple(m[0][0] if m else past for m in monomial_basis(algebra, d))
+
+
+def wedge_insert(i: int, wedge: Tuple[int, ...]):
+    """de_i ^ (wedge): None if i repeats, else (sign, sorted wedge).
+
+    >>> wedge_insert(2, (1, 3))
+    (-1, (1, 2, 3))
+    """
+    if i in wedge:
+        return None
+    pos = sum(1 for j in wedge if j < i)
+    sign = -1 if pos % 2 else 1
+    return sign, wedge[:pos] + (i,) + wedge[pos:]
 
 
 def wedge_remove(k: int, wedge: Tuple[int, ...]):

@@ -1,5 +1,6 @@
 """Differential forms on the graded algebra: d, contraction, Cartan identity."""
 
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,17 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmmcoh.algebra import PolynomialAlgebra, exterior_basis, exterior_dim
-from mmmcoh.forms import (
-    DifferentialForms,
-    ExactnessReport,
-    SpotCheck,
-    wedge_insert,
-)
+from mmmcoh.forms import DifferentialForms, ExactnessReport, SpotCheck
 from mmmcoh.linalg import SparseMatrix, _matrix, rank
 from mmmcoh.verify import run_verification
 import mmmcoh.forms as forms_module
-from algebra_oracle import Monomial, monomials, smallest_indices, wedge_remove
-from slot_patch import d_matrix, p_matrix, patch_d, patch_p, slots_of
+from algebra_oracle import Monomial, monomials, smallest_indices, wedge_insert, wedge_remove
+from slot_patch import d_matrix, derivative_matrix, p_matrix, patch_d, patch_p, slots_of
 
 
 @pytest.fixture(scope="module")
@@ -411,15 +407,14 @@ def test_every_wrong_table_entry_fails_cartan_at_bound_12():
 def homotopy_walk(forms, n, d):
     """The walk on every column of Omega^n_d alone, over the weights and the
     four operators it reads, each built through the class's builder
-    methods."""
-    d_down = forms.exterior_derivative(n - 1, d) if n else ()
+    methods, d as the packed columns of its matrix."""
+    d_down = d_matrix(forms, n - 1, d).packed if n else ()
     return forms._homotopy_walk(
         forms.euler_weights(n, d),
-        forms.exterior_derivative(n, d),
+        d_matrix(forms, n, d).packed,
         forms._contraction(n + 1, d),
         forms._contraction(n, d),
         d_down,
-        range(forms.dim(n, d)),
     )
 
 
@@ -890,9 +885,10 @@ def test_a_p_entry_moved_onto_another_weight_fails_cartan(monkeypatch):
 
 
 def test_the_weight_premise_is_what_settles_the_up_forms(monkeypatch):
-    # a wrong weight at an up form is read by no down column of the walk;
-    # only the premise that p keeps the Euler weight sees it, through the
-    # down column of p_2 whose partner it is
+    # a wrong weight at an up form is read by no premise of the slot test
+    # but (W), that p keeps the Euler weight: the form is reached by p_2 (it
+    # is the partner of a down column), so (D) does not read it, and K is
+    # carried to it along p only where p commutes with L
     up = _first_up_column(1, 8)
     real = DifferentialForms.euler_weights
 
@@ -916,11 +912,13 @@ def test_the_weight_premise_is_what_settles_the_up_forms(monkeypatch):
 
 
 def test_a_failed_down_walk_that_the_full_walk_passes_is_an_error(monkeypatch):
-    # the first call of a reader that reads a column, which the down walk
-    # makes, answers False; every later one answers as the reader does.  p^2
-    # is read by both checks, the homotopy walk by verify_cartan only
+    # the first call of a first-pass test that reads a column answers
+    # False; every later one answers as the test does.  p^2 on the down
+    # columns is read by verify_exactness, the Cartan slot test (which
+    # certifies p^2 on every column too) by verify_cartan, and the full
+    # walk reads neither
     failed = []
-    real_square, real_walk = DifferentialForms._square_zero, DifferentialForms._homotopy_walk
+    real_square, real_slots = DifferentialForms._square_zero, DifferentialForms._cartan_slots
 
     def square(walked_p, p_down):
         if walked_p[1] and not failed:
@@ -928,62 +926,81 @@ def test_a_failed_down_walk_that_the_full_walk_passes_is_an_error(monkeypatch):
             return False
         return real_square(walked_p, p_down)
 
-    def walk(*operators):
-        columns = list(operators[-1])
-        if columns and not failed:
+    def slots(self, n, d, d_out, *rest):
+        if d_out[0][1] and not failed:
             failed.append(True)
             return False
-        return real_walk(*operators[:-1], columns)
+        return real_slots(self, n, d, d_out, *rest)
 
-    for reader, broken, checks in (
-        ("_square_zero", square, ("verify_exactness", "verify_cartan")),
-        ("_homotopy_walk", walk, ("verify_cartan",)),
+    for reader, broken, check in (
+        ("_square_zero", staticmethod(square), "verify_exactness"),
+        ("_cartan_slots", slots, "verify_cartan"),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(DifferentialForms, reader, staticmethod(broken))
-            for check in checks:
-                failed.clear()
-                forms = DifferentialForms(PolynomialAlgebra(8))
-                with pytest.raises(
-                    ValueError, match=r"^the down-column and full walks disagree at d = 8$"
-                ):
-                    getattr(forms, check)(8)
-                assert failed and 8 not in forms._exactness
+            patch.setattr(DifferentialForms, reader, broken)
+            failed.clear()
+            forms = DifferentialForms(PolynomialAlgebra(8))
+            with pytest.raises(
+                ValueError, match=r"^the down-column and full walks disagree at d = 8$"
+            ):
+                getattr(forms, check)(8)
+            assert failed and 8 not in forms._exactness
 
 
 @pytest.mark.parametrize("check", ["verify_exactness", "verify_cartan"])
 def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
-    # per degree, sum_n u_n columns: half of sum_n dim Omega^n_d.  p^2 reads
-    # the columns of p_n at them, and in verify_cartan the homotopy walk
-    # reads the same positions
-    real_square, real_walk = DifferentialForms._square_zero, DifferentialForms._homotopy_walk
-    squared, walked = [], []
+    # per degree, the exactness half reads sum_n u_n columns of p, half of
+    # sum_n dim Omega^n_d: the unit minor reads the columns of p_n at the
+    # down forms, and in verify_exactness p^2 reads the same ones.  In
+    # verify_cartan the slot test reads d_n and p_{n+1} whole, once per n,
+    # in place of the down-only p^2 (it certifies p^2 on every column), and
+    # nothing walks a column
+    real_minor, real_square = DifferentialForms._unit_minor, DifferentialForms._square_zero
+    real_slots = DifferentialForms._cartan_slots
+    minored, squared, slotted = [], [], []
+
+    def minor(down_p, up_in):
+        minored.append(list(forms_module._columns(down_p)))
+        return real_minor(down_p, up_in)
 
     def square(walked_p, p_down):
         squared.append(list(forms_module._columns(walked_p)))
         return real_square(walked_p, p_down)
 
-    def walk(*operators):
-        walked.append(list(operators[-1]))
-        return real_walk(*operators[:-1], walked[-1])
+    def slots(self, n, d, d_out, d_down, *weights):
+        slotted.append((n, d_matrix(self, n, d) == derivative_matrix(d_out), d_down))
+        return real_slots(self, n, d, d_out, d_down, *weights)
 
+    def walk(*operators):
+        raise AssertionError("no column is walked when the first pass passes")
+
+    monkeypatch.setattr(DifferentialForms, "_unit_minor", staticmethod(minor))
     monkeypatch.setattr(DifferentialForms, "_square_zero", staticmethod(square))
+    monkeypatch.setattr(DifferentialForms, "_cartan_slots", slots)
     monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
     forms = DifferentialForms(PolynomialAlgebra(24))
     top = forms.max_form_degree()
     for d in range(1, 25):
+        minored.clear()
         squared.clear()
-        walked.clear()
+        slotted.clear()
         getattr(forms, check)(d)
         downs = [
             [c for c, up in enumerate(forms._up_marks(n, d)) if not up] for n in range(top + 2)
         ]
         p = [p_matrix(forms, n, d).packed for n in range(top + 2)]
-        assert squared == [[p[n][c] for c in down] for n, down in enumerate(downs)], d
-        assert walked == (downs if check == "verify_cartan" else []), d
-        read = sum(map(len, squared))
+        assert minored == [[p[n][c] for c in down] for n, down in enumerate(downs)], d
+        read = sum(map(len, minored))
         assert 2 * read == sum(forms.dim(n, d) for n in range(top + 2)), d
         assert read == sum(s.rank_out for s in forms.verify_exactness(d).spots), d
+        if check == "verify_exactness":
+            assert squared == minored and slotted == [], d
+        else:
+            # d_n as exterior_derivative builds it, and d_{n-1} the record
+            # of the step before, with the p_n it shares
+            assert squared == [] and [s[:2] for s in slotted] == [(n, True) for n in range(top + 2)]
+            for n in range(1, top + 2):
+                assert derivative_matrix(slotted[n][2]) == d_matrix(forms, n - 1, d), (n, d)
 
 
 def _outcome(certify, *args):
@@ -1006,7 +1023,8 @@ def _outcome(certify, *args):
 @settings(max_examples=80, deadline=None)
 def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry, how, row):
     # one entry of p or d at (n, d), d <= 16, negated, doubled or moved to
-    # a row the column does not hold, or one Euler weight raised by 1: both
+    # a row the column does not hold (an entry of d, on the pattern of p,
+    # is set to 0 instead), or one Euler weight raised by 1: both
     # certificates must say what the walk over every column says, a report
     # or the same message
     d = 2 * half
@@ -1024,7 +1042,11 @@ def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry
         held = m.packed[c][::2]
         r = held[entry % len(held)]
         entries = m.entries
-        if how == "move":
+        if how == "move" and name == "exterior_derivative":
+            # the entries of d sit on the pattern of p_{n+1}, so a moved
+            # entry has no slot: it is dropped, its value 0, instead
+            entries[r, c] = 0
+        elif how == "move":
             free = [s for s in range(m.rows) if s not in held]
             assume(free)
             entries[free[row % len(free)], c] = entries.pop((r, c))
@@ -1084,16 +1106,23 @@ def _rotate_slots(self, n, d, m):
 
 
 def test_a_p_in_another_slot_order_certifies_through_the_scans(monkeypatch):
-    reports = {
-        check: [getattr(DifferentialForms(PolynomialAlgebra(16)), check)(d) for d in range(1, 17)]
-        for check in ("verify_exactness", "verify_cartan")
-    }
+    # verify_exactness certifies it through the scans, with the same
+    # reports.  d is built on the slots of p_{n+1} in the Koszul order, slot
+    # t holding (-1)^t (a + 1) with a the exponent of the t-th index of the
+    # wedge, so on these slots it is not the exterior derivative: the first
+    # pass fails, and the full walk names the first (n, d) where d p + p d
+    # is then not the weight diagonal
+    reports = [DifferentialForms(PolynomialAlgebra(16)).verify_exactness(d) for d in range(1, 17)]
     patch_p(monkeypatch, _rotate_slots)
     calls = _count_scans(monkeypatch)
-    for check, want in reports.items():
-        forms = DifferentialForms(PolynomialAlgebra(16))
-        assert [getattr(forms, check)(d) for d in range(1, 17)] == want, check
+    forms = DifferentialForms(PolynomialAlgebra(16))
+    assert [forms.verify_exactness(d) for d in range(1, 17)] == reports
     assert calls["_minor_scan"] > 0 and calls["_square_scan"] > 0
+    forms = DifferentialForms(PolynomialAlgebra(16))
+    assert [forms.verify_cartan(d) for d in range(1, 6)] == reports[:5]
+    with pytest.raises(ValueError) as exc:
+        forms.verify_cartan(6)
+    assert str(exc.value) == "d p + p d is not the weight diagonal at (n, d) = (1, 6)"
 
 
 def test_one_flipped_value_inside_a_pair_fails_p_squared(monkeypatch):
@@ -1265,3 +1294,199 @@ def test_square_zero_settles_all_its_columns_at_once(monkeypatch):
     doubled = [list(v) for v in slot_values]
     doubled[0][-1] *= 2
     assert not forms._square_zero((rows, cols, slot_rows, doubled), p2)
+
+
+# -- the Cartan slot test: d on the pattern of p, premises over whole lists ------
+
+
+def _degree_lists(forms, d):
+    """The lists the Cartan slot test reads at degree d, as the first pass
+    builds them: p_0, the records of d_0 .. d_{top+1} (each holding the
+    p_{n+1} whose rows are its columns) and the weights of Omega^0 ..
+    Omega^{top+1}."""
+    top = forms.max_form_degree()
+    derivatives = [forms.exterior_derivative(n, d) for n in range(top + 2)]
+    weights = [forms.euler_weights(n, d) for n in range(top + 2)]
+    return forms._contraction(0, d), derivatives, weights
+
+
+def _slot_test_passes(forms, d, p0, derivatives, weights):
+    """Whether `_cartan_slots` passes at every n of degree d."""
+    return all(
+        forms._cartan_slots(
+            n,
+            d,
+            derivatives[n],
+            derivatives[n - 1] if n else (p0, []),
+            weights[n - 1] if n else [],
+            weights[n],
+        )
+        for n in range(len(derivatives))
+    )
+
+
+def _dense_k(p0, derivatives, weights):
+    """K_n = p_{n+1} d_n + d_{n-1} p_n - L_n for every n, as dense int
+    matrices made entry by entry from the lists, with no code of the
+    package: p_n's value of slot t at column c in row slot_rows[t][c], d's
+    entry (-1)^t (a + 1) of row v in the column of slot t."""
+
+    def dense(rows, cols, triples):
+        out = [[0] * cols for _ in range(rows)]
+        for r, c, x in triples:
+            out[r][c] += x
+        return out
+
+    def product(a, b, cols):
+        return [[sum(x * b[k][c] for k, x in enumerate(row)) for c in range(cols)] for row in a]
+
+    p_mats = [
+        dense(rows, cols, [
+            (r, c, x)
+            for slot_rows, values in zip(slots, slot_values)
+            for c, (r, x) in enumerate(zip(slot_rows, values))
+        ])
+        for rows, cols, slots, slot_values in [p0] + [p for p, _ in derivatives]
+    ]
+    d_mats = [
+        dense(cols, rows, [
+            (v, u, (-1) ** t * (a + 1))
+            for t, (reached, found) in enumerate(zip(slots, exps))
+            for v, (u, a) in enumerate(zip(reached, found))
+        ])
+        for (rows, cols, slots, _), exps in derivatives
+    ]
+    ks = []
+    for n, w in enumerate(weights):
+        k = product(p_mats[n + 1], d_mats[n], len(w))
+        if n:
+            below = product(d_mats[n - 1], p_mats[n], len(w))
+            k = [[x + y for x, y in zip(r, s)] for r, s in zip(k, below)]
+        ks.append([[x - (w[i] if i == j else 0) for j, x in enumerate(r)] for i, r in enumerate(k)])
+    return ks
+
+
+def test_every_single_corruption_of_the_lists_fails_the_slot_test_at_bound_12():
+    # each entry of each list the slot test reads, changed once, where the
+    # lists of a degree are shared as the first pass shares them: a value of
+    # d_n (read at n and n + 1) plus or minus 1, negated or set to 0, and a
+    # row of p_{n+1} (read at n and n + 1, and d_n's column there) moved to
+    # every other row.  Passing at every n must mean K = 0 on the lists; none
+    # passes
+    forms = DifferentialForms(PolynomialAlgebra(12))
+    tried = 0
+    for d in range(2, 13, 2):
+        p0, derivatives, weights = _degree_lists(forms, d)
+        assert _slot_test_passes(forms, d, p0, derivatives, weights), d
+        assert all(not any(map(any, k)) for k in _dense_k(p0, derivatives, weights)), d
+
+        def refused():
+            if _slot_test_passes(forms, d, p0, derivatives, weights):
+                assert all(not any(map(any, k)) for k in _dense_k(p0, derivatives, weights))
+                return False
+            return True
+
+        for n, (p_up, exps) in enumerate(derivatives):
+            for t, listed in enumerate(exps):
+                sign = -1 if t % 2 else 1
+                for v, a in enumerate(listed):
+                    value = sign * (a + 1)
+                    for wrong in (value + 1, value - 1, -value, 0):
+                        changed = list(exps)
+                        changed[t] = listed[:v] + (sign * wrong - 1,) + listed[v + 1 :]
+                        derivatives[n] = (p_up, changed)
+                        assert refused(), ("d", n, d, t, v, wrong)
+                        tried += 1
+                    derivatives[n] = (p_up, exps)
+            for t, rows in enumerate(p_up[2]):
+                for c, r in enumerate(rows):
+                    for wrong in range(p_up[0]):
+                        if wrong != r:
+                            rows[c] = wrong
+                            assert refused(), ("p", n + 1, d, t, c, wrong)
+                            tried += 1
+                    rows[c] = r
+    assert tried == 1116
+
+
+def test_a_passing_run_at_40_walks_no_column_and_builds_each_p_once(monkeypatch):
+    # the slot test passes at every (n, d) of bound 40 with no fallback: no
+    # packed column of d is made, no column walked, no scan made, and each
+    # p_n is built once per degree (inside exterior_derivative from n = 1)
+    def forbidden(*args):
+        raise AssertionError("the first pass fell back")
+
+    for name in ("_transposed", "_minor_scan", "_square_scan"):
+        monkeypatch.setattr(forms_module, name, forbidden)
+    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(forbidden))
+    built, verdicts = Counter(), []
+    real_p, real_slots = DifferentialForms._contraction, DifferentialForms._cartan_slots
+
+    def counted(self, n, d):
+        built[n, d] += 1
+        return real_p(self, n, d)
+
+    def slots(self, *args):
+        verdicts.append(real_slots(self, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(DifferentialForms, "_contraction", counted)
+    monkeypatch.setattr(DifferentialForms, "_cartan_slots", slots)
+    assert run_verification(40, check_ids=["tor-dimensions", "resolution-exactness"]).passed
+    top = DifferentialForms(PolynomialAlgebra(40)).max_form_degree()
+    assert built == Counter((n, d) for d in range(1, 41) for n in range(top + 3))
+    assert len(verdicts) == 40 * (top + 2) and all(verdicts)
+
+
+def test_the_block_and_count_premises_are_read(monkeypatch):
+    # a single wrong entry breaks several premises at once (the test above);
+    # these break one.  (I): a run of p_{n+1} that falls inside its block, or
+    # leaves the block of T - T_s; (C): the count of Omega^{n+2} one more
+    forms = DifferentialForms(PolynomialAlgebra(12))
+    n, d = 1, 12
+    p0, derivatives, weights = _degree_lists(forms, d)
+    args = (n, d, derivatives[n], derivatives[n - 1], weights[n - 1], weights[n])
+    assert forms._cartan_slots(*args)
+    rows_up = derivatives[n][0][2]
+    assert forms._runs_in_blocks(n, d, rows_up)
+    blocks = forms._layout(n + 1, d)[0]
+    size = {w: forms.algebra.hilbert_function(deg) for w, (_, deg) in blocks.items()}
+    off = next(off for w, (off, _) in blocks.items() if size[w] > 1)
+    falling = [list(rows) for rows in rows_up]
+    falling[0][off], falling[0][off + 1] = falling[0][off + 1], falling[0][off]
+    assert not forms._runs_in_blocks(n, d, falling)
+    single = next(off for w, (off, _) in blocks.items() if size[w] == 1)
+    tgt = forms._layout(n, d)[0]
+    wedge = next(w for w, (off, _) in blocks.items() if off == single)
+    start, deg = tgt[wedge[1:]]
+    assert start > 0
+    for wrong in (start - 1, start + forms.algebra.hilbert_function(deg)):  # next to its block
+        leaving = [list(rows) for rows in rows_up]
+        leaving[0][single] = wrong
+        assert not forms._runs_in_blocks(n, d, leaving), wrong
+    with monkeypatch.context() as patch:
+        patch.setattr(DifferentialForms, "_runs_in_blocks", lambda *args: False)
+        assert not forms._cartan_slots(*args)
+    real = DifferentialForms.dim
+    monkeypatch.setattr(
+        DifferentialForms, "dim", lambda self, k, e: real(self, k, e) + ((k, e) == (n + 2, d))
+    )
+    assert not forms._cartan_slots(*args)
+
+
+def test_a_p_row_out_of_range_is_a_named_cartan_failure(monkeypatch):
+    # a row of p_2 one past the rows of Omega^1: the slot test refuses it
+    # (its run leaves its block), and the full walk, whose packed columns
+    # of d have no column for it, still meets it as the row of p_2
+    real = DifferentialForms._contraction
+
+    def broken(self, n, d):
+        p = real(self, n, d)
+        if (n, d) == (2, 12):
+            p[2][0][0] = p[0]
+        return p
+
+    monkeypatch.setattr(DifferentialForms, "_contraction", broken)
+    with pytest.raises(ValueError) as exc:
+        DifferentialForms(PolynomialAlgebra(12)).verify_cartan(12)
+    assert str(exc.value) == "d p + p d is not the weight diagonal at (n, d) = (1, 12)"

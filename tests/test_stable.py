@@ -930,19 +930,17 @@ def test_verify_all_builds_no_koszul_differential_and_walks_each_degree_once(mon
         return real_koszul(module, j, d)
 
     monkeypatch.setattr(koszul_oracle, "koszul_differential", koszul)
-    weighed, walks = [], []
-    real_weights = DifferentialForms.euler_weights
-    real_walk = DifferentialForms._homotopy_walk
+    walks = []
+    real_slots = DifferentialForms._cartan_slots
 
-    def weights(self, n, d):
-        weighed.append((n, d))
-        return real_weights(self, n, d)
+    def slots(self, n, d, *operators):
+        walks.append((n, d))
+        return real_slots(self, n, d, *operators)
 
     def walk(*operators):
-        walks.append(weighed[-1])  # the walk on Omega^n_d reads its weights first
-        return real_walk(*operators)
+        raise AssertionError("a passing run walks no column")
 
-    monkeypatch.setattr(DifferentialForms, "euler_weights", weights)
+    monkeypatch.setattr(DifferentialForms, "_cartan_slots", slots)
     monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
     report = run_verification(12)
     assert report.passed
