@@ -42,22 +42,23 @@ then u - 1" lands on the row of "contract u, then t": the two terms
 cancel, and such pairs cover every term.  Each is a few passes at C
 level over whole lists: ``compress`` of each slot list to the down
 positions, a gather through the slot lists of p_{n-1}, one count per
-value list.  A slot test certifies only what it proves; when one does
-not close, the scan of each packed column decides (`_minor_scan`,
-`_square_scan`), so the verdicts, messages and reports are those of the
-scans.
+value list.
 
 d is kept on the same pattern, transposed: a basis form of Omega^{n+1}
 is a row of d_n that meets exactly the n + 1 columns p_{n+1} sends it
 to, so d_n is the slot rows of p_{n+1} with one list per slot of the
 exponents its values are made of (`exterior_derivative`), and nothing is
-transposed on the pass path.  The Cartan premises are slot tests as
-well: gathers of the rows of p_n and the exponents of d_{n-1} at the
-rows of p_{n+1}, a check of each (block, slot) run of p_{n+1}, and one
-count of its rows.  When they do not close, the degree is walked again
-column by column (`_homotopy_walk`), over packed columns of d made only
-then, and the verdicts and messages are that walk's.  No operator here
-is a matrix object.
+transposed.  The Cartan premises are slot tests as well: gathers of the
+rows of p_n and the exponents of d_{n-1} at the rows of p_{n+1}, a check
+of each (block, slot) run of p_{n+1}, and one count of its rows.  No
+operator here is a matrix object.
+
+The slot tests are the verdict.  True proves its identity; False refuses
+the degree, and the certificate raises naming the identity and (n, d).
+The argument is one way: a p or d laid out otherwise than the builders
+lay it out (another slot order, values other than the Koszul +-1) may
+satisfy the identities and still be refused, but nothing refused is ever
+certified, so a passing verdict is a proof whatever the builders do.
 
 The complex is streamed degree by degree: the operators are built on
 each call and kept by no one here, so `verify_exactness(d)` and
@@ -93,14 +94,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add, itemgetter, le, lt, mul, setitem
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .algebra import PolynomialAlgebra
 from .linalg import _gathered, _getter
-
-# an operator as packed columns ``(row, value, row, value, ...)``, with no
-# matrix object: what the scans and the full Cartan walk read
-Packed = Tuple[Tuple[int, ...], ...]
 
 # p_n as `DifferentialForms._contraction` builds it: (rows, cols, slot_rows,
 # slot_values), entry t of column c at (slot_rows[t][c], slot_values[t][c])
@@ -118,7 +115,7 @@ class DifferentialForms:
         self.algebra = algebra
         self._layouts: Dict[Tuple[int, int], Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]] = {}
         self._exactness: Dict[int, ExactnessReport] = {}
-        self._cartan: Set[int] = set()  # degrees whose Cartan walk passed
+        self._cartan: Set[int] = set()  # degrees whose Cartan half passed
 
     @property
     def degree_bound(self) -> int:
@@ -272,32 +269,6 @@ class DifferentialForms:
             up[off : off + ups] = b"\x01" * ups
         return up
 
-    @staticmethod
-    def _unit_minor(down_p: Slots, up_in: bytearray) -> bool:
-        """Whether every down column of p_n, ``down_p`` (`_compressed`),
-        has exactly one entry in an up row of Omega^{n-1}, with no two of
-        them in the same row.  Those rows and columns then carry a
-        generalized permutation minor, so rank p_n >= the number of down
-        forms of Omega^n.
-
-        Settled on the slot lists when they allow it (`_minor_slots`), else
-        by the scan of each packed column (`_minor_scan`), whose verdict it
-        then is."""
-        return _minor_slots(down_p, up_in) or _minor_scan(_columns(down_p), up_in)
-
-    @staticmethod
-    def _square_zero(walked_p: Slots, p_down: Slots) -> bool:
-        """Whether p_{n-1} p_n vanishes on the columns ``walked_p`` of p_n
-        (`_compressed` to the walked positions), ``p_down`` the slot record
-        of p_{n-1}.
-
-        Settled on the slot lists by the Koszul pairing of the terms when
-        they allow it (`_square_slots`), else by the scan of each packed
-        column (`_square_scan`), whose verdict it then is."""
-        return _square_slots(walked_p, p_down) or _square_scan(
-            _columns(walked_p), _columns(p_down)
-        )
-
     def _cartan_slots(
         self,
         n: int,
@@ -313,7 +284,9 @@ class DifferentialForms:
         Omega^{n-1} and Omega^n.  Passing it at every n of a degree, with
         Omega^{top+1}_d = 0, certifies K = d p + p d - L = 0 there, and
         p^2 = 0 on every column (`_certify` gives the argument).  False
-        says only that the lists do not show it.
+        refuses the degree, as "d p + p d is not the weight diagonal" at
+        (n, d): a premise the lists do not show is not certified by any
+        other means.
 
         Write R+ for the slot rows of p_{n+1}, R for those of p_n, a and a'
         for the exponent lists of d_n and d_{n-1} (`exterior_derivative`),
@@ -411,35 +384,6 @@ class DifferentialForms:
             for rows, low, high in zip(rows_up, lows, highs)
         )
 
-    @staticmethod
-    def _homotopy_walk(
-        weights: List[int], d_out: Packed, p_up: Slots, p_out: Slots, d_down: Packed
-    ) -> bool:
-        """Whether p(dw) + d(pw) = weight * w for every basis form w of
-        Omega^n_d, with no product matrix: one dict walk per column over
-        d_n, p_{n+1}, p_n and d_{n-1}, p read by slot and d as packed
-        columns (`_transposed`).  The full walk that names a failure of
-        the slot test (`_certify`)."""
-        acc: Dict[int, int] = {}  # p(dw) + d(pw)
-        get = acc.get
-        up = list(zip(p_up[2], p_up[3]))
-        out = list(zip(p_out[2], p_out[3]))
-        for c, weight in enumerate(weights):
-            it = iter(d_out[c])
-            for r, x in zip(it, it):
-                for rows, values in up:
-                    s = rows[r]
-                    acc[s] = get(s, 0) + x * values[r]
-            for rows, values in out:
-                x = values[c]
-                jt = iter(d_down[rows[c]])
-                for s, y in zip(jt, jt):
-                    acc[s] = get(s, 0) + x * y
-            if acc.pop(c, 0) != weight or any(acc.values()):
-                return False
-            acc.clear()
-        return True
-
     # -- exactness ---------------------------------------------------------
 
     def verify_exactness(self, d: int) -> "ExactnessReport":
@@ -448,17 +392,16 @@ class DifferentialForms:
 
         Write u_n for the number of down forms of Omega^n_d (`_up_marks`).
         For n in 0..top+1 the slot lists of p_n (`_contraction`) are checked
-        to carry a unit minor on the down columns (`_unit_minor`, so
-        rank p_n >= u_n) and p_{n-1} p_n = 0 (`_square_zero`, on the down
+        to carry a unit minor on the down columns (`_minor_slots`, so
+        rank p_n >= u_n) and p_{n-1} p_n = 0 (`_square_slots`, on the down
         columns, which settle the up ones: see `_certify`), both by slot
-        tests over whole lists, with the scan of each packed column as
-        their fallback, and the counts u_n + u_{n+1} = dim Omega^n_d and
-        Omega^{top+1}_d = 0.  Then
+        tests over whole lists whose False refuses the degree, and the
+        counts u_n + u_{n+1} = dim Omega^n_d and Omega^{top+1}_d = 0.  Then
         rank p_n + rank p_{n+1} <= dim Omega^n_d = u_n + u_{n+1} forces
-        rank p_n = u_n and exactness at every n.  A broken identity raises
-        ValueError naming it and (n, d).  The ranks in the report are the
-        u_n.  Spot 0 still compares: in positive degree (Q)_d vanishes, so
-        p_1 must fill Omega^0_d.
+        rank p_n = u_n and exactness at every n.  A broken or refused
+        identity raises ValueError naming it and (n, d).  The ranks in the
+        report are the u_n.  Spot 0 still compares: in positive degree
+        (Q)_d vanishes, so p_1 must fill Omega^0_d.
 
         p_0 .. p_{top+1} are built once each, as locals of this call, and
         at most two are alive at once; only the report is kept, per degree,
@@ -527,35 +470,17 @@ class DifferentialForms:
            reaches takes the value of K_{n+1} on a form that reaches it,
            and at a form that it does not reach K is (D) minus the weight.
 
-        p_n is read as its slot lists only (`_contraction`).  The unit
-        minor and p^2 = 0 are slot tests (`_unit_minor`, `_square_zero`):
-        whole lists at once where the slots of the built p_n show them,
-        else the scan of each packed column, made from the slot lists only
-        then, whose verdict it then is.
-
-        If the first pass fails (the down columns, and the Cartan slot
-        test), the degree is walked again over every column, with the
-        Cartan identity walked column by column (`_homotopy_walk`), and
-        the error is that walk's: the first broken identity and its (n, d)
-        in the order of a full walk.  Should the full walk pass there, a
-        ValueError says that the two disagree.
+        p_n is read as its slot lists only (`_contraction`), and each
+        identity is decided by its slot test alone (`_minor_slots`,
+        `_square_slots`, `_cartan_slots`), in one pass: the first that
+        fails raises, naming its identity and (n, d).  A passing slot test
+        proves its identity, so a degree that passes is certified; one that
+        fails is refused, whether the identity is broken or only not shown
+        by the lists (the module docstring).
         """
         if d <= 0:
             raise ValueError("exactness is claimed in positive degrees only")
         self.algebra._check_degree(d)
-        try:
-            return self._walk_degree(d, cartan, down_only=True)
-        except ValueError:
-            pass
-        self._walk_degree(d, cartan, down_only=False)
-        raise ValueError(f"the down-column and full walks disagree at d = {d}")
-
-    def _walk_degree(self, d: int, cartan: bool, down_only: bool) -> "ExactnessReport":
-        """One certifying pass over degree d.  With ``down_only``, the first
-        pass: the exactness identities on the down columns of each
-        Omega^n_d and, with ``cartan``, the Cartan slot test.  Else the
-        full walk: every column, the Cartan identity by `_homotopy_walk`
-        over packed columns of d made here."""
         top = self.max_form_degree()
         # a walk reads the layouts of degree d only: those of other degrees
         # are dropped, and rebuilt if a later statement reads them
@@ -565,31 +490,25 @@ class DifferentialForms:
         p_down: Slots = (0, 0, [], [])
         p_out = self._contraction(0, d)
         d_down: Derivative = (p_out, [])
-        packed_down: Packed = ()
         up_in = bytearray()
         weights_in: List[int] = []
-        slot_test = cartan and down_only
         downs = [0] * (top + 2)  # u_n
         for n in range(top + 2):
             up_out = self._up_marks(n, d)
             downs[n] = up_out.count(0)
-            # the down columns of p_n, for the unit minor and a down-only
-            # p^2, dropped before d_n is built
+            # the down columns of p_n, for the unit minor and, without the
+            # Cartan half, p^2, dropped before d_n is built
             down_p = _compressed(p_out, up_out.translate(_FLIP))
-            minor = self._unit_minor(down_p, up_in)
-            # the slot test at n - 1 certified p_{n-1} p_n = 0 on every column
-            square = slot_test or self._square_zero(down_p if down_only else p_out, p_down)
+            minor = _minor_slots(down_p, up_in)
+            # the Cartan slot test at n - 1 certified p_{n-1} p_n = 0 on
+            # every column
+            square = cartan or _square_slots(down_p, p_down)
             del down_p
             weights = self.euler_weights(n, d) if cartan else []
             homotopy = True
             if cartan:
                 d_out = self.exterior_derivative(n, d)
-                if slot_test:
-                    homotopy = self._cartan_slots(n, d, d_out, d_down, weights_in, weights)
-                else:
-                    packed = _transposed(d_out)
-                    homotopy = self._homotopy_walk(weights, packed, d_out[0], p_out, packed_down)
-                    packed_down = packed
+                homotopy = self._cartan_slots(n, d, d_out, d_down, weights_in, weights)
             positive = min(weights, default=1) > 0
             for ok, identity in (
                 (positive, "the weights of d p + p d are not positive"),
@@ -604,9 +523,8 @@ class DifferentialForms:
                     raise ValueError(f"{identity} at (n, d) = ({n}, {d})")
             up_in = up_out
             if cartan:
+                # the slot test reads no p_{n-1}, so none is kept
                 weights_in = weights
-                if not slot_test:  # the slot test reads no p_{n-1}, so none is kept
-                    p_down = p_out
                 d_down, p_out = d_out, d_out[0]
             elif n <= top:
                 p_down = p_out  # p_{n-1} is dropped before p_{n+1} is built
@@ -616,21 +534,6 @@ class DifferentialForms:
         spots = [SpotCheck(0, dims[0], 0, downs[1], downs[1] == dims[0])]
         spots += [SpotCheck(n, dims[n], downs[n], downs[n + 1], True) for n in range(1, top + 1)]
         return ExactnessReport(degree=d, spots=tuple(spots))
-
-
-def _transposed(derivative: Derivative) -> Packed:
-    """The packed columns of d from its rows on the pattern of p: column u
-    lists ``(v, (-1)^t (exps[t][v] + 1))`` for each slot t of each row v
-    that p sends to u, rows ascending.  Made only for the full walk.  An
-    entry whose column is out of range has none to go to; the walk still
-    meets it, as the row of p_{n+1} that it shares."""
-    (cols, _, slot_cols, _), exps = derivative
-    signs = [-1 if t % 2 else 1 for t in range(len(exps))]
-    columns: Dict[int, List[int]] = {}
-    for v, (reached, found) in enumerate(zip(zip(*slot_cols), zip(*exps))):
-        for u, a, sign in zip(reached, found, signs):
-            columns.setdefault(u, []).extend((v, sign * (a + 1)))
-    return tuple(tuple(columns.get(u, ())) for u in range(cols))
 
 
 def _count_columns(name: str, n: int, d: int, cols: int, columns: Sequence) -> None:
@@ -655,21 +558,11 @@ def _block_error(name: str, n: int, d: int, rows: int, wedge: Tuple[int, ...], d
     )
 
 
-# -- p slot-major, the slot tests of the exactness certificate, and the
-# scans they fall back to (see the module docstring)
+# -- p slot-major, and the slot tests of the exactness certificate (see the
+# module docstring)
 
 # maps the up marks of `DifferentialForms._up_marks` to down marks
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def _columns(p: Slots) -> Tuple[Tuple[int, ...], ...]:
-    """The packed columns of ``p``: column c is ``(slot_rows[0][c],
-    slot_values[0][c], slot_rows[1][c], ...)``.  Made only where whole
-    columns are read: the scans a slot test falls back to."""
-    _, cols, slot_rows, slot_values = p
-    if not slot_rows:
-        return ((),) * cols
-    return tuple(zip(*chain.from_iterable(zip(slot_rows, slot_values))))
 
 
 def _compressed(p: Slots, keep: bytearray) -> Slots:
@@ -693,7 +586,11 @@ def _minor_slots(p: Slots, up_in: bytearray) -> bool:
     """True if the row of slot 0 of every column of ``p`` is an up row and
     no other slot's is, the slot-0 values are nonzero and the slot-0 rows
     are distinct: then every column has one entry in an up row and no two
-    share it.  False says only that the slots do not show it."""
+    share it.  Those rows and columns then carry a generalized permutation
+    minor, so rank p_n >= the number of columns.  False refuses the degree
+    (`DifferentialForms._certify`), also where a scan of the columns would
+    find the minor: a unit in another slot, or an up row listed with the
+    value 0."""
     _, cols, slot_rows, slot_values = p
     if not cols:
         return True
@@ -707,19 +604,6 @@ def _minor_slots(p: Slots, up_in: bytearray) -> bool:
     return used.count(1) == cols
 
 
-def _minor_scan(down_cols: Sequence[Tuple[int, ...]], up_in: bytearray) -> bool:
-    """`DifferentialForms._unit_minor` by a scan of each packed column; an
-    entry of value 0, which a slot list can hold, is no entry."""
-    used = bytearray(len(up_in))
-    for col in down_cols:
-        it = iter(col)
-        hit = [r for r, x in zip(it, it) if x and up_in[r]]
-        if len(hit) != 1 or used[hit[0]]:
-            return False
-        used[hit[0]] = 1
-    return True
-
-
 def _square_slots(p: Slots, p_down: Slots) -> bool:
     """True if p_{n-1} p_n vanishes on the columns of ``p`` (of p_n) by
     exact cancellation in pairs.  ``p_down`` (p_{n-1}) must have n - 1
@@ -729,7 +613,9 @@ def _square_slots(p: Slots, p_down: Slots) -> bool:
     and the two must sit on one row: slot u - 1 of p_{n-1} gathered at the
     rows of slot t against slot t gathered at the rows of slot u.  These
     pairs cover all n(n - 1) terms of a column, so its image under
-    p_{n-1} p_n is zero.  False says only that the slots do not show it."""
+    p_{n-1} p_n is zero.  False refuses the degree
+    (`DifferentialForms._certify`), as does a p whose terms cancel otherwise
+    than in these pairs: another slot order, or values other than +-1."""
     slot_rows, below = p[2], p_down[2]
     n = len(slot_rows)
     if not p[1]:
@@ -741,23 +627,6 @@ def _square_slots(p: Slots, p_down: Slots) -> bool:
         for u in range(1, n)
         for t in range(u)
     )
-
-
-def _square_scan(cols: Iterable[Tuple[int, ...]], p_down: Packed) -> bool:
-    """`DifferentialForms._square_zero` by a scan of each packed column:
-    p(p c) summed in a dict."""
-    square: Dict[int, int] = {}
-    sget = square.get
-    for col in cols:
-        it = iter(col)
-        for r, x in zip(it, it):
-            lt = iter(p_down[r])
-            for s, y in zip(lt, lt):
-                square[s] = sget(s, 0) + x * y
-        if any(square.values()):
-            return False
-        square.clear()
-    return True
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,8 @@ def _check_exactness(ctx: StableCohomology) -> List[Dict[str, object]]:
     # positive weights (cartan, diagonal), and unless the matched unit
     # minors of p and p^2 = 0 certify exactness; exactness is checked on
     # the down forms, which settle the up forms, the Cartan identity by its
-    # slot test on every column, and a failure is named by a full walk
+    # slot test on every column, and the first slot test that fails names
+    # the failure
     _walk_cartan(ctx)
     rows: List[Dict[str, object]] = []
     for d in range(1, ctx.degree_bound + 1):

@@ -8,10 +8,57 @@ change to it, read it as a matrix instead: `p_matrix` and `d_matrix` are
 those views, and `patch_p` and `patch_d` carry a change of the matrix back
 into the builder, p's mutated columns read back into slots by position
 and d's mutated rows onto the pattern of p.
+
+`minor_scan` and `square_scan` are the per-column references for the
+slot tests of p, `forms._minor_slots` and `forms._square_slots`: each
+reads whole packed columns (`columns`) and says whether the identity
+holds, whatever the slot order or the values.
 """
 
-from mmmcoh.forms import DifferentialForms, _columns
+from itertools import chain
+
+from mmmcoh.forms import DifferentialForms
 from mmmcoh.linalg import SparseMatrix, _matrix
+
+
+def columns(p):
+    """The packed columns of the slot record ``p``: column c is
+    ``(slot_rows[0][c], slot_values[0][c], slot_rows[1][c], ...)``."""
+    _, cols, slot_rows, slot_values = p
+    if not slot_rows:
+        return ((),) * cols
+    return tuple(zip(*chain.from_iterable(zip(slot_rows, slot_values))))
+
+
+def minor_scan(down_cols, up_in):
+    """Whether every packed column has exactly one entry in an up row (a 1
+    of ``up_in``), no two of them in one row; an entry of value 0, which a
+    slot list can hold, is no entry."""
+    used = bytearray(len(up_in))
+    for col in down_cols:
+        it = iter(col)
+        hit = [r for r, x in zip(it, it) if x and up_in[r]]
+        if len(hit) != 1 or used[hit[0]]:
+            return False
+        used[hit[0]] = 1
+    return True
+
+
+def square_scan(cols, p_down):
+    """Whether p_down (packed columns) vanishes on each packed column of
+    ``cols``: p(p c) summed in a dict."""
+    square = {}
+    sget = square.get
+    for col in cols:
+        it = iter(col)
+        for r, x in zip(it, it):
+            lt = iter(p_down[r])
+            for s, y in zip(lt, lt):
+                square[s] = sget(s, 0) + x * y
+        if any(square.values()):
+            return False
+        square.clear()
+    return True
 
 
 def p_matrix(forms, n, d):
@@ -19,7 +66,7 @@ def p_matrix(forms, n, d):
     entries in slot order, ``(slot_rows[t][c], slot_values[t][c])`` for
     t = 0, 1, ..., with ``int`` values."""
     p = forms._contraction(n, d)
-    return _matrix(p[0], p[1], _columns(p))
+    return _matrix(p[0], p[1], columns(p))
 
 
 def d_matrix(forms, n, d):
@@ -81,7 +128,7 @@ def patch_p(monkeypatch, mutate):
 
     def patched(self, n, d):
         p = real(self, n, d)
-        m = mutate(self, n, d, _matrix(p[0], p[1], _columns(p)))
+        m = mutate(self, n, d, _matrix(p[0], p[1], columns(p)))
         return slots_of(m.rows, m.packed, max(n, 0))
 
     monkeypatch.setattr(DifferentialForms, "_contraction", patched)

@@ -586,7 +586,7 @@ def _break_tor(monkeypatch):
 
 def _break_cartan(monkeypatch):
     # p_2 scaled by 2 at degree 8 is still a complex with the same ranks,
-    # so still exact; only d p + p d = L sees it
+    # so still exact; d p + p d = L no longer holds
     from slot_patch import patch_p
 
     def broken(self, n, d, m):
@@ -640,17 +640,18 @@ def test_failed_statement_exits_1_with_a_message(capsys, monkeypatch, command, b
     assert "Traceback" not in captured.err
 
 
-def test_exactness_query_passes_a_scaled_p_that_verify_all_fails(capsys, monkeypatch):
-    # the exactness query certifies exactness, which a scaled p_2 keeps;
+def test_exactness_query_refuses_a_scaled_p_that_verify_all_fails(capsys, monkeypatch):
+    # a scaled p_2 keeps exactness, but its values are not the Koszul signs
+    # that the p^2 slot test reads, so the exactness query refuses it there;
     # verify-all also states d p + p d = L, and fails both rows that read
     # the forms certificate with the Cartan message
     from mmmcoh.verify import run_verification
 
-    assert main(["exactness", "--max-degree", "8", "--format", "json"]) == 0
-    clean = capsys.readouterr().out
     _break_cartan(monkeypatch)
-    assert main(["exactness", "--max-degree", "8", "--format", "json"]) == 0
-    assert capsys.readouterr().out == clean
+    assert main(["exactness", "--max-degree", "8", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mmmcoh: p^2 is not zero at (n, d) = (2, 8)\n"
     by_id = {c.check_id: c for c in run_verification(8).checks}
     failed = {cid for cid, c in by_id.items() if c.status == "fail"}
     assert failed == {"tor-dimensions", "resolution-exactness"}

@@ -14,7 +14,17 @@ from mmmcoh.linalg import SparseMatrix, _matrix, rank
 from mmmcoh.verify import run_verification
 import mmmcoh.forms as forms_module
 from algebra_oracle import Monomial, monomials, smallest_indices, wedge_insert, wedge_remove
-from slot_patch import d_matrix, derivative_matrix, p_matrix, patch_d, patch_p, slots_of
+from slot_patch import (
+    columns,
+    d_matrix,
+    derivative_matrix,
+    minor_scan,
+    p_matrix,
+    patch_d,
+    patch_p,
+    slots_of,
+    square_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -355,12 +365,15 @@ def test_division_needs_a_table_onto_the_monomials_e_i_divides(table):
     # into degree 8 (e1^4, e1^2*e2, e1*e3, e2^2, e4), e1 divides the first
     # three; a table in range that does not fill exactly those positions
     # gives d the wrong exponents and p the wrong products, and the
-    # certificate of degree 8 fails on both
+    # certificate of degree 8 fails on both.  The Cartan slot test refuses
+    # the repeated table at n = 0 (p_1 reads it), and the one onto e2^2,
+    # which keeps the Euler weight, at n = 1: p_1 p_2 = 0 fails there
     forms = DifferentialForms(PolynomialAlgebra(24))
     assert forms.algebra.multiplication_table(1, 6) == (0, 1, 2)
     assert forms.algebra.exponents(1, 8) == (4, 2, 1, 0, 0)
+    cartan = {(0, 0, 2): (0, 8), (0, 1, 3): (1, 8)}[table]
     for check, message in (
-        ("verify_cartan", "d p + p d is not the weight diagonal at (n, d) = (0, 8)"),
+        ("verify_cartan", "d p + p d is not the weight diagonal at (n, d) = (%d, %d)" % cartan),
         ("verify_exactness", "p has no unit minor on the down forms at (n, d) = (1, 8)"),
     ):
         forms = DifferentialForms(PolynomialAlgebra(24))
@@ -398,30 +411,22 @@ def test_every_wrong_table_entry_fails_cartan_at_bound_12():
 #
 # verify_exactness certifies exactness from p alone: a matched unit minor
 # of each p_n, p^2 = 0 and the counts of the matching.  verify_cartan adds
-# the contracting homotopy, in one walk over the operators' columns.  These
-# are the routes they replaced: L = d p + p d assembled from two products
-# and a sum, and one elimination per contraction.  verify_cartan below
-# reads the Cartan half of one walk, to compare with them.
+# the contracting homotopy, by slot tests over whole lists.  These are the
+# routes they replaced: L = d p + p d assembled from two products and a
+# sum, and one elimination per contraction.  verify_cartan below is the
+# Cartan identity on one Omega^n_d by the products, to compare with them.
 
 
-def homotopy_walk(forms, n, d):
-    """The walk on every column of Omega^n_d alone, over the weights and the
-    four operators it reads, each built through the class's builder
-    methods, d as the packed columns of its matrix."""
-    d_down = d_matrix(forms, n - 1, d).packed if n else ()
-    return forms._homotopy_walk(
-        forms.euler_weights(n, d),
-        d_matrix(forms, n, d).packed,
-        forms._contraction(n + 1, d),
-        forms._contraction(n, d),
-        d_down,
-    )
+def weight_diagonal(forms, n, d):
+    """The predicted L on Omega^n_d: the diagonal of the Euler weights."""
+    weights = forms.euler_weights(n, d)
+    return SparseMatrix(len(weights), len(weights), {(i, i): w for i, w in enumerate(weights)})
 
 
 def verify_cartan(forms, n, d):
-    """d p + p d equals the predicted diagonal on Omega^n_d, read from the
-    homotopy walk."""
-    return homotopy_walk(forms, n, d)
+    """d p + p d equals the predicted diagonal on Omega^n_d, by the
+    product oracle, through the class's builder methods."""
+    return lie_derivative_oracle(forms, n, d) == weight_diagonal(forms, n, d)
 
 
 def lie_derivative_oracle(forms, n, d):
@@ -455,13 +460,14 @@ def test_homotopy_route_matches_rank_oracle(forms):
 
 
 def test_cartan_walk_matches_product_oracle(forms):
+    # the Cartan slot test at each n of a degree, on the lists the pass
+    # reads, and the product oracle both pass on the built operators
     for d in range(0, 25, 2):
+        p0, derivatives, weights = _degree_lists(forms, d)
         for n in range(0, forms.max_form_degree() + 2):
-            weights = forms.euler_weights(n, d)
-            diagonal = SparseMatrix(
-                len(weights), len(weights), {(i, i): w for i, w in enumerate(weights)}
-            )
-            assert verify_cartan(forms, n, d) == (lie_derivative_oracle(forms, n, d) == diagonal)
+            below = (derivatives[n - 1], weights[n - 1]) if n else ((p0, []), [])
+            slots = forms._cartan_slots(n, d, derivatives[n], below[0], below[1], weights[n])
+            assert slots and verify_cartan(forms, n, d), (n, d)
 
 
 def _double_entry(m, col=None):
@@ -543,17 +549,20 @@ def test_broken_premise_is_a_resolution_exactness_fail_row(monkeypatch, capsys, 
 
 
 def test_walk_detects_a_nonzero_p_squared(monkeypatch):
-    # on Omega^3, p_2 is read only as the p of p(pw), so doubling an entry
-    # of a column of p_2 that p(de1^de2^de3) hits leaves the Cartan walk
-    # there intact and breaks p^2 = 0
+    # d p + p d on Omega^3 reads no p_2, so doubling an entry of a column
+    # of p_2 that p(de1^de2^de3) hits leaves the Cartan identity there
+    # intact and breaks p^2 = 0
     hit = p_matrix(DifferentialForms(PolynomialAlgebra(12)), 3, 12).packed[0][0]
     _break_operator("interior_product", (2, 12), col=hit)(monkeypatch)
     forms = DifferentialForms(PolynomialAlgebra(12))
-    assert homotopy_walk(forms, 3, 12)
+    assert verify_cartan(forms, 3, 12)
     p3, p2 = (forms._contraction(n, 12) for n in (3, 2))
-    assert not forms._square_zero(p3, p2)
-    # the exactness certificate meets p_2 first as p_1 p_2, on Omega^2
-    with pytest.raises(ValueError, match=r"^p\^2 is not zero at \(n, d\) = \(2, 12\)$"):
+    assert not forms_module._square_slots(p3, p2)
+    # the column is an up column of p_2, which the exactness certificate
+    # reads only as the p_{n-1} of p^2 on Omega^3, whose Koszul signs
+    # refuse the doubled value
+    assert forms._up_marks(2, 12)[hit]
+    with pytest.raises(ValueError, match=r"^p\^2 is not zero at \(n, d\) = \(3, 12\)$"):
         forms.verify_exactness(12)
 
 
@@ -826,7 +835,7 @@ def test_top_plus_one_forms_must_vanish(monkeypatch):
         forms.verify_exactness(12)
 
 
-# -- the down-column walk: half the columns, the full walk's verdicts ------------
+# -- the down-column walk: half the columns, the slot tests' verdicts -----------
 
 
 def _first_up_column(n, d):
@@ -835,20 +844,24 @@ def _first_up_column(n, d):
 
 UP_FLIPS = {
     # p_n flipped in its first up column: (n, d) -> where the exactness
-    # certificate and the Cartan walk name it, as the full walk always did
+    # certificate and the Cartan slot test name it.  The exactness pass
+    # reads the up columns of p_n only as p_{n-1} of p^2 at n + 1, whose
+    # Koszul signs refuse the flip; the Cartan slot test reads p_n whole as
+    # p_{n+1} of its premises at n - 1
     (1, 8): ((2, 8), (0, 8)),
-    (2, 12): ((2, 12), (1, 12)),
-    (2, 16): ((2, 16), (1, 16)),
-    (2, 20): ((2, 20), (1, 20)),
-    (3, 24): ((3, 24), (2, 24)),
+    (2, 12): ((3, 12), (1, 12)),
+    (2, 16): ((3, 16), (1, 16)),
+    (2, 20): ((3, 20), (1, 20)),
+    (3, 24): ((4, 24), (2, 24)),
     (1, 24): ((2, 24), (0, 24)),
 }
 
 
 @pytest.mark.parametrize("key", sorted(UP_FLIPS))
 def test_a_flipped_sign_in_an_up_column_is_named_as_by_the_full_walk(monkeypatch, key):
-    # no down-column walk reads an up column of p_n as p_n, so the failure
-    # shows elsewhere first; the full walk run after it names the slot
+    # no down-column test reads an up column of p_n as p_n, so the failure
+    # shows at another n: the first slot test that reads the flipped value
+    # names it
     _flip_sign(key, col=_first_up_column(*key))(monkeypatch)
     square, cartan = UP_FLIPS[key]
     forms = DifferentialForms(PolynomialAlgebra(24))
@@ -903,48 +916,10 @@ def test_the_weight_premise_is_what_settles_the_up_forms(monkeypatch):
     with pytest.raises(ValueError) as exc:
         DifferentialForms(PolynomialAlgebra(8)).verify_cartan(8)
     assert str(exc.value) == message
-    monkeypatch.setattr(DifferentialForms, "_keeps_weight", staticmethod(lambda *args: True))
     forms = DifferentialForms(PolynomialAlgebra(8))
-    assert forms._walk_degree(8, True, down_only=True).all_exact
-    with pytest.raises(ValueError) as exc:
-        forms._walk_degree(8, True, down_only=False)
-    assert str(exc.value) == message
-
-
-def test_a_failed_down_walk_that_the_full_walk_passes_is_an_error(monkeypatch):
-    # the first call of a first-pass test that reads a column answers
-    # False; every later one answers as the test does.  p^2 on the down
-    # columns is read by verify_exactness, the Cartan slot test (which
-    # certifies p^2 on every column too) by verify_cartan, and the full
-    # walk reads neither
-    failed = []
-    real_square, real_slots = DifferentialForms._square_zero, DifferentialForms._cartan_slots
-
-    def square(walked_p, p_down):
-        if walked_p[1] and not failed:
-            failed.append(True)
-            return False
-        return real_square(walked_p, p_down)
-
-    def slots(self, n, d, d_out, *rest):
-        if d_out[0][1] and not failed:
-            failed.append(True)
-            return False
-        return real_slots(self, n, d, d_out, *rest)
-
-    for reader, broken, check in (
-        ("_square_zero", staticmethod(square), "verify_exactness"),
-        ("_cartan_slots", slots, "verify_cartan"),
-    ):
-        with monkeypatch.context() as patch:
-            patch.setattr(DifferentialForms, reader, broken)
-            failed.clear()
-            forms = DifferentialForms(PolynomialAlgebra(8))
-            with pytest.raises(
-                ValueError, match=r"^the down-column and full walks disagree at d = 8$"
-            ):
-                getattr(forms, check)(8)
-            assert failed and 8 not in forms._exactness
+    assert not verify_cartan(forms, 1, 8)  # the product oracle
+    monkeypatch.setattr(DifferentialForms, "_keeps_weight", staticmethod(lambda *args: True))
+    assert forms.verify_cartan(8).all_exact
 
 
 @pytest.mark.parametrize("check", ["verify_exactness", "verify_cartan"])
@@ -953,31 +928,26 @@ def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
     # sum_n dim Omega^n_d: the unit minor reads the columns of p_n at the
     # down forms, and in verify_exactness p^2 reads the same ones.  In
     # verify_cartan the slot test reads d_n and p_{n+1} whole, once per n,
-    # in place of the down-only p^2 (it certifies p^2 on every column), and
-    # nothing walks a column
-    real_minor, real_square = DifferentialForms._unit_minor, DifferentialForms._square_zero
+    # in place of the down-only p^2 (its p^2 premise reads every column)
+    real_minor, real_square = forms_module._minor_slots, forms_module._square_slots
     real_slots = DifferentialForms._cartan_slots
     minored, squared, slotted = [], [], []
 
     def minor(down_p, up_in):
-        minored.append(list(forms_module._columns(down_p)))
+        minored.append(list(columns(down_p)))
         return real_minor(down_p, up_in)
 
     def square(walked_p, p_down):
-        squared.append(list(forms_module._columns(walked_p)))
+        squared.append(list(columns(walked_p)))
         return real_square(walked_p, p_down)
 
     def slots(self, n, d, d_out, d_down, *weights):
         slotted.append((n, d_matrix(self, n, d) == derivative_matrix(d_out), d_down))
         return real_slots(self, n, d, d_out, d_down, *weights)
 
-    def walk(*operators):
-        raise AssertionError("no column is walked when the first pass passes")
-
-    monkeypatch.setattr(DifferentialForms, "_unit_minor", staticmethod(minor))
-    monkeypatch.setattr(DifferentialForms, "_square_zero", staticmethod(square))
+    monkeypatch.setattr(forms_module, "_minor_slots", minor)
+    monkeypatch.setattr(forms_module, "_square_slots", square)
     monkeypatch.setattr(DifferentialForms, "_cartan_slots", slots)
-    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(walk))
     forms = DifferentialForms(PolynomialAlgebra(24))
     top = forms.max_form_degree()
     for d in range(1, 25):
@@ -988,7 +958,7 @@ def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
         downs = [
             [c for c, up in enumerate(forms._up_marks(n, d)) if not up] for n in range(top + 2)
         ]
-        p = [p_matrix(forms, n, d).packed for n in range(top + 2)]
+        p = [p_matrix(forms, n, d).packed for n in range(top + 3)]
         assert minored == [[p[n][c] for c in down] for n, down in enumerate(downs)], d
         read = sum(map(len, minored))
         assert 2 * read == sum(forms.dim(n, d) for n in range(top + 2)), d
@@ -996,9 +966,11 @@ def test_the_walk_reads_the_down_columns_only(monkeypatch, check):
         if check == "verify_exactness":
             assert squared == minored and slotted == [], d
         else:
-            # d_n as exterior_derivative builds it, and d_{n-1} the record
-            # of the step before, with the p_n it shares
-            assert squared == [] and [s[:2] for s in slotted] == [(n, True) for n in range(top + 2)]
+            # p^2 on all of p_{n+1} at each n where it has columns; d_n as
+            # exterior_derivative builds it, and d_{n-1} the record of the
+            # step before, with the p_n it shares
+            assert squared == [list(p[n + 1]) for n in range(top + 2) if p[n + 1]], d
+            assert [s[:2] for s in slotted] == [(n, True) for n in range(top + 2)], d
             for n in range(1, top + 2):
                 assert derivative_matrix(slotted[n][2]) == d_matrix(forms, n - 1, d), (n, d)
 
@@ -1021,12 +993,14 @@ def _outcome(certify, *args):
     st.integers(0, 10**6),
 )
 @settings(max_examples=80, deadline=None)
-def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry, how, row):
+def test_one_corrupt_entry_is_certified_only_where_the_oracles_hold(
+    name, n, half, col, entry, how, row
+):
     # one entry of p or d at (n, d), d <= 16, negated, doubled or moved to
     # a row the column does not hold (an entry of d, on the pattern of p,
-    # is set to 0 instead), or one Euler weight raised by 1: both
-    # certificates must say what the walk over every column says, a report
-    # or the same message
+    # is set to 0 instead), or one Euler weight raised by 1: a certificate
+    # that passes states what the product and rank oracles find on the
+    # corrupt operators, and one that refuses names its identity at d
     d = 2 * half
     forms = DifferentialForms(PolynomialAlgebra(16))
     views = {"interior_product": p_matrix, "exterior_derivative": d_matrix}
@@ -1066,37 +1040,60 @@ def test_one_corrupt_entry_gets_the_full_walks_verdict(name, n, half, col, entry
             patch(mp, lambda self, k, e, m: corrupt if (k, e) == (n, d) else m)
         for check, cartan in (("verify_exactness", False), ("verify_cartan", True)):
             got = _outcome(getattr(DifferentialForms(PolynomialAlgebra(16)), check), d)
-            oracle = DifferentialForms(PolynomialAlgebra(16))._walk_degree
-            assert got == _outcome(oracle, d, cartan, False), check
+            if isinstance(got, str):
+                assert got.endswith(", %d)" % d), check
+            else:
+                assert _oracles_hold(DifferentialForms(PolynomialAlgebra(16)), d, cartan, got), check
 
 
-# -- the slot tests: whole operators at once, the scans as their fallback --------
+def _oracles_hold(forms, d, cartan, report):
+    """Whether the oracles find at degree d what a passing certificate
+    states: p_{n-1} p_n = 0 by products, ``report`` by the rank of each
+    p_n and, with ``cartan``, d p + p d = L with positive weights at
+    every n, by products."""
+    top = forms.max_form_degree()
+    if rank_exactness_oracle(forms, d).to_dict() != report:
+        return False
+    if any((p_matrix(forms, n - 1, d) @ p_matrix(forms, n, d)).nnz() for n in range(2, top + 2)):
+        return False
+    return not cartan or all(
+        min(forms.euler_weights(n, d), default=1) > 0 and verify_cartan(forms, n, d)
+        for n in range(top + 2)
+    )
 
 
-def _count_scans(monkeypatch):
-    """Count the calls of the per-column scans that the slot tests fall
-    back to, by name."""
-    calls = {"_minor_scan": 0, "_square_scan": 0}
-    for name in calls:
+# -- the slot tests: whole operators at once, the verdict of the certificate -----
 
-        def counted(*args, real=getattr(forms_module, name), name=name):
-            calls[name] += 1
-            return real(*args)
+
+def _count_slot_tests(monkeypatch):
+    """Record the verdict of every call of the slot tests of p, by name."""
+    verdicts = {"_minor_slots": [], "_square_slots": []}
+    for name, seen in verdicts.items():
+
+        def counted(*args, real=getattr(forms_module, name), seen=seen):
+            seen.append(real(*args))
+            return seen[-1]
 
         monkeypatch.setattr(forms_module, name, counted)
-    return calls
+    return verdicts
 
 
 def test_no_degree_to_24_falls_back_to_a_scan(monkeypatch):
     # the builders list each p column in slot order, so the slot tests
-    # settle every degree; a builder change that breaks the Koszul slot
-    # order would still certify, through the scans, at half the speed
-    calls = _count_scans(monkeypatch)
+    # settle every degree, and no test refuses one: each certificate reads
+    # the unit minor once per n, verify_exactness p^2 once per n, and
+    # verify_cartan p^2 once per n whose p_{n+1} has a column
+    verdicts = _count_slot_tests(monkeypatch)
     forms, cartan = DifferentialForms(PolynomialAlgebra(24)), DifferentialForms(PolynomialAlgebra(24))
+    top = forms.max_form_degree()
     for d in range(1, 25):
-        assert forms.verify_exactness(d).all_exact
-        assert cartan.verify_cartan(d).all_exact
-    assert calls == {"_minor_scan": 0, "_square_scan": 0}
+        reached = sum(1 for n in range(top + 2) if forms.dim(n + 1, d))
+        for certify, squares in ((forms.verify_exactness, top + 2), (cartan.verify_cartan, reached)):
+            for seen in verdicts.values():
+                seen.clear()
+            assert certify(d).all_exact
+            want = {"_minor_slots": [True] * (top + 2), "_square_slots": [True] * squares}
+            assert verdicts == want, d
 
 
 def _rotate_slots(self, n, d, m):
@@ -1105,24 +1102,32 @@ def _rotate_slots(self, n, d, m):
     return _matrix(m.rows, m.cols, tuple(col[2:] + col[:2] for col in m.packed))
 
 
-def test_a_p_in_another_slot_order_certifies_through_the_scans(monkeypatch):
-    # verify_exactness certifies it through the scans, with the same
-    # reports.  d is built on the slots of p_{n+1} in the Koszul order, slot
-    # t holding (-1)^t (a + 1) with a the exponent of the t-th index of the
-    # wedge, so on these slots it is not the exterior derivative: the first
-    # pass fails, and the full walk names the first (n, d) where d p + p d
-    # is then not the weight diagonal
+def test_a_p_in_another_slot_order_is_refused(monkeypatch):
+    # the same matrix, so the complex is still exact, but the slot tests
+    # read p in the Koszul slot order: slot 0 of a down column of p_2 is no
+    # longer its up row, so verify_exactness refuses the unit minor, which
+    # the scan of the packed columns still finds.  d is built on the slots
+    # of p_{n+1} in the Koszul order, slot t holding (-1)^t (a + 1) with a
+    # the exponent of the t-th index of the wedge, so on these slots it is
+    # not the exterior derivative, and verify_cartan refuses d p + p d at
+    # n = 1.  Both refuse every even degree from 6 on, where p_2 has columns
     reports = [DifferentialForms(PolynomialAlgebra(16)).verify_exactness(d) for d in range(1, 17)]
     patch_p(monkeypatch, _rotate_slots)
-    calls = _count_scans(monkeypatch)
     forms = DifferentialForms(PolynomialAlgebra(16))
-    assert [forms.verify_exactness(d) for d in range(1, 17)] == reports
-    assert calls["_minor_scan"] > 0 and calls["_square_scan"] > 0
-    forms = DifferentialForms(PolynomialAlgebra(16))
-    assert [forms.verify_cartan(d) for d in range(1, 6)] == reports[:5]
-    with pytest.raises(ValueError) as exc:
-        forms.verify_cartan(6)
-    assert str(exc.value) == "d p + p d is not the weight diagonal at (n, d) = (1, 6)"
+    p2 = forms._contraction(2, 6)
+    down = forms_module._compressed(p2, forms._up_marks(2, 6).translate(forms_module._FLIP))
+    assert minor_scan(columns(down), forms._up_marks(1, 6))
+    assert not forms_module._minor_slots(down, forms._up_marks(1, 6))
+    for check, identity, n in (
+        ("verify_exactness", "p has no unit minor on the down forms", 2),
+        ("verify_cartan", "d p + p d is not the weight diagonal", 1),
+    ):
+        certify = getattr(DifferentialForms(PolynomialAlgebra(16)), check)
+        want = [
+            f"{identity} at (n, d) = ({n}, {d})" if d % 2 == 0 and d >= 6 else report.to_dict()
+            for d, report in enumerate(reports, 1)
+        ]
+        assert [_outcome(certify, d) for d in range(1, 17)] == want
 
 
 def test_one_flipped_value_inside_a_pair_fails_p_squared(monkeypatch):
@@ -1142,7 +1147,7 @@ def test_one_flipped_value_inside_a_pair_fails_p_squared(monkeypatch):
     forms = DifferentialForms(PolynomialAlgebra(20))
     p3, p2 = forms._contraction(3, 20), forms._contraction(2, 20)
     assert not forms_module._square_slots(_column_of(p3, col), p2)
-    assert not forms._square_zero(p3, p2)
+    assert not forms_module._square_slots(p3, p2)
     with pytest.raises(ValueError) as exc:
         forms.verify_exactness(20)
     assert str(exc.value) == "p^2 is not zero at (n, d) = (3, 20)"
@@ -1163,7 +1168,7 @@ def test_a_moved_row_inside_a_pair_fails_the_slot_test():
     below = (rows, cols, moved, slot_values)
     assert forms_module._square_slots(col, p2)
     assert not forms_module._square_slots(col, below)
-    assert not forms_module._square_scan(forms_module._columns(col), forms_module._columns(below))
+    assert not square_scan(columns(col), columns(below))
 
 
 def test_a_p_down_of_another_width_fails_the_slot_test():
@@ -1176,7 +1181,7 @@ def test_a_p_down_of_another_width_fails_the_slot_test():
     widened = (1, cols, [[0] * cols], [[1] * cols])
     assert forms_module._square_slots(p1, forms._contraction(0, 8))
     assert not forms_module._square_slots(p1, widened)
-    assert not DifferentialForms._square_zero(p1, widened)
+    assert not square_scan(columns(p1), columns(widened))
 
 
 def _column_of(p, col):
@@ -1225,8 +1230,8 @@ KINDS = ["none", "negate", "double", "zero", "row", "swap"]
 @settings(max_examples=150, deadline=None)
 def test_each_slot_test_agrees_with_its_scan_on_p(n, half, where, column, entry, how, value):
     # the down columns of p_n and the columns of p_{n-1} at degree <= 16,
-    # slot-major, one of the two changed: a slot test that certifies is
-    # never wrong, and its function's verdict is the scan's
+    # slot-major, one of the two changed: a slot test never certifies what
+    # the scan of the packed columns refuses
     forms = DifferentialForms(PolynomialAlgebra(16))
     d = 2 * half
     p_out, below = forms._contraction(n, d), forms._contraction(n - 1, d)
@@ -1237,15 +1242,11 @@ def test_each_slot_test_agrees_with_its_scan_on_p(n, half, where, column, entry,
         cols = _mutate(cols, column, entry, how, value)
     else:
         below = _mutate(below, column, entry, how, value)
-    packed = forms_module._columns(cols)
-    square = forms_module._square_scan(packed, forms_module._columns(below))
+    packed = columns(cols)
     if forms_module._square_slots(cols, below):
-        assert square
-    assert DifferentialForms._square_zero(cols, below) == square
-    minor = forms_module._minor_scan(packed, up_in)
+        assert square_scan(packed, columns(below))
     if forms_module._minor_slots(cols, up_in):
-        assert minor
-    assert DifferentialForms._unit_minor(cols, up_in) == minor
+        assert minor_scan(packed, up_in)
     if how == "none":
         # unchanged operators certify on the slot tests alone
         assert forms_module._square_slots(cols, below) and forms_module._minor_slots(cols, up_in)
@@ -1259,8 +1260,8 @@ _values = st.sampled_from([1, -1, 2, 0])
 def test_each_slot_test_agrees_with_its_scan_on_random_columns(n, size, data):
     # random slot lists of n slots over 6 rows, each column's rows
     # distinct, those of the columns its rows reach with n - 1 slots (or
-    # one more), and random up marks: the slot tests may only say what the
-    # scans say
+    # one more), and random up marks: a slot test never certifies what the
+    # scan refuses
     def column(width):
         rows = data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width, unique=True))
         return tuple(x for r in rows for x in (r, data.draw(_values)))
@@ -1270,30 +1271,20 @@ def test_each_slot_test_agrees_with_its_scan_on_random_columns(n, size, data):
     below = tuple(column(width) for _ in range(6))
     cols, p_down = slots_of(6, chunk, n), slots_of(6, below, width)
     up_in = bytearray(data.draw(st.lists(st.integers(0, 1), min_size=6, max_size=6)))
-    square = forms_module._square_scan(chunk, below)
-    assert not forms_module._square_slots(cols, p_down) or square
-    assert DifferentialForms._square_zero(cols, p_down) == square
-    minor = forms_module._minor_scan(chunk, up_in)
-    assert not forms_module._minor_slots(cols, up_in) or minor
-    assert DifferentialForms._unit_minor(cols, up_in) == minor
+    assert not forms_module._square_slots(cols, p_down) or square_scan(chunk, below)
+    assert not forms_module._minor_slots(cols, up_in) or minor_scan(chunk, up_in)
 
 
-def test_square_zero_settles_all_its_columns_at_once(monkeypatch):
-    # every column of p_3 goes to one slot test, and a failure in the last
+def test_square_zero_settles_all_its_columns_at_once():
+    # one slot test reads every column of p_3, and a failure in the last
     # one is still found
     forms = DifferentialForms(PolynomialAlgebra(24))
     p3, p2 = forms._contraction(3, 24), forms._contraction(2, 24)
-    seen = []
-    real = forms_module._square_slots
-    monkeypatch.setattr(
-        forms_module, "_square_slots", lambda p, below: seen.append(p[1]) or real(p, below)
-    )
-    assert forms._square_zero(p3, p2)
-    assert seen == [p3[1]] and p3[1] > 1
+    assert forms_module._square_slots(p3, p2) and p3[1] > 1
     rows, cols, slot_rows, slot_values = p3
     doubled = [list(v) for v in slot_values]
     doubled[0][-1] *= 2
-    assert not forms._square_zero((rows, cols, slot_rows, doubled), p2)
+    assert not forms_module._square_slots((rows, cols, slot_rows, doubled), p2)
 
 
 # -- the Cartan slot test: d on the pattern of p, premises over whole lists ------
@@ -1410,15 +1401,9 @@ def test_every_single_corruption_of_the_lists_fails_the_slot_test_at_bound_12():
 
 
 def test_a_passing_run_at_40_walks_no_column_and_builds_each_p_once(monkeypatch):
-    # the slot test passes at every (n, d) of bound 40 with no fallback: no
-    # packed column of d is made, no column walked, no scan made, and each
-    # p_n is built once per degree (inside exterior_derivative from n = 1)
-    def forbidden(*args):
-        raise AssertionError("the first pass fell back")
-
-    for name in ("_transposed", "_minor_scan", "_square_scan"):
-        monkeypatch.setattr(forms_module, name, forbidden)
-    monkeypatch.setattr(DifferentialForms, "_homotopy_walk", staticmethod(forbidden))
+    # every slot test passes at every (n, d) of bound 40, and each p_n is
+    # built once per degree (inside exterior_derivative from n = 1)
+    tested = _count_slot_tests(monkeypatch)
     built, verdicts = Counter(), []
     real_p, real_slots = DifferentialForms._contraction, DifferentialForms._cartan_slots
 
@@ -1436,6 +1421,8 @@ def test_a_passing_run_at_40_walks_no_column_and_builds_each_p_once(monkeypatch)
     top = DifferentialForms(PolynomialAlgebra(40)).max_form_degree()
     assert built == Counter((n, d) for d in range(1, 41) for n in range(top + 3))
     assert len(verdicts) == 40 * (top + 2) and all(verdicts)
+    assert len(tested["_minor_slots"]) == 40 * (top + 2)
+    assert all(tested["_minor_slots"]) and all(tested["_square_slots"])
 
 
 def test_the_block_and_count_premises_are_read(monkeypatch):
@@ -1475,9 +1462,8 @@ def test_the_block_and_count_premises_are_read(monkeypatch):
 
 
 def test_a_p_row_out_of_range_is_a_named_cartan_failure(monkeypatch):
-    # a row of p_2 one past the rows of Omega^1: the slot test refuses it
-    # (its run leaves its block), and the full walk, whose packed columns
-    # of d have no column for it, still meets it as the row of p_2
+    # a row of p_2 one past the rows of Omega^1: the slot test at n = 1,
+    # which reads p_2 as p_{n+1}, refuses it (its run leaves its block)
     real = DifferentialForms._contraction
 
     def broken(self, n, d):
