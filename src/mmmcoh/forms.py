@@ -57,8 +57,9 @@ The slot tests are the verdict.  True proves its identity; False refuses
 the degree, and the certificate raises naming the identity and (n, d).
 The argument is one way: a p or d laid out otherwise than the builders
 lay it out (another slot order, values other than the Koszul +-1) may
-satisfy the identities and still be refused, but nothing refused is ever
-certified, so a passing verdict is a proof whatever the builders do.
+satisfy the identities and still be refused, but a slot test passes only
+where its identity holds, so a passing verdict is a proof whatever the
+builders do.
 
 The complex is streamed degree by degree: the operators are built on
 each call and kept by no one here, so `verify_exactness(d)` and
